@@ -20,7 +20,7 @@ use asynciter_models::schedule::ChaoticBounded;
 use asynciter_opt::bellman_ford::{BellmanFordOperator, Graph};
 use asynciter_report::csv::CsvWriter;
 use asynciter_report::table::TextTable;
-use asynciter_runtime::network::{ApplyPolicy, NetConfig, NetworkRunner};
+use asynciter_runtime::{ApplyPolicy, ClusterConfig, ClusterEngine};
 
 /// Runs E6.
 pub fn run(seed: u64, quick: bool) {
@@ -56,11 +56,11 @@ pub fn run(seed: u64, quick: bool) {
         let budget = if quick { 300 } else { 800 };
         for &(hold, drop, dup) in &[(0.0, 0.0, 0.0), (0.3, 0.1, 0.05), (0.5, 0.25, 0.1)] {
             for policy in [ApplyPolicy::AsReceived, ApplyPolicy::KeepFreshest] {
-                let cfg = NetConfig::new(*workers, budget)
+                let cfg = ClusterConfig::new(*workers as u64 * budget)
                     .with_faults(hold, drop, dup)
                     .with_policy(policy)
                     .with_seed(seed);
-                let res = NetworkRunner::run(&op, &x0, &partition, &cfg).expect("run");
+                let res = ClusterEngine::run(&op, &x0, &partition, &cfg, None).expect("run");
                 let err = res
                     .consensus
                     .iter()

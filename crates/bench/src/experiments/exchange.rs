@@ -16,7 +16,7 @@ use asynciter_models::partition::Partition;
 use asynciter_opt::obstacle::{ObstacleProblem, ProjectedJacobi};
 use asynciter_report::csv::CsvWriter;
 use asynciter_report::table::TextTable;
-use asynciter_runtime::network::{NetConfig, NetworkRunner};
+use asynciter_runtime::{ClusterConfig, ClusterEngine};
 
 /// Runs E5.
 pub fn run(seed: u64, quick: bool) {
@@ -47,10 +47,10 @@ pub fn run(seed: u64, quick: bool) {
 
     let mut rows: Vec<(u64, u64, f64, f64)> = Vec::new();
     for q in [1u64, 2, 4, 8, 16, 32, 64] {
-        let cfg = NetConfig::new(workers, budget)
+        let cfg = ClusterConfig::new(workers as u64 * budget)
             .with_exchange_every(q)
             .with_seed(seed);
-        let res = NetworkRunner::run(&op, &x0, &partition, &cfg).expect("network run");
+        let res = ClusterEngine::run(&op, &x0, &partition, &cfg, None).expect("cluster run");
         let err = asynciter_numerics::vecops::max_abs_diff(&res.consensus, &reference);
         rows.push((q, res.stats.sent, res.final_residual, err));
         table.row(&[

@@ -18,8 +18,7 @@
 //! simulated time, macro-iterations, per-worker updates) into
 //! `BENCH_gate.json`, and — in `--check` mode — compares the fresh
 //! matrix against a committed baseline, failing with a non-zero exit
-//! when any cell's convergence regresses or its timing degrades beyond
-//! a ratio.
+//! when any cell's convergence or simulated time regresses.
 //!
 //! Not every backend can realise every delay model natively (a barrier
 //! cannot reorder messages). Instead of holes in the matrix, each cell
@@ -29,12 +28,10 @@
 //! admissible variant as the control for that environment). The
 //! comparator treats all three alike — every cell is gated.
 //!
-//! Timing rules are deliberately asymmetric: simulated ticks are
-//! deterministic and compared tightly, while wall-clock is only checked
-//! for cells that took long enough to measure reliably
-//! ([`CheckConfig::min_wall_secs`]) and with a generous ratio, so
-//! single-core CI hosts do not flake. Comparator unit tests inject
-//! timings instead of running live clocks.
+//! Only deterministic metrics are compared: status, residuals and
+//! simulated ticks. Wall-clock time is recorded in every cell but never
+//! gated — it is a trajectory, not a verdict, and `benchmark/` is the
+//! repo's timing yardstick.
 
 use crate::harness::try_compare_backends;
 use asynciter_core::session::{Flexible, Replay, RunReport, Session};
@@ -809,38 +806,14 @@ pub fn coverage(doc: &GateDoc) -> Coverage {
 // The comparator
 // ---------------------------------------------------------------------------
 
-/// Regression thresholds. Defaults are tuned so deterministic metrics
-/// (residuals, simulated ticks) are held tightly while wall-clock — the
-/// only host-dependent metric — is gated loosely and only for cells
-/// long enough to time reliably.
-#[derive(Debug, Clone)]
-pub struct CheckConfig {
-    /// A current residual at or below this passes outright (absorbs
-    /// nondeterministic noise near machine precision in converged cells).
-    pub residual_floor: f64,
-    /// Otherwise the current residual must stay within `ratio ×`
-    /// baseline.
-    pub residual_ratio: f64,
-    /// Wall-time regression ratio.
-    pub wall_ratio: f64,
-    /// Wall-time checks only apply when the *baseline* cell took at
-    /// least this long (sub-millisecond cells are pure noise).
-    pub min_wall_secs: f64,
-    /// Simulated-tick regression ratio (deterministic, so tight).
-    pub sim_time_ratio: f64,
-}
-
-impl Default for CheckConfig {
-    fn default() -> Self {
-        Self {
-            residual_floor: 1e-5,
-            residual_ratio: 25.0,
-            wall_ratio: 8.0,
-            min_wall_secs: 0.05,
-            sim_time_ratio: 1.25,
-        }
-    }
-}
+/// A current residual at or below this passes outright (absorbs
+/// thread-interleaving noise near machine precision in converged cells).
+const RESIDUAL_FLOOR: f64 = 1e-5;
+/// Otherwise the current residual must stay within this factor of the
+/// baseline.
+const RESIDUAL_RATIO: f64 = 25.0;
+/// Simulated-tick regression ratio (deterministic, so tight).
+const SIM_TIME_RATIO: f64 = 1.25;
 
 /// Per-cell comparison verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -857,8 +830,6 @@ pub enum Verdict {
     RunFailed,
     /// Convergence regressed beyond the residual thresholds.
     ResidualRegression,
-    /// Wall-clock time regressed beyond the ratio.
-    WallRegression,
     /// Simulated ticks regressed beyond the ratio.
     SimTimeRegression,
 }
@@ -871,7 +842,6 @@ impl Verdict {
             Verdict::MissingCell
                 | Verdict::RunFailed
                 | Verdict::ResidualRegression
-                | Verdict::WallRegression
                 | Verdict::SimTimeRegression
         )
     }
@@ -885,7 +855,6 @@ impl Verdict {
             Verdict::MissingCell => "MISSING",
             Verdict::RunFailed => "FAILED",
             Verdict::ResidualRegression => "RESIDUAL",
-            Verdict::WallRegression => "WALL",
             Verdict::SimTimeRegression => "SIM-TIME",
         }
     }
@@ -970,7 +939,7 @@ fn time_metric(r: &GateRecord) -> f64 {
     }
 }
 
-fn compare_cell(base: &GateRecord, cur: &GateRecord, cfg: &CheckConfig) -> (Verdict, String) {
+fn compare_cell(base: &GateRecord, cur: &GateRecord) -> (Verdict, String) {
     if !base.is_ok() {
         return (Verdict::BaselineNotOk, base.note.clone());
     }
@@ -979,14 +948,14 @@ fn compare_cell(base: &GateRecord, cur: &GateRecord, cfg: &CheckConfig) -> (Verd
     }
     // Convergence: a floor for converged cells, then a ratio. NaN fails
     // both comparisons, as it must.
-    let resid_ok = cur.final_residual <= cfg.residual_floor
-        || cur.final_residual <= base.final_residual * cfg.residual_ratio + f64::MIN_POSITIVE;
+    let resid_ok = cur.final_residual <= RESIDUAL_FLOOR
+        || cur.final_residual <= base.final_residual * RESIDUAL_RATIO + f64::MIN_POSITIVE;
     if !resid_ok {
         return (
             Verdict::ResidualRegression,
             format!(
                 "residual {:.3e} exceeds floor {:.1e} and {}x baseline {:.3e}",
-                cur.final_residual, cfg.residual_floor, cfg.residual_ratio, base.final_residual
+                cur.final_residual, RESIDUAL_FLOOR, RESIDUAL_RATIO, base.final_residual
             ),
         );
     }
@@ -994,13 +963,10 @@ fn compare_cell(base: &GateRecord, cur: &GateRecord, cfg: &CheckConfig) -> (Verd
     // the metric the baseline had must not silently skip the check.
     match (base.sim_time, cur.sim_time) {
         (Some(bt), Some(ct)) => {
-            if bt > 0 && ct as f64 > bt as f64 * cfg.sim_time_ratio {
+            if bt > 0 && ct as f64 > bt as f64 * SIM_TIME_RATIO {
                 return (
                     Verdict::SimTimeRegression,
-                    format!(
-                        "simulated time {ct} exceeds {}x baseline {bt}",
-                        cfg.sim_time_ratio
-                    ),
+                    format!("simulated time {ct} exceeds {SIM_TIME_RATIO}x baseline {bt}"),
                 );
             }
         }
@@ -1012,21 +978,11 @@ fn compare_cell(base: &GateRecord, cur: &GateRecord, cfg: &CheckConfig) -> (Verd
         }
         (None, _) => {}
     }
-    // Wall clock: only for cells the baseline could time reliably.
-    if base.wall_secs >= cfg.min_wall_secs && cur.wall_secs > base.wall_secs * cfg.wall_ratio {
-        return (
-            Verdict::WallRegression,
-            format!(
-                "wall {:.3}s exceeds {}x baseline {:.3}s",
-                cur.wall_secs, cfg.wall_ratio, base.wall_secs
-            ),
-        );
-    }
     (Verdict::Pass, String::new())
 }
 
 /// Compares a fresh matrix against a baseline, cell by cell.
-pub fn check_matrix(baseline: &GateDoc, current: &GateDoc, cfg: &CheckConfig) -> CheckReport {
+pub fn check_matrix(baseline: &GateDoc, current: &GateDoc) -> CheckReport {
     let mut cells = Vec::with_capacity(baseline.records.len());
     let mut seen: BTreeSet<String> = BTreeSet::new();
     for base in &baseline.records {
@@ -1045,7 +1001,7 @@ pub fn check_matrix(baseline: &GateDoc, current: &GateDoc, cfg: &CheckConfig) ->
                 f64::NAN,
             ),
             Some(cur) => {
-                let (v, d) = compare_cell(base, cur, cfg);
+                let (v, d) = compare_cell(base, cur);
                 (v, d, cur.final_residual, time_metric(cur))
             }
         };
@@ -1077,9 +1033,7 @@ pub fn check_matrix(baseline: &GateDoc, current: &GateDoc, cfg: &CheckConfig) ->
 // CLI entry point (thin `bin/gate.rs` wraps this)
 // ---------------------------------------------------------------------------
 
-const USAGE: &str = "usage: gate [--quick | --full] [--seed N] [--out PATH] \
-[--check BASELINE] [--residual-floor X] [--residual-ratio X] [--wall-ratio X] \
-[--min-wall-secs X] [--sim-time-ratio X]
+const USAGE: &str = "usage: gate [--quick | --full] [--seed N] [--out PATH] [--check BASELINE]
 
 Runs the backend x problem x delay-model scenario matrix, writes the
 machine-readable BENCH_gate.json (default --out), and with --check
@@ -1090,7 +1044,6 @@ struct GateArgs {
     seed: u64,
     out: PathBuf,
     check: Option<PathBuf>,
-    cfg: CheckConfig,
 }
 
 fn parse_gate_args(args: &[String]) -> Result<GateArgs, String> {
@@ -1099,7 +1052,6 @@ fn parse_gate_args(args: &[String]) -> Result<GateArgs, String> {
         seed: 2022,
         out: PathBuf::from("BENCH_gate.json"),
         check: None,
-        cfg: CheckConfig::default(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -1118,20 +1070,10 @@ fn parse_gate_args(args: &[String]) -> Result<GateArgs, String> {
             }
             "--out" => parsed.out = PathBuf::from(val("--out")?),
             "--check" => parsed.check = Some(PathBuf::from(val("--check")?)),
-            "--residual-floor" => parsed.cfg.residual_floor = parse_f64(val("--residual-floor")?)?,
-            "--residual-ratio" => parsed.cfg.residual_ratio = parse_f64(val("--residual-ratio")?)?,
-            "--wall-ratio" => parsed.cfg.wall_ratio = parse_f64(val("--wall-ratio")?)?,
-            "--min-wall-secs" => parsed.cfg.min_wall_secs = parse_f64(val("--min-wall-secs")?)?,
-            "--sim-time-ratio" => parsed.cfg.sim_time_ratio = parse_f64(val("--sim-time-ratio")?)?,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(parsed)
-}
-
-fn parse_f64(text: &str) -> Result<f64, String> {
-    text.parse()
-        .map_err(|_| format!("`{text}` is not a number"))
 }
 
 /// The gate CLI: runs the matrix, writes the artefact, optionally checks
@@ -1194,7 +1136,7 @@ pub fn gate_main(args: &[String]) -> i32 {
                 return 2;
             }
         };
-        let report = check_matrix(&baseline, &doc, &parsed.cfg);
+        let report = check_matrix(&baseline, &doc);
         println!("{}", report.render_table());
         if report.passed() {
             println!(
@@ -1252,7 +1194,7 @@ mod tests {
     #[test]
     fn identical_docs_pass() {
         let d = doc(vec![ok_record(("p", "b", "d"))]);
-        let report = check_matrix(&d, &d.clone(), &CheckConfig::default());
+        let report = check_matrix(&d, &d.clone());
         assert!(report.passed());
         assert_eq!(report.cells[0].verdict, Verdict::Pass);
     }
@@ -1266,7 +1208,7 @@ mod tests {
         let mut base = base;
         base.final_residual = 1e-14;
         cur.final_residual = 1e-12;
-        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]), &CheckConfig::default());
+        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]));
         assert!(report.passed());
     }
 
@@ -1276,7 +1218,7 @@ mod tests {
         base.final_residual = 1e-3; // above the floor already
         let mut cur = base.clone();
         cur.final_residual = 1.0; // 1000x worse
-        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]), &CheckConfig::default());
+        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]));
         assert!(!report.passed());
         assert_eq!(report.cells[0].verdict, Verdict::ResidualRegression);
     }
@@ -1287,32 +1229,19 @@ mod tests {
         base.final_residual = 1e-3;
         let mut cur = base.clone();
         cur.final_residual = f64::NAN;
-        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]), &CheckConfig::default());
+        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]));
         assert_eq!(report.cells[0].verdict, Verdict::ResidualRegression);
     }
 
     #[test]
-    fn wall_regression_uses_injected_timings() {
-        // Injected timings, no live clocks: 0.1s -> 1.0s at ratio 8 fails.
+    fn wall_time_is_recorded_but_never_gated() {
         let mut base = ok_record(("p", "b", "d"));
         base.wall_secs = 0.1;
         let mut cur = base.clone();
-        cur.wall_secs = 1.0;
-        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]), &CheckConfig::default());
-        assert!(!report.passed());
-        assert_eq!(report.cells[0].verdict, Verdict::WallRegression);
-    }
-
-    #[test]
-    fn short_baseline_wall_times_are_not_gated() {
-        // Below min_wall_secs the wall check must not apply, however
-        // large the ratio — sub-millisecond cells flake on loaded hosts.
-        let mut base = ok_record(("p", "b", "d"));
-        base.wall_secs = 0.001;
-        let mut cur = base.clone();
-        cur.wall_secs = 10.0;
-        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]), &CheckConfig::default());
+        cur.wall_secs = 1000.0;
+        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]));
         assert!(report.passed());
+        assert_eq!(report.cells[0].cur_time, 1000.0);
     }
 
     #[test]
@@ -1321,7 +1250,7 @@ mod tests {
         base.sim_time = Some(1000);
         let mut cur = base.clone();
         cur.sim_time = Some(1400); // 1.4x > 1.25x
-        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]), &CheckConfig::default());
+        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]));
         assert!(!report.passed());
         assert_eq!(report.cells[0].verdict, Verdict::SimTimeRegression);
         // Within ratio passes.
@@ -1329,7 +1258,7 @@ mod tests {
         cur.sim_time = Some(1200);
         let mut base = ok_record(("p", "sim", "d"));
         base.sim_time = Some(1000);
-        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]), &CheckConfig::default());
+        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]));
         assert!(report.passed());
     }
 
@@ -1339,7 +1268,7 @@ mod tests {
         base.sim_time = Some(1000);
         let mut cur = base.clone();
         cur.sim_time = None;
-        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]), &CheckConfig::default());
+        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]));
         assert!(!report.passed());
         assert_eq!(report.cells[0].verdict, Verdict::SimTimeRegression);
     }
@@ -1354,7 +1283,7 @@ mod tests {
         failed.status = "failed".into();
         failed.note = "boom".into();
         let current = doc(vec![failed]);
-        let report = check_matrix(&base, &current, &CheckConfig::default());
+        let report = check_matrix(&base, &current);
         assert_eq!(report.failures(), 2);
         let verdicts: Vec<_> = report.cells.iter().map(|c| c.verdict.clone()).collect();
         assert!(verdicts.contains(&Verdict::RunFailed));
@@ -1368,7 +1297,7 @@ mod tests {
             ok_record(("p", "b", "d")),
             ok_record(("p3", "b", "d")),
         ]);
-        let report = check_matrix(&base, &current, &CheckConfig::default());
+        let report = check_matrix(&base, &current);
         assert!(report.passed());
         assert!(report
             .cells
@@ -1384,7 +1313,7 @@ mod tests {
         cur_bad.final_residual = 10.0;
         let base = doc(vec![ok_record(("fine", "b", "d")), base_bad]);
         let current = doc(vec![ok_record(("fine", "b", "d")), cur_bad]);
-        let report = check_matrix(&base, &current, &CheckConfig::default());
+        let report = check_matrix(&base, &current);
         let table = report.render_table();
         let first_data_line = table.lines().nth(2).unwrap();
         assert!(first_data_line.contains("RESIDUAL"), "{table}");

@@ -3,15 +3,15 @@
 //! machine-readable `BENCH_service.json`, and — in `--check` mode —
 //! compare against a committed baseline.
 //!
-//! The comparator mirrors the gate's asymmetry: everything the service
-//! layer computes deterministically (per-tenant statuses, step counts,
-//! residual bits, final-iterate hashes, completion counts) is compared
-//! strictly, while wall-clock metrics (total wall, throughput, latency
-//! percentiles) are gated only when the baseline cell took long enough
-//! to time reliably, and with generous ratios — single-core CI hosts
-//! must not flake. Because per-tenant payloads are mode-independent
-//! (the isolation contract), a deterministic-mode baseline also gates
-//! free-running runs: only completion *order* and timing may differ.
+//! Like the gate's, the comparator is deterministic-only: everything
+//! the service layer computes deterministically (per-tenant statuses,
+//! step counts, residual bits, final-iterate hashes, completion counts)
+//! is compared strictly, while wall-clock metrics (total wall,
+//! throughput, latency percentiles) are recorded but never gated —
+//! `benchmark/` is the timing yardstick. Because per-tenant payloads
+//! are mode-independent (the isolation contract), a deterministic-mode
+//! baseline also gates free-running runs: only completion *order* and
+//! timing may differ.
 //!
 //! `--verify` runs the tenant-equivalence oracle over the drained
 //! outcome (every job re-run solo, diffed bitwise); with `--record`,
@@ -30,29 +30,6 @@ use std::path::PathBuf;
 // ---------------------------------------------------------------------------
 // The comparator
 // ---------------------------------------------------------------------------
-
-/// Regression thresholds for `--check`. Deterministic fields are always
-/// strict; these only govern the host-dependent timing metrics.
-#[derive(Debug, Clone)]
-pub struct ServiceCheckConfig {
-    /// Throughput may drop to `1/ratio ×` baseline before failing.
-    pub throughput_ratio: f64,
-    /// Wall and latency metrics may grow to `ratio ×` baseline.
-    pub wall_ratio: f64,
-    /// Timing checks only apply when the baseline metric is at least
-    /// this long (sub-millisecond sweeps are pure scheduling noise).
-    pub min_wall_secs: f64,
-}
-
-impl Default for ServiceCheckConfig {
-    fn default() -> Self {
-        Self {
-            throughput_ratio: 8.0,
-            wall_ratio: 8.0,
-            min_wall_secs: 0.05,
-        }
-    }
-}
 
 /// Outcome of a baseline comparison: every failed check, rendered.
 #[derive(Debug, Clone)]
@@ -83,13 +60,9 @@ fn record_key(r: &ServiceRecord) -> (u64, u64) {
 /// execution mode is *not* compared: per-tenant payloads are
 /// mode-independent by the isolation contract, so a deterministic
 /// baseline legitimately gates a free-running run. Timing metrics are
-/// gated per [`ServiceCheckConfig`].
+/// not compared at all.
 #[must_use]
-pub fn check_service_doc(
-    base: &ServiceDoc,
-    cur: &ServiceDoc,
-    cfg: &ServiceCheckConfig,
-) -> ServiceCheckReport {
+pub fn check_service_doc(base: &ServiceDoc, cur: &ServiceDoc) -> ServiceCheckReport {
     let mut failures = Vec::new();
     let mut fail = |msg: String| failures.push(msg);
     for (name, b, c) in [
@@ -149,34 +122,6 @@ pub fn check_service_doc(
             ));
         }
     }
-    // Timing: gated only above the measurement floor, with generous
-    // ratios (see the module docs).
-    if base.wall_secs >= cfg.min_wall_secs {
-        if cur.wall_secs > base.wall_secs * cfg.wall_ratio {
-            fail(format!(
-                "wall {:.3}s exceeds {}x baseline {:.3}s",
-                cur.wall_secs, cfg.wall_ratio, base.wall_secs
-            ));
-        }
-        if base.throughput > 0.0 && cur.throughput < base.throughput / cfg.throughput_ratio {
-            fail(format!(
-                "throughput {:.1}/s below baseline {:.1}/s / {}",
-                cur.throughput, base.throughput, cfg.throughput_ratio
-            ));
-        }
-    }
-    for (name, b, c) in [
-        ("p50 latency", base.p50_latency_secs, cur.p50_latency_secs),
-        ("p95 latency", base.p95_latency_secs, cur.p95_latency_secs),
-        ("max latency", base.max_latency_secs, cur.max_latency_secs),
-    ] {
-        if b >= cfg.min_wall_secs && c > b * cfg.wall_ratio {
-            fail(format!(
-                "{name} {c:.4}s exceeds {}x baseline {b:.4}s",
-                cfg.wall_ratio
-            ));
-        }
-    }
     ServiceCheckReport {
         failures,
         records_compared: base_records.len().max(cur_records.len()),
@@ -189,8 +134,7 @@ pub fn check_service_doc(
 
 const USAGE: &str = "usage: service [--tenants N | --soak] [--seed N] [--mode det|free] \
 [--workers N] [--batch N] [--queue N] [--record] [--verify] [--inject-scratch-leak] \
-[--out PATH] [--check BASELINE] [--fault-dir DIR] [--throughput-ratio X] \
-[--wall-ratio X] [--min-wall-secs X]
+[--out PATH] [--check BASELINE] [--fault-dir DIR]
 
 Admits a seeded multi-tenant workload (every catalog problem x every
 deterministic backend), drains it through the service layer, writes the
@@ -198,7 +142,7 @@ machine-readable BENCH_service.json, and optionally:
   --verify   re-runs every job solo and diffs bitwise (tenant isolation);
              with --record, divergences are shrunk into --fault-dir
   --check    compares against a committed baseline, exiting 1 on any
-             regression (deterministic fields strict, timing gated)";
+             regression (deterministic fields strict, timing not compared)";
 
 struct ServiceArgs {
     tenants: u64,
@@ -213,7 +157,6 @@ struct ServiceArgs {
     out: PathBuf,
     check: Option<PathBuf>,
     fault_dir: PathBuf,
-    cfg: ServiceCheckConfig,
 }
 
 fn parse_service_args(args: &[String]) -> Result<ServiceArgs, String> {
@@ -230,7 +173,6 @@ fn parse_service_args(args: &[String]) -> Result<ServiceArgs, String> {
         out: PathBuf::from("BENCH_service.json"),
         check: None,
         fault_dir: PathBuf::from("results/service"),
-        cfg: ServiceCheckConfig::default(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -281,20 +223,10 @@ fn parse_service_args(args: &[String]) -> Result<ServiceArgs, String> {
             "--out" => parsed.out = PathBuf::from(val("--out")?),
             "--check" => parsed.check = Some(PathBuf::from(val("--check")?)),
             "--fault-dir" => parsed.fault_dir = PathBuf::from(val("--fault-dir")?),
-            "--throughput-ratio" => {
-                parsed.cfg.throughput_ratio = parse_f64(val("--throughput-ratio")?)?;
-            }
-            "--wall-ratio" => parsed.cfg.wall_ratio = parse_f64(val("--wall-ratio")?)?,
-            "--min-wall-secs" => parsed.cfg.min_wall_secs = parse_f64(val("--min-wall-secs")?)?,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(parsed)
-}
-
-fn parse_f64(text: &str) -> Result<f64, String> {
-    text.parse()
-        .map_err(|_| format!("`{text}` is not a number"))
 }
 
 /// The service CLI: admits the workload, drains, writes the artefact,
@@ -458,10 +390,10 @@ pub fn service_main(args: &[String]) -> i32 {
                 return 2;
             }
         };
-        let report = check_service_doc(&baseline, doc, &parsed.cfg);
+        let report = check_service_doc(&baseline, doc);
         if report.passed() {
             println!(
-                "service: CHECK PASS — {} records within thresholds of {}",
+                "service: CHECK PASS — {} records match {}",
                 report.records_compared,
                 path.display()
             );
@@ -529,7 +461,7 @@ mod tests {
     #[test]
     fn identical_docs_pass() {
         let d = doc(vec![record(0, 0), record(1, 1)]);
-        let report = check_service_doc(&d, &d.clone(), &ServiceCheckConfig::default());
+        let report = check_service_doc(&d, &d.clone());
         assert!(report.passed(), "{:?}", report.failures);
         assert_eq!(report.records_compared, 2);
     }
@@ -547,7 +479,7 @@ mod tests {
             let mut r = record(0, 0);
             mutate(&mut r);
             let cur = doc(vec![r]);
-            let report = check_service_doc(&base, &cur, &ServiceCheckConfig::default());
+            let report = check_service_doc(&base, &cur);
             assert!(!report.passed(), "mutation not caught");
         }
     }
@@ -560,7 +492,7 @@ mod tests {
         let mut cur = doc(vec![record(1, 1), record(0, 0)]);
         cur.mode = "free-running".into();
         cur.workers = 4;
-        let report = check_service_doc(&base, &cur, &ServiceCheckConfig::default());
+        let report = check_service_doc(&base, &cur);
         assert!(report.passed(), "{:?}", report.failures);
     }
 
@@ -568,7 +500,7 @@ mod tests {
     fn missing_and_extra_records_fail() {
         let base = doc(vec![record(0, 0), record(1, 1)]);
         let cur = doc(vec![record(0, 0), record(2, 2)]);
-        let report = check_service_doc(&base, &cur, &ServiceCheckConfig::default());
+        let report = check_service_doc(&base, &cur);
         assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
     }
 
@@ -577,7 +509,7 @@ mod tests {
         let base = doc(vec![record(0, 0)]);
         let mut cur = doc(vec![record(0, 0)]);
         cur.rejected = 3;
-        let report = check_service_doc(&base, &cur, &ServiceCheckConfig::default());
+        let report = check_service_doc(&base, &cur);
         assert!(!report.passed());
         assert!(
             report.failures[0].contains("rejected"),
@@ -587,23 +519,16 @@ mod tests {
     }
 
     #[test]
-    fn timing_gates_use_injected_values_and_the_floor() {
-        // Below the floor: a 1000x wall blowup is noise, not a failure.
-        let base = doc(vec![record(0, 0)]);
-        let mut cur = doc(vec![record(0, 0)]);
-        cur.wall_secs = 10.0;
-        cur.throughput = 0.1;
-        let report = check_service_doc(&base, &cur, &ServiceCheckConfig::default());
-        assert!(report.passed(), "{:?}", report.failures);
-        // Above the floor: the ratios bite.
+    fn timing_is_recorded_but_never_compared() {
         let mut base = doc(vec![record(0, 0)]);
         base.wall_secs = 1.0;
         base.throughput = 1000.0;
         let mut cur = doc(vec![record(0, 0)]);
-        cur.wall_secs = 9.0;
+        cur.wall_secs = 900.0;
         cur.throughput = 1.0;
-        let report = check_service_doc(&base, &cur, &ServiceCheckConfig::default());
-        assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
+        cur.p95_latency_secs = 60.0;
+        let report = check_service_doc(&base, &cur);
+        assert!(report.passed(), "{:?}", report.failures);
     }
 
     #[test]

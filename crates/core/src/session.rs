@@ -139,6 +139,61 @@ impl<'a> RunControl<'a> {
             .take()
             .unwrap_or_else(|| Box::new(SyncJacobi::new(n)))
     }
+
+    /// Rejects error and residual sampling, for backends where no
+    /// thread can observe a consistent iterate mid-run.
+    ///
+    /// # Errors
+    /// [`unsupported`], naming the first sampling control that is set.
+    pub fn reject_sampling(&self, backend: &'static str) -> crate::Result<()> {
+        if self.error_every > 0 {
+            return Err(unsupported(backend, "error sampling"));
+        }
+        if self.residual_every > 0 {
+            return Err(unsupported(backend, "residual sampling"));
+        }
+        Ok(())
+    }
+
+    /// Rejects an explicit schedule, for backends that generate their
+    /// own; `why` completes the message.
+    ///
+    /// # Errors
+    /// [`unsupported`] when a schedule was installed.
+    pub fn reject_schedule(&self, backend: &'static str, why: &str) -> crate::Result<()> {
+        match self.schedule {
+            Some(_) => Err(unsupported(
+                backend,
+                &format!("an explicit schedule ({why})"),
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// Maps the stopping rule onto a runner's residual target:
+    /// `(eps, check_every ≥ 1)` for [`StoppingRule::Residual`], `None`
+    /// without a rule. `onto` names that target in the message.
+    ///
+    /// # Errors
+    /// [`unsupported`] for any other rule.
+    pub fn residual_target(
+        &self,
+        backend: &'static str,
+        onto: &str,
+    ) -> crate::Result<Option<(f64, u64)>> {
+        match &self.stopping {
+            None => Ok(None),
+            Some(StoppingRule::Residual { eps, check_every }) => {
+                Ok(Some((*eps, (*check_every).max(1))))
+            }
+            Some(_) => Err(unsupported(
+                backend,
+                &format!(
+                    "a non-residual stopping rule (only StoppingRule::Residual maps onto {onto})"
+                ),
+            )),
+        }
+    }
 }
 
 /// The one result type every backend populates.
@@ -214,6 +269,45 @@ pub fn canonical_backend_name(name: &str) -> &'static str {
 }
 
 impl RunReport {
+    /// A report carrying the four quantities every backend produces,
+    /// with every other field at its backend-independent default: no
+    /// samples, no trace, zero counters, not stopped early, no simulated
+    /// time, no service ids, and a zero `wall` (which [`Session::run`]
+    /// replaces with the whole call's duration). Backends fill in what
+    /// they measure with struct-update syntax.
+    pub fn new(backend: &'static str, final_x: Vec<f64>, steps: u64, final_residual: f64) -> Self {
+        Self {
+            backend,
+            final_x,
+            steps,
+            macro_iterations: 0,
+            errors: Vec::new(),
+            error_times: Vec::new(),
+            residuals: Vec::new(),
+            final_residual,
+            stopped_early: false,
+            per_worker_updates: Vec::new(),
+            partial_publishes: 0,
+            partial_reads: 0,
+            constraint_checked: 0,
+            constraint_violations: 0,
+            trace: None,
+            sim_time: None,
+            tenant: None,
+            job: None,
+            wall: Duration::ZERO,
+        }
+    }
+
+    /// Counts the macro-iterations of the executed `trace` and keeps it
+    /// in the report when `record` says so.
+    #[must_use]
+    pub fn with_trace(mut self, trace: Trace, record: RecordMode) -> Self {
+        self.macro_iterations = macro_count(Some(&trace));
+        self.trace = record.keeps_trace().then_some(trace);
+        self
+    }
+
     /// Wall-clock time in seconds — the serialization-friendly view of
     /// [`RunReport::wall`].
     pub fn wall_secs(&self) -> f64 {
@@ -520,28 +614,14 @@ impl Backend for Replay {
         )?;
         let wall = start.elapsed();
         let final_residual = problem.op.residual_inf(&res.final_x);
-        let macro_iterations = macro_count(Some(&res.trace));
         Ok(RunReport {
-            backend: self.name(),
-            final_x: res.final_x,
-            steps: res.steps_run,
-            macro_iterations,
             errors: res.errors,
-            error_times: Vec::new(),
             residuals: res.residuals,
-            final_residual,
             stopped_early: res.stopped_early,
-            per_worker_updates: Vec::new(),
-            partial_publishes: 0,
-            partial_reads: 0,
-            constraint_checked: 0,
-            constraint_violations: 0,
-            trace: ctl.record.keeps_trace().then_some(res.trace),
-            sim_time: None,
-            tenant: None,
-            job: None,
             wall,
-        })
+            ..RunReport::new(self.name(), res.final_x, res.steps_run, final_residual)
+        }
+        .with_trace(res.trace, ctl.record))
     }
 }
 
@@ -639,28 +719,16 @@ impl Backend for Flexible {
         )?;
         let wall = start.elapsed();
         let final_residual = problem.op.residual_inf(&res.final_x);
-        let macro_iterations = macro_count(Some(&res.trace));
         Ok(RunReport {
-            backend: self.name(),
-            final_x: res.final_x,
-            steps: ctl.max_steps,
-            macro_iterations,
             errors: res.errors,
-            error_times: Vec::new(),
-            residuals: Vec::new(),
-            final_residual,
-            stopped_early: false,
-            per_worker_updates: Vec::new(),
             partial_publishes: res.publishes,
             partial_reads: res.partial_reads,
             constraint_checked: res.constraint_checked,
             constraint_violations: res.constraint_violations,
-            trace: ctl.record.keeps_trace().then_some(res.trace),
-            sim_time: None,
-            tenant: None,
-            job: None,
             wall,
-        })
+            ..RunReport::new(self.name(), res.final_x, ctl.max_steps, final_residual)
+        }
+        .with_trace(res.trace, ctl.record))
     }
 }
 

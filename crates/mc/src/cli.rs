@@ -8,20 +8,26 @@
 //! mc --scope quick --out MC_report.json
 //! ```
 //!
-//! Exit codes: `0` — scope verified (or, in `--inject-mc-bug` /
-//! `--find-reorder` mode, the sought violation was found and emitted);
-//! `1` — a violation was found in a normal sweep, the must-find modes
-//! came up empty, the state budget truncated the sweep, or the
-//! arguments were invalid.
+//! Exit codes (the same table as `gate`, `service` and `conformance`):
+//! `0` — scope verified, `--help`, or, in the must-find modes
+//! (`--inject-mc-bug`, `--inject-seam-*`, `--find-reorder`), the sought
+//! violation was found and emitted; `1` — a violation was found in a
+//! normal sweep, a must-find mode came up empty, a state-count lock or
+//! POR cross-check failed, or the state budget truncated the sweep;
+//! `2` — usage error (unknown flag, bad value, unreadable
+//! `--from-trace`) or an unwritable `--out`.
 
 use crate::counterexample::{emit_counterexample, find_reorder_demo, inject_bug_demo};
-use crate::explore::{explore, explore_check_por, ExploreOutcome, Strategy};
+use crate::explore::{
+    explore, explore_check_por, rebuild, ClusterModel, ExploreOutcome, FoundViolation, Strategy,
+};
 use crate::invariants::Property;
 use crate::scope::{McProblem, Scope};
-use crate::seam::{seam_bug_demo, seam_explore, seam_rebuild, SeamBug, SeamOutcome, SeamScope};
+use crate::seam::{seam_bug_demo, SeamBug, SeamModel, SeamScope};
 use crate::state::Por;
+use asynciter_conformance::corpus::save_trace;
 use asynciter_report::json::Json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn usage() -> String {
     "usage: mc [--scope quick|flex|reorder|inject|triple|deep|deeper|seam1|seam2] \
@@ -73,7 +79,7 @@ struct Args {
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut scope_name: Option<String> = None;
     let mut seam_bug: Option<SeamBug> = None;
-    let mut strategy: Option<Strategy> = None;
+    let mut strategy = Strategy::Dfs;
     let mut por: Option<PorMode> = None;
     let mut steps: Option<u64> = None;
     let mut workers: Option<usize> = None;
@@ -96,7 +102,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         };
         match a.as_str() {
             "--scope" => scope_name = Some(val("--scope")?),
-            "--strategy" => strategy = Some(Strategy::parse(&val("--strategy")?)?),
+            "--strategy" => strategy = Strategy::parse(&val("--strategy")?)?,
             "--por" => por = Some(PorMode::parse(&val("--por")?)?),
             "--steps" => {
                 steps = Some(
@@ -134,17 +140,15 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--inject-seam-drop" => seam_bug = Some(SeamBug::Drop),
             "--inject-seam-dup" => seam_bug = Some(SeamBug::Dup),
             "--quick" => scope_name = Some("quick".into()),
-            "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument '{other}'\n{}", usage())),
         }
     }
-    // The seam scopes run a different explorer: the cluster-regime
-    // knobs do not apply to them.
+    // The seam scopes are a different model: the cluster-regime scope
+    // knobs and reduction do not apply to them.
     let seam = match scope_name.as_deref() {
         Some(name) if name.starts_with("seam") => {
             let seam = SeamScope::by_name(name)?;
-            if strategy.is_some()
-                || por.is_some()
+            if por.is_some()
                 || steps.is_some()
                 || workers.is_some()
                 || inject
@@ -152,7 +156,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 || from_trace.is_some()
             {
                 return Err(format!(
-                    "--scope {name}: seam scopes take no --strategy/--por/--steps/--workers \
+                    "--scope {name}: seam scopes take no --por/--steps/--workers \
                      and no --inject-mc-bug/--find-reorder/--from-trace"
                 ));
             }
@@ -160,7 +164,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         }
         _ => None,
     };
-    let strategy = strategy.unwrap_or(Strategy::Dfs);
     let por = por.unwrap_or(PorMode::Off);
     let mut scope = match (&seam, &from_trace, &scope_name, inject, find_reorder) {
         (Some(_), ..) => Scope::quick(), // unused carrier; the seam scope drives the run
@@ -207,25 +210,25 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     })
 }
 
-fn stats_json(outcome: &ExploreOutcome, scope: &Scope, strategy: Strategy, por: Por) -> Json {
+/// The scope-independent facts the shared reporting path prints and
+/// serialises next to an [`ExploreOutcome`].
+struct Sweep<'a> {
+    name: &'a str,
+    description: String,
+    por: Por,
+    wall_ms: u128,
+}
+
+fn stats_json(outcome: &ExploreOutcome, sweep: &Sweep<'_>, strategy: Strategy) -> Json {
     let s = &outcome.stats;
     let mut obj = vec![
-        ("scope".into(), Json::Str(scope.name.clone())),
-        ("description".into(), Json::Str(scope.describe())),
-        (
-            "strategy".into(),
-            Json::Str(
-                match strategy {
-                    Strategy::Dfs => "dfs",
-                    Strategy::Bfs => "bfs",
-                }
-                .into(),
-            ),
-        ),
+        ("scope".into(), Json::Str(sweep.name.into())),
+        ("description".into(), Json::Str(sweep.description.clone())),
+        ("strategy".into(), Json::Str(strategy.id().into())),
         (
             "por".into(),
             Json::Str(
-                match por {
+                match sweep.por {
                     Por::Off => "off",
                     Por::On => "on",
                 }
@@ -275,102 +278,50 @@ fn stats_json(outcome: &ExploreOutcome, scope: &Scope, strategy: Strategy, por: 
             ]),
         ));
     }
+    obj.push(("wall_ms".into(), Json::Num(sweep.wall_ms as f64)));
     Json::Obj(obj)
 }
 
-fn print_stats(outcome: &ExploreOutcome, wall_ms: u128) {
+/// The one reporting path of a finished sweep: `--stats`, `--out`, the
+/// `--expect-states` lock and the verdict. `emit` turns a found
+/// violation into a saved counterexample and describes what it wrote.
+fn report(
+    parsed: &Args,
+    sweep: &Sweep<'_>,
+    outcome: &ExploreOutcome,
+    emit: impl FnOnce(&FoundViolation) -> Result<String, String>,
+) -> i32 {
     let s = &outcome.stats;
-    println!(
-        "  visited {} states, {} dedup hits, {} edges, {} terminals",
-        s.visited, s.dedup_hits, s.edges, s.terminals
-    );
-    println!(
-        "  pruned: {} capacity, {} inadmissible, {} por; max frontier {}; {} ms",
-        s.pruned_capacity, s.pruned_inadmissible, s.por_pruned_choices, s.max_frontier, wall_ms
-    );
-}
-
-fn seam_stats_json(outcome: &SeamOutcome, scope: &SeamScope) -> Json {
-    let s = &outcome.stats;
-    let mut obj = vec![
-        ("scope".into(), Json::Str(scope.name.clone())),
-        ("description".into(), Json::Str(scope.describe())),
-        ("visited".into(), Json::Num(s.visited as f64)),
-        ("dedup_hits".into(), Json::Num(s.dedup_hits as f64)),
-        ("edges".into(), Json::Num(s.edges as f64)),
-        ("terminals".into(), Json::Num(s.terminals as f64)),
-        (
-            "pruned_capacity".into(),
-            Json::Num(s.pruned_capacity as f64),
-        ),
-        (
-            "pruned_inadmissible".into(),
-            Json::Num(s.pruned_inadmissible as f64),
-        ),
-        ("truncated".into(), Json::Bool(outcome.truncated)),
-        (
-            "verdict".into(),
-            Json::Str(if outcome.violation.is_some() {
-                "violation".into()
-            } else if outcome.truncated {
-                "truncated".into()
-            } else {
-                "verified".into()
-            }),
-        ),
-    ];
-    if let Some(v) = &outcome.violation {
-        obj.push((
-            "violation".into(),
-            Json::Obj(vec![
-                (
-                    "property".into(),
-                    Json::Str(v.violation.property.id().into()),
-                ),
-                ("step".into(), Json::Num(v.violation.j as f64)),
-                ("detail".into(), Json::Str(v.violation.detail.clone())),
-                ("path_len".into(), Json::Num(v.path.len() as f64)),
-            ]),
-        ));
-    }
-    Json::Obj(obj)
-}
-
-/// Sweep branch for the transport-seam scopes.
-fn seam_main(seam: &SeamScope, parsed: &Args) -> i32 {
-    let problem = McProblem::build();
-    println!("mc: {}", seam.describe());
-    let start = std::time::Instant::now();
-    let outcome = seam_explore(seam, &problem, parsed.max_states);
-    let wall = start.elapsed().as_millis();
     if parsed.stats {
-        let s = &outcome.stats;
         println!(
             "  visited {} states, {} dedup hits, {} edges, {} terminals",
             s.visited, s.dedup_hits, s.edges, s.terminals
         );
         println!(
-            "  pruned: {} capacity, {} inadmissible; {} ms",
-            s.pruned_capacity, s.pruned_inadmissible, wall
+            "  pruned: {} capacity, {} inadmissible, {} por; max frontier {}; {} ms",
+            s.pruned_capacity,
+            s.pruned_inadmissible,
+            s.por_pruned_choices,
+            s.max_frontier,
+            sweep.wall_ms
         );
     }
     if let Some(path) = &parsed.out {
-        let mut json = seam_stats_json(&outcome, seam);
-        if let Json::Obj(obj) = &mut json {
-            obj.push(("wall_ms".into(), Json::Num(wall as f64)));
-        }
-        if let Err(e) = std::fs::write(path, json.render_pretty()) {
+        if let Err(e) = std::fs::write(
+            path,
+            stats_json(outcome, sweep, parsed.strategy).render_pretty(),
+        ) {
             eprintln!("mc: cannot write {}: {e}", path.display());
-            return 1;
+            return 2;
         }
         println!("mc: wrote {}", path.display());
     }
     if let Some(expect) = parsed.expect_states {
-        if outcome.stats.visited != expect {
+        if s.visited != expect {
             eprintln!(
                 "mc: state-count lock FAILED — expected {expect} states, visited {} \
                  (coverage changed; re-measure and update the lock deliberately)",
-                outcome.stats.visited
+                s.visited
             );
             return 1;
         }
@@ -380,188 +331,7 @@ fn seam_main(seam: &SeamScope, parsed: &Args) -> i32 {
         None if outcome.truncated => {
             eprintln!(
                 "mc: state budget exhausted after {} states — sweep NOT exhaustive",
-                outcome.stats.visited
-            );
-            1
-        }
-        None => {
-            println!(
-                "mc: scope '{}' verified — {} states, all invariants hold on every \
-                 admissible interleaving",
-                seam.name, outcome.stats.visited
-            );
-            0
-        }
-        Some(found) => {
-            eprintln!(
-                "mc: VIOLATION [{}] at step {}: {}",
-                found.violation.property.id(),
-                found.violation.j,
-                found.violation.detail
-            );
-            let (trace, _) = seam_rebuild(seam, &problem, &found.path);
-            let out = parsed.fault_dir.join("mc-seam-violation.trace");
-            match asynciter_conformance::corpus::save_trace(&out, &trace) {
-                Ok(()) => eprintln!(
-                    "mc: counterexample ({} steps) saved {}",
-                    trace.len(),
-                    out.display()
-                ),
-                Err(e) => eprintln!("mc: counterexample emission failed: {e}"),
-            }
-            1
-        }
-    }
-}
-
-/// CLI entry point; returns the process exit code.
-pub fn mc_main(args: &[String]) -> i32 {
-    let parsed = match parse_args(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
-
-    // Seam negative controls: one planted transport bug per fault
-    // kind, each of which the seam explorer must catch and shrink.
-    if let Some(bug) = parsed.seam_bug {
-        let out = parsed.fault_dir.join(format!("mc-seam-{}.trace", bug.id()));
-        return match seam_bug_demo(bug, &out) {
-            Ok((orig, shrunk)) => {
-                println!(
-                    "inject-seam-{}: violation found, shrunk {orig} -> {shrunk} steps, saved {}",
-                    bug.id(),
-                    out.display()
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("inject-seam-{}: FAILED: {e}", bug.id());
-                1
-            }
-        };
-    }
-
-    // Seam scopes: exhaustive sweep of the transport-seam model.
-    if let Some(seam) = &parsed.seam {
-        return seam_main(seam, &parsed);
-    }
-
-    // Must-find modes delegate to the deterministic demos (the same
-    // functions the tier-1 fixtures are generated and locked by) —
-    // except `--from-trace --find-reorder`, which hunts the class on
-    // the derived scope in the normal sweep below.
-    if parsed.inject || (parsed.find_reorder && !parsed.scope_from_trace) {
-        let name = if parsed.inject {
-            ("inject-mc-bug", "mc-bug-severed-apply.trace")
-        } else {
-            ("find-reorder", "mc-reorder.trace")
-        };
-        let out = parsed.fault_dir.join(name.1);
-        let run = if parsed.inject {
-            inject_bug_demo(&out)
-        } else {
-            find_reorder_demo(&out)
-        };
-        return match run {
-            Ok((orig, shrunk)) => {
-                println!(
-                    "{}: violation found, shrunk {orig} -> {shrunk} steps, saved {}",
-                    name.0,
-                    out.display()
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("{}: FAILED: {e}", name.0);
-                1
-            }
-        };
-    }
-
-    let problem = McProblem::build();
-    println!("mc: {}", parsed.scope.describe());
-    let start = std::time::Instant::now();
-    let (outcome, por_used) = match parsed.por {
-        PorMode::Off => (
-            explore(
-                &parsed.scope,
-                &problem,
-                parsed.strategy,
-                parsed.max_states,
-                parsed.find_reorder,
-                Por::Off,
-            ),
-            Por::Off,
-        ),
-        PorMode::On => (
-            explore(
-                &parsed.scope,
-                &problem,
-                parsed.strategy,
-                parsed.max_states,
-                parsed.find_reorder,
-                Por::On,
-            ),
-            Por::On,
-        ),
-        PorMode::Check => {
-            match explore_check_por(
-                &parsed.scope,
-                &problem,
-                parsed.strategy,
-                parsed.max_states,
-                parsed.find_reorder,
-            ) {
-                Err(e) => {
-                    eprintln!("mc: POR-CHECK FAILED: {e}");
-                    return 1;
-                }
-                Ok((off, on)) => {
-                    let factor = off.stats.visited as f64 / on.stats.visited.max(1) as f64;
-                    println!(
-                        "mc: por-check ok — identical verdict; {} states unreduced, \
-                         {} reduced ({factor:.2}x)",
-                        off.stats.visited, on.stats.visited
-                    );
-                    (off, Por::Off)
-                }
-            }
-        }
-    };
-    let wall = start.elapsed().as_millis();
-    if parsed.stats {
-        print_stats(&outcome, wall);
-    }
-    if let Some(path) = &parsed.out {
-        let mut json = stats_json(&outcome, &parsed.scope, parsed.strategy, por_used);
-        if let Json::Obj(obj) = &mut json {
-            obj.push(("wall_ms".into(), Json::Num(wall as f64)));
-        }
-        if let Err(e) = std::fs::write(path, json.render_pretty()) {
-            eprintln!("mc: cannot write {}: {e}", path.display());
-            return 1;
-        }
-        println!("mc: wrote {}", path.display());
-    }
-    if let Some(expect) = parsed.expect_states {
-        if outcome.stats.visited != expect {
-            eprintln!(
-                "mc: state-count lock FAILED — expected {expect} states, visited {} \
-                 (coverage changed; re-measure and update the lock deliberately)",
-                outcome.stats.visited
-            );
-            return 1;
-        }
-        println!("mc: state-count lock ok ({expect} states)");
-    }
-    match &outcome.violation {
-        None if outcome.truncated => {
-            eprintln!(
-                "mc: state budget exhausted after {} states — sweep NOT exhaustive",
-                outcome.stats.visited
+                s.visited
             );
             1
         }
@@ -569,7 +339,7 @@ pub fn mc_main(args: &[String]) -> i32 {
             eprintln!(
                 "mc: find-reorder came up empty on scope '{}' — {} states, \
                  no out-of-order application",
-                parsed.scope.name, outcome.stats.visited
+                sweep.name, s.visited
             );
             1
         }
@@ -577,7 +347,7 @@ pub fn mc_main(args: &[String]) -> i32 {
             println!(
                 "mc: scope '{}' verified — {} states, all invariants hold on every \
                  admissible interleaving",
-                parsed.scope.name, outcome.stats.visited
+                sweep.name, s.visited
             );
             0
         }
@@ -585,7 +355,7 @@ pub fn mc_main(args: &[String]) -> i32 {
             println!(
                 "mc: find-reorder rediscovered the out-of-order class on scope '{}' \
                  at step {}: {}",
-                parsed.scope.name, found.violation.j, found.violation.detail
+                sweep.name, found.violation.j, found.violation.detail
             );
             0
         }
@@ -596,21 +366,140 @@ pub fn mc_main(args: &[String]) -> i32 {
                 found.violation.j,
                 found.violation.detail
             );
-            let out = parsed
-                .fault_dir
-                .join(format!("mc-{}.trace", found.violation.property.id()));
-            match emit_counterexample(&parsed.scope, &problem, found, &out) {
-                Ok(rep) => eprintln!(
-                    "mc: counterexample shrunk {} -> {} steps, saved {}",
-                    rep.orig_steps,
-                    rep.shrunk_steps,
-                    out.display()
-                ),
+            match emit(found) {
+                Ok(saved) => eprintln!("mc: {saved}"),
                 Err(e) => eprintln!("mc: counterexample emission failed: {e}"),
             }
             1
         }
     }
+}
+
+/// Reports a must-find demo: exit 0 iff the sought violation was found,
+/// shrunk and saved to `out`.
+fn demo_exit(name: &str, out: &Path, run: Result<(u64, u64), String>) -> i32 {
+    match run {
+        Ok((orig, shrunk)) => {
+            println!(
+                "{name}: violation found, shrunk {orig} -> {shrunk} steps, saved {}",
+                out.display()
+            );
+            0
+        }
+        Err(e) => {
+            eprintln!("{name}: FAILED: {e}");
+            1
+        }
+    }
+}
+
+/// CLI entry point; returns the process exit code.
+pub fn mc_main(args: &[String]) -> i32 {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage());
+        return 0;
+    }
+    let parsed = match parse_args(args) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
+
+    // Must-find modes delegate to the deterministic demos (the same
+    // functions the tier-1 fixtures are generated and locked by): one
+    // planted transport bug per seam fault kind, the severed cluster
+    // apply, and the reorder rediscovery — except `--from-trace
+    // --find-reorder`, which hunts the class on the derived scope in
+    // the normal sweep below.
+    if let Some(bug) = parsed.seam_bug {
+        let out = parsed.fault_dir.join(format!("mc-seam-{}.trace", bug.id()));
+        let name = format!("inject-seam-{}", bug.id());
+        return demo_exit(&name, &out, seam_bug_demo(bug, &out));
+    }
+    if parsed.inject {
+        let out = parsed.fault_dir.join("mc-bug-severed-apply.trace");
+        return demo_exit("inject-mc-bug", &out, inject_bug_demo(&out));
+    }
+    if parsed.find_reorder && !parsed.scope_from_trace {
+        let out = parsed.fault_dir.join("mc-reorder.trace");
+        return demo_exit("find-reorder", &out, find_reorder_demo(&out));
+    }
+
+    let problem = McProblem::build();
+    let start = std::time::Instant::now();
+
+    // Seam scopes: exhaustive sweep of the transport-seam model.
+    if let Some(seam) = &parsed.seam {
+        println!("mc: {}", seam.describe());
+        let model = SeamModel::new(seam, &problem);
+        let outcome = explore(&model, parsed.strategy, parsed.max_states);
+        let sweep = Sweep {
+            name: &seam.name,
+            description: seam.describe(),
+            por: Por::Off,
+            wall_ms: start.elapsed().as_millis(),
+        };
+        return report(&parsed, &sweep, &outcome, |found| {
+            let (trace, _) = rebuild(&model, &found.path);
+            let out = parsed.fault_dir.join("mc-seam-violation.trace");
+            save_trace(&out, &trace)?;
+            Ok(format!(
+                "counterexample ({} steps) saved {}",
+                trace.len(),
+                out.display()
+            ))
+        });
+    }
+
+    println!("mc: {}", parsed.scope.describe());
+    let mut model = ClusterModel {
+        scope: &parsed.scope,
+        problem: &problem,
+        find_reorder: parsed.find_reorder,
+        por: Por::Off,
+    };
+    let outcome = match parsed.por {
+        PorMode::Off => explore(&model, parsed.strategy, parsed.max_states),
+        PorMode::On => {
+            model.por = Por::On;
+            explore(&model, parsed.strategy, parsed.max_states)
+        }
+        PorMode::Check => match explore_check_por(&model, parsed.strategy, parsed.max_states) {
+            Err(e) => {
+                eprintln!("mc: POR-CHECK FAILED: {e}");
+                return 1;
+            }
+            Ok((off, on)) => {
+                let factor = off.stats.visited as f64 / on.stats.visited.max(1) as f64;
+                println!(
+                    "mc: por-check ok — identical verdict; {} states unreduced, \
+                         {} reduced ({factor:.2}x)",
+                    off.stats.visited, on.stats.visited
+                );
+                off
+            }
+        },
+    };
+    let sweep = Sweep {
+        name: &parsed.scope.name,
+        description: parsed.scope.describe(),
+        por: model.por,
+        wall_ms: start.elapsed().as_millis(),
+    };
+    report(&parsed, &sweep, &outcome, |found| {
+        let out = parsed
+            .fault_dir
+            .join(format!("mc-{}.trace", found.violation.property.id()));
+        let rep = emit_counterexample(&model, found, &out)?;
+        Ok(format!(
+            "counterexample shrunk {} -> {} steps, saved {}",
+            rep.orig_steps,
+            rep.shrunk_steps,
+            out.display()
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -641,7 +530,8 @@ mod tests {
     #[test]
     fn error_messages_and_exit_codes_are_pinned() {
         // Every rejection path: exact message (operators script against
-        // these) and exit code 1 through `mc_main`.
+        // these) and exit code 2 through `mc_main` — never 1, which
+        // means "violation found".
         let cases: &[(&[&str], &str)] = &[
             (
                 &["--scope", "nope"],
@@ -666,15 +556,21 @@ mod tests {
             ),
             (
                 &["--scope", "seam2", "--por", "on"],
-                "--scope seam2: seam scopes take no --strategy/--por/--steps/--workers \
+                "--scope seam2: seam scopes take no --por/--steps/--workers \
                  and no --inject-mc-bug/--find-reorder/--from-trace",
             ),
         ];
         for (args, want) in cases {
             let err = parse_args(&s(args)).err().expect("parse must fail");
             assert_eq!(&err, want, "message drifted for {args:?}");
-            assert_eq!(mc_main(&s(args)), 1, "exit code drifted for {args:?}");
+            assert_eq!(mc_main(&s(args)), 2, "exit code drifted for {args:?}");
         }
+        assert_eq!(
+            mc_main(&s(&["--steps"])),
+            2,
+            "missing value is a usage error"
+        );
+        assert_eq!(mc_main(&s(&["--help"])), 0, "--help is not an error");
     }
 
     #[test]
@@ -682,9 +578,14 @@ mod tests {
         let a = parse_args(&s(&["--scope", "seam1"])).unwrap();
         assert_eq!(a.seam.as_ref().unwrap().name, "seam1");
         assert_eq!(a.seam.as_ref().unwrap().workers, 1);
-        let a = parse_args(&s(&["--scope", "seam2", "--stats"])).unwrap();
+        let a = parse_args(&s(&["--scope", "seam2", "--stats", "--strategy", "bfs"])).unwrap();
         assert_eq!(a.seam.as_ref().unwrap().workers, 2);
         assert!(a.stats);
+        assert_eq!(
+            a.strategy,
+            Strategy::Bfs,
+            "one explorer: seam sweeps take BFS"
+        );
         for (flag, bug) in [
             ("--inject-seam-hold", SeamBug::Hold),
             ("--inject-seam-drop", SeamBug::Drop),

@@ -19,10 +19,9 @@
 //! Nothing in this module (or the whole crate) draws randomness: same
 //! scope, same search, same counterexample, byte for byte.
 
-use crate::explore::{explore, rebuild, FoundViolation, Strategy};
+use crate::explore::{explore, rebuild, ClusterModel, FoundViolation, Strategy};
 use crate::invariants::Property;
 use crate::scope::{McProblem, Scope};
-use crate::state::Por;
 use asynciter_conformance::cluster::has_label_regression;
 use asynciter_conformance::corpus::save_trace;
 use asynciter_conformance::shrink::shrink_trace;
@@ -85,14 +84,13 @@ fn shrink_predicate(property: Property, scope: &Scope) -> Box<dyn FnMut(&Trace) 
 /// # Errors
 /// I/O failures from saving, as a message.
 pub fn emit_counterexample(
-    scope: &Scope,
-    problem: &McProblem,
+    model: &ClusterModel<'_>,
     found: &FoundViolation,
     out: &Path,
 ) -> Result<CounterexampleReport, String> {
-    let (trace, _terminal) = rebuild(scope, problem, &found.path, found.por);
+    let (trace, _terminal) = rebuild(model, &found.path);
     let orig_steps = trace.len() as u64;
-    let mut pred = shrink_predicate(found.violation.property, scope);
+    let mut pred = shrink_predicate(found.violation.property, model.scope);
     let result = shrink_trace(&trace, &mut pred, SHRINK_BUDGET);
     drop(pred);
     save_trace(out, &result.trace)?;
@@ -118,7 +116,8 @@ pub fn inject_bug_demo(out: &Path) -> Result<(u64, u64), String> {
     // The demos stay on `Por::Off`: the committed fixtures are locked
     // byte for byte, and the reduced enumeration would find a different
     // (equally valid) representative path.
-    let outcome = explore(&scope, &problem, Strategy::Dfs, 1_000_000, false, Por::Off);
+    let model = ClusterModel::new(&scope, &problem);
+    let outcome = explore(&model, Strategy::Dfs, 1_000_000);
     let found = outcome
         .violation
         .ok_or("inject-mc-bug: explorer did not find the planted bug — blind spot")?;
@@ -129,7 +128,7 @@ pub fn inject_bug_demo(out: &Path) -> Result<(u64, u64), String> {
             found.violation.detail
         ));
     }
-    let report = emit_counterexample(&scope, &problem, &found, out)?;
+    let report = emit_counterexample(&model, &found, out)?;
     Ok((report.orig_steps, report.shrunk_steps))
 }
 
@@ -143,7 +142,11 @@ pub fn inject_bug_demo(out: &Path) -> Result<(u64, u64), String> {
 pub fn find_reorder_demo(out: &Path) -> Result<(u64, u64), String> {
     let scope = Scope::reorder();
     let problem = McProblem::build();
-    let outcome = explore(&scope, &problem, Strategy::Dfs, 1_000_000, true, Por::Off);
+    let model = ClusterModel {
+        find_reorder: true,
+        ..ClusterModel::new(&scope, &problem)
+    };
+    let outcome = explore(&model, Strategy::Dfs, 1_000_000);
     let found = outcome
         .violation
         .ok_or("find-reorder: scope no longer exhibits out-of-order application")?;
@@ -154,11 +157,11 @@ pub fn find_reorder_demo(out: &Path) -> Result<(u64, u64), String> {
             found.violation.detail
         ));
     }
-    let (trace, _) = rebuild(&scope, &problem, &found.path, found.por);
+    let (trace, _) = rebuild(&model, &found.path);
     if !has_label_regression(&trace, scope.workers) {
         return Err("find-reorder: rebuilt trace lost the regression".into());
     }
-    let report = emit_counterexample(&scope, &problem, &found, out)?;
+    let report = emit_counterexample(&model, &found, out)?;
     Ok((report.orig_steps, report.shrunk_steps))
 }
 

@@ -14,8 +14,11 @@
 //! the counterexample pipeline.
 
 use crate::invariants::{check_edge, check_reorder, check_terminal, Violation};
-use crate::scope::{McProblem, Scope};
-use crate::state::{apply_choice, enumerate_choices_por, state_hash, McState, Por, PruneReason};
+use crate::scope::{McProblem, Scope, MC_DIM};
+use crate::state::{
+    apply_choice, enumerate_choices_por, state_hash, EdgeInfo, McState, Por, PorCounts,
+    PruneReason, StepChoice,
+};
 use asynciter_models::{LabelStore, Trace};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -39,6 +42,134 @@ impl Strategy {
             "bfs" => Ok(Strategy::Bfs),
             other => Err(format!("unknown strategy '{other}' (valid: dfs, bfs)")),
         }
+    }
+
+    /// Stable identifier (`"dfs"` / `"bfs"`).
+    pub fn id(self) -> &'static str {
+        match self {
+            Strategy::Dfs => "dfs",
+            Strategy::Bfs => "bfs",
+        }
+    }
+}
+
+/// A bounded transition system the explorer can exhaust. The two
+/// instances are the cluster-regime scopes ([`ClusterModel`]) and the
+/// transport-seam scopes ([`crate::seam::SeamModel`]); everything about
+/// search order, deduplication, budgets and counters lives in
+/// [`explore`], everything about *what* a step is lives behind this
+/// trait.
+pub trait Model {
+    /// Canonical global state.
+    type State: Clone;
+    /// The resolved nondeterminism of one transition.
+    type Choice;
+    /// Observations of one applied transition, consumed by
+    /// [`Model::check_edge`].
+    type Edge;
+
+    /// The root state.
+    fn initial(&self) -> Self::State;
+    /// True at the scope's horizon (no successors; terminal checks run).
+    fn is_terminal(&self, state: &Self::State) -> bool;
+    /// Every choice available in `state`, in a deterministic order,
+    /// plus what a partial-order reduction removed (zeros when the
+    /// model has none).
+    fn enumerate(&self, state: &Self::State) -> (Vec<Self::Choice>, PorCounts);
+    /// Applies `choice`, pushing the executed step onto `trace` when
+    /// given.
+    ///
+    /// # Errors
+    /// [`PruneReason`] when the branch leaves the scope.
+    fn apply(
+        &self,
+        state: &Self::State,
+        choice: &Self::Choice,
+        trace: Option<&mut Trace>,
+    ) -> Result<(Self::State, Self::Edge), PruneReason>;
+    /// Edge-local invariants of the transition `parent → child`.
+    fn check_edge(
+        &self,
+        parent: &Self::State,
+        child: &Self::State,
+        edge: &Self::Edge,
+    ) -> Option<Violation>;
+    /// Terminal invariants of one fully-explored path and its trace.
+    fn check_terminal(&self, state: &Self::State, trace: &Trace) -> Option<Violation>;
+    /// The dedup key of `state`.
+    fn state_hash(&self, state: &Self::State) -> u128;
+}
+
+/// The cluster-regime model: a [`Scope`] on the scope problem, with the
+/// two exploration modes that change its transition relation or goal.
+#[derive(Clone, Copy)]
+pub struct ClusterModel<'a> {
+    /// The bounded universe.
+    pub scope: &'a Scope,
+    /// The fixed-point problem every worker steps.
+    pub problem: &'a McProblem,
+    /// Switches the goal: edge invariants still guard the run, but the
+    /// explorer *hunts* the out-of-order label-regression witness and
+    /// reports it as the (sought) violation.
+    pub find_reorder: bool,
+    /// [`Por::On`] explores the reduced space (same verdicts and
+    /// violation classes, fewer states — see [`enumerate_choices_por`]).
+    /// Choice indices, and hence paths, are relative to this mode.
+    pub por: Por,
+}
+
+impl<'a> ClusterModel<'a> {
+    /// The plain exhaustive sweep: no reorder hunt, no reduction.
+    pub fn new(scope: &'a Scope, problem: &'a McProblem) -> Self {
+        Self {
+            scope,
+            problem,
+            find_reorder: false,
+            por: Por::Off,
+        }
+    }
+}
+
+impl Model for ClusterModel<'_> {
+    type State = McState;
+    type Choice = StepChoice;
+    type Edge = EdgeInfo;
+
+    fn initial(&self) -> McState {
+        McState::initial(self.scope, self.problem)
+    }
+
+    fn is_terminal(&self, state: &McState) -> bool {
+        state.next_step > self.scope.steps
+    }
+
+    fn enumerate(&self, state: &McState) -> (Vec<StepChoice>, PorCounts) {
+        enumerate_choices_por(state, self.scope, self.por)
+    }
+
+    fn apply(
+        &self,
+        state: &McState,
+        choice: &StepChoice,
+        trace: Option<&mut Trace>,
+    ) -> Result<(McState, EdgeInfo), PruneReason> {
+        apply_choice(state, choice, self.scope, self.problem, trace)
+    }
+
+    fn check_edge(&self, parent: &McState, child: &McState, edge: &EdgeInfo) -> Option<Violation> {
+        let found = check_edge(self.scope, self.problem, parent, child, edge);
+        if found.is_none() && self.find_reorder {
+            return check_reorder(self.problem, edge);
+        }
+        found
+    }
+
+    fn check_terminal(&self, state: &McState, trace: &Trace) -> Option<Violation> {
+        check_terminal(self.scope, self.problem, state, trace)
+    }
+
+    fn state_hash(&self, state: &McState) -> u128 {
+        state_hash(state)
     }
 }
 
@@ -76,13 +207,10 @@ pub struct ExploreStats {
 pub struct FoundViolation {
     /// The failed property and diagnosis.
     pub violation: Violation,
-    /// Choice indices (into [`enumerate_choices_por`] at each state
-    /// along the path) from the root up to and including the violating
-    /// edge. Indices are relative to the enumeration under [`Self::por`].
+    /// Choice indices (into [`Model::enumerate`] at each state along the
+    /// path) from the root up to and including the violating edge —
+    /// meaningful only to the model that produced them.
     pub path: Vec<u32>,
-    /// The reduction mode the path was found (and must be replayed)
-    /// under — choice indices are not portable across modes.
-    pub por: Por,
 }
 
 /// Result of exploring a scope.
@@ -98,93 +226,62 @@ pub struct ExploreOutcome {
     pub truncated: bool,
 }
 
-/// Exhaustively explores `scope`, checking every edge and terminal
+/// Exhaustively explores `model`, checking every edge and terminal
 /// invariant, until the space is exhausted, a violation is found, or
 /// `max_states` distinct states have been visited.
-///
-/// `find_reorder` switches the goal: edge invariants still guard the
-/// run, but the explorer *hunts* the out-of-order label-regression
-/// witness and reports it as the (sought) violation.
-///
-/// `por` selects the enumeration: [`Por::On`] explores the reduced
-/// space (same verdicts and violation classes, fewer states — see
-/// [`enumerate_choices_por`]); [`explore_check_por`] runs both and
-/// asserts the equivalence.
-pub fn explore(
-    scope: &Scope,
-    problem: &McProblem,
-    strategy: Strategy,
-    max_states: u64,
-    find_reorder: bool,
-    por: Por,
-) -> ExploreOutcome {
+pub fn explore<M: Model>(model: &M, strategy: Strategy, max_states: u64) -> ExploreOutcome {
     let mut stats = ExploreStats::default();
     let mut visited: BTreeSet<u128> = BTreeSet::new();
-    let root = McState::initial(scope, problem);
-    visited.insert(state_hash(&root));
+    let root = model.initial();
+    visited.insert(model.state_hash(&root));
     stats.visited = 1;
 
-    let mut frontier: VecDeque<(McState, Vec<u32>)> = VecDeque::new();
+    let mut frontier: VecDeque<(M::State, Vec<u32>)> = VecDeque::new();
     frontier.push_back((root, Vec::new()));
     let mut truncated = false;
+    let found = |stats, violation, path, truncated| ExploreOutcome {
+        stats,
+        violation: Some(FoundViolation { violation, path }),
+        truncated,
+    };
 
     while let Some((state, path)) = match strategy {
         Strategy::Dfs => frontier.pop_back(),
         Strategy::Bfs => frontier.pop_front(),
     } {
-        if state.next_step > scope.steps {
+        if model.is_terminal(&state) {
             stats.terminals += 1;
-            let (trace, terminal) = rebuild(scope, problem, &path, por);
-            debug_assert_eq!(terminal.next_step, state.next_step);
-            if let Some(v) = check_terminal(scope, problem, &state, &trace) {
-                return ExploreOutcome {
-                    stats,
-                    violation: Some(FoundViolation {
-                        violation: v,
-                        path,
-                        por,
-                    }),
-                    truncated,
-                };
+            let (trace, _) = rebuild(model, &path);
+            if let Some(v) = model.check_terminal(&state, &trace) {
+                return found(stats, v, path, truncated);
             }
             continue;
         }
-        let (choices, por_counts) = enumerate_choices_por(&state, scope, por);
+        let (choices, por_counts) = model.enumerate(&state);
         stats.por_pruned_deliveries += por_counts.deliveries;
         stats.por_pruned_sends += por_counts.sends;
         stats.por_pruned_choices += por_counts.choices;
         for (i, choice) in choices.iter().enumerate() {
-            match apply_choice(&state, choice, scope, problem, None) {
+            match model.apply(&state, choice, None) {
                 Err(PruneReason::Capacity) => stats.pruned_capacity += 1,
                 Err(PruneReason::Inadmissible) => stats.pruned_inadmissible += 1,
                 Ok((child, edge)) => {
                     stats.edges += 1;
-                    let mut found = check_edge(scope, problem, &state, &child, &edge);
-                    if found.is_none() && find_reorder {
-                        found = check_reorder(problem, &edge);
+                    let child_path = || {
+                        let mut p = path.clone();
+                        p.push(i as u32);
+                        p
+                    };
+                    if let Some(v) = model.check_edge(&state, &child, &edge) {
+                        return found(stats, v, child_path(), truncated);
                     }
-                    if let Some(v) = found {
-                        let mut path = path.clone();
-                        path.push(i as u32);
-                        return ExploreOutcome {
-                            stats,
-                            violation: Some(FoundViolation {
-                                violation: v,
-                                path,
-                                por,
-                            }),
-                            truncated,
-                        };
-                    }
-                    if visited.insert(state_hash(&child)) {
+                    if visited.insert(model.state_hash(&child)) {
                         if stats.visited >= max_states {
                             truncated = true;
                             continue;
                         }
                         stats.visited += 1;
-                        let mut path = path.clone();
-                        path.push(i as u32);
-                        frontier.push_back((child, path));
+                        frontier.push_back((child, child_path()));
                         stats.max_frontier = stats.max_frontier.max(frontier.len() as u64);
                     } else {
                         stats.dedup_hits += 1;
@@ -202,26 +299,26 @@ pub fn explore(
 
 /// Deterministically replays a choice path from the root, accumulating
 /// the producing-step trace — the bridge from a model-checking path to
-/// a corpus-format counterexample. `por` must be the mode the path was
-/// found under (choice indices are relative to the enumeration).
+/// a corpus-format counterexample. `model` must be the one the path was
+/// found under (choice indices are relative to its enumeration).
 ///
 /// # Panics
 /// Panics when the path indexes a pruned or out-of-range choice (paths
 /// produced by [`explore`] never do).
-pub fn rebuild(scope: &Scope, problem: &McProblem, path: &[u32], por: Por) -> (Trace, McState) {
-    let mut state = McState::initial(scope, problem);
-    let mut trace = Trace::new(problem.n(), LabelStore::Full);
+pub fn rebuild<M: Model>(model: &M, path: &[u32]) -> (Trace, M::State) {
+    let mut state = model.initial();
+    let mut trace = Trace::new(MC_DIM, LabelStore::Full);
     for &i in path {
-        let (choices, _) = enumerate_choices_por(&state, scope, por);
-        let choice = &choices[i as usize];
-        let (next, _edge) = apply_choice(&state, choice, scope, problem, Some(&mut trace))
+        let (choices, _) = model.enumerate(&state);
+        let (next, _edge) = model
+            .apply(&state, &choices[i as usize], Some(&mut trace))
             .expect("explored paths never hit a pruned branch");
         state = next;
     }
     (trace, state)
 }
 
-/// Runs the same sweep under [`Por::Off`] and [`Por::On`] and asserts
+/// Runs `model`'s sweep under [`Por::Off`] and [`Por::On`] and asserts
 /// the reduction is verdict-preserving: identical exhaustiveness,
 /// identical violation presence, and — when a violation exists —
 /// identical property class. Returns both outcomes (off, on) for
@@ -230,14 +327,13 @@ pub fn rebuild(scope: &Scope, problem: &McProblem, path: &[u32], por: Por) -> (T
 /// # Errors
 /// A diagnostic message naming the first divergence.
 pub fn explore_check_por(
-    scope: &Scope,
-    problem: &McProblem,
+    model: &ClusterModel<'_>,
     strategy: Strategy,
     max_states: u64,
-    find_reorder: bool,
 ) -> Result<(ExploreOutcome, ExploreOutcome), String> {
-    let off = explore(scope, problem, strategy, max_states, find_reorder, Por::Off);
-    let on = explore(scope, problem, strategy, max_states, find_reorder, Por::On);
+    let scope = model.scope;
+    let sweep = |por| explore(&ClusterModel { por, ..*model }, strategy, max_states);
+    let (off, on) = (sweep(Por::Off), sweep(Por::On));
     if off.truncated != on.truncated {
         return Err(format!(
             "por-check divergence on scope '{}': truncated off={} on={}",
@@ -282,7 +378,8 @@ mod tests {
     fn inject_scope_space_is_tiny_and_caught() {
         let scope = Scope::inject();
         let problem = McProblem::build();
-        let out = explore(&scope, &problem, Strategy::Dfs, 100_000, false, Por::Off);
+        let model = ClusterModel::new(&scope, &problem);
+        let out = explore(&model, Strategy::Dfs, 100_000);
         let v = out.violation.expect("the injected bug must be found");
         assert_eq!(
             v.violation.property,
@@ -295,9 +392,9 @@ mod tests {
     fn rebuild_follows_the_found_path() {
         let scope = Scope::inject();
         let problem = McProblem::build();
-        let out = explore(&scope, &problem, Strategy::Dfs, 100_000, false, Por::Off);
-        let found = out.violation.unwrap();
-        let (trace, state) = rebuild(&scope, &problem, &found.path, found.por);
+        let model = ClusterModel::new(&scope, &problem);
+        let found = explore(&model, Strategy::Dfs, 100_000).violation.unwrap();
+        let (trace, state) = rebuild(&model, &found.path);
         assert_eq!(trace.len() as u64, found.path.len() as u64);
         assert_eq!(state.next_step, found.path.len() as u64 + 1);
     }
@@ -307,8 +404,12 @@ mod tests {
         let problem = McProblem::build();
         // quick (KeepFreshest + dup): redundant-delivery forcing and
         // duplicate-send pruning both fire and must shrink the space.
-        let (off, on) =
-            explore_check_por(&Scope::quick(), &problem, Strategy::Dfs, 1_000_000, false).unwrap();
+        let (off, on) = explore_check_por(
+            &ClusterModel::new(&Scope::quick(), &problem),
+            Strategy::Dfs,
+            1_000_000,
+        )
+        .unwrap();
         assert!(
             on.stats.visited < off.stats.visited,
             "reduction must shrink the quick scope"
@@ -318,6 +419,11 @@ mod tests {
         // reorder (AsReceived, single sender per mailbox): nothing
         // commutes, so the reduction may be a no-op — but the
         // equivalence contract must still hold.
-        explore_check_por(&Scope::reorder(), &problem, Strategy::Dfs, 1_000_000, false).unwrap();
+        explore_check_por(
+            &ClusterModel::new(&Scope::reorder(), &problem),
+            Strategy::Dfs,
+            1_000_000,
+        )
+        .unwrap();
     }
 }

@@ -85,18 +85,10 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// Checks the edge-local invariants after applying one transition.
-/// `parent`/`child` bracket the edge; `edge` carries the observations.
-pub fn check_edge(
-    scope: &Scope,
-    problem: &McProblem,
-    parent: &McState,
-    child: &McState,
-    edge: &EdgeInfo,
-) -> Option<Violation> {
-    let w = edge.worker;
-
-    // 1. Residual monotone under the contraction certificate.
+/// Residual monotonicity of one edge under the contraction
+/// certificate: the produced block contracts the read error by `α`, and
+/// the system measure `Φ` never increases.
+pub(crate) fn check_contraction(problem: &McProblem, edge: &EdgeInfo) -> Option<Violation> {
     if edge.produced_err > problem.alpha * edge.read_err * (1.0 + REL_EPS) + ABS_EPS {
         return Some(Violation {
             property: Property::ResidualMonotone,
@@ -119,8 +111,58 @@ pub fn check_edge(
             ),
         });
     }
+    None
+}
 
-    // 2. KeepFreshest label monotonicity (view labels never regress).
+/// Admissibility of one edge: condition (a) on the recorded read, and
+/// agreement of every worker's engine label book (`labels`) with its
+/// spec book after the step.
+pub(crate) fn check_admissibility(
+    problem: &McProblem,
+    labels: &[Vec<u64>],
+    spec_labels: &[Vec<u64>],
+    edge: &EdgeInfo,
+) -> Option<Violation> {
+    if let Some(c) = (0..problem.n()).find(|&c| edge.read_labels[c] >= edge.j) {
+        return Some(Violation {
+            property: Property::Admissibility,
+            j: edge.j,
+            detail: format!(
+                "condition (a) violated at j={}: component {c} read label {} ≥ j",
+                edge.j, edge.read_labels[c]
+            ),
+        });
+    }
+    for (ww, (engine, spec)) in labels.iter().zip(spec_labels).enumerate() {
+        if let Some(c) = (0..problem.n()).find(|&c| engine[c] != spec[c]) {
+            return Some(Violation {
+                property: Property::Admissibility,
+                j: edge.j,
+                detail: format!(
+                    "engine label book diverged from spec at j={}: worker {ww} component {c} \
+                     engine={} spec={}",
+                    edge.j, engine[c], spec[c]
+                ),
+            });
+        }
+    }
+    None
+}
+
+/// Checks the edge-local invariants after applying one transition.
+/// `parent`/`child` bracket the edge; `edge` carries the observations.
+pub fn check_edge(
+    scope: &Scope,
+    problem: &McProblem,
+    parent: &McState,
+    child: &McState,
+    edge: &EdgeInfo,
+) -> Option<Violation> {
+    if let Some(v) = check_contraction(problem, edge) {
+        return Some(v);
+    }
+    // KeepFreshest label monotonicity (view labels never regress).
+    let w = edge.worker;
     if scope.apply_policy == ApplyPolicy::KeepFreshest {
         if let Some(c) = (0..problem.n()).find(|&c| child.labels[w][c] < parent.labels[w][c]) {
             return Some(Violation {
@@ -133,34 +175,7 @@ pub fn check_edge(
             });
         }
     }
-
-    // 3. Admissibility: condition (a) on the recorded read, and
-    //    spec/engine book agreement after the step.
-    if let Some(c) = (0..problem.n()).find(|&c| edge.read_labels[c] >= edge.j) {
-        return Some(Violation {
-            property: Property::Admissibility,
-            j: edge.j,
-            detail: format!(
-                "condition (a) violated at j={}: component {c} read label {} ≥ j",
-                edge.j, edge.read_labels[c]
-            ),
-        });
-    }
-    for ww in 0..scope.workers {
-        if let Some(c) = (0..problem.n()).find(|&c| child.labels[ww][c] != child.spec_labels[ww][c])
-        {
-            return Some(Violation {
-                property: Property::Admissibility,
-                j: edge.j,
-                detail: format!(
-                    "engine label book diverged from spec at j={}: worker {ww} component {c} \
-                     engine={} spec={}",
-                    edge.j, child.labels[ww][c], child.spec_labels[ww][c]
-                ),
-            });
-        }
-    }
-    None
+    check_admissibility(problem, &child.labels, &child.spec_labels, edge)
 }
 
 /// Checks the out-of-order probe on an edge: a label regression between
@@ -190,19 +205,50 @@ pub fn check_terminal(
     state: &McState,
     trace: &Trace,
 ) -> Option<Violation> {
+    // Steering gap: round-robin updates every component within
+    // `workers` steps.
+    let witness = AdmissibilityWitness::new(scope.envelope, scope.workers as u64);
+    check_horizon(
+        problem,
+        &scope.blocks(),
+        &state.views,
+        scope.steps,
+        &witness,
+        trace,
+    )
+}
+
+/// The horizon invariants shared by every model: `blocks`/`views` are
+/// the owned block and final local view of each worker, `steps` the
+/// scope's producing-step horizon, `witness` its admissibility witness
+/// (envelope + steering gap).
+pub(crate) fn check_horizon(
+    problem: &McProblem,
+    blocks: &[Vec<usize>],
+    views: &[Vec<f64>],
+    steps: u64,
+    witness: &AdmissibilityWitness,
+    trace: &Trace,
+) -> Option<Violation> {
     let n = problem.n();
-    let blocks = scope.blocks();
     let mut consensus = vec![0.0; n];
-    for (w, block) in blocks.iter().enumerate() {
+    for (block, view) in blocks.iter().zip(views) {
         for &i in block {
-            consensus[i] = state.views[w][i];
+            consensus[i] = view[i];
         }
     }
+    let violation = |detail| {
+        Some(Violation {
+            property: Property::Horizon,
+            j: steps,
+            detail,
+        })
+    };
 
-    // Convergence at the horizon: every worker produced at least once
-    // (steps ≥ workers by scope construction), so each owned block went
-    // through one contraction of a view whose error was ≤ Φ₀ = E₀.
-    if scope.steps >= scope.workers as u64 {
+    // Convergence at the horizon: once every worker has produced at
+    // least once, each owned block went through one contraction of a
+    // view whose error was ≤ Φ₀ = E₀.
+    if steps >= blocks.len() as u64 {
         let err = consensus
             .iter()
             .enumerate()
@@ -210,26 +256,16 @@ pub fn check_terminal(
             .fold(0.0_f64, f64::max);
         let bound = problem.alpha * problem.e0 * (1.0 + REL_EPS) + ABS_EPS;
         if err > bound {
-            return Some(Violation {
-                property: Property::Horizon,
-                j: scope.steps,
-                detail: format!(
-                    "consensus error {err:.6e} exceeds the contraction bound α·E₀ = {bound:.6e}"
-                ),
-            });
+            return violation(format!(
+                "consensus error {err:.6e} exceeds the contraction bound α·E₀ = {bound:.6e}"
+            ));
         }
     }
 
-    // The recorded schedule must carry an admissibility witness of the
-    // scope: envelope + steering gap (round-robin updates every
-    // component within `workers` steps).
-    let witness = AdmissibilityWitness::new(scope.envelope, scope.workers as u64);
+    // The recorded schedule must carry the scope's admissibility
+    // witness.
     if let Err(e) = witness.check(trace) {
-        return Some(Violation {
-            property: Property::Horizon,
-            j: scope.steps,
-            detail: format!("terminal trace rejected by the scope witness: {e}"),
-        });
+        return violation(format!("terminal trace rejected by the scope witness: {e}"));
     }
 
     // Bit-identical replay: the Definition-1 engine, fed the recorded
@@ -239,27 +275,16 @@ pub fn check_terminal(
         .replay_trace(trace.clone())
         .and_then(Session::run);
     match replay {
-        Err(e) => Some(Violation {
-            property: Property::Horizon,
-            j: scope.steps,
-            detail: format!("terminal trace does not replay: {e}"),
-        }),
-        Ok(report) => {
-            if let Some(c) = (0..n).find(|&c| report.final_x[c].to_bits() != consensus[c].to_bits())
-            {
-                Some(Violation {
-                    property: Property::Horizon,
-                    j: scope.steps,
-                    detail: format!(
-                        "replay diverged from the explored state at component {c}: \
-                         replay={:?} vs consensus={:?}",
-                        report.final_x[c], consensus[c]
-                    ),
-                })
-            } else {
-                None
-            }
-        }
+        Err(e) => violation(format!("terminal trace does not replay: {e}")),
+        Ok(report) => (0..n)
+            .find(|&c| report.final_x[c].to_bits() != consensus[c].to_bits())
+            .and_then(|c| {
+                violation(format!(
+                    "replay diverged from the explored state at component {c}: \
+                     replay={:?} vs consensus={:?}",
+                    report.final_x[c], consensus[c]
+                ))
+            }),
     }
 }
 

@@ -36,6 +36,10 @@
 //!   property checks read the engine book, so a bookkeeping bug in the
 //!   engine path cannot hide itself by steering the search
 //!   ([`mod@explore`]).
+//! - One explorer serves every scope family: [`explore()`] is generic
+//!   over the [`Model`] trait (state, choice, transition, checks,
+//!   hash), implemented by [`ClusterModel`] for the scopes above and by
+//!   [`SeamModel`] for the transport-seam scopes of [`seam`].
 //! - Checked properties ([`invariants`]): residual monotonicity under
 //!   the operator's contraction certificate, `KeepFreshest` label
 //!   monotonicity, admissibility-witness preservation (spec book ≡
@@ -67,12 +71,10 @@ pub mod state;
 
 pub use counterexample::{find_reorder_demo, inject_bug_demo, CounterexampleReport};
 pub use explore::{
-    explore, explore_check_por, ExploreOutcome, ExploreStats, FoundViolation, Strategy,
+    explore, explore_check_por, rebuild, ClusterModel, ExploreOutcome, ExploreStats,
+    FoundViolation, Model, Strategy,
 };
 pub use invariants::Property;
 pub use scope::{McProblem, Scope};
-pub use seam::{
-    seam_bug_demo, seam_explore, seam_rebuild, seam_state_hash, SeamBug, SeamOutcome, SeamScope,
-    SeamState, SeamStats,
-};
+pub use seam::{seam_bug_demo, seam_state_hash, SeamBug, SeamModel, SeamScope, SeamState};
 pub use state::{state_hash, McMessage, McState, Por, SendChoice, StepChoice};

@@ -43,9 +43,12 @@
 //! corpus trace.
 
 use crate::counterexample::envelope_violation;
-use crate::invariants::{Property, Violation, ABS_EPS, REL_EPS};
+use crate::explore::{explore, rebuild, Model, Strategy};
+use crate::invariants::{
+    check_admissibility, check_contraction, check_horizon, Property, Violation,
+};
 use crate::scope::{McProblem, MC_DIM};
-use crate::state::fnv128;
+use crate::state::{enc_u64, fnv128, per_destination, EdgeInfo, PorCounts, PruneReason};
 use asynciter_conformance::corpus::save_trace;
 use asynciter_conformance::shrink::shrink_trace;
 use asynciter_models::conditions::{AdmissibilityWitness, DelayEnvelope};
@@ -53,7 +56,7 @@ use asynciter_models::{LabelStore, Partition, Trace};
 use asynciter_opt::traits::Operator;
 use asynciter_runtime::transport::SendFate;
 use asynciter_runtime::{apply_message, produce_step, ApplyPolicy};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::path::Path;
 
 /// The planted transport defects — one per `FaultEndpoint` fault kind,
@@ -256,15 +259,15 @@ pub struct SeamMessage {
 impl SeamMessage {
     fn sort_key(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.comps.len() * 32);
-        enc(&mut out, u64::from(self.src));
-        enc(&mut out, u64::from(self.spec_ghost));
+        enc_u64(&mut out, u64::from(self.src));
+        enc_u64(&mut out, u64::from(self.spec_ghost));
         for &(c, v, l) in &self.comps {
-            enc(&mut out, u64::from(c));
-            enc(&mut out, v.to_bits());
-            enc(&mut out, l);
+            enc_u64(&mut out, u64::from(c));
+            enc_u64(&mut out, v.to_bits());
+            enc_u64(&mut out, l);
         }
         for &s in &self.spec {
-            enc(&mut out, s);
+            enc_u64(&mut out, s);
         }
         out
     }
@@ -316,41 +319,37 @@ impl SeamState {
     }
 }
 
-fn enc(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Canonical byte encoding of a seam state (index-ordered, IEEE bits,
 /// channel queues in arrival order — arrival order is part of the
 /// state under `AsReceived`).
 pub fn seam_canonical_bytes(s: &SeamState) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
-    enc(&mut out, s.next_step);
-    enc(&mut out, s.views.len() as u64);
+    enc_u64(&mut out, s.next_step);
+    enc_u64(&mut out, s.views.len() as u64);
     for w in 0..s.views.len() {
-        enc(&mut out, s.done[w]);
-        enc(&mut out, s.sends[w]);
+        enc_u64(&mut out, s.done[w]);
+        enc_u64(&mut out, s.sends[w]);
         for &v in &s.views[w] {
-            enc(&mut out, v.to_bits());
+            enc_u64(&mut out, v.to_bits());
         }
         for &l in &s.labels[w] {
-            enc(&mut out, l);
+            enc_u64(&mut out, l);
         }
         for &l in &s.spec_labels[w] {
-            enc(&mut out, l);
+            enc_u64(&mut out, l);
         }
-        enc(&mut out, s.inboxes[w].len() as u64);
+        enc_u64(&mut out, s.inboxes[w].len() as u64);
         for m in &s.inboxes[w] {
             let k = m.sort_key();
-            enc(&mut out, k.len() as u64);
+            enc_u64(&mut out, k.len() as u64);
             out.extend_from_slice(&k);
         }
-        enc(&mut out, s.held[w].len() as u64);
+        enc_u64(&mut out, s.held[w].len() as u64);
         for (release, dest, m) in &s.held[w] {
-            enc(&mut out, *release);
-            enc(&mut out, *dest as u64);
+            enc_u64(&mut out, *release);
+            enc_u64(&mut out, *dest as u64);
             let k = m.sort_key();
-            enc(&mut out, k.len() as u64);
+            enc_u64(&mut out, k.len() as u64);
             out.extend_from_slice(&k);
         }
     }
@@ -371,15 +370,6 @@ pub struct SeamChoice {
     pub worker: usize,
     /// One fate per destination.
     pub fates: Vec<SendFate>,
-}
-
-/// Why a seam branch was cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeamPrune {
-    /// A fate would overflow a receiver's queue/parking bound.
-    Capacity,
-    /// The spec book left the scope's admissibility envelope.
-    Inadmissible,
 }
 
 /// Enumeration order matters for DFS: the explorer's stack visits
@@ -422,22 +412,7 @@ pub fn seam_enumerate(state: &SeamState, scope: &SeamScope) -> Vec<SeamChoice> {
             });
             continue;
         }
-        let per_dest = fate_options(scope);
-        let dests = scope.workers - 1;
-        let mut combos: Vec<Vec<SendFate>> = vec![Vec::new()];
-        for _ in 0..dests {
-            combos = combos
-                .iter()
-                .flat_map(|c| {
-                    per_dest.iter().map(move |&f| {
-                        let mut c = c.clone();
-                        c.push(f);
-                        c
-                    })
-                })
-                .collect();
-        }
-        for fates in combos {
+        for fates in per_destination(&fate_options(scope), scope.workers - 1) {
             out.push(SeamChoice { worker: w, fates });
         }
     }
@@ -475,7 +450,7 @@ fn seam_send(
     dest: usize,
     msg: SeamMessage,
     fate: SendFate,
-) -> Result<(), SeamPrune> {
+) -> Result<(), PruneReason> {
     state.sends[src] += 1;
     match fate {
         SendFate::Drop => {
@@ -499,7 +474,7 @@ fn seam_send(
             }
             if hold > 0 {
                 if state.held[src].len() + state.inboxes[dest].len() >= scope.max_in_flight {
-                    return Err(SeamPrune::Capacity);
+                    return Err(PruneReason::Capacity);
                 }
                 state.held[src].push((state.sends[src] + hold, dest, msg));
             } else {
@@ -531,33 +506,12 @@ fn push_inbox(
     scope: &SeamScope,
     dest: usize,
     msg: SeamMessage,
-) -> Result<(), SeamPrune> {
+) -> Result<(), PruneReason> {
     if state.inboxes[dest].len() >= scope.max_in_flight {
-        return Err(SeamPrune::Capacity);
+        return Err(PruneReason::Capacity);
     }
     state.inboxes[dest].push_back(msg);
     Ok(())
-}
-
-/// Observations of one applied seam transition (same shape as the
-/// cluster-regime [`crate::state::EdgeInfo`], consumed by the seam edge
-/// checks).
-#[derive(Debug, Clone)]
-pub struct SeamEdge {
-    /// The executed global step.
-    pub j: u64,
-    /// The acting worker.
-    pub worker: usize,
-    /// Engine-book read labels at produce time.
-    pub read_labels: Vec<u64>,
-    /// `‖view − x*‖_∞` before producing.
-    pub read_err: f64,
-    /// Produced-block max error.
-    pub produced_err: f64,
-    /// System measure `Φ` before the step (views + queued + parked).
-    pub phi_before: f64,
-    /// `Φ` after the step.
-    pub phi_after: f64,
 }
 
 /// System error measure over a seam state: every view, queued message
@@ -592,7 +546,8 @@ pub fn seam_phi(state: &SeamState, problem: &McProblem) -> f64 {
 /// fates — one linearised worker step of the threaded engine.
 ///
 /// # Errors
-/// [`SeamPrune`] for capacity or admissibility cuts.
+/// [`PruneReason`] for capacity (a fate would overflow a receiver's
+/// queue/parking bound) or admissibility cuts.
 ///
 /// # Panics
 /// Panics when the operator produces a non-finite iterate (impossible
@@ -603,7 +558,7 @@ pub fn seam_apply(
     scope: &SeamScope,
     problem: &McProblem,
     trace: Option<&mut Trace>,
-) -> Result<(SeamState, SeamEdge), SeamPrune> {
+) -> Result<(SeamState, EdgeInfo), PruneReason> {
     let j = state.next_step;
     let w = choice.worker;
     let phi_before = seam_phi(state, problem);
@@ -625,7 +580,7 @@ pub fn seam_apply(
     // Admissibility pruning on the spec book at the produce.
     let floor = scope.envelope.min_label(j);
     if t.spec_labels[w].iter().any(|&l| l < floor) {
-        return Err(SeamPrune::Inadmissible);
+        return Err(PruneReason::Inadmissible);
     }
 
     let read_labels = t.labels[w].clone();
@@ -687,10 +642,11 @@ pub fn seam_apply(
     let phi_after = seam_phi(&t, problem);
     Ok((
         t,
-        SeamEdge {
+        EdgeInfo {
             j,
             worker: w,
             read_labels,
+            prev_read: None,
             read_err,
             produced_err,
             phi_before,
@@ -699,246 +655,74 @@ pub fn seam_apply(
     ))
 }
 
-/// Edge-local invariants of the seam — the same four families the
-/// cluster-regime explorer checks, minus `KeepFreshest` (the seam runs
-/// the threaded engine's `AsReceived` policy, where stale application
-/// is legal and *recorded*, not absorbed).
-pub fn seam_check_edge(
-    scope: &SeamScope,
-    problem: &McProblem,
-    child: &SeamState,
-    edge: &SeamEdge,
-) -> Option<Violation> {
-    if edge.produced_err > problem.alpha * edge.read_err * (1.0 + REL_EPS) + ABS_EPS {
-        return Some(Violation {
-            property: Property::ResidualMonotone,
-            j: edge.j,
-            detail: format!(
-                "seam block contraction broken at j={}: produced err {:.3e} > α·read err {:.3e}",
-                edge.j,
-                edge.produced_err,
-                problem.alpha * edge.read_err
-            ),
-        });
-    }
-    if edge.phi_after > edge.phi_before * (1.0 + REL_EPS) + ABS_EPS {
-        return Some(Violation {
-            property: Property::ResidualMonotone,
-            j: edge.j,
-            detail: format!(
-                "seam system measure Φ increased at j={}: {:.3e} → {:.3e}",
-                edge.j, edge.phi_before, edge.phi_after
-            ),
-        });
-    }
-    if let Some(c) = (0..problem.n()).find(|&c| edge.read_labels[c] >= edge.j) {
-        return Some(Violation {
-            property: Property::Admissibility,
-            j: edge.j,
-            detail: format!(
-                "seam condition (a) violated at j={}: component {c} read label {} ≥ j",
-                edge.j, edge.read_labels[c]
-            ),
-        });
-    }
-    for ww in 0..scope.workers {
-        if let Some(c) = (0..problem.n()).find(|&c| child.labels[ww][c] != child.spec_labels[ww][c])
-        {
-            return Some(Violation {
-                property: Property::Admissibility,
-                j: edge.j,
-                detail: format!(
-                    "seam engine label book diverged from spec at j={}: worker {ww} \
-                     component {c} engine={} spec={}",
-                    edge.j, child.labels[ww][c], child.spec_labels[ww][c]
-                ),
-            });
-        }
-    }
-    None
+/// The transport-seam model: a [`SeamScope`] on the scope problem,
+/// explored by the same [`explore`] as the cluster-regime scopes.
+#[derive(Clone, Copy)]
+pub struct SeamModel<'a> {
+    /// The bounded universe.
+    pub scope: &'a SeamScope,
+    /// The fixed-point problem every worker steps.
+    pub problem: &'a McProblem,
 }
 
-/// Terminal invariants of one fully-explored seam path: consensus
-/// contraction bound, witness acceptance of the recorded linearised
-/// trace (with the steering-implied activation gap), and bit-identical
-/// replay through the Definition-1 engine.
-pub fn seam_check_terminal(
-    scope: &SeamScope,
-    problem: &McProblem,
-    state: &SeamState,
-    trace: &Trace,
-) -> Option<Violation> {
-    let n = problem.n();
-    let blocks = scope.blocks();
-    let mut consensus = vec![0.0; n];
-    for (w, block) in blocks.iter().enumerate() {
-        for &i in block {
-            consensus[i] = state.views[w][i];
-        }
-    }
-    let err = consensus
-        .iter()
-        .enumerate()
-        .map(|(c, &v)| (v - problem.xstar[c]).abs())
-        .fold(0.0_f64, f64::max);
-    let bound = problem.alpha * problem.e0 * (1.0 + REL_EPS) + ABS_EPS;
-    if err > bound {
-        return Some(Violation {
-            property: Property::Horizon,
-            j: scope.steps(),
-            detail: format!(
-                "seam consensus error {err:.6e} exceeds the contraction bound α·E₀ = {bound:.6e}"
-            ),
-        });
-    }
-    let witness = AdmissibilityWitness::new(scope.envelope, scope.witness_gap());
-    if let Err(e) = witness.check(trace) {
-        return Some(Violation {
-            property: Property::Horizon,
-            j: scope.steps(),
-            detail: format!("seam terminal trace rejected by the scope witness: {e}"),
-        });
-    }
-    let replay = asynciter_core::session::Session::new(&problem.op)
-        .x0(problem.x0.clone())
-        .replay_trace(trace.clone())
-        .and_then(asynciter_core::session::Session::run);
-    match replay {
-        Err(e) => Some(Violation {
-            property: Property::Horizon,
-            j: scope.steps(),
-            detail: format!("seam terminal trace does not replay: {e}"),
-        }),
-        Ok(report) => (0..n)
-            .find(|&c| report.final_x[c].to_bits() != consensus[c].to_bits())
-            .map(|c| Violation {
-                property: Property::Horizon,
-                j: scope.steps(),
-                detail: format!(
-                    "seam replay diverged from the explored state at component {c}: \
-                     replay={:?} vs consensus={:?}",
-                    report.final_x[c], consensus[c]
-                ),
-            }),
+impl<'a> SeamModel<'a> {
+    /// The seam sweep of `scope` on `problem`.
+    pub fn new(scope: &'a SeamScope, problem: &'a McProblem) -> Self {
+        Self { scope, problem }
     }
 }
 
-/// Counters of one seam exploration.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SeamStats {
-    /// Distinct states visited (root included).
-    pub visited: u64,
-    /// Successors hashing to an already-visited state.
-    pub dedup_hits: u64,
-    /// Transitions applied.
-    pub edges: u64,
-    /// Terminal states reached.
-    pub terminals: u64,
-    /// Branches cut by queue capacity.
-    pub pruned_capacity: u64,
-    /// Branches cut by the admissibility envelope.
-    pub pruned_inadmissible: u64,
-}
+impl Model for SeamModel<'_> {
+    type State = SeamState;
+    type Choice = SeamChoice;
+    type Edge = EdgeInfo;
 
-/// A seam violation plus the choice path reaching it.
-#[derive(Debug, Clone)]
-pub struct SeamFound {
-    /// The failed property and diagnosis.
-    pub violation: Violation,
-    /// Choice indices into [`seam_enumerate`] along the path.
-    pub path: Vec<u32>,
-}
-
-/// Result of exploring a seam scope.
-#[derive(Debug)]
-pub struct SeamOutcome {
-    /// Exploration counters.
-    pub stats: SeamStats,
-    /// First violation found, if any.
-    pub violation: Option<SeamFound>,
-    /// True when the state budget cut the sweep short.
-    pub truncated: bool,
-}
-
-/// Exhaustively explores a seam scope (DFS, deterministic order),
-/// checking every edge and terminal invariant.
-pub fn seam_explore(scope: &SeamScope, problem: &McProblem, max_states: u64) -> SeamOutcome {
-    let mut stats = SeamStats::default();
-    let mut visited: BTreeSet<u128> = BTreeSet::new();
-    let root = SeamState::initial(scope, problem);
-    visited.insert(seam_state_hash(&root));
-    stats.visited = 1;
-    let mut frontier: Vec<(SeamState, Vec<u32>)> = vec![(root, Vec::new())];
-    let mut truncated = false;
-
-    while let Some((state, path)) = frontier.pop() {
-        if state.terminal(scope) {
-            stats.terminals += 1;
-            let (trace, _) = seam_rebuild(scope, problem, &path);
-            if let Some(v) = seam_check_terminal(scope, problem, &state, &trace) {
-                return SeamOutcome {
-                    stats,
-                    violation: Some(SeamFound { violation: v, path }),
-                    truncated,
-                };
-            }
-            continue;
-        }
-        for (i, choice) in seam_enumerate(&state, scope).iter().enumerate() {
-            match seam_apply(&state, choice, scope, problem, None) {
-                Err(SeamPrune::Capacity) => stats.pruned_capacity += 1,
-                Err(SeamPrune::Inadmissible) => stats.pruned_inadmissible += 1,
-                Ok((child, edge)) => {
-                    stats.edges += 1;
-                    if let Some(v) = seam_check_edge(scope, problem, &child, &edge) {
-                        let mut path = path.clone();
-                        path.push(i as u32);
-                        return SeamOutcome {
-                            stats,
-                            violation: Some(SeamFound { violation: v, path }),
-                            truncated,
-                        };
-                    }
-                    if visited.insert(seam_state_hash(&child)) {
-                        if stats.visited >= max_states {
-                            truncated = true;
-                            continue;
-                        }
-                        stats.visited += 1;
-                        let mut path = path.clone();
-                        path.push(i as u32);
-                        frontier.push((child, path));
-                    } else {
-                        stats.dedup_hits += 1;
-                    }
-                }
-            }
-        }
+    fn initial(&self) -> SeamState {
+        SeamState::initial(self.scope, self.problem)
     }
-    SeamOutcome {
-        stats,
-        violation: None,
-        truncated,
-    }
-}
 
-/// Deterministically replays a seam choice path from the root,
-/// accumulating the linearised producing-step trace.
-///
-/// # Panics
-/// Panics when the path indexes a pruned or out-of-range choice (paths
-/// produced by [`seam_explore`] never do).
-pub fn seam_rebuild(scope: &SeamScope, problem: &McProblem, path: &[u32]) -> (Trace, SeamState) {
-    let mut state = SeamState::initial(scope, problem);
-    let mut trace = Trace::new(problem.n(), LabelStore::Full);
-    for &i in path {
-        let choices = seam_enumerate(&state, scope);
-        let choice = &choices[i as usize];
-        let (next, _) = seam_apply(&state, choice, scope, problem, Some(&mut trace))
-            .expect("explored seam paths never hit a pruned branch");
-        state = next;
+    fn is_terminal(&self, state: &SeamState) -> bool {
+        state.terminal(self.scope)
     }
-    (trace, state)
+
+    fn enumerate(&self, state: &SeamState) -> (Vec<SeamChoice>, PorCounts) {
+        (seam_enumerate(state, self.scope), PorCounts::default())
+    }
+
+    fn apply(
+        &self,
+        state: &SeamState,
+        choice: &SeamChoice,
+        trace: Option<&mut Trace>,
+    ) -> Result<(SeamState, EdgeInfo), PruneReason> {
+        seam_apply(state, choice, self.scope, self.problem, trace)
+    }
+
+    /// The cluster-regime families minus `KeepFreshest`: the seam runs
+    /// the threaded engine's `AsReceived` policy, where stale
+    /// application is legal and *recorded*, not absorbed.
+    fn check_edge(&self, _: &SeamState, child: &SeamState, edge: &EdgeInfo) -> Option<Violation> {
+        check_contraction(self.problem, edge)
+            .or_else(|| check_admissibility(self.problem, &child.labels, &child.spec_labels, edge))
+    }
+
+    /// The linearised trace must carry the steering-implied activation
+    /// gap.
+    fn check_terminal(&self, state: &SeamState, trace: &Trace) -> Option<Violation> {
+        let witness = AdmissibilityWitness::new(self.scope.envelope, self.scope.witness_gap());
+        check_horizon(
+            self.problem,
+            &self.scope.blocks(),
+            &state.views,
+            self.scope.steps(),
+            &witness,
+            trace,
+        )
+    }
+
+    fn state_hash(&self, state: &SeamState) -> u128 {
+        seam_state_hash(state)
+    }
 }
 
 /// Negative control for one planted transport bug: explores the
@@ -955,7 +739,8 @@ pub fn seam_rebuild(scope: &SeamScope, problem: &McProblem, path: &[u32]) -> (Tr
 pub fn seam_bug_demo(bug: SeamBug, out: &Path) -> Result<(u64, u64), String> {
     let scope = SeamScope::seam_bug(bug);
     let problem = McProblem::build();
-    let outcome = seam_explore(&scope, &problem, 2_000_000);
+    let model = SeamModel::new(&scope, &problem);
+    let outcome = explore(&model, Strategy::Dfs, 2_000_000);
     let found = outcome.violation.ok_or(format!(
         "inject-seam-{}: explorer did not catch the planted transport bug — blind spot",
         bug.id()
@@ -968,7 +753,7 @@ pub fn seam_bug_demo(bug: SeamBug, out: &Path) -> Result<(u64, u64), String> {
             found.violation.detail
         ));
     }
-    let (mut trace, mut state) = seam_rebuild(&scope, &problem, &found.path);
+    let (mut trace, mut state) = rebuild(&model, &found.path);
 
     // Extend the caught prefix to the horizon so the victim's zeroed
     // label is recorded at steps where the envelope floor is positive
@@ -1013,7 +798,8 @@ mod tests {
     fn seam1_has_a_single_schedule() {
         let scope = SeamScope::seam1();
         let problem = McProblem::build();
-        let out = seam_explore(&scope, &problem, 1_000_000);
+        let model = SeamModel::new(&scope, &problem);
+        let out = explore(&model, Strategy::Dfs, 1_000_000);
         assert!(out.violation.is_none(), "{:?}", out.violation);
         assert!(!out.truncated);
         // One worker, no fates: exactly one path of `rounds` steps.
@@ -1037,7 +823,8 @@ mod tests {
         for bug in [SeamBug::Hold, SeamBug::Drop, SeamBug::Dup] {
             let scope = SeamScope::seam_bug(bug);
             let problem = McProblem::build();
-            let out = seam_explore(&scope, &problem, 2_000_000);
+            let model = SeamModel::new(&scope, &problem);
+            let out = explore(&model, Strategy::Dfs, 2_000_000);
             let found = out
                 .violation
                 .unwrap_or_else(|| panic!("{}: planted bug not caught", bug.id()));

@@ -200,7 +200,7 @@ pub struct EdgeInfo {
 // Canonical encoding + 128-bit FNV-1a
 // ---------------------------------------------------------------------------
 
-fn enc_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn enc_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -360,6 +360,25 @@ fn is_canonical_order(perm: &[usize], mbox: &[McMessage]) -> bool {
         .all(|p| p[0] < p[1] || !messages_commute(&mbox[p[0]], &mbox[p[1]]))
 }
 
+/// Every way to pick one of `options` independently for each of `dests`
+/// destinations, in lexicographic order (first destination outermost).
+pub(crate) fn per_destination<T: Copy>(options: &[T], dests: usize) -> Vec<Vec<T>> {
+    let mut combos: Vec<Vec<T>> = vec![Vec::new()];
+    for _ in 0..dests {
+        combos = combos
+            .iter()
+            .flat_map(|c| {
+                options.iter().map(move |&o| {
+                    let mut c = c.clone();
+                    c.push(o);
+                    c
+                })
+            })
+            .collect();
+    }
+    combos
+}
+
 /// Enumerates every [`StepChoice`] available in `state` under `scope`,
 /// in a deterministic canonical order (delivery choices outer, send
 /// cross-product inner). Full enumeration — [`Por::Off`].
@@ -426,23 +445,10 @@ pub fn enumerate_choices_por(
         {
             per_dest.retain(|s| !matches!(s, SendChoice::Send { copies: 2, .. }));
         }
-        let dests = (scope.workers - 1) as u32;
-        let full = per_dest_full.pow(dests);
-        counts.sends = full - (per_dest.len() as u64).pow(dests);
-        let mut combos: Vec<Vec<SendChoice>> = vec![Vec::new()];
-        for _ in 0..dests {
-            combos = combos
-                .iter()
-                .flat_map(|c| {
-                    per_dest.iter().map(move |&s| {
-                        let mut c = c.clone();
-                        c.push(s);
-                        c
-                    })
-                })
-                .collect();
-        }
-        (combos, full)
+        let dests = scope.workers - 1;
+        let full = per_dest_full.pow(dests as u32);
+        counts.sends = full - (per_dest.len() as u64).pow(dests as u32);
+        (per_destination(&per_dest, dests), full)
     } else {
         (vec![Vec::new()], 1)
     };

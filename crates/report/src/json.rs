@@ -24,7 +24,6 @@
 
 use asynciter_core::session::{canonical_backend_name, RunReport};
 use std::fmt;
-use std::time::Duration;
 
 /// Version stamped into every [`GateDoc`]; [`GateDoc::from_json`]
 /// rejects documents with any other value, so stale baselines fail loud
@@ -698,14 +697,10 @@ pub fn run_report_to_json(report: &RunReport) -> Json {
 /// Missing or mistyped fields.
 pub fn run_report_from_json(json: &Json) -> Result<RunReport, JsonError> {
     let mut report = RunReport {
-        backend: canonical_backend_name(&req_str(json, "backend")?),
-        final_x: f64_vec(json, "final_x")?,
-        steps: req_u64(json, "steps")?,
         macro_iterations: req_u64(json, "macro_iterations")?,
         errors: sample_vec(json, "errors")?,
         error_times: u64_vec(json, "error_times")?,
         residuals: sample_vec(json, "residuals")?,
-        final_residual: req_f64(json, "final_residual")?,
         stopped_early: req_bool(json, "stopped_early")?,
         per_worker_updates: u64_vec(json, "per_worker_updates")?,
         partial_publishes: req_u64(json, "partial_publishes")?,
@@ -713,12 +708,16 @@ pub fn run_report_from_json(json: &Json) -> Result<RunReport, JsonError> {
         // Added after v1 documents were written: absent means zero.
         constraint_checked: opt_u64(json, "constraint_checked")?.unwrap_or(0),
         constraint_violations: opt_u64(json, "constraint_violations")?.unwrap_or(0),
-        trace: None,
         sim_time: opt_u64(json, "sim_time")?,
         // Added with the service layer: absent means a solo run.
         tenant: opt_u64(json, "tenant")?,
         job: opt_u64(json, "job")?,
-        wall: Duration::ZERO,
+        ..RunReport::new(
+            canonical_backend_name(&req_str(json, "backend")?),
+            f64_vec(json, "final_x")?,
+            req_u64(json, "steps")?,
+            req_f64(json, "final_residual")?,
+        )
     };
     report.set_wall_secs(req_f64(json, "wall_secs")?);
     Ok(report)
@@ -906,6 +905,7 @@ impl GateDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn sample_record() -> GateRecord {
         GateRecord {
@@ -1186,26 +1186,30 @@ mod tests {
     }
 
     fn sample_report() -> RunReport {
-        RunReport {
-            backend: "replay",
-            final_x: vec![0.0],
-            steps: 1,
-            macro_iterations: 1,
-            errors: vec![],
-            error_times: vec![],
-            residuals: vec![],
-            final_residual: 0.0,
-            stopped_early: false,
-            per_worker_updates: vec![],
-            partial_publishes: 0,
-            partial_reads: 0,
-            constraint_checked: 0,
-            constraint_violations: 0,
-            trace: None,
-            sim_time: None,
-            tenant: None,
-            job: None,
-            wall: Duration::ZERO,
+        RunReport::new("replay", vec![0.0], 1, 0.0)
+    }
+
+    #[test]
+    fn constructor_built_report_round_trips_at_its_documented_defaults() {
+        // `RunReport::new` is the one place the backend-independent
+        // defaults are spelled; both the constructor and the parser's
+        // absent-field handling must land on them.
+        let built = RunReport::new("cluster", vec![0.5, -2.0], 17, 3.5e-9);
+        let parsed = run_report_from_json(&run_report_to_json(&built)).unwrap();
+        for r in [&built, &parsed] {
+            assert_eq!(r.backend, "cluster");
+            assert_eq!(r.final_x, vec![0.5, -2.0]);
+            assert_eq!(r.steps, 17);
+            assert_eq!(r.final_residual, 3.5e-9);
+            assert_eq!(r.macro_iterations, 0);
+            assert!(r.errors.is_empty() && r.error_times.is_empty() && r.residuals.is_empty());
+            assert!(!r.stopped_early);
+            assert!(r.per_worker_updates.is_empty());
+            assert_eq!((r.partial_publishes, r.partial_reads), (0, 0));
+            assert_eq!((r.constraint_checked, r.constraint_violations), (0, 0));
+            assert!(r.trace.is_none());
+            assert_eq!((r.sim_time, r.tenant, r.job), (None, None, None));
+            assert_eq!(r.wall, Duration::ZERO);
         }
     }
 }

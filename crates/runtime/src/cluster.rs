@@ -29,9 +29,7 @@
 //! `(config, seed)` — on a laptop, in CI, on one core. Its genuinely
 //! concurrent counterpart is [`crate::threaded`], which runs the same
 //! step halves ([`apply_message`] / [`produce_block`]) on free-running
-//! threads over the [`crate::transport`] seam; the legacy thread-based
-//! router was retired and [`crate::network`] is now a thin compatibility
-//! wrapper over this engine.
+//! threads over the [`crate::transport`] seam.
 //!
 //! ## Replay equivalence
 //!
@@ -59,8 +57,7 @@ use rand::RngExt;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-/// Message application policy at the receiver (shared with the legacy
-/// [`crate::network`] wrapper).
+/// Message application policy at the receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyPolicy {
     /// Apply in arrival order, even if older than current knowledge — a
@@ -1130,6 +1127,18 @@ mod tests {
         assert!(res.partial_publishes > 0);
         assert!(res.partial_reads > 0);
         assert!(vecops::max_abs_diff(&res.consensus, &xstar) < 1e-7);
+    }
+
+    #[test]
+    fn sparse_exchange_cuts_message_volume_and_converges() {
+        let op = jacobi(16);
+        let xstar = op.solve_dense_spd().unwrap();
+        let p = Partition::blocks(16, 2).unwrap();
+        let cfg = ClusterConfig::new(4000).with_exchange_every(25);
+        let res = ClusterEngine::run(&op, &[0.0; 16], &p, &cfg, None).unwrap();
+        assert!(vecops::max_abs_diff(&res.consensus, &xstar) < 1e-7);
+        // One message per worker per 25 updates, not one per update.
+        assert_eq!(res.stats.sent, 4000 / 25);
     }
 
     #[test]

@@ -30,8 +30,6 @@
 //!   service leases per-job workspaces from: clean leases are bitwise
 //!   fresh (so pooling is invisible to the bit-identity oracles) and
 //!   lease/return cycles are allocation-free after warm-up.
-//! - [`network`] — the legacy message-passing API, now a thin
-//!   compatibility wrapper over [`cluster`].
 //! - [`termination`] — distributed termination detection in the spirit
 //!   of El Baz \[22\]: local quiescence flags plus in-flight message
 //!   accounting (experiment E10).
@@ -50,7 +48,6 @@ pub mod async_engine;
 pub mod cluster;
 pub mod error;
 pub mod imbalance;
-pub mod network;
 pub mod scratch;
 pub mod session;
 pub mod shared;

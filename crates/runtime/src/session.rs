@@ -13,16 +13,11 @@
 //!
 //! [`Session`]: asynciter_core::session::Session
 
-use crate::async_engine::{
-    AsyncConfig, AsyncRunResult, AsyncSharedRunner, SnapshotMode, TraceRecord,
-};
+use crate::async_engine::{AsyncConfig, AsyncSharedRunner, SnapshotMode, TraceRecord};
 use crate::cluster::{ApplyPolicy, ClusterConfig, ClusterEngine, LinkModel};
 use crate::sync_engine::{SyncConfig, SyncRunner};
 use crate::threaded::{Quiesce, ThreadedClusterEngine, ThreadedConfig};
-use asynciter_core::session::{
-    macro_count, unsupported, Backend, Problem, RecordMode, RunControl, RunReport,
-};
-use asynciter_core::stopping::StoppingRule;
+use asynciter_core::session::{macro_count, Backend, Problem, RecordMode, RunControl, RunReport};
 use asynciter_core::CoreError;
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::Trace;
@@ -56,6 +51,8 @@ fn resolve_partition(
 /// [`StoppingRule::Residual`] stopping rule maps onto the runner's
 /// residual target. Constructible with functional-update syntax:
 /// `SharedMem { threads: 4, ..SharedMem::default() }`.
+///
+/// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
 #[derive(Debug, Clone)]
 pub struct SharedMem {
     /// Number of worker threads.
@@ -86,34 +83,6 @@ impl Default for SharedMem {
     }
 }
 
-impl SharedMem {
-    fn report(&self, res: AsyncRunResult, keep_trace: bool) -> RunReport {
-        let trace: Option<Trace> = res.trace;
-        let macro_iterations = macro_count(trace.as_ref());
-        RunReport {
-            backend: "shared-mem",
-            final_x: res.final_x,
-            steps: res.total_updates,
-            macro_iterations,
-            errors: Vec::new(),
-            error_times: Vec::new(),
-            residuals: Vec::new(),
-            final_residual: res.final_residual,
-            stopped_early: false,
-            per_worker_updates: res.per_worker_updates,
-            partial_publishes: res.partial_publishes,
-            partial_reads: 0,
-            constraint_checked: 0,
-            constraint_violations: 0,
-            trace: keep_trace.then_some(trace).flatten(),
-            sim_time: None,
-            tenant: None,
-            job: None,
-            wall: res.wall,
-        }
-    }
-}
-
 impl Backend for SharedMem {
     fn name(&self) -> &'static str {
         "shared-mem"
@@ -124,18 +93,8 @@ impl Backend for SharedMem {
         problem: &Problem<'_>,
         ctl: &mut RunControl<'_>,
     ) -> asynciter_core::Result<RunReport> {
-        if ctl.error_every > 0 {
-            return Err(unsupported(self.name(), "error sampling"));
-        }
-        if ctl.residual_every > 0 {
-            return Err(unsupported(self.name(), "residual sampling"));
-        }
-        if ctl.schedule.is_some() {
-            return Err(unsupported(
-                self.name(),
-                "an explicit schedule (free-running workers generate their own)",
-            ));
-        }
+        ctl.reject_sampling(self.name())?;
+        ctl.reject_schedule(self.name(), "free-running workers generate their own")?;
         let n = problem.n();
         let partition = resolve_partition(self.name(), &self.partition, n, self.threads)?;
         let mut cfg = AsyncConfig::new(self.threads, ctl.max_steps)
@@ -147,29 +106,29 @@ impl Backend for SharedMem {
                 RecordMode::MinOnly => TraceRecord::MinOnly,
                 RecordMode::Full => TraceRecord::Full,
             });
-        let mut target = None;
-        match &ctl.stopping {
-            None => {}
-            Some(StoppingRule::Residual { eps, check_every }) => {
-                cfg = cfg.with_target_residual(*eps);
-                cfg.check_every = (*check_every).max(1);
-                target = Some(*eps);
-            }
-            Some(_) => {
-                return Err(unsupported(
-                    self.name(),
-                    "a non-residual stopping rule (only StoppingRule::Residual maps onto the \
-                     shared-memory runner)",
-                ));
-            }
+        let target = ctl.residual_target(self.name(), "the shared-memory runner")?;
+        if let Some((eps, check_every)) = target {
+            cfg = cfg.with_target_residual(eps);
+            cfg.check_every = check_every;
         }
         let res = AsyncSharedRunner::run(problem.op, &problem.x0, &partition, &cfg)
             .map_err(|e| to_core(self.name(), e))?;
-        let stopped_early = target
-            .is_some_and(|eps| res.final_residual <= eps && res.total_updates < ctl.max_steps);
-        let mut report = self.report(res, ctl.record.keeps_trace());
-        report.stopped_early = stopped_early;
-        Ok(report)
+        Ok(RunReport {
+            macro_iterations: macro_count(res.trace.as_ref()),
+            stopped_early: target.is_some_and(|(eps, _)| {
+                res.final_residual <= eps && res.total_updates < ctl.max_steps
+            }),
+            per_worker_updates: res.per_worker_updates,
+            partial_publishes: res.partial_publishes,
+            trace: res.trace.filter(|_| ctl.record.keeps_trace()),
+            wall: res.wall,
+            ..RunReport::new(
+                self.name(),
+                res.final_x,
+                res.total_updates,
+                res.final_residual,
+            )
+        })
     }
 }
 
@@ -185,6 +144,8 @@ impl Backend for SharedMem {
 /// recorded trace this costs `O(sweeps · n)` memory; leave recording off
 /// for large sweep budgets (the macro-iteration count is reported either
 /// way).
+///
+/// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
 #[derive(Debug, Clone)]
 pub struct Barrier {
     /// Number of worker threads.
@@ -227,33 +188,15 @@ impl Backend for Barrier {
         problem: &Problem<'_>,
         ctl: &mut RunControl<'_>,
     ) -> asynciter_core::Result<RunReport> {
-        if ctl.error_every > 0 {
-            return Err(unsupported(self.name(), "error sampling"));
-        }
-        if ctl.residual_every > 0 {
-            return Err(unsupported(self.name(), "residual sampling"));
-        }
-        if ctl.schedule.is_some() {
-            return Err(unsupported(
-                self.name(),
-                "an explicit schedule (sweeps are synchronous by construction)",
-            ));
-        }
+        ctl.reject_sampling(self.name())?;
+        ctl.reject_schedule(self.name(), "sweeps are synchronous by construction")?;
         let n = problem.n();
         let partition = resolve_partition(self.name(), &self.partition, n, self.threads)?;
         let mut cfg = SyncConfig::new(self.threads, ctl.max_steps).with_spin(self.spin.clone());
-        match &ctl.stopping {
-            None => {}
-            Some(StoppingRule::Residual { eps, .. }) => {
-                cfg = cfg.with_target_change(*eps);
-            }
-            Some(_) => {
-                return Err(unsupported(
-                    self.name(),
-                    "a non-residual stopping rule (only StoppingRule::Residual maps onto the \
-                     barrier runner's sweep-change target)",
-                ));
-            }
+        if let Some((eps, _)) =
+            ctl.residual_target(self.name(), "the barrier runner's sweep-change target")?
+        {
+            cfg = cfg.with_target_change(eps);
         }
         let res = SyncRunner::run(problem.op, &problem.x0, &partition, &cfg)
             .map_err(|e| to_core(self.name(), e))?;
@@ -266,25 +209,12 @@ impl Backend for Barrier {
             res.sweeps
         };
         Ok(RunReport {
-            backend: self.name(),
-            final_x: res.final_x,
-            steps: res.sweeps,
             macro_iterations,
-            errors: Vec::new(),
-            error_times: Vec::new(),
-            residuals: Vec::new(),
-            final_residual: res.final_residual,
             stopped_early: res.sweeps < ctl.max_steps,
             per_worker_updates: vec![res.sweeps; self.threads],
-            partial_publishes: 0,
-            partial_reads: 0,
-            constraint_checked: 0,
-            constraint_violations: 0,
             trace,
-            sim_time: None,
-            tenant: None,
-            job: None,
             wall: res.wall,
+            ..RunReport::new(self.name(), res.final_x, res.sweeps, res.final_residual)
         })
     }
 }
@@ -313,6 +243,8 @@ impl Backend for Barrier {
 ///
 /// Constructible with functional-update syntax:
 /// `Cluster { workers: 4, drop_prob: 0.1, ..Cluster::default() }`.
+///
+/// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
 #[derive(Debug, Clone)]
 pub struct Cluster {
     /// Number of workers (= shards).
@@ -364,13 +296,11 @@ impl Backend for Cluster {
         problem: &Problem<'_>,
         ctl: &mut RunControl<'_>,
     ) -> asynciter_core::Result<RunReport> {
-        if ctl.schedule.is_some() {
-            return Err(unsupported(
-                self.name(),
-                "an explicit schedule (the cluster's schedule emerges from its channel \
-                 model; record it and replay through `Replay` instead)",
-            ));
-        }
+        ctl.reject_schedule(
+            self.name(),
+            "the cluster's schedule emerges from its channel model; record it and replay \
+             through `Replay` instead",
+        )?;
         let n = problem.n();
         let partition = resolve_partition(self.name(), &self.partition, n, self.workers)?;
         let mut cfg = ClusterConfig::new(ctl.max_steps)
@@ -384,19 +314,11 @@ impl Backend for Cluster {
         cfg.partial_prob = self.partial_prob;
         cfg.error_every = ctl.error_every;
         cfg.residual_every = ctl.residual_every;
-        match &ctl.stopping {
-            None => {}
-            Some(StoppingRule::Residual { eps, check_every }) => {
-                cfg.target_residual = Some(*eps);
-                cfg.check_every = (*check_every).max(1);
-            }
-            Some(_) => {
-                return Err(unsupported(
-                    self.name(),
-                    "a non-residual stopping rule (only StoppingRule::Residual maps onto \
-                     the cluster's consensus residual target)",
-                ));
-            }
+        if let Some((eps, check_every)) =
+            ctl.residual_target(self.name(), "the cluster's consensus residual target")?
+        {
+            cfg.target_residual = Some(eps);
+            cfg.check_every = check_every;
         }
         let res = ClusterEngine::run(
             problem.op,
@@ -406,28 +328,24 @@ impl Backend for Cluster {
             problem.xstar.as_deref(),
         )
         .map_err(|e| to_core(self.name(), e))?;
-        let macro_iterations = macro_count(Some(&res.trace));
         Ok(RunReport {
-            backend: self.name(),
-            final_x: res.consensus,
-            steps: res.steps_run,
-            macro_iterations,
             errors: res.errors,
-            error_times: Vec::new(),
             residuals: res.residuals,
-            final_residual: res.final_residual,
             stopped_early: res.stopped_early,
             per_worker_updates: res.per_worker_updates,
             partial_publishes: res.partial_publishes,
             partial_reads: res.partial_reads,
             constraint_checked: res.constraint_checked,
             constraint_violations: res.constraint_violations,
-            trace: ctl.record.keeps_trace().then_some(res.trace),
-            sim_time: None,
-            tenant: None,
-            job: None,
             wall: res.wall,
-        })
+            ..RunReport::new(
+                self.name(),
+                res.consensus,
+                res.steps_run,
+                res.final_residual,
+            )
+        }
+        .with_trace(res.trace, ctl.record))
     }
 }
 
@@ -456,6 +374,8 @@ impl Backend for Cluster {
 ///
 /// Constructible with functional-update syntax:
 /// `ThreadedCluster { workers: 4, drop_prob: 0.1, ..ThreadedCluster::default() }`.
+///
+/// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
 #[derive(Debug, Clone)]
 pub struct ThreadedCluster {
     /// Number of worker threads (= shards).
@@ -508,19 +428,12 @@ impl Backend for ThreadedCluster {
         problem: &Problem<'_>,
         ctl: &mut RunControl<'_>,
     ) -> asynciter_core::Result<RunReport> {
-        if ctl.schedule.is_some() {
-            return Err(unsupported(
-                self.name(),
-                "an explicit schedule (the threaded cluster's schedule emerges from real \
-                 thread interleaving; record it and replay through `Replay` instead)",
-            ));
-        }
-        if ctl.error_every > 0 {
-            return Err(unsupported(self.name(), "error sampling"));
-        }
-        if ctl.residual_every > 0 {
-            return Err(unsupported(self.name(), "residual sampling"));
-        }
+        ctl.reject_schedule(
+            self.name(),
+            "the threaded cluster's schedule emerges from real thread interleaving; record \
+             it and replay through `Replay` instead",
+        )?;
+        ctl.reject_sampling(self.name())?;
         let n = problem.n();
         let partition = resolve_partition(self.name(), &self.partition, n, self.workers)?;
         let mut cfg = ThreadedConfig::new(ctl.max_steps)
@@ -532,44 +445,30 @@ impl Backend for ThreadedCluster {
         cfg.hold_extra = self.hold_extra;
         cfg.partial_prob = self.partial_prob;
         cfg.quiesce = self.quiesce;
-        match &ctl.stopping {
-            None => {}
-            Some(StoppingRule::Residual { eps, check_every }) => {
-                cfg.target_residual = Some(*eps);
-                cfg.check_every = (*check_every).max(1);
-            }
-            Some(_) => {
-                return Err(unsupported(
-                    self.name(),
-                    "a non-residual stopping rule (only StoppingRule::Residual maps onto \
-                     the threaded cluster's residual target)",
-                ));
-            }
+        if let Some((eps, check_every)) =
+            ctl.residual_target(self.name(), "the threaded cluster's residual target")?
+        {
+            cfg.target_residual = Some(eps);
+            cfg.check_every = check_every;
         }
         let res = ThreadedClusterEngine::run(problem.op, &problem.x0, &partition, &cfg)
             .map_err(|e| to_core(self.name(), e))?;
-        let macro_iterations = macro_count(Some(&res.trace));
         Ok(RunReport {
-            backend: self.name(),
-            final_x: res.consensus,
-            steps: res.steps_run,
-            macro_iterations,
-            errors: Vec::new(),
-            error_times: Vec::new(),
-            residuals: Vec::new(),
-            final_residual: res.final_residual,
             stopped_early: res.stopped_early,
             per_worker_updates: res.per_worker_updates,
             partial_publishes: res.partial_publishes,
             partial_reads: res.partial_reads,
             constraint_checked: res.constraint_checked,
             constraint_violations: res.constraint_violations,
-            trace: ctl.record.keeps_trace().then_some(res.trace),
-            sim_time: None,
-            tenant: None,
-            job: None,
             wall: res.wall,
-        })
+            ..RunReport::new(
+                self.name(),
+                res.consensus,
+                res.steps_run,
+                res.final_residual,
+            )
+        }
+        .with_trace(res.trace, ctl.record))
     }
 }
 
@@ -577,6 +476,7 @@ impl Backend for ThreadedCluster {
 mod tests {
     use super::*;
     use asynciter_core::session::{RecordMode, Replay, Session};
+    use asynciter_core::stopping::StoppingRule;
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;

@@ -13,7 +13,7 @@
 //! [`RunControl`]: asynciter_core::session::RunControl
 
 use crate::runner::{SimConfig, Simulator};
-use asynciter_core::session::{macro_count, unsupported, Backend, Problem, RunControl, RunReport};
+use asynciter_core::session::{unsupported, Backend, Problem, RunControl, RunReport};
 use asynciter_core::CoreError;
 
 /// The simulator backend: `Sim(config)`.
@@ -40,12 +40,7 @@ impl Backend for Sim {
         if ctl.residual_every > 0 {
             return Err(unsupported(self.name(), "residual sampling"));
         }
-        if ctl.schedule.is_some() {
-            return Err(unsupported(
-                self.name(),
-                "an explicit schedule (the event loop generates its own)",
-            ));
-        }
+        ctl.reject_schedule(self.name(), "the event loop generates its own")?;
         let mut cfg = self.0.clone();
         cfg.max_iterations = ctl.max_steps;
         cfg.error_every = ctl.error_every;
@@ -63,28 +58,16 @@ impl Backend for Sim {
         let wall = start.elapsed();
         let final_residual = problem.op.residual_inf(&res.final_consensus);
         let steps = res.trace.len() as u64;
-        let macro_iterations = macro_count(Some(&res.trace));
         Ok(RunReport {
-            backend: self.name(),
-            final_x: res.final_consensus,
-            steps,
-            macro_iterations,
             errors: res.errors,
             error_times: res.error_times,
-            residuals: Vec::new(),
-            final_residual,
-            stopped_early: false,
             per_worker_updates: per_proc_phases(&res.timeline),
             partial_publishes: res.timeline.partial_count() as u64,
-            partial_reads: 0,
-            constraint_checked: 0,
-            constraint_violations: 0,
-            trace: ctl.record.keeps_trace().then_some(res.trace),
             sim_time: Some(res.end_time),
-            tenant: None,
-            job: None,
             wall,
-        })
+            ..RunReport::new(self.name(), res.final_consensus, steps, final_residual)
+        }
+        .with_trace(res.trace, ctl.record))
     }
 }
 

@@ -11,7 +11,7 @@ use asynciter::core::theory::perron_weights;
 use asynciter::numerics::sparse::CsrMatrix;
 use asynciter::opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
 use asynciter::prelude::*;
-use asynciter::runtime::network::{ApplyPolicy, NetConfig, NetworkRunner};
+use asynciter::runtime::{ClusterConfig, ClusterEngine};
 
 fn main() {
     // A random connected transshipment network with feasible supplies.
@@ -41,11 +41,11 @@ fn main() {
     // σ ≈ 0.99 means ~2000 effective sweeps for 1e-6: budget accordingly
     // (workers may interleave coarsely on single-core hosts).
     let partition = Partition::blocks(nodes, 4).expect("partition");
-    let cfg = NetConfig::new(4, 8_000)
+    let cfg = ClusterConfig::new(4 * 8_000)
         .with_faults(0.3, 0.1, 0.05)
         .with_policy(ApplyPolicy::KeepFreshest)
         .with_seed(7);
-    let run = NetworkRunner::run(&op, &vec![0.0; nodes], &partition, &cfg).expect("run");
+    let run = ClusterEngine::run(&op, &vec![0.0; nodes], &partition, &cfg, None).expect("run");
     println!(
         "channel: {} sent, {} delivered, {} dropped, {} held (reordered), {} stale-discarded",
         run.stats.sent,

@@ -8,7 +8,7 @@
 
 use asynciter::opt::bellman_ford::{BellmanFordOperator, Graph};
 use asynciter::prelude::*;
-use asynciter::runtime::network::{ApplyPolicy, NetConfig, NetworkRunner};
+use asynciter::runtime::{ClusterConfig, ClusterEngine};
 
 const NAMES: [&str; 18] = [
     "UCLA",
@@ -47,11 +47,11 @@ fn main() {
     // Six regional "routers" own three IMPs each; the channel reorders
     // 40%, drops 15% and duplicates 10% of messages.
     let partition = Partition::blocks(n, 6).expect("partition");
-    let cfg = NetConfig::new(6, 600)
+    let cfg = ClusterConfig::new(6 * 600)
         .with_faults(0.4, 0.15, 0.1)
         .with_policy(ApplyPolicy::AsReceived)
         .with_seed(1969);
-    let run = NetworkRunner::run(&op, &op.initial_estimate(), &partition, &cfg).expect("run");
+    let run = ClusterEngine::run(&op, &op.initial_estimate(), &partition, &cfg, None).expect("run");
     println!(
         "channel: {} sent / {} delivered / {} dropped / {} reordered / {} duplicated",
         run.stats.sent,

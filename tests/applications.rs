@@ -7,7 +7,7 @@ use asynciter::opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
 use asynciter::opt::newton::DiagNewton;
 use asynciter::opt::obstacle::{ObstacleProblem, ProjectedJacobi};
 use asynciter::prelude::*;
-use asynciter::runtime::network::{ApplyPolicy, NetConfig, NetworkRunner};
+use asynciter::runtime::{ClusterConfig, ClusterEngine};
 use asynciter::sim::compute::{ComputeModel, LatencyModel};
 
 /// Network flow: the asynchronous dual relaxation recovers the exact
@@ -101,11 +101,11 @@ fn bellman_ford_message_passing_hostile_channel() {
     let op = BellmanFordOperator::new(graph, 5).unwrap();
     let exact = op.exact();
     let partition = Partition::blocks(n, 5).unwrap();
-    let cfg = NetConfig::new(5, 600)
+    let cfg = ClusterConfig::new(5 * 600)
         .with_faults(0.5, 0.3, 0.2)
         .with_policy(ApplyPolicy::AsReceived)
         .with_seed(23);
-    let res = NetworkRunner::run(&op, &op.initial_estimate(), &partition, &cfg).unwrap();
+    let res = ClusterEngine::run(&op, &op.initial_estimate(), &partition, &cfg, None).unwrap();
     for (i, (got, want)) in res.consensus.iter().zip(&exact).enumerate() {
         assert!((got - want).abs() < 1e-9, "node {i}");
     }

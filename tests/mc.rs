@@ -13,10 +13,10 @@ use asynciter::conformance::cluster::has_label_regression;
 use asynciter::conformance::corpus::load_trace;
 use asynciter::core::session::Session;
 use asynciter::mc::counterexample::envelope_violation;
-use asynciter::mc::explore::{explore_check_por, rebuild};
 use asynciter::mc::{
-    explore, find_reorder_demo, inject_bug_demo, seam_bug_demo, seam_explore, seam_rebuild,
-    state_hash, McProblem, McState, Por, Property, Scope, SeamBug, SeamScope, Strategy,
+    explore, explore_check_por, find_reorder_demo, inject_bug_demo, rebuild, seam_bug_demo,
+    state_hash, ClusterModel, ExploreOutcome, McProblem, McState, Model, Por, Property, Scope,
+    SeamBug, SeamModel, SeamScope, Strategy,
 };
 use asynciter::runtime::{Cluster, ThreadedCluster};
 use std::path::Path;
@@ -105,16 +105,27 @@ fn state_hash_locks_the_canonical_encoding() {
     );
 }
 
-#[test]
-fn exploration_is_deterministic_and_strategy_invariant() {
-    let scope = Scope::quick();
-    let problem = McProblem::build();
-    let a = explore(&scope, &problem, Strategy::Dfs, u64::MAX, false, Por::Off);
-    let b = explore(&scope, &problem, Strategy::Dfs, u64::MAX, false, Por::Off);
+/// The reduced two-worker seam universe cheap enough for every
+/// `cargo test`: every interleaving of free-running worker steps × every
+/// FaultEndpoint fate over two rounds. The full `seam2` sweep (163339
+/// states) runs in the nightly `mc-full` job.
+fn seam_tier1() -> SeamScope {
+    SeamScope {
+        name: "seam-tier1".into(),
+        rounds: 2,
+        hold_max: 1,
+        ..SeamScope::seam2()
+    }
+}
+
+/// Same model, same search, same counters; and BFS explores the
+/// identical state graph — only the frontier shape (and hence its
+/// high-water mark) may differ. Returns the DFS outcome.
+fn assert_deterministic_and_strategy_invariant<M: Model>(model: &M) -> ExploreOutcome {
+    let a = explore(model, Strategy::Dfs, u64::MAX);
+    let b = explore(model, Strategy::Dfs, u64::MAX);
     assert_eq!(a.stats, b.stats, "same scope, same search, same counters");
-    // BFS explores the identical state graph; only the frontier shape
-    // (and hence its high-water mark) may differ.
-    let c = explore(&scope, &problem, Strategy::Bfs, u64::MAX, false, Por::Off);
+    let c = explore(model, Strategy::Bfs, u64::MAX);
     assert_eq!(a.stats.visited, c.stats.visited, "DFS/BFS visited differ");
     assert_eq!(a.stats.dedup_hits, c.stats.dedup_hits);
     assert_eq!(a.stats.edges, c.stats.edges);
@@ -122,13 +133,28 @@ fn exploration_is_deterministic_and_strategy_invariant() {
     assert_eq!(a.stats.pruned_capacity, c.stats.pruned_capacity);
     assert_eq!(a.stats.pruned_inadmissible, c.stats.pruned_inadmissible);
     assert!(a.violation.is_none() && c.violation.is_none());
+    a
+}
+
+#[test]
+fn exploration_is_deterministic_and_strategy_invariant() {
+    let problem = McProblem::build();
+    assert_deterministic_and_strategy_invariant(&ClusterModel::new(&Scope::quick(), &problem));
+    // One explorer: the seam scopes get the same lock, BFS included.
+    let seam =
+        assert_deterministic_and_strategy_invariant(&SeamModel::new(&seam_tier1(), &problem));
+    assert_eq!(seam.stats.visited, 1245, "tier-1 seam state count drifted");
 }
 
 #[test]
 fn quick_and_flex_scopes_verify_exhaustively() {
     let problem = McProblem::build();
     for (scope, expect_visited) in [(Scope::quick(), 4054u64), (Scope::flex(), 5044u64)] {
-        let out = explore(&scope, &problem, Strategy::Dfs, u64::MAX, false, Por::Off);
+        let out = explore(
+            &ClusterModel::new(&scope, &problem),
+            Strategy::Dfs,
+            u64::MAX,
+        );
         assert!(!out.truncated, "{}: sweep truncated", scope.name);
         assert!(
             out.violation.is_none(),
@@ -148,12 +174,15 @@ fn quick_and_flex_scopes_verify_exhaustively() {
 fn reorder_scope_rediscovers_the_out_of_order_class() {
     let scope = Scope::reorder();
     let problem = McProblem::build();
-    let out = explore(&scope, &problem, Strategy::Dfs, u64::MAX, true, Por::Off);
-    let found = out
+    let model = ClusterModel {
+        find_reorder: true,
+        ..ClusterModel::new(&scope, &problem)
+    };
+    let found = explore(&model, Strategy::Dfs, u64::MAX)
         .violation
         .expect("reorder probe found nothing — channel model lost out-of-order delivery");
     assert_eq!(found.violation.property, Property::Reorder);
-    let (trace, _) = rebuild(&scope, &problem, &found.path, found.por);
+    let (trace, _) = rebuild(&model, &found.path);
     assert!(
         has_label_regression(&trace, scope.workers),
         "rebuilt witness lost the regression"
@@ -171,12 +200,17 @@ fn por_agrees_with_full_exploration_on_every_quick_scope() {
     inject.inject_bug = true;
     for scope in [Scope::quick(), Scope::flex(), Scope::reorder(), inject] {
         for strategy in [Strategy::Dfs, Strategy::Bfs] {
-            explore_check_por(&scope, &problem, strategy, u64::MAX, false).unwrap_or_else(|e| {
+            let model = ClusterModel::new(&scope, &problem);
+            explore_check_por(&model, strategy, u64::MAX).unwrap_or_else(|e| {
                 panic!("{} ({strategy:?}): POR equivalence broken: {e}", scope.name)
             });
         }
-        let dfs = explore(&scope, &problem, Strategy::Dfs, u64::MAX, false, Por::On);
-        let bfs = explore(&scope, &problem, Strategy::Bfs, u64::MAX, false, Por::On);
+        let reduced = ClusterModel {
+            por: Por::On,
+            ..ClusterModel::new(&scope, &problem)
+        };
+        let dfs = explore(&reduced, Strategy::Dfs, u64::MAX);
+        let bfs = explore(&reduced, Strategy::Bfs, u64::MAX);
         assert_eq!(
             dfs.stats.visited, bfs.stats.visited,
             "{}: reduced DFS/BFS visited differ",
@@ -194,8 +228,16 @@ fn por_reduction_counters_lock_the_quick_scope() {
     // transition relation under them) changed.
     let problem = McProblem::build();
     let scope = Scope::quick();
-    let off = explore(&scope, &problem, Strategy::Dfs, u64::MAX, false, Por::Off);
-    let on = explore(&scope, &problem, Strategy::Dfs, u64::MAX, false, Por::On);
+    let reduced = ClusterModel {
+        por: Por::On,
+        ..ClusterModel::new(&scope, &problem)
+    };
+    let off = explore(
+        &ClusterModel::new(&scope, &problem),
+        Strategy::Dfs,
+        u64::MAX,
+    );
+    let on = explore(&reduced, Strategy::Dfs, u64::MAX);
     assert!(off.violation.is_none() && on.violation.is_none());
     assert_eq!(off.stats.visited, 4054, "unreduced quick count drifted");
     assert_eq!(on.stats.visited, 1122, "reduced quick count drifted");
@@ -218,11 +260,12 @@ fn seam1_matches_sequential_and_threaded_cluster_bitwise() {
     // one sampled run to a bounded-exhaustive statement.
     let scope = SeamScope::seam1();
     let problem = McProblem::build();
-    let out = seam_explore(&scope, &problem, u64::MAX);
+    let model = SeamModel::new(&scope, &problem);
+    let out = explore(&model, Strategy::Dfs, u64::MAX);
     assert!(out.violation.is_none(), "{:?}", out.violation);
     assert!(!out.truncated);
     assert_eq!(out.stats.terminals, 1, "seam1 must have a single schedule");
-    let (_, terminal) = seam_rebuild(&scope, &problem, &[0, 0, 0, 0]);
+    let (_, terminal) = rebuild(&model, &[0, 0, 0, 0]);
     let steps = scope.steps();
     let cluster = Session::new(&problem.op)
         .x0(problem.x0.clone())
@@ -258,18 +301,10 @@ fn seam1_matches_sequential_and_threaded_cluster_bitwise() {
 
 #[test]
 fn tier1_seam_scope_verifies_exhaustively() {
-    // A reduced two-worker seam universe cheap enough for every
-    // `cargo test`: every interleaving of free-running worker steps ×
-    // every FaultEndpoint fate over two rounds. The full `seam2` sweep
-    // (163339 states) runs in the nightly `mc-full` job.
-    let scope = SeamScope {
-        name: "seam-tier1".into(),
-        rounds: 2,
-        hold_max: 1,
-        ..SeamScope::seam2()
-    };
+    let scope = seam_tier1();
     let problem = McProblem::build();
-    let out = seam_explore(&scope, &problem, u64::MAX);
+    let model = SeamModel::new(&scope, &problem);
+    let out = explore(&model, Strategy::Dfs, u64::MAX);
     assert!(!out.truncated, "tier-1 seam sweep truncated");
     assert!(out.violation.is_none(), "{:?}", out.violation);
     assert_eq!(
@@ -328,12 +363,15 @@ fn from_trace_derives_a_scope_that_rediscovers_the_mc_reorder_class() {
         "regression trace must track reads"
     );
     let problem = McProblem::build();
-    let out = explore(&scope, &problem, Strategy::Dfs, u64::MAX, true, Por::Off);
-    let found = out
+    let model = ClusterModel {
+        find_reorder: true,
+        ..ClusterModel::new(&scope, &problem)
+    };
+    let found = explore(&model, Strategy::Dfs, u64::MAX)
         .violation
         .expect("derived scope lost the mc-reorder violation class");
     assert_eq!(found.violation.property, Property::Reorder);
-    let (witness, _) = rebuild(&scope, &problem, &found.path, found.por);
+    let (witness, _) = rebuild(&model, &found.path);
     assert!(has_label_regression(&witness, scope.workers));
 }
 
