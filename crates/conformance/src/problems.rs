@@ -12,53 +12,11 @@
 //! stay matched.
 
 use crate::plan::PlanLimits;
-use asynciter_opt::lasso::LassoProblem;
-use asynciter_opt::linear::JacobiOperator;
-use asynciter_opt::logistic::LogisticGradOperator;
-use asynciter_opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
-use asynciter_opt::obstacle::{ObstacleProblem, ProjectedJacobi};
-use asynciter_opt::prox::L1;
-use asynciter_opt::proxgrad::{gamma_max, SparseProxGrad};
-use asynciter_opt::traits::{Operator, SmoothObjective};
+use asynciter_opt::canonical::{self, Canonical};
+use asynciter_opt::traits::Operator;
 
 /// The problem axis of the conformance matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProblemKind {
-    /// Diagonally dominant tridiagonal system, Jacobi operator.
-    Jacobi,
-    /// Lasso regression via the sparse prox-gradient operator.
-    Lasso,
-    /// Membrane obstacle problem, projected Jacobi.
-    Obstacle,
-    /// ℓ₂-regularised logistic regression via the certified gradient
-    /// operator (dense data coupling).
-    Logistic,
-    /// Min-cost network flow via the hub-grounded dual price relaxation.
-    NetworkFlow,
-}
-
-impl ProblemKind {
-    /// Every problem, sweep order. New kinds append — the committed
-    /// corpus derives per-problem seeds from each kind's index here.
-    pub const ALL: [ProblemKind; 5] = [
-        ProblemKind::Jacobi,
-        ProblemKind::Lasso,
-        ProblemKind::Obstacle,
-        ProblemKind::Logistic,
-        ProblemKind::NetworkFlow,
-    ];
-
-    /// Stable identifier for reports.
-    pub fn id(self) -> &'static str {
-        match self {
-            ProblemKind::Jacobi => "jacobi",
-            ProblemKind::Lasso => "lasso",
-            ProblemKind::Obstacle => "obstacle",
-            ProblemKind::Logistic => "logistic",
-            ProblemKind::NetworkFlow => "network-flow",
-        }
-    }
-}
+pub use asynciter_opt::canonical::Kind as ProblemKind;
 
 /// A built problem instance plus its conformance calibration.
 pub struct ConformanceProblem {
@@ -87,109 +45,67 @@ impl ConformanceProblem {
         self.op.dim()
     }
 
-    /// Builds the calibrated instance of `kind`.
+    /// Builds the calibrated instance of `kind`: the canonical instance
+    /// plus its exact solution (where the family has one), the looser
+    /// flexible-run tolerance and the plan caps.
     ///
     /// # Panics
     /// Panics only if the static instances fail to construct (a bug).
     pub fn build(kind: ProblemKind) -> Self {
+        fn calibrated<O: Operator + 'static>(
+            kind: ProblemKind,
+            c: Canonical<O>,
+            xstar: Option<Vec<f64>>,
+            flex_tol: f64,
+            limits: PlanLimits,
+        ) -> ConformanceProblem {
+            ConformanceProblem {
+                kind,
+                op: Box::new(c.op),
+                x0: c.x0,
+                xstar,
+                steps: c.steps,
+                tol: c.tol,
+                flex_tol,
+                limits,
+            }
+        }
+        let any_plan = PlanLimits::default();
         match kind {
             ProblemKind::Jacobi => {
-                let n = 16;
-                let op = JacobiOperator::new(
-                    asynciter_numerics::sparse::tridiagonal(n, 4.0, -1.0),
-                    vec![1.0; n],
-                )
-                .expect("static Jacobi instance");
-                let xstar = op.solve_dense_spd().expect("SPD solve");
-                Self {
-                    kind,
-                    x0: vec![0.0; n],
-                    xstar: Some(xstar),
-                    op: Box::new(op),
-                    steps: 6_000,
-                    tol: 1e-8,
-                    flex_tol: 1e-6,
-                    limits: PlanLimits::default(),
-                }
+                let c = canonical::jacobi();
+                let xstar = c.op.solve_dense_spd().expect("SPD solve");
+                calibrated(kind, c, Some(xstar), 1e-6, any_plan)
             }
             ProblemKind::Lasso => {
-                let (n, m, k) = (12, 72, 3);
-                let problem =
-                    LassoProblem::random(n, m, k, 0.05, 0.01, 7).expect("static lasso instance");
-                let q = problem.quadratic.clone();
-                let gamma = 0.9 * gamma_max(q.strong_convexity(), q.lipschitz());
-                let op = SparseProxGrad::new(q, L1::new(problem.lambda), gamma)
-                    .expect("gamma within Theorem-1 range");
-                let (xstar, _) = op.solve_exact().expect("exact lasso solve");
-                Self {
-                    kind,
-                    x0: vec![0.0; n],
-                    xstar: Some(xstar),
-                    op: Box::new(op),
-                    steps: 8_000,
-                    tol: 1e-7,
-                    flex_tol: 1e-5,
-                    limits: PlanLimits::default(),
-                }
+                let c = canonical::lasso();
+                let (xstar, _) = c.op.solve_exact().expect("exact lasso solve");
+                calibrated(kind, c, Some(xstar), 1e-5, any_plan)
             }
             ProblemKind::Obstacle => {
-                let g = 6;
-                let problem = ObstacleProblem::bump(g, g, 0.6).expect("static obstacle instance");
-                let op = ProjectedJacobi::new(problem);
-                Self {
-                    kind,
-                    x0: op.upper_start(),
-                    xstar: None,
-                    op: Box::new(op),
-                    // The projected Jacobi contraction is the slowest of
-                    // the family; cap staleness harder and budget longer.
-                    steps: 30_000,
-                    tol: 1e-6,
-                    flex_tol: 1e-4,
-                    limits: PlanLimits {
-                        max_bounded_b: 16,
-                        max_sqrt_c: 1.2,
-                    },
-                }
+                // The slowest contraction of the family: cap staleness
+                // harder so the budget dominates worst-case envelopes.
+                let limits = PlanLimits {
+                    max_bounded_b: 16,
+                    max_sqrt_c: 1.2,
+                };
+                calibrated(kind, canonical::obstacle(), None, 1e-4, limits)
             }
             ProblemKind::Logistic => {
-                let (n, m) = (8, 48);
-                // The canonical certified instance: ridge above the
-                // coupling bound, so every admissible schedule converges.
-                let op = LogisticGradOperator::certified_random(n, m, 2.0, 13)
-                    .expect("certified logistic instance");
-                let xstar = op.solve_exact().expect("reference logistic solve");
-                Self {
-                    kind,
-                    x0: vec![0.0; n],
-                    xstar: Some(xstar),
-                    op: Box::new(op),
-                    steps: 8_000,
-                    tol: 1e-7,
-                    flex_tol: 1e-5,
-                    limits: PlanLimits::default(),
-                }
+                let c = canonical::logistic();
+                let xstar = c.op.solve_exact().expect("reference logistic solve");
+                calibrated(kind, c, Some(xstar), 1e-5, any_plan)
             }
             ProblemKind::NetworkFlow => {
-                let problem = NetworkFlowProblem::wheel(12, 21).expect("static wheel instance");
-                let op = PriceRelaxation::new(problem.clone(), 0).expect("hub-grounded relaxation");
-                let xstar = problem.exact_prices(0).expect("exact dual prices");
-                Self {
-                    kind,
-                    x0: vec![0.0; op.dim()],
-                    xstar: Some(xstar),
-                    op: Box::new(op),
-                    // The wheel certificate is 1/2 per full relaxation
-                    // sweep; cap staleness like the obstacle problem so
-                    // the budget dominates worst-case envelopes.
-                    steps: 10_000,
-                    tol: 1e-7,
-                    flex_tol: 1e-5,
-                    limits: PlanLimits {
-                        max_bounded_b: 16,
-                        max_sqrt_c: 1.5,
-                    },
-                }
+                let c = canonical::network_flow();
+                let xstar = c.op.problem().exact_prices(0).expect("exact dual prices");
+                // The wheel certificate is 1/2 per full relaxation
+                // sweep; cap staleness like the obstacle problem.
+                let limits = PlanLimits {
+                    max_bounded_b: 16,
+                    max_sqrt_c: 1.5,
+                };
+                calibrated(kind, c, Some(xstar), 1e-5, limits)
             }
         }
     }

@@ -119,7 +119,7 @@ pub(crate) fn check_contraction(problem: &McProblem, edge: &EdgeInfo) -> Option<
 /// spec book after the step.
 pub(crate) fn check_admissibility(
     problem: &McProblem,
-    labels: &[Vec<u64>],
+    labels: &[impl AsRef<[u64]>],
     spec_labels: &[Vec<u64>],
     edge: &EdgeInfo,
 ) -> Option<Violation> {
@@ -134,6 +134,7 @@ pub(crate) fn check_admissibility(
         });
     }
     for (ww, (engine, spec)) in labels.iter().zip(spec_labels).enumerate() {
+        let engine = engine.as_ref();
         if let Some(c) = (0..problem.n()).find(|&c| engine[c] != spec[c]) {
             return Some(Violation {
                 property: Property::Admissibility,
@@ -224,8 +225,8 @@ pub fn check_terminal(
 /// (envelope + steering gap).
 pub(crate) fn check_horizon(
     problem: &McProblem,
-    blocks: &[Vec<usize>],
-    views: &[Vec<f64>],
+    blocks: &[impl AsRef<[usize]>],
+    views: &[impl AsRef<[f64]>],
     steps: u64,
     witness: &AdmissibilityWitness,
     trace: &Trace,
@@ -233,8 +234,8 @@ pub(crate) fn check_horizon(
     let n = problem.n();
     let mut consensus = vec![0.0; n];
     for (block, view) in blocks.iter().zip(views) {
-        for &i in block {
-            consensus[i] = view[i];
+        for &i in block.as_ref() {
+            consensus[i] = view.as_ref()[i];
         }
     }
     let violation = |detail| {

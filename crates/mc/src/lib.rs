@@ -39,7 +39,9 @@
 //! - One explorer serves every scope family: [`explore()`] is generic
 //!   over the [`Model`] trait (state, choice, transition, checks,
 //!   hash), implemented by [`ClusterModel`] for the scopes above and by
-//!   [`SeamModel`] for the transport-seam scopes of [`seam`].
+//!   [`SeamModel`] for the transport-seam scopes of [`seam`], whose
+//!   states hold the runtime's own `Worker`s and `FaultRouter`s — the
+//!   threaded engine's code under a third, exhaustive scheduler.
 //! - Checked properties ([`invariants`]): residual monotonicity under
 //!   the operator's contraction certificate, `KeepFreshest` label
 //!   monotonicity, admissibility-witness preservation (spec book ≡
@@ -76,5 +78,5 @@ pub use explore::{
 };
 pub use invariants::Property;
 pub use scope::{McProblem, Scope};
-pub use seam::{seam_bug_demo, seam_state_hash, SeamBug, SeamModel, SeamScope, SeamState};
+pub use seam::{seam_bug_demo, SeamBug, SeamModel, SeamScope, SeamState};
 pub use state::{state_hash, McMessage, McState, Por, SendChoice, StepChoice};

@@ -1,19 +1,21 @@
-//! Bounded exhaustive model checking of the PR 7 transport seam itself:
-//! every [`SendFate`] the `FaultEndpoint` could draw, over the same
-//! `apply_message` / `produce_block` step halves the threaded engine
-//! runs.
+//! Bounded exhaustive model checking of the concurrent cluster engine:
+//! the runtime's own [`Worker`] step and [`FaultRouter`] driven by a
+//! third scheduler — every interleaving of worker steps crossed with
+//! every [`SendFate`] the `FaultEndpoint` could draw.
 //!
 //! The cluster-regime scopes ([`crate::scope::Scope`]) enumerate an
 //! *abstract* channel (per-receiver mailboxes with hold/drop/dup as
-//! delivery-subset choices). This module instead models the concrete
-//! concurrent stack of `crates/runtime`:
+//! delivery-subset choices). This module instead executes the concrete
+//! concurrent stack of `crates/runtime`; what it adds around that code
+//! is only what a checker needs:
 //!
-//! - **Sender-side faults, exactly as `FaultEndpoint` applies them.**
-//!   Each exchange enumerates a [`SendFate`] — drop, prompt delivery,
-//!   prompt duplicate, or parking behind `hold` later sends — and the
-//!   model's bookkeeping (per-sender send counters, parked-message
-//!   release when the counter passes the release mark) is the same
-//!   arithmetic as `FaultEndpoint::send_with_fate`.
+//! - **Production code on both sides of the wire.** A state holds one
+//!   [`Worker`] per shard and one [`FaultRouter`] per sender — the same
+//!   types `ThreadedClusterEngine` and `FaultEndpoint` run. Receiving,
+//!   producing, building the posted block, drop/dup/hold bookkeeping
+//!   and the release scan are theirs; a test in `tests/mc.rs` steps a
+//!   real `FaultEndpoint` over `MpscTransport` and this model through
+//!   one script and compares them bit for bit.
 //! - **FIFO channels, `AsReceived` application.** `MpscTransport` is
 //!   FIFO per sender/receiver pair and the threaded engine's default
 //!   apply policy is `AsReceived`; with the committed ≤ 2-worker seam
@@ -31,6 +33,11 @@
 //!   covers every behaviour of the finer-grained concurrent execution.
 //!   A steering bound (`lag`) keeps worker progress within the scopes
 //!   the admissibility witness speaks about.
+//! - **An independent spec book and pruning.** Spec labels travel
+//!   beside every message and are applied from fate semantics alone;
+//!   they drive admissibility pruning and are compared with the
+//!   workers' own label books on every edge. Capacity bounds keep the
+//!   universe finite.
 //!
 //! With one worker the seam has a single schedule, and the explorer's
 //! terminal state must match the sequential `Cluster{1}` engine **bit
@@ -38,9 +45,9 @@
 //! from one sampled run to an exhaustive bounded statement. With two
 //! workers the healthy scope verifies every invariant on every fate
 //! interleaving, and three planted transport bugs (one per fault kind:
-//! hold, drop, dup) are the standing negative controls, each caught as
-//! an engine/spec label-book divergence and shrunk to a committed
-//! corpus trace.
+//! hold, drop, dup, each hooked on the router [`Exit`] of that kind)
+//! are the standing negative controls, each caught as an engine/spec
+//! label-book divergence and shrunk to a committed corpus trace.
 
 use crate::counterexample::envelope_violation;
 use crate::explore::{explore, rebuild, Model, Strategy};
@@ -52,10 +59,10 @@ use crate::state::{enc_u64, fnv128, per_destination, EdgeInfo, PorCounts, PruneR
 use asynciter_conformance::corpus::save_trace;
 use asynciter_conformance::shrink::shrink_trace;
 use asynciter_models::conditions::{AdmissibilityWitness, DelayEnvelope};
-use asynciter_models::{LabelStore, Partition, Trace};
-use asynciter_opt::traits::Operator;
-use asynciter_runtime::transport::SendFate;
-use asynciter_runtime::{apply_message, produce_step, ApplyPolicy};
+use asynciter_models::{Partition, Trace};
+use asynciter_numerics::rng::rng;
+use asynciter_runtime::transport::{BlockMessage, Exit, FaultRouter, SendFate};
+use asynciter_runtime::{ApplyPolicy, Worker};
 use std::collections::VecDeque;
 use std::path::Path;
 
@@ -190,15 +197,6 @@ impl SeamScope {
         }
     }
 
-    /// The owned block of every worker.
-    ///
-    /// # Panics
-    /// Never for the committed scopes (the partition is valid).
-    pub fn blocks(&self) -> Vec<Vec<usize>> {
-        let p = Partition::blocks(MC_DIM, self.workers).expect("seam partition");
-        (0..self.workers).map(|w| p.components_of(w)).collect()
-    }
-
     /// Total producing steps of the scope.
     pub fn steps(&self) -> u64 {
         self.workers as u64 * self.rounds
@@ -239,17 +237,14 @@ impl SeamScope {
     }
 }
 
-/// One in-flight seam message: the engine payload (possibly corrupted
-/// by a planted bug), the spec labels, and the fault-layer provenance
-/// flags the planted bugs key on.
+/// One in-flight seam message: what the receiving [`Worker`] is handed
+/// (possibly corrupted by a planted bug) plus the spec labels of the
+/// same entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeamMessage {
-    /// Sending worker.
-    pub src: u32,
-    /// Engine payload `(component, value, label)` — what
-    /// `apply_message` consumes.
-    pub comps: Vec<(u32, f64, u64)>,
-    /// Spec labels, one per `comps` entry.
+    /// The engine message, as [`Worker::post`] built it.
+    pub msg: BlockMessage,
+    /// Spec labels, one per `msg.comps` entry.
     pub spec: Vec<u64>,
     /// The spec book must ignore this message (engine-side leak of a
     /// spec-modelled drop — only under [`SeamBug::Drop`]).
@@ -258,10 +253,10 @@ pub struct SeamMessage {
 
 impl SeamMessage {
     fn sort_key(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.comps.len() * 32);
-        enc_u64(&mut out, u64::from(self.src));
+        let mut out = Vec::with_capacity(8 + self.msg.comps.len() * 32);
+        enc_u64(&mut out, self.msg.from as u64);
         enc_u64(&mut out, u64::from(self.spec_ghost));
-        for &(c, v, l) in &self.comps {
+        for &(c, v, l) in &self.msg.comps {
             enc_u64(&mut out, u64::from(c));
             enc_u64(&mut out, v.to_bits());
             enc_u64(&mut out, l);
@@ -273,92 +268,27 @@ impl SeamMessage {
     }
 }
 
-/// A canonical global state of the seam model.
+/// A canonical global state of the seam model: the runtime's own
+/// workers and per-sender fault routers, plus what the model adds — the
+/// channels between them and the independent spec book.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeamState {
     /// Next global producing step (1-based) — the value the threaded
     /// engine's shared counter would hand out next.
     pub next_step: u64,
-    /// Completed updates per worker.
-    pub done: Vec<u64>,
-    /// Per-worker local views.
-    pub views: Vec<Vec<f64>>,
-    /// Engine label books (written by the shared runtime step halves).
-    pub labels: Vec<Vec<u64>>,
+    /// The workers: views, engine label books, completed updates.
+    pub workers: Vec<Worker>,
+    /// Per-sender fault routers: parked messages and send counters.
+    pub routers: Vec<FaultRouter<SeamMessage>>,
     /// Spec label books (maintained from fate semantics alone).
     pub spec_labels: Vec<Vec<u64>>,
     /// Per-receiver FIFO inbox, in channel arrival order.
     pub inboxes: Vec<VecDeque<SeamMessage>>,
-    /// Per-sender parked messages: `(release after this many sends,
-    /// dest, message)` — the `FaultEndpoint.held` list.
-    pub held: Vec<Vec<(u64, usize, SeamMessage)>>,
-    /// Per-sender send counters — the `FaultEndpoint.sends` counter.
-    pub sends: Vec<u64>,
 }
 
-impl SeamState {
-    /// The initial state: all views at `x0`, all labels 0, empty
-    /// channels.
-    pub fn initial(scope: &SeamScope, problem: &McProblem) -> Self {
-        let n = problem.n();
-        Self {
-            next_step: 1,
-            done: vec![0; scope.workers],
-            views: vec![problem.x0.clone(); scope.workers],
-            labels: vec![vec![0; n]; scope.workers],
-            spec_labels: vec![vec![0; n]; scope.workers],
-            inboxes: vec![VecDeque::new(); scope.workers],
-            held: vec![Vec::new(); scope.workers],
-            sends: vec![0; scope.workers],
-        }
-    }
-
-    /// True once every worker has completed its rounds.
-    pub fn terminal(&self, scope: &SeamScope) -> bool {
-        self.done.iter().all(|&d| d == scope.rounds)
-    }
-}
-
-/// Canonical byte encoding of a seam state (index-ordered, IEEE bits,
-/// channel queues in arrival order — arrival order is part of the
-/// state under `AsReceived`).
-pub fn seam_canonical_bytes(s: &SeamState) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    enc_u64(&mut out, s.next_step);
-    enc_u64(&mut out, s.views.len() as u64);
-    for w in 0..s.views.len() {
-        enc_u64(&mut out, s.done[w]);
-        enc_u64(&mut out, s.sends[w]);
-        for &v in &s.views[w] {
-            enc_u64(&mut out, v.to_bits());
-        }
-        for &l in &s.labels[w] {
-            enc_u64(&mut out, l);
-        }
-        for &l in &s.spec_labels[w] {
-            enc_u64(&mut out, l);
-        }
-        enc_u64(&mut out, s.inboxes[w].len() as u64);
-        for m in &s.inboxes[w] {
-            let k = m.sort_key();
-            enc_u64(&mut out, k.len() as u64);
-            out.extend_from_slice(&k);
-        }
-        enc_u64(&mut out, s.held[w].len() as u64);
-        for (release, dest, m) in &s.held[w] {
-            enc_u64(&mut out, *release);
-            enc_u64(&mut out, *dest as u64);
-            let k = m.sort_key();
-            enc_u64(&mut out, k.len() as u64);
-            out.extend_from_slice(&k);
-        }
-    }
-    out
-}
-
-/// The seam dedup key: 128-bit FNV-1a over [`seam_canonical_bytes`].
-pub fn seam_state_hash(s: &SeamState) -> u128 {
-    fnv128(&seam_canonical_bytes(s))
+/// Completed updates of `worker`.
+fn done(worker: &Worker) -> u64 {
+    worker.counters().updates
 }
 
 /// The resolved nondeterminism of one seam worker step: who acts, and
@@ -393,266 +323,63 @@ fn fate_options(scope: &SeamScope) -> Vec<SendFate> {
     out
 }
 
-/// Enumerates every [`SeamChoice`] available in `state`: each worker
-/// that still has rounds left and respects the steering bound, crossed
-/// with every fate combination when its exchange is due.
-pub fn seam_enumerate(state: &SeamState, scope: &SeamScope) -> Vec<SeamChoice> {
-    let min_done = state.done.iter().copied().min().unwrap_or(0);
-    let mut out = Vec::new();
-    for w in 0..scope.workers {
-        if state.done[w] >= scope.rounds || state.done[w] - min_done >= scope.lag {
-            continue;
-        }
-        let exchange =
-            scope.workers > 1 && (state.done[w] + 1).is_multiple_of(scope.exchange_every.max(1));
-        if !exchange {
-            out.push(SeamChoice {
-                worker: w,
-                fates: Vec::new(),
-            });
-            continue;
-        }
-        for fates in per_destination(&fate_options(scope), scope.workers - 1) {
-            out.push(SeamChoice { worker: w, fates });
-        }
-    }
-    out
-}
-
 /// Applies one message to the spec book (AsReceived semantics, from the
 /// spec labels), skipping engine-side ghosts.
-fn seam_apply_spec(spec: &mut [u64], msg: &SeamMessage) {
-    if msg.spec_ghost {
+fn seam_apply_spec(spec: &mut [u64], m: &SeamMessage) {
+    if m.spec_ghost {
         return;
     }
-    for (k, &(c, _, _)) in msg.comps.iter().enumerate() {
-        spec[c as usize] = msg.spec[k];
+    for (k, &(c, _, _)) in m.msg.comps.iter().enumerate() {
+        spec[c as usize] = m.spec[k];
     }
 }
 
-/// Zeroes the engine labels of a message (the shared corruption of the
-/// planted drop-leak and torn-duplicate bugs: payload survives, label
-/// frame lost).
-fn strip_labels(msg: &mut SeamMessage) {
-    for entry in &mut msg.comps {
-        entry.2 = 0;
+/// What the scope's planted bug, if any, does to a message leaving the
+/// fault router — each plant sits on the [`Exit`] of its fault kind and
+/// zeroes the engine labels (payload survives, label frame lost) while
+/// the spec labels keep modelling the chosen fate correctly. `None`
+/// when the message is lost.
+fn plant(bug: Option<SeamBug>, exit: Exit, mut m: SeamMessage) -> Option<SeamMessage> {
+    let torn = match (exit, bug) {
+        // Leak: the spec models the loss, the engine still sees it.
+        (Exit::Dropped, Some(SeamBug::Drop)) => {
+            m.spec_ghost = true;
+            true
+        }
+        (Exit::Dropped, _) => return None,
+        (Exit::Duplicate, Some(SeamBug::Dup)) | (Exit::Released, Some(SeamBug::Hold)) => true,
+        _ => false,
+    };
+    if torn {
+        for entry in &mut m.msg.comps {
+            entry.2 = 0;
+        }
     }
+    Some(m)
 }
 
-/// Mirrors `FaultEndpoint::send_with_fate` + `release_due` for one
-/// posted exchange: the same send-counter arithmetic, parking rule and
-/// release scan, with the scope's planted bug applied where that fault
-/// kind acts.
-fn seam_send(
-    state: &mut SeamState,
-    scope: &SeamScope,
-    src: usize,
-    dest: usize,
-    msg: SeamMessage,
-    fate: SendFate,
-) -> Result<(), PruneReason> {
-    state.sends[src] += 1;
-    match fate {
-        SendFate::Drop => {
-            if scope.bug == Some(SeamBug::Drop) {
-                // Leak: the spec models the loss, the engine still sees
-                // the payload — with the label frame zeroed.
-                let mut leaked = msg;
-                strip_labels(&mut leaked);
-                leaked.spec_ghost = true;
-                push_inbox(state, scope, dest, leaked)?;
-            }
-        }
-        SendFate::Deliver { dup, hold } => {
-            if dup {
-                let mut copy = msg.clone();
-                if scope.bug == Some(SeamBug::Dup) {
-                    // Torn duplicate: the prompt copy loses its labels.
-                    strip_labels(&mut copy);
-                }
-                push_inbox(state, scope, dest, copy)?;
-            }
-            if hold > 0 {
-                if state.held[src].len() + state.inboxes[dest].len() >= scope.max_in_flight {
-                    return Err(PruneReason::Capacity);
-                }
-                state.held[src].push((state.sends[src] + hold, dest, msg));
-            } else {
-                push_inbox(state, scope, dest, msg)?;
-            }
-        }
-    }
-    // Release parked messages the counter has now passed — FIFO by
-    // release mark then parking order, the canonical serialisation of
-    // `release_due`'s scan (unobservable: one sender per receiver keeps
-    // released traffic ordered only relative to itself).
-    state.held[src].sort_by_key(|(release, dest, _)| (*release, *dest));
-    while let Some(pos) = state.held[src]
-        .iter()
-        .position(|(release, _, _)| *release <= state.sends[src])
-    {
-        let (_, d, mut m) = state.held[src].remove(pos);
-        if scope.bug == Some(SeamBug::Hold) {
-            // Released payload re-serialised without its label frame.
-            strip_labels(&mut m);
-        }
-        push_inbox(state, scope, d, m)?;
-    }
-    Ok(())
-}
-
-fn push_inbox(
-    state: &mut SeamState,
-    scope: &SeamScope,
-    dest: usize,
-    msg: SeamMessage,
-) -> Result<(), PruneReason> {
-    if state.inboxes[dest].len() >= scope.max_in_flight {
-        return Err(PruneReason::Capacity);
-    }
-    state.inboxes[dest].push_back(msg);
-    Ok(())
+/// `‖v − x*‖_∞` over `(component, value)` pairs.
+fn max_err(problem: &McProblem, values: impl Iterator<Item = (usize, f64)>) -> f64 {
+    values
+        .map(|(c, v)| (v - problem.xstar[c]).abs())
+        .fold(0.0_f64, f64::max)
 }
 
 /// System error measure over a seam state: every view, queued message
 /// and parked message.
-pub fn seam_phi(state: &SeamState, problem: &McProblem) -> f64 {
-    let mut m = 0.0_f64;
-    for view in &state.views {
-        for (c, &v) in view.iter().enumerate() {
-            m = m.max((v - problem.xstar[c]).abs());
-        }
-    }
-    let msg_err = |msg: &SeamMessage, m: &mut f64| {
-        for &(c, v, _) in &msg.comps {
-            *m = m.max((v - problem.xstar[c as usize]).abs());
-        }
-    };
-    for inbox in &state.inboxes {
-        for msg in inbox {
-            msg_err(msg, &mut m);
-        }
-    }
-    for held in &state.held {
-        for (_, _, msg) in held {
-            msg_err(msg, &mut m);
-        }
-    }
-    m
-}
-
-/// Applies `choice` to `state`: full FIFO drain, produce via the
-/// engine's own step half, then the posted exchange under the chosen
-/// fates — one linearised worker step of the threaded engine.
-///
-/// # Errors
-/// [`PruneReason`] for capacity (a fate would overflow a receiver's
-/// queue/parking bound) or admissibility cuts.
-///
-/// # Panics
-/// Panics when the operator produces a non-finite iterate (impossible
-/// for the contraction scope problem).
-pub fn seam_apply(
-    state: &SeamState,
-    choice: &SeamChoice,
-    scope: &SeamScope,
-    problem: &McProblem,
-    trace: Option<&mut Trace>,
-) -> Result<(SeamState, EdgeInfo), PruneReason> {
-    let j = state.next_step;
-    let w = choice.worker;
-    let phi_before = seam_phi(state, problem);
-    let mut t = state.clone();
-
-    // Drain the whole inbox in channel order (the worker-loop drain).
-    // The planted bugs corrupted the message when the fault layer
-    // handled it; application itself is the engine's own step half.
-    while let Some(msg) = t.inboxes[w].pop_front() {
-        apply_message(
-            &mut t.views[w],
-            &mut t.labels[w],
-            &msg.comps,
-            ApplyPolicy::AsReceived,
-        );
-        seam_apply_spec(&mut t.spec_labels[w], &msg);
-    }
-
-    // Admissibility pruning on the spec book at the produce.
-    let floor = scope.envelope.min_label(j);
-    if t.spec_labels[w].iter().any(|&l| l < floor) {
-        return Err(PruneReason::Inadmissible);
-    }
-
-    let read_labels = t.labels[w].clone();
-    let read_err = t.views[w]
-        .iter()
-        .enumerate()
-        .map(|(c, &v)| (v - problem.xstar[c]).abs())
-        .fold(0.0_f64, f64::max);
-    let blocks = scope.blocks();
-    let n = problem.n();
-    let mut upd = vec![0.0; n];
-    let mut scratch = vec![0.0; Operator::scratch_len(&problem.op)];
-    let mut throwaway = Trace::new(n, LabelStore::Full);
-    let tr = trace.unwrap_or(&mut throwaway);
-    produce_step(
-        &problem.op,
-        &mut t.views[w],
-        &mut t.labels[w],
-        &blocks[w],
-        j,
-        tr,
-        &mut upd,
-        &mut scratch,
+fn phi(state: &SeamState, problem: &McProblem) -> f64 {
+    let views = state.workers.iter().map(Worker::view);
+    let queued = state.inboxes.iter().flatten();
+    let parked = state.routers.iter().flat_map(|r| r.parked()).map(|p| &p.2);
+    let in_flight = queued
+        .chain(parked)
+        .flat_map(|m| m.msg.comps.iter().map(|&(c, v, _)| (c as usize, v)));
+    max_err(
+        problem,
+        views
+            .flat_map(|view| view.iter().copied().enumerate())
+            .chain(in_flight),
     )
-    .expect("contraction scope cannot produce non-finite iterates");
-    for &i in &blocks[w] {
-        t.spec_labels[w][i] = j;
-    }
-    let produced_err = blocks[w]
-        .iter()
-        .map(|&i| (t.views[w][i] - problem.xstar[i]).abs())
-        .fold(0.0_f64, f64::max);
-    t.done[w] += 1;
-
-    // The posted exchange, one fate per destination.
-    if !choice.fates.is_empty() {
-        let comps: Vec<(u32, f64, u64)> = blocks[w]
-            .iter()
-            .map(|&i| (i as u32, t.views[w][i], t.labels[w][i]))
-            .collect();
-        let spec: Vec<u64> = blocks[w].iter().map(|&i| t.spec_labels[w][i]).collect();
-        let mut fates = choice.fates.iter();
-        for dest in 0..scope.workers {
-            if dest == w {
-                continue;
-            }
-            let fate = *fates.next().expect("one fate per destination");
-            let msg = SeamMessage {
-                src: w as u32,
-                comps: comps.clone(),
-                spec: spec.clone(),
-                spec_ghost: false,
-            };
-            seam_send(&mut t, scope, w, dest, msg, fate)?;
-        }
-    }
-
-    t.next_step = j + 1;
-    let phi_after = seam_phi(&t, problem);
-    Ok((
-        t,
-        EdgeInfo {
-            j,
-            worker: w,
-            read_labels,
-            prev_read: None,
-            read_err,
-            produced_err,
-            phi_before,
-            phi_after,
-        },
-    ))
 }
 
 /// The transport-seam model: a [`SeamScope`] on the scope problem,
@@ -677,51 +404,223 @@ impl Model for SeamModel<'_> {
     type Choice = SeamChoice;
     type Edge = EdgeInfo;
 
+    /// All views at `x0`, all labels 0, empty channels.
     fn initial(&self) -> SeamState {
-        SeamState::initial(self.scope, self.problem)
+        let (scope, problem) = (self.scope, self.problem);
+        let workers = Worker::mesh(
+            &problem.op,
+            &problem.x0,
+            &Partition::blocks(MC_DIM, scope.workers).expect("seam partition"),
+            ApplyPolicy::AsReceived,
+            scope.exchange_every.max(1),
+            0.0,
+        );
+        SeamState {
+            next_step: 1,
+            workers: workers.expect("seam mesh"),
+            routers: vec![FaultRouter::default(); scope.workers],
+            spec_labels: vec![vec![0; problem.n()]; scope.workers],
+            inboxes: vec![VecDeque::new(); scope.workers],
+        }
     }
 
+    /// Once every worker has completed its rounds.
     fn is_terminal(&self, state: &SeamState) -> bool {
-        state.terminal(self.scope)
+        state.workers.iter().all(|w| done(w) == self.scope.rounds)
     }
 
+    /// Each worker that still has rounds left and respects the steering
+    /// bound, crossed with every fate combination when its exchange is
+    /// due.
     fn enumerate(&self, state: &SeamState) -> (Vec<SeamChoice>, PorCounts) {
-        (seam_enumerate(state, self.scope), PorCounts::default())
+        let scope = self.scope;
+        let min_done = state.workers.iter().map(done).min().unwrap_or(0);
+        let mut out = Vec::new();
+        for (w, worker) in state.workers.iter().enumerate() {
+            if done(worker) >= scope.rounds || done(worker) - min_done >= scope.lag {
+                continue;
+            }
+            if !worker.next_update_posts() {
+                out.push(SeamChoice {
+                    worker: w,
+                    fates: Vec::new(),
+                });
+                continue;
+            }
+            for fates in per_destination(&fate_options(scope), scope.workers - 1) {
+                out.push(SeamChoice { worker: w, fates });
+            }
+        }
+        (out, PorCounts::default())
     }
 
+    /// One linearised step of the threaded engine's worker loop, on the
+    /// runtime's own [`Worker`]: drain the whole inbox in channel order,
+    /// produce, post, and route the post through the sender's
+    /// [`FaultRouter`] under the chosen fates. The model adds the
+    /// channels, the spec book and the pruning: capacity (a fate would
+    /// overflow a receiver's queue/parking bound) and admissibility.
+    ///
+    /// # Panics
+    /// Panics when the operator produces a non-finite iterate
+    /// (impossible for the contraction scope problem).
     fn apply(
         &self,
         state: &SeamState,
         choice: &SeamChoice,
         trace: Option<&mut Trace>,
     ) -> Result<(SeamState, EdgeInfo), PruneReason> {
-        seam_apply(state, choice, self.scope, self.problem, trace)
+        let (scope, problem) = (self.scope, self.problem);
+        let j = state.next_step;
+        let w = choice.worker;
+        let phi_before = phi(state, problem);
+        let mut t = state.clone();
+        let worker = &mut t.workers[w];
+
+        // The planted bugs corrupted the message when the fault layer
+        // handled it; receiving is the worker's own code.
+        while let Some(m) = t.inboxes[w].pop_front() {
+            worker.receive(&m.msg);
+            seam_apply_spec(&mut t.spec_labels[w], &m);
+        }
+
+        // Admissibility pruning on the spec book at the produce.
+        let floor = scope.envelope.min_label(j);
+        if t.spec_labels[w].iter().any(|&l| l < floor) {
+            return Err(PruneReason::Inadmissible);
+        }
+
+        let read_labels = worker.labels().to_vec();
+        let read_err = max_err(problem, worker.view().iter().copied().enumerate());
+        if let Some(trace) = trace {
+            trace.push_step(worker.block(), &read_labels);
+        }
+        worker
+            .produce(&problem.op, j)
+            .expect("contraction scope cannot produce non-finite iterates");
+        for &i in worker.block() {
+            t.spec_labels[w][i] = j;
+        }
+        let produced = worker.block().iter().map(|&i| (i, worker.view()[i]));
+        let produced_err = max_err(problem, produced);
+
+        // The posted exchange, one fate per destination. Seam scopes
+        // have no partial exchange, so `post` never draws from the
+        // stream.
+        if let Some(msg) = worker.post(&mut rng(0)) {
+            let posted = SeamMessage {
+                spec: worker
+                    .block()
+                    .iter()
+                    .map(|&i| t.spec_labels[w][i])
+                    .collect(),
+                msg,
+                spec_ghost: false,
+            };
+            let mut fates = choice.fates.iter();
+            for dest in worker.peers() {
+                let fate = *fates.next().expect("one fate per destination");
+                // Parking counts against the receiver's bound too (after
+                // the prompt duplicate, if any, took its inbox slot).
+                let in_flight = t.routers[w].parked().len() + t.inboxes[dest].len();
+                let mut overflow = matches!(fate, SendFate::Deliver { dup, hold }
+                    if hold > 0 && in_flight + usize::from(dup) >= scope.max_in_flight);
+                t.routers[w].route(dest, posted.clone(), fate, |exit, dest, m| {
+                    if let Some(m) = plant(scope.bug, exit, m) {
+                        overflow |= t.inboxes[dest].len() >= scope.max_in_flight;
+                        t.inboxes[dest].push_back(m);
+                    }
+                });
+                if overflow {
+                    return Err(PruneReason::Capacity);
+                }
+            }
+        }
+
+        t.next_step = j + 1;
+        let phi_after = phi(&t, problem);
+        let edge = EdgeInfo {
+            j,
+            worker: w,
+            read_labels,
+            prev_read: None,
+            read_err,
+            produced_err,
+            phi_before,
+            phi_after,
+        };
+        Ok((t, edge))
     }
 
     /// The cluster-regime families minus `KeepFreshest`: the seam runs
     /// the threaded engine's `AsReceived` policy, where stale
     /// application is legal and *recorded*, not absorbed.
     fn check_edge(&self, _: &SeamState, child: &SeamState, edge: &EdgeInfo) -> Option<Violation> {
+        let labels: Vec<&[u64]> = child.workers.iter().map(Worker::labels).collect();
         check_contraction(self.problem, edge)
-            .or_else(|| check_admissibility(self.problem, &child.labels, &child.spec_labels, edge))
+            .or_else(|| check_admissibility(self.problem, &labels, &child.spec_labels, edge))
     }
 
     /// The linearised trace must carry the steering-implied activation
     /// gap.
     fn check_terminal(&self, state: &SeamState, trace: &Trace) -> Option<Violation> {
         let witness = AdmissibilityWitness::new(self.scope.envelope, self.scope.witness_gap());
+        let blocks: Vec<&[usize]> = state.workers.iter().map(Worker::block).collect();
+        let views: Vec<&[f64]> = state.workers.iter().map(Worker::view).collect();
         check_horizon(
             self.problem,
-            &self.scope.blocks(),
-            &state.views,
+            &blocks,
+            &views,
             self.scope.steps(),
             &witness,
             trace,
         )
     }
 
-    fn state_hash(&self, state: &SeamState) -> u128 {
-        seam_state_hash(state)
+    /// 128-bit FNV-1a over a canonical byte encoding: index-ordered,
+    /// IEEE bits, channel queues in arrival order (part of the state
+    /// under `AsReceived`). Parked messages are encoded in the router's
+    /// own order, which decides the order they are released in — until
+    /// their sender has finished its rounds: it never sends again, so
+    /// nothing is released any more and the order is dead state,
+    /// encoded sorted.
+    fn state_hash(&self, s: &SeamState) -> u128 {
+        let mut out = Vec::with_capacity(256);
+        let enc_key = |out: &mut Vec<u8>, k: &[u8]| {
+            enc_u64(out, k.len() as u64);
+            out.extend_from_slice(k);
+        };
+        enc_u64(&mut out, s.next_step);
+        enc_u64(&mut out, s.workers.len() as u64);
+        for (w, worker) in s.workers.iter().enumerate() {
+            enc_u64(&mut out, done(worker));
+            enc_u64(&mut out, s.routers[w].stats().sent);
+            for &v in worker.view() {
+                enc_u64(&mut out, v.to_bits());
+            }
+            for &l in worker.labels().iter().chain(&s.spec_labels[w]) {
+                enc_u64(&mut out, l);
+            }
+            enc_u64(&mut out, s.inboxes[w].len() as u64);
+            for m in &s.inboxes[w] {
+                enc_key(&mut out, &m.sort_key());
+            }
+            let mut parked: Vec<(u64, usize, Vec<u8>)> = s.routers[w]
+                .parked()
+                .iter()
+                .map(|(release, dest, m)| (*release, *dest, m.sort_key()))
+                .collect();
+            if done(worker) == self.scope.rounds {
+                parked.sort();
+            }
+            enc_u64(&mut out, parked.len() as u64);
+            for (release, dest, key) in &parked {
+                enc_u64(&mut out, *release);
+                enc_u64(&mut out, *dest as u64);
+                enc_key(&mut out, key);
+            }
+        }
+        fnv128(&out)
     }
 }
 
@@ -765,13 +664,14 @@ pub fn seam_bug_demo(bug: SeamBug, out: &Path) -> Result<(u64, u64), String> {
         envelope: DelayEnvelope::Bounded(u64::MAX),
         ..scope.clone()
     };
-    while !state.terminal(&relaxed) {
-        let choices = seam_enumerate(&state, &relaxed);
+    let relaxed = SeamModel::new(&relaxed, &problem);
+    while !relaxed.is_terminal(&state) {
+        let (choices, _) = relaxed.enumerate(&state);
         let choice = choices
             .iter()
             .find(|c| c.fates.iter().all(|&f| f == SendFate::Drop))
             .ok_or("seam extension: no all-drop choice available")?;
-        match seam_apply(&state, choice, &relaxed, &problem, Some(&mut trace)) {
+        match relaxed.apply(&state, choice, Some(&mut trace)) {
             Ok((next, _)) => state = next,
             Err(_) => break,
         }

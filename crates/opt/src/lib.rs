@@ -29,6 +29,8 @@
 //!   example, \[11\]/\[17\]).
 //! - [`newton`] — diagonal modified-Newton operators (\[25\]).
 //! - [`relaxed`] — successive-relaxation wrapper `F_ω` for any operator.
+//! - [`canonical`] — the five calibrated instances the conformance
+//!   sweep and the service catalog both solve.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -36,6 +38,7 @@
 #![deny(rust_2018_idioms)]
 
 pub mod bellman_ford;
+pub mod canonical;
 pub mod error;
 pub mod lasso;
 pub mod linear;

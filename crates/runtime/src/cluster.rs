@@ -22,13 +22,17 @@
 //!   the message level. Receivers fold partials in under an
 //!   [`ApplyPolicy`].
 //!
-//! This engine is a *sequential discrete event loop*: global step `j` is
-//! one block update by worker `(j − 1) mod p`, mail is delivered when
-//! the destination worker next acts, and every random choice comes from
-//! one seeded stream. Runs are therefore exactly reproducible from
-//! `(config, seed)` — on a laptop, in CI, on one core. Its genuinely
-//! concurrent counterpart is [`crate::threaded`], which runs the same
-//! step halves ([`apply_message`] / [`produce_block`]) on free-running
+//! This engine is a *sequential discrete event loop* over
+//! [`Worker`]s — the one shard-owner step (receive → produce → post)
+//! every cluster scheduler drives: global step `j` is one block update
+//! by worker `(j − 1) mod p`, mail is delivered when the destination
+//! worker next acts, and every random choice comes from one seeded
+//! stream. Runs are therefore exactly reproducible from
+//! `(config, seed)` — on a laptop, in CI, on one core. Per destination
+//! the stream decides drop, then duplicate, and a [`FaultRouter`] turns
+//! that fate into the copies that leave; each copy then draws its own
+//! link latency and hold. The genuinely concurrent counterpart is
+//! [`crate::threaded`], which runs the same workers on free-running
 //! threads over the [`crate::transport`] seam.
 //!
 //! ## Replay equivalence
@@ -48,6 +52,8 @@
 //! [`Partition`]: asynciter_models::partition::Partition
 
 use crate::error::RuntimeError;
+use crate::transport::{BlockMessage, Exit, FaultRouter, SendFate};
+use crate::worker::{check_probabilities, Worker};
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_numerics::rng::{pareto, rng};
@@ -103,19 +109,22 @@ impl LinkModel {
         }
     }
 
-    fn validate(&self) -> Result<(), RuntimeError> {
+    /// Checks the distribution's parameters.
+    ///
+    /// # Errors
+    /// What is wrong, as a message: `Jitter` with `hi < lo`, or
+    /// `HeavyTail` with a shape that is not positive.
+    pub fn validate(&self) -> Result<(), String> {
         match *self {
-            LinkModel::Fixed { .. } => Ok(()),
-            LinkModel::Jitter { lo, hi } if lo <= hi => Ok(()),
-            LinkModel::Jitter { lo, hi } => Err(RuntimeError::InvalidParameter {
-                name: "link",
-                message: format!("Jitter requires lo <= hi, got [{lo}, {hi}]"),
-            }),
+            LinkModel::Jitter { lo, hi } if hi < lo => Err(format!(
+                "jitter delay needs lo <= hi (got lo {lo}, hi {hi})"
+            )),
+            // A NaN shape fails the guard and is rejected too.
             LinkModel::HeavyTail { alpha, .. } if alpha > 0.0 => Ok(()),
-            LinkModel::HeavyTail { alpha, .. } => Err(RuntimeError::InvalidParameter {
-                name: "link",
-                message: format!("HeavyTail requires alpha > 0, got {alpha}"),
-            }),
+            LinkModel::HeavyTail { alpha, .. } => {
+                Err(format!("heavy-tail alpha must be positive (got {alpha})"))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -309,13 +318,12 @@ pub struct ClusterRunResult {
 }
 
 /// One mailbox entry: delivery time, tie-break sequence number, and the
-/// carried `(component, value, producing step)` triples.
+/// carried message.
 #[derive(Debug, Clone)]
 struct Envelope {
     deliver_at: u64,
     seq: u64,
-    comps: Vec<(u32, f64, u64)>,
-    partial: bool,
+    msg: BlockMessage,
 }
 
 /// Outcome of applying one message payload to a worker view — the
@@ -336,8 +344,8 @@ pub struct MessageApply {
 /// producing-step labels alongside the values.
 ///
 /// This is the receiver half of the cluster's step-granular transition
-/// function, shared between the event-loop engine and the bounded
-/// exhaustive model checker so both execute byte-identical semantics.
+/// function: [`Worker::receive`] is built on it, and the model
+/// checker's cluster-regime scopes call it directly.
 ///
 /// # Panics
 /// Panics (debug) when a component index is out of range.
@@ -385,9 +393,9 @@ pub fn apply_message(
 ///
 /// # Panics
 /// Panics on dimension mismatches (`upd`/`scratch` sized for `op`).
-// Deliberately flat: every argument is a distinct piece of engine state
-// the two callers (engine loop, model checker) own differently, so a
-// bundling struct would just move the argument list to its constructor.
+// Deliberately flat: every argument is a distinct piece of state the
+// model checker's cluster-regime scopes own separately, so a bundling
+// struct would just move the argument list to its constructor.
 #[allow(clippy::too_many_arguments)]
 pub fn produce_step(
     op: &dyn Operator,
@@ -407,10 +415,9 @@ pub fn produce_step(
 /// Jacobi-style block evaluation on the current view, finiteness check,
 /// and label stamping with the producing step `j`.
 ///
-/// The threaded engine ([`crate::threaded`]) calls this directly — its
-/// workers log trace events locally and merge them after the join — so
-/// sequential and concurrent cluster updates execute byte-identical
-/// arithmetic by construction.
+/// [`Worker::produce`] is built on this, so sequential, concurrent and
+/// model-checked cluster updates execute byte-identical arithmetic by
+/// construction.
 ///
 /// # Errors
 /// [`RuntimeError::NonFiniteIterate`] when the operator diverges.
@@ -461,32 +468,6 @@ impl Ord for Envelope {
     }
 }
 
-/// A restorable checkpoint of a [`ClusterCursor`]: every piece of
-/// dynamic run state (views, labels, mailboxes, RNG, counters, the
-/// recorded trace so far). Cloning is deep, so a snapshot taken before a
-/// step and restored afterwards replays the step bit-identically —
-/// the state-space explorer in `asynciter-mc` leans on this.
-#[derive(Debug, Clone)]
-pub struct ClusterSnapshot {
-    views: Vec<Vec<f64>>,
-    view_labels: Vec<Vec<u64>>,
-    mailboxes: Vec<BinaryHeap<Envelope>>,
-    rng: StdRng,
-    seq: u64,
-    trace: Trace,
-    stats: ClusterStats,
-    per_worker_updates: Vec<u64>,
-    errors: Vec<(u64, f64)>,
-    residuals: Vec<(u64, f64)>,
-    partial_publishes: u64,
-    partial_reads: u64,
-    constraint_checked: u64,
-    constraint_violations: u64,
-    stopped_early: bool,
-    steps_run: u64,
-    next_j: u64,
-}
-
 /// Status of one [`ClusterCursor::step`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepStatus {
@@ -498,39 +479,29 @@ pub enum StepStatus {
 }
 
 /// A step-granular handle on a cluster run: the same event loop as
-/// [`ClusterEngine::run`], exposed one global step at a time with
-/// [snapshot](ClusterCursor::snapshot)/[restore](ClusterCursor::restore).
+/// [`ClusterEngine::run`], exposed one global step at a time.
 /// `ClusterEngine::run` is a thin loop over this cursor, so stepping and
 /// running to completion are bit-identical by construction.
 pub struct ClusterCursor<'a> {
     op: &'a dyn Operator,
     cfg: ClusterConfig,
     xstar: Option<Vec<f64>>,
-    blocks: Vec<Vec<usize>>,
-    workers: usize,
     start: Instant,
-    // Dynamic state (everything a snapshot captures).
-    views: Vec<Vec<f64>>,
-    view_labels: Vec<Vec<u64>>,
+    workers: Vec<Worker>,
     mailboxes: Vec<BinaryHeap<Envelope>>,
+    // Drop/duplicate decisions and their counters; this engine's holds
+    // are extra link latency, so nothing is ever parked in the router.
+    router: FaultRouter<BlockMessage>,
+    held: u64,
     rng: StdRng,
     seq: u64,
     trace: Trace,
-    stats: ClusterStats,
-    per_worker_updates: Vec<u64>,
     errors: Vec<(u64, f64)>,
     residuals: Vec<(u64, f64)>,
-    partial_publishes: u64,
-    partial_reads: u64,
-    constraint_checked: u64,
-    constraint_violations: u64,
     stopped_early: bool,
     steps_run: u64,
     next_j: u64,
-    // Step-loop buffers allocated once: block output, operator scratch,
-    // consensus assembly. Only message payloads (owned by their
-    // envelopes) allocate per exchange.
-    upd: Vec<f64>,
+    // Consensus assembly and its residual scratch, allocated once.
     scratch: Vec<f64>,
     consensus: Vec<f64>,
 }
@@ -538,7 +509,7 @@ pub struct ClusterCursor<'a> {
 impl std::fmt::Debug for ClusterCursor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterCursor")
-            .field("workers", &self.workers)
+            .field("workers", &self.workers.len())
             .field("next_j", &self.next_j)
             .field("steps_run", &self.steps_run)
             .field("stopped_early", &self.stopped_early)
@@ -561,100 +532,41 @@ impl<'a> ClusterCursor<'a> {
         xstar: Option<&[f64]>,
     ) -> crate::Result<Self> {
         let n = op.dim();
-        let workers = partition.num_machines();
-        validate(op, x0, partition, cfg, xstar)?;
-        let blocks: Vec<Vec<usize>> = (0..workers).map(|w| partition.components_of(w)).collect();
+        validate(n, cfg, xstar)?;
+        let workers = Worker::mesh(
+            op,
+            x0,
+            partition,
+            cfg.apply_policy,
+            cfg.exchange_every,
+            cfg.partial_prob,
+        )?;
         Ok(Self {
             op,
             cfg: cfg.clone(),
             xstar: xstar.map(<[f64]>::to_vec),
-            blocks,
-            workers,
             start: Instant::now(),
-            views: vec![x0.to_vec(); workers],
-            view_labels: vec![vec![0u64; n]; workers],
-            mailboxes: (0..workers).map(|_| BinaryHeap::new()).collect(),
+            mailboxes: workers.iter().map(|_| BinaryHeap::new()).collect(),
+            workers,
+            router: FaultRouter::default(),
+            held: 0,
             rng: rng(cfg.seed),
             seq: 0,
             trace: Trace::new(n, cfg.record),
-            stats: ClusterStats::default(),
-            per_worker_updates: vec![0u64; workers],
             errors: Vec::new(),
             residuals: Vec::new(),
-            partial_publishes: 0,
-            partial_reads: 0,
-            constraint_checked: 0,
-            constraint_violations: 0,
             stopped_early: false,
             steps_run: 0,
             next_j: 1,
-            upd: vec![0.0; n],
             scratch: vec![0.0; op.scratch_len()],
             consensus: vec![0.0; n],
         })
     }
 
-    /// Global step the next [`ClusterCursor::step`] call would execute.
-    pub fn next_step(&self) -> u64 {
-        self.next_j
-    }
-
-    /// The trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Captures the full dynamic state for a later
-    /// [`restore`](ClusterCursor::restore).
-    pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot {
-            views: self.views.clone(),
-            view_labels: self.view_labels.clone(),
-            mailboxes: self.mailboxes.clone(),
-            rng: self.rng.clone(),
-            seq: self.seq,
-            trace: self.trace.clone(),
-            stats: self.stats.clone(),
-            per_worker_updates: self.per_worker_updates.clone(),
-            errors: self.errors.clone(),
-            residuals: self.residuals.clone(),
-            partial_publishes: self.partial_publishes,
-            partial_reads: self.partial_reads,
-            constraint_checked: self.constraint_checked,
-            constraint_violations: self.constraint_violations,
-            stopped_early: self.stopped_early,
-            steps_run: self.steps_run,
-            next_j: self.next_j,
-        }
-    }
-
-    /// Rewinds (or fast-forwards) the cursor to a captured snapshot.
-    /// Stepping from a restored state replays the original steps
-    /// bit-identically — the RNG stream is part of the snapshot.
-    pub fn restore(&mut self, snap: &ClusterSnapshot) {
-        self.views.clone_from(&snap.views);
-        self.view_labels.clone_from(&snap.view_labels);
-        self.mailboxes.clone_from(&snap.mailboxes);
-        self.rng = snap.rng.clone();
-        self.seq = snap.seq;
-        self.trace.clone_from(&snap.trace);
-        self.stats.clone_from(&snap.stats);
-        self.per_worker_updates.clone_from(&snap.per_worker_updates);
-        self.errors.clone_from(&snap.errors);
-        self.residuals.clone_from(&snap.residuals);
-        self.partial_publishes = snap.partial_publishes;
-        self.partial_reads = snap.partial_reads;
-        self.constraint_checked = snap.constraint_checked;
-        self.constraint_violations = snap.constraint_violations;
-        self.stopped_early = snap.stopped_early;
-        self.steps_run = snap.steps_run;
-        self.next_j = snap.next_j;
-    }
-
     fn assemble_consensus(&mut self) {
-        for (w, block) in self.blocks.iter().enumerate() {
-            for &i in block {
-                self.consensus[i] = self.views[w][i];
+        for worker in &self.workers {
+            for &i in worker.block() {
+                self.consensus[i] = worker.view()[i];
             }
         }
     }
@@ -670,7 +582,8 @@ impl<'a> ClusterCursor<'a> {
         }
         let j = self.next_j;
         self.next_j += 1;
-        let w = ((j - 1) % self.workers as u64) as usize;
+        let w = ((j - 1) % self.workers.len() as u64) as usize;
+        let worker = &mut self.workers[w];
 
         // Deliver all mail due by now, earliest (deliver_at, seq) first
         // — holds put older messages behind newer ones.
@@ -678,103 +591,50 @@ impl<'a> ClusterCursor<'a> {
             .peek()
             .is_some_and(|env| env.deliver_at <= j)
         {
-            let env = self.mailboxes[w].pop().expect("peeked");
-            self.stats.delivered += 1;
-            let outcome = apply_message(
-                &mut self.views[w],
-                &mut self.view_labels[w],
-                &env.comps,
-                self.cfg.apply_policy,
-            );
-            self.constraint_checked += outcome.checked;
-            self.constraint_violations += outcome.stale;
-            self.stats.discarded_stale += outcome.stale;
-            if env.partial {
-                self.partial_reads += outcome.applied;
-            }
+            worker.receive(&self.mailboxes[w].pop().expect("peeked").msg);
         }
 
         // Record the step *before* writing (active set = the owned
         // block, labels = the producing steps of the view being read),
         // then Jacobi within the block: all components read the same
         // view.
-        produce_step(
-            self.op,
-            &mut self.views[w],
-            &mut self.view_labels[w],
-            &self.blocks[w],
-            j,
-            &mut self.trace,
-            &mut self.upd,
-            &mut self.scratch,
-        )?;
-        self.per_worker_updates[w] += 1;
+        self.trace.push_step(worker.block(), worker.labels());
+        worker.produce(self.op, j)?;
         self.steps_run = j;
 
-        // Exchange: post the block (or a partial subset) to peers.
-        if self.workers > 1 && self.per_worker_updates[w].is_multiple_of(self.cfg.exchange_every) {
-            let partial = self.cfg.partial_prob > 0.0
-                && self.rng.random_range(0.0..1.0) < self.cfg.partial_prob;
-            let mut comps: Vec<(u32, f64, u64)> = self.blocks[w]
-                .iter()
-                .map(|&i| (i as u32, self.views[w][i], self.view_labels[w][i]))
-                .collect();
-            if partial {
-                self.partial_publishes += 1;
-                comps.retain(|_| self.rng.random_range(0..2u32) == 1);
-                if comps.is_empty() {
-                    // A partial exchange carries at least one entry.
-                    let i = self.blocks[w][self.rng.random_range(0..self.blocks[w].len())];
-                    comps.push((i as u32, self.views[w][i], self.view_labels[w][i]));
-                }
-            }
-            if let Some(sc) = self.cfg.sever_component {
-                comps.retain(|&(c, _, _)| c as usize != sc);
-            }
-            if !comps.is_empty() {
-                for dest in 0..self.workers {
-                    if dest == w {
-                        continue;
-                    }
-                    self.stats.sent += 1;
-                    if self.rng.random_range(0.0..1.0) < self.cfg.drop_prob {
-                        self.stats.dropped += 1;
-                        continue;
-                    }
-                    let post =
-                        |rng: &mut StdRng,
-                         seq: &mut u64,
-                         stats: &mut ClusterStats,
-                         boxes: &mut Vec<BinaryHeap<Envelope>>| {
-                            let mut latency = cfg_link_sample(&self.cfg, rng);
-                            if rng.random_range(0.0..1.0) < self.cfg.hold_prob {
-                                stats.held += 1;
-                                latency += rng.random_range(1..=self.cfg.hold_extra.max(1));
-                            }
-                            *seq += 1;
-                            boxes[dest].push(Envelope {
-                                deliver_at: j.saturating_add(latency),
-                                seq: *seq,
-                                comps: comps.clone(),
-                                partial,
-                            });
-                        };
-                    if self.rng.random_range(0.0..1.0) < self.cfg.dup_prob {
-                        self.stats.duplicated += 1;
-                        post(
-                            &mut self.rng,
-                            &mut self.seq,
-                            &mut self.stats,
-                            &mut self.mailboxes,
-                        );
-                    }
-                    post(
-                        &mut self.rng,
-                        &mut self.seq,
-                        &mut self.stats,
-                        &mut self.mailboxes,
-                    );
-                }
+        // Exchange: post the block (or a partial subset) to peers. Per
+        // destination the stream decides drop, then duplicate; every
+        // copy that leaves the router draws its own latency and hold.
+        let mut posted = worker.post(&mut self.rng);
+        if let (Some(msg), Some(sc)) = (&mut posted, self.cfg.sever_component) {
+            msg.comps.retain(|&(c, _, _)| c as usize != sc);
+        }
+        if let Some(msg) = posted.filter(|msg| !msg.comps.is_empty()) {
+            let (cfg, rng) = (&self.cfg, &mut self.rng);
+            for dest in worker.peers() {
+                let fate = if rng.random_range(0.0..1.0) < cfg.drop_prob {
+                    SendFate::Drop
+                } else {
+                    let dup = rng.random_range(0.0..1.0) < cfg.dup_prob;
+                    SendFate::Deliver { dup, hold: 0 }
+                };
+                self.router
+                    .route(dest, msg.clone(), fate, |exit, dest, msg| {
+                        if exit == Exit::Dropped {
+                            return;
+                        }
+                        let mut latency = cfg.link.sample(rng);
+                        if rng.random_range(0.0..1.0) < cfg.hold_prob {
+                            self.held += 1;
+                            latency += rng.random_range(1..=cfg.hold_extra.max(1));
+                        }
+                        self.seq += 1;
+                        self.mailboxes[dest].push(Envelope {
+                            deliver_at: j.saturating_add(latency),
+                            seq: self.seq,
+                            msg,
+                        });
+                    });
             }
         }
 
@@ -815,31 +675,33 @@ impl<'a> ClusterCursor<'a> {
     pub fn into_result(mut self) -> ClusterRunResult {
         self.assemble_consensus();
         let final_residual = self.op.residual_inf(&self.consensus);
+        let sends = self.router.stats();
+        let totals = Worker::totals(&self.workers);
         ClusterRunResult {
-            local_views: self.views,
+            local_views: self.workers.iter().map(|w| w.view().to_vec()).collect(),
             consensus: self.consensus,
             final_residual,
-            stats: self.stats,
+            stats: ClusterStats {
+                sent: sends.sent,
+                delivered: totals.delivered,
+                dropped: sends.dropped,
+                duplicated: sends.duplicated,
+                held: self.held,
+                discarded_stale: totals.constraint_violations,
+            },
             trace: self.trace,
             steps_run: self.steps_run,
-            per_worker_updates: self.per_worker_updates,
+            per_worker_updates: self.workers.iter().map(|w| w.counters().updates).collect(),
             errors: self.errors,
             residuals: self.residuals,
             stopped_early: self.stopped_early,
-            partial_publishes: self.partial_publishes,
-            partial_reads: self.partial_reads,
-            constraint_checked: self.constraint_checked,
-            constraint_violations: self.constraint_violations,
+            partial_publishes: totals.partial_publishes,
+            partial_reads: totals.partial_reads,
+            constraint_checked: totals.constraint_checked,
+            constraint_violations: totals.constraint_violations,
             wall: self.start.elapsed(),
         }
     }
-}
-
-/// Borrow-splitting helper: sampling a link latency needs `&cfg.link`
-/// and `&mut rng` while the exchange closure also borrows `self`
-/// fields.
-fn cfg_link_sample(cfg: &ClusterConfig, r: &mut StdRng) -> u64 {
-    cfg.link.sample(r)
 }
 
 /// The sharded message-passing engine. See module docs.
@@ -868,31 +730,10 @@ impl ClusterEngine {
     }
 }
 
-fn validate(
-    op: &dyn Operator,
-    x0: &[f64],
-    partition: &Partition,
-    cfg: &ClusterConfig,
-    xstar: Option<&[f64]>,
-) -> crate::Result<()> {
-    let n = op.dim();
-    if x0.len() != n {
-        return Err(RuntimeError::DimensionMismatch {
-            expected: n,
-            actual: x0.len(),
-            context: "ClusterEngine::run (x0)",
-        });
-    }
-    if partition.n() != n {
-        return Err(RuntimeError::DimensionMismatch {
-            expected: n,
-            actual: partition.n(),
-            context: "ClusterEngine::run (partition)",
-        });
-    }
-    if cfg.steps == 0 || cfg.exchange_every == 0 {
+fn validate(n: usize, cfg: &ClusterConfig, xstar: Option<&[f64]>) -> crate::Result<()> {
+    if cfg.steps == 0 {
         return Err(RuntimeError::InvalidParameter {
-            name: "steps/exchange_every",
+            name: "steps",
             message: "must be positive".into(),
         });
     }
@@ -914,20 +755,17 @@ fn validate(
             Some(_) => {}
         }
     }
-    cfg.link.validate()?;
-    for (name, p) in [
+    cfg.link
+        .validate()
+        .map_err(|message| RuntimeError::InvalidParameter {
+            name: "link",
+            message,
+        })?;
+    check_probabilities(&[
         ("hold_prob", cfg.hold_prob),
         ("drop_prob", cfg.drop_prob),
         ("dup_prob", cfg.dup_prob),
-        ("partial_prob", cfg.partial_prob),
-    ] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(RuntimeError::InvalidParameter {
-                name,
-                message: format!("{name} = {p} outside [0,1]"),
-            });
-        }
-    }
+    ])?;
     if let Some(sc) = cfg.sever_component {
         if sc >= n {
             return Err(RuntimeError::InvalidParameter {
@@ -990,42 +828,6 @@ mod tests {
                 stepped.trace.labels(j).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn snapshot_restore_replays_bit_identically() {
-        let op = jacobi(12);
-        let p = Partition::blocks(12, 3).unwrap();
-        let cfg = ClusterConfig::new(300)
-            .with_faults(0.25, 0.2, 0.15)
-            .with_link(LinkModel::HeavyTail {
-                scale: 1,
-                alpha: 1.3,
-            })
-            .with_seed(7)
-            .with_record(LabelStore::Full);
-        let mut cursor = ClusterCursor::new(&op, &[0.0; 12], &p, &cfg, None).unwrap();
-        for _ in 0..100 {
-            assert_eq!(cursor.step().unwrap(), StepStatus::Running);
-        }
-        let snap = cursor.snapshot();
-        assert_eq!(cursor.next_step(), 101);
-        // First continuation.
-        while cursor.step().unwrap() == StepStatus::Running {}
-        let a = cursor.snapshot();
-        // Rewind and continue again: the RNG stream is part of the
-        // snapshot, so both continuations must agree bitwise.
-        cursor.restore(&snap);
-        assert_eq!(cursor.next_step(), 101);
-        while cursor.step().unwrap() == StepStatus::Running {}
-        let b = cursor.snapshot();
-        assert_eq!(a.views, b.views);
-        assert_eq!(a.view_labels, b.view_labels);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.seq, b.seq);
-        assert_eq!(a.steps_run, b.steps_run);
-        let res = cursor.into_result();
-        assert_eq!(res.steps_run, 300);
     }
 
     #[test]
@@ -1214,6 +1016,14 @@ mod tests {
         assert!(ClusterEngine::run(&op, &[0.0; 8], &p, &bad, None).is_err());
         let mut bad = ClusterConfig::new(10);
         bad.sever_component = Some(8);
+        assert!(ClusterEngine::run(&op, &[0.0; 8], &p, &bad, None).is_err());
+        // The worker mesh checks its own inputs.
+        let p9 = Partition::blocks(9, 2).unwrap();
+        assert!(ClusterEngine::run(&op, &[0.0; 8], &p9, &ClusterConfig::new(10), None).is_err());
+        let bad = ClusterConfig::new(10).with_exchange_every(0);
+        assert!(ClusterEngine::run(&op, &[0.0; 8], &p, &bad, None).is_err());
+        let mut bad = ClusterConfig::new(10);
+        bad.partial_prob = f64::NAN;
         assert!(ClusterEngine::run(&op, &[0.0; 8], &p, &bad, None).is_err());
     }
 }

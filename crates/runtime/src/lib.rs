@@ -18,10 +18,13 @@
 //!   seeded virtual cluster with per-worker mailboxes, latency models,
 //!   hold/drop/duplicate faults and flexible partial exchange, whose
 //!   recorded traces replay bit-identically (experiments E5/E6).
+//! - [`worker`] — the message-passing [`Worker`]: one shard owner's
+//!   receive → produce → post step, driven by the `cluster` event loop,
+//!   the `threaded` engine and the model checker's seam scopes alike.
 //! - [`transport`] — the socket-ready [`transport::Transport`] /
 //!   [`transport::Endpoint`] seam: labelled block messages over
-//!   swappable channels, with an in-process mpsc mesh and a
-//!   fault-injecting decorator.
+//!   swappable channels, with an in-process mpsc mesh, the fate-driven
+//!   [`transport::FaultRouter`] and a fault-injecting decorator.
 //! - [`threaded`] — the genuinely concurrent cluster: free-running
 //!   worker threads owning shards, exchanging block messages through
 //!   the transport seam; every run records a producing-step trace that
@@ -55,12 +58,12 @@ pub mod sync_engine;
 pub mod termination;
 pub mod threaded;
 pub mod transport;
+pub mod worker;
 
 pub use async_engine::{AsyncConfig, AsyncRunResult, AsyncSharedRunner, SnapshotMode, TraceRecord};
 pub use cluster::{
     apply_message, produce_block, produce_step, ApplyPolicy, ClusterConfig, ClusterCursor,
-    ClusterEngine, ClusterRunResult, ClusterSnapshot, ClusterStats, LinkModel, MessageApply,
-    StepStatus,
+    ClusterEngine, ClusterRunResult, ClusterStats, LinkModel, MessageApply, StepStatus,
 };
 pub use error::RuntimeError;
 pub use scratch::{PoolStats, ScratchLease, ScratchPool};
@@ -71,6 +74,7 @@ pub use threaded::{Quiesce, ThreadedClusterEngine, ThreadedConfig, ThreadedRunRe
 pub use transport::{
     BlockMessage, Endpoint, FaultEndpoint, FaultPlan, MpscTransport, SendFate, Transport,
 };
+pub use worker::{Worker, WorkerCounters};
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, RuntimeError>;

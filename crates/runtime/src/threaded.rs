@@ -3,15 +3,13 @@
 //! [`crate::transport`] seam.
 //!
 //! This is the real-hardware counterpart of the deterministic
-//! [`crate::cluster`] event loop. Each worker owns one
-//! [`Partition`] block and a
-//! full local view of its best knowledge of everyone else; workers run
-//! unsynchronised on OS threads, drain their transport mailbox, apply a
-//! block update, and post their block to every peer — with hold / drop
-//! / duplicate faults injected at the transport seam
-//! ([`crate::transport::FaultEndpoint`]) and flexible partial exchange
-//! at the sender. Thread interleaving (and therefore the executed
-//! schedule) is genuinely nondeterministic.
+//! [`crate::cluster`] event loop, and a second scheduler over the same
+//! [`Worker`]: one OS thread per worker, running unsynchronised — drain
+//! the transport mailbox, produce a block update, post the block to
+//! every peer — with hold / drop / duplicate faults injected at the
+//! transport seam ([`crate::transport::FaultEndpoint`]). Thread
+//! interleaving (and therefore the executed schedule) is genuinely
+//! nondeterministic.
 //!
 //! ## Why the recorded trace still replays bit for bit
 //!
@@ -29,11 +27,13 @@
 //!    and the receive precedes this `fetch_add`. Hence every label is
 //!    `< j`: condition (a) holds *by construction* (asserted, never
 //!    clamped — clamping would silently break bit-identity).
-//! 2. **The step halves are shared with the sequential engine.**
-//!    Receiving is [`apply_message`] and producing is [`produce_block`]
-//!    — byte-identical arithmetic to [`crate::cluster`], which is also
-//!    why `ThreadedClusterEngine` with one worker reproduces the
-//!    sequential `Cluster { workers: 1 }` run bit for bit.
+//! 2. **The worker is shared with the sequential engine.** Receiving,
+//!    producing and posting are [`Worker`] methods — byte-identical
+//!    arithmetic to [`crate::cluster`], which is also why
+//!    `ThreadedClusterEngine` with one worker reproduces the sequential
+//!    `Cluster { workers: 1 }` run bit for bit. The model checker's
+//!    seam scopes run the same worker (and the same fault router) under
+//!    every interleaving.
 //!
 //! Termination is residual-targeted (worker 0 checks its local view
 //! every [`ThreadedConfig::check_every`] of its own updates) and/or
@@ -42,17 +42,15 @@
 //! fixed budget, so runs stay green on an oversubscribed 1-core CI
 //! host.
 
-use crate::cluster::{apply_message, produce_block, ApplyPolicy, ClusterStats};
+use crate::cluster::{ApplyPolicy, ClusterStats};
 use crate::error::RuntimeError;
 use crate::termination::{QuiescenceDetector, QuiescenceTracker};
-use crate::transport::{
-    BlockMessage, Endpoint, FaultEndpoint, FaultPlan, MpscTransport, SendStats, Transport,
-};
+use crate::transport::{Endpoint, FaultEndpoint, FaultPlan, MpscTransport, SendStats, Transport};
+use crate::worker::{check_probabilities, Worker};
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_numerics::rng::rng;
 use asynciter_opt::traits::Operator;
-use rand::RngExt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -195,14 +193,8 @@ struct Event {
 
 struct WorkerLog {
     events: Vec<Event>,
-    view: Vec<f64>,
-    my_updates: u64,
+    worker: Worker,
     send_stats: SendStats,
-    delivered: u64,
-    partial_publishes: u64,
-    partial_reads: u64,
-    constraint_checked: u64,
-    constraint_violations: u64,
 }
 
 /// Derives an independent per-worker RNG stream from the base seed.
@@ -246,10 +238,17 @@ impl ThreadedClusterEngine {
         cfg: &ThreadedConfig,
         transport: &mut dyn Transport,
     ) -> crate::Result<ThreadedRunResult> {
-        validate(op, x0, partition, cfg)?;
+        validate(cfg)?;
         let n = op.dim();
-        let workers = partition.num_machines();
-        let blocks: Vec<Vec<usize>> = (0..workers).map(|w| partition.components_of(w)).collect();
+        let mesh = Worker::mesh(
+            op,
+            x0,
+            partition,
+            cfg.apply_policy,
+            cfg.exchange_every,
+            cfg.partial_prob,
+        )?;
+        let workers = mesh.len();
         let plan = FaultPlan {
             hold_prob: cfg.hold_prob,
             hold_extra: cfg.hold_extra,
@@ -273,25 +272,12 @@ impl ThreadedClusterEngine {
         let mut logs: Vec<crate::Result<WorkerLog>> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
-            for (w, ep) in endpoints.into_iter().enumerate() {
-                let block = &blocks[w];
+            for (worker, ep) in mesh.into_iter().zip(endpoints) {
                 let counter = &counter;
                 let stop = &stop;
                 let converged = &converged;
                 handles.push(scope.spawn(move || {
-                    worker_loop(
-                        op,
-                        cfg,
-                        workers,
-                        w,
-                        block,
-                        x0,
-                        ep,
-                        counter,
-                        stop,
-                        converged,
-                        detector_ref,
-                    )
+                    worker_loop(op, cfg, worker, ep, counter, stop, converged, detector_ref)
                 }));
             }
             for h in handles {
@@ -300,113 +286,89 @@ impl ThreadedClusterEngine {
         });
         let wall = start.elapsed();
 
-        let mut worker_logs = Vec::with_capacity(workers);
+        let mut events = Vec::new();
+        let mut done = Vec::with_capacity(workers);
+        let mut stats = ClusterStats::default();
         for log in logs {
-            worker_logs.push(log?);
+            let mut log = log?;
+            events.append(&mut log.events);
+            done.push(log.worker);
+            stats.sent += log.send_stats.sent;
+            stats.dropped += log.send_stats.dropped;
+            stats.duplicated += log.send_stats.duplicated;
+            stats.held += log.send_stats.held;
         }
 
         // Merge the per-worker event logs into the (dense, by the
         // counter contract) global trace.
-        let mut events: Vec<Event> = worker_logs
-            .iter_mut()
-            .flat_map(|l| l.events.drain(..))
-            .collect();
         events.sort_unstable_by_key(|e| e.j);
         let mut trace = Trace::new(n, cfg.record);
         let mut min_only_labels = vec![0u64; n];
         for (idx, e) in events.iter().enumerate() {
             debug_assert_eq!(e.j as usize, idx + 1, "non-dense step numbering");
             if cfg.record == LabelStore::Full {
-                trace.push_step(&blocks[e.worker], &e.labels);
+                trace.push_step(done[e.worker].block(), &e.labels);
             } else {
                 min_only_labels.fill(e.min_label);
-                trace.push_step(&blocks[e.worker], &min_only_labels);
+                trace.push_step(done[e.worker].block(), &min_only_labels);
             }
         }
-        let steps_run = events.len() as u64;
 
         let mut consensus = vec![0.0; n];
-        for (w, block) in blocks.iter().enumerate() {
-            for &i in block {
-                consensus[i] = worker_logs[w].view[i];
+        for worker in &done {
+            for &i in worker.block() {
+                consensus[i] = worker.view()[i];
             }
         }
         let final_residual = op.residual_inf(&consensus);
-
-        let mut stats = ClusterStats::default();
-        for l in &worker_logs {
-            stats.sent += l.send_stats.sent;
-            stats.dropped += l.send_stats.dropped;
-            stats.duplicated += l.send_stats.duplicated;
-            stats.held += l.send_stats.held;
-            stats.delivered += l.delivered;
-            stats.discarded_stale += l.constraint_violations;
-        }
+        let totals = Worker::totals(&done);
+        stats.delivered = totals.delivered;
+        stats.discarded_stale = totals.constraint_violations;
 
         Ok(ThreadedRunResult {
             consensus,
             final_residual,
             stats,
             trace,
-            steps_run,
-            per_worker_updates: worker_logs.iter().map(|l| l.my_updates).collect(),
+            steps_run: events.len() as u64,
+            per_worker_updates: done.iter().map(|w| w.counters().updates).collect(),
             stopped_early: converged.load(Ordering::Relaxed),
-            partial_publishes: worker_logs.iter().map(|l| l.partial_publishes).sum(),
-            partial_reads: worker_logs.iter().map(|l| l.partial_reads).sum(),
-            constraint_checked: worker_logs.iter().map(|l| l.constraint_checked).sum(),
-            constraint_violations: worker_logs.iter().map(|l| l.constraint_violations).sum(),
+            partial_publishes: totals.partial_publishes,
+            partial_reads: totals.partial_reads,
+            constraint_checked: totals.constraint_checked,
+            constraint_violations: totals.constraint_violations,
             wall,
         })
     }
 }
 
-// Deliberately flat for the same reason as `produce_step`: each
-// argument is a distinct piece of shared engine state.
+// Deliberately flat: each argument is a distinct piece of shared engine
+// state.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     op: &dyn Operator,
     cfg: &ThreadedConfig,
-    workers: usize,
-    w: usize,
-    block: &[usize],
-    x0: &[f64],
+    mut worker: Worker,
     mut ep: FaultEndpoint,
     counter: &AtomicU64,
     stop: &AtomicBool,
     converged: &AtomicBool,
     detector: Option<&QuiescenceDetector>,
 ) -> crate::Result<WorkerLog> {
-    let n = op.dim();
-    // Per-worker buffers allocated once (view, labels, block output,
-    // operator scratch, old-block cache): the step loop below is
-    // heap-allocation-free apart from message payloads (owned by the
-    // transport) and trace-event recording.
-    let mut view = x0.to_vec();
-    let mut labels = vec![0u64; n];
-    let mut upd = vec![0.0; n];
-    let mut scratch = vec![0.0; op.scratch_len()];
-    let mut old_block = vec![0.0; block.len()];
+    // The worker's buffers and the old-block cache are allocated once:
+    // the step loop below is heap-allocation-free apart from message
+    // payloads (owned by the transport) and trace-event recording.
+    let w = worker.id();
+    let mut old_block = vec![0.0; worker.block().len()];
     let mut events: Vec<Event> = Vec::new();
     let mut prng = rng(substream(cfg.seed, w as u64, 2));
     let mut tracker = cfg.quiesce.map(|q| QuiescenceTracker::new(q.eps, q.streak));
-    let mut my_updates = 0u64;
-    let mut delivered = 0u64;
-    let mut partial_publishes = 0u64;
-    let mut partial_reads = 0u64;
-    let mut constraint_checked = 0u64;
-    let mut constraint_violations = 0u64;
 
     loop {
         // Drain the mailbox before producing: every applied value's
         // label was produced before the step number acquired below.
         while let Some(msg) = ep.try_recv() {
-            delivered += 1;
-            let out = apply_message(&mut view, &mut labels, &msg.comps, cfg.apply_policy);
-            constraint_checked += out.checked;
-            constraint_violations += out.stale;
-            if msg.partial {
-                partial_reads += out.applied;
-            }
+            worker.receive(&msg);
         }
         if stop.load(Ordering::Relaxed) {
             break;
@@ -419,6 +381,7 @@ fn worker_loop(
             stop.store(true, Ordering::Relaxed);
             break;
         }
+        let labels = worker.labels();
         debug_assert!(
             labels.iter().all(|&l| l < j),
             "condition (a) violated: a label reached step {j}"
@@ -434,52 +397,28 @@ fn worker_loop(
                 j,
                 worker: w,
                 min_label: 0,
-                labels: labels.clone(),
+                labels: labels.to_vec(),
             }),
         }
-        for (k, &i) in block.iter().enumerate() {
-            old_block[k] = view[i];
+        for (k, &i) in worker.block().iter().enumerate() {
+            old_block[k] = worker.view()[i];
         }
-        produce_block(op, &mut view, &mut labels, block, j, &mut upd, &mut scratch)?;
-        my_updates += 1;
+        worker.produce(op, j)?;
 
         // Exchange: post the block (or a partial subset) to every peer.
-        if workers > 1 && my_updates.is_multiple_of(cfg.exchange_every) {
-            let partial = cfg.partial_prob > 0.0 && prng.random_range(0.0..1.0) < cfg.partial_prob;
-            let mut comps: Vec<(u32, f64, u64)> = block
-                .iter()
-                .map(|&i| (i as u32, view[i], labels[i]))
-                .collect();
-            if partial {
-                partial_publishes += 1;
-                comps.retain(|_| prng.random_range(0..2u32) == 1);
-                if comps.is_empty() {
-                    // A partial exchange carries at least one entry.
-                    let i = block[prng.random_range(0..block.len())];
-                    comps.push((i as u32, view[i], labels[i]));
-                }
-            }
-            for dest in 0..workers {
-                if dest == w {
-                    continue;
-                }
-                ep.send(
-                    dest,
-                    BlockMessage {
-                        from: w,
-                        comps: comps.clone(),
-                        partial,
-                    },
-                );
+        if let Some(msg) = worker.post(&mut prng) {
+            for dest in worker.peers() {
+                ep.send(dest, msg.clone());
             }
         }
 
         // Termination: quiescence detection (worker 0 coordinates) ...
         if let (Some(q), Some(det), Some(tr)) = (cfg.quiesce, detector, tracker.as_mut()) {
-            let change = block
+            let change = worker
+                .block()
                 .iter()
                 .enumerate()
-                .map(|(k, &i)| (view[i] - old_block[k]).abs())
+                .map(|(k, &i)| (worker.view()[i] - old_block[k]).abs())
                 .fold(0.0_f64, f64::max);
             let quiet = tr.observe(change);
             det.report(w, j, quiet);
@@ -494,8 +433,11 @@ fn worker_loop(
         // far below any sensible target).
         if w == 0 {
             if let Some(eps) = cfg.target_residual {
-                if my_updates.is_multiple_of(cfg.check_every.max(1))
-                    && op.residual_inf_with(&view, &mut scratch) <= eps
+                if worker
+                    .counters()
+                    .updates
+                    .is_multiple_of(cfg.check_every.max(1))
+                    && worker.residual(op) <= eps
                 {
                     converged.store(true, Ordering::Relaxed);
                     stop.store(true, Ordering::Relaxed);
@@ -512,57 +454,23 @@ fn worker_loop(
 
     Ok(WorkerLog {
         events,
-        view,
-        my_updates,
+        worker,
         send_stats: ep.stats(),
-        delivered,
-        partial_publishes,
-        partial_reads,
-        constraint_checked,
-        constraint_violations,
     })
 }
 
-fn validate(
-    op: &dyn Operator,
-    x0: &[f64],
-    partition: &Partition,
-    cfg: &ThreadedConfig,
-) -> crate::Result<()> {
-    let n = op.dim();
-    if x0.len() != n {
-        return Err(RuntimeError::DimensionMismatch {
-            expected: n,
-            actual: x0.len(),
-            context: "ThreadedClusterEngine::run (x0)",
-        });
-    }
-    if partition.n() != n {
-        return Err(RuntimeError::DimensionMismatch {
-            expected: n,
-            actual: partition.n(),
-            context: "ThreadedClusterEngine::run (partition)",
-        });
-    }
-    if cfg.max_steps == 0 || cfg.exchange_every == 0 {
+fn validate(cfg: &ThreadedConfig) -> crate::Result<()> {
+    if cfg.max_steps == 0 {
         return Err(RuntimeError::InvalidParameter {
-            name: "max_steps/exchange_every",
+            name: "max_steps",
             message: "must be positive".into(),
         });
     }
-    for (name, p) in [
+    check_probabilities(&[
         ("hold_prob", cfg.hold_prob),
         ("drop_prob", cfg.drop_prob),
         ("dup_prob", cfg.dup_prob),
-        ("partial_prob", cfg.partial_prob),
-    ] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(RuntimeError::InvalidParameter {
-                name,
-                message: format!("{name} = {p} outside [0,1]"),
-            });
-        }
-    }
+    ])?;
     if let Some(q) = cfg.quiesce {
         if q.eps.is_nan() || q.eps < 0.0 || q.streak == 0 {
             return Err(RuntimeError::InvalidParameter {

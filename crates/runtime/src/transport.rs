@@ -18,11 +18,17 @@
 //!   duplicate faults *at the seam*, so the channel chaos the paper
 //!   tolerates is exercised on real threads without the engine knowing.
 //!
+//! The fault plane itself is [`FaultRouter`]: what a [`SendFate`] does
+//! to one send, which messages are parked and when they are released.
+//! `FaultEndpoint` draws its fates from a seeded stream; the model
+//! checker's seam scopes enumerate every fate over the same router; the
+//! sequential cluster engine uses it for its drop/duplicate decisions.
+//!
 //! ## Why labels travel with the payload
 //!
 //! Every component value in a message carries the global producing step
 //! of that value. The receiver folds them into its local label book
-//! ([`crate::cluster::apply_message`]), and each block update logs the
+//! ([`crate::worker::Worker::receive`]), and each block update logs the
 //! labels it read — which is what makes a *racy, nondeterministic*
 //! threaded run replayable: the recorded trace pins down exactly which
 //! producing step each read observed, and the Definition-1 replay
@@ -154,9 +160,9 @@ impl FaultPlan {
 
 /// What the fault layer does with one send — the decision the seeded
 /// RNG draws in production ([`Endpoint::send`] on [`FaultEndpoint`]),
-/// and the branch point the model checker enumerates exhaustively
+/// the branch point the model checker enumerates exhaustively
 /// (`asynciter-mc`'s transport-seam scopes walk every fate the plan
-/// could draw).
+/// could draw), and the input of [`FaultRouter::route`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendFate {
     /// The send is lost.
@@ -185,28 +191,118 @@ pub struct SendStats {
     pub held: u64,
 }
 
+/// Why a message leaves a [`FaultRouter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exit {
+    /// The original, posted promptly and in order.
+    Prompt,
+    /// The extra prompt copy of a duplicated send.
+    Duplicate,
+    /// The original, re-posted after waiting behind newer sends — where
+    /// out-of-order arrival happens.
+    Released,
+    /// Lost: the caller must not deliver it.
+    Dropped,
+}
+
+/// The fault plane's bookkeeping for one sender: given the [`SendFate`]
+/// of each send it decides which messages go on the wire now, which are
+/// parked and when parked ones are released, and counts all of it.
+///
+/// It is generic over the message so that [`FaultEndpoint`] (seeded
+/// fates, [`BlockMessage`]s onto a real [`Endpoint`]) and the model
+/// checker's seam scopes (enumerated fates, messages carrying a spec
+/// book alongside) run the same code. Every message handed to
+/// [`FaultRouter::route`] leaves through its `out` callback exactly
+/// once — plus once more per duplicate — tagged with the [`Exit`] that
+/// says why.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultRouter<M> {
+    /// Parked messages: `(release once this many sends were routed,
+    /// dest, message)`.
+    held: Vec<(u64, usize, M)>,
+    stats: SendStats,
+}
+
+impl<M> Default for FaultRouter<M> {
+    fn default() -> Self {
+        Self {
+            held: Vec::new(),
+            stats: SendStats::default(),
+        }
+    }
+}
+
+impl<M: Clone> FaultRouter<M> {
+    /// Sender-side statistics so far; `sent` is the send counter parked
+    /// messages are released against.
+    pub fn stats(&self) -> SendStats {
+        self.stats
+    }
+
+    /// The parked messages, as `(release mark, dest, message)`.
+    pub fn parked(&self) -> &[(u64, usize, M)] {
+        &self.held
+    }
+
+    /// Routes one send of `msg` to `dest` under `fate`, then releases
+    /// every parked message that has now waited behind enough newer
+    /// sends.
+    pub fn route(
+        &mut self,
+        dest: usize,
+        msg: M,
+        fate: SendFate,
+        mut out: impl FnMut(Exit, usize, M),
+    ) {
+        self.stats.sent += 1;
+        match fate {
+            SendFate::Drop => {
+                self.stats.dropped += 1;
+                out(Exit::Dropped, dest, msg);
+            }
+            SendFate::Deliver { dup, hold } => {
+                if dup {
+                    self.stats.duplicated += 1;
+                    out(Exit::Duplicate, dest, msg.clone());
+                }
+                if hold > 0 {
+                    self.stats.held += 1;
+                    self.held.push((self.stats.sent + hold, dest, msg));
+                } else {
+                    out(Exit::Prompt, dest, msg);
+                }
+            }
+        }
+        let mut i = 0;
+        while i < self.held.len() {
+            if self.held[i].0 <= self.stats.sent {
+                let (_, dest, msg) = self.held.swap_remove(i);
+                out(Exit::Released, dest, msg);
+            } else {
+                i += 1;
+            }
+        }
+    }
+}
+
 /// A fault-injecting decorator around any [`Endpoint`]: drops,
-/// duplicates and holds messages at the transport seam, driven by a
-/// seeded per-worker RNG. Held messages are re-posted only after enough
-/// *newer* traffic has passed them, which is what realises out-of-order
-/// arrival over an otherwise FIFO channel.
+/// duplicates and holds messages at the transport seam — a
+/// [`FaultRouter`] whose fates come from a seeded per-worker RNG and
+/// whose exits go onto the wrapped endpoint.
 pub struct FaultEndpoint {
     inner: Box<dyn Endpoint>,
     plan: FaultPlan,
     rng: StdRng,
-    /// Parked messages: `(release after this many total sends, dest,
-    /// message)`.
-    held: Vec<(u64, usize, BlockMessage)>,
-    sends: u64,
-    stats: SendStats,
+    router: FaultRouter<BlockMessage>,
 }
 
 impl std::fmt::Debug for FaultEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultEndpoint")
             .field("plan", &self.plan)
-            .field("held", &self.held.len())
-            .field("stats", &self.stats)
+            .field("held", &self.router.parked().len())
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -219,21 +315,18 @@ impl FaultEndpoint {
             inner,
             plan,
             rng: rng(seed),
-            held: Vec::new(),
-            sends: 0,
-            stats: SendStats::default(),
+            router: FaultRouter::default(),
         }
     }
 
     /// Sender-side statistics accumulated so far.
     pub fn stats(&self) -> SendStats {
-        self.stats
+        self.router.stats()
     }
 
-    /// Draws one [`SendFate`] from the seeded stream, with the same
-    /// draw order the original inline implementation used (drop, then
-    /// dup, then hold, then the hold distance) — seeded runs are
-    /// bit-stable across the refactor.
+    /// Draws one [`SendFate`] from the seeded stream: drop, then dup,
+    /// then hold, then the hold distance — the draw order seeded runs
+    /// are pinned to.
     fn draw_fate(&mut self) -> SendFate {
         if self.plan.drop_prob > 0.0 && self.rng.random_range(0.0..1.0) < self.plan.drop_prob {
             return SendFate::Drop;
@@ -249,45 +342,16 @@ impl FaultEndpoint {
     }
 
     /// Applies one send under an explicit `fate` — the deterministic
-    /// core of [`Endpoint::send`], public so the model checker can step
-    /// a real `FaultEndpoint` through an *enumerated* fate sequence and
-    /// compare against its own seam model.
+    /// core of [`Endpoint::send`], public so a test can step a real
+    /// `FaultEndpoint` and the model checker's seam model through the
+    /// same fate script and compare them.
     pub fn send_with_fate(&mut self, dest: usize, msg: BlockMessage, fate: SendFate) {
-        self.stats.sent += 1;
-        self.sends += 1;
-        match fate {
-            SendFate::Drop => self.stats.dropped += 1,
-            SendFate::Deliver { dup, hold } => {
-                if dup {
-                    self.stats.duplicated += 1;
-                    self.inner.send(dest, msg.clone());
-                }
-                if hold > 0 {
-                    self.stats.held += 1;
-                    self.held.push((self.sends + hold, dest, msg));
-                } else {
-                    self.inner.send(dest, msg);
-                }
+        let inner = &mut self.inner;
+        self.router.route(dest, msg, fate, |exit, dest, msg| {
+            if exit != Exit::Dropped {
+                inner.send(dest, msg);
             }
-        }
-        // Re-post parked messages that have now waited behind enough
-        // newer traffic — this is where out-of-order arrival happens.
-        self.release_due();
-    }
-
-    fn release_due(&mut self) {
-        if self.held.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.held.len() {
-            if self.held[i].0 <= self.sends {
-                let (_, dest, msg) = self.held.swap_remove(i);
-                self.inner.send(dest, msg);
-            } else {
-                i += 1;
-            }
-        }
+        });
     }
 }
 

@@ -1,0 +1,252 @@
+//! The message-passing worker: one shard owner's receive → produce →
+//! post step, shared by every cluster scheduler.
+//!
+//! A [`Worker`] owns one [`Partition`] block, a full local view of its
+//! best knowledge of everyone else, the producing-step label of every
+//! view entry, its operator scratch and its counters. It never decides
+//! *when* it runs or what happens to a message once posted — that is
+//! the scheduler's job, and three schedulers drive this same code:
+//!
+//! - [`crate::cluster::ClusterEngine`] — round-robin turns, latency
+//!   mailboxes, one seeded stream (deterministic);
+//! - [`crate::threaded::ThreadedClusterEngine`] — one OS thread per
+//!   worker, step numbers from a shared `SeqCst` counter, messages over
+//!   a [`crate::transport::Transport`];
+//! - `asynciter-mc`'s `SeamModel` — every interleaving of worker steps
+//!   crossed with every [`crate::transport::SendFate`], exhaustively.
+//!
+//! `Worker` is `Clone` so the model checker can branch a state; a clone
+//! is a deep copy of everything the worker's future depends on.
+
+use crate::cluster::{apply_message, produce_block, ApplyPolicy};
+use crate::error::RuntimeError;
+use crate::transport::BlockMessage;
+use asynciter_models::partition::Partition;
+use asynciter_opt::traits::Operator;
+use rand::rngs::StdRng;
+use rand::RngExt;
+
+/// What one worker did so far. Summed over workers ([`Worker::totals`])
+/// these are the receiver-side and flexible-exchange counters of a run
+/// result.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkerCounters {
+    /// Block updates produced.
+    pub updates: u64,
+    /// Messages received (duplicates included).
+    pub delivered: u64,
+    /// Partial (subset) messages posted.
+    pub partial_publishes: u64,
+    /// Component values applied out of partial messages.
+    pub partial_reads: u64,
+    /// Freshness checks performed (`KeepFreshest`: one per received
+    /// component).
+    pub constraint_checked: u64,
+    /// Received components discarded as stale (`KeepFreshest` only).
+    pub constraint_violations: u64,
+}
+
+/// One shard owner of a message-passing cluster. See the module docs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Worker {
+    id: usize,
+    workers: usize,
+    block: Vec<usize>,
+    policy: ApplyPolicy,
+    exchange_every: u64,
+    partial_prob: f64,
+    view: Vec<f64>,
+    labels: Vec<u64>,
+    // Block output and operator scratch, allocated once: the step is
+    // heap-allocation-free apart from the posted message payload.
+    upd: Vec<f64>,
+    scratch: Vec<f64>,
+    counters: WorkerCounters,
+}
+
+impl Worker {
+    /// One worker per [`Partition`] machine, each owning its block and
+    /// starting from `x0` with every label 0. Workers fold received
+    /// messages in under `policy` and post their block every
+    /// `exchange_every` of their own updates, as a random nonempty
+    /// subset with probability `partial_prob`.
+    ///
+    /// # Errors
+    /// `x0` or `partition` not sized for `op`, `exchange_every == 0`, or
+    /// `partial_prob` outside `[0, 1]`.
+    pub fn mesh(
+        op: &dyn Operator,
+        x0: &[f64],
+        partition: &Partition,
+        policy: ApplyPolicy,
+        exchange_every: u64,
+        partial_prob: f64,
+    ) -> crate::Result<Vec<Worker>> {
+        let n = op.dim();
+        for (actual, context) in [
+            (x0.len(), "Worker::mesh (x0)"),
+            (partition.n(), "Worker::mesh (partition)"),
+        ] {
+            if actual != n {
+                return Err(RuntimeError::DimensionMismatch {
+                    expected: n,
+                    actual,
+                    context,
+                });
+            }
+        }
+        if exchange_every == 0 {
+            return Err(RuntimeError::InvalidParameter {
+                name: "exchange_every",
+                message: "must be positive".into(),
+            });
+        }
+        check_probabilities(&[("partial_prob", partial_prob)])?;
+        let workers = partition.num_machines();
+        let worker = |id| Worker {
+            id,
+            workers,
+            block: partition.components_of(id),
+            policy,
+            exchange_every,
+            partial_prob,
+            view: x0.to_vec(),
+            labels: vec![0; n],
+            upd: vec![0.0; n],
+            scratch: vec![0.0; op.scratch_len()],
+            counters: WorkerCounters::default(),
+        };
+        Ok((0..workers).map(worker).collect())
+    }
+
+    /// This worker's index in the mesh.
+    pub fn id(&self) -> usize {
+        self.id
+    }
+
+    /// The owned components.
+    pub fn block(&self) -> &[usize] {
+        &self.block
+    }
+
+    /// The local view: own block plus best knowledge of everyone else.
+    pub fn view(&self) -> &[f64] {
+        &self.view
+    }
+
+    /// The label book: the global producing step of every view entry
+    /// (0 = initial value). Recording these just before
+    /// [`Worker::produce`] is what makes a run replay bit for bit.
+    pub fn labels(&self) -> &[u64] {
+        &self.labels
+    }
+
+    /// What this worker did so far.
+    pub fn counters(&self) -> WorkerCounters {
+        self.counters
+    }
+
+    /// Counters summed over `workers`.
+    pub fn totals(workers: &[Worker]) -> WorkerCounters {
+        workers
+            .iter()
+            .fold(WorkerCounters::default(), |t, w| WorkerCounters {
+                updates: t.updates + w.counters.updates,
+                delivered: t.delivered + w.counters.delivered,
+                partial_publishes: t.partial_publishes + w.counters.partial_publishes,
+                partial_reads: t.partial_reads + w.counters.partial_reads,
+                constraint_checked: t.constraint_checked + w.counters.constraint_checked,
+                constraint_violations: t.constraint_violations + w.counters.constraint_violations,
+            })
+    }
+
+    /// Every other worker of the mesh, ascending — the destinations of
+    /// a posted message.
+    pub fn peers(&self) -> impl Iterator<Item = usize> {
+        let id = self.id;
+        (0..self.workers).filter(move |&dest| dest != id)
+    }
+
+    /// Whether the next [`Worker::produce`] is followed by an exchange
+    /// ([`Worker::post`] returns a message). A lone worker never posts.
+    pub fn next_update_posts(&self) -> bool {
+        self.exchange_due(self.counters.updates + 1)
+    }
+
+    fn exchange_due(&self, updates: u64) -> bool {
+        self.workers > 1 && updates.is_multiple_of(self.exchange_every)
+    }
+
+    /// Folds one received message into the view and label book.
+    pub fn receive(&mut self, msg: &BlockMessage) {
+        self.counters.delivered += 1;
+        let out = apply_message(&mut self.view, &mut self.labels, &msg.comps, self.policy);
+        self.counters.constraint_checked += out.checked;
+        self.counters.constraint_violations += out.stale;
+        if msg.partial {
+            self.counters.partial_reads += out.applied;
+        }
+    }
+
+    /// One block update at global step `j`: Jacobi within the block on
+    /// the current view, the produced components stamped with label `j`.
+    ///
+    /// # Errors
+    /// [`RuntimeError::NonFiniteIterate`] when the operator diverges.
+    pub fn produce(&mut self, op: &dyn Operator, j: u64) -> Result<(), RuntimeError> {
+        produce_block(
+            op,
+            &mut self.view,
+            &mut self.labels,
+            &self.block,
+            j,
+            &mut self.upd,
+            &mut self.scratch,
+        )?;
+        self.counters.updates += 1;
+        Ok(())
+    }
+
+    /// The exchange after an update: the owned block with its labels —
+    /// or, with probability `partial_prob`, a random nonempty subset of
+    /// it (Definition-3 flexible communication) — to be sent to every
+    /// [peer](Worker::peers). `None` when no exchange is due. `rng` is
+    /// drawn from only when `partial_prob > 0`.
+    pub fn post(&mut self, rng: &mut StdRng) -> Option<BlockMessage> {
+        if !self.exchange_due(self.counters.updates) {
+            return None;
+        }
+        let partial = self.partial_prob > 0.0 && rng.random_range(0.0..1.0) < self.partial_prob;
+        let entry = |i: usize| (i as u32, self.view[i], self.labels[i]);
+        let mut comps: Vec<(u32, f64, u64)> = self.block.iter().map(|&i| entry(i)).collect();
+        if partial {
+            self.counters.partial_publishes += 1;
+            comps.retain(|_| rng.random_range(0..2u32) == 1);
+            if comps.is_empty() {
+                // A partial exchange carries at least one entry.
+                comps.push(entry(self.block[rng.random_range(0..self.block.len())]));
+            }
+        }
+        Some(BlockMessage {
+            from: self.id,
+            comps,
+            partial,
+        })
+    }
+
+    /// Fixed-point residual of the local view.
+    pub fn residual(&mut self, op: &dyn Operator) -> f64 {
+        op.residual_inf_with(&self.view, &mut self.scratch)
+    }
+}
+
+/// Rejects any named probability outside `[0, 1]`.
+pub(crate) fn check_probabilities(probs: &[(&'static str, f64)]) -> Result<(), RuntimeError> {
+    match probs.iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
+        None => Ok(()),
+        Some(&(name, p)) => Err(RuntimeError::InvalidParameter {
+            name,
+            message: format!("{name} = {p} outside [0,1]"),
+        }),
+    }
+}

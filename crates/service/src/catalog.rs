@@ -13,67 +13,11 @@
 //! stopping, so converged jobs finish in hundreds of steps while the
 //! budget only bounds the pathological tail.
 
-use asynciter_opt::lasso::LassoProblem;
-use asynciter_opt::linear::JacobiOperator;
-use asynciter_opt::logistic::LogisticGradOperator;
-use asynciter_opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
-use asynciter_opt::obstacle::{ObstacleProblem, ProjectedJacobi};
-use asynciter_opt::prox::L1;
-use asynciter_opt::proxgrad::{gamma_max, SparseProxGrad};
-use asynciter_opt::traits::{Operator, SmoothObjective};
+use asynciter_opt::canonical::{self, Canonical};
+use asynciter_opt::traits::Operator;
 
 /// The problem axis a job spec can name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProblemId {
-    /// Diagonally dominant tridiagonal system, Jacobi operator (n=16).
-    Jacobi,
-    /// Lasso regression via the sparse prox-gradient operator (n=12).
-    Lasso,
-    /// Membrane obstacle problem, projected Jacobi (6×6 grid).
-    Obstacle,
-    /// Certified ℓ₂-regularised logistic regression (n=8, m=48).
-    Logistic,
-    /// Min-cost network flow dual prices on the 12-spoke wheel.
-    NetworkFlow,
-}
-
-impl ProblemId {
-    /// Every family, sweep order.
-    pub const ALL: [ProblemId; 5] = [
-        ProblemId::Jacobi,
-        ProblemId::Lasso,
-        ProblemId::Obstacle,
-        ProblemId::Logistic,
-        ProblemId::NetworkFlow,
-    ];
-
-    /// Stable identifier for records and CLI flags.
-    pub fn id(self) -> &'static str {
-        match self {
-            ProblemId::Jacobi => "jacobi",
-            ProblemId::Lasso => "lasso",
-            ProblemId::Obstacle => "obstacle",
-            ProblemId::Logistic => "logistic",
-            ProblemId::NetworkFlow => "network-flow",
-        }
-    }
-
-    /// Parses a CLI identifier.
-    pub fn parse(text: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|p| p.id() == text)
-    }
-
-    /// Index into [`Catalog`] storage.
-    fn index(self) -> usize {
-        match self {
-            ProblemId::Jacobi => 0,
-            ProblemId::Lasso => 1,
-            ProblemId::Obstacle => 2,
-            ProblemId::Logistic => 3,
-            ProblemId::NetworkFlow => 4,
-        }
-    }
-}
+pub use asynciter_opt::canonical::Kind as ProblemId;
 
 /// One shared problem instance plus its serving calibration.
 pub struct CatalogEntry {
@@ -111,86 +55,35 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Builds every calibrated instance (once per service).
+    /// Builds every calibrated instance (once per service): the
+    /// canonical instance, its tolerance as the residual target and its
+    /// step budget, plus the flexible backend's fixed budget.
     ///
     /// # Panics
     /// Panics only if the static instances fail to construct (a bug).
     pub fn new() -> Self {
+        fn entry<O: Operator + 'static>(
+            id: ProblemId,
+            c: Canonical<O>,
+            flex_budget: u64,
+        ) -> CatalogEntry {
+            CatalogEntry {
+                id,
+                op: Box::new(c.op),
+                x0: c.x0,
+                target: c.tol,
+                budget: c.steps,
+                flex_budget,
+            }
+        }
         let entries = ProblemId::ALL
             .into_iter()
             .map(|id| match id {
-                ProblemId::Jacobi => {
-                    let n = 16;
-                    let op = JacobiOperator::new(
-                        asynciter_numerics::sparse::tridiagonal(n, 4.0, -1.0),
-                        vec![1.0; n],
-                    )
-                    .expect("static Jacobi instance");
-                    CatalogEntry {
-                        id,
-                        x0: vec![0.0; n],
-                        op: Box::new(op),
-                        target: 1e-8,
-                        budget: 6_000,
-                        flex_budget: 1_200,
-                    }
-                }
-                ProblemId::Lasso => {
-                    let (n, m, k) = (12, 72, 3);
-                    let problem = LassoProblem::random(n, m, k, 0.05, 0.01, 7)
-                        .expect("static lasso instance");
-                    let q = problem.quadratic.clone();
-                    let gamma = 0.9 * gamma_max(q.strong_convexity(), q.lipschitz());
-                    let op = SparseProxGrad::new(q, L1::new(problem.lambda), gamma)
-                        .expect("gamma within Theorem-1 range");
-                    CatalogEntry {
-                        id,
-                        x0: vec![0.0; n],
-                        op: Box::new(op),
-                        target: 1e-7,
-                        budget: 8_000,
-                        flex_budget: 1_200,
-                    }
-                }
-                ProblemId::Obstacle => {
-                    let g = 6;
-                    let problem =
-                        ObstacleProblem::bump(g, g, 0.6).expect("static obstacle instance");
-                    let op = ProjectedJacobi::new(problem);
-                    CatalogEntry {
-                        id,
-                        x0: op.upper_start(),
-                        op: Box::new(op),
-                        target: 1e-6,
-                        budget: 30_000,
-                        flex_budget: 2_000,
-                    }
-                }
-                ProblemId::Logistic => {
-                    let (n, m) = (8, 48);
-                    let op = LogisticGradOperator::certified_random(n, m, 2.0, 13)
-                        .expect("certified logistic instance");
-                    CatalogEntry {
-                        id,
-                        x0: vec![0.0; n],
-                        op: Box::new(op),
-                        target: 1e-7,
-                        budget: 8_000,
-                        flex_budget: 1_200,
-                    }
-                }
-                ProblemId::NetworkFlow => {
-                    let problem = NetworkFlowProblem::wheel(12, 21).expect("static wheel instance");
-                    let op = PriceRelaxation::new(problem, 0).expect("hub-grounded relaxation");
-                    CatalogEntry {
-                        id,
-                        x0: vec![0.0; op.dim()],
-                        op: Box::new(op),
-                        target: 1e-7,
-                        budget: 10_000,
-                        flex_budget: 1_500,
-                    }
-                }
+                ProblemId::Jacobi => entry(id, canonical::jacobi(), 1_200),
+                ProblemId::Lasso => entry(id, canonical::lasso(), 1_200),
+                ProblemId::Obstacle => entry(id, canonical::obstacle(), 2_000),
+                ProblemId::Logistic => entry(id, canonical::logistic(), 1_200),
+                ProblemId::NetworkFlow => entry(id, canonical::network_flow(), 1_500),
             })
             .collect();
         Self { entries }
@@ -198,7 +91,7 @@ impl Catalog {
 
     /// The entry for `id`.
     pub fn get(&self, id: ProblemId) -> &CatalogEntry {
-        &self.entries[id.index()]
+        &self.entries[id as usize]
     }
 
     /// Largest `n + scratch_len` over the catalog — the workspace size

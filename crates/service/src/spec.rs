@@ -19,62 +19,13 @@ use asynciter_core::session::{Flexible, RecordMode, Replay, RunReport, Session};
 use asynciter_core::stopping::StoppingRule;
 use asynciter_models::schedule::{ChaoticBounded, SyncJacobi};
 use asynciter_runtime::{ApplyPolicy, Cluster, LinkModel};
-use std::cmp::Ordering;
 
 /// How often stopping-capable backends check the residual target.
 const CHECK_EVERY: u64 = 16;
 
-/// Per-message link latency for cluster jobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DelaySpec {
-    /// Constant latency (in-order, bounded staleness).
-    Fixed {
-        /// Latency in steps.
-        ticks: u64,
-    },
-    /// Uniform latency in `[lo, hi]` (mild reordering).
-    Jitter {
-        /// Minimum latency.
-        lo: u64,
-        /// Maximum latency.
-        hi: u64,
-    },
-    /// Pareto-tailed latency (unbounded delays).
-    HeavyTail {
-        /// Scale (minimum latency).
-        scale: u64,
-        /// Pareto shape; must be positive.
-        alpha: f64,
-    },
-}
-
-impl DelaySpec {
-    fn to_link(self) -> LinkModel {
-        match self {
-            DelaySpec::Fixed { ticks } => LinkModel::Fixed { ticks },
-            DelaySpec::Jitter { lo, hi } => LinkModel::Jitter { lo, hi },
-            DelaySpec::HeavyTail { scale, alpha } => LinkModel::HeavyTail { scale, alpha },
-        }
-    }
-
-    fn validate(&self) -> Result<()> {
-        match *self {
-            DelaySpec::Fixed { .. } => Ok(()),
-            DelaySpec::Jitter { lo, hi } if hi < lo => Err(ServiceError::InvalidJob {
-                message: format!("jitter delay needs lo <= hi (got lo {lo}, hi {hi})"),
-            }),
-            DelaySpec::Jitter { .. } => Ok(()),
-            DelaySpec::HeavyTail { alpha, .. }
-                if alpha.partial_cmp(&0.0) != Some(Ordering::Greater) =>
-            {
-                Err(ServiceError::InvalidJob {
-                    message: format!("heavy-tail alpha must be positive (got {alpha})"),
-                })
-            }
-            DelaySpec::HeavyTail { .. } => Ok(()),
-        }
-    }
-}
+/// Per-message link latency for cluster jobs: the cluster engine's own
+/// [`LinkModel`] (`Fixed`, `Jitter`, `HeavyTail`).
+pub type DelaySpec = LinkModel;
 
 /// Schedule steering for replay jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,7 +151,7 @@ impl JobSpec {
                         return invalid(format!("{name} must be in [0, 1] (got {p})"));
                     }
                 }
-                delay.validate()
+                delay.validate().or_else(invalid)
             }
         }
     }
@@ -255,7 +206,7 @@ impl JobSpec {
                 })
                 .backend(Cluster {
                     workers,
-                    link: delay.to_link(),
+                    link: delay,
                     hold_prob,
                     drop_prob,
                     apply_policy: policy,

@@ -10,12 +10,9 @@
 //! The audit swaps in a counting global allocator and runs everything in
 //! ONE `#[test]` so no parallel test thread can pollute the counter.
 
-use asynciter::opt::lasso::LassoProblem;
 use asynciter::opt::logistic::LogisticGradOperator;
 use asynciter::opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
-use asynciter::opt::prox::L1;
-use asynciter::opt::proxgrad::{gamma_max, SparseProxGrad};
-use asynciter::opt::traits::{Operator, SmoothObjective};
+use asynciter::opt::traits::Operator;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -94,10 +91,7 @@ fn audit_operator(op: &dyn Operator, steps: usize) -> u64 {
 #[test]
 fn per_step_paths_allocate_nothing() {
     // Lasso via the sparse prox-gradient operator.
-    let lasso = LassoProblem::random(12, 72, 3, 0.05, 0.01, 7).unwrap();
-    let q = lasso.quadratic.clone();
-    let gamma = 0.9 * gamma_max(q.strong_convexity(), q.lipschitz());
-    let sparse = SparseProxGrad::new(q, L1::new(lasso.lambda), gamma).unwrap();
+    let sparse = asynciter::opt::canonical::lasso().op;
 
     // Logistic regression via the certified gradient operator (dense
     // data coupling: the scratch holds the per-sample weights).

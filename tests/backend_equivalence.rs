@@ -218,13 +218,7 @@ fn cluster_single_worker_matches_replay_bitwise_on_jacobi() {
 
 #[test]
 fn cluster_single_worker_matches_replay_bitwise_on_lasso() {
-    use asynciter::opt::lasso::LassoProblem;
-    use asynciter::opt::proxgrad::SparseProxGrad;
-    use asynciter::opt::traits::SmoothObjective;
-    let problem = LassoProblem::random(12, 72, 3, 0.05, 0.01, 7).unwrap();
-    let q = problem.quadratic.clone();
-    let gamma = 0.9 * asynciter::opt::proxgrad::gamma_max(q.strong_convexity(), q.lipschitz());
-    let op = SparseProxGrad::new(q, L1::new(problem.lambda), gamma).unwrap();
+    let op = asynciter::opt::canonical::lasso().op;
     assert_cluster_degenerates(&op, 400, "lasso");
 }
 
@@ -315,9 +309,9 @@ fn threaded_faulty_multiworker_trace_is_deterministic_under_replay() {
 #[test]
 fn threaded_single_worker_matches_sequential_cluster_bitwise() {
     // One free-running worker with a faultless transport executes the
-    // sequential cluster's exact step sequence (both engines share the
-    // same `produce_block` arithmetic), so the concurrency layer must
-    // be a bitwise no-op at workers = 1.
+    // sequential cluster's exact step sequence (both engines step the
+    // same `runtime::Worker`), so the concurrency layer must be a
+    // bitwise no-op at workers = 1.
     let op = quickstart_operator(24);
     let steps = 300;
     let threaded = Session::new(&op)

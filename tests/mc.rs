@@ -13,12 +13,17 @@ use asynciter::conformance::cluster::has_label_regression;
 use asynciter::conformance::corpus::load_trace;
 use asynciter::core::session::Session;
 use asynciter::mc::counterexample::envelope_violation;
+use asynciter::mc::seam::SeamChoice;
 use asynciter::mc::{
     explore, explore_check_por, find_reorder_demo, inject_bug_demo, rebuild, seam_bug_demo,
     state_hash, ClusterModel, ExploreOutcome, McProblem, McState, Model, Por, Property, Scope,
     SeamBug, SeamModel, SeamScope, Strategy,
 };
-use asynciter::runtime::{Cluster, ThreadedCluster};
+use asynciter::models::conditions::DelayEnvelope;
+use asynciter::models::Partition;
+use asynciter::numerics::rng::rng;
+use asynciter::runtime::transport::{Endpoint, FaultEndpoint, FaultPlan, SendFate, Transport};
+use asynciter::runtime::{ApplyPolicy, Cluster, MpscTransport, ThreadedCluster, Worker};
 use std::path::Path;
 
 const CORPUS_DIR: &str = "tests/corpus";
@@ -108,7 +113,7 @@ fn state_hash_locks_the_canonical_encoding() {
 /// The reduced two-worker seam universe cheap enough for every
 /// `cargo test`: every interleaving of free-running worker steps × every
 /// FaultEndpoint fate over two rounds. The full `seam2` sweep (163339
-/// states) runs in the nightly `mc-full` job.
+/// states) runs in the PR-path `mc` CI job.
 fn seam_tier1() -> SeamScope {
     SeamScope {
         name: "seam-tier1".into(),
@@ -287,15 +292,96 @@ fn seam1_matches_sequential_and_threaded_cluster_bitwise() {
         .unwrap();
     for c in 0..problem.n() {
         assert_eq!(
-            terminal.views[0][c].to_bits(),
+            terminal.workers[0].view()[c].to_bits(),
             cluster.final_x[c].to_bits(),
             "seam model diverges from Cluster{{1}} at component {c}"
         );
         assert_eq!(
-            terminal.views[0][c].to_bits(),
+            terminal.workers[0].view()[c].to_bits(),
             threaded.final_x[c].to_bits(),
             "seam model diverges from ThreadedCluster{{1}} at component {c}"
         );
+    }
+}
+
+#[test]
+fn seam_model_and_fault_endpoint_agree_bitwise_on_a_fate_script() {
+    // The seam model and the threaded engine's stack are the same
+    // `Worker` + `FaultRouter` code under different schedulers. Step two
+    // workers through one (who steps, fate of its send) script — once
+    // over real `FaultEndpoint`s on an `MpscTransport`, once through
+    // `SeamModel::apply` — and compare arrival order at every drain and
+    // views + label books after every step.
+    let hold = |hold| SendFate::Deliver { dup: false, hold };
+    let dup = |hold| SendFate::Deliver { dup: true, hold };
+    let script = [
+        // Four sends before worker 1 looks: hold 2, hold 2, hold 1,
+        // prompt. The release scan lets them arrive as sends 1, 4, 3, 2.
+        (0, hold(2)),
+        (0, hold(2)),
+        (0, hold(1)),
+        (0, hold(0)),
+        (1, dup(1)),
+        (0, SendFate::Drop),
+        (1, hold(0)),
+        (0, dup(0)),
+        (1, SendFate::Drop),
+        (1, hold(2)),
+        (0, dup(2)),
+        (1, hold(0)),
+    ];
+    let scope = SeamScope {
+        name: "differential".into(),
+        rounds: 7,
+        max_in_flight: 16,
+        envelope: DelayEnvelope::Bounded(64),
+        ..SeamScope::seam2()
+    };
+    let problem = McProblem::build();
+    let model = SeamModel::new(&scope, &problem);
+    let mut state = model.initial();
+
+    let partition = Partition::blocks(problem.n(), 2).unwrap();
+    let policy = ApplyPolicy::AsReceived;
+    let mut workers = Worker::mesh(&problem.op, &problem.x0, &partition, policy, 1, 0.0).unwrap();
+    let mut ends: Vec<FaultEndpoint> = MpscTransport
+        .connect(2)
+        .into_iter()
+        .map(|end| FaultEndpoint::new(end, FaultPlan::none(), 0))
+        .collect();
+    let mut never_drawn = rng(0);
+
+    for (j, &(w, fate)) in (1..).zip(&script) {
+        let queued: Vec<u64> = state.inboxes[w].iter().map(|m| m.msg.comps[0].2).collect();
+        let mut received = Vec::new();
+        while let Some(msg) = ends[w].try_recv() {
+            received.push(msg.comps[0].2);
+            workers[w].receive(&msg);
+        }
+        assert_eq!(received, queued, "step {j}: arrival order at worker {w}");
+        if j == 5 {
+            assert_eq!(
+                received,
+                [1, 4, 3, 2],
+                "release order of the four held sends"
+            );
+        }
+        workers[w].produce(&problem.op, j).unwrap();
+        let msg = workers[w]
+            .post(&mut never_drawn)
+            .expect("exchange every update");
+        ends[w].send_with_fate(1 - w, msg, fate);
+
+        let choice = SeamChoice {
+            worker: w,
+            fates: vec![fate],
+        };
+        state = model.apply(&state, &choice, None).expect("in scope").0;
+        for (real, seam) in workers.iter().zip(&state.workers) {
+            let bits = |view: &[f64]| view.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(real.view()), bits(seam.view()), "step {j}: views");
+            assert_eq!(real.labels(), seam.labels(), "step {j}: label books");
+        }
     }
 }
 
