@@ -193,6 +193,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         }
         scope.workers = w;
     }
+    scope.validate()?;
     Ok(Args {
         scope,
         seam,
@@ -553,6 +554,15 @@ mod tests {
             (
                 &["--workers", "4"],
                 "--workers: bounded scopes support 2 or 3 workers",
+            ),
+            (
+                &["--scope", "flex", "--workers", "3"],
+                "scope 'flex': partial mask index 7 is outside the smallest block \
+                 (5 components with 3 workers)",
+            ),
+            (
+                &["--steps", "0"],
+                "scope 'quick': the horizon must be at least 1 step",
             ),
             (
                 &["--scope", "seam2", "--por", "on"],

@@ -13,11 +13,11 @@
 //! replayed deterministically to rebuild the producing-step trace for
 //! the counterexample pipeline.
 
+use crate::book::{EdgeInfo, PruneReason};
 use crate::invariants::{check_edge, check_reorder, check_terminal, Violation};
 use crate::scope::{McProblem, Scope, MC_DIM};
 use crate::state::{
-    apply_choice, enumerate_choices_por, state_hash, EdgeInfo, McState, Por, PorCounts,
-    PruneReason, StepChoice,
+    apply_choice, enumerate_choices_por, state_hash, McState, Por, PorCounts, StepChoice,
 };
 use asynciter_models::{LabelStore, Trace};
 use std::collections::{BTreeSet, VecDeque};

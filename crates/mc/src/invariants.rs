@@ -31,8 +31,9 @@
 //! committed `fault-cluster-reorder.trace` — to prove the scope can
 //! rediscover it.
 
+use crate::book::{Book, EdgeInfo};
 use crate::scope::{McProblem, Scope};
-use crate::state::{EdgeInfo, McState};
+use crate::state::McState;
 use asynciter_core::session::Session;
 use asynciter_models::conditions::AdmissibilityWitness;
 use asynciter_models::Trace;
@@ -115,12 +116,11 @@ pub(crate) fn check_contraction(problem: &McProblem, edge: &EdgeInfo) -> Option<
 }
 
 /// Admissibility of one edge: condition (a) on the recorded read, and
-/// agreement of every worker's engine label book (`labels`) with its
-/// spec book after the step.
+/// agreement of every worker's engine label book with its spec book
+/// after the step.
 pub(crate) fn check_admissibility(
     problem: &McProblem,
-    labels: &[impl AsRef<[u64]>],
-    spec_labels: &[Vec<u64>],
+    book: &Book,
     edge: &EdgeInfo,
 ) -> Option<Violation> {
     if let Some(c) = (0..problem.n()).find(|&c| edge.read_labels[c] >= edge.j) {
@@ -133,8 +133,8 @@ pub(crate) fn check_admissibility(
             ),
         });
     }
-    for (ww, (engine, spec)) in labels.iter().zip(spec_labels).enumerate() {
-        let engine = engine.as_ref();
+    for (ww, (worker, spec)) in book.workers.iter().zip(&book.spec).enumerate() {
+        let engine = worker.labels();
         if let Some(c) = (0..problem.n()).find(|&c| engine[c] != spec[c]) {
             return Some(Violation {
                 property: Property::Admissibility,
@@ -165,18 +165,22 @@ pub fn check_edge(
     // KeepFreshest label monotonicity (view labels never regress).
     let w = edge.worker;
     if scope.apply_policy == ApplyPolicy::KeepFreshest {
-        if let Some(c) = (0..problem.n()).find(|&c| child.labels[w][c] < parent.labels[w][c]) {
+        let (before, after) = (
+            parent.book.workers[w].labels(),
+            child.book.workers[w].labels(),
+        );
+        if let Some(c) = (0..problem.n()).find(|&c| after[c] < before[c]) {
             return Some(Violation {
                 property: Property::KeepFreshest,
                 j: edge.j,
                 detail: format!(
                     "KeepFreshest applied a stale value at j={}: component {c} label {} → {}",
-                    edge.j, parent.labels[w][c], child.labels[w][c]
+                    edge.j, before[c], after[c]
                 ),
             });
         }
     }
-    check_admissibility(problem, &child.labels, &child.spec_labels, edge)
+    check_admissibility(problem, &child.book, edge)
 }
 
 /// Checks the out-of-order probe on an edge: a label regression between
@@ -209,33 +213,25 @@ pub fn check_terminal(
     // Steering gap: round-robin updates every component within
     // `workers` steps.
     let witness = AdmissibilityWitness::new(scope.envelope, scope.workers as u64);
-    check_horizon(
-        problem,
-        &scope.blocks(),
-        &state.views,
-        scope.steps,
-        &witness,
-        trace,
-    )
+    check_horizon(problem, &state.book, scope.steps, &witness, trace)
 }
 
-/// The horizon invariants shared by every model: `blocks`/`views` are
-/// the owned block and final local view of each worker, `steps` the
-/// scope's producing-step horizon, `witness` its admissibility witness
+/// The horizon invariants shared by every model: `book` holds the
+/// workers at the terminal state, `steps` is the scope's
+/// producing-step horizon, `witness` its admissibility witness
 /// (envelope + steering gap).
 pub(crate) fn check_horizon(
     problem: &McProblem,
-    blocks: &[impl AsRef<[usize]>],
-    views: &[impl AsRef<[f64]>],
+    book: &Book,
     steps: u64,
     witness: &AdmissibilityWitness,
     trace: &Trace,
 ) -> Option<Violation> {
     let n = problem.n();
     let mut consensus = vec![0.0; n];
-    for (block, view) in blocks.iter().zip(views) {
-        for &i in block.as_ref() {
-            consensus[i] = view.as_ref()[i];
+    for worker in &book.workers {
+        for &i in worker.block() {
+            consensus[i] = worker.view()[i];
         }
     }
     let violation = |detail| {
@@ -249,7 +245,7 @@ pub(crate) fn check_horizon(
     // Convergence at the horizon: once every worker has produced at
     // least once, each owned block went through one contraction of a
     // view whose error was ≤ Φ₀ = E₀.
-    if steps >= blocks.len() as u64 {
+    if steps >= book.workers.len() as u64 {
         let err = consensus
             .iter()
             .enumerate()
@@ -315,7 +311,7 @@ mod tests {
         let s = McState::initial(&scope, &problem);
         let choice = &enumerate_choices(&s, &scope)[0];
         let (mut t, edge) = apply_choice(&s, choice, &scope, &problem, None).unwrap();
-        t.labels[1][3] = 7; // corrupt the engine book
+        t.book.spec[1][3] = 7; // the books no longer agree
         let v = check_edge(&scope, &problem, &s, &t, &edge).expect("divergence caught");
         assert_eq!(v.property, Property::Admissibility);
     }
@@ -323,7 +319,7 @@ mod tests {
     #[test]
     fn reorder_probe_fires_on_a_regressed_read() {
         let problem = McProblem::build();
-        let edge = crate::state::EdgeInfo {
+        let edge = EdgeInfo {
             j: 6,
             worker: 1,
             read_labels: vec![1; problem.n()],

@@ -22,26 +22,28 @@
 //!   *admissibility pruning predicate* — branches whose read staleness
 //!   leaves the envelope are not schedules the theorem speaks about, so
 //!   they are pruned (and counted) rather than explored.
-//! - [`state::McState`] is the canonical global state: per-worker views
-//!   and label books plus canonically-sorted mailbox multisets. States
-//!   are deduplicated by a 128-bit FNV-1a hash over a canonical byte
-//!   encoding ([`state::state_hash`]), stored in a `BTreeSet` — no
-//!   `HashMap` iteration order anywhere near a verdict.
-//! - The per-step transition reuses the engine's own step halves
-//!   ([`asynciter_runtime::apply_message`] /
-//!   [`asynciter_runtime::produce_step`]), so the model checker steps
-//!   the *same* arithmetic as `ClusterEngine`. Alongside the engine's
-//!   label book the explorer maintains an independent *spec* book from
-//!   choice semantics alone; admissibility pruning reads the spec book,
+//! - Every model state is built on one [`book::Book`]: a
+//!   `runtime::Worker` per shard — the production step type of
+//!   `ClusterEngine` and `ThreadedClusterEngine`; views and engine
+//!   labels are written only by its `receive` / `produce` — and beside
+//!   the workers an independent *spec* label book maintained from
+//!   choice semantics alone. Admissibility pruning reads the spec book,
 //!   property checks read the engine book, so a bookkeeping bug in the
-//!   engine path cannot hide itself by steering the search
-//!   ([`mod@explore`]).
+//!   engine path cannot hide itself by steering the search. The book is
+//!   also the one definition of the spec-carrying message, Φ, the
+//!   produce-and-observe step and the per-worker canonical encoding.
 //! - One explorer serves every scope family: [`explore()`] is generic
 //!   over the [`Model`] trait (state, choice, transition, checks,
-//!   hash), implemented by [`ClusterModel`] for the scopes above and by
-//!   [`SeamModel`] for the transport-seam scopes of [`seam`], whose
-//!   states hold the runtime's own `Worker`s and `FaultRouter`s — the
-//!   threaded engine's code under a third, exhaustive scheduler.
+//!   hash). A model adds a channel, a choice enumeration and planted
+//!   bugs around the book: [`ClusterModel`] ([`state::McState`]) an
+//!   abstract channel — canonically-sorted mailbox multisets with
+//!   delivery-subset and drop / duplicate / partial-mask choices — for
+//!   the scopes above; [`SeamModel`] ([`seam`]) the runtime's own
+//!   `FaultRouter`s over FIFO inboxes, the threaded engine's stack
+//!   under an exhaustive scheduler. States are deduplicated by a
+//!   128-bit FNV-1a hash over a canonical byte encoding
+//!   ([`state::state_hash`]), stored in a `BTreeSet` — no `HashMap`
+//!   iteration order anywhere near a verdict.
 //! - Checked properties ([`invariants`]): residual monotonicity under
 //!   the operator's contraction certificate, `KeepFreshest` label
 //!   monotonicity, admissibility-witness preservation (spec book ≡
@@ -63,6 +65,7 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
+pub mod book;
 pub mod cli;
 pub mod counterexample;
 pub mod explore;
@@ -71,6 +74,7 @@ pub mod scope;
 pub mod seam;
 pub mod state;
 
+pub use book::{Book, SpecMessage};
 pub use counterexample::{find_reorder_demo, inject_bug_demo, CounterexampleReport};
 pub use explore::{
     explore, explore_check_por, rebuild, ClusterModel, ExploreOutcome, ExploreStats,
@@ -79,4 +83,4 @@ pub use explore::{
 pub use invariants::Property;
 pub use scope::{McProblem, Scope};
 pub use seam::{seam_bug_demo, SeamBug, SeamModel, SeamScope, SeamState};
-pub use state::{state_hash, McMessage, McState, Por, SendChoice, StepChoice};
+pub use state::{state_hash, McState, Por, SendChoice, StepChoice};

@@ -104,10 +104,10 @@ pub struct Scope {
     /// its hash). Needed by the out-of-order (label-regression)
     /// property, which compares across a worker's consecutive turns.
     pub track_read_history: bool,
-    /// Negative control: sever the engine-book label update for
-    /// [`Scope::bug_component`] on delivery (the value is still
-    /// applied). The spec book stays correct, so pruning is unaffected
-    /// and the checker must catch the divergence.
+    /// Negative control: every delivered message arrives with the
+    /// engine label of the first component of worker 1's block severed
+    /// (the value is still applied). The spec book stays correct, so
+    /// pruning is unaffected and the checker must catch the divergence.
     pub inject_bug: bool,
 }
 
@@ -347,39 +347,33 @@ impl Scope {
         })
     }
 
-    /// The component whose engine-book label update the injected bug
-    /// severs: the first component of worker 1's block — a block
-    /// *boundary* component, coupled across the partition cut by the
-    /// tridiagonal operator.
-    pub fn bug_component(&self) -> usize {
-        Partition::blocks(MC_DIM, self.workers)
-            .expect("scope partition")
-            .components_of(1)[0]
-    }
-
-    /// The owned block of every worker.
+    /// Rejects a universe the explorer cannot run: an empty horizon, or
+    /// a partial mask indexing past the smallest block of the
+    /// partition (`--workers` can shrink the blocks under a mask).
     ///
-    /// # Panics
-    /// Never for the committed scopes (the partition is valid).
-    pub fn blocks(&self) -> Vec<Vec<usize>> {
-        let p = Partition::blocks(MC_DIM, self.workers).expect("scope partition");
-        (0..self.workers).map(|w| p.components_of(w)).collect()
+    /// # Errors
+    /// What is wrong, as a message.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.steps == 0 {
+            return Err(format!(
+                "scope '{}': the horizon must be at least 1 step",
+                self.name
+            ));
+        }
+        let smallest = MC_DIM / self.workers;
+        match self.partial_masks.iter().flatten().max() {
+            Some(&k) if k >= smallest => Err(format!(
+                "scope '{}': partial mask index {k} is outside the smallest block \
+                 ({smallest} components with {} workers)",
+                self.name, self.workers
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Worker owning global step `j` (round-robin, 1-based steps).
     pub fn owner(&self, j: u64) -> usize {
         ((j - 1) % self.workers as u64) as usize
-    }
-
-    /// Whether the worker acting at step `j` posts an exchange after
-    /// its update (mirrors the engine's `per_worker_updates %
-    /// exchange_every` gate).
-    pub fn exchange_due(&self, j: u64) -> bool {
-        if self.workers <= 1 {
-            return false;
-        }
-        let updates = (j - 1) / self.workers as u64 + 1;
-        updates.is_multiple_of(self.exchange_every.max(1))
     }
 
     /// One-line description for reports.
@@ -414,29 +408,28 @@ mod tests {
         for name in ["quick", "flex", "reorder", "inject"] {
             let s = Scope::by_name(name).unwrap();
             assert_eq!(s.name, name);
-            assert_eq!(s.blocks().len(), s.workers);
-            assert_eq!(s.blocks().iter().map(Vec::len).sum::<usize>(), MC_DIM);
+            s.validate().unwrap();
         }
         assert!(Scope::by_name("nope").is_err());
     }
 
     #[test]
-    fn round_robin_owner_and_exchange_gate() {
+    fn validate_rejects_masks_wider_than_the_smallest_block() {
+        let mut s = Scope::flex();
+        s.workers = 3; // blocks of 6, 5, 5: mask index 7 fits none
+        assert!(s.validate().unwrap_err().contains("partial mask index 7"));
+        s.partial_masks = vec![vec![4]];
+        s.validate().unwrap();
+        s.steps = 0;
+        assert!(s.validate().unwrap_err().contains("horizon"));
+    }
+
+    #[test]
+    fn round_robin_owner() {
         let s = Scope::quick();
         assert_eq!(s.owner(1), 0);
         assert_eq!(s.owner(2), 1);
         assert_eq!(s.owner(3), 0);
-        assert!(s.exchange_due(1), "exchange_every=1 posts every turn");
-        let mut s2 = s;
-        s2.exchange_every = 2;
-        assert!(!s2.exchange_due(1), "first update of worker 0 is update 1");
-        assert!(s2.exchange_due(3), "second update of worker 0");
-    }
-
-    #[test]
-    fn bug_component_is_a_block_boundary() {
-        let s = Scope::inject();
-        assert_eq!(s.bug_component(), MC_DIM / 2);
     }
 
     #[test]

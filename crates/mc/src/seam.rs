@@ -33,11 +33,12 @@
 //!   covers every behaviour of the finer-grained concurrent execution.
 //!   A steering bound (`lag`) keeps worker progress within the scopes
 //!   the admissibility witness speaks about.
-//! - **An independent spec book and pruning.** Spec labels travel
-//!   beside every message and are applied from fate semantics alone;
-//!   they drive admissibility pruning and are compared with the
-//!   workers' own label books on every edge. Capacity bounds keep the
-//!   universe finite.
+//! - **An independent spec book and pruning.** The workers sit in the
+//!   [`Book`] this model shares with the cluster-regime scopes: spec
+//!   labels travel beside every message ([`SpecMessage`]) and are
+//!   applied from fate semantics alone; they drive admissibility
+//!   pruning and are compared with the workers' own label books on
+//!   every edge. Capacity bounds keep the universe finite.
 //!
 //! With one worker the seam has a single schedule, and the explorer's
 //! terminal state must match the sequential `Cluster{1}` engine **bit
@@ -49,19 +50,19 @@
 //! are the standing negative controls, each caught as an engine/spec
 //! label-book divergence and shrunk to a committed corpus trace.
 
+use crate::book::{enc_u64, fnv128, Book, EdgeInfo, PruneReason, SpecMessage};
 use crate::counterexample::envelope_violation;
 use crate::explore::{explore, rebuild, Model, Strategy};
 use crate::invariants::{
     check_admissibility, check_contraction, check_horizon, Property, Violation,
 };
-use crate::scope::{McProblem, MC_DIM};
-use crate::state::{enc_u64, fnv128, per_destination, EdgeInfo, PorCounts, PruneReason};
+use crate::scope::McProblem;
+use crate::state::{per_destination, PorCounts};
 use asynciter_conformance::corpus::save_trace;
 use asynciter_conformance::shrink::shrink_trace;
 use asynciter_models::conditions::{AdmissibilityWitness, DelayEnvelope};
-use asynciter_models::{Partition, Trace};
-use asynciter_numerics::rng::rng;
-use asynciter_runtime::transport::{BlockMessage, Exit, FaultRouter, SendFate};
+use asynciter_models::Trace;
+use asynciter_runtime::transport::{Exit, FaultRouter, SendFate};
 use asynciter_runtime::{ApplyPolicy, Worker};
 use std::collections::VecDeque;
 use std::path::Path;
@@ -237,53 +238,31 @@ impl SeamScope {
     }
 }
 
-/// One in-flight seam message: what the receiving [`Worker`] is handed
-/// (possibly corrupted by a planted bug) plus the spec labels of the
-/// same entries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeamMessage {
-    /// The engine message, as [`Worker::post`] built it.
-    pub msg: BlockMessage,
-    /// Spec labels, one per `msg.comps` entry.
-    pub spec: Vec<u64>,
-    /// The spec book must ignore this message (engine-side leak of a
-    /// spec-modelled drop — only under [`SeamBug::Drop`]).
-    pub spec_ghost: bool,
-}
-
-impl SeamMessage {
-    fn sort_key(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.msg.comps.len() * 32);
-        enc_u64(&mut out, self.msg.from as u64);
-        enc_u64(&mut out, u64::from(self.spec_ghost));
-        for &(c, v, l) in &self.msg.comps {
-            enc_u64(&mut out, u64::from(c));
-            enc_u64(&mut out, v.to_bits());
-            enc_u64(&mut out, l);
-        }
-        for &s in &self.spec {
-            enc_u64(&mut out, s);
-        }
-        out
-    }
-}
-
-/// A canonical global state of the seam model: the runtime's own
-/// workers and per-sender fault routers, plus what the model adds — the
-/// channels between them and the independent spec book.
+/// A canonical global state of the seam model: the shared [`Book`] (the
+/// runtime's own workers and the independent spec book) and the
+/// runtime's per-sender fault routers, plus what the model adds — the
+/// channels between them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeamState {
     /// Next global producing step (1-based) — the value the threaded
     /// engine's shared counter would hand out next.
     pub next_step: u64,
-    /// The workers: views, engine label books, completed updates.
-    pub workers: Vec<Worker>,
+    /// The workers (views, engine label books, completed updates) and
+    /// the spec label books maintained from fate semantics alone.
+    pub book: Book,
     /// Per-sender fault routers: parked messages and send counters.
-    pub routers: Vec<FaultRouter<SeamMessage>>,
-    /// Spec label books (maintained from fate semantics alone).
-    pub spec_labels: Vec<Vec<u64>>,
+    pub routers: Vec<FaultRouter<SpecMessage>>,
     /// Per-receiver FIFO inbox, in channel arrival order.
-    pub inboxes: Vec<VecDeque<SeamMessage>>,
+    pub inboxes: Vec<VecDeque<SpecMessage>>,
+}
+
+impl SeamState {
+    /// Every in-flight message: queued in an inbox or parked in a
+    /// router.
+    pub fn in_flight(&self) -> impl Iterator<Item = &SpecMessage> {
+        let parked = self.routers.iter().flat_map(|r| r.parked()).map(|p| &p.2);
+        self.inboxes.iter().flatten().chain(parked)
+    }
 }
 
 /// Completed updates of `worker`.
@@ -323,27 +302,17 @@ fn fate_options(scope: &SeamScope) -> Vec<SendFate> {
     out
 }
 
-/// Applies one message to the spec book (AsReceived semantics, from the
-/// spec labels), skipping engine-side ghosts.
-fn seam_apply_spec(spec: &mut [u64], m: &SeamMessage) {
-    if m.spec_ghost {
-        return;
-    }
-    for (k, &(c, _, _)) in m.msg.comps.iter().enumerate() {
-        spec[c as usize] = m.spec[k];
-    }
-}
-
 /// What the scope's planted bug, if any, does to a message leaving the
 /// fault router — each plant sits on the [`Exit`] of its fault kind and
 /// zeroes the engine labels (payload survives, label frame lost) while
 /// the spec labels keep modelling the chosen fate correctly. `None`
 /// when the message is lost.
-fn plant(bug: Option<SeamBug>, exit: Exit, mut m: SeamMessage) -> Option<SeamMessage> {
+fn plant(bug: Option<SeamBug>, exit: Exit, mut m: SpecMessage) -> Option<SpecMessage> {
     let torn = match (exit, bug) {
-        // Leak: the spec models the loss, the engine still sees it.
+        // Leak: the spec models the loss (a message without spec labels
+        // bypasses the spec book), the engine still sees it.
         (Exit::Dropped, Some(SeamBug::Drop)) => {
-            m.spec_ghost = true;
+            m.spec.clear();
             true
         }
         (Exit::Dropped, _) => return None,
@@ -356,30 +325,6 @@ fn plant(bug: Option<SeamBug>, exit: Exit, mut m: SeamMessage) -> Option<SeamMes
         }
     }
     Some(m)
-}
-
-/// `‖v − x*‖_∞` over `(component, value)` pairs.
-fn max_err(problem: &McProblem, values: impl Iterator<Item = (usize, f64)>) -> f64 {
-    values
-        .map(|(c, v)| (v - problem.xstar[c]).abs())
-        .fold(0.0_f64, f64::max)
-}
-
-/// System error measure over a seam state: every view, queued message
-/// and parked message.
-fn phi(state: &SeamState, problem: &McProblem) -> f64 {
-    let views = state.workers.iter().map(Worker::view);
-    let queued = state.inboxes.iter().flatten();
-    let parked = state.routers.iter().flat_map(|r| r.parked()).map(|p| &p.2);
-    let in_flight = queued
-        .chain(parked)
-        .flat_map(|m| m.msg.comps.iter().map(|&(c, v, _)| (c as usize, v)));
-    max_err(
-        problem,
-        views
-            .flat_map(|view| view.iter().copied().enumerate())
-            .chain(in_flight),
-    )
 }
 
 /// The transport-seam model: a [`SeamScope`] on the scope problem,
@@ -406,27 +351,27 @@ impl Model for SeamModel<'_> {
 
     /// All views at `x0`, all labels 0, empty channels.
     fn initial(&self) -> SeamState {
-        let (scope, problem) = (self.scope, self.problem);
-        let workers = Worker::mesh(
-            &problem.op,
-            &problem.x0,
-            &Partition::blocks(MC_DIM, scope.workers).expect("seam partition"),
-            ApplyPolicy::AsReceived,
-            scope.exchange_every.max(1),
-            0.0,
-        );
+        let scope = self.scope;
         SeamState {
             next_step: 1,
-            workers: workers.expect("seam mesh"),
+            book: Book::new(
+                self.problem,
+                scope.workers,
+                ApplyPolicy::AsReceived,
+                scope.exchange_every,
+            ),
             routers: vec![FaultRouter::default(); scope.workers],
-            spec_labels: vec![vec![0; problem.n()]; scope.workers],
             inboxes: vec![VecDeque::new(); scope.workers],
         }
     }
 
     /// Once every worker has completed its rounds.
     fn is_terminal(&self, state: &SeamState) -> bool {
-        state.workers.iter().all(|w| done(w) == self.scope.rounds)
+        state
+            .book
+            .workers
+            .iter()
+            .all(|w| done(w) == self.scope.rounds)
     }
 
     /// Each worker that still has rounds left and respects the steering
@@ -434,9 +379,9 @@ impl Model for SeamModel<'_> {
     /// due.
     fn enumerate(&self, state: &SeamState) -> (Vec<SeamChoice>, PorCounts) {
         let scope = self.scope;
-        let min_done = state.workers.iter().map(done).min().unwrap_or(0);
+        let min_done = state.book.workers.iter().map(done).min().unwrap_or(0);
         let mut out = Vec::new();
-        for (w, worker) in state.workers.iter().enumerate() {
+        for (w, worker) in state.book.workers.iter().enumerate() {
             if done(worker) >= scope.rounds || done(worker) - min_done >= scope.lag {
                 continue;
             }
@@ -455,11 +400,11 @@ impl Model for SeamModel<'_> {
     }
 
     /// One linearised step of the threaded engine's worker loop, on the
-    /// runtime's own [`Worker`]: drain the whole inbox in channel order,
-    /// produce, post, and route the post through the sender's
-    /// [`FaultRouter`] under the chosen fates. The model adds the
-    /// channels, the spec book and the pruning: capacity (a fate would
-    /// overflow a receiver's queue/parking bound) and admissibility.
+    /// runtime's own [`Worker`] through the shared [`Book`]: drain the
+    /// whole inbox in channel order, produce, post, and route the post
+    /// through the sender's [`FaultRouter`] under the chosen fates. The
+    /// model adds the channels and the capacity prune (a fate would
+    /// overflow a receiver's queue/parking bound).
     ///
     /// # Panics
     /// Panics when the operator produces a non-finite iterate
@@ -473,52 +418,20 @@ impl Model for SeamModel<'_> {
         let (scope, problem) = (self.scope, self.problem);
         let j = state.next_step;
         let w = choice.worker;
-        let phi_before = phi(state, problem);
+        let phi_before = state.book.phi(problem, state.in_flight());
         let mut t = state.clone();
-        let worker = &mut t.workers[w];
 
         // The planted bugs corrupted the message when the fault layer
         // handled it; receiving is the worker's own code.
         while let Some(m) = t.inboxes[w].pop_front() {
-            worker.receive(&m.msg);
-            seam_apply_spec(&mut t.spec_labels[w], &m);
+            t.book.receive(w, &m);
         }
+        let edge = t.book.produce(problem, w, j, scope.envelope, trace)?;
 
-        // Admissibility pruning on the spec book at the produce.
-        let floor = scope.envelope.min_label(j);
-        if t.spec_labels[w].iter().any(|&l| l < floor) {
-            return Err(PruneReason::Inadmissible);
-        }
-
-        let read_labels = worker.labels().to_vec();
-        let read_err = max_err(problem, worker.view().iter().copied().enumerate());
-        if let Some(trace) = trace {
-            trace.push_step(worker.block(), &read_labels);
-        }
-        worker
-            .produce(&problem.op, j)
-            .expect("contraction scope cannot produce non-finite iterates");
-        for &i in worker.block() {
-            t.spec_labels[w][i] = j;
-        }
-        let produced = worker.block().iter().map(|&i| (i, worker.view()[i]));
-        let produced_err = max_err(problem, produced);
-
-        // The posted exchange, one fate per destination. Seam scopes
-        // have no partial exchange, so `post` never draws from the
-        // stream.
-        if let Some(msg) = worker.post(&mut rng(0)) {
-            let posted = SeamMessage {
-                spec: worker
-                    .block()
-                    .iter()
-                    .map(|&i| t.spec_labels[w][i])
-                    .collect(),
-                msg,
-                spec_ghost: false,
-            };
+        // The posted exchange, one fate per destination.
+        if let Some(posted) = t.book.post(w, j) {
             let mut fates = choice.fates.iter();
-            for dest in worker.peers() {
+            for dest in t.book.workers[w].peers() {
                 let fate = *fates.next().expect("one fate per destination");
                 // Parking counts against the receiver's bound too (after
                 // the prompt duplicate, if any, took its inbox slot).
@@ -538,16 +451,11 @@ impl Model for SeamModel<'_> {
         }
 
         t.next_step = j + 1;
-        let phi_after = phi(&t, problem);
+        let phi_after = t.book.phi(problem, t.in_flight());
         let edge = EdgeInfo {
-            j,
-            worker: w,
-            read_labels,
-            prev_read: None,
-            read_err,
-            produced_err,
             phi_before,
             phi_after,
+            ..edge
         };
         Ok((t, edge))
     }
@@ -556,21 +464,17 @@ impl Model for SeamModel<'_> {
     /// the threaded engine's `AsReceived` policy, where stale
     /// application is legal and *recorded*, not absorbed.
     fn check_edge(&self, _: &SeamState, child: &SeamState, edge: &EdgeInfo) -> Option<Violation> {
-        let labels: Vec<&[u64]> = child.workers.iter().map(Worker::labels).collect();
         check_contraction(self.problem, edge)
-            .or_else(|| check_admissibility(self.problem, &labels, &child.spec_labels, edge))
+            .or_else(|| check_admissibility(self.problem, &child.book, edge))
     }
 
     /// The linearised trace must carry the steering-implied activation
     /// gap.
     fn check_terminal(&self, state: &SeamState, trace: &Trace) -> Option<Violation> {
         let witness = AdmissibilityWitness::new(self.scope.envelope, self.scope.witness_gap());
-        let blocks: Vec<&[usize]> = state.workers.iter().map(Worker::block).collect();
-        let views: Vec<&[f64]> = state.workers.iter().map(Worker::view).collect();
         check_horizon(
             self.problem,
-            &blocks,
-            &views,
+            &state.book,
             self.scope.steps(),
             &witness,
             trace,
@@ -586,38 +490,26 @@ impl Model for SeamModel<'_> {
     /// encoded sorted.
     fn state_hash(&self, s: &SeamState) -> u128 {
         let mut out = Vec::with_capacity(256);
-        let enc_key = |out: &mut Vec<u8>, k: &[u8]| {
-            enc_u64(out, k.len() as u64);
-            out.extend_from_slice(k);
-        };
         enc_u64(&mut out, s.next_step);
-        enc_u64(&mut out, s.workers.len() as u64);
-        for (w, worker) in s.workers.iter().enumerate() {
+        enc_u64(&mut out, s.book.workers.len() as u64);
+        for (w, worker) in s.book.workers.iter().enumerate() {
             enc_u64(&mut out, done(worker));
             enc_u64(&mut out, s.routers[w].stats().sent);
-            for &v in worker.view() {
-                enc_u64(&mut out, v.to_bits());
-            }
-            for &l in worker.labels().iter().chain(&s.spec_labels[w]) {
-                enc_u64(&mut out, l);
-            }
+            s.book.encode_worker(w, &mut out);
             enc_u64(&mut out, s.inboxes[w].len() as u64);
             for m in &s.inboxes[w] {
-                enc_key(&mut out, &m.sort_key());
+                m.encode(&mut out);
             }
-            let mut parked: Vec<(u64, usize, Vec<u8>)> = s.routers[w]
-                .parked()
-                .iter()
-                .map(|(release, dest, m)| (*release, *dest, m.sort_key()))
-                .collect();
+            let mut parked: Vec<&(u64, usize, SpecMessage)> =
+                s.routers[w].parked().iter().collect();
             if done(worker) == self.scope.rounds {
-                parked.sort();
+                parked.sort_by_cached_key(|(release, dest, m)| (*release, *dest, m.key()));
             }
             enc_u64(&mut out, parked.len() as u64);
-            for (release, dest, key) in &parked {
+            for (release, dest, m) in parked {
                 enc_u64(&mut out, *release);
                 enc_u64(&mut out, *dest as u64);
-                enc_key(&mut out, key);
+                m.encode(&mut out);
             }
         }
         fnv128(&out)

@@ -1,14 +1,13 @@
-//! Canonical model-checking states, choices, hashing, and the
-//! one-step transition.
+//! The cluster-regime model's state, choices, hashing, and one-step
+//! transition over an *abstract* channel.
 //!
-//! An [`McState`] captures everything the future of a cluster run
-//! depends on: the per-worker views, *two* label books (the engine book
-//! written by the shared runtime step halves, and an independent spec
-//! book maintained from choice semantics alone), and each worker's
-//! mailbox as a canonically sorted message list. The global step
-//! counter is part of the state, so states at different depths never
-//! alias; everything else about the schedule (who acts when, when an
-//! exchange is due) is derived round-robin from it.
+//! An [`McState`] is the shared [`Book`] — the runtime's own
+//! [`Worker`](asynciter_runtime::Worker)s and the independent spec
+//! label book — plus what this model adds: each worker's mailbox as a
+//! canonically sorted message list. The global step counter is part of
+//! the state, so states at different depths never alias; who acts when
+//! is derived round-robin from it, and when an exchange is due is the
+//! worker's own `exchange_every` gate.
 //!
 //! A [`StepChoice`] resolves the nondeterminism of one producing step:
 //! which mailbox messages to deliver (and, under `AsReceived`, in which
@@ -22,43 +21,10 @@
 //! encoding: vectors are encoded in index order, mailboxes in their
 //! canonical sort order, and `f64` values by their IEEE bit patterns.
 
+use crate::book::{enc_u64, fnv128, Book, EdgeInfo, PruneReason, SpecMessage};
 use crate::scope::{McProblem, Scope};
-use asynciter_models::{LabelStore, Trace};
-use asynciter_opt::traits::Operator;
-use asynciter_runtime::{apply_message, produce_step, ApplyPolicy};
-
-/// One in-flight message: a (component, value, label) payload plus the
-/// spec book's independent labels for the same entries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct McMessage {
-    /// Global step at which the message was posted.
-    pub sent_at: u64,
-    /// Sending worker.
-    pub src: u32,
-    /// Engine payload: `(component, value, producing label)` — exactly
-    /// the envelope payload of the cluster engine.
-    pub comps: Vec<(u32, f64, u64)>,
-    /// Spec labels, one per `comps` entry.
-    pub spec: Vec<u64>,
-}
-
-impl McMessage {
-    /// Canonical sort key (byte encoding of the whole message).
-    fn sort_key(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.comps.len() * 28);
-        enc_u64(&mut out, self.sent_at);
-        enc_u64(&mut out, u64::from(self.src));
-        for &(c, v, l) in &self.comps {
-            enc_u64(&mut out, u64::from(c));
-            enc_u64(&mut out, v.to_bits());
-            enc_u64(&mut out, l);
-        }
-        for &s in &self.spec {
-            enc_u64(&mut out, s);
-        }
-        out
-    }
-}
+use asynciter_models::Trace;
+use asynciter_runtime::ApplyPolicy;
 
 /// A canonical global state of the bounded cluster model.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,17 +32,11 @@ pub struct McState {
     /// Next global step to execute (1-based); terminal when
     /// `next_step > scope.steps`.
     pub next_step: u64,
-    /// Per-worker local views.
-    pub views: Vec<Vec<f64>>,
-    /// Engine label book: written by the shared runtime step halves,
-    /// recorded into traces, checked by properties.
-    pub labels: Vec<Vec<u64>>,
-    /// Spec label book: maintained independently from choice semantics;
-    /// drives admissibility pruning. Divergence from `labels` IS a
-    /// checked property violation.
-    pub spec_labels: Vec<Vec<u64>>,
+    /// The workers (views, engine label books) and the spec label book
+    /// that drives admissibility pruning.
+    pub book: Book,
     /// Per-worker mailboxes, canonically sorted.
-    pub mailboxes: Vec<Vec<McMessage>>,
+    pub mailboxes: Vec<Vec<SpecMessage>>,
     /// Per-worker read-label vector of the previous turn (engine book),
     /// kept only when `scope.track_read_history` — the out-of-order
     /// property compares consecutive turns of the same worker.
@@ -87,20 +47,22 @@ impl McState {
     /// The initial state of a scope: all views at `x0`, all labels 0,
     /// empty mailboxes.
     pub fn initial(scope: &Scope, problem: &McProblem) -> Self {
-        let n = problem.n();
         Self {
             next_step: 1,
-            views: vec![problem.x0.clone(); scope.workers],
-            labels: vec![vec![0; n]; scope.workers],
-            spec_labels: vec![vec![0; n]; scope.workers],
+            book: Book::new(
+                problem,
+                scope.workers,
+                scope.apply_policy,
+                scope.exchange_every,
+            ),
             mailboxes: vec![Vec::new(); scope.workers],
             prev_read: vec![Vec::new(); scope.workers],
         }
     }
 
-    /// Total in-flight messages (for stats).
-    pub fn in_flight(&self) -> usize {
-        self.mailboxes.iter().map(Vec::len).sum()
+    /// Every in-flight message.
+    pub fn in_flight(&self) -> impl Iterator<Item = &SpecMessage> {
+        self.mailboxes.iter().flatten()
     }
 }
 
@@ -162,69 +124,21 @@ pub struct PorCounts {
     pub choices: u64,
 }
 
-/// Why a branch was cut instead of explored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PruneReason {
-    /// A send would exceed the scope's mailbox capacity.
-    Capacity,
-    /// The spec label book left the scope's admissibility envelope —
-    /// the branch is not an admissible schedule of this scope.
-    Inadmissible,
-}
-
-/// Observations of one applied transition, consumed by the invariant
-/// checks (everything here is derived, never fed back into the state).
-#[derive(Debug, Clone)]
-pub struct EdgeInfo {
-    /// The executed global step.
-    pub j: u64,
-    /// The acting worker.
-    pub worker: usize,
-    /// Engine-book read labels at produce time (what the trace records).
-    pub read_labels: Vec<u64>,
-    /// The same worker's read labels at its previous turn, when the
-    /// scope tracks read history.
-    pub prev_read: Option<Vec<u64>>,
-    /// `‖view − x*‖_∞` over the full read view, before producing.
-    pub read_err: f64,
-    /// `max_{i ∈ block} |new_i − x*_i|` of the produced block.
-    pub produced_err: f64,
-    /// System error measure `Φ` (max error over all views and all
-    /// in-flight values) before the step.
-    pub phi_before: f64,
-    /// `Φ` after the step.
-    pub phi_after: f64,
-}
-
 // ---------------------------------------------------------------------------
-// Canonical encoding + 128-bit FNV-1a
+// Canonical encoding
 // ---------------------------------------------------------------------------
-
-pub(crate) fn enc_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 /// Canonical byte encoding of a state. Length-prefixed, index-ordered,
 /// IEEE bits for floats — bit-identical across platforms and runs.
 pub fn canonical_bytes(s: &McState) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     enc_u64(&mut out, s.next_step);
-    enc_u64(&mut out, s.views.len() as u64);
-    for w in 0..s.views.len() {
-        for &v in &s.views[w] {
-            enc_u64(&mut out, v.to_bits());
-        }
-        for &l in &s.labels[w] {
-            enc_u64(&mut out, l);
-        }
-        for &l in &s.spec_labels[w] {
-            enc_u64(&mut out, l);
-        }
-        enc_u64(&mut out, s.mailboxes[w].len() as u64);
-        for m in &s.mailboxes[w] {
-            let k = m.sort_key();
-            enc_u64(&mut out, k.len() as u64);
-            out.extend_from_slice(&k);
+    enc_u64(&mut out, s.mailboxes.len() as u64);
+    for (w, mbox) in s.mailboxes.iter().enumerate() {
+        s.book.encode_worker(w, &mut out);
+        enc_u64(&mut out, mbox.len() as u64);
+        for m in mbox {
+            m.encode(&mut out);
         }
         enc_u64(&mut out, s.prev_read[w].len() as u64);
         for &l in &s.prev_read[w] {
@@ -232,20 +146,6 @@ pub fn canonical_bytes(s: &McState) -> Vec<u8> {
         }
     }
     out
-}
-
-const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV128_PRIME: u128 = 0x0000000001000000000000000000013B;
-
-/// 128-bit FNV-1a over an arbitrary canonical encoding — shared by the
-/// cluster-regime and transport-seam state hashes.
-pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
-    let mut h = FNV128_OFFSET;
-    for &b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(FNV128_PRIME);
-    }
-    h
 }
 
 /// 128-bit FNV-1a over [`canonical_bytes`] — the dedup key of the
@@ -327,12 +227,13 @@ fn send_options(scope: &Scope) -> Vec<SendChoice> {
 /// equal label) *and* spec-stale. Under `KeepFreshest` labels only grow,
 /// so a redundant message stays redundant for the rest of the branch —
 /// holding it only multiplies timing-equivalent states.
-fn message_redundant(state: &McState, w: usize, msg: &McMessage) -> bool {
-    msg.comps.iter().enumerate().all(|(k, &(c, v, l))| {
+fn message_redundant(state: &McState, w: usize, msg: &SpecMessage) -> bool {
+    let (worker, spec) = (&state.book.workers[w], &state.book.spec[w]);
+    msg.msg.comps.iter().zip(&msg.spec).all(|(&(c, v, l), &s)| {
         let c = c as usize;
-        let engine_noop = l < state.labels[w][c]
-            || (l == state.labels[w][c] && v.to_bits() == state.views[w][c].to_bits());
-        engine_noop && msg.spec[k] <= state.spec_labels[w][c]
+        let engine_noop = l < worker.labels()[c]
+            || (l == worker.labels()[c] && v.to_bits() == worker.view()[c].to_bits());
+        engine_noop && s <= spec[c]
     })
 }
 
@@ -340,13 +241,13 @@ fn message_redundant(state: &McState, w: usize, msg: &McMessage) -> bool {
 /// *any* receiver state: the messages touch disjoint components, or
 /// carry identical payload and spec labels (last-writer ties resolve
 /// identically either way).
-fn messages_commute(a: &McMessage, b: &McMessage) -> bool {
-    if a.comps == b.comps && a.spec == b.spec {
+fn messages_commute(a: &SpecMessage, b: &SpecMessage) -> bool {
+    if a.msg.comps == b.msg.comps && a.spec == b.spec {
         return true;
     }
-    a.comps
-        .iter()
-        .all(|(ca, _, _)| b.comps.iter().all(|(cb, _, _)| ca != cb))
+    let (a, b) = (&a.msg.comps, &b.msg.comps);
+    a.iter()
+        .all(|(ca, _, _)| b.iter().all(|(cb, _, _)| ca != cb))
 }
 
 /// Canonical-representative filter for `AsReceived` delivery orders: a
@@ -355,7 +256,7 @@ fn messages_commute(a: &McMessage, b: &McMessage) -> bool {
 /// identical successor, and bubble-sorting by commuting swaps reaches
 /// the unique locally-minimal order, so exactly one representative per
 /// Mazurkiewicz class survives).
-fn is_canonical_order(perm: &[usize], mbox: &[McMessage]) -> bool {
+fn is_canonical_order(perm: &[usize], mbox: &[SpecMessage]) -> bool {
     perm.windows(2)
         .all(|p| p[0] < p[1] || !messages_commute(&mbox[p[0]], &mbox[p[1]]))
 }
@@ -435,7 +336,8 @@ pub fn enumerate_choices_por(
         }
         counts.deliveries = deliveries_full - deliveries.len() as u64;
     }
-    let (sends, sends_full): (Vec<Vec<SendChoice>>, u64) = if scope.exchange_due(j) {
+    let posts = state.book.workers[w].next_update_posts();
+    let (sends, sends_full): (Vec<Vec<SendChoice>>, u64) = if posts {
         let mut per_dest = send_options(scope);
         let per_dest_full = per_dest.len() as u64;
         if por == Por::On
@@ -469,66 +371,31 @@ pub fn enumerate_choices_por(
 // The transition
 // ---------------------------------------------------------------------------
 
-/// Applies one message to the spec book with the same policy semantics
-/// the engine book uses, but judged on spec labels — the two books
-/// coincide exactly while the engine's bookkeeping is correct.
-fn spec_apply(spec: &mut [u64], msg: &McMessage, policy: ApplyPolicy) {
-    for (k, &(c, _, _)) in msg.comps.iter().enumerate() {
-        let c = c as usize;
-        let l = msg.spec[k];
-        match policy {
-            ApplyPolicy::AsReceived => spec[c] = l,
-            ApplyPolicy::KeepFreshest => {
-                if l >= spec[c] {
-                    spec[c] = l;
-                }
-            }
-        }
-    }
-}
-
-/// Engine-book delivery used only under `inject_bug`: identical to
-/// [`asynciter_runtime::apply_message`] except the *label* update for
-/// the severed component is skipped — a modelled bookkeeping defect the
-/// checker must catch (the value is still applied, so the run looks
-/// healthy to anything that ignores labels).
-fn buggy_apply(view: &mut [f64], labels: &mut [u64], comps: &[(u32, f64, u64)], severed: usize) {
-    for &(c, v, l) in comps {
-        let c = c as usize;
-        view[c] = v;
-        if c != severed {
-            labels[c] = l;
-        }
-    }
-}
-
-/// System error measure `Φ`: the max-norm distance to `x*` over every
-/// value anywhere in the system — all worker views and all in-flight
-/// message payloads. The contraction certificate makes `Φ`
-/// non-increasing along *every* admissible edge.
-pub fn phi(state: &McState, problem: &McProblem) -> f64 {
-    let mut m = 0.0_f64;
-    for view in &state.views {
-        for (c, &v) in view.iter().enumerate() {
-            m = m.max((v - problem.xstar[c]).abs());
-        }
-    }
-    for mbox in &state.mailboxes {
-        for msg in mbox {
-            for &(c, v, _) in &msg.comps {
-                m = m.max((v - problem.xstar[c as usize]).abs());
-            }
+/// The `inject_bug` plant: the delivered copy of `m` as a receiver whose
+/// label book currently holds `current` for component `severed` would
+/// see it had the label write for that entry been skipped — the entry's
+/// label is rewritten to `current`, so under `AsReceived` the worker's
+/// own receive stores the value and leaves the label where it was (the
+/// run looks healthy to anything that ignores labels). The spec labels
+/// keep modelling the delivery correctly.
+fn sever(m: &SpecMessage, severed: usize, current: u64) -> SpecMessage {
+    let mut m = m.clone();
+    for entry in &mut m.msg.comps {
+        if entry.0 as usize == severed {
+            entry.2 = current;
         }
     }
     m
 }
 
 /// Applies `choice` to `state`, producing the successor and the edge
-/// observations, or the reason the branch is pruned.
+/// observations, or the reason the branch is pruned. Deliveries, the
+/// block update and the posted block are the runtime worker's own
+/// `receive` / `produce` / `post`, through the shared [`Book`]; this
+/// model adds the abstract channel around them.
 ///
 /// When `trace` is given, the producing step is appended to it (the
-/// counterexample rebuild path); exploration passes `None` and a
-/// throwaway single-step trace is used instead.
+/// counterexample rebuild path).
 ///
 /// # Errors
 /// [`PruneReason`] for capacity or admissibility cuts.
@@ -546,28 +413,22 @@ pub fn apply_choice(
 ) -> Result<(McState, EdgeInfo), PruneReason> {
     let j = state.next_step;
     let w = scope.owner(j);
-    let phi_before = phi(state, problem);
+    let phi_before = state.book.phi(problem, state.in_flight());
     let mut t = state.clone();
 
-    // Deliveries, in the chosen order; everything else is held.
+    // Deliveries, in the chosen order; everything else is held. The
+    // planted bug severs the first component of worker 1's block — a
+    // block *boundary* component, coupled across the partition cut by
+    // the tridiagonal operator.
     for &idx in &choice.deliver {
-        let msg = state.mailboxes[w][idx].clone();
+        let m = &state.mailboxes[w][idx];
         if scope.inject_bug {
-            buggy_apply(
-                &mut t.views[w],
-                &mut t.labels[w],
-                &msg.comps,
-                scope.bug_component(),
-            );
+            let severed = t.book.workers[1].block()[0];
+            let current = t.book.workers[w].labels()[severed];
+            t.book.receive(w, &sever(m, severed, current));
         } else {
-            apply_message(
-                &mut t.views[w],
-                &mut t.labels[w],
-                &msg.comps,
-                scope.apply_policy,
-            );
+            t.book.receive(w, m);
         }
-        spec_apply(&mut t.spec_labels[w], &msg, scope.apply_policy);
     }
     let mut kept = 0usize;
     t.mailboxes[w].retain(|_| {
@@ -576,106 +437,48 @@ pub fn apply_choice(
         keep
     });
 
-    // Admissibility pruning on the spec book: every label read at this
-    // producing step must be inside the scope's delay envelope.
-    let floor = scope.envelope.min_label(j);
-    if t.spec_labels[w].iter().any(|&l| l < floor) {
-        return Err(PruneReason::Inadmissible);
-    }
-
-    // Produce: the engine's own step half records the trace row and
-    // stamps the block. Read-side observations are taken just before.
-    let read_labels = t.labels[w].clone();
-    let read_err = t.views[w]
-        .iter()
-        .enumerate()
-        .map(|(c, &v)| (v - problem.xstar[c]).abs())
-        .fold(0.0_f64, f64::max);
-    let blocks = scope.blocks();
-    let n = problem.n();
-    let mut upd = vec![0.0; n];
-    let mut scratch = vec![0.0; Operator::scratch_len(&problem.op)];
-    let mut throwaway = Trace::new(n, LabelStore::Full);
-    let tr = trace.unwrap_or(&mut throwaway);
-    produce_step(
-        &problem.op,
-        &mut t.views[w],
-        &mut t.labels[w],
-        &blocks[w],
-        j,
-        tr,
-        &mut upd,
-        &mut scratch,
-    )
-    .expect("contraction scopes cannot produce non-finite iterates");
-    for &i in &blocks[w] {
-        t.spec_labels[w][i] = j;
-    }
-    let produced_err = blocks[w]
-        .iter()
-        .map(|&i| (t.views[w][i] - problem.xstar[i]).abs())
-        .fold(0.0_f64, f64::max);
+    let edge = t.book.produce(problem, w, j, scope.envelope, trace)?;
     let prev_read = if scope.track_read_history {
-        let prev = std::mem::replace(&mut t.prev_read[w], read_labels.clone());
+        let prev = std::mem::replace(&mut t.prev_read[w], edge.read_labels.clone());
         (!prev.is_empty()).then_some(prev)
     } else {
         None
     };
 
-    // Sends, destinations in ascending order.
-    if scope.exchange_due(j) {
+    // Sends, destinations in ascending order; a flexible-exchange
+    // choice cuts the posted block to the scope mask.
+    if let Some(posted) = t.book.post(w, j) {
         let mut sends = choice.sends.iter();
-        for dest in 0..scope.workers {
-            if dest == w {
-                continue;
-            }
+        for dest in t.book.workers[w].peers() {
             let sc = sends.next().expect("one send choice per destination");
-            match *sc {
-                SendChoice::Drop => {}
-                SendChoice::Send { mask, copies } => {
-                    let comps_idx: Vec<usize> = match mask {
-                        None => blocks[w].clone(),
-                        Some(mi) => scope.partial_masks[mi]
-                            .iter()
-                            .map(|&k| blocks[w][k])
-                            .collect(),
-                    };
-                    let comps: Vec<(u32, f64, u64)> = comps_idx
-                        .iter()
-                        .map(|&i| (i as u32, t.views[w][i], t.labels[w][i]))
-                        .collect();
-                    let spec: Vec<u64> = comps_idx.iter().map(|&i| t.spec_labels[w][i]).collect();
-                    if t.mailboxes[dest].len() + copies as usize > scope.max_in_flight {
-                        return Err(PruneReason::Capacity);
-                    }
-                    for _ in 0..copies {
-                        t.mailboxes[dest].push(McMessage {
-                            sent_at: j,
-                            src: w as u32,
-                            comps: comps.clone(),
-                            spec: spec.clone(),
-                        });
-                    }
-                }
+            let SendChoice::Send { mask, copies } = *sc else {
+                continue;
+            };
+            let mut m = posted.clone();
+            if let Some(mi) = mask {
+                let mask = &scope.partial_masks[mi];
+                m.msg.comps = mask.iter().map(|&k| posted.msg.comps[k]).collect();
+                m.spec = mask.iter().map(|&k| posted.spec[k]).collect();
+                m.msg.partial = true;
             }
+            if t.mailboxes[dest].len() + copies as usize > scope.max_in_flight {
+                return Err(PruneReason::Capacity);
+            }
+            t.mailboxes[dest].extend(std::iter::repeat_n(m, copies as usize));
         }
     }
 
     // Canonicalise mailboxes so path-equivalent states hash equal.
     for mbox in &mut t.mailboxes {
-        mbox.sort_by_cached_key(McMessage::sort_key);
+        mbox.sort_by_cached_key(SpecMessage::key);
     }
     t.next_step = j + 1;
-    let phi_after = phi(&t, problem);
+    let phi_after = t.book.phi(problem, t.in_flight());
     let edge = EdgeInfo {
-        j,
-        worker: w,
-        read_labels,
         prev_read,
-        read_err,
-        produced_err,
         phi_before,
         phi_after,
+        ..edge
     };
     Ok((t, edge))
 }
@@ -683,6 +486,19 @@ pub fn apply_choice(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asynciter_runtime::transport::BlockMessage;
+
+    fn message(sent_at: u64, from: usize) -> SpecMessage {
+        SpecMessage {
+            sent_at,
+            msg: BlockMessage {
+                from,
+                comps: vec![(0, 0.0, sent_at)],
+                partial: false,
+            },
+            spec: vec![0],
+        }
+    }
 
     #[test]
     fn delivery_enumeration_counts() {
@@ -700,11 +516,17 @@ mod tests {
         let problem = McProblem::build();
         let s = McState::initial(&scope, &problem);
         assert_eq!(state_hash(&s), state_hash(&s.clone()));
+        // A delivery that moves one engine label and nothing else.
         let mut s2 = s.clone();
-        s2.labels[0][0] = 1;
-        assert_ne!(state_hash(&s), state_hash(&s2));
+        s2.book.receive(0, &message(1, 1));
+        assert_eq!(s2.book.workers[0].labels()[0], 1);
+        assert_eq!(
+            (s2.book.workers[0].view(), &s2.book.spec),
+            (s.book.workers[0].view(), &s.book.spec)
+        );
+        assert_ne!(state_hash(&s), state_hash(&s2), "engine book is hashed");
         let mut s3 = s.clone();
-        s3.spec_labels[0][0] = 1;
+        s3.book.spec[0][0] = 1;
         assert_ne!(state_hash(&s), state_hash(&s3), "spec book is hashed");
     }
 
@@ -712,19 +534,13 @@ mod tests {
     fn mailbox_order_is_canonical() {
         let scope = Scope::quick();
         let problem = McProblem::build();
-        let mk = |sent_at, src| McMessage {
-            sent_at,
-            src,
-            comps: vec![(0, 1.0, sent_at)],
-            spec: vec![sent_at],
-        };
         let mut a = McState::initial(&scope, &problem);
-        a.mailboxes[0] = vec![mk(1, 0), mk(3, 1)];
+        a.mailboxes[0] = vec![message(1, 0), message(3, 1)];
         let mut b = McState::initial(&scope, &problem);
-        b.mailboxes[0] = vec![mk(3, 1), mk(1, 0)];
+        b.mailboxes[0] = vec![message(3, 1), message(1, 0)];
         for s in [&mut a, &mut b] {
             for mbox in &mut s.mailboxes {
-                mbox.sort_by_cached_key(McMessage::sort_key);
+                mbox.sort_by_cached_key(SpecMessage::key);
             }
         }
         assert_eq!(state_hash(&a), state_hash(&b));
@@ -752,15 +568,8 @@ mod tests {
         tight.inject_bug = false;
         let mut s = McState::initial(&tight, &problem);
         s.next_step = 3; // min_label(3) = 1 under Bounded(2)
-        let hold_all = StepChoice {
-            deliver: vec![],
-            sends: vec![SendChoice::Send {
-                mask: None,
-                copies: 1,
-            }],
-        };
         assert_eq!(
-            apply_choice(&s, &hold_all, &tight, &problem, None).unwrap_err(),
+            apply_choice(&s, &send_full, &tight, &problem, None).unwrap_err(),
             PruneReason::Inadmissible
         );
     }
@@ -775,6 +584,35 @@ mod tests {
         assert!(edge.phi_after <= edge.phi_before);
         assert!(edge.produced_err <= problem.alpha * edge.read_err + 1e-12);
         assert_eq!(t.next_step, 2);
-        assert_eq!(t.labels, t.spec_labels, "books agree without the bug");
+        let labels: Vec<&[u64]> = t.book.workers.iter().map(|w| w.labels()).collect();
+        assert_eq!(labels, t.book.spec, "books agree without the bug");
+    }
+
+    #[test]
+    fn the_planted_bug_freezes_the_boundary_label_only() {
+        let scope = Scope::inject();
+        let problem = McProblem::build();
+        let s = McState::initial(&scope, &problem);
+        // Step 1: worker 0 posts; step 2: worker 1 posts its block,
+        // boundary component included; step 3: worker 0 reads it.
+        let send = |s: &McState, deliver: Vec<usize>| {
+            let choice = StepChoice {
+                deliver,
+                sends: vec![SendChoice::Send {
+                    mask: None,
+                    copies: 1,
+                }],
+            };
+            apply_choice(s, &choice, &scope, &problem, None).unwrap().0
+        };
+        let s = send(&send(&s, vec![]), vec![0]);
+        let boundary = crate::scope::MC_DIM / 2;
+        let before = s.mailboxes[0][0].msg.comps[0];
+        assert_eq!(before, (boundary as u32, before.1, 2));
+        let t = send(&s, vec![0]);
+        let (worker, spec) = (&t.book.workers[0], &t.book.spec[0]);
+        assert_eq!(worker.view()[boundary].to_bits(), before.1.to_bits());
+        assert_eq!((worker.labels()[boundary], spec[boundary]), (0, 2));
+        assert_eq!(worker.labels()[boundary + 1..], spec[boundary + 1..]);
     }
 }

@@ -53,7 +53,7 @@
 
 use crate::error::RuntimeError;
 use crate::transport::{BlockMessage, Exit, FaultRouter, SendFate};
-use crate::worker::{check_probabilities, Worker};
+use crate::worker::{assemble_consensus, check_probabilities, Worker};
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_numerics::rng::{pareto, rng};
@@ -283,8 +283,6 @@ pub struct ClusterStats {
 /// Result of a cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterRunResult {
-    /// Final local view of each worker.
-    pub local_views: Vec<Vec<f64>>,
     /// Consensus vector: each component taken from its owner's view.
     pub consensus: Vec<f64>,
     /// Fixed-point residual of the consensus vector.
@@ -326,128 +324,6 @@ struct Envelope {
     msg: BlockMessage,
 }
 
-/// Outcome of applying one message payload to a worker view — the
-/// bookkeeping callers need to maintain [`ClusterStats`] and the
-/// flexible/constraint counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MessageApply {
-    /// Component entries actually written into the view.
-    pub applied: u64,
-    /// Freshness checks performed (`KeepFreshest`: one per entry).
-    pub checked: u64,
-    /// Entries discarded as stale (`KeepFreshest` only).
-    pub stale: u64,
-}
-
-/// Applies one message's `(component, value, producing step)` triples to
-/// a worker's local view under `policy`, updating the per-component
-/// producing-step labels alongside the values.
-///
-/// This is the receiver half of the cluster's step-granular transition
-/// function: [`Worker::receive`] is built on it, and the model
-/// checker's cluster-regime scopes call it directly.
-///
-/// # Panics
-/// Panics (debug) when a component index is out of range.
-pub fn apply_message(
-    view: &mut [f64],
-    labels: &mut [u64],
-    comps: &[(u32, f64, u64)],
-    policy: ApplyPolicy,
-) -> MessageApply {
-    let mut out = MessageApply::default();
-    for &(c, v, l) in comps {
-        let c = c as usize;
-        let apply = match policy {
-            ApplyPolicy::AsReceived => true,
-            ApplyPolicy::KeepFreshest => {
-                out.checked += 1;
-                if l >= labels[c] {
-                    true
-                } else {
-                    out.stale += 1;
-                    false
-                }
-            }
-        };
-        if apply {
-            view[c] = v;
-            labels[c] = l;
-            out.applied += 1;
-        }
-    }
-    out
-}
-
-/// One producing block update by the owner of `block` at global step `j`:
-/// records the step (active set = the owned block, labels = the
-/// producing steps of the view being read), evaluates the operator
-/// Jacobi-style on the current view, and stamps the freshly produced
-/// components with label `j`.
-///
-/// This is the producer half of the cluster's step-granular transition
-/// function (see [`apply_message`]).
-///
-/// # Errors
-/// [`RuntimeError::NonFiniteIterate`] when the operator diverges.
-///
-/// # Panics
-/// Panics on dimension mismatches (`upd`/`scratch` sized for `op`).
-// Deliberately flat: every argument is a distinct piece of state the
-// model checker's cluster-regime scopes own separately, so a bundling
-// struct would just move the argument list to its constructor.
-#[allow(clippy::too_many_arguments)]
-pub fn produce_step(
-    op: &dyn Operator,
-    view: &mut [f64],
-    labels: &mut [u64],
-    block: &[usize],
-    j: u64,
-    trace: &mut Trace,
-    upd: &mut [f64],
-    scratch: &mut [f64],
-) -> Result<(), RuntimeError> {
-    trace.push_step(block, labels);
-    produce_block(op, view, labels, block, j, upd, scratch)
-}
-
-/// The produce half of [`produce_step`] without the trace push: one
-/// Jacobi-style block evaluation on the current view, finiteness check,
-/// and label stamping with the producing step `j`.
-///
-/// [`Worker::produce`] is built on this, so sequential, concurrent and
-/// model-checked cluster updates execute byte-identical arithmetic by
-/// construction.
-///
-/// # Errors
-/// [`RuntimeError::NonFiniteIterate`] when the operator diverges.
-///
-/// # Panics
-/// Panics on dimension mismatches (`upd`/`scratch` sized for `op`).
-pub fn produce_block(
-    op: &dyn Operator,
-    view: &mut [f64],
-    labels: &mut [u64],
-    block: &[usize],
-    j: u64,
-    upd: &mut [f64],
-    scratch: &mut [f64],
-) -> Result<(), RuntimeError> {
-    op.update_active_with(view, block, upd, scratch);
-    for &i in block {
-        let v = upd[i];
-        if !v.is_finite() {
-            return Err(RuntimeError::NonFiniteIterate {
-                at_step: j,
-                component: i,
-            });
-        }
-        view[i] = v;
-        labels[i] = j;
-    }
-    Ok(())
-}
-
 // Mailboxes are min-heaps on (deliver_at, seq); payload is ignored by
 // the ordering.
 impl PartialEq for Envelope {
@@ -465,242 +341,6 @@ impl Ord for Envelope {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
         (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
-    }
-}
-
-/// Status of one [`ClusterCursor::step`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepStatus {
-    /// A global step executed; more remain.
-    Running,
-    /// The run is over (budget exhausted or residual target hit); no
-    /// step was (or will be) executed.
-    Done,
-}
-
-/// A step-granular handle on a cluster run: the same event loop as
-/// [`ClusterEngine::run`], exposed one global step at a time.
-/// `ClusterEngine::run` is a thin loop over this cursor, so stepping and
-/// running to completion are bit-identical by construction.
-pub struct ClusterCursor<'a> {
-    op: &'a dyn Operator,
-    cfg: ClusterConfig,
-    xstar: Option<Vec<f64>>,
-    start: Instant,
-    workers: Vec<Worker>,
-    mailboxes: Vec<BinaryHeap<Envelope>>,
-    // Drop/duplicate decisions and their counters; this engine's holds
-    // are extra link latency, so nothing is ever parked in the router.
-    router: FaultRouter<BlockMessage>,
-    held: u64,
-    rng: StdRng,
-    seq: u64,
-    trace: Trace,
-    errors: Vec<(u64, f64)>,
-    residuals: Vec<(u64, f64)>,
-    stopped_early: bool,
-    steps_run: u64,
-    next_j: u64,
-    // Consensus assembly and its residual scratch, allocated once.
-    scratch: Vec<f64>,
-    consensus: Vec<f64>,
-}
-
-impl std::fmt::Debug for ClusterCursor<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterCursor")
-            .field("workers", &self.workers.len())
-            .field("next_j", &self.next_j)
-            .field("steps_run", &self.steps_run)
-            .field("stopped_early", &self.stopped_early)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> ClusterCursor<'a> {
-    /// Validates the run parameters and positions the cursor before
-    /// global step 1.
-    ///
-    /// # Errors
-    /// Dimension/parameter validation failures (same checks as
-    /// [`ClusterEngine::run`]).
-    pub fn new(
-        op: &'a dyn Operator,
-        x0: &[f64],
-        partition: &Partition,
-        cfg: &ClusterConfig,
-        xstar: Option<&[f64]>,
-    ) -> crate::Result<Self> {
-        let n = op.dim();
-        validate(n, cfg, xstar)?;
-        let workers = Worker::mesh(
-            op,
-            x0,
-            partition,
-            cfg.apply_policy,
-            cfg.exchange_every,
-            cfg.partial_prob,
-        )?;
-        Ok(Self {
-            op,
-            cfg: cfg.clone(),
-            xstar: xstar.map(<[f64]>::to_vec),
-            start: Instant::now(),
-            mailboxes: workers.iter().map(|_| BinaryHeap::new()).collect(),
-            workers,
-            router: FaultRouter::default(),
-            held: 0,
-            rng: rng(cfg.seed),
-            seq: 0,
-            trace: Trace::new(n, cfg.record),
-            errors: Vec::new(),
-            residuals: Vec::new(),
-            stopped_early: false,
-            steps_run: 0,
-            next_j: 1,
-            scratch: vec![0.0; op.scratch_len()],
-            consensus: vec![0.0; n],
-        })
-    }
-
-    fn assemble_consensus(&mut self) {
-        for worker in &self.workers {
-            for &i in worker.block() {
-                self.consensus[i] = worker.view()[i];
-            }
-        }
-    }
-
-    /// Executes one global step (deliver due mail → record → block
-    /// update → exchange → observe/stop).
-    ///
-    /// # Errors
-    /// [`RuntimeError::NonFiniteIterate`] when the operator diverges.
-    pub fn step(&mut self) -> crate::Result<StepStatus> {
-        if self.stopped_early || self.next_j > self.cfg.steps {
-            return Ok(StepStatus::Done);
-        }
-        let j = self.next_j;
-        self.next_j += 1;
-        let w = ((j - 1) % self.workers.len() as u64) as usize;
-        let worker = &mut self.workers[w];
-
-        // Deliver all mail due by now, earliest (deliver_at, seq) first
-        // — holds put older messages behind newer ones.
-        while self.mailboxes[w]
-            .peek()
-            .is_some_and(|env| env.deliver_at <= j)
-        {
-            worker.receive(&self.mailboxes[w].pop().expect("peeked").msg);
-        }
-
-        // Record the step *before* writing (active set = the owned
-        // block, labels = the producing steps of the view being read),
-        // then Jacobi within the block: all components read the same
-        // view.
-        self.trace.push_step(worker.block(), worker.labels());
-        worker.produce(self.op, j)?;
-        self.steps_run = j;
-
-        // Exchange: post the block (or a partial subset) to peers. Per
-        // destination the stream decides drop, then duplicate; every
-        // copy that leaves the router draws its own latency and hold.
-        let mut posted = worker.post(&mut self.rng);
-        if let (Some(msg), Some(sc)) = (&mut posted, self.cfg.sever_component) {
-            msg.comps.retain(|&(c, _, _)| c as usize != sc);
-        }
-        if let Some(msg) = posted.filter(|msg| !msg.comps.is_empty()) {
-            let (cfg, rng) = (&self.cfg, &mut self.rng);
-            for dest in worker.peers() {
-                let fate = if rng.random_range(0.0..1.0) < cfg.drop_prob {
-                    SendFate::Drop
-                } else {
-                    let dup = rng.random_range(0.0..1.0) < cfg.dup_prob;
-                    SendFate::Deliver { dup, hold: 0 }
-                };
-                self.router
-                    .route(dest, msg.clone(), fate, |exit, dest, msg| {
-                        if exit == Exit::Dropped {
-                            return;
-                        }
-                        let mut latency = cfg.link.sample(rng);
-                        if rng.random_range(0.0..1.0) < cfg.hold_prob {
-                            self.held += 1;
-                            latency += rng.random_range(1..=cfg.hold_extra.max(1));
-                        }
-                        self.seq += 1;
-                        self.mailboxes[dest].push(Envelope {
-                            deliver_at: j.saturating_add(latency),
-                            seq: self.seq,
-                            msg,
-                        });
-                    });
-            }
-        }
-
-        // Observability and stopping on the consensus vector.
-        let want_error = self.cfg.error_every > 0 && j.is_multiple_of(self.cfg.error_every);
-        let want_residual =
-            self.cfg.residual_every > 0 && j.is_multiple_of(self.cfg.residual_every);
-        let want_stop =
-            self.cfg.target_residual.is_some() && j.is_multiple_of(self.cfg.check_every.max(1));
-        if want_error || want_residual || want_stop {
-            self.assemble_consensus();
-            if want_error {
-                let xs = self.xstar.as_deref().expect("validated: requires xstar");
-                self.errors.push((
-                    j,
-                    asynciter_numerics::vecops::max_abs_diff(&self.consensus, xs),
-                ));
-            }
-            if want_residual || want_stop {
-                let residual = self
-                    .op
-                    .residual_inf_with(&self.consensus, &mut self.scratch);
-                if want_residual {
-                    self.residuals.push((j, residual));
-                }
-                if want_stop && self.cfg.target_residual.is_some_and(|eps| residual <= eps) {
-                    self.stopped_early = true;
-                    return Ok(StepStatus::Done);
-                }
-            }
-        }
-        Ok(StepStatus::Running)
-    }
-
-    /// Finalises the run: assembles the consensus vector and the result
-    /// record. Can be called at any point of the run (the result covers
-    /// the steps executed so far).
-    pub fn into_result(mut self) -> ClusterRunResult {
-        self.assemble_consensus();
-        let final_residual = self.op.residual_inf(&self.consensus);
-        let sends = self.router.stats();
-        let totals = Worker::totals(&self.workers);
-        ClusterRunResult {
-            local_views: self.workers.iter().map(|w| w.view().to_vec()).collect(),
-            consensus: self.consensus,
-            final_residual,
-            stats: ClusterStats {
-                sent: sends.sent,
-                delivered: totals.delivered,
-                dropped: sends.dropped,
-                duplicated: sends.duplicated,
-                held: self.held,
-                discarded_stale: totals.constraint_violations,
-            },
-            trace: self.trace,
-            steps_run: self.steps_run,
-            per_worker_updates: self.workers.iter().map(|w| w.counters().updates).collect(),
-            errors: self.errors,
-            residuals: self.residuals,
-            stopped_early: self.stopped_early,
-            partial_publishes: totals.partial_publishes,
-            partial_reads: totals.partial_reads,
-            constraint_checked: totals.constraint_checked,
-            constraint_violations: totals.constraint_violations,
-            wall: self.start.elapsed(),
-        }
     }
 }
 
@@ -724,9 +364,136 @@ impl ClusterEngine {
         cfg: &ClusterConfig,
         xstar: Option<&[f64]>,
     ) -> crate::Result<ClusterRunResult> {
-        let mut cursor = ClusterCursor::new(op, x0, partition, cfg, xstar)?;
-        while cursor.step()? == StepStatus::Running {}
-        Ok(cursor.into_result())
+        let n = op.dim();
+        validate(n, cfg, xstar)?;
+        let mut workers = Worker::mesh(
+            op,
+            x0,
+            partition,
+            cfg.apply_policy,
+            cfg.exchange_every,
+            cfg.partial_prob,
+        )?;
+        let start = Instant::now();
+        let mut mailboxes: Vec<BinaryHeap<Envelope>> =
+            workers.iter().map(|_| BinaryHeap::new()).collect();
+        // Drop/duplicate decisions and their counters; this engine's holds
+        // are extra link latency, so nothing is ever parked in the router.
+        let mut router = FaultRouter::default();
+        let (mut held, mut seq) = (0u64, 0u64);
+        let mut rng = rng(cfg.seed);
+        let mut trace = Trace::new(n, cfg.record);
+        let (mut errors, mut residuals) = (Vec::new(), Vec::new());
+        let (mut steps_run, mut stopped_early) = (0, false);
+        // Consensus assembly and its residual scratch, allocated once.
+        let mut scratch = vec![0.0; op.scratch_len()];
+        let mut consensus = vec![0.0; n];
+
+        // One global step: deliver due mail → record → block update →
+        // exchange → observe/stop.
+        for j in 1..=cfg.steps {
+            let w = ((j - 1) % workers.len() as u64) as usize;
+            let worker = &mut workers[w];
+
+            // Deliver all mail due by now, earliest (deliver_at, seq) first
+            // — holds put older messages behind newer ones.
+            while mailboxes[w].peek().is_some_and(|env| env.deliver_at <= j) {
+                worker.receive(&mailboxes[w].pop().expect("peeked").msg);
+            }
+
+            // Record the step *before* writing (active set = the owned
+            // block, labels = the producing steps of the view being read),
+            // then Jacobi within the block: all components read the same
+            // view.
+            trace.push_step(worker.block(), worker.labels());
+            worker.produce(op, j)?;
+            steps_run = j;
+
+            // Exchange: post the block (or a partial subset) to peers. Per
+            // destination the stream decides drop, then duplicate; every
+            // copy that leaves the router draws its own latency and hold.
+            let mut posted = worker.post(&mut rng);
+            if let (Some(msg), Some(sc)) = (&mut posted, cfg.sever_component) {
+                msg.comps.retain(|&(c, _, _)| c as usize != sc);
+            }
+            if let Some(msg) = posted.filter(|msg| !msg.comps.is_empty()) {
+                for dest in worker.peers() {
+                    let fate = if rng.random_range(0.0..1.0) < cfg.drop_prob {
+                        SendFate::Drop
+                    } else {
+                        let dup = rng.random_range(0.0..1.0) < cfg.dup_prob;
+                        SendFate::Deliver { dup, hold: 0 }
+                    };
+                    router.route(dest, msg.clone(), fate, |exit, dest, msg| {
+                        if exit == Exit::Dropped {
+                            return;
+                        }
+                        let mut latency = cfg.link.sample(&mut rng);
+                        if rng.random_range(0.0..1.0) < cfg.hold_prob {
+                            held += 1;
+                            latency += rng.random_range(1..=cfg.hold_extra.max(1));
+                        }
+                        seq += 1;
+                        mailboxes[dest].push(Envelope {
+                            deliver_at: j.saturating_add(latency),
+                            seq,
+                            msg,
+                        });
+                    });
+                }
+            }
+
+            // Observability and stopping on the consensus vector.
+            let want_error = cfg.error_every > 0 && j.is_multiple_of(cfg.error_every);
+            let want_residual = cfg.residual_every > 0 && j.is_multiple_of(cfg.residual_every);
+            let want_stop =
+                cfg.target_residual.is_some() && j.is_multiple_of(cfg.check_every.max(1));
+            if want_error || want_residual || want_stop {
+                assemble_consensus(&workers, &mut consensus);
+                if want_error {
+                    let xs = xstar.expect("validated: requires xstar");
+                    errors.push((j, asynciter_numerics::vecops::max_abs_diff(&consensus, xs)));
+                }
+                if want_residual || want_stop {
+                    let residual = op.residual_inf_with(&consensus, &mut scratch);
+                    if want_residual {
+                        residuals.push((j, residual));
+                    }
+                    if want_stop && cfg.target_residual.is_some_and(|eps| residual <= eps) {
+                        stopped_early = true;
+                        break;
+                    }
+                }
+            }
+        }
+
+        assemble_consensus(&workers, &mut consensus);
+        let final_residual = op.residual_inf(&consensus);
+        let sends = router.stats();
+        let totals = Worker::totals(&workers);
+        Ok(ClusterRunResult {
+            consensus,
+            final_residual,
+            stats: ClusterStats {
+                sent: sends.sent,
+                delivered: totals.delivered,
+                dropped: sends.dropped,
+                duplicated: sends.duplicated,
+                held,
+                discarded_stale: totals.constraint_violations,
+            },
+            trace,
+            steps_run,
+            per_worker_updates: workers.iter().map(|w| w.counters().updates).collect(),
+            errors,
+            residuals,
+            stopped_early,
+            partial_publishes: totals.partial_publishes,
+            partial_reads: totals.partial_reads,
+            constraint_checked: totals.constraint_checked,
+            constraint_violations: totals.constraint_violations,
+            wall: start.elapsed(),
+        })
     }
 }
 
@@ -803,62 +570,6 @@ mod tests {
         assert!(res.stats.sent > 0);
         assert_eq!(res.stats.dropped, 0);
         assert_eq!(res.per_worker_updates, vec![300; 3]);
-    }
-
-    #[test]
-    fn cursor_stepping_matches_run_to_completion_bitwise() {
-        let op = jacobi(16);
-        let p = Partition::blocks(16, 4).unwrap();
-        let mut cfg = ClusterConfig::new(400)
-            .with_faults(0.3, 0.15, 0.1)
-            .with_link(LinkModel::Jitter { lo: 1, hi: 5 })
-            .with_seed(41)
-            .with_record(LabelStore::Full);
-        cfg.partial_prob = 0.25;
-        let whole = ClusterEngine::run(&op, &[0.0; 16], &p, &cfg, None).unwrap();
-        let mut cursor = ClusterCursor::new(&op, &[0.0; 16], &p, &cfg, None).unwrap();
-        while cursor.step().unwrap() == StepStatus::Running {}
-        let stepped = cursor.into_result();
-        assert_eq!(whole.consensus, stepped.consensus);
-        assert_eq!(whole.stats, stepped.stats);
-        assert_eq!(whole.steps_run, stepped.steps_run);
-        for j in 1..=whole.trace.len() as u64 {
-            assert_eq!(
-                whole.trace.labels(j).unwrap(),
-                stepped.trace.labels(j).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn apply_message_keep_freshest_counts_stale_entries() {
-        let mut view = vec![0.0, 0.0];
-        let mut labels = vec![5u64, 1];
-        let out = apply_message(
-            &mut view,
-            &mut labels,
-            &[(0, 9.0, 3), (1, 7.0, 4)],
-            ApplyPolicy::KeepFreshest,
-        );
-        assert_eq!(
-            out,
-            MessageApply {
-                applied: 1,
-                checked: 2,
-                stale: 1
-            }
-        );
-        assert_eq!(view, vec![0.0, 7.0]);
-        assert_eq!(labels, vec![5, 4]);
-        let out = apply_message(
-            &mut view,
-            &mut labels,
-            &[(0, 9.0, 3)],
-            ApplyPolicy::AsReceived,
-        );
-        assert_eq!(out.applied, 1);
-        assert_eq!(out.checked, 0);
-        assert_eq!(labels, vec![3, 4]);
     }
 
     #[test]

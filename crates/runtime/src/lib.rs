@@ -62,8 +62,7 @@ pub mod worker;
 
 pub use async_engine::{AsyncConfig, AsyncRunResult, AsyncSharedRunner, SnapshotMode, TraceRecord};
 pub use cluster::{
-    apply_message, produce_block, produce_step, ApplyPolicy, ClusterConfig, ClusterCursor,
-    ClusterEngine, ClusterRunResult, ClusterStats, LinkModel, MessageApply, StepStatus,
+    ApplyPolicy, ClusterConfig, ClusterEngine, ClusterRunResult, ClusterStats, LinkModel,
 };
 pub use error::RuntimeError;
 pub use scratch::{PoolStats, ScratchLease, ScratchPool};

@@ -46,7 +46,7 @@ use crate::cluster::{ApplyPolicy, ClusterStats};
 use crate::error::RuntimeError;
 use crate::termination::{QuiescenceDetector, QuiescenceTracker};
 use crate::transport::{Endpoint, FaultEndpoint, FaultPlan, MpscTransport, SendStats, Transport};
-use crate::worker::{check_probabilities, Worker};
+use crate::worker::{assemble_consensus, check_probabilities, Worker};
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_numerics::rng::rng;
@@ -315,11 +315,7 @@ impl ThreadedClusterEngine {
         }
 
         let mut consensus = vec![0.0; n];
-        for worker in &done {
-            for &i in worker.block() {
-                consensus[i] = worker.view()[i];
-            }
-        }
+        assemble_consensus(&done, &mut consensus);
         let final_residual = op.residual_inf(&consensus);
         let totals = Worker::totals(&done);
         stats.delivered = totals.delivered;
@@ -403,7 +399,12 @@ fn worker_loop(
         for (k, &i) in worker.block().iter().enumerate() {
             old_block[k] = worker.view()[i];
         }
-        worker.produce(op, j)?;
+        if let Err(e) = worker.produce(op, j) {
+            // Peers must not burn the rest of the step budget behind a
+            // run that can only report this error.
+            stop.store(true, Ordering::Relaxed);
+            return Err(e);
+        }
 
         // Exchange: post the block (or a partial subset) to every peer.
         if let Some(msg) = worker.post(&mut prng) {
@@ -546,6 +547,32 @@ mod tests {
         assert_eq!(res.trace.len(), 500);
         assert!(!res.stopped_early);
         check_condition_a(&res.trace).unwrap();
+    }
+
+    #[test]
+    fn a_diverging_worker_stops_its_healthy_peers() {
+        // Worker 1's block goes NaN on its first update; worker 0 stays
+        // healthy and must not run out an unbounded step budget.
+        struct NanOnUpperBlock;
+        impl Operator for NanOnUpperBlock {
+            fn dim(&self) -> usize {
+                4
+            }
+            fn component(&self, i: usize, x: &[f64]) -> f64 {
+                if i >= 2 {
+                    f64::NAN
+                } else {
+                    0.5 * x[i]
+                }
+            }
+        }
+        let p = Partition::blocks(4, 2).unwrap();
+        let cfg = ThreadedConfig::new(u64::MAX);
+        let err = ThreadedClusterEngine::run(&NanOnUpperBlock, &[1.0; 4], &p, &cfg).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::NonFiniteIterate { component: 2, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

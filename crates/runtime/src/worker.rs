@@ -18,7 +18,7 @@
 //! `Worker` is `Clone` so the model checker can branch a state; a clone
 //! is a deep copy of everything the worker's future depends on.
 
-use crate::cluster::{apply_message, produce_block, ApplyPolicy};
+use crate::cluster::ApplyPolicy;
 use crate::error::RuntimeError;
 use crate::transport::BlockMessage;
 use asynciter_models::partition::Partition;
@@ -177,14 +177,27 @@ impl Worker {
         self.workers > 1 && updates.is_multiple_of(self.exchange_every)
     }
 
-    /// Folds one received message into the view and label book.
+    /// Folds one received message into the view and label book: every
+    /// `(component, value, producing step)` entry under `AsReceived`,
+    /// only entries at least as fresh as current knowledge under
+    /// `KeepFreshest`.
+    ///
+    /// # Panics
+    /// Panics when a component index is out of range.
     pub fn receive(&mut self, msg: &BlockMessage) {
         self.counters.delivered += 1;
-        let out = apply_message(&mut self.view, &mut self.labels, &msg.comps, self.policy);
-        self.counters.constraint_checked += out.checked;
-        self.counters.constraint_violations += out.stale;
-        if msg.partial {
-            self.counters.partial_reads += out.applied;
+        for &(c, v, l) in &msg.comps {
+            let c = c as usize;
+            if self.policy == ApplyPolicy::KeepFreshest {
+                self.counters.constraint_checked += 1;
+                if l < self.labels[c] {
+                    self.counters.constraint_violations += 1;
+                    continue;
+                }
+            }
+            self.view[c] = v;
+            self.labels[c] = l;
+            self.counters.partial_reads += u64::from(msg.partial);
         }
     }
 
@@ -194,15 +207,18 @@ impl Worker {
     /// # Errors
     /// [`RuntimeError::NonFiniteIterate`] when the operator diverges.
     pub fn produce(&mut self, op: &dyn Operator, j: u64) -> Result<(), RuntimeError> {
-        produce_block(
-            op,
-            &mut self.view,
-            &mut self.labels,
-            &self.block,
-            j,
-            &mut self.upd,
-            &mut self.scratch,
-        )?;
+        op.update_active_with(&self.view, &self.block, &mut self.upd, &mut self.scratch);
+        for &i in &self.block {
+            let v = self.upd[i];
+            if !v.is_finite() {
+                return Err(RuntimeError::NonFiniteIterate {
+                    at_step: j,
+                    component: i,
+                });
+            }
+            self.view[i] = v;
+            self.labels[i] = j;
+        }
         self.counters.updates += 1;
         Ok(())
     }
@@ -240,6 +256,15 @@ impl Worker {
     }
 }
 
+/// Writes each component's value in its owner's view into `consensus`.
+pub(crate) fn assemble_consensus(workers: &[Worker], consensus: &mut [f64]) {
+    for worker in workers {
+        for &i in &worker.block {
+            consensus[i] = worker.view[i];
+        }
+    }
+}
+
 /// Rejects any named probability outside `[0, 1]`.
 pub(crate) fn check_probabilities(probs: &[(&'static str, f64)]) -> Result<(), RuntimeError> {
     match probs.iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
@@ -248,5 +273,44 @@ pub(crate) fn check_probabilities(probs: &[(&'static str, f64)]) -> Result<(), R
             name,
             message: format!("{name} = {p} outside [0,1]"),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asynciter_numerics::sparse::tridiagonal;
+    use asynciter_opt::linear::JacobiOperator;
+
+    #[test]
+    fn receive_keep_freshest_discards_and_counts_stale_entries() {
+        let op = JacobiOperator::new(tridiagonal(2, 4.0, -1.0), vec![1.0; 2]).unwrap();
+        let partition = Partition::blocks(2, 2).unwrap();
+        let msg = |comps, partial| BlockMessage {
+            from: 1,
+            comps,
+            partial,
+        };
+        for (policy, view, labels, checked, stale) in [
+            (ApplyPolicy::KeepFreshest, [1.0, 7.0], [5, 4], 4, 1),
+            (ApplyPolicy::AsReceived, [9.0, 7.0], [3, 4], 0, 0),
+        ] {
+            let mut mesh = Worker::mesh(&op, &[0.0; 2], &partition, policy, 1, 0.0).unwrap();
+            let w = &mut mesh[0];
+            w.receive(&msg(vec![(0, 1.0, 5), (1, 1.0, 1)], false));
+            w.receive(&msg(vec![(0, 9.0, 3), (1, 7.0, 4)], true));
+            assert_eq!((w.view(), w.labels()), (&view[..], &labels[..]));
+            let c = w.counters();
+            assert_eq!(
+                (c.constraint_checked, c.constraint_violations),
+                (checked, stale)
+            );
+            assert_eq!(
+                c.partial_reads,
+                2 - stale,
+                "entries applied out of the partial"
+            );
+            assert_eq!(c.delivered, 2);
+        }
     }
 }

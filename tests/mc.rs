@@ -17,7 +17,7 @@ use asynciter::mc::seam::SeamChoice;
 use asynciter::mc::{
     explore, explore_check_por, find_reorder_demo, inject_bug_demo, rebuild, seam_bug_demo,
     state_hash, ClusterModel, ExploreOutcome, McProblem, McState, Model, Por, Property, Scope,
-    SeamBug, SeamModel, SeamScope, Strategy,
+    SeamBug, SeamModel, SeamScope, SendChoice, StepChoice, Strategy,
 };
 use asynciter::models::conditions::DelayEnvelope;
 use asynciter::models::Partition;
@@ -292,15 +292,63 @@ fn seam1_matches_sequential_and_threaded_cluster_bitwise() {
         .unwrap();
     for c in 0..problem.n() {
         assert_eq!(
-            terminal.workers[0].view()[c].to_bits(),
+            terminal.book.workers[0].view()[c].to_bits(),
             cluster.final_x[c].to_bits(),
             "seam model diverges from Cluster{{1}} at component {c}"
         );
         assert_eq!(
-            terminal.workers[0].view()[c].to_bits(),
+            terminal.book.workers[0].view()[c].to_bits(),
             threaded.final_x[c].to_bits(),
             "seam model diverges from ThreadedCluster{{1}} at component {c}"
         );
+    }
+}
+
+#[test]
+fn quick_prompt_path_matches_the_cluster_backend_bitwise() {
+    // The cluster-scope analogue of the seam1 test above: on the path
+    // that delivers the whole mailbox and posts the full block once at
+    // every step, the abstract-channel model is the production event
+    // loop with fixed 1-tick links (a post is due before the peer's
+    // next turn) — same workers, same arithmetic, same final bits.
+    let scope = Scope::quick();
+    let problem = McProblem::build();
+    let model = ClusterModel::new(&scope, &problem);
+    let mut state = model.initial();
+    while !model.is_terminal(&state) {
+        let w = scope.owner(state.next_step);
+        let prompt = StepChoice {
+            deliver: (0..state.mailboxes[w].len()).collect(),
+            sends: vec![SendChoice::Send {
+                mask: None,
+                copies: 1,
+            }],
+        };
+        assert!(
+            model.enumerate(&state).0.contains(&prompt),
+            "step {}: the prompt choice must be one the explorer visits",
+            state.next_step
+        );
+        state = model.apply(&state, &prompt, None).expect("in scope").0;
+    }
+    let cluster = Session::new(&problem.op)
+        .x0(problem.x0.clone())
+        .steps(scope.steps)
+        .backend(Cluster {
+            workers: scope.workers,
+            apply_policy: ApplyPolicy::KeepFreshest,
+            ..Cluster::default()
+        })
+        .run()
+        .unwrap();
+    for worker in &state.book.workers {
+        for &c in worker.block() {
+            assert_eq!(
+                worker.view()[c].to_bits(),
+                cluster.final_x[c].to_bits(),
+                "cluster model diverges from Cluster{{2}} at component {c}"
+            );
+        }
     }
 }
 
@@ -377,7 +425,7 @@ fn seam_model_and_fault_endpoint_agree_bitwise_on_a_fate_script() {
             fates: vec![fate],
         };
         state = model.apply(&state, &choice, None).expect("in scope").0;
-        for (real, seam) in workers.iter().zip(&state.workers) {
+        for (real, seam) in workers.iter().zip(&state.book.workers) {
             let bits = |view: &[f64]| view.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(real.view()), bits(seam.view()), "step {j}: views");
             assert_eq!(real.labels(), seam.labels(), "step {j}: label books");
