@@ -12,8 +12,8 @@
 //!    (stop when the iterate moved ≤ ε(1−α)/α over a macro-iteration)
 //!    must always certify the requested accuracy, vs the naive residual
 //!    rule evaluated under stale reads.
-//! 2. *Threaded runtime*: quiescence detection with a flush margin
-//!    (\[22\]-style) vs the naive margin-0 rule, across seeds: premature
+//! 2. *Shared-memory runtime*: quiescence detection with a flush margin
+//!    (\[22\]-style) vs the naive margin-0 rule, across runs: premature
 //!    stops and detection overhead.
 
 use crate::ExpContext;
@@ -26,7 +26,7 @@ use asynciter_numerics::sparse::tridiagonal;
 use asynciter_opt::linear::JacobiOperator;
 use asynciter_report::csv::CsvWriter;
 use asynciter_report::table::TextTable;
-use asynciter_runtime::termination::{run_with_termination, TermConfig};
+use asynciter_runtime::{AsyncConfig, AsyncSharedRunner, Quiesce};
 
 /// Runs E10.
 pub fn run(seed: u64, quick: bool) {
@@ -77,7 +77,7 @@ pub fn run(seed: u64, quick: bool) {
         "macro-contraction rule must never stop early"
     );
 
-    // Part 2: threaded quiescence detection, margin sweep.
+    // Part 2: shared-memory quiescence detection, margin sweep.
     let workers = 4;
     let partition = Partition::blocks(n, workers).expect("partition");
     let quiet_eps = 1e-10;
@@ -105,15 +105,14 @@ pub fn run(seed: u64, quick: bool) {
         let mut updates = 0u64;
         let mut resid_sum = 0.0;
         for _ in 0..seeds {
-            let cfg = TermConfig {
-                workers,
-                max_updates: 5_000_000,
+            let mut cfg = AsyncConfig::new(workers, 5_000_000);
+            cfg.quiesce = Some(Quiesce {
                 eps: quiet_eps,
                 streak: 6,
                 margin,
-            };
-            let res = run_with_termination(&op, &vec![0.0; n], &partition, &cfg).expect("run");
-            if res.detected {
+            });
+            let res = AsyncSharedRunner::run(&op, &vec![0.0; n], &partition, &cfg).expect("run");
+            if res.stopped_early {
                 detected += 1;
                 if res.final_residual > good_resid {
                     premature += 1;

@@ -75,7 +75,7 @@ impl Problem<'_> {
 }
 
 /// How much trace information a run keeps (unifies the engines'
-/// `LabelStore` / `TraceRecord` knobs).
+/// `LabelStore` / `Option<LabelStore>` knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordMode {
     /// No trace in the report (fastest; macro-iterations still counted

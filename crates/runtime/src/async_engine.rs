@@ -2,35 +2,29 @@
 //! memory.
 //!
 //! Workers own disjoint component blocks (single-writer discipline) and
-//! loop without any synchronisation: snapshot the shared vector
-//! (component-wise atomic, globally inconsistent — Definition 1's read
-//! model), apply the operator to their block (optionally `m` inner
-//! iterations with mid-phase partial publishing — flexible
-//! communication), and publish. A global atomic counter assigns each
-//! block update its iteration number `j`; because every value a worker
-//! reads was published before it acquired `j`, all recorded labels are
-//! `≤ j − 1` and the emitted trace satisfies condition (a) by
-//! construction.
+//! loop without any synchronisation. This module is the shared-memory
+//! *step body*: snapshot the shared vector (component-wise atomic,
+//! globally inconsistent — Definition 1's read model), apply the
+//! operator to the block (optionally `m` inner iterations with
+//! mid-phase partial publishing — flexible communication), draw the
+//! step's ticket, publish. The ticket numbering the update, the stop
+//! flags, the step log and trace, the termination checks and worker
+//! failures are the free-running harness (`race`) shared with
+//! [`crate::threaded`]. Every value a worker reads was published before
+//! it drew `j`, so all recorded labels are `≤ j − 1`: the emitted trace
+//! satisfies condition (a) by construction.
 
 use crate::error::RuntimeError;
 use crate::imbalance::spin;
-use crate::shared::SharedVec;
+use crate::race::{Lane, Race};
+use crate::shared::{worker_blocks, SharedVec};
+use crate::termination::Quiesce;
+use crate::worker::check_positive;
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_opt::traits::Operator;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// How much trace information the run records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceRecord {
-    /// No trace (fastest; benchmark mode).
-    Off,
-    /// Active sets and min labels only.
-    MinOnly,
-    /// Full label vectors per step (memory `O(updates · n)`).
-    Full,
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Snapshot consistency ablation (DESIGN.md §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,10 +58,14 @@ pub struct AsyncConfig {
     /// Publish partial block values every this many inner steps
     /// (`≥ inner_steps` disables mid-phase publishing).
     pub publish_period: usize,
-    /// Trace recording mode.
-    pub record: TraceRecord,
+    /// Label retention of the recorded trace (`None`: no trace —
+    /// fastest; `Full` costs memory `O(updates · n)`).
+    pub record: Option<LabelStore>,
     /// Snapshot consistency mode.
     pub snapshot: SnapshotMode,
+    /// Optional quiescence-detection termination rule; a block update's
+    /// change is the largest move of any of its inner iterations.
+    pub quiesce: Option<Quiesce>,
 }
 
 impl AsyncConfig {
@@ -82,8 +80,9 @@ impl AsyncConfig {
             spin_per_update: Vec::new(),
             inner_steps: 1,
             publish_period: 1,
-            record: TraceRecord::Off,
+            record: None,
             snapshot: SnapshotMode::Relaxed,
+            quiesce: None,
         }
     }
 
@@ -106,9 +105,9 @@ impl AsyncConfig {
         self
     }
 
-    /// Sets the trace recording mode.
-    pub fn with_record(mut self, record: TraceRecord) -> Self {
-        self.record = record;
+    /// Records a trace with the given label retention.
+    pub fn with_record(mut self, store: LabelStore) -> Self {
+        self.record = Some(store);
         self
     }
 
@@ -136,13 +135,9 @@ pub struct AsyncRunResult {
     pub trace: Option<Trace>,
     /// Mid-phase partial publishes performed.
     pub partial_publishes: u64,
-}
-
-struct Event {
-    j: u64,
-    worker: usize,
-    min_label: u64,
-    labels: Vec<u64>, // empty unless TraceRecord::Full
+    /// True when the residual target or quiescence detection fired
+    /// before the update budget.
+    pub stopped_early: bool,
 }
 
 /// The asynchronous shared-memory runner. See module docs.
@@ -154,7 +149,8 @@ impl AsyncSharedRunner {
     /// the blocks of `partition`.
     ///
     /// # Errors
-    /// Dimension/parameter validation failures.
+    /// Dimension/parameter validation failures, a non-finite iterate
+    /// (operator divergence) or a panicking operator.
     pub fn run(
         op: &dyn Operator,
         x0: &[f64],
@@ -162,223 +158,105 @@ impl AsyncSharedRunner {
         cfg: &AsyncConfig,
     ) -> crate::Result<AsyncRunResult> {
         let n = op.dim();
-        if x0.len() != n {
-            return Err(RuntimeError::DimensionMismatch {
-                expected: n,
-                actual: x0.len(),
-                context: "AsyncSharedRunner::run (x0)",
-            });
-        }
-        if partition.n() != n {
-            return Err(RuntimeError::DimensionMismatch {
-                expected: n,
-                actual: partition.n(),
-                context: "AsyncSharedRunner::run (partition)",
-            });
-        }
-        if partition.num_machines() != cfg.workers {
-            return Err(RuntimeError::InvalidParameter {
-                name: "workers",
-                message: format!(
-                    "partition has {} machines but cfg.workers = {}",
-                    partition.num_machines(),
-                    cfg.workers
-                ),
-            });
-        }
-        if cfg.workers == 0 || cfg.max_updates == 0 || cfg.inner_steps == 0 {
-            return Err(RuntimeError::InvalidParameter {
-                name: "workers/max_updates/inner_steps",
-                message: "must be positive".into(),
-            });
-        }
-        if cfg.publish_period == 0 {
-            return Err(RuntimeError::InvalidParameter {
-                name: "publish_period",
-                message: "must be positive".into(),
-            });
-        }
-        if !cfg.spin_per_update.is_empty() && cfg.spin_per_update.len() != cfg.workers {
-            return Err(RuntimeError::InvalidParameter {
-                name: "spin_per_update",
-                message: "must be empty or one entry per worker".into(),
-            });
-        }
+        let blocks = worker_blocks(n, x0, partition, cfg.workers, &cfg.spin_per_update)?;
+        check_positive(&[
+            ("inner_steps", cfg.inner_steps as u64),
+            ("publish_period", cfg.publish_period as u64),
+        ])?;
+        let race = Race::new(
+            cfg.max_updates,
+            cfg.record,
+            cfg.target_residual,
+            cfg.check_every,
+            cfg.quiesce,
+        )?;
 
         let shared = SharedVec::new(x0);
-        let counter = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
         let partial_publishes = AtomicU64::new(0);
         let snapshot_lock = parking_lot::RwLock::new(());
-        let blocks: Vec<Vec<usize>> = (0..cfg.workers)
-            .map(|w| partition.components_of(w))
-            .collect();
-
-        let start = Instant::now();
-        let mut worker_logs: Vec<(Vec<Event>, u64)> = Vec::with_capacity(cfg.workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(cfg.workers);
-            for (w, block) in blocks.iter().enumerate() {
-                let shared = &shared;
-                let counter = &counter;
-                let stop = &stop;
-                let partial_publishes = &partial_publishes;
-                let snapshot_lock = &snapshot_lock;
-                let spin_units = cfg.spin_per_update.get(w).copied().unwrap_or(0);
-                handles.push(scope.spawn(move || {
-                    // Per-worker buffers allocated once (snapshot values
-                    // and labels, block output, operator scratch): the
-                    // update loop below is heap-allocation-free apart
-                    // from trace-event recording.
-                    let mut vals = vec![0.0; n];
-                    let mut labels = vec![0u64; n];
-                    let mut upd = vec![0.0; n];
-                    let mut scratch = vec![0.0; op.scratch_len()];
-                    let mut events: Vec<Event> = Vec::new();
-                    let mut my_updates = 0u64;
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Snapshot (the asynchronous read).
-                        match cfg.snapshot {
-                            SnapshotMode::Relaxed => {
-                                shared.snapshot_labelled(&mut vals, &mut labels);
-                            }
-                            SnapshotMode::Locked => {
-                                let _g = snapshot_lock.read();
-                                shared.snapshot_labelled(&mut vals, &mut labels);
-                            }
-                        }
-                        // Simulated compute load (heterogeneity).
-                        if spin_units > 0 {
-                            spin(spin_units);
-                        }
-                        // m inner iterations on the block, off-block
-                        // frozen at the snapshot.
-                        for r in 1..=cfg.inner_steps {
-                            op.update_active_with(&vals, block, &mut upd, &mut scratch);
-                            for &i in block {
-                                vals[i] = upd[i];
-                            }
-                            if r % cfg.publish_period == 0 && r < cfg.inner_steps {
-                                // Mid-phase partial publish (flexible
-                                // communication): label = current global
-                                // count, i.e. "as of now".
-                                let now = counter.load(Ordering::Relaxed);
-                                let guard = (cfg.snapshot == SnapshotMode::Locked)
-                                    .then(|| snapshot_lock.write());
-                                for &i in block {
-                                    shared.write(i, vals[i], now);
-                                }
-                                drop(guard);
-                                partial_publishes.fetch_add(block.len() as u64, Ordering::Relaxed);
-                            }
-                        }
-                        // Acquire the global iteration number and publish.
-                        let j = counter.fetch_add(1, Ordering::SeqCst) + 1;
-                        if j > cfg.max_updates {
-                            stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        {
-                            let guard = (cfg.snapshot == SnapshotMode::Locked)
-                                .then(|| snapshot_lock.write());
-                            for &i in block {
-                                shared.write(i, vals[i], j);
-                            }
-                            drop(guard);
-                        }
-                        my_updates += 1;
-                        match cfg.record {
-                            TraceRecord::Off => {}
-                            TraceRecord::MinOnly => {
-                                let min_label =
-                                    labels.iter().copied().min().unwrap_or(0).min(j - 1);
-                                events.push(Event {
-                                    j,
-                                    worker: w,
-                                    min_label,
-                                    labels: Vec::new(),
-                                });
-                            }
-                            TraceRecord::Full => {
-                                // Clamp to j−1: labels were read before j
-                                // was acquired, so this only tightens.
-                                let clamped: Vec<u64> =
-                                    labels.iter().map(|&l| l.min(j - 1)).collect();
-                                let min_label = clamped.iter().copied().min().unwrap_or(0);
-                                events.push(Event {
-                                    j,
-                                    worker: w,
-                                    min_label,
-                                    labels: clamped,
-                                });
-                            }
-                        }
-                        // Residual-based stopping, checked by worker 0.
-                        if w == 0 {
-                            if let Some(eps) = cfg.target_residual {
-                                if my_updates.is_multiple_of(cfg.check_every.max(1)) {
-                                    shared.snapshot(&mut vals);
-                                    if op.residual_inf_with(&vals, &mut scratch) <= eps {
-                                        stop.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (events, my_updates)
-                }));
-            }
-            for h in handles {
-                worker_logs.push(h.join().expect("worker panicked"));
-            }
-        });
-        let wall = start.elapsed();
-
-        let mut final_x = vec![0.0; n];
-        shared.snapshot(&mut final_x);
-        let final_residual = op.residual_inf(&final_x);
-        let per_worker_updates: Vec<u64> = worker_logs.iter().map(|(_, u)| *u).collect();
-        let total_updates = per_worker_updates.iter().sum();
-
-        let trace = match cfg.record {
-            TraceRecord::Off => None,
-            _ => {
-                let mut events: Vec<Event> = worker_logs.into_iter().flat_map(|(e, _)| e).collect();
-                events.sort_unstable_by_key(|e| e.j);
-                let store = if cfg.record == TraceRecord::Full {
-                    LabelStore::Full
-                } else {
-                    LabelStore::MinOnly
-                };
-                let mut trace = Trace::new(n, store);
-                let mut min_only_labels = vec![0u64; n];
-                for (idx, e) in events.iter().enumerate() {
-                    // j values are dense 1..=len by the counter contract.
-                    debug_assert_eq!(e.j as usize, idx + 1, "non-dense step numbering");
-                    let active = &blocks[e.worker];
-                    if store == LabelStore::Full {
-                        trace.push_step(active, &e.labels);
-                    } else {
-                        min_only_labels.fill(e.min_label);
-                        trace.push_step(active, &min_only_labels);
-                    }
-                }
-                Some(trace)
+        let publish = |block: &[usize], vals: &[f64], label: u64| {
+            let _guard = (cfg.snapshot == SnapshotMode::Locked).then(|| snapshot_lock.write());
+            for &i in block {
+                shared.write(i, vals[i], label);
             }
         };
 
+        let body = |lane: &mut Lane<'_>, block: &Vec<usize>| {
+            let spin_units = cfg.spin_per_update.get(lane.worker).copied().unwrap_or(0);
+            // Per-worker buffers allocated once: the update loop is
+            // heap-allocation-free apart from step logging.
+            let mut vals = vec![0.0; n];
+            let mut labels = vec![0u64; n];
+            let mut upd = vec![0.0; n];
+            let mut scratch = vec![0.0; op.scratch_len()];
+            while !lane.stopped() {
+                // Snapshot (the asynchronous read).
+                {
+                    let _guard =
+                        (cfg.snapshot == SnapshotMode::Locked).then(|| snapshot_lock.read());
+                    shared.snapshot_labelled(&mut vals, &mut labels);
+                }
+                // Simulated compute load (heterogeneity).
+                spin(spin_units);
+                // m inner iterations on the block, off-block frozen at
+                // the snapshot. Nothing non-finite is ever published.
+                let mut change = 0.0_f64;
+                for r in 1..=cfg.inner_steps {
+                    op.update_active_with(&vals, block, &mut upd, &mut scratch);
+                    for &i in block {
+                        if !upd[i].is_finite() {
+                            return Err(RuntimeError::NonFiniteIterate {
+                                at_step: lane.now() + 1,
+                                component: i,
+                            });
+                        }
+                        change = change.max((upd[i] - vals[i]).abs());
+                        vals[i] = upd[i];
+                    }
+                    if r % cfg.publish_period == 0 && r < cfg.inner_steps {
+                        // Mid-phase partial publish (flexible
+                        // communication), labelled "as of now".
+                        publish(block, &vals, lane.now());
+                        partial_publishes.fetch_add(block.len() as u64, Ordering::Relaxed);
+                    }
+                }
+                // Draw the global iteration number and publish.
+                let Some(j) = lane.ticket() else { break };
+                publish(block, &vals, j);
+                // Clamp to j−1: labels were read before j was drawn, so
+                // this only tightens.
+                lane.log(j, labels.iter().map(|&l| l.min(j - 1)));
+                let residual = || {
+                    shared.snapshot(&mut vals);
+                    op.residual_inf_with(&vals, &mut scratch)
+                };
+                if lane.quiesced(j, || change) || lane.on_target(residual) {
+                    break;
+                }
+                // A quiet worker recomputes an unchanged block until a peer
+                // disturbs it. Yielding lets the detector's in-window reports
+                // of *all* workers arrive promptly: on a single core, detection
+                // latency is then bounded by scheduler rotations, not by whole
+                // quanta of no-op updates.
+                if lane.is_quiet() {
+                    std::thread::yield_now();
+                }
+            }
+            Ok(())
+        };
+        let finish = race.run(blocks.iter().collect(), body)?;
+
+        let mut final_x = vec![0.0; n];
+        shared.snapshot(&mut final_x);
         Ok(AsyncRunResult {
+            final_residual: op.residual_inf(&final_x),
             final_x,
-            total_updates,
-            wall,
-            per_worker_updates,
-            final_residual,
-            trace,
+            total_updates: finish.per_worker_updates.iter().sum(),
+            wall: finish.wall,
+            per_worker_updates: finish.per_worker_updates,
+            trace: race.trace(n, finish.log, |w| &blocks[w]),
             partial_publishes: partial_publishes.load(Ordering::Relaxed),
+            stopped_early: finish.stopped_early,
         })
     }
 }
@@ -419,7 +297,7 @@ mod tests {
     fn trace_satisfies_condition_a_and_is_dense() {
         let op = jacobi(16);
         let p = Partition::blocks(16, 4).unwrap();
-        let cfg = AsyncConfig::new(4, 2000).with_record(TraceRecord::Full);
+        let cfg = AsyncConfig::new(4, 2000).with_record(LabelStore::Full);
         let res = AsyncSharedRunner::run(&op, &[0.0; 16], &p, &cfg).unwrap();
         let trace = res.trace.expect("trace requested");
         assert_eq!(trace.len() as u64, res.total_updates);
@@ -494,6 +372,64 @@ mod tests {
         // Zero budget.
         let cfg = AsyncConfig::new(2, 0);
         assert!(AsyncSharedRunner::run(&op, &[0.0; 8], &p, &cfg).is_err());
+        // Quiescence rules the tracker would assert on.
+        for (eps, streak) in [(1e-6, 0), (-1.0, 1), (f64::NAN, 1)] {
+            let mut cfg = AsyncConfig::new(2, 100);
+            cfg.quiesce = Some(Quiesce {
+                eps,
+                streak,
+                margin: 0,
+            });
+            assert!(AsyncSharedRunner::run(&op, &[0.0; 8], &p, &cfg).is_err());
+        }
+    }
+
+    #[test]
+    fn quiescence_terminated_run_is_actually_converged() {
+        let op = jacobi(32);
+        let p = Partition::blocks(32, 4).unwrap();
+        // Budget far above any plausible detection point: on a loaded
+        // single-core host, workers that hog the CPU can spend hundreds
+        // of thousands of updates before the detector's margin elapses.
+        let mut cfg = AsyncConfig::new(4, 8_000_000);
+        cfg.quiesce = Some(Quiesce {
+            eps: 1e-12,
+            streak: 4,
+            margin: 64,
+        });
+        let res = AsyncSharedRunner::run(&op, &vec![0.0; 32], &p, &cfg).unwrap();
+        assert!(res.stopped_early, "detector never fired");
+        assert!(
+            res.final_residual < 1e-9,
+            "premature stop: residual {}",
+            res.final_residual
+        );
+        assert!(res.total_updates < 500_000);
+    }
+
+    #[test]
+    fn budget_exhaustion_reports_not_stopped_early() {
+        let op = jacobi(16);
+        let p = Partition::blocks(16, 2).unwrap();
+        let mut cfg = AsyncConfig::new(2, 10);
+        cfg.quiesce = Some(Quiesce {
+            eps: 0.0, // unreachable quiescence
+            streak: 5,
+            margin: 100,
+        });
+        let res = AsyncSharedRunner::run(&op, &[0.0; 16], &p, &cfg).unwrap();
+        assert!(!res.stopped_early);
+        assert_eq!(res.total_updates, 10);
+    }
+
+    #[test]
+    fn a_failing_worker_stops_its_healthy_peers() {
+        // A NaN block must also never reach the shared vector.
+        let p = Partition::blocks(4, 2).unwrap();
+        let cfg = AsyncConfig::new(2, u64::MAX);
+        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(|op| {
+            AsyncSharedRunner::run(op, &[1.0; 4], &p, &cfg).unwrap_err()
+        });
     }
 
     #[test]
@@ -512,7 +448,7 @@ mod tests {
         // boundary several times, i.e. several complete rotations.
         let cfg = AsyncConfig::new(4, 8_000_000)
             .with_target_residual(1e-12)
-            .with_record(TraceRecord::MinOnly)
+            .with_record(LabelStore::MinOnly)
             .with_spin(vec![2_000; 4]);
         let res = AsyncSharedRunner::run(&op, &[0.0; 16], &p, &cfg).unwrap();
         let trace = res.trace.unwrap();

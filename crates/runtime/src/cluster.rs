@@ -53,7 +53,7 @@
 
 use crate::error::RuntimeError;
 use crate::transport::{BlockMessage, Exit, FaultRouter, SendFate};
-use crate::worker::{assemble_consensus, check_probabilities, Worker};
+use crate::worker::{assemble_consensus, check_positive, check_probabilities, Worker};
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_numerics::rng::{pareto, rng};
@@ -498,12 +498,7 @@ impl ClusterEngine {
 }
 
 fn validate(n: usize, cfg: &ClusterConfig, xstar: Option<&[f64]>) -> crate::Result<()> {
-    if cfg.steps == 0 {
-        return Err(RuntimeError::InvalidParameter {
-            name: "steps",
-            message: "must be positive".into(),
-        });
-    }
+    check_positive(&[("steps", cfg.steps)])?;
     if cfg.error_every > 0 {
         match xstar {
             None => {

@@ -8,10 +8,17 @@
 //!   value+label slot per component, single writer per component,
 //!   wait-free relaxed readers (Hogwild-style inconsistent snapshots,
 //!   exactly the regime Definition 1 models).
-//! - [`async_engine`] — free-running workers updating their blocks
-//!   without any synchronisation; optional inner iterations with partial
-//!   publishing (flexible communication), injected load imbalance, and
-//!   full event tracing back into [`asynciter_models::Trace`].
+//! - `race` (crate-private) — the linearised free-running harness both
+//!   racing engines run on: the `SeqCst` step ticket whose total order
+//!   is the trace linearisation, the stop / converged flags, the
+//!   per-worker step log and its merge into the dense
+//!   [`asynciter_models::Trace`], the residual-target and quiescence
+//!   checks after a step, and the scoped spawn / join that turns a
+//!   worker's error or panic into the run's [`RuntimeError`].
+//! - [`async_engine`] — the shared-memory step body on that harness:
+//!   free-running workers updating their blocks without any
+//!   synchronisation; optional inner iterations with partial publishing
+//!   (flexible communication) and injected load imbalance.
 //! - [`sync_engine`] — the barrier-synchronous Jacobi baseline with the
 //!   same work model, for the async-vs-sync comparisons (experiment E3).
 //! - [`cluster`] — the deterministic sharded message-passing engine: a
@@ -25,17 +32,18 @@
 //!   [`transport::Endpoint`] seam: labelled block messages over
 //!   swappable channels, with an in-process mpsc mesh, the fate-driven
 //!   [`transport::FaultRouter`] and a fault-injecting decorator.
-//! - [`threaded`] — the genuinely concurrent cluster: free-running
-//!   worker threads owning shards, exchanging block messages through
-//!   the transport seam; every run records a producing-step trace that
-//!   replays bit-identically through `Replay`.
+//! - [`threaded`] — the message-passing step body on the same harness,
+//!   the genuinely concurrent cluster: free-running worker threads
+//!   owning shards, exchanging block messages through the transport
+//!   seam; every run records a producing-step trace that replays
+//!   bit-identically through `Replay`.
 //! - [`scratch`] — the recycling [`ScratchPool`] the multi-tenant
 //!   service leases per-job workspaces from: clean leases are bitwise
 //!   fresh (so pooling is invisible to the bit-identity oracles) and
 //!   lease/return cycles are allocation-free after warm-up.
 //! - [`termination`] — distributed termination detection in the spirit
-//!   of El Baz \[22\]: local quiescence flags plus in-flight message
-//!   accounting (experiment E10).
+//!   of El Baz \[22\]: the [`Quiesce`] rule, the per-worker quiescence
+//!   tracker and the shared flush-window detector (experiment E10).
 //! - [`imbalance`] — calibrated spin-work injection used to model
 //!   heterogeneous processors.
 //! - [`session`] — [`SharedMem`], [`Barrier`], [`Cluster`] and
@@ -51,6 +59,7 @@ pub mod async_engine;
 pub mod cluster;
 pub mod error;
 pub mod imbalance;
+mod race;
 pub mod scratch;
 pub mod session;
 pub mod shared;
@@ -60,7 +69,7 @@ pub mod threaded;
 pub mod transport;
 pub mod worker;
 
-pub use async_engine::{AsyncConfig, AsyncRunResult, AsyncSharedRunner, SnapshotMode, TraceRecord};
+pub use async_engine::{AsyncConfig, AsyncRunResult, AsyncSharedRunner, SnapshotMode};
 pub use cluster::{
     ApplyPolicy, ClusterConfig, ClusterEngine, ClusterRunResult, ClusterStats, LinkModel,
 };
@@ -69,7 +78,8 @@ pub use scratch::{PoolStats, ScratchLease, ScratchPool};
 pub use session::{Barrier, Cluster, SharedMem, ThreadedCluster};
 pub use shared::SharedVec;
 pub use sync_engine::{SpinBarrier, SyncConfig, SyncRunResult, SyncRunner};
-pub use threaded::{Quiesce, ThreadedClusterEngine, ThreadedConfig, ThreadedRunResult};
+pub use termination::Quiesce;
+pub use threaded::{ThreadedClusterEngine, ThreadedConfig, ThreadedRunResult};
 pub use transport::{
     BlockMessage, Endpoint, FaultEndpoint, FaultPlan, MpscTransport, SendFate, Transport,
 };

@@ -13,10 +13,11 @@
 //!
 //! [`Session`]: asynciter_core::session::Session
 
-use crate::async_engine::{AsyncConfig, AsyncSharedRunner, SnapshotMode, TraceRecord};
+use crate::async_engine::{AsyncConfig, AsyncSharedRunner, SnapshotMode};
 use crate::cluster::{ApplyPolicy, ClusterConfig, ClusterEngine, LinkModel};
 use crate::sync_engine::{SyncConfig, SyncRunner};
-use crate::threaded::{Quiesce, ThreadedClusterEngine, ThreadedConfig};
+use crate::termination::Quiesce;
+use crate::threaded::{ThreadedClusterEngine, ThreadedConfig};
 use asynciter_core::session::{macro_count, Backend, Problem, RecordMode, RunControl, RunReport};
 use asynciter_core::CoreError;
 use asynciter_models::partition::Partition;
@@ -100,14 +101,11 @@ impl Backend for SharedMem {
         let mut cfg = AsyncConfig::new(self.threads, ctl.max_steps)
             .with_flexible(self.inner_steps, self.publish_period)
             .with_spin(self.spin.clone())
-            .with_snapshot(self.snapshot)
-            .with_record(match ctl.record {
-                RecordMode::Off => TraceRecord::Off,
-                RecordMode::MinOnly => TraceRecord::MinOnly,
-                RecordMode::Full => TraceRecord::Full,
-            });
-        let target = ctl.residual_target(self.name(), "the shared-memory runner")?;
-        if let Some((eps, check_every)) = target {
+            .with_snapshot(self.snapshot);
+        cfg.record = ctl.record.keeps_trace().then(|| ctl.record.label_store());
+        if let Some((eps, check_every)) =
+            ctl.residual_target(self.name(), "the shared-memory runner")?
+        {
             cfg = cfg.with_target_residual(eps);
             cfg.check_every = check_every;
         }
@@ -115,12 +113,10 @@ impl Backend for SharedMem {
             .map_err(|e| to_core(self.name(), e))?;
         Ok(RunReport {
             macro_iterations: macro_count(res.trace.as_ref()),
-            stopped_early: target.is_some_and(|(eps, _)| {
-                res.final_residual <= eps && res.total_updates < ctl.max_steps
-            }),
+            stopped_early: res.stopped_early,
             per_worker_updates: res.per_worker_updates,
             partial_publishes: res.partial_publishes,
-            trace: res.trace.filter(|_| ctl.record.keeps_trace()),
+            trace: res.trace,
             wall: res.wall,
             ..RunReport::new(
                 self.name(),

@@ -17,8 +17,51 @@
 //! delays conservative (condition (a) is preserved by construction; see
 //! `async_engine`).
 
+use crate::error::RuntimeError;
+use asynciter_models::partition::Partition;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Checks a shared-memory run's inputs against the operator dimension
+/// `n` — `x0` and `partition` sized for it, one `partition` machine per
+/// worker, `spin` empty or one entry per worker — and returns each
+/// worker's component block.
+pub(crate) fn worker_blocks(
+    n: usize,
+    x0: &[f64],
+    partition: &Partition,
+    workers: usize,
+    spin: &[u64],
+) -> crate::Result<Vec<Vec<usize>>> {
+    for (actual, context) in [
+        (x0.len(), "shared-memory run (x0)"),
+        (partition.n(), "shared-memory run (partition)"),
+    ] {
+        if actual != n {
+            return Err(RuntimeError::DimensionMismatch {
+                expected: n,
+                actual,
+                context,
+            });
+        }
+    }
+    if workers == 0 || partition.num_machines() != workers {
+        return Err(RuntimeError::InvalidParameter {
+            name: "workers",
+            message: format!(
+                "partition has {} machines but workers = {workers}",
+                partition.num_machines()
+            ),
+        });
+    }
+    if !spin.is_empty() && spin.len() != workers {
+        return Err(RuntimeError::InvalidParameter {
+            name: "spin_per_update",
+            message: "must be empty or one entry per worker".into(),
+        });
+    }
+    Ok((0..workers).map(|w| partition.components_of(w)).collect())
+}
 
 /// One component's slot: value bits + last-writer label.
 #[derive(Debug)]

@@ -9,9 +9,9 @@
 //! §II: "to get rid of waiting time resulting from synchronization …
 //! to cope naturally with load unbalancing").
 
-use crate::error::RuntimeError;
 use crate::imbalance::spin;
-use crate::shared::SharedVec;
+use crate::shared::{worker_blocks, SharedVec};
+use crate::worker::check_positive;
 use asynciter_models::partition::Partition;
 use asynciter_opt::traits::Operator;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -130,42 +130,8 @@ impl SyncRunner {
         cfg: &SyncConfig,
     ) -> crate::Result<SyncRunResult> {
         let n = op.dim();
-        if x0.len() != n {
-            return Err(RuntimeError::DimensionMismatch {
-                expected: n,
-                actual: x0.len(),
-                context: "SyncRunner::run (x0)",
-            });
-        }
-        if partition.n() != n {
-            return Err(RuntimeError::DimensionMismatch {
-                expected: n,
-                actual: partition.n(),
-                context: "SyncRunner::run (partition)",
-            });
-        }
-        if partition.num_machines() != cfg.workers {
-            return Err(RuntimeError::InvalidParameter {
-                name: "workers",
-                message: format!(
-                    "partition has {} machines but cfg.workers = {}",
-                    partition.num_machines(),
-                    cfg.workers
-                ),
-            });
-        }
-        if cfg.workers == 0 || cfg.max_sweeps == 0 {
-            return Err(RuntimeError::InvalidParameter {
-                name: "workers/max_sweeps",
-                message: "must be positive".into(),
-            });
-        }
-        if !cfg.spin_per_update.is_empty() && cfg.spin_per_update.len() != cfg.workers {
-            return Err(RuntimeError::InvalidParameter {
-                name: "spin_per_update",
-                message: "must be empty or one entry per worker".into(),
-            });
-        }
+        let blocks = worker_blocks(n, x0, partition, cfg.workers, &cfg.spin_per_update)?;
+        check_positive(&[("max_sweeps", cfg.max_sweeps)])?;
 
         // Double buffering: `bufs[t % 2]` is read, `bufs[(t+1) % 2]`
         // written, with barriers fencing the role swap.
@@ -173,9 +139,6 @@ impl SyncRunner {
         let barrier = SpinBarrier::new(cfg.workers);
         let stop = AtomicBool::new(false);
         let sweeps_done = std::sync::atomic::AtomicU64::new(0);
-        let blocks: Vec<Vec<usize>> = (0..cfg.workers)
-            .map(|w| partition.components_of(w))
-            .collect();
 
         let start = Instant::now();
         std::thread::scope(|scope| {

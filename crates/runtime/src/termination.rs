@@ -8,26 +8,36 @@
 //! macro-iteration structure: activity must stay quiescent long enough
 //! that every component has been refreshed from post-quiescence data.
 //!
-//! This module implements that idea for the shared-memory runtime:
+//! This module is that idea's [`Quiesce`] rule and its two parts, wired
+//! behind every racing engine's step by the free-running harness `race`:
 //!
-//! - each worker tracks the max change of its block over consecutive
-//!   updates and declares itself *quiet* after `streak` consecutive
-//!   updates below `eps`;
-//! - a detector terminates the run once **all** workers are quiet *and*
-//!   have remained quiet for `margin` further global updates (the
-//!   flush window standing in for "one more macro-iteration") —
-//!   guaranteeing every component was recomputed from post-quiescence
-//!   values before stopping.
+//! - each worker's [`QuiescenceTracker`] declares it *quiet* after
+//!   `streak` consecutive updates moving its block by at most `eps`;
+//! - the shared [`QuiescenceDetector`] fires once **all** workers are
+//!   quiet *and* have remained quiet for `margin` further global
+//!   updates (the flush window standing in for "one more
+//!   macro-iteration") — guaranteeing every component was recomputed
+//!   from post-quiescence values before stopping.
 //!
-//! Experiment E10 compares this against the naive rule (stop at first
-//! all-quiet instant) and measures premature stops.
+//! Experiment E10 compares this on shared memory against the naive rule
+//! (`margin` 0) and measures premature stops.
 
-use crate::error::RuntimeError;
-use crate::shared::SharedVec;
-use asynciter_models::partition::Partition;
-use asynciter_opt::traits::Operator;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+
+/// Quiescence-based termination rule: a worker is *quiet* after
+/// `streak` consecutive updates changing its block by at most `eps`,
+/// and the run stops once every worker has stayed quiet over a
+/// `margin`-step flush window (`0` = the naive rule: stop at the first
+/// all-quiet instant).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quiesce {
+    /// Block-change threshold for a quiet update.
+    pub eps: f64,
+    /// Consecutive quiet updates before a worker declares itself quiet.
+    pub streak: u64,
+    /// Post-quiescence flush window in global steps.
+    pub margin: u64,
+}
 
 /// Per-worker quiescence tracker.
 #[derive(Debug, Clone)]
@@ -159,159 +169,9 @@ impl QuiescenceDetector {
     }
 }
 
-/// Configuration of a run with distributed termination detection.
-#[derive(Debug, Clone)]
-pub struct TermConfig {
-    /// Number of workers.
-    pub workers: usize,
-    /// Hard budget of global block updates (safety net).
-    pub max_updates: u64,
-    /// Quiescence threshold on per-update block change.
-    pub eps: f64,
-    /// Consecutive quiet updates a worker needs before declaring quiet.
-    pub streak: u64,
-    /// Post-quiescence flush window in global updates (`0` = the naive
-    /// rule: stop at the first all-quiet instant).
-    pub margin: u64,
-}
-
-/// Result of a terminated run.
-#[derive(Debug)]
-pub struct TermRunResult {
-    /// Final iterate.
-    pub final_x: Vec<f64>,
-    /// Global updates performed until detection (or budget exhaustion).
-    pub total_updates: u64,
-    /// True when the detector fired (false = budget exhausted).
-    pub detected: bool,
-    /// Final fixed-point residual (oracle quality measure).
-    pub final_residual: f64,
-    /// Wall-clock duration.
-    pub wall: Duration,
-}
-
-/// Runs the shared-memory asynchronous iteration with \[22\]-style
-/// termination detection.
-///
-/// # Errors
-/// Dimension/parameter validation failures.
-pub fn run_with_termination(
-    op: &dyn Operator,
-    x0: &[f64],
-    partition: &Partition,
-    cfg: &TermConfig,
-) -> crate::Result<TermRunResult> {
-    let n = op.dim();
-    if x0.len() != n || partition.n() != n {
-        return Err(RuntimeError::DimensionMismatch {
-            expected: n,
-            actual: if x0.len() != n {
-                x0.len()
-            } else {
-                partition.n()
-            },
-            context: "run_with_termination",
-        });
-    }
-    if partition.num_machines() != cfg.workers || cfg.workers == 0 {
-        return Err(RuntimeError::InvalidParameter {
-            name: "workers",
-            message: "partition machine count must equal cfg.workers > 0".into(),
-        });
-    }
-    if cfg.max_updates == 0 || cfg.streak == 0 {
-        return Err(RuntimeError::InvalidParameter {
-            name: "max_updates/streak",
-            message: "must be positive".into(),
-        });
-    }
-
-    let shared = SharedVec::new(x0);
-    let counter = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let detected = AtomicBool::new(false);
-    let detector = QuiescenceDetector::new(cfg.workers);
-    let blocks: Vec<Vec<usize>> = (0..cfg.workers)
-        .map(|w| partition.components_of(w))
-        .collect();
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for (w, block) in blocks.iter().enumerate() {
-            let shared = &shared;
-            let counter = &counter;
-            let stop = &stop;
-            let detected = &detected;
-            let detector = &detector;
-            scope.spawn(move || {
-                let mut vals = vec![0.0; n];
-                let mut new_vals = Vec::with_capacity(block.len());
-                let mut tracker = QuiescenceTracker::new(cfg.eps, cfg.streak);
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    shared.snapshot(&mut vals);
-                    new_vals.clear();
-                    let mut change = 0.0_f64;
-                    for &i in block {
-                        let v = op.component(i, &vals);
-                        change = change.max((v - vals[i]).abs());
-                        new_vals.push(v);
-                    }
-                    let j = counter.fetch_add(1, Ordering::SeqCst) + 1;
-                    if j > cfg.max_updates {
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    for (&i, &v) in block.iter().zip(&new_vals) {
-                        shared.write(i, v, j);
-                    }
-                    let quiet = tracker.observe(change);
-                    detector.report(w, j, quiet);
-                    // Worker 0 doubles as the detection coordinator.
-                    if w == 0 && detector.detect(j, cfg.margin) {
-                        detected.store(true, Ordering::Relaxed);
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    // A quiet worker is recomputing an unchanged block; it
-                    // has nothing to add until a peer disturbs it. Yield
-                    // the scheduling quantum so the detector's in-window
-                    // report requirement (fine interleaving of *all*
-                    // workers) is met promptly instead of after whole
-                    // quanta of redundant spinning — on a single core this
-                    // bounds detection latency by scheduler rotations, not
-                    // by hundreds of thousands of no-op updates.
-                    if quiet {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
-    });
-    let wall = start.elapsed();
-
-    let mut final_x = vec![0.0; n];
-    shared.snapshot(&mut final_x);
-    Ok(TermRunResult {
-        final_residual: op.residual_inf(&final_x),
-        final_x,
-        total_updates: counter.load(Ordering::Relaxed).min(cfg.max_updates),
-        detected: detected.load(Ordering::Relaxed),
-        wall,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asynciter_numerics::sparse::tridiagonal;
-    use asynciter_opt::linear::JacobiOperator;
-
-    fn jacobi(n: usize) -> JacobiOperator {
-        JacobiOperator::new(tridiagonal(n, 4.0, -1.0), vec![1.0; n]).unwrap()
-    }
 
     #[test]
     fn tracker_streak_logic() {
@@ -350,62 +210,5 @@ mod tests {
         // A fresh disturbance blocks again.
         d.report(1, 60, false);
         assert!(!d.detect(61, 16));
-    }
-
-    #[test]
-    fn terminated_run_is_actually_converged() {
-        let op = jacobi(32);
-        let p = Partition::blocks(32, 4).unwrap();
-        // Budget far above any plausible detection point: on a loaded
-        // single-core host, workers that hog the CPU can spend hundreds
-        // of thousands of updates before the detector's margin elapses.
-        let cfg = TermConfig {
-            workers: 4,
-            max_updates: 8_000_000,
-            eps: 1e-12,
-            streak: 4,
-            margin: 64,
-        };
-        let res = run_with_termination(&op, &vec![0.0; 32], &p, &cfg).unwrap();
-        assert!(res.detected, "detector never fired");
-        assert!(
-            res.final_residual < 1e-9,
-            "premature stop: residual {}",
-            res.final_residual
-        );
-        assert!(res.total_updates < 500_000);
-    }
-
-    #[test]
-    fn budget_exhaustion_reports_not_detected() {
-        let op = jacobi(16);
-        let p = Partition::blocks(16, 2).unwrap();
-        let cfg = TermConfig {
-            workers: 2,
-            max_updates: 10,
-            eps: 0.0, // unreachable quiescence
-            streak: 5,
-            margin: 100,
-        };
-        let res = run_with_termination(&op, &[0.0; 16], &p, &cfg).unwrap();
-        assert!(!res.detected);
-        assert!(res.total_updates <= 10);
-    }
-
-    #[test]
-    fn validation_errors() {
-        let op = jacobi(8);
-        let p = Partition::blocks(8, 2).unwrap();
-        let mut cfg = TermConfig {
-            workers: 3,
-            max_updates: 10,
-            eps: 1e-6,
-            streak: 1,
-            margin: 0,
-        };
-        assert!(run_with_termination(&op, &[0.0; 8], &p, &cfg).is_err());
-        cfg.workers = 2;
-        cfg.streak = 0;
-        assert!(run_with_termination(&op, &[0.0; 8], &p, &cfg).is_err());
     }
 }

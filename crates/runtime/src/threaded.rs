@@ -4,12 +4,15 @@
 //!
 //! This is the real-hardware counterpart of the deterministic
 //! [`crate::cluster`] event loop, and a second scheduler over the same
-//! [`Worker`]: one OS thread per worker, running unsynchronised — drain
-//! the transport mailbox, produce a block update, post the block to
-//! every peer — with hold / drop / duplicate faults injected at the
-//! transport seam ([`crate::transport::FaultEndpoint`]). Thread
-//! interleaving (and therefore the executed schedule) is genuinely
-//! nondeterministic.
+//! [`Worker`]: one OS thread per worker, running unsynchronised, with
+//! hold / drop / duplicate faults injected at the transport seam
+//! ([`crate::transport::FaultEndpoint`]). Thread interleaving (and
+//! therefore the executed schedule) is genuinely nondeterministic.
+//! This module is the message-passing *step body* — drain the mailbox,
+//! draw the step's ticket, produce a block update, post it to every
+//! peer; the ticket, the stop flags, the step log and trace, the
+//! termination checks and worker failures are the free-running harness
+//! (`race`) shared with [`crate::async_engine`].
 //!
 //! ## Why the recorded trace still replays bit for bit
 //!
@@ -18,15 +21,15 @@
 //! trace replays bit-identically through the Definition-1 `Replay`
 //! engine. Two ingredients make this work on racy threads:
 //!
-//! 1. **A global atomic step counter linearises the trace.** A worker
-//!    acquires its step number `j` with a `SeqCst` `fetch_add` *after*
-//!    draining its mailbox. Every label in its view is either one of its
-//!    own earlier steps (program order) or the producing step `k`
-//!    carried by a received message — and the sender acquired `k`
-//!    before sending, the channel delivery happens-before the receive,
-//!    and the receive precedes this `fetch_add`. Hence every label is
-//!    `< j`: condition (a) holds *by construction* (asserted, never
-//!    clamped — clamping would silently break bit-identity).
+//! 1. **The ticket is drawn after the mailbox is drained.** Its
+//!    `SeqCst` total order linearises the trace: every label in a
+//!    worker's view is one of its own earlier steps (program order) or
+//!    the producing step `k` carried by a received message — and the
+//!    sender drew `k` before sending, the channel delivery
+//!    happens-before the receive, and the receive precedes this draw.
+//!    Hence every label is `< j`: condition (a) holds *by construction*
+//!    (asserted, never clamped — clamping would silently break
+//!    bit-identity).
 //! 2. **The worker is shared with the sequential engine.** Receiving,
 //!    producing and posting are [`Worker`] methods — byte-identical
 //!    arithmetic to [`crate::cluster`], which is also why
@@ -35,38 +38,21 @@
 //!    seam scopes run the same worker (and the same fault router) under
 //!    every interleaving.
 //!
-//! Termination is residual-targeted (worker 0 checks its local view
-//! every [`ThreadedConfig::check_every`] of its own updates) and/or
-//! quiescence-detected via the El Baz \[22\]-style
-//! [`QuiescenceDetector`] from [`crate::termination`] — never a tuned
-//! fixed budget, so runs stay green on an oversubscribed 1-core CI
-//! host.
+//! Termination is a residual target on worker 0's local view and/or the
+//! El Baz \[22\]-style [`Quiesce`] rule of [`crate::termination`] —
+//! never a tuned fixed budget, so runs stay green on an oversubscribed
+//! 1-core CI host.
 
 use crate::cluster::{ApplyPolicy, ClusterStats};
-use crate::error::RuntimeError;
-use crate::termination::{QuiescenceDetector, QuiescenceTracker};
+use crate::race::{Lane, Race};
+pub use crate::termination::Quiesce;
 use crate::transport::{Endpoint, FaultEndpoint, FaultPlan, MpscTransport, SendStats, Transport};
 use crate::worker::{assemble_consensus, check_probabilities, Worker};
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_numerics::rng::rng;
 use asynciter_opt::traits::Operator;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// Quiescence-based termination rule: a worker is *quiet* after
-/// `streak` consecutive updates changing its block by at most `eps`,
-/// and the run stops once every worker has stayed quiet over a
-/// `margin`-step flush window (see [`crate::termination`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Quiesce {
-    /// Block-change threshold for a quiet update.
-    pub eps: f64,
-    /// Consecutive quiet updates before a worker declares itself quiet.
-    pub streak: u64,
-    /// Post-quiescence flush window in global steps.
-    pub margin: u64,
-}
+use std::time::Duration;
 
 /// Configuration of a threaded cluster run.
 #[derive(Debug, Clone)]
@@ -184,19 +170,6 @@ pub struct ThreadedRunResult {
     pub wall: Duration,
 }
 
-struct Event {
-    j: u64,
-    worker: usize,
-    min_label: u64,
-    labels: Vec<u64>, // empty unless LabelStore::Full
-}
-
-struct WorkerLog {
-    events: Vec<Event>,
-    worker: Worker,
-    send_stats: SendStats,
-}
-
 /// Derives an independent per-worker RNG stream from the base seed.
 fn substream(seed: u64, worker: u64, stream: u64) -> u64 {
     seed ^ worker
@@ -210,12 +183,10 @@ fn substream(seed: u64, worker: u64, stream: u64) -> u64 {
 pub struct ThreadedClusterEngine;
 
 impl ThreadedClusterEngine {
-    /// Runs the threaded cluster over the in-process
-    /// [`MpscTransport`].
+    /// Runs the threaded cluster over the in-process [`MpscTransport`].
     ///
     /// # Errors
-    /// Dimension/parameter validation failures, or a non-finite iterate
-    /// (operator divergence).
+    /// As [`ThreadedClusterEngine::run_with`].
     pub fn run(
         op: &dyn Operator,
         x0: &[f64],
@@ -229,8 +200,8 @@ impl ThreadedClusterEngine {
     /// the socket-ready entry point.
     ///
     /// # Errors
-    /// Dimension/parameter validation failures, or a non-finite iterate
-    /// (operator divergence).
+    /// Dimension/parameter validation failures, a non-finite iterate
+    /// (operator divergence) or a panicking operator.
     pub fn run_with(
         op: &dyn Operator,
         x0: &[f64],
@@ -238,7 +209,18 @@ impl ThreadedClusterEngine {
         cfg: &ThreadedConfig,
         transport: &mut dyn Transport,
     ) -> crate::Result<ThreadedRunResult> {
-        validate(cfg)?;
+        let race = Race::new(
+            cfg.max_steps,
+            Some(cfg.record),
+            cfg.target_residual,
+            cfg.check_every,
+            cfg.quiesce,
+        )?;
+        check_probabilities(&[
+            ("hold_prob", cfg.hold_prob),
+            ("drop_prob", cfg.drop_prob),
+            ("dup_prob", cfg.dup_prob),
+        ])?;
         let n = op.dim();
         let mesh = Worker::mesh(
             op,
@@ -248,71 +230,83 @@ impl ThreadedClusterEngine {
             cfg.exchange_every,
             cfg.partial_prob,
         )?;
-        let workers = mesh.len();
         let plan = FaultPlan {
             hold_prob: cfg.hold_prob,
             hold_extra: cfg.hold_extra,
             drop_prob: cfg.drop_prob,
             dup_prob: cfg.dup_prob,
         };
-        let endpoints: Vec<FaultEndpoint> = transport
-            .connect(workers)
-            .into_iter()
-            .enumerate()
-            .map(|(w, ep)| FaultEndpoint::new(ep, plan, substream(cfg.seed, w as u64, 1)))
-            .collect();
+        let endpoints = (transport.connect(mesh.len()).into_iter().enumerate())
+            .map(|(w, ep)| FaultEndpoint::new(ep, plan, substream(cfg.seed, w as u64, 1)));
+        let seats = mesh.into_iter().zip(endpoints).collect();
 
-        let counter = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
-        let converged = AtomicBool::new(false);
-        let detector = cfg.quiesce.map(|_| QuiescenceDetector::new(workers));
-        let detector_ref = detector.as_ref();
+        let body = |lane: &mut Lane<'_>, (mut worker, mut ep): (Worker, FaultEndpoint)| {
+            // Buffers are allocated once: the step loop is heap-allocation-free
+            // apart from message payloads (transport-owned) and step logging.
+            let mut old_block = vec![0.0; worker.block().len()];
+            let mut prng = rng(substream(cfg.seed, worker.id() as u64, 2));
 
-        let start = Instant::now();
-        let mut logs: Vec<crate::Result<WorkerLog>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (worker, ep) in mesh.into_iter().zip(endpoints) {
-                let counter = &counter;
-                let stop = &stop;
-                let converged = &converged;
-                handles.push(scope.spawn(move || {
-                    worker_loop(op, cfg, worker, ep, counter, stop, converged, detector_ref)
-                }));
+            loop {
+                // Drain the mailbox before producing: every applied value's
+                // label was produced before the step number drawn below.
+                while let Some(msg) = ep.try_recv() {
+                    worker.receive(&msg);
+                }
+                if lane.stopped() {
+                    break;
+                }
+
+                // Draw the global step number: see module docs.
+                let Some(j) = lane.ticket() else { break };
+                debug_assert!(
+                    worker.labels().iter().all(|&l| l < j),
+                    "condition (a) violated: a label reached step {j}"
+                );
+                lane.log(j, worker.labels().iter().copied());
+                for (k, &i) in worker.block().iter().enumerate() {
+                    old_block[k] = worker.view()[i];
+                }
+                worker.produce(op, j)?;
+
+                // Exchange: post the block (or a partial subset) to every peer.
+                if let Some(msg) = worker.post(&mut prng) {
+                    for dest in worker.peers() {
+                        ep.send(dest, msg.clone());
+                    }
+                }
+
+                // Termination: quiescence detection and/or a residual target
+                // checked on worker 0's local view (near convergence the view
+                // and the consensus agree to far below any sensible target).
+                let change = || {
+                    (worker.block().iter().zip(&old_block))
+                        .map(|(&i, old)| (worker.view()[i] - old).abs())
+                        .fold(0.0_f64, f64::max)
+                };
+                if lane.quiesced(j, change) || lane.on_target(|| worker.residual(op)) {
+                    break;
+                }
+                // Hand the scheduling quantum over after each update: on an
+                // oversubscribed (1-core CI) host this keeps peers draining
+                // their mailboxes — bounding queue growth and information
+                // staleness by scheduler rotations instead of whole quanta.
+                std::thread::yield_now();
             }
-            for h in handles {
-                logs.push(h.join().expect("worker panicked"));
-            }
-        });
-        let wall = start.elapsed();
 
-        let mut events = Vec::new();
-        let mut done = Vec::with_capacity(workers);
+            Ok((worker, ep.stats()))
+        };
+        let finish = race.run(seats, body)?;
+
+        let (done, sends): (Vec<Worker>, Vec<SendStats>) = finish.outputs.into_iter().unzip();
         let mut stats = ClusterStats::default();
-        for log in logs {
-            let mut log = log?;
-            events.append(&mut log.events);
-            done.push(log.worker);
-            stats.sent += log.send_stats.sent;
-            stats.dropped += log.send_stats.dropped;
-            stats.duplicated += log.send_stats.duplicated;
-            stats.held += log.send_stats.held;
+        for s in sends {
+            stats.sent += s.sent;
+            stats.dropped += s.dropped;
+            stats.duplicated += s.duplicated;
+            stats.held += s.held;
         }
-
-        // Merge the per-worker event logs into the (dense, by the
-        // counter contract) global trace.
-        events.sort_unstable_by_key(|e| e.j);
-        let mut trace = Trace::new(n, cfg.record);
-        let mut min_only_labels = vec![0u64; n];
-        for (idx, e) in events.iter().enumerate() {
-            debug_assert_eq!(e.j as usize, idx + 1, "non-dense step numbering");
-            if cfg.record == LabelStore::Full {
-                trace.push_step(done[e.worker].block(), &e.labels);
-            } else {
-                min_only_labels.fill(e.min_label);
-                trace.push_step(done[e.worker].block(), &min_only_labels);
-            }
-        }
+        let trace = race.trace(n, finish.log, |w| done[w].block());
+        let trace = trace.expect("recording is always on");
 
         let mut consensus = vec![0.0; n];
         assemble_consensus(&done, &mut consensus);
@@ -325,162 +319,17 @@ impl ThreadedClusterEngine {
             consensus,
             final_residual,
             stats,
+            steps_run: trace.len() as u64,
             trace,
-            steps_run: events.len() as u64,
-            per_worker_updates: done.iter().map(|w| w.counters().updates).collect(),
-            stopped_early: converged.load(Ordering::Relaxed),
+            per_worker_updates: finish.per_worker_updates,
+            stopped_early: finish.stopped_early,
             partial_publishes: totals.partial_publishes,
             partial_reads: totals.partial_reads,
             constraint_checked: totals.constraint_checked,
             constraint_violations: totals.constraint_violations,
-            wall,
+            wall: finish.wall,
         })
     }
-}
-
-// Deliberately flat: each argument is a distinct piece of shared engine
-// state.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    op: &dyn Operator,
-    cfg: &ThreadedConfig,
-    mut worker: Worker,
-    mut ep: FaultEndpoint,
-    counter: &AtomicU64,
-    stop: &AtomicBool,
-    converged: &AtomicBool,
-    detector: Option<&QuiescenceDetector>,
-) -> crate::Result<WorkerLog> {
-    // The worker's buffers and the old-block cache are allocated once:
-    // the step loop below is heap-allocation-free apart from message
-    // payloads (owned by the transport) and trace-event recording.
-    let w = worker.id();
-    let mut old_block = vec![0.0; worker.block().len()];
-    let mut events: Vec<Event> = Vec::new();
-    let mut prng = rng(substream(cfg.seed, w as u64, 2));
-    let mut tracker = cfg.quiesce.map(|q| QuiescenceTracker::new(q.eps, q.streak));
-
-    loop {
-        // Drain the mailbox before producing: every applied value's
-        // label was produced before the step number acquired below.
-        while let Some(msg) = ep.try_recv() {
-            worker.receive(&msg);
-        }
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-
-        // Acquire the global step number. Its SeqCst total order is the
-        // trace linearisation: see module docs.
-        let j = counter.fetch_add(1, Ordering::SeqCst) + 1;
-        if j > cfg.max_steps {
-            stop.store(true, Ordering::Relaxed);
-            break;
-        }
-        let labels = worker.labels();
-        debug_assert!(
-            labels.iter().all(|&l| l < j),
-            "condition (a) violated: a label reached step {j}"
-        );
-        match cfg.record {
-            LabelStore::MinOnly => events.push(Event {
-                j,
-                worker: w,
-                min_label: labels.iter().copied().min().unwrap_or(0),
-                labels: Vec::new(),
-            }),
-            LabelStore::Full => events.push(Event {
-                j,
-                worker: w,
-                min_label: 0,
-                labels: labels.to_vec(),
-            }),
-        }
-        for (k, &i) in worker.block().iter().enumerate() {
-            old_block[k] = worker.view()[i];
-        }
-        if let Err(e) = worker.produce(op, j) {
-            // Peers must not burn the rest of the step budget behind a
-            // run that can only report this error.
-            stop.store(true, Ordering::Relaxed);
-            return Err(e);
-        }
-
-        // Exchange: post the block (or a partial subset) to every peer.
-        if let Some(msg) = worker.post(&mut prng) {
-            for dest in worker.peers() {
-                ep.send(dest, msg.clone());
-            }
-        }
-
-        // Termination: quiescence detection (worker 0 coordinates) ...
-        if let (Some(q), Some(det), Some(tr)) = (cfg.quiesce, detector, tracker.as_mut()) {
-            let change = worker
-                .block()
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| (worker.view()[i] - old_block[k]).abs())
-                .fold(0.0_f64, f64::max);
-            let quiet = tr.observe(change);
-            det.report(w, j, quiet);
-            if w == 0 && det.detect(j, q.margin) {
-                converged.store(true, Ordering::Relaxed);
-                stop.store(true, Ordering::Relaxed);
-                break;
-            }
-        }
-        // ... and/or a residual target checked by worker 0 on its local
-        // view (near convergence the view and the consensus agree to
-        // far below any sensible target).
-        if w == 0 {
-            if let Some(eps) = cfg.target_residual {
-                if worker
-                    .counters()
-                    .updates
-                    .is_multiple_of(cfg.check_every.max(1))
-                    && worker.residual(op) <= eps
-                {
-                    converged.store(true, Ordering::Relaxed);
-                    stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        // Hand the scheduling quantum over after each update: on an
-        // oversubscribed (1-core CI) host this keeps peers draining
-        // their mailboxes — bounding queue growth and information
-        // staleness by scheduler rotations instead of whole quanta.
-        std::thread::yield_now();
-    }
-
-    Ok(WorkerLog {
-        events,
-        worker,
-        send_stats: ep.stats(),
-    })
-}
-
-fn validate(cfg: &ThreadedConfig) -> crate::Result<()> {
-    if cfg.max_steps == 0 {
-        return Err(RuntimeError::InvalidParameter {
-            name: "max_steps",
-            message: "must be positive".into(),
-        });
-    }
-    check_probabilities(&[
-        ("hold_prob", cfg.hold_prob),
-        ("drop_prob", cfg.drop_prob),
-        ("dup_prob", cfg.dup_prob),
-    ])?;
-    if let Some(q) = cfg.quiesce {
-        if q.eps.is_nan() || q.eps < 0.0 || q.streak == 0 {
-            return Err(RuntimeError::InvalidParameter {
-                name: "quiesce",
-                message: format!("requires eps >= 0 and streak > 0, got {q:?}"),
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -550,29 +399,12 @@ mod tests {
     }
 
     #[test]
-    fn a_diverging_worker_stops_its_healthy_peers() {
-        // Worker 1's block goes NaN on its first update; worker 0 stays
-        // healthy and must not run out an unbounded step budget.
-        struct NanOnUpperBlock;
-        impl Operator for NanOnUpperBlock {
-            fn dim(&self) -> usize {
-                4
-            }
-            fn component(&self, i: usize, x: &[f64]) -> f64 {
-                if i >= 2 {
-                    f64::NAN
-                } else {
-                    0.5 * x[i]
-                }
-            }
-        }
+    fn a_failing_worker_stops_its_healthy_peers() {
         let p = Partition::blocks(4, 2).unwrap();
         let cfg = ThreadedConfig::new(u64::MAX);
-        let err = ThreadedClusterEngine::run(&NanOnUpperBlock, &[1.0; 4], &p, &cfg).unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::NonFiniteIterate { component: 2, .. }),
-            "{err:?}"
-        );
+        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(|op| {
+            ThreadedClusterEngine::run(op, &[1.0; 4], &p, &cfg).unwrap_err()
+        });
     }
 
     #[test]

@@ -95,12 +95,7 @@ impl Worker {
                 });
             }
         }
-        if exchange_every == 0 {
-            return Err(RuntimeError::InvalidParameter {
-                name: "exchange_every",
-                message: "must be positive".into(),
-            });
-        }
+        check_positive(&[("exchange_every", exchange_every)])?;
         check_probabilities(&[("partial_prob", partial_prob)])?;
         let workers = partition.num_machines();
         let worker = |id| Worker {
@@ -262,6 +257,17 @@ pub(crate) fn assemble_consensus(workers: &[Worker], consensus: &mut [f64]) {
         for &i in &worker.block {
             consensus[i] = worker.view[i];
         }
+    }
+}
+
+/// Rejects any named count that is zero.
+pub(crate) fn check_positive(counts: &[(&'static str, u64)]) -> Result<(), RuntimeError> {
+    match counts.iter().find(|(_, count)| *count == 0) {
+        None => Ok(()),
+        Some(&(name, _)) => Err(RuntimeError::InvalidParameter {
+            name,
+            message: "must be positive".into(),
+        }),
     }
 }
 
