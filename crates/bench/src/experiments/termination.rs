@@ -19,14 +19,13 @@
 use crate::ExpContext;
 use asynciter_core::session::{Replay, Session};
 use asynciter_core::stopping::StoppingRule;
-use asynciter_models::partition::Partition;
 use asynciter_models::schedule::ChaoticBounded;
 use asynciter_numerics::norm::WeightedMaxNorm;
 use asynciter_numerics::sparse::tridiagonal;
 use asynciter_opt::linear::JacobiOperator;
 use asynciter_report::csv::CsvWriter;
 use asynciter_report::table::TextTable;
-use asynciter_runtime::{AsyncConfig, AsyncSharedRunner, Quiesce};
+use asynciter_runtime::{Quiesce, SharedMem};
 
 /// Runs E10.
 pub fn run(seed: u64, quick: bool) {
@@ -79,7 +78,6 @@ pub fn run(seed: u64, quick: bool) {
 
     // Part 2: shared-memory quiescence detection, margin sweep.
     let workers = 4;
-    let partition = Partition::blocks(n, workers).expect("partition");
     let quiet_eps = 1e-10;
     let good_resid = 1e-7; // "converged enough" oracle line
     let seeds = if quick { 6 } else { 20 };
@@ -105,20 +103,26 @@ pub fn run(seed: u64, quick: bool) {
         let mut updates = 0u64;
         let mut resid_sum = 0.0;
         for _ in 0..seeds {
-            let mut cfg = AsyncConfig::new(workers, 5_000_000);
-            cfg.quiesce = Some(Quiesce {
-                eps: quiet_eps,
-                streak: 6,
-                margin,
-            });
-            let res = AsyncSharedRunner::run(&op, &vec![0.0; n], &partition, &cfg).expect("run");
+            let res = Session::new(&op)
+                .steps(5_000_000)
+                .backend(SharedMem {
+                    threads: workers,
+                    quiesce: Some(Quiesce {
+                        eps: quiet_eps,
+                        streak: 6,
+                        margin,
+                    }),
+                    ..SharedMem::default()
+                })
+                .run()
+                .expect("run");
             if res.stopped_early {
                 detected += 1;
                 if res.final_residual > good_resid {
                     premature += 1;
                 }
             }
-            updates += res.total_updates;
+            updates += res.steps;
             resid_sum += res.final_residual;
         }
         table.row(&[

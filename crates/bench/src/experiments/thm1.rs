@@ -18,15 +18,13 @@
 //! diagonally-dominant lasso case are exercised.
 
 use crate::ExpContext;
-use asynciter_core::flexible::{FlexibleConfig, FlexibleEngine};
-use asynciter_core::session::{RecordMode, Replay, Session};
+use asynciter_core::session::{Flexible, RecordMode, Replay, Session};
 use asynciter_core::theory;
 use asynciter_models::macroiter::macro_iterations_strict;
 use asynciter_models::partition::Partition;
 use asynciter_models::schedule::{
     BlockRoundRobin, ChaoticBounded, ScheduleGen, SyncJacobi, UnboundedSqrtDelay,
 };
-use asynciter_numerics::norm::WeightedMaxNorm;
 use asynciter_opt::lasso::LassoProblem;
 use asynciter_opt::prox::L1;
 use asynciter_opt::proxgrad::{gamma_max, SeparableProxGrad, SparseProxGrad};
@@ -140,23 +138,34 @@ pub fn run(seed: u64, quick: bool) {
 
     // Flexible communication (Definition 3) with constraint enforcement.
     {
-        let mut gen = BlockRoundRobin::new(Partition::blocks(n, 8).expect("partition"), 4);
-        let fcfg = FlexibleConfig::new(steps / 4, 3)
-            .with_publish_period(1)
-            .with_error_every((steps / 800).max(1))
-            .with_seed(seed + 3)
-            .with_enforcement();
-        let norm = WeightedMaxNorm::uniform(n);
-        let res = FlexibleEngine::run(&op, &x0, &mut gen, &fcfg, &norm, Some(&xstar))
+        let blocks = Partition::blocks(n, 8).expect("partition");
+        let res = Session::new(&op)
+            .steps(steps / 4)
+            .schedule(BlockRoundRobin::new(blocks, 4))
+            .x0(x0.clone())
+            .xstar(xstar.clone())
+            .error_every((steps / 800).max(1))
+            .seed(seed + 3)
+            .record(RecordMode::Full)
+            .backend(Flexible {
+                m: 3,
+                publish_period: Some(1),
+                enforce_constraint: true,
+                ..Flexible::default()
+            })
+            .run()
             .expect("flexible run");
-        let macros = macro_iterations_strict(&res.trace);
+        let macros = macro_iterations_strict(res.trace.as_ref().expect("trace"));
         let r0_sq = theory::initial_error_sq(&x0, &xstar);
         let floor = 1e-12 * r0_sq.sqrt().max(1.0);
         let worst = theory::thm1_worst_ratio(&res.errors, &macros, rho, r0_sq, floor);
         ctx.log(format!(
             "flexible run: {} partial reads, {} publishes, {}/{} constraint-(3) violations \
              (before enforcement)",
-            res.partial_reads, res.publishes, res.constraint_violations, res.constraint_checked
+            res.partial_reads,
+            res.partial_publishes,
+            res.constraint_violations,
+            res.constraint_checked
         ));
         cases.push(Case {
             name: "flexible(m=3,p=1)".to_string(),

@@ -2,8 +2,9 @@
 //!
 //! The experiment harness: one module (and thin binary) per paper
 //! figure/claim — see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded outcomes — plus criterion benches for the
-//! timing claims.
+//! EXPERIMENTS.md for recorded outcomes — plus the `gate`, `conformance`,
+//! `mc` and `service` CLIs. Timing is measured by the standalone
+//! `benchmark/` crate, not here.
 //!
 //! Binaries write CSV + ASCII-chart artefacts under `results/<exp>/`
 //! (override with `ASYNCITER_RESULTS`) and print headline tables to

@@ -7,19 +7,19 @@
 //! x_i(j) = x_i(j − 1)                            otherwise.
 //! ```
 //!
-//! [`ReplayEngine`] executes this *exactly*: it keeps the full history of
-//! every component's updates, assembles the read vector `x(l(j))` by
-//! label lookup (so out-of-order and unbounded delays are honoured
-//! bit-for-bit, not approximated), applies the operator to the active
-//! set, and records the trace on which macro-iterations, epochs and the
-//! condition checkers operate. Determinism makes every experiment
-//! replayable from a seed.
+//! The [`Replay`] backend executes this *exactly*: it keeps the full
+//! history of every component's updates, assembles the read vector
+//! `x(l(j))` by label lookup (so out-of-order and unbounded delays are
+//! honoured bit-for-bit, not approximated), applies the operator to the
+//! active set, and records the trace on which macro-iterations, epochs
+//! and the condition checkers operate. Determinism makes every
+//! experiment replayable from a seed.
 
 use crate::error::CoreError;
-use crate::stopping::{StopState, StoppingRule};
-use asynciter_models::schedule::{ScheduleGen, StepBuf};
-use asynciter_models::trace::{LabelStore, Trace};
-use asynciter_opt::traits::Operator;
+use crate::session::{Backend, Problem, RunControl, RunReport};
+use crate::stopping::StopState;
+use asynciter_models::schedule::StepBuf;
+use asynciter_models::trace::Trace;
 
 /// Per-component update history with label lookup.
 ///
@@ -106,152 +106,48 @@ impl History {
     }
 }
 
-/// Configuration of a replay run.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Maximum number of iterations `J`.
-    pub num_steps: u64,
-    /// Label retention for the recorded trace.
-    pub record_labels: LabelStore,
-    /// Record `‖x(j) − x*‖_∞` every this many steps (0 = never); requires
-    /// a known fixed point.
-    pub error_every: u64,
-    /// Record the fixed-point residual `‖x − F(x)‖_∞` every this many
-    /// steps (0 = never). Residual evaluation costs one full operator
-    /// application.
-    pub residual_every: u64,
-    /// Optional stopping rule evaluated online.
-    pub stopping: Option<StoppingRule>,
-}
+/// The deterministic Definition-1 replay backend. See module docs.
+///
+/// `RunControl::max_steps` is the iteration budget `J`; error and
+/// residual sampling and every [`StoppingRule`](crate::stopping::StoppingRule)
+/// are honoured. `Problem::xstar` serves error recording and
+/// error-based stopping only (experiments — the algorithm itself never
+/// uses it).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Replay;
 
-impl EngineConfig {
-    /// A plain fixed-length run recording full labels.
-    pub fn fixed(num_steps: u64) -> Self {
-        Self {
-            num_steps,
-            record_labels: LabelStore::Full,
-            error_every: 0,
-            residual_every: 0,
-            stopping: None,
-        }
+impl Backend for Replay {
+    fn name(&self) -> &'static str {
+        "replay"
     }
 
-    /// Enables error recording against a known fixed point.
-    pub fn with_error_every(mut self, every: u64) -> Self {
-        self.error_every = every;
-        self
-    }
-
-    /// Enables residual recording.
-    pub fn with_residual_every(mut self, every: u64) -> Self {
-        self.residual_every = every;
-        self
-    }
-
-    /// Sets the label retention mode.
-    pub fn with_labels(mut self, store: LabelStore) -> Self {
-        self.record_labels = store;
-        self
-    }
-
-    /// Installs a stopping rule.
-    pub fn with_stopping(mut self, rule: StoppingRule) -> Self {
-        self.stopping = Some(rule);
-        self
-    }
-}
-
-/// Result of a replay run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// The recorded trace (exactly the `(𝒮, ℒ)` realisation executed).
-    pub trace: Trace,
-    /// Final iterate `x(J)`.
-    pub final_x: Vec<f64>,
-    /// Number of iterations actually executed.
-    pub steps_run: u64,
-    /// `(j, ‖x(j) − x*‖_∞)` samples (empty unless requested).
-    pub errors: Vec<(u64, f64)>,
-    /// `(j, ‖x(j) − F(x(j))‖_∞)` samples (empty unless requested).
-    pub residuals: Vec<(u64, f64)>,
-    /// True when a stopping rule fired before `num_steps`.
-    pub stopped_early: bool,
-}
-
-/// The Definition-1 replay engine. See module docs.
-#[derive(Debug, Default)]
-pub struct ReplayEngine;
-
-impl ReplayEngine {
     /// Runs the asynchronous iteration `(F, x(0), 𝒮, ℒ)`.
     ///
-    /// `xstar` is the known fixed point for error recording and
-    /// error-based stopping (experiments only — the algorithm itself
-    /// never uses it).
-    ///
     /// # Errors
-    /// Dimension mismatches, invalid configuration, or a non-finite
-    /// iterate (operator divergence).
-    pub fn run(
-        op: &dyn Operator,
-        x0: &[f64],
-        gen: &mut dyn ScheduleGen,
-        cfg: &EngineConfig,
-        xstar: Option<&[f64]>,
-    ) -> crate::Result<RunResult> {
-        let n = op.dim();
-        if x0.len() != n {
-            return Err(CoreError::DimensionMismatch {
-                expected: n,
-                actual: x0.len(),
-                context: "ReplayEngine::run (x0)",
-            });
-        }
-        if gen.n() != n {
-            return Err(CoreError::DimensionMismatch {
-                expected: n,
-                actual: gen.n(),
-                context: "ReplayEngine::run (schedule)",
-            });
-        }
-        if let Some(xs) = xstar {
-            if xs.len() != n {
-                return Err(CoreError::DimensionMismatch {
-                    expected: n,
-                    actual: xs.len(),
-                    context: "ReplayEngine::run (xstar)",
-                });
-            }
-        }
-        if cfg.num_steps == 0 {
-            return Err(CoreError::InvalidParameter {
-                name: "num_steps",
-                message: "must be positive".into(),
-            });
-        }
-        if cfg.error_every > 0 && xstar.is_none() {
-            return Err(CoreError::InvalidParameter {
-                name: "error_every",
-                message: "error recording requires a known fixed point".into(),
-            });
-        }
+    /// Dimension mismatches, invalid controls, or a non-finite iterate
+    /// (operator divergence).
+    fn run(&mut self, problem: &Problem<'_>, ctl: &mut RunControl<'_>) -> crate::Result<RunReport> {
+        let mut gen = ctl.take_schedule(problem)?;
+        let (op, n) = (problem.op, problem.n());
+        let xstar = problem.xstar.as_deref();
+        let start = std::time::Instant::now();
 
-        let mut history = History::new(x0);
-        let mut trace = Trace::new(n, cfg.record_labels);
+        let mut history = History::new(&problem.x0);
+        let mut trace = Trace::new(n, ctl.record.label_store());
         let mut buf = StepBuf::new(n);
         // Workhorse buffers reused across iterations (no allocation in the
         // step loop), including the operator's caller-owned scratch.
         let mut xl = vec![0.0; n]; // assembled read vector x(l(j))
-        let mut cur = x0.to_vec(); // current iterate x(j)
+        let mut cur = problem.x0.clone(); // current iterate x(j)
         let mut scratch = vec![0.0; op.scratch_len()];
-        let mut stop_state = cfg.stopping.as_ref().map(|r| StopState::new(r, n));
+        let mut stop_state = ctl.stopping.as_ref().map(|r| (r, StopState::new(r, n)));
 
         let mut errors = Vec::new();
         let mut residuals = Vec::new();
         let mut stopped_early = false;
-        let mut steps_run = 0u64;
+        let mut steps = 0u64;
 
-        for j in 1..=cfg.num_steps {
+        for j in 1..=ctl.max_steps {
             gen.step(j, &mut buf);
             debug_assert!(!buf.active.is_empty(), "schedule produced empty S_j");
             history.assemble(&buf.labels, &mut xl);
@@ -267,16 +163,16 @@ impl ReplayEngine {
                 history.push(i, j, v);
             }
             trace.push_step(&buf.active, &buf.labels);
-            steps_run = j;
+            steps = j;
 
-            if cfg.error_every > 0 && j % cfg.error_every == 0 {
-                let xs = xstar.expect("validated above");
+            if ctl.error_every > 0 && j % ctl.error_every == 0 {
+                let xs = xstar.expect("take_schedule: error sampling has its fixed point");
                 errors.push((j, asynciter_numerics::vecops::max_abs_diff(&cur, xs)));
             }
-            if cfg.residual_every > 0 && j % cfg.residual_every == 0 {
+            if ctl.residual_every > 0 && j % ctl.residual_every == 0 {
                 residuals.push((j, op.residual_inf_with(&cur, &mut scratch)));
             }
-            if let (Some(rule), Some(state)) = (cfg.stopping.as_ref(), stop_state.as_mut()) {
+            if let Some((rule, state)) = stop_state.as_mut() {
                 if state.observe(rule, j, &buf, &cur, op, xstar, &mut scratch) {
                     stopped_early = true;
                     break;
@@ -284,28 +180,32 @@ impl ReplayEngine {
             }
         }
 
-        Ok(RunResult {
-            trace,
-            final_x: cur,
-            steps_run,
+        let wall = start.elapsed();
+        let final_residual = op.residual_inf(&cur);
+        Ok(RunReport {
             errors,
             residuals,
             stopped_early,
-        })
+            wall,
+            ..RunReport::new(self.name(), cur, steps, final_residual)
+        }
+        .with_trace(trace, ctl.record))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{RecordMode, Session};
     use asynciter_models::schedule::{ChaoticBounded, CyclicCoordinate, SyncJacobi};
+    use asynciter_models::trace::LabelStore;
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;
     use asynciter_opt::prox::L1;
     use asynciter_opt::proxgrad::{gamma_max, SparseProxGrad};
     use asynciter_opt::quadratic::SparseQuadratic;
-    use asynciter_opt::traits::SmoothObjective;
+    use asynciter_opt::traits::{Operator, SmoothObjective};
 
     fn jacobi() -> JacobiOperator {
         JacobiOperator::new(tridiagonal(6, 4.0, -1.0), vec![1.0; 6]).unwrap()
@@ -343,31 +243,34 @@ mod tests {
         // With the synchronous schedule the engine must reproduce plain
         // Jacobi: x(j) = F(x(j−1)).
         let op = jacobi();
-        let x0 = vec![0.0; 6];
-        let mut gen = SyncJacobi::new(6);
-        let cfg = EngineConfig::fixed(20);
-        let res = ReplayEngine::run(&op, &x0, &mut gen, &cfg, None).unwrap();
+        let res = Session::new(&op)
+            .steps(20)
+            .schedule(SyncJacobi::new(6))
+            .run()
+            .unwrap();
 
-        let mut x = x0.clone();
+        let mut x = vec![0.0; 6];
         let mut next = vec![0.0; 6];
         for _ in 0..20 {
             op.apply(&x, &mut next);
             std::mem::swap(&mut x, &mut next);
         }
         assert!(vecops::max_abs_diff(&res.final_x, &x) < 1e-15);
-        assert_eq!(res.steps_run, 20);
+        assert_eq!(res.steps, 20);
         assert!(!res.stopped_early);
     }
 
     #[test]
     fn cyclic_replay_equals_gauss_seidel() {
         let op = jacobi();
-        let x0 = vec![0.0; 6];
-        let mut gen = CyclicCoordinate::new(6);
-        let res = ReplayEngine::run(&op, &x0, &mut gen, &EngineConfig::fixed(60), None).unwrap();
+        let res = Session::new(&op)
+            .steps(60)
+            .schedule(CyclicCoordinate::new(6))
+            .run()
+            .unwrap();
 
         // Hand-rolled Gauss–Seidel: 10 sweeps of in-place updates.
-        let mut x = x0;
+        let mut x = vec![0.0; 6];
         for _ in 0..10 {
             for i in 0..6 {
                 x[i] = op.component(i, &x);
@@ -380,9 +283,13 @@ mod tests {
     fn async_replay_converges_for_contraction() {
         let op = jacobi();
         let xstar = op.solve_dense_spd().unwrap();
-        let mut gen = ChaoticBounded::new(6, 1, 3, 12, false, 42);
-        let cfg = EngineConfig::fixed(4000).with_error_every(100);
-        let res = ReplayEngine::run(&op, &[0.0; 6], &mut gen, &cfg, Some(&xstar)).unwrap();
+        let res = Session::new(&op)
+            .steps(4000)
+            .schedule(ChaoticBounded::new(6, 1, 3, 12, false, 42))
+            .xstar(xstar.clone())
+            .error_every(100)
+            .run()
+            .unwrap();
         let final_err = vecops::max_abs_diff(&res.final_x, &xstar);
         assert!(final_err < 1e-10, "error {final_err}");
         // Errors decrease overall.
@@ -392,18 +299,21 @@ mod tests {
     #[test]
     fn replay_is_deterministic() {
         let op = jacobi();
-        let cfg = EngineConfig::fixed(500);
         let run = || {
-            let mut gen = ChaoticBounded::new(6, 1, 3, 8, false, 7);
-            ReplayEngine::run(&op, &[0.0; 6], &mut gen, &cfg, None).unwrap()
+            Session::new(&op)
+                .steps(500)
+                .schedule(ChaoticBounded::new(6, 1, 3, 8, false, 7))
+                .record(RecordMode::Full)
+                .run()
+                .unwrap()
         };
-        let a = run();
-        let b = run();
+        let (a, b) = (run(), run());
         assert_eq!(a.final_x, b.final_x);
-        assert_eq!(a.trace.len(), b.trace.len());
-        for j in 1..=a.trace.len() as u64 {
-            assert_eq!(a.trace.step(j).active, b.trace.step(j).active);
-            assert_eq!(a.trace.labels(j).unwrap(), b.trace.labels(j).unwrap());
+        let (a, b) = (a.trace.unwrap(), b.trace.unwrap());
+        assert_eq!(a.len(), b.len());
+        for j in 1..=a.len() as u64 {
+            assert_eq!(a.step(j).active, b.step(j).active);
+            assert_eq!(a.labels(j).unwrap(), b.labels(j).unwrap());
         }
     }
 
@@ -425,14 +335,13 @@ mod tests {
                 }
             }
         }
-        let mut t = asynciter_models::trace::Trace::new(2, LabelStore::Full);
+        let mut t = Trace::new(2, LabelStore::Full);
         t.push_step(&[0], &[0, 0]); // j=1: x0 := x1(0) + 1 = 1
         t.push_step(&[1], &[1, 0]); // j=2: x1 := x0(1) = 1
         t.push_step(&[0], &[0, 0]); // j=3: stale! x0 := x1(0) + 1 = 1 (not 2)
         t.push_step(&[0], &[0, 2]); // j=4: x0 := x1(2) + 1 = 2
-        let mut gen = asynciter_models::schedule::RecordedSchedule::new(t).unwrap();
-        let res = ReplayEngine::run(&Shift, &[0.0, 0.0], &mut gen, &EngineConfig::fixed(4), None)
-            .unwrap();
+        let res = Session::new(&Shift).replay_trace(t).unwrap().run().unwrap();
+        assert_eq!(res.steps, 4);
         assert_eq!(res.final_x, vec![2.0, 1.0]);
     }
 
@@ -442,30 +351,30 @@ mod tests {
         let gamma = 0.9 * gamma_max(f.strong_convexity(), f.lipschitz());
         let op = SparseProxGrad::new(f, L1::new(0.1), gamma).unwrap();
         let (xstar, _) = op.solve_exact().unwrap();
-        let mut gen = ChaoticBounded::new(16, 2, 6, 20, false, 11);
-        let cfg = EngineConfig::fixed(20_000);
-        let res = ReplayEngine::run(&op, &[0.0; 16], &mut gen, &cfg, Some(&xstar)).unwrap();
+        let res = Session::new(&op)
+            .steps(20_000)
+            .schedule(ChaoticBounded::new(16, 2, 6, 20, false, 11))
+            .xstar(xstar.clone())
+            .run()
+            .unwrap();
         assert!(vecops::max_abs_diff(&res.final_x, &xstar) < 1e-9);
     }
 
     #[test]
     fn dimension_validation() {
         let op = jacobi();
-        let mut gen = SyncJacobi::new(5); // wrong n
+        // Wrong schedule n.
         assert!(matches!(
-            ReplayEngine::run(&op, &[0.0; 6], &mut gen, &EngineConfig::fixed(1), None),
+            Session::new(&op)
+                .steps(1)
+                .schedule(SyncJacobi::new(5))
+                .run(),
             Err(CoreError::DimensionMismatch { .. })
         ));
-        let mut gen = SyncJacobi::new(6);
-        assert!(
-            ReplayEngine::run(&op, &[0.0; 5], &mut gen, &EngineConfig::fixed(1), None).is_err()
-        );
-        assert!(
-            ReplayEngine::run(&op, &[0.0; 6], &mut gen, &EngineConfig::fixed(0), None).is_err()
-        );
+        assert!(Session::new(&op).steps(1).x0(vec![0.0; 5]).run().is_err());
+        assert!(Session::new(&op).steps(0).run().is_err());
         // error_every without xstar.
-        let cfg = EngineConfig::fixed(5).with_error_every(1);
-        assert!(ReplayEngine::run(&op, &[0.0; 6], &mut gen, &cfg, None).is_err());
+        assert!(Session::new(&op).steps(5).error_every(1).run().is_err());
     }
 
     #[test]
@@ -480,24 +389,22 @@ mod tests {
             }
         }
         // 1e30 squared repeatedly overflows to inf quickly.
-        let mut gen = SyncJacobi::new(1);
-        let err = ReplayEngine::run(
-            &Doubler,
-            &[1.0e100],
-            &mut gen,
-            &EngineConfig::fixed(100),
-            None,
-        )
-        .unwrap_err();
+        let err = Session::new(&Doubler)
+            .steps(100)
+            .x0(vec![1.0e100])
+            .run()
+            .unwrap_err();
         assert!(matches!(err, CoreError::NonFiniteIterate { .. }));
     }
 
     #[test]
     fn residual_recording() {
         let op = jacobi();
-        let mut gen = SyncJacobi::new(6);
-        let cfg = EngineConfig::fixed(100).with_residual_every(10);
-        let res = ReplayEngine::run(&op, &[0.0; 6], &mut gen, &cfg, None).unwrap();
+        let res = Session::new(&op)
+            .steps(100)
+            .residual_every(10)
+            .run()
+            .unwrap();
         assert_eq!(res.residuals.len(), 10);
         // Residuals decrease for a contraction under sync iteration.
         assert!(res.residuals.first().unwrap().1 > res.residuals.last().unwrap().1);

@@ -3,16 +3,16 @@
 //! Execution engines for asynchronous iterations, following El-Baz
 //! (IPPS 2022) exactly:
 //!
-//! - [`engine`] — the deterministic *replay engine* of Definition 1: given
-//!   an operator `F`, an initial vector `x(0)` and a schedule `(𝒮, ℒ)`, it
-//!   produces the iterate sequence of Eq. (1), assembling each update's
-//!   read vector `x(l(j))` from the full update history so that arbitrary
-//!   (unbounded, out-of-order) labels are honoured bit-for-bit.
-//! - [`flexible`] — the flexible-communication engine of Definition 3:
-//!   updates run `m` inner iterations and *publish partial results*, and
-//!   readers may consume those partials (sub-step labels); the engine can
-//!   check — or enforce — the norm constraint (3) against a known fixed
-//!   point.
+//! - [`engine`] — the deterministic [`Replay`] backend of Definition 1:
+//!   given an operator `F`, an initial vector `x(0)` and a schedule
+//!   `(𝒮, ℒ)`, it produces the iterate sequence of Eq. (1), assembling
+//!   each update's read vector `x(l(j))` from the full update
+//!   [`engine::History`] so that arbitrary (unbounded, out-of-order)
+//!   labels are honoured bit-for-bit.
+//! - [`flexible`] — the [`Flexible`] backend of Definition 3: updates run
+//!   `m` inner iterations and *publish partial results*, and readers may
+//!   consume those partials (sub-step labels); the engine can check — or
+//!   enforce — the norm constraint (3) against a known fixed point.
 //! - [`theory`] — Theorem 1's `(1−ρ)^k` envelope, Perron weights for
 //!   weighted-max-norm contraction certificates, and empirical contraction
 //!   estimation.
@@ -23,8 +23,8 @@
 //!   builder, one [`session::Backend`] trait and one [`session::RunReport`]
 //!   shared by every engine in the workspace (replay, flexible, the
 //!   threaded runtimes of `asynciter-runtime`, the simulator of
-//!   `asynciter-sim`). New code should start here; the per-engine entry
-//!   points below remain as thin compatibility shims.
+//!   `asynciter-sim`). `Session` → [`session::Backend::run`] is the only
+//!   way into the two engines above.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -38,9 +38,7 @@ pub mod session;
 pub mod stopping;
 pub mod theory;
 
-pub use engine::{EngineConfig, ReplayEngine, RunResult};
 pub use error::CoreError;
-pub use flexible::{FlexibleConfig, FlexibleEngine, FlexibleRunResult};
 pub use session::{Flexible, Problem, RecordMode, Replay, RunControl, RunReport, Session};
 pub use stopping::{OnlineMacroTracker, StoppingRule};
 

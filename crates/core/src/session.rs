@@ -14,8 +14,9 @@
 //! - [`RunControl`] — how long and what to observe: step budget, error /
 //!   residual sampling, stopping rule, trace recording, seed, and the
 //!   schedule for replay-style backends.
-//! - [`Backend`] — *where* Eq. (1) executes. [`Replay`] and [`Flexible`]
-//!   live here; `SharedMem { threads }`, `Barrier { threads }`, the
+//! - [`Backend`] — *where* Eq. (1) executes. [`Replay`]
+//!   ([`crate::engine`]) and [`Flexible`] ([`crate::flexible`]) live in
+//!   this crate; `SharedMem { threads }`, `Barrier { threads }`, the
 //!   deterministic sharded message-passing `Cluster { workers, .. }` and
 //!   its genuinely concurrent sibling `ThreadedCluster { workers, .. }`
 //!   in `asynciter-runtime`; `Sim(config)` in `asynciter-sim`. Every
@@ -45,14 +46,13 @@
 //! comparisons (async vs sync vs simulated speedup sweeps) are one-liners:
 //! build the session once per backend and diff the reports.
 
-use crate::engine::{EngineConfig, ReplayEngine};
+pub use crate::engine::Replay;
 use crate::error::CoreError;
-use crate::flexible::{FlexibleConfig, FlexibleEngine};
+pub use crate::flexible::Flexible;
 use crate::stopping::StoppingRule;
 use asynciter_models::macroiter::macro_iterations;
 use asynciter_models::schedule::{ScheduleGen, SyncJacobi};
 use asynciter_models::trace::{LabelStore, Trace};
-use asynciter_numerics::norm::WeightedMaxNorm;
 use asynciter_opt::traits::Operator;
 use std::time::Duration;
 
@@ -132,12 +132,51 @@ pub struct RunControl<'a> {
 }
 
 impl<'a> RunControl<'a> {
-    /// Removes and returns the schedule, defaulting to the synchronous
-    /// Jacobi steering over `n` components when none was supplied.
-    pub fn take_schedule(&mut self, n: usize) -> Box<dyn ScheduleGen + 'a> {
-        self.schedule
+    /// Opens a schedule-driven run: removes and returns the schedule
+    /// (default: the synchronous Jacobi steering) once `x0`, the
+    /// schedule and `xstar` are checked against the operator's
+    /// dimension, the step budget is positive and error sampling has
+    /// its fixed point.
+    ///
+    /// # Errors
+    /// [`CoreError::DimensionMismatch`] naming the offending input, or
+    /// [`CoreError::InvalidParameter`].
+    pub fn take_schedule(
+        &mut self,
+        problem: &Problem<'_>,
+    ) -> crate::Result<Box<dyn ScheduleGen + 'a>> {
+        let n = problem.n();
+        let gen = self
+            .schedule
             .take()
-            .unwrap_or_else(|| Box::new(SyncJacobi::new(n)))
+            .unwrap_or_else(|| Box::new(SyncJacobi::new(n)));
+        let xstar = problem.xstar.as_ref();
+        for (actual, context) in [
+            (problem.x0.len(), "Session (x0)"),
+            (gen.n(), "Session (schedule)"),
+            (xstar.map_or(n, Vec::len), "Session (xstar)"),
+        ] {
+            if actual != n {
+                return Err(CoreError::DimensionMismatch {
+                    expected: n,
+                    actual,
+                    context,
+                });
+            }
+        }
+        if self.max_steps == 0 {
+            return Err(CoreError::InvalidParameter {
+                name: "max_steps",
+                message: "must be positive".into(),
+            });
+        }
+        if self.error_every > 0 && xstar.is_none() {
+            return Err(CoreError::InvalidParameter {
+                name: "error_every",
+                message: "error recording requires a known fixed point".into(),
+            });
+        }
+        Ok(gen)
     }
 
     /// Rejects error and residual sampling, for backends where no
@@ -366,10 +405,11 @@ pub fn macro_count(trace: Option<&Trace>) -> u64 {
     }
 }
 
-/// An execution engine for Eq. (1). Implementations translate the
-/// backend-independent [`Problem`] + [`RunControl`] into their native
-/// configuration, run, and translate the native result into a
-/// [`RunReport`].
+/// An execution engine for Eq. (1): its step loop reads the
+/// backend-independent [`Problem`] + [`RunControl`] (and the backend
+/// struct's own fields) and fills the [`RunReport`]. `Cluster`,
+/// `ThreadedCluster` and `Sim` still go through a native configuration
+/// whose result carries statistics the report cannot hold yet.
 pub trait Backend {
     /// Short backend name for reports and error messages.
     fn name(&self) -> &'static str;
@@ -581,157 +621,6 @@ impl<'a> Session<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Core backends: Replay (Definition 1) and Flexible (Definition 3)
-// ---------------------------------------------------------------------------
-
-/// The deterministic Definition-1 replay backend
-/// ([`ReplayEngine`] behind the [`Backend`] interface).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Replay;
-
-impl Backend for Replay {
-    fn name(&self) -> &'static str {
-        "replay"
-    }
-
-    fn run(&mut self, problem: &Problem<'_>, ctl: &mut RunControl<'_>) -> crate::Result<RunReport> {
-        let mut gen = ctl.take_schedule(problem.n());
-        let cfg = EngineConfig {
-            num_steps: ctl.max_steps,
-            record_labels: ctl.record.label_store(),
-            error_every: ctl.error_every,
-            residual_every: ctl.residual_every,
-            stopping: ctl.stopping.clone(),
-        };
-        let start = std::time::Instant::now();
-        let res = ReplayEngine::run(
-            problem.op,
-            &problem.x0,
-            gen.as_mut(),
-            &cfg,
-            problem.xstar.as_deref(),
-        )?;
-        let wall = start.elapsed();
-        let final_residual = problem.op.residual_inf(&res.final_x);
-        Ok(RunReport {
-            errors: res.errors,
-            residuals: res.residuals,
-            stopped_early: res.stopped_early,
-            wall,
-            ..RunReport::new(self.name(), res.final_x, res.steps_run, final_residual)
-        }
-        .with_trace(res.trace, ctl.record))
-    }
-}
-
-/// The Definition-3 flexible-communication backend
-/// ([`FlexibleEngine`] behind the [`Backend`] interface).
-///
-/// `m` inner iterations run per outer update; with `partial` set the
-/// in-progress block is published halfway (override with
-/// `publish_period`) and readers may consume those partials.
-/// Constructible with functional-update syntax:
-/// `Flexible { m: 4, partial: true, ..Flexible::default() }`.
-#[derive(Debug, Clone)]
-pub struct Flexible {
-    /// Inner iterations `m ≥ 1` per outer update.
-    pub m: usize,
-    /// Publish mid-phase partials (flexible communication); `false`
-    /// degenerates to the standard asynchronous iteration.
-    pub partial: bool,
-    /// Probability that a read upgrades to an available fresher partial.
-    pub partial_prob: f64,
-    /// Publish period override (default: `m/2` when `partial`, disabled
-    /// otherwise).
-    pub publish_period: Option<usize>,
-    /// Enforce constraint (3) against the known fixed point (certified
-    /// Definition-3 iteration).
-    pub enforce_constraint: bool,
-    /// The weighted max norm `‖·‖_u` of constraint (3) (default:
-    /// uniform weights).
-    pub norm: Option<WeightedMaxNorm>,
-}
-
-impl Default for Flexible {
-    fn default() -> Self {
-        Self {
-            m: 1,
-            partial: true,
-            partial_prob: 1.0,
-            publish_period: None,
-            enforce_constraint: false,
-            norm: None,
-        }
-    }
-}
-
-impl Backend for Flexible {
-    fn name(&self) -> &'static str {
-        "flexible"
-    }
-
-    fn run(&mut self, problem: &Problem<'_>, ctl: &mut RunControl<'_>) -> crate::Result<RunReport> {
-        if ctl.stopping.is_some() {
-            return Err(unsupported(self.name(), "a stopping rule"));
-        }
-        if ctl.residual_every > 0 {
-            return Err(unsupported(self.name(), "residual sampling"));
-        }
-        if !self.partial && self.publish_period.is_some() {
-            return Err(CoreError::InvalidParameter {
-                name: "publish_period",
-                message: "set together with partial: false — a partial-free baseline \
-                          cannot publish mid-phase"
-                    .into(),
-            });
-        }
-        let n = problem.n();
-        let mut gen = ctl.take_schedule(n);
-        let publish_period = self.publish_period.unwrap_or(if self.partial {
-            (self.m / 2).max(1)
-        } else {
-            // publish_period == m disables mid-phase publishing.
-            self.m.max(1)
-        });
-        let cfg = FlexibleConfig {
-            num_steps: ctl.max_steps,
-            inner_steps: self.m,
-            publish_period,
-            partial_prob: self.partial_prob,
-            seed: ctl.seed.unwrap_or(0),
-            record_labels: ctl.record.label_store(),
-            error_every: ctl.error_every,
-            enforce_constraint: self.enforce_constraint,
-        };
-        let norm = match &self.norm {
-            Some(u) => u.clone(),
-            None => WeightedMaxNorm::uniform(n),
-        };
-        let start = std::time::Instant::now();
-        let res = FlexibleEngine::run(
-            problem.op,
-            &problem.x0,
-            gen.as_mut(),
-            &cfg,
-            &norm,
-            problem.xstar.as_deref(),
-        )?;
-        let wall = start.elapsed();
-        let final_residual = problem.op.residual_inf(&res.final_x);
-        Ok(RunReport {
-            errors: res.errors,
-            partial_publishes: res.publishes,
-            partial_reads: res.partial_reads,
-            constraint_checked: res.constraint_checked,
-            constraint_violations: res.constraint_violations,
-            wall,
-            ..RunReport::new(self.name(), res.final_x, ctl.max_steps, final_residual)
-        }
-        .with_trace(res.trace, ctl.record))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,20 +647,33 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_legacy_replay_exactly() {
-        let op = jacobi(8);
-        let report = Session::new(&op)
-            .steps(500)
-            .schedule(ChaoticBounded::new(8, 2, 4, 10, false, 3))
-            .record(RecordMode::Full)
-            .backend(Replay)
-            .run()
-            .unwrap();
-        let mut gen = ChaoticBounded::new(8, 2, 4, 10, false, 3);
-        let legacy =
-            ReplayEngine::run(&op, &[0.0; 8], &mut gen, &EngineConfig::fixed(500), None).unwrap();
-        assert_eq!(report.final_x, legacy.final_x);
-        assert_eq!(report.trace.unwrap().len(), legacy.trace.len());
+    fn both_core_backends_name_the_mis_sized_input() {
+        let op = jacobi(6);
+        for flexible in [false, true] {
+            let mismatch = |session: Session<'_>| {
+                let session = if flexible {
+                    session.backend(Flexible::default())
+                } else {
+                    session.backend(Replay)
+                };
+                match session.steps(5).run() {
+                    Err(CoreError::DimensionMismatch {
+                        expected: 6,
+                        actual,
+                        context,
+                    }) => (actual, context),
+                    other => panic!("expected a dimension mismatch, got {other:?}"),
+                }
+            };
+            let x0 = Session::new(&op).x0(vec![0.0; 5]);
+            assert_eq!(mismatch(x0), (5, "Session (x0)"));
+            let schedule = Session::new(&op).schedule(SyncJacobi::new(4));
+            assert_eq!(mismatch(schedule), (4, "Session (schedule)"));
+            // Under `Flexible` this used to reach `WeightedMaxNorm::dist`
+            // unchecked and panic at step 1.
+            let xstar = Session::new(&op).xstar(vec![0.0; 7]);
+            assert_eq!(mismatch(xstar), (7, "Session (xstar)"));
+        }
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl StopState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, ReplayEngine};
+    use crate::session::Session;
     use asynciter_models::schedule::{ChaoticBounded, CyclicCoordinate, SyncJacobi};
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
@@ -218,14 +218,17 @@ mod tests {
     #[test]
     fn residual_rule_stops_sync_run() {
         let op = jacobi(6);
-        let mut gen = SyncJacobi::new(6);
-        let cfg = EngineConfig::fixed(100_000).with_stopping(StoppingRule::Residual {
-            eps: 1e-10,
-            check_every: 5,
-        });
-        let res = ReplayEngine::run(&op, &[0.0; 6], &mut gen, &cfg, None).unwrap();
+        let res = Session::new(&op)
+            .steps(100_000)
+            .schedule(SyncJacobi::new(6))
+            .stopping(StoppingRule::Residual {
+                eps: 1e-10,
+                check_every: 5,
+            })
+            .run()
+            .unwrap();
         assert!(res.stopped_early);
-        assert!(res.steps_run < 100_000);
+        assert!(res.steps < 100_000);
         assert!(op.residual_inf(&res.final_x) <= 1e-10);
     }
 
@@ -235,13 +238,16 @@ mod tests {
         let xstar = op.solve_dense_spd().unwrap();
         let alpha = op.contraction_factor();
         let eps = 1e-8;
-        let mut gen = ChaoticBounded::new(8, 2, 4, 6, false, 3);
-        let cfg = EngineConfig::fixed(1_000_000).with_stopping(StoppingRule::MacroContraction {
-            eps,
-            alpha,
-            norm: WeightedMaxNorm::uniform(8),
-        });
-        let res = ReplayEngine::run(&op, &[0.0; 8], &mut gen, &cfg, None).unwrap();
+        let res = Session::new(&op)
+            .steps(1_000_000)
+            .schedule(ChaoticBounded::new(8, 2, 4, 6, false, 3))
+            .stopping(StoppingRule::MacroContraction {
+                eps,
+                alpha,
+                norm: WeightedMaxNorm::uniform(8),
+            })
+            .run()
+            .unwrap();
         assert!(res.stopped_early, "macro rule never fired");
         let err = vecops::max_abs_diff(&res.final_x, &xstar);
         assert!(err <= eps, "certified {eps} but true error {err}");
@@ -251,12 +257,16 @@ mod tests {
     fn error_below_rule_uses_oracle() {
         let op = jacobi(6);
         let xstar = op.solve_dense_spd().unwrap();
-        let mut gen = CyclicCoordinate::new(6);
-        let cfg = EngineConfig::fixed(1_000_000).with_stopping(StoppingRule::ErrorBelow {
-            eps: 1e-6,
-            check_every: 1,
-        });
-        let res = ReplayEngine::run(&op, &[0.0; 6], &mut gen, &cfg, Some(&xstar)).unwrap();
+        let res = Session::new(&op)
+            .steps(1_000_000)
+            .schedule(CyclicCoordinate::new(6))
+            .xstar(xstar.clone())
+            .stopping(StoppingRule::ErrorBelow {
+                eps: 1e-6,
+                check_every: 1,
+            })
+            .run()
+            .unwrap();
         assert!(res.stopped_early);
         assert!(vecops::max_abs_diff(&res.final_x, &xstar) <= 1e-6);
         // Fires essentially as soon as possible: one more sweep would

@@ -2,12 +2,12 @@
 //! memory.
 //!
 //! Workers own disjoint component blocks (single-writer discipline) and
-//! loop without any synchronisation. This module is the shared-memory
-//! *step body*: snapshot the shared vector (component-wise atomic,
-//! globally inconsistent — Definition 1's read model), apply the
-//! operator to the block (optionally `m` inner iterations with
-//! mid-phase partial publishing — flexible communication), draw the
-//! step's ticket, publish. The ticket numbering the update, the stop
+//! loop without any synchronisation. This module is the [`SharedMem`]
+//! backend, the shared-memory *step body*: snapshot the shared vector
+//! (component-wise atomic, globally inconsistent — Definition 1's read
+//! model), apply the operator to the block (optionally `m` inner
+//! iterations with mid-phase partial publishing — flexible
+//! communication), draw the step's ticket, publish. The ticket numbering the update, the stop
 //! flags, the step log and trace, the termination checks and worker
 //! failures are the free-running harness (`race`) shared with
 //! [`crate::threaded`]. Every value a worker reads was published before
@@ -17,14 +17,13 @@
 use crate::error::RuntimeError;
 use crate::imbalance::spin;
 use crate::race::{Lane, Race};
+use crate::session::{resolve_partition, to_core};
 use crate::shared::{worker_blocks, SharedVec};
 use crate::termination::Quiesce;
 use crate::worker::check_positive;
+use asynciter_core::session::{macro_count, Backend, Problem, RunControl, RunReport};
 use asynciter_models::partition::Partition;
-use asynciter_models::trace::{LabelStore, Trace};
-use asynciter_opt::traits::Operator;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Snapshot consistency ablation (DESIGN.md §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,29 +37,33 @@ pub enum SnapshotMode {
     Locked,
 }
 
-/// Configuration of an asynchronous shared-memory run.
+const NAME: &str = "shared-mem";
+
+/// Free-running asynchronous shared-memory backend: `threads` workers,
+/// lock-free labelled iterate vector, optional flexible communication.
+/// See module docs.
+///
+/// `RunControl::max_steps` is the global block-update budget; a
+/// [`StoppingRule::Residual`] stopping rule is the residual target
+/// worker 0 checks every `check_every` of its own updates; with
+/// recording on the run costs memory `O(updates · n)` under
+/// `RecordMode::Full`. Constructible with functional-update syntax:
+/// `SharedMem { threads: 4, ..SharedMem::default() }`.
+///
+/// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
 #[derive(Debug, Clone)]
-pub struct AsyncConfig {
-    /// Number of worker threads (= machines); must divide the component
-    /// space per the supplied partition.
-    pub workers: usize,
-    /// Global budget of block updates.
-    pub max_updates: u64,
-    /// Stop early when the fixed-point residual (checked by worker 0
-    /// every `check_every` of its own updates) falls below this.
-    pub target_residual: Option<f64>,
-    /// Residual check period (worker-0 updates).
-    pub check_every: u64,
-    /// Per-worker spin units per update (load imbalance); empty = none.
-    pub spin_per_update: Vec<u64>,
+pub struct SharedMem {
+    /// Number of worker threads (= machines of the partition).
+    pub threads: usize,
+    /// Component→worker map (default: contiguous equal blocks).
+    pub partition: Option<Partition>,
     /// Inner iterations per block update (`m ≥ 1`).
     pub inner_steps: usize,
-    /// Publish partial block values every this many inner steps
-    /// (`≥ inner_steps` disables mid-phase publishing).
+    /// Publish partials every this many inner steps (`≥ inner_steps`
+    /// disables mid-phase publishing).
     pub publish_period: usize,
-    /// Label retention of the recorded trace (`None`: no trace —
-    /// fastest; `Full` costs memory `O(updates · n)`).
-    pub record: Option<LabelStore>,
+    /// Per-worker spin units per update (load imbalance); empty = none.
+    pub spin: Vec<u64>,
     /// Snapshot consistency mode.
     pub snapshot: SnapshotMode,
     /// Optional quiescence-detection termination rule; a block update's
@@ -68,121 +71,65 @@ pub struct AsyncConfig {
     pub quiesce: Option<Quiesce>,
 }
 
-impl AsyncConfig {
-    /// Baseline configuration: plain async updates, no imbalance, no
-    /// trace.
-    pub fn new(workers: usize, max_updates: u64) -> Self {
+impl Default for SharedMem {
+    fn default() -> Self {
         Self {
-            workers,
-            max_updates,
-            target_residual: None,
-            check_every: 64,
-            spin_per_update: Vec::new(),
+            threads: 1,
+            partition: None,
             inner_steps: 1,
             publish_period: 1,
-            record: None,
+            spin: Vec::new(),
             snapshot: SnapshotMode::Relaxed,
             quiesce: None,
         }
     }
-
-    /// Sets a residual stopping target.
-    pub fn with_target_residual(mut self, eps: f64) -> Self {
-        self.target_residual = Some(eps);
-        self
-    }
-
-    /// Sets per-worker spin work.
-    pub fn with_spin(mut self, spin: Vec<u64>) -> Self {
-        self.spin_per_update = spin;
-        self
-    }
-
-    /// Sets inner iterations and publish period (flexible communication).
-    pub fn with_flexible(mut self, inner_steps: usize, publish_period: usize) -> Self {
-        self.inner_steps = inner_steps;
-        self.publish_period = publish_period;
-        self
-    }
-
-    /// Records a trace with the given label retention.
-    pub fn with_record(mut self, store: LabelStore) -> Self {
-        self.record = Some(store);
-        self
-    }
-
-    /// Sets the snapshot mode.
-    pub fn with_snapshot(mut self, mode: SnapshotMode) -> Self {
-        self.snapshot = mode;
-        self
-    }
 }
 
-/// Result of an asynchronous shared-memory run.
-#[derive(Debug)]
-pub struct AsyncRunResult {
-    /// Final shared vector.
-    pub final_x: Vec<f64>,
-    /// Total block updates performed.
-    pub total_updates: u64,
-    /// Wall-clock duration of the parallel section.
-    pub wall: Duration,
-    /// Updates per worker (load distribution diagnostic).
-    pub per_worker_updates: Vec<u64>,
-    /// Final fixed-point residual `‖x − F(x)‖_∞`.
-    pub final_residual: f64,
-    /// Recorded trace (when requested).
-    pub trace: Option<Trace>,
-    /// Mid-phase partial publishes performed.
-    pub partial_publishes: u64,
-    /// True when the residual target or quiescence detection fired
-    /// before the update budget.
-    pub stopped_early: bool,
-}
-
-/// The asynchronous shared-memory runner. See module docs.
-#[derive(Debug, Default)]
-pub struct AsyncSharedRunner;
-
-impl AsyncSharedRunner {
-    /// Runs the asynchronous iteration with `cfg.workers` threads over
-    /// the blocks of `partition`.
+impl SharedMem {
+    /// Runs the asynchronous iteration with `self.threads` free-running
+    /// workers — [`Backend::run`] with the failure still typed.
     ///
     /// # Errors
-    /// Dimension/parameter validation failures, a non-finite iterate
-    /// (operator divergence) or a panicking operator.
-    pub fn run(
-        op: &dyn Operator,
-        x0: &[f64],
-        partition: &Partition,
-        cfg: &AsyncConfig,
-    ) -> crate::Result<AsyncRunResult> {
-        let n = op.dim();
-        let blocks = worker_blocks(n, x0, partition, cfg.workers, &cfg.spin_per_update)?;
+    /// Unsupported controls, dimension/parameter validation failures, a
+    /// non-finite iterate (operator divergence) or a panicking operator.
+    pub fn run_typed(
+        &self,
+        problem: &Problem<'_>,
+        ctl: &RunControl<'_>,
+    ) -> crate::Result<RunReport> {
+        ctl.reject_sampling(NAME)?;
+        ctl.reject_schedule(NAME, "free-running workers generate their own")?;
+        let (op, n) = (problem.op, problem.n());
+        let partition = resolve_partition(NAME, &self.partition, n, self.threads)?;
+        let (target_residual, check_every) = ctl
+            .residual_target(NAME, "the shared-memory runner")?
+            .unzip();
+        let blocks = worker_blocks(n, &problem.x0, &partition, self.threads, &self.spin)?;
         check_positive(&[
-            ("inner_steps", cfg.inner_steps as u64),
-            ("publish_period", cfg.publish_period as u64),
+            ("inner_steps", self.inner_steps as u64),
+            ("publish_period", self.publish_period as u64),
         ])?;
         let race = Race::new(
-            cfg.max_updates,
-            cfg.record,
-            cfg.target_residual,
-            cfg.check_every,
-            cfg.quiesce,
+            ctl.max_steps,
+            ctl.record.keeps_trace().then(|| ctl.record.label_store()),
+            target_residual,
+            check_every.unwrap_or(1),
+            self.quiesce,
         )?;
 
-        let shared = SharedVec::new(x0);
+        let shared = SharedVec::new(&problem.x0);
         let partial_publishes = AtomicU64::new(0);
         let snapshot_lock = parking_lot::RwLock::new(());
+        let locked = self.snapshot == SnapshotMode::Locked;
         let publish = |block: &[usize], vals: &[f64], label: u64| {
-            let _guard = (cfg.snapshot == SnapshotMode::Locked).then(|| snapshot_lock.write());
+            let _guard = locked.then(|| snapshot_lock.write());
             for &i in block {
                 shared.write(i, vals[i], label);
             }
         };
 
         let body = |lane: &mut Lane<'_>, block: &Vec<usize>| {
-            let spin_units = cfg.spin_per_update.get(lane.worker).copied().unwrap_or(0);
+            let spin_units = self.spin.get(lane.worker).copied().unwrap_or(0);
             // Per-worker buffers allocated once: the update loop is
             // heap-allocation-free apart from step logging.
             let mut vals = vec![0.0; n];
@@ -192,8 +139,7 @@ impl AsyncSharedRunner {
             while !lane.stopped() {
                 // Snapshot (the asynchronous read).
                 {
-                    let _guard =
-                        (cfg.snapshot == SnapshotMode::Locked).then(|| snapshot_lock.read());
+                    let _guard = locked.then(|| snapshot_lock.read());
                     shared.snapshot_labelled(&mut vals, &mut labels);
                 }
                 // Simulated compute load (heterogeneity).
@@ -201,7 +147,7 @@ impl AsyncSharedRunner {
                 // m inner iterations on the block, off-block frozen at
                 // the snapshot. Nothing non-finite is ever published.
                 let mut change = 0.0_f64;
-                for r in 1..=cfg.inner_steps {
+                for r in 1..=self.inner_steps {
                     op.update_active_with(&vals, block, &mut upd, &mut scratch);
                     for &i in block {
                         if !upd[i].is_finite() {
@@ -213,7 +159,7 @@ impl AsyncSharedRunner {
                         change = change.max((upd[i] - vals[i]).abs());
                         vals[i] = upd[i];
                     }
-                    if r % cfg.publish_period == 0 && r < cfg.inner_steps {
+                    if r % self.publish_period == 0 && r < self.inner_steps {
                         // Mid-phase partial publish (flexible
                         // communication), labelled "as of now".
                         publish(block, &vals, lane.now());
@@ -248,22 +194,40 @@ impl AsyncSharedRunner {
 
         let mut final_x = vec![0.0; n];
         shared.snapshot(&mut final_x);
-        Ok(AsyncRunResult {
-            final_residual: op.residual_inf(&final_x),
-            final_x,
-            total_updates: finish.per_worker_updates.iter().sum(),
-            wall: finish.wall,
-            per_worker_updates: finish.per_worker_updates,
-            trace: race.trace(n, finish.log, |w| &blocks[w]),
-            partial_publishes: partial_publishes.load(Ordering::Relaxed),
+        let final_residual = op.residual_inf(&final_x);
+        let trace = race.trace(n, finish.log, |w| &blocks[w]);
+        let steps = finish.per_worker_updates.iter().sum();
+        Ok(RunReport {
+            macro_iterations: macro_count(trace.as_ref()),
             stopped_early: finish.stopped_early,
+            per_worker_updates: finish.per_worker_updates,
+            partial_publishes: partial_publishes.load(Ordering::Relaxed),
+            trace,
+            wall: finish.wall,
+            ..RunReport::new(NAME, final_x, steps, final_residual)
         })
+    }
+}
+
+impl Backend for SharedMem {
+    fn name(&self) -> &'static str {
+        NAME
+    }
+
+    fn run(
+        &mut self,
+        problem: &Problem<'_>,
+        ctl: &mut RunControl<'_>,
+    ) -> asynciter_core::Result<RunReport> {
+        self.run_typed(problem, ctl).map_err(|e| to_core(NAME, e))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asynciter_core::session::{RecordMode, Session};
+    use asynciter_core::stopping::StoppingRule;
     use asynciter_models::conditions::check_condition_a;
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
@@ -273,34 +237,52 @@ mod tests {
         JacobiOperator::new(tridiagonal(n, 4.0, -1.0), vec![1.0; n]).unwrap()
     }
 
+    fn shared_mem(threads: usize) -> SharedMem {
+        SharedMem {
+            threads,
+            ..SharedMem::default()
+        }
+    }
+
+    /// A residual target under a huge budget: on a loaded single-core
+    /// host one free-running worker can burn hundreds of thousands of
+    /// updates before its peers are scheduled, so the budget must be
+    /// far above any "expected" update count.
+    fn to_target<'a>(op: &'a JacobiOperator, eps: f64, backend: SharedMem) -> Session<'a> {
+        Session::new(op)
+            .steps(8_000_000)
+            .stopping(StoppingRule::Residual {
+                eps,
+                check_every: 64,
+            })
+            .backend(backend)
+    }
+
     #[test]
     fn converges_to_fixed_point() {
         let op = jacobi(64);
         let xstar = op.solve_dense_spd().unwrap();
-        let p = Partition::blocks(64, 4).unwrap();
-        // Residual target with a huge budget: on a loaded single-core
-        // host one free-running worker can burn hundreds of thousands of
-        // updates before its peers are scheduled, so the budget must be
-        // far above any "expected" update count.
-        let cfg = AsyncConfig::new(4, 8_000_000).with_target_residual(1e-12);
-        let res = AsyncSharedRunner::run(&op, &vec![0.0; 64], &p, &cfg).unwrap();
+        let res = to_target(&op, 1e-12, shared_mem(4)).run().unwrap();
         assert!(
             vecops::max_abs_diff(&res.final_x, &xstar) < 1e-9,
             "error {}",
             vecops::max_abs_diff(&res.final_x, &xstar)
         );
-        assert!(res.total_updates > 0);
+        assert!(res.steps > 0);
         assert_eq!(res.per_worker_updates.len(), 4);
     }
 
     #[test]
     fn trace_satisfies_condition_a_and_is_dense() {
         let op = jacobi(16);
-        let p = Partition::blocks(16, 4).unwrap();
-        let cfg = AsyncConfig::new(4, 2000).with_record(LabelStore::Full);
-        let res = AsyncSharedRunner::run(&op, &[0.0; 16], &p, &cfg).unwrap();
+        let res = Session::new(&op)
+            .steps(2000)
+            .record(RecordMode::Full)
+            .backend(shared_mem(4))
+            .run()
+            .unwrap();
         let trace = res.trace.expect("trace requested");
-        assert_eq!(trace.len() as u64, res.total_updates);
+        assert_eq!(trace.len() as u64, res.steps);
         check_condition_a(&trace).expect("condition (a) must hold by construction");
     }
 
@@ -308,9 +290,11 @@ mod tests {
     fn single_worker_behaves_like_block_gauss_seidel() {
         let op = jacobi(8);
         let xstar = op.solve_dense_spd().unwrap();
-        let p = Partition::blocks(8, 1).unwrap();
-        let cfg = AsyncConfig::new(1, 500);
-        let res = AsyncSharedRunner::run(&op, &[0.0; 8], &p, &cfg).unwrap();
+        let res = Session::new(&op)
+            .steps(500)
+            .backend(shared_mem(1))
+            .run()
+            .unwrap();
         assert!(vecops::max_abs_diff(&res.final_x, &xstar) < 1e-9);
         assert_eq!(res.per_worker_updates, vec![500]);
     }
@@ -318,9 +302,12 @@ mod tests {
     #[test]
     fn flexible_publishing_counts_partials() {
         let op = jacobi(16);
-        let p = Partition::blocks(16, 2).unwrap();
-        let cfg = AsyncConfig::new(2, 400).with_flexible(4, 1);
-        let res = AsyncSharedRunner::run(&op, &[0.0; 16], &p, &cfg).unwrap();
+        let backend = SharedMem {
+            inner_steps: 4,
+            publish_period: 1,
+            ..shared_mem(2)
+        };
+        let res = Session::new(&op).steps(400).backend(backend).run().unwrap();
         // 3 partial publishes of 8 components per update.
         assert!(res.partial_publishes > 0);
         assert!(res.final_residual < 1.0);
@@ -330,22 +317,26 @@ mod tests {
     fn locked_snapshots_also_converge() {
         let op = jacobi(32);
         let xstar = op.solve_dense_spd().unwrap();
-        let p = Partition::blocks(32, 4).unwrap();
-        // Huge budget + residual target: see converges_to_fixed_point.
-        let cfg = AsyncConfig::new(4, 8_000_000)
-            .with_target_residual(1e-11)
-            .with_snapshot(SnapshotMode::Locked);
-        let res = AsyncSharedRunner::run(&op, &vec![0.0; 32], &p, &cfg).unwrap();
+        let backend = SharedMem {
+            snapshot: SnapshotMode::Locked,
+            ..shared_mem(4)
+        };
+        let res = to_target(&op, 1e-11, backend).run().unwrap();
         assert!(vecops::max_abs_diff(&res.final_x, &xstar) < 1e-8);
     }
 
     #[test]
     fn imbalance_skews_update_counts() {
         let op = jacobi(32);
-        let p = Partition::blocks(32, 4).unwrap();
-        let cfg = AsyncConfig::new(4, 20_000)
-            .with_spin(crate::imbalance::linear_imbalance(4, 2_000, 16.0));
-        let res = AsyncSharedRunner::run(&op, &vec![0.0; 32], &p, &cfg).unwrap();
+        let backend = SharedMem {
+            spin: crate::imbalance::linear_imbalance(4, 2_000, 16.0),
+            ..shared_mem(4)
+        };
+        let res = Session::new(&op)
+            .steps(20_000)
+            .backend(backend)
+            .run()
+            .unwrap();
         // The fast worker (index 0) performs several times the updates of
         // the slow one (index 3) — asynchronous progress is unthrottled.
         let fast = res.per_worker_updates[0] as f64;
@@ -359,83 +350,96 @@ mod tests {
     #[test]
     fn validation_errors() {
         let op = jacobi(8);
-        let p = Partition::blocks(8, 2).unwrap();
+        let run = |backend: SharedMem| Session::new(&op).steps(100).backend(backend).run();
         // Wrong worker count vs partition.
-        let cfg = AsyncConfig::new(3, 100);
-        assert!(AsyncSharedRunner::run(&op, &[0.0; 8], &p, &cfg).is_err());
+        let mismatched = SharedMem {
+            partition: Some(Partition::blocks(8, 2).unwrap()),
+            ..shared_mem(3)
+        };
+        assert!(run(mismatched).is_err());
         // Wrong x0 length.
-        let cfg = AsyncConfig::new(2, 100);
-        assert!(AsyncSharedRunner::run(&op, &[0.0; 7], &p, &cfg).is_err());
+        let short_x0 = Session::new(&op).steps(100).x0(vec![0.0; 7]);
+        assert!(short_x0.backend(shared_mem(2)).run().is_err());
         // Spin length mismatch.
-        let cfg = AsyncConfig::new(2, 100).with_spin(vec![1, 2, 3]);
-        assert!(AsyncSharedRunner::run(&op, &[0.0; 8], &p, &cfg).is_err());
+        let spin = vec![1, 2, 3];
+        assert!(run(SharedMem {
+            spin,
+            ..shared_mem(2)
+        })
+        .is_err());
         // Zero budget.
-        let cfg = AsyncConfig::new(2, 0);
-        assert!(AsyncSharedRunner::run(&op, &[0.0; 8], &p, &cfg).is_err());
+        let no_steps = Session::new(&op).steps(0);
+        assert!(no_steps.backend(shared_mem(2)).run().is_err());
         // Quiescence rules the tracker would assert on.
         for (eps, streak) in [(1e-6, 0), (-1.0, 1), (f64::NAN, 1)] {
-            let mut cfg = AsyncConfig::new(2, 100);
-            cfg.quiesce = Some(Quiesce {
+            let quiesce = Some(Quiesce {
                 eps,
                 streak,
                 margin: 0,
             });
-            assert!(AsyncSharedRunner::run(&op, &[0.0; 8], &p, &cfg).is_err());
+            assert!(run(SharedMem {
+                quiesce,
+                ..shared_mem(2)
+            })
+            .is_err());
         }
     }
 
     #[test]
     fn quiescence_terminated_run_is_actually_converged() {
         let op = jacobi(32);
-        let p = Partition::blocks(32, 4).unwrap();
+        let backend = SharedMem {
+            quiesce: Some(Quiesce {
+                eps: 1e-12,
+                streak: 4,
+                margin: 64,
+            }),
+            ..shared_mem(4)
+        };
         // Budget far above any plausible detection point: on a loaded
         // single-core host, workers that hog the CPU can spend hundreds
         // of thousands of updates before the detector's margin elapses.
-        let mut cfg = AsyncConfig::new(4, 8_000_000);
-        cfg.quiesce = Some(Quiesce {
-            eps: 1e-12,
-            streak: 4,
-            margin: 64,
-        });
-        let res = AsyncSharedRunner::run(&op, &vec![0.0; 32], &p, &cfg).unwrap();
+        let res = Session::new(&op)
+            .steps(8_000_000)
+            .backend(backend)
+            .run()
+            .unwrap();
         assert!(res.stopped_early, "detector never fired");
         assert!(
             res.final_residual < 1e-9,
             "premature stop: residual {}",
             res.final_residual
         );
-        assert!(res.total_updates < 500_000);
+        assert!(res.steps < 500_000);
     }
 
     #[test]
     fn budget_exhaustion_reports_not_stopped_early() {
         let op = jacobi(16);
-        let p = Partition::blocks(16, 2).unwrap();
-        let mut cfg = AsyncConfig::new(2, 10);
-        cfg.quiesce = Some(Quiesce {
-            eps: 0.0, // unreachable quiescence
-            streak: 5,
-            margin: 100,
-        });
-        let res = AsyncSharedRunner::run(&op, &[0.0; 16], &p, &cfg).unwrap();
+        let backend = SharedMem {
+            quiesce: Some(Quiesce {
+                eps: 0.0, // unreachable quiescence
+                streak: 5,
+                margin: 100,
+            }),
+            ..shared_mem(2)
+        };
+        let res = Session::new(&op).steps(10).backend(backend).run().unwrap();
         assert!(!res.stopped_early);
-        assert_eq!(res.total_updates, 10);
+        assert_eq!(res.steps, 10);
     }
 
     #[test]
     fn a_failing_worker_stops_its_healthy_peers() {
         // A NaN block must also never reach the shared vector.
-        let p = Partition::blocks(4, 2).unwrap();
-        let cfg = AsyncConfig::new(2, u64::MAX);
-        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(|op| {
-            AsyncSharedRunner::run(op, &[1.0; 4], &p, &cfg).unwrap_err()
+        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(|problem, ctl| {
+            shared_mem(2).run_typed(problem, ctl).unwrap_err()
         });
     }
 
     #[test]
     fn macro_iterations_exist_on_recorded_trace() {
         let op = jacobi(16);
-        let p = Partition::blocks(16, 4).unwrap();
         // Spin work keeps worker pacing comparable; with completely
         // free-running threads the OS can stagger thread start-up so much
         // that one worker performs thousands of updates before the last
@@ -446,11 +450,14 @@ mod tests {
         // run stops on a residual target: reaching it on this coupled
         // tridiagonal problem forces information to cross every block
         // boundary several times, i.e. several complete rotations.
-        let cfg = AsyncConfig::new(4, 8_000_000)
-            .with_target_residual(1e-12)
-            .with_record(LabelStore::MinOnly)
-            .with_spin(vec![2_000; 4]);
-        let res = AsyncSharedRunner::run(&op, &[0.0; 16], &p, &cfg).unwrap();
+        let backend = SharedMem {
+            spin: vec![2_000; 4],
+            ..shared_mem(4)
+        };
+        let res = to_target(&op, 1e-12, backend)
+            .record(RecordMode::MinOnly)
+            .run()
+            .unwrap();
         let trace = res.trace.unwrap();
         let m = asynciter_models::macroiter::macro_iterations(&trace);
         assert!(

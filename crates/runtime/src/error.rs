@@ -35,6 +35,9 @@ pub enum RuntimeError {
     },
     /// Propagated model error (trace assembly).
     Model(asynciter_models::ModelError),
+    /// A session control the backend cannot honour, as the
+    /// `asynciter_core::session::RunControl` checks report it.
+    Control(asynciter_core::CoreError),
 }
 
 impl fmt::Display for RuntimeError {
@@ -61,6 +64,7 @@ impl fmt::Display for RuntimeError {
                 )
             }
             RuntimeError::Model(e) => write!(f, "model error: {e}"),
+            RuntimeError::Control(e) => write!(f, "{e}"),
         }
     }
 }
@@ -70,6 +74,12 @@ impl std::error::Error for RuntimeError {}
 impl From<asynciter_models::ModelError> for RuntimeError {
     fn from(e: asynciter_models::ModelError) -> Self {
         RuntimeError::Model(e)
+    }
+}
+
+impl From<asynciter_core::CoreError> for RuntimeError {
+    fn from(e: asynciter_core::CoreError) -> Self {
+        RuntimeError::Control(e)
     }
 }
 

@@ -15,12 +15,15 @@
 //!   [`asynciter_models::Trace`], the residual-target and quiescence
 //!   checks after a step, and the scoped spawn / join that turns a
 //!   worker's error or panic into the run's [`RuntimeError`].
-//! - [`async_engine`] — the shared-memory step body on that harness:
-//!   free-running workers updating their blocks without any
-//!   synchronisation; optional inner iterations with partial publishing
-//!   (flexible communication) and injected load imbalance.
-//! - [`sync_engine`] — the barrier-synchronous Jacobi baseline with the
-//!   same work model, for the async-vs-sync comparisons (experiment E3).
+//! - [`async_engine`] — the [`SharedMem`] backend, the shared-memory
+//!   step body on that harness: free-running workers updating their
+//!   blocks without any synchronisation; optional inner iterations with
+//!   partial publishing (flexible communication) and injected load
+//!   imbalance.
+//! - [`sync_engine`] — the [`Barrier`] backend, the barrier-synchronous
+//!   Jacobi baseline with the same work model (and the harness's stop
+//!   flag and join, so a failing worker releases its peers), for the
+//!   async-vs-sync comparisons (experiment E3).
 //! - [`cluster`] — the deterministic sharded message-passing engine: a
 //!   seeded virtual cluster with per-worker mailboxes, latency models,
 //!   hold/drop/duplicate faults and flexible partial exchange, whose
@@ -46,9 +49,10 @@
 //!   tracker and the shared flush-window detector (experiment E10).
 //! - [`imbalance`] — calibrated spin-work injection used to model
 //!   heterogeneous processors.
-//! - [`session`] — [`SharedMem`], [`Barrier`], [`Cluster`] and
-//!   [`ThreadedCluster`] backends plugging the runtimes into the
-//!   unified `asynciter_core::session::Session` API.
+//! - [`session`] — the [`Cluster`] and [`ThreadedCluster`] backends
+//!   putting the two message-passing engines' native configurations
+//!   behind the unified `asynciter_core::session::Session` API, and the
+//!   one path under which all four backends are importable.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -69,7 +73,7 @@ pub mod threaded;
 pub mod transport;
 pub mod worker;
 
-pub use async_engine::{AsyncConfig, AsyncRunResult, AsyncSharedRunner, SnapshotMode};
+pub use async_engine::SnapshotMode;
 pub use cluster::{
     ApplyPolicy, ClusterConfig, ClusterEngine, ClusterRunResult, ClusterStats, LinkModel,
 };
@@ -77,7 +81,7 @@ pub use error::RuntimeError;
 pub use scratch::{PoolStats, ScratchLease, ScratchPool};
 pub use session::{Barrier, Cluster, SharedMem, ThreadedCluster};
 pub use shared::SharedVec;
-pub use sync_engine::{SpinBarrier, SyncConfig, SyncRunResult, SyncRunner};
+pub use sync_engine::SpinBarrier;
 pub use termination::Quiesce;
 pub use threaded::{ThreadedClusterEngine, ThreadedConfig, ThreadedRunResult};
 pub use transport::{

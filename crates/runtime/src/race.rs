@@ -13,7 +13,8 @@
 //! that turns a worker's error or panic into the run's error. What a
 //! step reads, computes and publishes is the engine's step body
 //! ([`crate::async_engine`], [`crate::threaded`]); the harness never
-//! asks which one it serves.
+//! asks which one it serves. [`crate::sync_engine`] borrows the flags
+//! and the join without drawing a ticket.
 
 use crate::error::RuntimeError;
 use crate::termination::{Quiesce, QuiescenceDetector, QuiescenceTracker};
@@ -258,16 +259,17 @@ impl Race {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use asynciter_core::session::{Problem, RecordMode, RunControl};
     use asynciter_models::conditions::check_condition_a;
     use asynciter_opt::traits::Operator;
 
-    /// Drives `run` (an engine over 4 components in 2 blocks, with a
-    /// practically unbounded budget) with an operator that is healthy on
-    /// worker 0's block and fails on worker 1's — by going NaN, then by
-    /// panicking: the healthy peer must be stopped and the failure
-    /// returned as its typed error.
+    /// Drives `run` (an engine over 4 components in 2 blocks, handed a
+    /// plain run from `[1.0; 4]` with a practically unbounded budget)
+    /// with an operator that is healthy on worker 0's block and fails on
+    /// worker 1's — by going NaN, then by panicking: the healthy peer
+    /// must be stopped and the failure returned as its typed error.
     pub(crate) fn check_a_failing_worker_stops_its_healthy_peers(
-        run: impl Fn(&dyn Operator) -> RuntimeError,
+        run: impl Fn(&Problem<'_>, &mut RunControl<'_>) -> RuntimeError,
     ) {
         struct FailsOnUpperBlock(fn() -> f64);
         impl Operator for FailsOnUpperBlock {
@@ -282,14 +284,29 @@ pub(crate) mod tests {
                 }
             }
         }
-        let err = run(&FailsOnUpperBlock(|| f64::NAN));
+        let run = |fail: fn() -> f64| {
+            let problem = Problem {
+                op: &FailsOnUpperBlock(fail),
+                x0: vec![1.0; 4],
+                xstar: None,
+            };
+            let mut ctl = RunControl {
+                max_steps: u64::MAX,
+                error_every: 0,
+                residual_every: 0,
+                stopping: None,
+                record: RecordMode::Off,
+                seed: None,
+                schedule: None,
+            };
+            run(&problem, &mut ctl)
+        };
+        let err = run(|| f64::NAN);
         assert!(
             matches!(err, RuntimeError::NonFiniteIterate { component: 2, .. }),
             "{err:?}"
         );
-        let err = run(&FailsOnUpperBlock(|| {
-            panic!("operator bug on worker 1's block")
-        }));
+        let err = run(|| panic!("operator bug on worker 1's block"));
         assert_eq!(err, RuntimeError::WorkerPanicked { worker: 1 });
     }
 

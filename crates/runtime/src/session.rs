@@ -1,10 +1,11 @@
 //! Runtime backends for the unified [`Session`] API.
 //!
-//! [`SharedMem`] runs the free-running shared-memory workers
-//! ([`crate::async_engine::AsyncSharedRunner`]), [`Barrier`] the
-//! barrier-synchronous Jacobi baseline ([`crate::sync_engine::SyncRunner`]),
-//! [`Cluster`] the deterministic sharded message-passing engine
-//! ([`crate::cluster::ClusterEngine`]), and [`ThreadedCluster`] the
+//! [`SharedMem`] is the free-running shared-memory engine
+//! ([`crate::async_engine`]) and [`Barrier`] the barrier-synchronous
+//! Jacobi baseline ([`crate::sync_engine`]): their step loops run
+//! straight off `Problem` / `RunControl`. [`Cluster`] puts the
+//! deterministic sharded message-passing engine
+//! ([`crate::cluster::ClusterEngine`]) and [`ThreadedCluster`] the
 //! genuinely concurrent transport-based cluster
 //! ([`crate::threaded::ThreadedClusterEngine`]) behind
 //! `asynciter_core::session::Backend`, so shared-memory vs synchronous
@@ -13,24 +14,26 @@
 //!
 //! [`Session`]: asynciter_core::session::Session
 
-use crate::async_engine::{AsyncConfig, AsyncSharedRunner, SnapshotMode};
+pub use crate::async_engine::SharedMem;
 use crate::cluster::{ApplyPolicy, ClusterConfig, ClusterEngine, LinkModel};
-use crate::sync_engine::{SyncConfig, SyncRunner};
+pub use crate::sync_engine::Barrier;
 use crate::termination::Quiesce;
 use crate::threaded::{ThreadedClusterEngine, ThreadedConfig};
-use asynciter_core::session::{macro_count, Backend, Problem, RecordMode, RunControl, RunReport};
+use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
 use asynciter_core::CoreError;
 use asynciter_models::partition::Partition;
-use asynciter_models::trace::Trace;
 
-fn to_core(backend: &'static str, e: crate::RuntimeError) -> CoreError {
-    CoreError::Backend {
-        backend,
-        message: e.to_string(),
+pub(crate) fn to_core(backend: &'static str, e: crate::RuntimeError) -> CoreError {
+    match e {
+        crate::RuntimeError::Control(e) => e,
+        e => CoreError::Backend {
+            backend,
+            message: e.to_string(),
+        },
     }
 }
 
-fn resolve_partition(
+pub(crate) fn resolve_partition(
     backend: &'static str,
     explicit: &Option<Partition>,
     n: usize,
@@ -42,176 +45,6 @@ fn resolve_partition(
             backend,
             message: format!("cannot partition {n} components over {threads} threads: {e}"),
         }),
-    }
-}
-
-/// Free-running asynchronous shared-memory backend: `threads` workers,
-/// lock-free labelled iterate vector, optional flexible communication.
-///
-/// `RunControl::max_steps` is the global block-update budget; a
-/// [`StoppingRule::Residual`] stopping rule maps onto the runner's
-/// residual target. Constructible with functional-update syntax:
-/// `SharedMem { threads: 4, ..SharedMem::default() }`.
-///
-/// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
-#[derive(Debug, Clone)]
-pub struct SharedMem {
-    /// Number of worker threads.
-    pub threads: usize,
-    /// Component→worker map (default: contiguous equal blocks).
-    pub partition: Option<Partition>,
-    /// Inner iterations per block update (`m ≥ 1`).
-    pub inner_steps: usize,
-    /// Publish partials every this many inner steps (`≥ inner_steps`
-    /// disables mid-phase publishing).
-    pub publish_period: usize,
-    /// Per-worker spin units per update (load imbalance); empty = none.
-    pub spin: Vec<u64>,
-    /// Snapshot consistency mode.
-    pub snapshot: SnapshotMode,
-}
-
-impl Default for SharedMem {
-    fn default() -> Self {
-        Self {
-            threads: 1,
-            partition: None,
-            inner_steps: 1,
-            publish_period: 1,
-            spin: Vec::new(),
-            snapshot: SnapshotMode::Relaxed,
-        }
-    }
-}
-
-impl Backend for SharedMem {
-    fn name(&self) -> &'static str {
-        "shared-mem"
-    }
-
-    fn run(
-        &mut self,
-        problem: &Problem<'_>,
-        ctl: &mut RunControl<'_>,
-    ) -> asynciter_core::Result<RunReport> {
-        ctl.reject_sampling(self.name())?;
-        ctl.reject_schedule(self.name(), "free-running workers generate their own")?;
-        let n = problem.n();
-        let partition = resolve_partition(self.name(), &self.partition, n, self.threads)?;
-        let mut cfg = AsyncConfig::new(self.threads, ctl.max_steps)
-            .with_flexible(self.inner_steps, self.publish_period)
-            .with_spin(self.spin.clone())
-            .with_snapshot(self.snapshot);
-        cfg.record = ctl.record.keeps_trace().then(|| ctl.record.label_store());
-        if let Some((eps, check_every)) =
-            ctl.residual_target(self.name(), "the shared-memory runner")?
-        {
-            cfg = cfg.with_target_residual(eps);
-            cfg.check_every = check_every;
-        }
-        let res = AsyncSharedRunner::run(problem.op, &problem.x0, &partition, &cfg)
-            .map_err(|e| to_core(self.name(), e))?;
-        Ok(RunReport {
-            macro_iterations: macro_count(res.trace.as_ref()),
-            stopped_early: res.stopped_early,
-            per_worker_updates: res.per_worker_updates,
-            partial_publishes: res.partial_publishes,
-            trace: res.trace,
-            wall: res.wall,
-            ..RunReport::new(
-                self.name(),
-                res.final_x,
-                res.total_updates,
-                res.final_residual,
-            )
-        })
-    }
-}
-
-/// Barrier-synchronous Jacobi backend: the same work model as
-/// [`SharedMem`] but every sweep fenced by barriers — the synchronous
-/// baseline of the async-vs-sync comparisons.
-///
-/// `RunControl::max_steps` is the sweep budget; a
-/// [`StoppingRule::Residual`] rule maps onto the runner's sweep-change
-/// target. With `RecordMode` on, the (deterministic) synchronous trace —
-/// every component active each sweep, labels `j − 1` — is materialised
-/// so macro-iteration accounting works like any other backend. Like any
-/// recorded trace this costs `O(sweeps · n)` memory; leave recording off
-/// for large sweep budgets (the macro-iteration count is reported either
-/// way).
-///
-/// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
-#[derive(Debug, Clone)]
-pub struct Barrier {
-    /// Number of worker threads.
-    pub threads: usize,
-    /// Component→worker map (default: contiguous equal blocks).
-    pub partition: Option<Partition>,
-    /// Per-worker spin units per sweep (load imbalance); empty = none.
-    pub spin: Vec<u64>,
-}
-
-impl Default for Barrier {
-    fn default() -> Self {
-        Self {
-            threads: 1,
-            partition: None,
-            spin: Vec::new(),
-        }
-    }
-}
-
-/// The synchronous-Jacobi trace: all components active, labels `j − 1`
-/// (the canonical `SyncJacobi` schedule, materialised).
-fn sync_trace(n: usize, sweeps: u64, record: RecordMode) -> Option<Trace> {
-    record.keeps_trace().then(|| {
-        asynciter_models::schedule::record(
-            &mut asynciter_models::schedule::SyncJacobi::new(n),
-            sweeps,
-            record.label_store(),
-        )
-    })
-}
-
-impl Backend for Barrier {
-    fn name(&self) -> &'static str {
-        "barrier"
-    }
-
-    fn run(
-        &mut self,
-        problem: &Problem<'_>,
-        ctl: &mut RunControl<'_>,
-    ) -> asynciter_core::Result<RunReport> {
-        ctl.reject_sampling(self.name())?;
-        ctl.reject_schedule(self.name(), "sweeps are synchronous by construction")?;
-        let n = problem.n();
-        let partition = resolve_partition(self.name(), &self.partition, n, self.threads)?;
-        let mut cfg = SyncConfig::new(self.threads, ctl.max_steps).with_spin(self.spin.clone());
-        if let Some((eps, _)) =
-            ctl.residual_target(self.name(), "the barrier runner's sweep-change target")?
-        {
-            cfg = cfg.with_target_change(eps);
-        }
-        let res = SyncRunner::run(problem.op, &problem.x0, &partition, &cfg)
-            .map_err(|e| to_core(self.name(), e))?;
-        let trace = sync_trace(n, res.sweeps, ctl.record);
-        let macro_iterations = if trace.is_some() {
-            macro_count(trace.as_ref())
-        } else {
-            // The synchronous schedule completes one macro-iteration per
-            // sweep by construction.
-            res.sweeps
-        };
-        Ok(RunReport {
-            macro_iterations,
-            stopped_early: res.sweeps < ctl.max_steps,
-            per_worker_updates: vec![res.sweeps; self.threads],
-            trace,
-            wall: res.wall,
-            ..RunReport::new(self.name(), res.final_x, res.sweeps, res.final_residual)
-        })
     }
 }
 

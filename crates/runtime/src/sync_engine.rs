@@ -7,15 +7,20 @@
 //! sweep time is the *maximum* of the workers' compute times — the
 //! throughput collapse that motivates asynchronous iterations (paper
 //! §II: "to get rid of waiting time resulting from synchronization …
-//! to cope naturally with load unbalancing").
+//! to cope naturally with load unbalancing"). The [`Barrier`] backend
+//! runs on the free-running harness (`race`) for its stop flag and
+//! join only: a worker that fails or panics releases the peers waiting
+//! for it at the barrier and is the run's typed error.
 
+use crate::error::RuntimeError;
 use crate::imbalance::spin;
+use crate::race::{Lane, Race};
+use crate::session::{resolve_partition, to_core};
 use crate::shared::{worker_blocks, SharedVec};
-use crate::worker::check_positive;
+use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
 use asynciter_models::partition::Partition;
-use asynciter_opt::traits::Operator;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use asynciter_models::schedule::{record, SyncJacobi};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// A sense-reversing spin barrier.
 ///
@@ -47,8 +52,11 @@ impl SpinBarrier {
         }
     }
 
-    /// Blocks (spinning) until all parties arrive.
-    pub fn wait(&self) {
+    /// Blocks (spinning) until all parties arrive, or until `over()`: a
+    /// party that has left for good never arrives, and its peers must
+    /// not wait for it. True when the parties go on together, false
+    /// when the caller should leave too.
+    pub fn wait(&self, over: impl Fn() -> bool) -> bool {
         let sense = self.sense.load(Ordering::Relaxed);
         // AcqRel: the arriving thread's writes happen-before the sense
         // flip; leavers acquire the flip below.
@@ -56,171 +64,200 @@ impl SpinBarrier {
             self.count.store(0, Ordering::Relaxed);
             self.sense.store(!sense, Ordering::Release);
         } else {
-            while self.sense.load(Ordering::Acquire) == sense {
+            while self.sense.load(Ordering::Acquire) == sense && !over() {
                 std::hint::spin_loop();
             }
         }
+        !over()
     }
 }
 
-/// Configuration of a synchronous run.
+const NAME: &str = "barrier";
+
+/// Barrier-synchronous Jacobi backend: the same work model as
+/// [`SharedMem`](crate::SharedMem) but every sweep fenced by barriers —
+/// the synchronous baseline of the async-vs-sync comparisons. See
+/// module docs.
+///
+/// `RunControl::max_steps` is the sweep budget; a
+/// [`StoppingRule::Residual`] rule's `eps` is the target for the sweep
+/// change `‖x⁺ − x‖_∞`. With `RecordMode` on, the (deterministic)
+/// synchronous trace — every component active each sweep, labels `j − 1`
+/// — is materialised so macro-iteration accounting works like any other
+/// backend. Like any recorded trace this costs `O(sweeps · n)` memory;
+/// leave recording off for large sweep budgets (the macro-iteration
+/// count is reported either way).
+///
+/// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
 #[derive(Debug, Clone)]
-pub struct SyncConfig {
+pub struct Barrier {
     /// Number of worker threads.
-    pub workers: usize,
-    /// Maximum number of sweeps (full Jacobi iterations).
-    pub max_sweeps: u64,
-    /// Stop when the sweep change `‖x⁺ − x‖_∞` falls below this.
-    pub target_change: Option<f64>,
+    pub threads: usize,
+    /// Component→worker map (default: contiguous equal blocks).
+    pub partition: Option<Partition>,
     /// Per-worker spin units per sweep (load imbalance); empty = none.
-    pub spin_per_update: Vec<u64>,
+    pub spin: Vec<u64>,
 }
 
-impl SyncConfig {
-    /// Baseline configuration.
-    pub fn new(workers: usize, max_sweeps: u64) -> Self {
+impl Default for Barrier {
+    fn default() -> Self {
         Self {
-            workers,
-            max_sweeps,
-            target_change: None,
-            spin_per_update: Vec::new(),
+            threads: 1,
+            partition: None,
+            spin: Vec::new(),
         }
     }
-
-    /// Sets the change-based stopping target.
-    pub fn with_target_change(mut self, eps: f64) -> Self {
-        self.target_change = Some(eps);
-        self
-    }
-
-    /// Sets per-worker spin work.
-    pub fn with_spin(mut self, spin: Vec<u64>) -> Self {
-        self.spin_per_update = spin;
-        self
-    }
 }
 
-/// Result of a synchronous run.
-#[derive(Debug)]
-pub struct SyncRunResult {
-    /// Final iterate.
-    pub final_x: Vec<f64>,
-    /// Sweeps performed.
-    pub sweeps: u64,
-    /// Wall-clock duration of the parallel section.
-    pub wall: Duration,
-    /// Final fixed-point residual.
-    pub final_residual: f64,
-}
-
-/// The synchronous Jacobi runner. See module docs.
-#[derive(Debug, Default)]
-pub struct SyncRunner;
-
-impl SyncRunner {
-    /// Runs barrier-synchronous Jacobi sweeps over the blocks of
-    /// `partition`.
+impl Barrier {
+    /// Runs barrier-synchronous Jacobi sweeps with `self.threads`
+    /// workers — [`Backend::run`] with the failure still typed.
     ///
     /// # Errors
-    /// Dimension/parameter validation failures.
-    pub fn run(
-        op: &dyn Operator,
-        x0: &[f64],
-        partition: &Partition,
-        cfg: &SyncConfig,
-    ) -> crate::Result<SyncRunResult> {
-        let n = op.dim();
-        let blocks = worker_blocks(n, x0, partition, cfg.workers, &cfg.spin_per_update)?;
-        check_positive(&[("max_sweeps", cfg.max_sweeps)])?;
+    /// Unsupported controls, dimension/parameter validation failures, a
+    /// non-finite iterate (operator divergence) or a panicking operator.
+    pub fn run_typed(
+        &self,
+        problem: &Problem<'_>,
+        ctl: &RunControl<'_>,
+    ) -> crate::Result<RunReport> {
+        ctl.reject_sampling(NAME)?;
+        ctl.reject_schedule(NAME, "sweeps are synchronous by construction")?;
+        let (op, n) = (problem.op, problem.n());
+        let partition = resolve_partition(NAME, &self.partition, n, self.threads)?;
+        let target_change = ctl
+            .residual_target(NAME, "the barrier runner's sweep-change target")?
+            .map(|(eps, _)| eps);
+        let blocks = worker_blocks(n, &problem.x0, &partition, self.threads, &self.spin)?;
+        // Sweeps draw no tickets: the race lends its budget check, its
+        // stop and converged flags and the join that types a failure.
+        let budget = ctl.max_steps;
+        let race = Race::new(budget, None, target_change, 1, None)?;
 
         // Double buffering: `bufs[t % 2]` is read, `bufs[(t+1) % 2]`
         // written, with barriers fencing the role swap.
-        let bufs = [SharedVec::new(x0), SharedVec::new(x0)];
-        let barrier = SpinBarrier::new(cfg.workers);
-        let stop = AtomicBool::new(false);
-        let sweeps_done = std::sync::atomic::AtomicU64::new(0);
+        let bufs = [SharedVec::new(&problem.x0), SharedVec::new(&problem.x0)];
+        let barrier = SpinBarrier::new(self.threads);
+        let sweeps_done = AtomicU64::new(0);
 
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for (w, block) in blocks.iter().enumerate() {
-                let bufs = &bufs;
-                let barrier = &barrier;
-                let stop = &stop;
-                let sweeps_done = &sweeps_done;
-                let spin_units = cfg.spin_per_update.get(w).copied().unwrap_or(0);
-                scope.spawn(move || {
-                    // Per-worker buffers allocated once: snapshot, block
-                    // output, and the operator's caller-owned scratch —
-                    // the sweep loop below performs no heap allocation.
-                    let mut vals = vec![0.0; n];
-                    let mut upd = vec![0.0; n];
-                    let mut scratch = vec![0.0; op.scratch_len()];
-                    for t in 0..cfg.max_sweeps {
-                        let read = &bufs[(t % 2) as usize];
-                        let write = &bufs[((t + 1) % 2) as usize];
-                        read.snapshot(&mut vals);
-                        if spin_units > 0 {
-                            spin(spin_units);
-                        }
-                        op.update_active_with(&vals, block, &mut upd, &mut scratch);
-                        for &i in block {
-                            write.write(i, upd[i], t + 1);
-                        }
-                        // Sweep barrier: everyone finished writing.
-                        barrier.wait();
-                        if w == 0 {
-                            sweeps_done.store(t + 1, Ordering::Relaxed);
-                            if let Some(eps) = cfg.target_change {
-                                let mut change = 0.0_f64;
-                                for i in 0..n {
-                                    change = change.max((write.value(i) - read.value(i)).abs());
-                                }
-                                if change <= eps {
-                                    stop.store(true, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        // Decision barrier: stop flag is now consistent.
-                        barrier.wait();
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                    }
-                });
+        let body = |lane: &mut Lane<'_>, block: &Vec<usize>| {
+            let spin_units = self.spin.get(lane.worker).copied().unwrap_or(0);
+            // Per-worker buffers allocated once: snapshot, block
+            // output, and the operator's caller-owned scratch —
+            // the sweep loop below performs no heap allocation.
+            let mut vals = vec![0.0; n];
+            let mut upd = vec![0.0; n];
+            let mut scratch = vec![0.0; op.scratch_len()];
+            for t in 0..budget {
+                let read = &bufs[(t % 2) as usize];
+                let write = &bufs[((t + 1) % 2) as usize];
+                read.snapshot(&mut vals);
+                if spin_units > 0 {
+                    spin(spin_units);
+                }
+                op.update_active_with(&vals, block, &mut upd, &mut scratch);
+                // Nothing non-finite is ever written: `f64::max` would
+                // drop a NaN from the sweep change and the residual.
+                if let Some(&i) = block.iter().find(|&&i| !upd[i].is_finite()) {
+                    return Err(RuntimeError::NonFiniteIterate {
+                        at_step: t + 1,
+                        component: i,
+                    });
+                }
+                for &i in block {
+                    write.write(i, upd[i], t + 1);
+                }
+                // Sweep barrier: everyone finished writing.
+                if !barrier.wait(|| lane.stopped()) {
+                    break;
+                }
+                if lane.worker == 0 {
+                    sweeps_done.store(t + 1, Ordering::Relaxed);
+                    let change = || {
+                        (0..n).fold(0.0_f64, |change, i| {
+                            change.max((write.value(i) - read.value(i)).abs())
+                        })
+                    };
+                    lane.on_target(change);
+                }
+                // Decision barrier: the stop flag is now consistent.
+                if !barrier.wait(|| lane.stopped()) {
+                    break;
+                }
             }
-        });
-        let wall = start.elapsed();
+            Ok(())
+        };
+        let finish = race.run(blocks.iter().collect(), body)?;
 
         let sweeps = sweeps_done.load(Ordering::Relaxed);
         let mut final_x = vec![0.0; n];
         bufs[(sweeps % 2) as usize].snapshot(&mut final_x);
         let final_residual = op.residual_inf(&final_x);
-        Ok(SyncRunResult {
-            final_x,
-            sweeps,
-            wall,
-            final_residual,
+        // The canonical `SyncJacobi` schedule, materialised.
+        let trace = (ctl.record.keeps_trace())
+            .then(|| record(&mut SyncJacobi::new(n), sweeps, ctl.record.label_store()));
+        Ok(RunReport {
+            // One macro-iteration per sweep by construction.
+            macro_iterations: sweeps,
+            stopped_early: finish.stopped_early,
+            per_worker_updates: vec![sweeps; self.threads],
+            trace,
+            wall: finish.wall,
+            ..RunReport::new(NAME, final_x, sweeps, final_residual)
         })
+    }
+}
+
+impl Backend for Barrier {
+    fn name(&self) -> &'static str {
+        NAME
+    }
+
+    fn run(
+        &mut self,
+        problem: &Problem<'_>,
+        ctl: &mut RunControl<'_>,
+    ) -> asynciter_core::Result<RunReport> {
+        self.run_typed(problem, ctl).map_err(|e| to_core(NAME, e))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asynciter_core::session::Session;
+    use asynciter_core::stopping::StoppingRule;
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;
+    use asynciter_opt::traits::Operator;
 
     fn jacobi(n: usize) -> JacobiOperator {
         JacobiOperator::new(tridiagonal(n, 4.0, -1.0), vec![1.0; n]).unwrap()
     }
 
+    fn barrier(threads: usize) -> Barrier {
+        Barrier {
+            threads,
+            ..Barrier::default()
+        }
+    }
+
+    fn change_target(eps: f64) -> StoppingRule {
+        StoppingRule::Residual {
+            eps,
+            check_every: 1,
+        }
+    }
+
     #[test]
     fn matches_sequential_jacobi_exactly() {
         let op = jacobi(16);
-        let p = Partition::blocks(16, 4).unwrap();
-        let cfg = SyncConfig::new(4, 25);
-        let res = SyncRunner::run(&op, &[0.0; 16], &p, &cfg).unwrap();
+        let res = Session::new(&op)
+            .steps(25)
+            .backend(barrier(4))
+            .run()
+            .unwrap();
 
         let mut x = vec![0.0; 16];
         let mut next = vec![0.0; 16];
@@ -229,35 +266,57 @@ mod tests {
             std::mem::swap(&mut x, &mut next);
         }
         assert!(vecops::max_abs_diff(&res.final_x, &x) < 1e-15);
-        assert_eq!(res.sweeps, 25);
+        assert_eq!(res.steps, 25);
     }
 
     #[test]
     fn converges_with_target() {
         let op = jacobi(32);
         let xstar = op.solve_dense_spd().unwrap();
-        let p = Partition::blocks(32, 2).unwrap();
         // Small sweep cap: each barrier sweep costs a full spin-barrier
         // crossing per worker (~an OS scheduling quantum each on one
         // core), and the change target fires after a few dozen sweeps.
-        let cfg = SyncConfig::new(2, 500).with_target_change(1e-13);
-        let res = SyncRunner::run(&op, &vec![0.0; 32], &p, &cfg).unwrap();
-        assert!(res.sweeps < 500);
+        let res = Session::new(&op)
+            .steps(500)
+            .stopping(change_target(1e-13))
+            .backend(barrier(2))
+            .run()
+            .unwrap();
+        assert!(res.steps < 500);
         assert!(vecops::max_abs_diff(&res.final_x, &xstar) < 1e-10);
+    }
+
+    #[test]
+    fn target_firing_on_the_last_budgeted_sweep_is_a_stop() {
+        let op = jacobi(16);
+        let run = |budget: u64| {
+            Session::new(&op)
+                .steps(budget)
+                .stopping(change_target(1e-9))
+                .backend(barrier(2))
+                .run()
+                .unwrap()
+        };
+        let unbounded = run(500);
+        assert!(unbounded.stopped_early && unbounded.steps < 500);
+        // `steps < budget` would read "budget exhausted" here.
+        let exact = run(unbounded.steps);
+        assert_eq!(exact.steps, unbounded.steps);
+        assert!(exact.stopped_early, "the target fired on the last sweep");
+        assert_eq!(exact.final_x, unbounded.final_x);
+        let short = run(unbounded.steps - 1);
+        assert!(!short.stopped_early, "one sweep short of the target");
     }
 
     #[test]
     fn imbalance_does_not_change_result_only_time() {
         let op = jacobi(16);
-        let p = Partition::blocks(16, 4).unwrap();
-        let plain = SyncRunner::run(&op, &[0.0; 16], &p, &SyncConfig::new(4, 30)).unwrap();
-        let skewed = SyncRunner::run(
-            &op,
-            &[0.0; 16],
-            &p,
-            &SyncConfig::new(4, 30).with_spin(crate::imbalance::linear_imbalance(4, 1000, 8.0)),
-        )
-        .unwrap();
+        let run = |spin: Vec<u64>| {
+            let backend = Barrier { spin, ..barrier(4) };
+            Session::new(&op).steps(30).backend(backend).run().unwrap()
+        };
+        let plain = run(Vec::new());
+        let skewed = run(crate::imbalance::linear_imbalance(4, 1000, 8.0));
         assert!(vecops::max_abs_diff(&plain.final_x, &skewed.final_x) < 1e-15);
     }
 
@@ -273,12 +332,23 @@ mod tests {
                 s.spawn(|| {
                     for phase in 1..=50 {
                         counter.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait();
+                        assert!(barrier.wait(|| false));
                         assert_eq!(counter.load(Ordering::Relaxed), phase * parties);
-                        barrier.wait();
+                        assert!(barrier.wait(|| false));
                     }
                 });
             }
+        });
+    }
+
+    #[test]
+    fn spin_barrier_releases_the_peers_of_a_party_that_left() {
+        let barrier = SpinBarrier::new(2);
+        let left = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| barrier.wait(|| left.load(Ordering::Relaxed)));
+            left.store(true, Ordering::Relaxed);
+            assert!(!waiter.join().unwrap(), "nobody to go on with");
         });
     }
 
@@ -289,18 +359,33 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_worker_stops_its_healthy_peers() {
+        // Before the block check, the NaN run *converged*: `f64::max`
+        // drops NaN from the sweep change, which the healthy block takes
+        // under the target; the panic left worker 0 at the barrier.
+        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(|problem, ctl| {
+            ctl.stopping = Some(change_target(1e-9));
+            barrier(2).run_typed(problem, ctl).unwrap_err()
+        });
+    }
+
+    #[test]
     fn validation_errors() {
         let op = jacobi(8);
-        let p = Partition::blocks(8, 2).unwrap();
-        assert!(SyncRunner::run(&op, &[0.0; 8], &p, &SyncConfig::new(3, 10)).is_err());
-        assert!(SyncRunner::run(&op, &[0.0; 7], &p, &SyncConfig::new(2, 10)).is_err());
-        assert!(SyncRunner::run(&op, &[0.0; 8], &p, &SyncConfig::new(2, 0)).is_err());
-        assert!(SyncRunner::run(
-            &op,
-            &[0.0; 8],
-            &p,
-            &SyncConfig::new(2, 10).with_spin(vec![1])
-        )
+        let run = |backend: Barrier| Session::new(&op).steps(10).backend(backend).run();
+        let mismatched = Barrier {
+            partition: Some(Partition::blocks(8, 2).unwrap()),
+            ..barrier(3)
+        };
+        assert!(run(mismatched).is_err());
+        let short_x0 = Session::new(&op).steps(10).x0(vec![0.0; 7]);
+        assert!(short_x0.backend(barrier(2)).run().is_err());
+        let no_sweeps = Session::new(&op).steps(0);
+        assert!(no_sweeps.backend(barrier(2)).run().is_err());
+        assert!(run(Barrier {
+            spin: vec![1],
+            ..barrier(2)
+        })
         .is_err());
     }
 }

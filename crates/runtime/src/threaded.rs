@@ -401,9 +401,9 @@ mod tests {
     #[test]
     fn a_failing_worker_stops_its_healthy_peers() {
         let p = Partition::blocks(4, 2).unwrap();
-        let cfg = ThreadedConfig::new(u64::MAX);
-        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(|op| {
-            ThreadedClusterEngine::run(op, &[1.0; 4], &p, &cfg).unwrap_err()
+        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(|problem, ctl| {
+            let cfg = ThreadedConfig::new(ctl.max_steps);
+            ThreadedClusterEngine::run(problem.op, &problem.x0, &p, &cfg).unwrap_err()
         });
     }
 

@@ -345,6 +345,45 @@ fn threaded_single_worker_matches_sequential_cluster_bitwise() {
     );
 }
 
+#[test]
+fn flexible_without_partials_matches_replay_bitwise() {
+    // The paper's "Definition 3 without partials is Definition 1": one
+    // inner iteration and nothing published leaves `Flexible` the read
+    // vector, the update and the effective labels of `Replay`, here
+    // under out-of-order delays.
+    let op = quickstart_operator(24);
+    let run = |backend: Box<dyn Backend>| {
+        Session::new(&op)
+            .steps(600)
+            .schedule(ChaoticBounded::new(24, 4, 12, 16, false, 29))
+            .record(RecordMode::Full)
+            .backend(backend)
+            .run()
+            .unwrap()
+    };
+    let flexible = run(Box::new(Flexible {
+        m: 1,
+        partial: false,
+        ..Flexible::default()
+    }));
+    let replay = run(Box::new(Replay));
+    assert_eq!((flexible.steps, replay.steps), (600, 600));
+    assert_eq!(flexible.partial_publishes + flexible.partial_reads, 0);
+    for i in 0..op.dim() {
+        assert_eq!(
+            flexible.final_x[i].to_bits(),
+            replay.final_x[i].to_bits(),
+            "flexible vs replay at component {i}"
+        );
+    }
+    let (flexible, replay) = (flexible.trace.unwrap(), replay.trace.unwrap());
+    assert_eq!(flexible.len(), replay.len());
+    for j in 1..=replay.len() as u64 {
+        assert_eq!(flexible.step(j).active, replay.step(j).active, "step {j}");
+        assert_eq!(flexible.labels(j), replay.labels(j), "step {j}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // History::value_at edge cases
 // ---------------------------------------------------------------------------
