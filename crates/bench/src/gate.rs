@@ -487,9 +487,19 @@ fn sim_config(n: usize, did: DelayId, steps: u64, seed: u64) -> Result<SimConfig
     Ok(cfg)
 }
 
-/// Schedule parameters shared by the schedule-driven backends.
-fn active_range(n: usize) -> (usize, usize) {
-    (1, (n / 4).max(2).min(n))
+/// Installs the delay model's `(𝒮, ℒ)` realisation for the two
+/// schedule-driven backends (`flexible-partial` steers `Replay` like
+/// `bounded`; `Flexible` swaps in its block round-robin instead).
+fn scheduled(s: Session<'_>, n: usize, did: DelayId, seed: u64) -> Session<'_> {
+    let (k_min, k_max) = (1, (n / 4).max(2).min(n));
+    match did {
+        DelayId::NoDelay => s, // default synchronous Jacobi schedule
+        DelayId::Bounded | DelayId::FlexiblePartial => {
+            s.schedule(ChaoticBounded::new(n, k_min, k_max, 8, true, seed))
+        }
+        DelayId::OutOfOrder => s.schedule(ChaoticBounded::new(n, k_min, k_max, 8, false, seed)),
+        DelayId::UnboundedHeavyTail => s.schedule(HeavyTailDelay::new(n, k_min, k_max, 1.5, seed)),
+    }
 }
 
 /// Configures and runs one cell's session.
@@ -502,22 +512,10 @@ fn run_session(
     steps: u64,
     seed: u64,
 ) -> asynciter_core::Result<RunReport> {
-    let (k_min, k_max) = active_range(n);
     let threads = workers(did);
     match bid {
         BackendId::Replay => {
-            let mut s = match did {
-                DelayId::NoDelay => s, // default synchronous Jacobi schedule
-                DelayId::Bounded | DelayId::FlexiblePartial => {
-                    s.schedule(ChaoticBounded::new(n, k_min, k_max, 8, true, seed))
-                }
-                DelayId::OutOfOrder => {
-                    s.schedule(ChaoticBounded::new(n, k_min, k_max, 8, false, seed))
-                }
-                DelayId::UnboundedHeavyTail => {
-                    s.schedule(HeavyTailDelay::new(n, k_min, k_max, 1.5, seed))
-                }
-            };
+            let mut s = scheduled(s, n, did, seed);
             if let Some(eps) = pid.residual_target() {
                 s = s.stopping(StoppingRule::Residual {
                     eps,
@@ -526,49 +524,26 @@ fn run_session(
             }
             s.backend(Replay).run()
         }
-        BackendId::Flexible => {
-            let (s, backend) = match did {
-                DelayId::FlexiblePartial => {
-                    let partition =
-                        Partition::blocks(n, threads).map_err(|e| CoreError::Backend {
-                            backend: "flexible",
-                            message: format!("cannot partition {n} over {threads} blocks: {e}"),
-                        })?;
-                    (
-                        s.schedule(BlockRoundRobin::new(partition, 4)),
-                        Flexible {
-                            m: 4,
-                            partial: true,
-                            ..Flexible::default()
-                        },
-                    )
-                }
-                other => {
-                    let s = match other {
-                        DelayId::NoDelay => s, // default synchronous schedule
-                        DelayId::Bounded => {
-                            s.schedule(ChaoticBounded::new(n, k_min, k_max, 8, true, seed))
-                        }
-                        DelayId::OutOfOrder => {
-                            s.schedule(ChaoticBounded::new(n, k_min, k_max, 8, false, seed))
-                        }
-                        DelayId::UnboundedHeavyTail => {
-                            s.schedule(HeavyTailDelay::new(n, k_min, k_max, 1.5, seed))
-                        }
-                        DelayId::FlexiblePartial => unreachable!(),
-                    };
-                    (
-                        s,
-                        Flexible {
-                            m: 2,
-                            partial: false,
-                            ..Flexible::default()
-                        },
-                    )
-                }
-            };
-            s.backend(backend).run()
+        BackendId::Flexible if did == DelayId::FlexiblePartial => {
+            let partition = Partition::blocks(n, threads).map_err(|e| CoreError::Backend {
+                backend: "flexible",
+                message: format!("cannot partition {n} over {threads} blocks: {e}"),
+            })?;
+            s.schedule(BlockRoundRobin::new(partition, 4))
+                .backend(Flexible {
+                    m: 4,
+                    partial: true,
+                    ..Flexible::default()
+                })
+                .run()
         }
+        BackendId::Flexible => scheduled(s, n, did, seed)
+            .backend(Flexible {
+                m: 2,
+                partial: false,
+                ..Flexible::default()
+            })
+            .run(),
         BackendId::SharedMem => {
             let threads = if did == DelayId::NoDelay { 1 } else { threads };
             let (inner_steps, publish_period) = if did == DelayId::FlexiblePartial {

@@ -7,19 +7,20 @@
 //! x_i(j) = x_i(j − 1)                            otherwise.
 //! ```
 //!
-//! The [`Replay`] backend executes this *exactly*: it keeps the full
-//! history of every component's updates, assembles the read vector
-//! `x(l(j))` by label lookup (so out-of-order and unbounded delays are
-//! honoured bit-for-bit, not approximated), applies the operator to the
-//! active set, and records the trace on which macro-iterations, epochs
-//! and the condition checkers operate. Determinism makes every
-//! experiment replayable from a seed.
+//! The [`Replay`] backend executes this *exactly*: the update
+//! [`History`] of every component lets the read vector `x(l(j))` be
+//! assembled by label lookup (so out-of-order and unbounded delays are
+//! honoured bit-for-bit, not approximated), the operator is applied to
+//! the active set, and — when asked — the trace is recorded on which
+//! macro-iterations, epochs and the condition checkers operate.
+//! Determinism makes every experiment replayable from a seed.
+//!
+//! Definition 1 is Definition 3 once no partial is ever published, so
+//! `Replay` owns no loop: it calls the one in [`crate::flexible`] with
+//! one inner iteration and partials off.
 
-use crate::error::CoreError;
+use crate::flexible::Flexible;
 use crate::session::{Backend, Problem, RunControl, RunReport};
-use crate::stopping::StopState;
-use asynciter_models::schedule::StepBuf;
-use asynciter_models::trace::Trace;
 
 /// Per-component update history with label lookup.
 ///
@@ -121,84 +122,31 @@ impl Backend for Replay {
         "replay"
     }
 
-    /// Runs the asynchronous iteration `(F, x(0), 𝒮, ℒ)`.
+    /// Runs the asynchronous iteration `(F, x(0), 𝒮, ℒ)`: Definition 3
+    /// with one inner iteration and no partial ever published.
     ///
     /// # Errors
-    /// Dimension mismatches, invalid controls, or a non-finite iterate
-    /// (operator divergence).
+    /// Dimension mismatches, invalid controls, a malformed schedule step,
+    /// or a non-finite iterate (operator divergence).
     fn run(&mut self, problem: &Problem<'_>, ctl: &mut RunControl<'_>) -> crate::Result<RunReport> {
-        let mut gen = ctl.take_schedule(problem)?;
-        let (op, n) = (problem.op, problem.n());
-        let xstar = problem.xstar.as_deref();
-        let start = std::time::Instant::now();
-
-        let mut history = History::new(&problem.x0);
-        let mut trace = Trace::new(n, ctl.record.label_store());
-        let mut buf = StepBuf::new(n);
-        // Workhorse buffers reused across iterations (no allocation in the
-        // step loop), including the operator's caller-owned scratch.
-        let mut xl = vec![0.0; n]; // assembled read vector x(l(j))
-        let mut cur = problem.x0.clone(); // current iterate x(j)
-        let mut scratch = vec![0.0; op.scratch_len()];
-        let mut stop_state = ctl.stopping.as_ref().map(|r| (r, StopState::new(r, n)));
-
-        let mut errors = Vec::new();
-        let mut residuals = Vec::new();
-        let mut stopped_early = false;
-        let mut steps = 0u64;
-
-        for j in 1..=ctl.max_steps {
-            gen.step(j, &mut buf);
-            debug_assert!(!buf.active.is_empty(), "schedule produced empty S_j");
-            history.assemble(&buf.labels, &mut xl);
-            op.update_active_with(&xl, &buf.active, &mut cur, &mut scratch);
-            for &i in &buf.active {
-                let v = cur[i];
-                if !v.is_finite() {
-                    return Err(CoreError::NonFiniteIterate {
-                        at_step: j,
-                        component: i,
-                    });
-                }
-                history.push(i, j, v);
-            }
-            trace.push_step(&buf.active, &buf.labels);
-            steps = j;
-
-            if ctl.error_every > 0 && j % ctl.error_every == 0 {
-                let xs = xstar.expect("take_schedule: error sampling has its fixed point");
-                errors.push((j, asynciter_numerics::vecops::max_abs_diff(&cur, xs)));
-            }
-            if ctl.residual_every > 0 && j % ctl.residual_every == 0 {
-                residuals.push((j, op.residual_inf_with(&cur, &mut scratch)));
-            }
-            if let Some((rule, state)) = stop_state.as_mut() {
-                if state.observe(rule, j, &buf, &cur, op, xstar, &mut scratch) {
-                    stopped_early = true;
-                    break;
-                }
-            }
-        }
-
-        let wall = start.elapsed();
-        let final_residual = op.residual_inf(&cur);
-        Ok(RunReport {
-            errors,
-            residuals,
-            stopped_early,
-            wall,
-            ..RunReport::new(self.name(), cur, steps, final_residual)
-        }
-        .with_trace(trace, ctl.record))
+        let mut definition_1 = Flexible {
+            m: 1,
+            partial: false,
+            ..Flexible::default()
+        };
+        let backend = self.name();
+        let report = definition_1.run(problem, ctl)?;
+        Ok(RunReport { backend, ..report })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::session::{RecordMode, Session};
     use asynciter_models::schedule::{ChaoticBounded, CyclicCoordinate, SyncJacobi};
-    use asynciter_models::trace::LabelStore;
+    use asynciter_models::trace::{LabelStore, Trace};
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;

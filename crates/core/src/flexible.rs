@@ -1,4 +1,5 @@
-//! The Definition-3 flexible-communication engine.
+//! The Definition-3 flexible-communication engine — the one
+//! schedule-driven step loop of this crate.
 //!
 //! Flexible communication (paper §IV, refs \[9\], \[23\], \[24\]) lets updates
 //! consume *partial updates*: values published mid-computation (one-sided
@@ -28,14 +29,23 @@
 //!   against constraint (3); `enforce_constraint` falls back to the
 //!   labelled value on violation, making the run a *certified*
 //!   Definition-3 iteration.
+//!
+//! Definition 1 is the `m = 1` case in which nothing is ever published:
+//! [`Replay`](crate::engine::Replay) is this loop called that way, and
+//! until a first partial exists a step does no Definition-3 work. Sampling
+//! and every stopping rule are honoured, macro-iterations are streamed, and
+//! a trace exists only if the [`RecordMode`](crate::session::RecordMode) keeps it.
 
 use crate::engine::History;
 use crate::error::CoreError;
-use crate::session::{unsupported, Backend, Problem, RunControl, RunReport};
+use crate::session::{Backend, Problem, RunControl, RunReport};
+use crate::stopping::StopState;
+use asynciter_models::macroiter::OnlineMacroTracker;
 use asynciter_models::schedule::StepBuf;
-use asynciter_models::trace::Trace;
+use asynciter_models::trace::{well_formed_step, Trace};
 use asynciter_numerics::norm::WeightedMaxNorm;
 use rand::RngExt;
+use std::cell::LazyCell;
 
 /// The Definition-3 flexible-communication backend. See module docs.
 ///
@@ -43,10 +53,11 @@ use rand::RngExt;
 /// in-progress block is published halfway (override with
 /// `publish_period`) and readers may consume those partials.
 /// `RunControl::max_steps` is the outer-iteration budget, the session
-/// seed drives the upgrade decisions, and the recorded trace carries the
-/// *effective* provenance step of each read, partials included.
-/// `Problem::xstar` serves the constraint-(3) checks and error recording
-/// (checks are skipped when absent). Constructible with
+/// seed drives the upgrade decisions, and the macro-iteration count, the
+/// recorded trace and `MacroContraction` all see the *effective*
+/// provenance step of each read, partials included.
+/// `Problem::xstar` serves the constraint-(3) checks (skipped when
+/// absent), error recording and error-based stopping. Constructible with
 /// functional-update syntax:
 /// `Flexible { m: 4, partial: true, ..Flexible::default() }`.
 #[derive(Debug, Clone)]
@@ -89,18 +100,13 @@ impl Backend for Flexible {
         "flexible"
     }
 
-    /// Runs the flexible asynchronous iteration `(G, x(0), 𝒮, ℒ)`.
+    /// Runs the flexible asynchronous iteration `(G, x(0), 𝒮, ℒ)`: the
+    /// one schedule-driven step loop of this crate.
     ///
     /// # Errors
-    /// Dimension mismatches, invalid parameters, a stopping rule or
-    /// residual sampling (unsupported), or a non-finite iterate.
+    /// Dimension mismatches, invalid parameters or stopping rules, a
+    /// malformed schedule step, or a non-finite iterate.
     fn run(&mut self, problem: &Problem<'_>, ctl: &mut RunControl<'_>) -> crate::Result<RunReport> {
-        if ctl.stopping.is_some() {
-            return Err(unsupported(self.name(), "a stopping rule"));
-        }
-        if ctl.residual_every > 0 {
-            return Err(unsupported(self.name(), "residual sampling"));
-        }
         if !self.partial && self.publish_period.is_some() {
             return Err(CoreError::InvalidParameter {
                 name: "publish_period",
@@ -116,15 +122,9 @@ impl Backend for Flexible {
         // A period of `m` disables mid-phase publishing.
         let default_period = if self.partial { m / 2 } else { m };
         let publish_period = self.publish_period.unwrap_or(default_period.max(1));
-        let uniform;
-        let norm = match &self.norm {
-            Some(u) => u,
-            None => {
-                uniform = WeightedMaxNorm::uniform(n);
-                &uniform
-            }
-        };
-        if norm.dim() != n {
+        // Built when the first partial is published, if one ever is.
+        let uniform = LazyCell::new(|| WeightedMaxNorm::uniform(n));
+        if let Some(norm) = self.norm.as_ref().filter(|norm| norm.dim() != n) {
             return Err(CoreError::DimensionMismatch {
                 expected: n,
                 actual: norm.dim(),
@@ -147,112 +147,137 @@ impl Backend for Flexible {
         }
         let start = std::time::Instant::now();
 
+        // Filled in place (`final_x` is the current iterate x(j)); no trace under `Off`.
+        let mut report = RunReport::new(self.name(), problem.x0.clone(), 0, f64::NAN);
+        report.trace = (ctl.record.keeps_trace()).then(|| Trace::new(n, ctl.record.label_store()));
+        let cur = &mut report.final_x;
         let mut rng = asynciter_numerics::rng::rng(ctl.seed.unwrap_or(0));
         let mut history = History::new(&problem.x0);
-        // Freshest published partial per component: (outer step, value);
-        // step 0 marks "no partial yet".
-        let mut latest_partial: Vec<(u64, f64)> = vec![(0, 0.0); n];
-        let mut trace = Trace::new(n, ctl.record.label_store());
+        // Definition-3 state, sized only if the run can publish at all
+        // (`publish_period < m`): the freshest published partial per
+        // component — (outer step, value), step 0 marking "no partial
+        // yet" — and the labels a step's reads were upgraded to.
+        let partials = if publish_period < m { n } else { 0 };
+        let mut latest_partial: Vec<(u64, f64)> = vec![(0, 0.0); partials];
+        let mut eff_labels = vec![0u64; partials];
+        let mut tracker = OnlineMacroTracker::new(n);
+        let mut stop_state = ctl.stopping.as_ref().map(StopState::new);
+        // Workhorse buffers reused across iterations (no allocation in the
+        // step loop), including the operator's caller-owned scratch.
         let mut buf = StepBuf::new(n);
-        let mut xl = vec![0.0; n]; // labelled read vector x(l(j))
-        let mut w = vec![0.0; n]; // working vector x̃ (upgraded) then inner iterates
-        let mut eff_labels = vec![0u64; n];
-        let mut upd = vec![0.0; n]; // inner-iteration output buffer
+        let mut w = vec![0.0; n]; // read vector x(l(j)), upgraded to x̃, then inner iterates
         let mut scratch = vec![0.0; op.scratch_len()];
-        let mut cur = problem.x0.clone();
-
-        let mut errors = Vec::new();
-        let mut partial_reads = 0u64;
-        let mut partial_publishes = 0u64;
-        let mut constraint_checked = 0u64;
-        let mut constraint_violations = 0u64;
 
         for j in 1..=ctl.max_steps {
             gen.step(j, &mut buf);
-            history.assemble(&buf.labels, &mut xl);
-            // Baseline norm of constraint (3): ‖x(l(j)) − x*‖_u.
-            let baseline = xstar.map(|xs| norm.dist(&xl, xs));
+            if !well_formed_step(&buf.active, &buf.labels, n) {
+                // The schedule is caller input: checked on every step.
+                return Err(CoreError::InvalidParameter {
+                    name: "schedule",
+                    message: format!(
+                        "step {j}: {} labels and S_j = {:?} for n = {n}",
+                        buf.labels.len(),
+                        buf.active
+                    ),
+                });
+            }
+            history.assemble(&buf.labels, &mut w);
 
-            // Upgrade reads to fresher partials where available.
-            w.copy_from_slice(&xl);
-            eff_labels.copy_from_slice(&buf.labels);
-            for h in 0..n {
-                let (ps, pv) = latest_partial[h];
-                if ps > buf.labels[h] && self.partial_prob > 0.0 {
-                    let take =
-                        self.partial_prob >= 1.0 || rng.random_range(0.0..1.0) < self.partial_prob;
-                    if !take {
-                        continue;
-                    }
-                    if let (Some(b), Some(xs)) = (baseline, xstar) {
-                        constraint_checked += 1;
-                        let dev = norm.component(h, pv - xs[h]);
-                        if dev > b + 1e-12 {
-                            constraint_violations += 1;
-                            if self.enforce_constraint {
-                                continue; // keep the labelled value
+            // The labels this step effectively read. Until the first
+            // partial is published they are the schedule's own and the
+            // step is Definition 1; afterwards reads upgrade to fresher
+            // partials where available.
+            let labels = if report.partial_publishes == 0 {
+                &buf.labels
+            } else {
+                // Baseline norm of constraint (3): ‖x(l(j)) − x*‖_u.
+                let norm = self.norm.as_ref().unwrap_or_else(|| &*uniform);
+                let baseline = xstar.map(|xs| norm.dist(&w, xs));
+                eff_labels.copy_from_slice(&buf.labels);
+                for h in 0..n {
+                    let (ps, pv) = latest_partial[h];
+                    if ps > buf.labels[h] && self.partial_prob > 0.0 {
+                        let take = self.partial_prob >= 1.0
+                            || rng.random_range(0.0..1.0) < self.partial_prob;
+                        if !take {
+                            continue;
+                        }
+                        if let (Some(b), Some(xs)) = (baseline, xstar) {
+                            report.constraint_checked += 1;
+                            let dev = norm.component(h, pv - xs[h]);
+                            if dev > b + 1e-12 {
+                                report.constraint_violations += 1;
+                                if self.enforce_constraint {
+                                    continue; // keep the labelled value
+                                }
                             }
                         }
+                        w[h] = pv;
+                        eff_labels[h] = ps;
+                        report.partial_reads += 1;
                     }
-                    w[h] = pv;
-                    eff_labels[h] = ps;
-                    partial_reads += 1;
                 }
-            }
+                &eff_labels
+            };
 
-            // m inner block-Jacobi iterations with off-block frozen.
+            // m inner block-Jacobi iterations with off-block frozen; the
+            // last one is the outer update. Finals do NOT enter
+            // `latest_partial` — full updates travel at the speed of the
+            // label mechanism (the ordinary exchange path), while
+            // partials model the *extra* fast channel of flexible
+            // communication. With `publish_period ≥ m` no partials exist
+            // and the run is the standard asynchronous iteration, which
+            // is exactly the baseline experiment E4 compares against.
             for r in 1..=m {
-                op.update_active_with(&w, &buf.active, &mut upd, &mut scratch);
+                op.update_active_with(&w, &buf.active, cur, &mut scratch);
+                let publish = r < m && r % publish_period == 0;
                 for &i in &buf.active {
-                    let v = upd[i];
+                    let v = cur[i];
                     if !v.is_finite() {
                         return Err(CoreError::NonFiniteIterate {
                             at_step: j,
                             component: i,
                         });
                     }
-                    w[i] = v;
-                }
-                if r % publish_period == 0 && r < m {
-                    for &i in &buf.active {
-                        latest_partial[i] = (j, w[i]);
-                        partial_publishes += 1;
+                    if r == m {
+                        history.push(i, j, v);
+                    } else {
+                        w[i] = v;
+                    }
+                    if publish {
+                        latest_partial[i] = (j, v);
+                        report.partial_publishes += 1;
                     }
                 }
             }
 
-            // Finalise the outer update. Note: finals do NOT enter
-            // `latest_partial` — full updates travel at the speed of the
-            // label mechanism (the ordinary exchange path), while
-            // partials model the *extra* fast channel of flexible
-            // communication. With `publish_period ≥ m` no partials exist
-            // and the run degenerates to the standard asynchronous
-            // iteration, which is exactly the baseline experiment E4
-            // compares against.
-            for &i in &buf.active {
-                cur[i] = w[i];
-                history.push(i, j, w[i]);
+            let min_label = labels.iter().copied().min().unwrap_or(0);
+            let boundary = tracker.observe(j, &buf.active, min_label).is_some();
+            if let Some(trace) = report.trace.as_mut() {
+                trace.push_step(&buf.active, labels);
             }
-            trace.push_step(&buf.active, &eff_labels);
+            report.steps = j;
 
             if ctl.error_every > 0 && j % ctl.error_every == 0 {
                 let xs = xstar.expect("take_schedule: error sampling has its fixed point");
-                errors.push((j, asynciter_numerics::vecops::max_abs_diff(&cur, xs)));
+                let error = asynciter_numerics::vecops::max_abs_diff(cur, xs);
+                report.errors.push((j, error));
+            }
+            if ctl.residual_every > 0 && j % ctl.residual_every == 0 {
+                let residual = op.residual_inf_with(cur, &mut scratch);
+                report.residuals.push((j, residual));
+            }
+            let stop = stop_state.as_mut();
+            if stop.is_some_and(|s| s.observe(j, boundary, cur, op, xstar, &mut scratch)) {
+                report.stopped_early = true;
+                break;
             }
         }
 
-        let wall = start.elapsed();
-        let final_residual = op.residual_inf(&cur);
-        Ok(RunReport {
-            errors,
-            partial_publishes,
-            partial_reads,
-            constraint_checked,
-            constraint_violations,
-            wall,
-            ..RunReport::new(self.name(), cur, ctl.max_steps, final_residual)
-        }
-        .with_trace(trace, ctl.record))
+        report.wall = start.elapsed();
+        report.macro_iterations = tracker.completed();
+        report.final_residual = op.residual_inf(cur);
+        Ok(report)
     }
 }
 

@@ -8,17 +8,17 @@
 //!   `(𝒮, ℒ)`, it produces the iterate sequence of Eq. (1), assembling
 //!   each update's read vector `x(l(j))` from the full update
 //!   [`engine::History`] so that arbitrary (unbounded, out-of-order)
-//!   labels are honoured bit-for-bit.
-//! - [`flexible`] — the [`Flexible`] backend of Definition 3: updates run
-//!   `m` inner iterations and *publish partial results*, and readers may
-//!   consume those partials (sub-step labels); the engine can check — or
-//!   enforce — the norm constraint (3) against a known fixed point.
+//!   labels are honoured bit-for-bit — the `m = 1`, no-partials case of:
+//! - [`flexible`] — the [`Flexible`] backend of Definition 3 and the one
+//!   step loop: updates run `m` inner iterations and *publish partial
+//!   results*, and readers may consume those partials (sub-step labels);
+//!   the engine can check — or enforce — the norm constraint (3).
 //! - [`theory`] — Theorem 1's `(1−ρ)^k` envelope, Perron weights for
 //!   weighted-max-norm contraction certificates, and empirical contraction
 //!   estimation.
 //! - [`stopping`] — stopping rules: plain residual tests and the
 //!   macro-iteration-based criterion in the spirit of Miellou–Spiteri–
-//!   El Baz \[15\], with an online macro-iteration tracker.
+//!   El Baz \[15\], fed by the loop's online macro-iteration tracker.
 //! - [`session`] — the **unified execution API**: one fluent [`Session`]
 //!   builder, one [`session::Backend`] trait and one [`session::RunReport`]
 //!   shared by every engine in the workspace (replay, flexible, the

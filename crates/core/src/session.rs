@@ -15,12 +15,13 @@
 //!   residual sampling, stopping rule, trace recording, seed, and the
 //!   schedule for replay-style backends.
 //! - [`Backend`] — *where* Eq. (1) executes. [`Replay`]
-//!   ([`crate::engine`]) and [`Flexible`] ([`crate::flexible`]) live in
-//!   this crate; `SharedMem { threads }`, `Barrier { threads }`, the
-//!   deterministic sharded message-passing `Cluster { workers, .. }` and
-//!   its genuinely concurrent sibling `ThreadedCluster { workers, .. }`
-//!   in `asynciter-runtime`; `Sim(config)` in `asynciter-sim`. Every
-//!   backend populates the same [`RunReport`].
+//!   ([`crate::engine`]) and [`Flexible`] ([`crate::flexible`]), two
+//!   names of one step loop, live in this crate; `SharedMem { threads }`,
+//!   `Barrier { threads }`, the deterministic sharded message-passing
+//!   `Cluster { workers, .. }` and its genuinely concurrent sibling
+//!   `ThreadedCluster { workers, .. }` in `asynciter-runtime`;
+//!   `Sim(config)` in `asynciter-sim`. Every backend populates the same
+//!   [`RunReport`].
 //!
 //! The fluent [`Session`] builder wires the three together:
 //!
@@ -78,8 +79,8 @@ impl Problem<'_> {
 /// `LabelStore` / `Option<LabelStore>` knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordMode {
-    /// No trace in the report (fastest; macro-iterations still counted
-    /// where the backend computes a trace anyway).
+    /// Nothing is recorded: `Replay` / `Flexible` build no trace and
+    /// stream macro-iterations (see [`RunReport::macro_iterations`]).
     #[default]
     Off,
     /// Active sets and minimum labels only.
@@ -135,8 +136,8 @@ impl<'a> RunControl<'a> {
     /// Opens a schedule-driven run: removes and returns the schedule
     /// (default: the synchronous Jacobi steering) once `x0`, the
     /// schedule and `xstar` are checked against the operator's
-    /// dimension, the step budget is positive and error sampling has
-    /// its fixed point.
+    /// dimension, the step budget is positive, error sampling has its
+    /// fixed point and the stopping rule is in its documented ranges.
     ///
     /// # Errors
     /// [`CoreError::DimensionMismatch`] naming the offending input, or
@@ -151,10 +152,15 @@ impl<'a> RunControl<'a> {
             .take()
             .unwrap_or_else(|| Box::new(SyncJacobi::new(n)));
         let xstar = problem.xstar.as_ref();
+        let stopping_norm = match &self.stopping {
+            Some(StoppingRule::MacroContraction { norm, .. }) => norm.dim(),
+            _ => n,
+        };
         for (actual, context) in [
             (problem.x0.len(), "Session (x0)"),
             (gen.n(), "Session (schedule)"),
             (xstar.map_or(n, Vec::len), "Session (xstar)"),
+            (stopping_norm, "Session (stopping norm)"),
         ] {
             if actual != n {
                 return Err(CoreError::DimensionMismatch {
@@ -176,7 +182,26 @@ impl<'a> RunControl<'a> {
                 message: "error recording requires a known fixed point".into(),
             });
         }
-        Ok(gen)
+        let bad_rule = match &self.stopping {
+            Some(StoppingRule::MacroContraction { eps, alpha, .. })
+                if !(*alpha > 0.0 && *alpha < 1.0 && eps.is_finite() && *eps >= 0.0) =>
+            {
+                format!("MacroContraction needs 0 < alpha < 1, finite eps >= 0: got {alpha}, {eps}")
+            }
+            Some(StoppingRule::ErrorBelow { .. }) if xstar.is_none() => {
+                "ErrorBelow requires a known fixed point".into()
+            }
+            Some(StoppingRule::Residual { eps, .. } | StoppingRule::ErrorBelow { eps, .. })
+                if eps.is_nan() =>
+            {
+                "eps must not be NaN".into()
+            }
+            _ => return Ok(gen),
+        };
+        Err(CoreError::InvalidParameter {
+            name: "stopping",
+            message: bad_rule,
+        })
     }
 
     /// Rejects error and residual sampling, for backends where no
@@ -246,7 +271,11 @@ pub struct RunReport {
     /// [`RunControl::max_steps`]).
     pub steps: u64,
     /// Completed macro-iterations (Definition 2) of the executed
-    /// schedule, when the backend materialised a trace; 0 otherwise.
+    /// schedule, whatever the [`RecordMode`]: streamed by `Replay` /
+    /// `Flexible` (over the *effective* labels, partials included),
+    /// counted from the engine's own min-label trace by `Cluster` /
+    /// `ThreadedCluster` / `Sim`, the sweeps of `Barrier`, and for
+    /// `SharedMem` 0 unless it keeps a step log (not under `Off`).
     pub macro_iterations: u64,
     /// `(j, ‖x(j) − x*‖_∞)` samples (empty unless requested).
     pub errors: Vec<(u64, f64)>,
@@ -676,6 +705,89 @@ mod tests {
         }
     }
 
+    /// Synchronous steering with a malformed `S_3` (`None`: too few labels).
+    struct BadStep(Option<Vec<usize>>);
+
+    impl ScheduleGen for BadStep {
+        fn n(&self) -> usize {
+            6
+        }
+
+        fn step(&mut self, j: u64, buf: &mut asynciter_models::StepBuf) {
+            SyncJacobi::new(6).step(j, buf);
+            match &self.0 {
+                Some(active) if j == 3 => buf.active.clone_from(active),
+                None if j == 3 => buf.labels.truncate(5),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn both_core_backends_answer_bad_input_with_typed_errors() {
+        // Every case used to panic (`assert!`s in `WeightedMaxNorm::dist`,
+        // `Trace::push_step`, `History::assemble`; an `expect` in
+        // `StopState`), to certify at once (`alpha = 0`) or never to fire.
+        use asynciter_numerics::norm::WeightedMaxNorm;
+        let op = jacobi(6);
+        let macro_rule = |eps, alpha, dim| StoppingRule::MacroContraction {
+            eps,
+            alpha,
+            norm: WeightedMaxNorm::uniform(dim),
+        };
+        let residual = |eps| StoppingRule::Residual {
+            eps,
+            check_every: 1,
+        };
+        let error_below = |eps| StoppingRule::ErrorBelow {
+            eps,
+            check_every: 1,
+        };
+        let modes = [RecordMode::Off, RecordMode::Full];
+        for (flexible, mode) in [false, true].map(|f| modes.map(|m| (f, m))).concat() {
+            let new = || {
+                let session = Session::new(&op).steps(200).record(mode);
+                if flexible {
+                    session.backend(Flexible::default())
+                } else {
+                    session.backend(Replay)
+                }
+            };
+            let kind = |session: Session<'_>| match session.run() {
+                Err(CoreError::DimensionMismatch {
+                    expected: 6,
+                    actual,
+                    context,
+                }) => (context, actual),
+                Err(CoreError::InvalidParameter { name, .. }) => (name, 0),
+                other => panic!("expected a typed rejection, got {other:?}"),
+            };
+            let norm = new().stopping(macro_rule(1e-6, 0.5, 5));
+            assert_eq!(kind(norm), ("Session (stopping norm)", 5));
+            for rule in [error_below(1e-6), residual(f64::NAN)] {
+                assert_eq!(kind(new().stopping(rule)), ("stopping", 0));
+            }
+            let nan = new().xstar(vec![0.0; 6]).stopping(error_below(f64::NAN));
+            assert_eq!(kind(nan), ("stopping", 0));
+            let (nan, inf) = (f64::NAN, f64::INFINITY);
+            for (eps, alpha) in [
+                (1e-6, 0.0),
+                (1e-6, 1.0),
+                (1e-6, nan),
+                (nan, 0.5),
+                (inf, 0.5),
+                (-1.0, 0.5),
+            ] {
+                let rule = macro_rule(eps, alpha, 6);
+                assert_eq!(kind(new().stopping(rule)), ("stopping", 0), "{eps} {alpha}");
+            }
+            for bad in [None, Some(vec![]), Some(vec![2, 1]), Some(vec![0, 6])] {
+                let schedule = new().schedule(BadStep(bad.clone()));
+                assert_eq!(kind(schedule), ("schedule", 0), "{bad:?}");
+            }
+        }
+    }
+
     #[test]
     fn session_error_recording_and_stopping() {
         let op = jacobi(6);
@@ -739,18 +851,33 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_controls_are_reported_not_dropped() {
-        let op = jacobi(4);
-        let err = Session::new(&op)
-            .steps(10)
+    fn flexible_honours_stopping_rules_and_residual_sampling() {
+        // With partials on. That a control a backend cannot honour is
+        // reported, not dropped, stays pinned where such controls remain
+        // (`asynciter-runtime`, `asynciter-sim`).
+        let op = jacobi(12);
+        let xstar = op.solve_dense_spd().unwrap();
+        let blocks = asynciter_models::Partition::blocks(12, 3).unwrap();
+        let report = Session::new(&op)
+            .steps(50_000)
+            .schedule(asynciter_models::schedule::BlockRoundRobin::new(blocks, 4))
+            .residual_every(5)
             .stopping(StoppingRule::Residual {
-                eps: 1e-3,
-                check_every: 1,
+                eps: 1e-12,
+                check_every: 3,
             })
-            .backend(Flexible::default())
+            .backend(Flexible {
+                m: 4,
+                ..Flexible::default()
+            })
             .run()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Backend { .. }), "{err}");
+            .unwrap();
+        assert_eq!(report.backend, "flexible");
+        assert!(report.partial_publishes > 0 && report.partial_reads > 0);
+        assert!(report.stopped_early && report.steps < 50_000);
+        assert!(report.final_residual <= 1e-12 && report.final_error(&xstar) < 1e-10);
+        assert_eq!(report.residuals.len() as u64, report.steps / 5);
+        assert!(report.residuals[0].1 > report.residuals.last().unwrap().1);
     }
 
     #[test]

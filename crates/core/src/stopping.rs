@@ -8,69 +8,15 @@
 //! iterate moved by at most `ε·(1−α)/α` in weighted max norm over a full
 //! macro-iteration of an `α`-contracting operator, then the distance to
 //! the fixed point is at most `ε`. [`StoppingRule::MacroContraction`]
-//! implements exactly that, with an [`OnlineMacroTracker`] detecting
-//! macro-iteration boundaries on the fly (streaming form of
-//! Definition 2).
+//! implements exactly that, told by the step loop's
+//! [`OnlineMacroTracker`] (streaming form of Definition 2) when a
+//! boundary closes. `RunControl::take_schedule` rejects rules outside
+//! the ranges documented on each variant.
 
-use asynciter_models::schedule::StepBuf;
 use asynciter_numerics::norm::WeightedMaxNorm;
 use asynciter_opt::traits::Operator;
 
-/// Streaming macro-iteration detector (literal Definition 2).
-///
-/// Feed every executed step; boundaries are reported as they complete.
-#[derive(Debug, Clone)]
-pub struct OnlineMacroTracker {
-    jk: u64,
-    covered: Vec<bool>,
-    count: usize,
-    boundaries: u64,
-}
-
-impl OnlineMacroTracker {
-    /// Tracker over `n` components.
-    pub fn new(n: usize) -> Self {
-        Self {
-            jk: 0,
-            covered: vec![false; n],
-            count: 0,
-            boundaries: 0,
-        }
-    }
-
-    /// Observes step `j` with active set `active` and oldest read label
-    /// `min_label`; returns `Some(j)` when `j` completes a
-    /// macro-iteration.
-    pub fn observe(&mut self, j: u64, active: &[usize], min_label: u64) -> Option<u64> {
-        if min_label >= self.jk {
-            for &i in active {
-                if !self.covered[i] {
-                    self.covered[i] = true;
-                    self.count += 1;
-                }
-            }
-        }
-        if self.count == self.covered.len() {
-            self.jk = j;
-            self.covered.fill(false);
-            self.count = 0;
-            self.boundaries += 1;
-            Some(j)
-        } else {
-            None
-        }
-    }
-
-    /// Number of completed macro-iterations so far.
-    pub fn completed(&self) -> u64 {
-        self.boundaries
-    }
-
-    /// The most recent boundary `j_k` (0 before the first completes).
-    pub fn last_boundary(&self) -> u64 {
-        self.jk
-    }
-}
+pub use asynciter_models::macroiter::OnlineMacroTracker;
 
 /// A stopping rule evaluated online by the engines.
 #[derive(Debug, Clone)]
@@ -81,7 +27,7 @@ pub enum StoppingRule {
     /// may still be in flight) — provided as the naive baseline that
     /// experiment E10 compares against.
     Residual {
-        /// Residual threshold.
+        /// Residual threshold (not NaN).
         eps: f64,
         /// Check period in steps.
         check_every: u64,
@@ -92,17 +38,19 @@ pub enum StoppingRule {
     /// `eps · (1 − alpha) / alpha`, which for an `α`-contraction in
     /// `‖·‖_u` certifies `‖x − x*‖_u ≤ eps`.
     MacroContraction {
-        /// Target accuracy `ε`.
+        /// Target accuracy `ε` (finite, `≥ 0`).
         eps: f64,
-        /// Contraction factor `α ∈ (0, 1)` of the operator in `‖·‖_u`.
+        /// Contraction factor of the operator in `‖·‖_u`, strictly
+        /// inside `(0, 1)`: at 0 the threshold is `+∞`, at 1 it is 0.
         alpha: f64,
-        /// The weighted max norm in which the operator contracts.
+        /// The weighted max norm in which the operator contracts (of the
+        /// operator's dimension).
         norm: WeightedMaxNorm,
     },
     /// Oracle rule for experiments: stop when the true error
-    /// `‖x − x*‖_∞ ≤ eps` (requires the engine to know `x*`).
+    /// `‖x − x*‖_∞ ≤ eps` (rejected unless the session declares `x*`).
     ErrorBelow {
-        /// Error threshold.
+        /// Error threshold (not NaN).
         eps: f64,
         /// Check period in steps.
         check_every: u64,
@@ -111,47 +59,38 @@ pub enum StoppingRule {
 
 /// Mutable evaluation state of a stopping rule.
 #[derive(Debug)]
-pub struct StopState {
-    tracker: Option<OnlineMacroTracker>,
+pub struct StopState<'a> {
+    rule: &'a StoppingRule,
     prev_boundary_x: Option<Vec<f64>>,
 }
 
-impl StopState {
-    /// Initialises the state for rule `rule` on an `n`-dimensional run.
-    pub fn new(rule: &StoppingRule, n: usize) -> Self {
-        match rule {
-            StoppingRule::MacroContraction { .. } => Self {
-                tracker: Some(OnlineMacroTracker::new(n)),
-                prev_boundary_x: None,
-            },
-            _ => Self {
-                tracker: None,
-                prev_boundary_x: None,
-            },
+impl<'a> StopState<'a> {
+    /// Initialises the state for `rule`.
+    pub fn new(rule: &'a StoppingRule) -> Self {
+        Self {
+            rule,
+            prev_boundary_x: None,
         }
     }
 
-    /// Observes step `j`; returns true when the run should stop.
+    /// Observes step `j`, which closed a macro-iteration iff `boundary`
+    /// (the step loop's tracker says so); returns true when the run
+    /// should stop.
     ///
     /// `scratch` is the engine's caller-owned operator scratch (length
     /// `≥ op.scratch_len()`), so residual checks in hot loops allocate
-    /// nothing.
-    ///
-    /// # Panics
-    /// Panics when an [`StoppingRule::ErrorBelow`] rule is used without a
-    /// known fixed point.
-    #[allow(clippy::too_many_arguments)]
+    /// nothing. `xstar` serves [`StoppingRule::ErrorBelow`] only, which
+    /// `RunControl::take_schedule` rejects without one.
     pub fn observe(
         &mut self,
-        rule: &StoppingRule,
         j: u64,
-        buf: &StepBuf,
+        boundary: bool,
         cur: &[f64],
         op: &dyn Operator,
         xstar: Option<&[f64]>,
         scratch: &mut [f64],
     ) -> bool {
-        match rule {
+        match self.rule {
             StoppingRule::Residual { eps, check_every } => {
                 let period = (*check_every).max(1);
                 j.is_multiple_of(period) && op.residual_inf_with(cur, scratch) <= *eps
@@ -161,13 +100,10 @@ impl StopState {
                 if !j.is_multiple_of(period) {
                     return false;
                 }
-                let xs = xstar.expect("ErrorBelow stopping rule requires xstar");
-                asynciter_numerics::vecops::max_abs_diff(cur, xs) <= *eps
+                xstar.is_some_and(|xs| asynciter_numerics::vecops::max_abs_diff(cur, xs) <= *eps)
             }
             StoppingRule::MacroContraction { eps, alpha, norm } => {
-                let min_label = buf.labels.iter().copied().min().unwrap_or(0);
-                let tracker = self.tracker.as_mut().expect("tracker initialised");
-                if tracker.observe(j, &buf.active, min_label).is_none() {
+                if !boundary {
                     return false;
                 }
                 let stop = match &self.prev_boundary_x {
@@ -195,24 +131,6 @@ mod tests {
 
     fn jacobi(n: usize) -> JacobiOperator {
         JacobiOperator::new(tridiagonal(n, 4.0, -1.0), vec![1.0; n]).unwrap()
-    }
-
-    #[test]
-    fn online_tracker_matches_offline_macroiter() {
-        let mut gen = ChaoticBounded::new(5, 1, 3, 9, false, 33);
-        let trace =
-            asynciter_models::schedule::record(&mut gen, 2000, asynciter_models::LabelStore::Full);
-        let offline = asynciter_models::macroiter::macro_iterations(&trace);
-        let mut tracker = OnlineMacroTracker::new(5);
-        let mut online = vec![0u64];
-        for (j, s) in trace.iter() {
-            let active: Vec<usize> = s.active.iter().map(|&i| i as usize).collect();
-            if let Some(b) = tracker.observe(j, &active, s.min_label) {
-                online.push(b);
-            }
-        }
-        assert_eq!(online, offline.boundaries);
-        assert_eq!(tracker.completed() as usize, offline.count());
     }
 
     #[test]

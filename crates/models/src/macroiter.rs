@@ -15,7 +15,8 @@
 //! Mishchenko–Iutzeler–Malick — they remain meaningful under out-of-order
 //! messages because they are defined through the labels actually read.
 //!
-//! Two variants are provided:
+//! [`OnlineMacroTracker`] is the one coverage walk, fed step by step by
+//! the engines; two offline variants fold it over a recorded trace:
 //!
 //! - [`macro_iterations`] — the literal Definition 2. Coverage is
 //!   required, but a step *after* `j_{k+1}` may still read a label older
@@ -55,60 +56,99 @@ impl MacroIterations {
     }
 }
 
-fn macro_iterations_impl(trace: &Trace, strict: bool) -> MacroIterations {
-    let n = trace.n();
-    let len = trace.len() as u64;
-    let suffix = if strict {
-        trace.min_label_suffix()
-    } else {
-        Vec::new()
-    };
+/// Streaming macro-iteration detector (literal Definition 2).
+///
+/// Feed every executed step; boundaries are reported as they complete.
+#[derive(Debug, Clone)]
+pub struct OnlineMacroTracker {
+    jk: u64,
+    covered: Vec<bool>,
+    count: usize,
+    boundaries: u64,
+}
+
+impl OnlineMacroTracker {
+    /// Tracker over `n` components.
+    pub fn new(n: usize) -> Self {
+        Self {
+            jk: 0,
+            covered: vec![false; n],
+            count: 0,
+            boundaries: 0,
+        }
+    }
+
+    /// Observes step `j` with active set `active` and oldest read label
+    /// `min_label`; returns `Some(j)` when `j` completes a
+    /// macro-iteration.
+    pub fn observe(&mut self, j: u64, active: &[usize], min_label: u64) -> Option<u64> {
+        self.step(j, active.iter().copied(), min_label, |_| true)
+    }
+
+    /// [`Self::observe`], except that a covered step completes the
+    /// macro-iteration only once `accept(j_k)` holds.
+    fn step(
+        &mut self,
+        j: u64,
+        active: impl Iterator<Item = usize>,
+        min_label: u64,
+        accept: impl FnOnce(u64) -> bool,
+    ) -> Option<u64> {
+        if min_label >= self.jk {
+            for i in active {
+                if !self.covered[i] {
+                    self.covered[i] = true;
+                    self.count += 1;
+                }
+            }
+        }
+        if self.count < self.covered.len() || !accept(self.jk) {
+            return None;
+        }
+        self.jk = j;
+        self.covered.fill(false);
+        self.count = 0;
+        self.boundaries += 1;
+        Some(j)
+    }
+
+    /// Number of completed macro-iterations so far.
+    pub fn completed(&self) -> u64 {
+        self.boundaries
+    }
+
+    /// The most recent boundary `j_k` (0 before the first completes).
+    pub fn last_boundary(&self) -> u64 {
+        self.jk
+    }
+}
+
+/// Folds the tracker over `trace`; a covered step `j` completes a
+/// macro-iteration once `accept(j, j_k)` holds.
+fn fold(trace: &Trace, accept: impl Fn(u64, u64) -> bool) -> MacroIterations {
+    let mut tracker = OnlineMacroTracker::new(trace.n());
     let mut boundaries = vec![0u64];
-    let mut jk = 0u64;
-    let mut covered = vec![false; n];
-    let mut count = 0usize;
     for (j, step) in trace.iter() {
-        if step.min_label >= jk {
-            for &i in &step.active {
-                let i = i as usize;
-                if !covered[i] {
-                    covered[i] = true;
-                    count += 1;
-                }
-            }
-        }
-        if count == n {
-            if strict {
-                // Require that everything still in flight after j reads
-                // labels >= jk; the suffix minimum over steps r > j is
-                // suffix[j] (suffix[k] = min over 1-based steps r >= k+1).
-                let future_min = if j < len {
-                    suffix[j as usize]
-                } else {
-                    u64::MAX
-                };
-                if future_min < jk {
-                    continue;
-                }
-            }
-            boundaries.push(j);
-            jk = j;
-            covered.fill(false);
-            count = 0;
-        }
+        let active = step.active.iter().map(|&i| i as usize);
+        boundaries.extend(tracker.step(j, active, step.min_label, |jk| accept(j, jk)));
     }
     MacroIterations { boundaries }
 }
 
 /// The literal Definition 2 macro-iteration sequence.
 pub fn macro_iterations(trace: &Trace) -> MacroIterations {
-    macro_iterations_impl(trace, false)
+    fold(trace, |_, _| true)
 }
 
 /// The strict (box-semantics) macro-iteration sequence: Definition 2 plus
 /// the requirement that all reads after `j_{k+1}` carry labels `≥ j_k`.
 pub fn macro_iterations_strict(trace: &Trace) -> MacroIterations {
-    macro_iterations_impl(trace, true)
+    // `suffix[j]` is the oldest label read by any step `r > j` (vacuous
+    // past the end): what is still in flight after a boundary at `j`.
+    let suffix = trace.min_label_suffix();
+    fold(trace, |j, jk| {
+        suffix.get(j as usize).is_none_or(|&oldest| oldest >= jk)
+    })
 }
 
 /// Counts freshness violations of a boundary sequence: steps `j` whose
@@ -241,6 +281,23 @@ mod tests {
         for (a, b) in lit.boundaries.iter().zip(&strict.boundaries) {
             assert!(b >= a);
         }
+    }
+
+    #[test]
+    fn out_of_order_boundaries_are_pinned() {
+        // A delayed, out-of-order trace whose boundaries were computed by
+        // the offline walk that preceded the tracker fold.
+        let mut g = ChaoticBounded::new(5, 1, 3, 9, false, 33);
+        let t = record(&mut g, 2000, LabelStore::Full);
+        let mut tracker = OnlineMacroTracker::new(5);
+        let mut online = vec![0u64];
+        for (j, s) in t.iter() {
+            let active: Vec<usize> = s.active.iter().map(|&i| i as usize).collect();
+            online.extend(tracker.observe(j, &active, s.min_label));
+        }
+        assert_eq!(online[..10], [0, 7, 17, 28, 43, 55, 72, 83, 98, 117]);
+        assert_eq!((tracker.completed(), online.len()), (166, 167));
+        assert_eq!(macro_iterations(&t).boundaries, online);
     }
 
     #[test]

@@ -34,6 +34,14 @@ pub struct TraceStep {
     pub min_label: u64,
 }
 
+/// Whether `(active, labels)` is a structurally valid step over `n`
+/// components: `S_j` non-empty, strictly increasing and below `n`, with
+/// `n` labels. The one definition behind [`Trace::push_step`]'s panic
+/// and the typed schedule error of the `asynciter-core` step loop.
+pub fn well_formed_step(active: &[usize], labels: &[u64], n: usize) -> bool {
+    labels.len() == n && active.last().is_some_and(|&i| i < n) && active.is_sorted_by(|a, b| a < b)
+}
+
 /// A recorded execution of an asynchronous iteration.
 #[derive(Debug, Clone)]
 pub struct Trace {
@@ -93,18 +101,13 @@ impl Trace {
     ///
     /// # Panics
     /// Panics when `active` is empty/unsorted/out-of-range or when
-    /// `labels.len() != n`.
+    /// `labels.len() != n` (see [`well_formed_step`]).
     pub fn push_step(&mut self, active: &[usize], labels: &[u64]) {
-        assert!(!active.is_empty(), "push_step: S_j must be nonempty");
-        assert_eq!(labels.len(), self.n, "push_step: labels must have length n");
-        let mut prev: Option<usize> = None;
-        for &i in active {
-            assert!(i < self.n, "push_step: component out of range");
-            if let Some(p) = prev {
-                assert!(i > p, "push_step: active set must be strictly increasing");
-            }
-            prev = Some(i);
-        }
+        assert!(
+            well_formed_step(active, labels, self.n),
+            "push_step: S_j must be nonempty, strictly increasing and in range; \
+             labels must have length n"
+        );
         let min_label = labels.iter().copied().min().expect("n > 0");
         self.steps.push(TraceStep {
             active: active.iter().map(|&i| i as u32).collect(),

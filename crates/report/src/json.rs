@@ -251,6 +251,7 @@ impl Json {
     /// Syntax errors, with the byte position.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -292,6 +293,8 @@ fn render_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`; `pos` is always a character boundary of both.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -429,12 +432,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy one UTF-8 character verbatim.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::at(self.pos, "invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next delimiter verbatim;
+                    // both are ASCII, so the cut is a character boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    s.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -1036,6 +1039,20 @@ mod tests {
             Json::parse("\"\\ud83e\\udd80\"").unwrap().as_str().unwrap(),
             "🦀"
         );
+    }
+
+    #[test]
+    fn multibyte_runs_survive_every_delimiter() {
+        // Unescaped runs are copied by slice: multi-byte characters
+        // directly before and after an escape, a quote and a `\uXXXX` pair.
+        let text = r#""ü—\né\"🦀\\—\u00e9ü\ud83e\udd80—""#;
+        let parsed = Json::parse(text).unwrap();
+        assert_eq!(parsed.as_str().unwrap(), "ü—\né\"🦀\\—éü🦀—");
+        assert_eq!(Json::parse(&parsed.render()).unwrap(), parsed);
+        // An escape cannot swallow (half of) a character.
+        for bad in ["\"\\é\"", "\"\\u00é\"", "\"\\u000é\""] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

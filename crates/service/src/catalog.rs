@@ -32,7 +32,7 @@ pub struct CatalogEntry {
     pub target: f64,
     /// Step budget bounding the worst case.
     pub budget: u64,
-    /// Fixed budget for the flexible backend (no stopping support).
+    /// Fixed budget for the flexible backend (pinned by the baselines).
     pub flex_budget: u64,
 }
 

@@ -51,8 +51,8 @@ pub enum BackendSpec {
         /// The schedule steering.
         schedule: ScheduleSpec,
     },
-    /// Definition-3 flexible communication (fixed budget; the engine
-    /// does not support stopping rules).
+    /// Definition-3 flexible communication on the fixed `flex_budget`: a
+    /// pinned choice, not an engine limit (it honours residual targets).
     Flexible {
         /// Inner iterations per outer update (`m ≥ 1`).
         m: usize,

@@ -7,8 +7,10 @@
 //! and drive millions of steps through `update_active_with` /
 //! `apply_with` / `residual_inf_with`).
 //!
-//! The audit swaps in a counting global allocator and runs everything in
-//! ONE `#[test]` so no parallel test thread can pollute the counter.
+//! The last test audits an engine loop: an unrecorded `Replay` session.
+//!
+//! The audit swaps in a counting global allocator that counts per thread,
+//! so no parallel test thread can pollute the counter.
 
 use asynciter::opt::logistic::LogisticGradOperator;
 use asynciter::opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
@@ -149,4 +151,26 @@ fn pool_leases_keep_per_step_loops_alloc_free_across_tenants() {
     assert_eq!(stats.leases, 64);
     assert_eq!(stats.created, 1, "the warmed buffer serves every tenant");
     assert_eq!(stats.reused, 64, "every lease recycled the warmed buffer");
+}
+
+#[test]
+fn unrecorded_replay_session_allocates_only_set_up_and_history() {
+    // An *engine* loop rather than an operator kernel: under
+    // `RecordMode::Off` nothing is recorded, so 1 000 steps cost the
+    // session's set-up plus the doubling growth of the eight `History`
+    // logs — not one trace step (a `Vec<u32>`) per iteration.
+    use asynciter::prelude::*;
+    let system = asynciter::numerics::sparse::tridiagonal(8, 4.0, -1.0);
+    let op = asynciter::opt::linear::JacobiOperator::new(system, vec![1.0; 8]).unwrap();
+    let mut report = None;
+    let allocs = count_allocs(|| {
+        // A delayed schedule whose generator allocates nothing itself.
+        let schedule = BlockRoundRobin::new(Partition::blocks(8, 2).unwrap(), 3);
+        let session = Session::new(&op).steps(1_000).schedule(schedule);
+        report = session.record(RecordMode::Off).backend(Replay).run().ok();
+    });
+    let report = report.expect("the session runs");
+    assert_eq!(report.steps, 1_000);
+    assert!(report.macro_iterations > 0 && report.trace.is_none());
+    assert!(allocs < 200, "{allocs} heap allocations in 1000 steps");
 }

@@ -345,42 +345,140 @@ fn threaded_single_worker_matches_sequential_cluster_bitwise() {
     );
 }
 
+/// Everything a run computes, bit for bit (not what it keeps: the trace).
+fn computed(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let residuals: Vec<_> = r.residuals.iter().map(|s| (s.0, s.1.to_bits())).collect();
+    let partials = (
+        r.partial_publishes,
+        r.partial_reads,
+        r.constraint_checked,
+        r.constraint_violations,
+    );
+    let stop = (r.steps, r.stopped_early, r.macro_iterations);
+    (bits(&r.final_x), residuals, stop, partials)
+}
+
 #[test]
 fn flexible_without_partials_matches_replay_bitwise() {
     // The paper's "Definition 3 without partials is Definition 1": one
     // inner iteration and nothing published leaves `Flexible` the read
     // vector, the update and the effective labels of `Replay`, here
-    // under out-of-order delays.
+    // under out-of-order delays. `Replay` is that call of the one loop,
+    // so the reference is not the other door but the numbers `Replay`'s
+    // own loop produced before it was deleted: budget run and every
+    // stopping rule as (steps, macro-iterations, digest of the iterate,
+    // digest of the residual samples).
+    use asynciter::models::{schedule, trace_io::trace_to_string as text};
+    use asynciter::report::stream::hash_f64s;
     let op = quickstart_operator(24);
-    let run = |backend: Box<dyn Backend>| {
-        Session::new(&op)
-            .steps(600)
-            .schedule(ChaoticBounded::new(24, 4, 12, 16, false, 29))
-            .record(RecordMode::Full)
-            .backend(backend)
+    let (xstar, _) = op.solve_exact().unwrap();
+    let residual = StoppingRule::Residual {
+        eps: 1e-9,
+        check_every: 4,
+    };
+    let error_below = StoppingRule::ErrorBelow {
+        eps: 1e-9,
+        check_every: 3,
+    };
+    let macro_contraction = StoppingRule::MacroContraction {
+        eps: 1e-9,
+        alpha: op.contraction_factor(),
+        norm: WeightedMaxNorm::uniform(24),
+    };
+    let locks = [
+        (None, 5000, 206, [0xcb8f7a0f5cd74620, 0x1ff0e17316e81d56]),
+        (
+            Some(residual),
+            1000,
+            41,
+            [0x520187513c261502, 0x03a6e94d688b36a9],
+        ),
+        (
+            Some(error_below),
+            1041,
+            42,
+            [0x42736a481d39267a, 0x13a755f08ee62101],
+        ),
+        (
+            Some(macro_contraction),
+            1131,
+            47,
+            [0xd33026b68ed80aa8, 0x54690752daf1346b],
+        ),
+    ];
+    for (rule, steps, macros, digests) in locks {
+        let definition_3 = Flexible {
+            m: 1,
+            partial: false,
+            ..Flexible::default()
+        };
+        let doors: [Box<dyn Backend>; 2] = [Box::new(Replay), Box::new(definition_3)];
+        for backend in doors {
+            let tag = format!("{} under {rule:?}", backend.name());
+            let session = Session::new(&op)
+                .steps(5_000)
+                .schedule(ChaoticBounded::new(24, 4, 12, 16, false, 29))
+                .xstar(xstar.clone())
+                .residual_every(7)
+                .record(RecordMode::Full)
+                .backend(backend);
+            let session = rule.iter().cloned().fold(session, Session::stopping);
+            let report = session.run().unwrap();
+            let stop = (report.steps, report.macro_iterations);
+            assert_eq!(stop, (steps, macros), "{tag}");
+            assert_eq!(report.stopped_early, rule.is_some(), "{tag}");
+            let samples: Vec<f64> = report.residuals.iter().map(|s| s.1).collect();
+            assert_eq!(samples.len() as u64, steps / 7, "{tag}");
+            let got = [hash_f64s(&report.final_x), hash_f64s(&samples)];
+            assert_eq!(got, digests, "{tag}");
+            assert_eq!(report.partial_publishes + report.partial_reads, 0, "{tag}");
+            // The kept trace is the schedule's own: active sets and full
+            // label vectors, step for step.
+            let mut chaotic = ChaoticBounded::new(24, 4, 12, 16, false, 29);
+            let emitted = schedule::record(&mut chaotic, steps, LabelStore::Full);
+            let kept = report.trace.unwrap();
+            assert!(text(&kept) == text(&emitted), "{tag}: traces differ");
+        }
+    }
+}
+
+#[test]
+fn recording_never_changes_an_iterate_bit() {
+    // Observation is free: what a run keeps decides nothing it computes,
+    // and the macro-iterations streamed by the step loop are the ones the
+    // offline walk finds in the trace it kept.
+    let op = quickstart_operator(24);
+    let (xstar, _) = op.solve_exact().unwrap();
+    for flexible in [false, true] {
+        let run = |mode: RecordMode| {
+            let session = Session::new(&op).steps(400).xstar(xstar.clone()).seed(5);
+            if flexible {
+                let blocks = Partition::blocks(24, 4).unwrap();
+                session
+                    .schedule(BlockRoundRobin::new(blocks, 6))
+                    .backend(Flexible {
+                        m: 3,
+                        partial_prob: 0.5,
+                        ..Flexible::default()
+                    })
+            } else {
+                session
+                    .schedule(ChaoticBounded::new(24, 4, 12, 16, false, 29))
+                    .backend(Replay)
+            }
+            .record(mode)
             .run()
             .unwrap()
-    };
-    let flexible = run(Box::new(Flexible {
-        m: 1,
-        partial: false,
-        ..Flexible::default()
-    }));
-    let replay = run(Box::new(Replay));
-    assert_eq!((flexible.steps, replay.steps), (600, 600));
-    assert_eq!(flexible.partial_publishes + flexible.partial_reads, 0);
-    for i in 0..op.dim() {
-        assert_eq!(
-            flexible.final_x[i].to_bits(),
-            replay.final_x[i].to_bits(),
-            "flexible vs replay at component {i}"
-        );
-    }
-    let (flexible, replay) = (flexible.trace.unwrap(), replay.trace.unwrap());
-    assert_eq!(flexible.len(), replay.len());
-    for j in 1..=replay.len() as u64 {
-        assert_eq!(flexible.step(j).active, replay.step(j).active, "step {j}");
-        assert_eq!(flexible.labels(j), replay.labels(j), "step {j}");
+        };
+        let off = run(RecordMode::Off);
+        assert!(off.trace.is_none() && off.macro_iterations > 0);
+        assert_eq!(off.partial_reads > 0, flexible);
+        for mode in [RecordMode::MinOnly, RecordMode::Full] {
+            let kept = run(mode);
+            assert_eq!(computed(&kept), computed(&off), "{mode:?}");
+            assert_eq!(macro_count(kept.trace.as_ref()), off.macro_iterations);
+        }
     }
 }
 
