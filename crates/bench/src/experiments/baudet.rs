@@ -10,13 +10,14 @@
 //! runs the condition checkers.
 
 use crate::ExpContext;
+use asynciter_core::session::{RecordMode, Session};
 use asynciter_models::analysis::{delay_growth_exponent, windowed_max};
 use asynciter_models::baudet::{baudet_trace, p1_read_delays};
 use asynciter_models::conditions::{check_condition_a, check_condition_b, check_condition_d};
 use asynciter_report::ascii::{line_chart, ChartSeries};
 use asynciter_report::csv::CsvWriter;
-use asynciter_sim::runner::Simulator;
 use asynciter_sim::scenario;
+use asynciter_sim::session::Sim;
 
 /// Runs E1.
 pub fn run(seed: u64, quick: bool) {
@@ -46,17 +47,18 @@ pub fn run(seed: u64, quick: bool) {
 
     // Simulator reproduction (independent implementation).
     let op = scenario::two_component_operator();
-    let sim = Simulator::run(
-        &op,
-        &[0.0, 0.0],
-        &scenario::baudet(steps.min(100_000)),
-        None,
-    )
-    .expect("simulation");
-    let sim_delays: Vec<(u64, u64)> = asynciter_models::analysis::delay_series(&sim.trace, 1)
+    let sim_trace = Session::new(&op)
+        .steps(steps.min(100_000))
+        .record(RecordMode::Full)
+        .backend(Sim(scenario::baudet()))
+        .run()
+        .expect("simulation")
+        .trace
+        .expect("recorded");
+    let sim_delays: Vec<(u64, u64)> = asynciter_models::analysis::delay_series(&sim_trace, 1)
         .expect("labels stored")
         .into_iter()
-        .zip(sim.trace.iter())
+        .zip(sim_trace.iter())
         .filter(|(_, (_, s))| s.active.as_slice() == [0])
         .map(|(d, _)| d)
         .collect();

@@ -10,7 +10,6 @@
 use crate::ExpContext;
 use asynciter_report::csv::CsvWriter;
 use asynciter_report::gantt::{render_gantt, GComm, GPhase};
-use asynciter_sim::runner::Simulator;
 use asynciter_sim::scenario;
 use asynciter_sim::timeline::CommKind;
 
@@ -18,19 +17,15 @@ use asynciter_sim::timeline::CommKind;
 pub fn run(seed: u64, quick: bool) {
     let mut ctx = ExpContext::new("F2", seed);
     let iterations = if quick { 8 } else { 12 };
-    let op = scenario::two_component_operator();
-    let cfg = scenario::fig2(iterations, seed);
-    let res = Simulator::run(&op, &[0.0, 0.0], &cfg, None).expect("simulation");
-    res.timeline.validate().expect("timeline invariants");
+    let (res, timeline) = super::fig1::simulate(scenario::fig2(seed), iterations);
+    timeline.validate().expect("timeline invariants");
 
-    let phases: Vec<GPhase> = res
-        .timeline
+    let phases: Vec<GPhase> = timeline
         .phases
         .iter()
         .map(|p| (p.proc, p.start, p.end, p.j))
         .collect();
-    let comms: Vec<GComm> = res
-        .timeline
+    let comms: Vec<GComm> = timeline
         .comms
         .iter()
         .map(|c| {
@@ -53,18 +48,17 @@ pub fn run(seed: u64, quick: bool) {
     );
     ctx.log(&chart);
 
-    let partials = res.timeline.partial_count();
-    let fulls = res.timeline.comms.len() - partials;
+    let partials = timeline.partial_count();
+    let fulls = timeline.comms.len() - partials;
     ctx.log(format!(
         "{partials} partial communications, {fulls} full communications"
     ));
     assert!(partials > 0, "Fig. 2 requires partial updates");
 
     // Every partial leaves strictly inside a phase of its sender.
-    for c in &res.timeline.comms {
+    for c in &timeline.comms {
         if c.kind == CommKind::Partial {
-            let inside = res
-                .timeline
+            let inside = timeline
                 .phases
                 .iter()
                 .any(|p| p.proc == c.from && p.start < c.send_t && c.send_t < p.end);
@@ -74,14 +68,16 @@ pub fn run(seed: u64, quick: bool) {
     ctx.log("verified: every partial update leaves strictly mid-phase");
 
     // Convergence still holds with partials consumed.
-    let xstar = op.solve_dense_spd().expect("2x2 solve");
-    let err = asynciter_numerics::vecops::max_abs_diff(&res.final_consensus, &xstar);
+    let xstar = scenario::two_component_operator()
+        .solve_dense_spd()
+        .expect("2x2 solve");
+    let err = res.final_error(&xstar);
     ctx.log(format!(
         "consensus error after {iterations} iterations: {err:.3e} (converging)"
     ));
 
     let mut csv = CsvWriter::new(&["from", "to", "send_t", "recv_t", "kind"]);
-    for c in &res.timeline.comms {
+    for c in &timeline.comms {
         csv.row_strings(&[
             c.from.to_string(),
             c.to.to_string(),

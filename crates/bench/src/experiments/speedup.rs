@@ -88,10 +88,7 @@ pub fn run(seed: u64, quick: bool) {
             latency: LatencyModel::Fixed { ticks: 1 },
             inner_steps: 1,
             partial_sends: 0,
-            max_iterations: 0, // set by the session's step budget
             seed,
-            record_labels: asynciter_models::LabelStore::MinOnly,
-            error_every: 0, // set by the session's error_every
         };
         let res = Session::new(&op)
             .steps(40 * k_sync * workers as u64)

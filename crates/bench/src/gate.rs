@@ -29,11 +29,13 @@
 //! comparator treats all three alike — every cell is gated.
 //!
 //! Only deterministic metrics are compared: status, residuals and
-//! simulated ticks. Wall-clock time is recorded in every cell but never
-//! gated — it is a trajectory, not a verdict, and `benchmark/` is the
-//! repo's timing yardstick.
+//! simulated ticks — and, for the five backends whose whole run is a
+//! function of the seed (`replay`, `flexible`, `sim`, `cluster`,
+//! `barrier`), `steps`, `macro_iterations`, `sim_time` and the bits of
+//! `final_residual` must equal the baseline's. Wall-clock time is
+//! recorded in every cell but never gated — it is a trajectory, not a
+//! verdict, and `benchmark/` is the repo's timing yardstick.
 
-use crate::harness::try_compare_backends;
 use asynciter_core::session::{Flexible, Replay, RunReport, Session};
 use asynciter_core::stopping::StoppingRule;
 use asynciter_core::CoreError;
@@ -108,8 +110,9 @@ impl ProblemId {
     /// and cluster cells already run their own targets). Those cells
     /// record steps-to-converge instead of burning the cap — the
     /// single-core-host policy that keeps the quick matrix inside its
-    /// wall budget despite 60 extra cells. `flexible` and `sim` have no
-    /// stopping support and run their (deterministic) fixed budgets.
+    /// wall budget despite 60 extra cells. `flexible` and `sim` honour
+    /// stopping rules too, but keep their (deterministic) fixed budgets
+    /// until the baseline is refreshed on purpose (ROADMAP item 6).
     fn residual_target(self) -> Option<f64> {
         match self {
             ProblemId::Logistic | ProblemId::NetworkFlow => Some(1e-9),
@@ -449,9 +452,9 @@ fn sim_partition(n: usize, procs: usize) -> Result<Partition, CoreError> {
 }
 
 /// Simulator realisation of each delay model.
-fn sim_config(n: usize, did: DelayId, steps: u64, seed: u64) -> Result<SimConfig, CoreError> {
+fn sim_config(n: usize, did: DelayId, seed: u64) -> Result<SimConfig, CoreError> {
     let procs = workers(did);
-    let mut cfg = SimConfig::uniform(sim_partition(n, procs)?, steps);
+    let mut cfg = SimConfig::uniform(sim_partition(n, procs)?);
     cfg.seed = seed;
     match did {
         DelayId::NoDelay => {}
@@ -509,7 +512,6 @@ fn run_session(
     pid: ProblemId,
     bid: BackendId,
     did: DelayId,
-    steps: u64,
     seed: u64,
 ) -> asynciter_core::Result<RunReport> {
     let threads = workers(did);
@@ -586,7 +588,7 @@ fn run_session(
             .run()
         }
         BackendId::Sim => {
-            let cfg = sim_config(n, did, steps, seed)?;
+            let cfg = sim_config(n, did, seed)?;
             s.backend(Sim(cfg)).run()
         }
         BackendId::Cluster => {
@@ -674,8 +676,8 @@ fn run_session(
     }
 }
 
-/// Runs one cell through [`try_compare_backends`], turning failures into
-/// recorded `"failed"` cells instead of aborting the matrix.
+/// Runs one cell, turning a failure into a recorded `"failed"` cell
+/// instead of aborting the matrix.
 fn run_cell(
     gp: &GateProblem,
     pid: ProblemId,
@@ -686,22 +688,11 @@ fn run_cell(
 ) -> GateRecord {
     let (fidelity, note) = fidelity_of(bid, did);
     let steps = step_budget(pid, bid, mode);
-    let n = gp.op.dim();
-    let x0 = gp.x0.clone();
-    let result = try_compare_backends(
-        gp.op.as_ref(),
-        vec![Box::new(move |s: Session<'_>| {
-            run_session(
-                s.x0(x0).steps(steps).seed(seed),
-                n,
-                pid,
-                bid,
-                did,
-                steps,
-                seed,
-            )
-        })],
-    );
+    let session = Session::new(gp.op.as_ref())
+        .x0(gp.x0.clone())
+        .steps(steps)
+        .seed(seed);
+    let result = run_session(session, gp.op.dim(), pid, bid, did, seed);
     let mut record = GateRecord {
         problem: pid.id().to_string(),
         backend: bid.id().to_string(),
@@ -718,8 +709,7 @@ fn run_cell(
         per_worker_updates: Vec::new(),
     };
     match result {
-        Ok(mut reports) => {
-            let report = reports.pop().expect("one run per cell");
+        Ok(report) => {
             record.steps = report.steps;
             record.wall_secs = report.wall_secs();
             record.sim_time = report.sim_time;
@@ -789,6 +779,9 @@ const RESIDUAL_FLOOR: f64 = 1e-5;
 const RESIDUAL_RATIO: f64 = 25.0;
 /// Simulated-tick regression ratio (deterministic, so tight).
 const SIM_TIME_RATIO: f64 = 1.25;
+/// Backends whose run is a function of the seed: what they record is
+/// compared exactly. `shared-mem` and `threaded-cluster` race.
+const DETERMINISTIC: [&str; 5] = ["replay", "flexible", "sim", "cluster", "barrier"];
 
 /// Per-cell comparison verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -807,6 +800,9 @@ pub enum Verdict {
     ResidualRegression,
     /// Simulated ticks regressed beyond the ratio.
     SimTimeRegression,
+    /// A deterministic backend recorded something other than the
+    /// baseline did.
+    Changed,
 }
 
 impl Verdict {
@@ -818,6 +814,7 @@ impl Verdict {
                 | Verdict::RunFailed
                 | Verdict::ResidualRegression
                 | Verdict::SimTimeRegression
+                | Verdict::Changed
         )
     }
 
@@ -831,6 +828,7 @@ impl Verdict {
             Verdict::RunFailed => "FAILED",
             Verdict::ResidualRegression => "RESIDUAL",
             Verdict::SimTimeRegression => "SIM-TIME",
+            Verdict::Changed => "CHANGED",
         }
     }
 }
@@ -952,6 +950,30 @@ fn compare_cell(base: &GateRecord, cur: &GateRecord) -> (Verdict, String) {
             );
         }
         (None, _) => {}
+    }
+    if DETERMINISTIC.contains(&base.backend.as_str()) {
+        let exact = |r: &GateRecord| {
+            let residual = r.final_residual;
+            [
+                ("steps", r.steps.to_string()),
+                ("macro_iterations", r.macro_iterations.to_string()),
+                ("sim_time", format!("{:?}", r.sim_time)),
+                (
+                    "final_residual",
+                    format!("{residual:e} (bits {:#018x})", residual.to_bits()),
+                ),
+            ]
+        };
+        let changed = exact(base)
+            .into_iter()
+            .zip(exact(cur))
+            .find(|(b, c)| b != c);
+        if let Some(((field, b), (_, c))) = changed {
+            return (
+                Verdict::Changed,
+                format!("deterministic {field} changed: baseline {b}, current {c}"),
+            );
+        }
     }
     (Verdict::Pass, String::new())
 }
@@ -1228,13 +1250,16 @@ mod tests {
         let report = check_matrix(&doc(vec![base]), &doc(vec![cur]));
         assert!(!report.passed());
         assert_eq!(report.cells[0].verdict, Verdict::SimTimeRegression);
-        // Within ratio passes.
-        let mut cur = ok_record(("p", "sim", "d"));
-        cur.sim_time = Some(1200);
-        let mut base = ok_record(("p", "sim", "d"));
-        base.sim_time = Some(1000);
-        let report = check_matrix(&doc(vec![base]), &doc(vec![cur]));
-        assert!(report.passed());
+        // Within the ratio: still a change for the deterministic
+        // simulator, a pass for a backend that races.
+        for (backend, verdict) in [("sim", Verdict::Changed), ("b", Verdict::Pass)] {
+            let mut cur = ok_record(("p", backend, "d"));
+            cur.sim_time = Some(1200);
+            let mut base = ok_record(("p", backend, "d"));
+            base.sim_time = Some(1000);
+            let report = check_matrix(&doc(vec![base]), &doc(vec![cur]));
+            assert_eq!(report.cells[0].verdict, verdict);
+        }
     }
 
     #[test]

@@ -1,65 +1,7 @@
-//! Shared experiment plumbing: results directories, artefact saving, a
-//! tiny experiment context that stamps every run with its parameters, and
-//! a cross-backend comparison helper built on the unified `Session` API.
+//! Shared experiment plumbing: results directories, artefact saving, and
+//! a tiny experiment context that stamps every run with its parameters.
 
-use asynciter_core::session::{RunReport, Session};
-use asynciter_opt::traits::Operator;
 use std::path::{Path, PathBuf};
-
-/// Runs the same problem once per backend (each closure configures and
-/// executes one `Session`) and returns the reports — the
-/// same-problem/any-backend comparison as a one-liner. Panics on a
-/// failed run, which is what experiment binaries want.
-///
-/// ```
-/// use asynciter_bench::harness::compare_backends;
-/// use asynciter_core::session::{Replay, Session};
-/// use asynciter_opt::linear::JacobiOperator;
-/// use asynciter_numerics::sparse::tridiagonal;
-///
-/// let op = JacobiOperator::new(tridiagonal(8, 4.0, -1.0), vec![1.0; 8]).unwrap();
-/// let reports = compare_backends(&op, vec![
-///     Box::new(|s: Session| s.steps(100).backend(Replay).run().unwrap()),
-/// ]);
-/// assert_eq!(reports[0].backend, "replay");
-/// ```
-#[allow(clippy::type_complexity)]
-pub fn compare_backends<'a, O: Operator>(
-    op: &'a O,
-    runs: Vec<Box<dyn FnOnce(Session<'a>) -> RunReport + 'a>>,
-) -> Vec<RunReport> {
-    runs.into_iter().map(|f| f(Session::new(op))).collect()
-}
-
-/// Fallible variant of [`compare_backends`]: each closure returns the
-/// backend's `Result` and the first failure is reported instead of
-/// panicking. Sweeps that must survive individual bad cells (the
-/// benchmark gate's scenario matrix) call this once per cell, so an
-/// invalid configuration becomes a recorded failure rather than an
-/// aborted matrix.
-///
-/// ```
-/// use asynciter_bench::harness::try_compare_backends;
-/// use asynciter_core::session::{Replay, Session};
-/// use asynciter_opt::linear::JacobiOperator;
-/// use asynciter_numerics::sparse::tridiagonal;
-///
-/// let op = JacobiOperator::new(tridiagonal(8, 4.0, -1.0), vec![1.0; 8]).unwrap();
-/// let reports = try_compare_backends(&op, vec![
-///     Box::new(|s: Session| s.steps(100).backend(Replay).run()),
-/// ]).unwrap();
-/// assert_eq!(reports[0].backend, "replay");
-/// ```
-///
-/// # Errors
-/// The first backend error encountered, with any later runs skipped.
-#[allow(clippy::type_complexity)]
-pub fn try_compare_backends<'a>(
-    op: &'a dyn Operator,
-    runs: Vec<Box<dyn FnOnce(Session<'a>) -> asynciter_core::Result<RunReport> + 'a>>,
-) -> asynciter_core::Result<Vec<RunReport>> {
-    runs.into_iter().map(|f| f(Session::new(op))).collect()
-}
 
 /// The workspace results directory for an experiment id (e.g. `"F1"`),
 /// honouring the `ASYNCITER_RESULTS` environment variable and defaulting

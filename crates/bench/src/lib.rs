@@ -20,7 +20,7 @@ pub mod gate;
 pub mod harness;
 pub mod service_cli;
 
-pub use harness::{compare_backends, results_dir, save_text, try_compare_backends, ExpContext};
+pub use harness::{results_dir, save_text, ExpContext};
 
 /// Parses an optional `--seed N` / `--quick` command line for the
 /// experiment binaries. Returns `(seed, quick)`.

@@ -167,3 +167,36 @@ fn doctored_baseline_detects_regressions() {
     assert!(!report.passed());
     assert_eq!(report.cells[0].verdict, Verdict::SimTimeRegression);
 }
+
+/// A deterministic cell's step count is compared exactly — the committed
+/// baseline with one `replay` cell's `steps` bumped by 1 no longer
+/// matches itself — while a racing backend keeps the floor / ratio rule.
+#[test]
+fn a_changed_step_count_fails_deterministic_cells_only() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../baselines/gate-baseline.json"
+    );
+    let current = GateDoc::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    assert!(check_matrix(&current, &current).passed());
+    let bumped = |backend: &str| {
+        let mut doc = current.clone();
+        let cell = doc.records.iter_mut().find(|r| r.backend == backend);
+        cell.expect("backend in the baseline").steps += 1;
+        check_matrix(&doc, &current)
+    };
+    let report = bumped("replay");
+    assert_eq!(report.failures(), 1);
+    let cell = report
+        .cells
+        .iter()
+        .find(|c| c.verdict.is_failure())
+        .unwrap();
+    assert_eq!(cell.verdict, Verdict::Changed);
+    assert_eq!(cell.key, "jacobi|replay|no-delay");
+    assert_eq!(
+        cell.detail,
+        "deterministic steps changed: baseline 2501, current 2500"
+    );
+    assert!(bumped("threaded-cluster").passed());
+}

@@ -11,8 +11,9 @@
 //!   replayed trace re-replays bit-identically, including after a
 //!   round-trip through the `trace_io` text format.
 //! - [`sim_equivalence`] — cross-backend: a `replay_equivalent`
-//!   simulation's trace, injected into the replay engine, reproduces
-//!   the simulated iterates bit for bit.
+//!   simulation's trace (one to three inner iterations per phase),
+//!   injected into the core step loop with as many inner iterations,
+//!   reproduces the simulated iterates bit for bit.
 //! - [`flexible_degrades`] — Definition 3: the flexible engine with
 //!   partial communication still converges on the same schedule
 //!   (looser tolerance), publishes partials, and reports coherent
@@ -142,8 +143,9 @@ fn sim_regime(seed: u64, procs: usize) -> (Vec<ComputeModel>, LatencyModel) {
     }
 }
 
-/// Cross-backend equivalence: Sim and Replay produce bit-identical
-/// iterates on the same recorded schedule.
+/// Cross-backend equivalence: Sim with `1 + seed % 3` inner iterations
+/// per phase and the core step loop with as many (`Replay`'s loop at 1)
+/// produce bit-identical iterates on the same recorded schedule.
 ///
 /// # Errors
 /// A message naming the first divergent component, or any backend error.
@@ -156,11 +158,17 @@ pub fn sim_equivalence(
     let n = problem.n();
     let partition =
         Partition::blocks(n, procs).map_err(|e| format!("sim partition {n}/{procs}: {e}"))?;
-    let mut cfg = SimConfig::uniform(partition, iterations);
+    let mut cfg = SimConfig::uniform(partition);
     cfg.seed = seed;
     let (compute, latency) = sim_regime(seed, procs);
     cfg.compute = compute;
     cfg.latency = latency;
+    cfg.inner_steps = 1 + (seed % 3) as usize;
+    let definition_3 = Flexible {
+        m: cfg.inner_steps,
+        partial: false,
+        ..Flexible::default()
+    };
     debug_assert!(cfg.replay_equivalent());
     let sim = Session::new(problem.op.as_ref())
         .x0(problem.x0.clone())
@@ -174,7 +182,7 @@ pub fn sim_equivalence(
         .x0(problem.x0.clone())
         .replay_trace(trace)
         .map_err(|e| format!("sim trace not replayable: {e}"))?
-        .backend(Replay)
+        .backend(definition_3)
         .run()
         .map_err(|e| format!("replay of sim trace failed: {e}"))?;
     for (i, (a, b)) in sim.final_x.iter().zip(&replay.final_x).enumerate() {

@@ -32,17 +32,17 @@
 //!
 //! Definition 1 is the `m = 1` case in which nothing is ever published:
 //! [`Replay`](crate::engine::Replay) is this loop called that way, and
-//! until a first partial exists a step does no Definition-3 work. Sampling
-//! and every stopping rule are honoured, macro-iterations are streamed, and
-//! a trace exists only if the [`RecordMode`](crate::session::RecordMode) keeps it.
+//! until a first partial exists a step does no Definition-3 work. What
+//! follows a step — streaming macro-iterations, the trace if the
+//! [`RecordMode`](crate::session::RecordMode) keeps one, sampling and
+//! every stopping rule — is the [`Observer`]'s, shared with `Sim`.
 
 use crate::engine::History;
 use crate::error::CoreError;
-use crate::session::{Backend, Problem, RunControl, RunReport};
-use crate::stopping::StopState;
-use asynciter_models::macroiter::OnlineMacroTracker;
+use crate::observer::Observer;
+use crate::session::{check_dim, Backend, Problem, RunControl, RunReport};
 use asynciter_models::schedule::StepBuf;
-use asynciter_models::trace::{well_formed_step, Trace};
+use asynciter_models::trace::well_formed_step;
 use asynciter_numerics::norm::WeightedMaxNorm;
 use rand::RngExt;
 use std::cell::LazyCell;
@@ -124,13 +124,11 @@ impl Backend for Flexible {
         let publish_period = self.publish_period.unwrap_or(default_period.max(1));
         // Built when the first partial is published, if one ever is.
         let uniform = LazyCell::new(|| WeightedMaxNorm::uniform(n));
-        if let Some(norm) = self.norm.as_ref().filter(|norm| norm.dim() != n) {
-            return Err(CoreError::DimensionMismatch {
-                expected: n,
-                actual: norm.dim(),
-                context: "Flexible (norm)",
-            });
-        }
+        check_dim(
+            n,
+            self.norm.as_ref().map_or(n, |norm| norm.dim()),
+            "Flexible (norm)",
+        )?;
         for (name, count) in [("m", m), ("publish_period", publish_period)] {
             if count == 0 {
                 return Err(CoreError::InvalidParameter {
@@ -147,9 +145,10 @@ impl Backend for Flexible {
         }
         let start = std::time::Instant::now();
 
-        // Filled in place (`final_x` is the current iterate x(j)); no trace under `Off`.
+        // Filled in place (`final_x` is the current iterate x(j)); what
+        // the observer sees of the run is written by its `finish`.
         let mut report = RunReport::new(self.name(), problem.x0.clone(), 0, f64::NAN);
-        report.trace = (ctl.record.keeps_trace()).then(|| Trace::new(n, ctl.record.label_store()));
+        let mut observer = Observer::new(problem, ctl);
         let cur = &mut report.final_x;
         let mut rng = asynciter_numerics::rng::rng(ctl.seed.unwrap_or(0));
         let mut history = History::new(&problem.x0);
@@ -160,8 +159,6 @@ impl Backend for Flexible {
         let partials = if publish_period < m { n } else { 0 };
         let mut latest_partial: Vec<(u64, f64)> = vec![(0, 0.0); partials];
         let mut eff_labels = vec![0u64; partials];
-        let mut tracker = OnlineMacroTracker::new(n);
-        let mut stop_state = ctl.stopping.as_ref().map(StopState::new);
         // Workhorse buffers reused across iterations (no allocation in the
         // step loop), including the operator's caller-owned scratch.
         let mut buf = StepBuf::new(n);
@@ -251,32 +248,13 @@ impl Backend for Flexible {
                 }
             }
 
-            let min_label = labels.iter().copied().min().unwrap_or(0);
-            let boundary = tracker.observe(j, &buf.active, min_label).is_some();
-            if let Some(trace) = report.trace.as_mut() {
-                trace.push_step(&buf.active, labels);
-            }
-            report.steps = j;
-
-            if ctl.error_every > 0 && j % ctl.error_every == 0 {
-                let xs = xstar.expect("take_schedule: error sampling has its fixed point");
-                let error = asynciter_numerics::vecops::max_abs_diff(cur, xs);
-                report.errors.push((j, error));
-            }
-            if ctl.residual_every > 0 && j % ctl.residual_every == 0 {
-                let residual = op.residual_inf_with(cur, &mut scratch);
-                report.residuals.push((j, residual));
-            }
-            let stop = stop_state.as_mut();
-            if stop.is_some_and(|s| s.observe(j, boundary, cur, op, xstar, &mut scratch)) {
-                report.stopped_early = true;
+            if observer.step(j, &buf.active, labels, cur, &mut scratch) {
                 break;
             }
         }
 
         report.wall = start.elapsed();
-        report.macro_iterations = tracker.completed();
-        report.final_residual = op.residual_inf(cur);
+        observer.finish(&mut report);
         Ok(report)
     }
 }

@@ -18,7 +18,11 @@
 //!   estimation.
 //! - [`stopping`] — stopping rules: plain residual tests and the
 //!   macro-iteration-based criterion in the spirit of Miellou–Spiteri–
-//!   El Baz \[15\], fed by the loop's online macro-iteration tracker.
+//!   El Baz \[15\].
+//! - [`observer`] — the one after-step [`Observer`] of the sequential
+//!   engines (the loop above and the event loop of `asynciter-sim`): it
+//!   streams Definition 2, keeps the trace, samples and evaluates the
+//!   stopping rule.
 //! - [`session`] — the **unified execution API**: one fluent [`Session`]
 //!   builder, one [`session::Backend`] trait and one [`session::RunReport`]
 //!   shared by every engine in the workspace (replay, flexible, the
@@ -34,11 +38,13 @@
 pub mod engine;
 pub mod error;
 pub mod flexible;
+pub mod observer;
 pub mod session;
 pub mod stopping;
 pub mod theory;
 
 pub use error::CoreError;
+pub use observer::Observer;
 pub use session::{Flexible, Problem, RecordMode, Replay, RunControl, RunReport, Session};
 pub use stopping::{OnlineMacroTracker, StoppingRule};
 

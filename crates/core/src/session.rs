@@ -23,6 +23,13 @@
 //!   `Sim(config)` in `asynciter-sim`. Every backend populates the same
 //!   [`RunReport`].
 //!
+//! The sequential engines observe in one place: the step loop (`Replay`,
+//! `Flexible`) and the simulator's event loop (`Sim`) pass
+//! [`RunControl::check`] and then tell one
+//! [`Observer`](crate::observer::Observer) each completed step, so
+//! macro-iteration streaming, the trace, sampling and every stopping
+//! rule are the same code for all three.
+//!
 //! The fluent [`Session`] builder wires the three together:
 //!
 //! ```
@@ -79,8 +86,8 @@ impl Problem<'_> {
 /// `LabelStore` / `Option<LabelStore>` knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordMode {
-    /// Nothing is recorded: `Replay` / `Flexible` build no trace and
-    /// stream macro-iterations (see [`RunReport::macro_iterations`]).
+    /// Nothing is recorded: `Replay` / `Flexible` / `Sim` build no trace
+    /// and stream macro-iterations (see [`RunReport::macro_iterations`]).
     #[default]
     Off,
     /// Active sets and minimum labels only.
@@ -108,7 +115,7 @@ impl RecordMode {
 ///
 /// `schedule` is the explicit `(𝒮, ℒ)` realisation consumed by
 /// schedule-driven backends ([`Replay`], [`Flexible`]); thread and
-/// simulator backends generate their own schedules and ignore it. It is
+/// simulator backends generate their own schedules and reject it. It is
 /// `&mut` state: backends `take()` it while running.
 pub struct RunControl<'a> {
     /// Step budget: iterations (replay/flexible), block updates
@@ -133,43 +140,26 @@ pub struct RunControl<'a> {
 }
 
 impl<'a> RunControl<'a> {
-    /// Opens a schedule-driven run: removes and returns the schedule
-    /// (default: the synchronous Jacobi steering) once `x0`, the
-    /// schedule and `xstar` are checked against the operator's
+    /// Checks what every run needs of its inputs before the first step:
+    /// `x0`, `xstar` and the stopping norm have the operator's
     /// dimension, the step budget is positive, error sampling has its
-    /// fixed point and the stopping rule is in its documented ranges.
+    /// fixed point and the stopping rule is in its documented ranges —
+    /// the condition under which an [`Observer`](crate::observer::Observer)
+    /// may be opened.
     ///
     /// # Errors
     /// [`CoreError::DimensionMismatch`] naming the offending input, or
     /// [`CoreError::InvalidParameter`].
-    pub fn take_schedule(
-        &mut self,
-        problem: &Problem<'_>,
-    ) -> crate::Result<Box<dyn ScheduleGen + 'a>> {
+    pub fn check(&self, problem: &Problem<'_>) -> crate::Result<()> {
         let n = problem.n();
-        let gen = self
-            .schedule
-            .take()
-            .unwrap_or_else(|| Box::new(SyncJacobi::new(n)));
         let xstar = problem.xstar.as_ref();
         let stopping_norm = match &self.stopping {
             Some(StoppingRule::MacroContraction { norm, .. }) => norm.dim(),
             _ => n,
         };
-        for (actual, context) in [
-            (problem.x0.len(), "Session (x0)"),
-            (gen.n(), "Session (schedule)"),
-            (xstar.map_or(n, Vec::len), "Session (xstar)"),
-            (stopping_norm, "Session (stopping norm)"),
-        ] {
-            if actual != n {
-                return Err(CoreError::DimensionMismatch {
-                    expected: n,
-                    actual,
-                    context,
-                });
-            }
-        }
+        check_dim(n, problem.x0.len(), "Session (x0)")?;
+        check_dim(n, xstar.map_or(n, Vec::len), "Session (xstar)")?;
+        check_dim(n, stopping_norm, "Session (stopping norm)")?;
         if self.max_steps == 0 {
             return Err(CoreError::InvalidParameter {
                 name: "max_steps",
@@ -196,12 +186,33 @@ impl<'a> RunControl<'a> {
             {
                 "eps must not be NaN".into()
             }
-            _ => return Ok(gen),
+            _ => return Ok(()),
         };
         Err(CoreError::InvalidParameter {
             name: "stopping",
             message: bad_rule,
         })
+    }
+
+    /// Opens a schedule-driven run: [`RunControl::check`], then removes
+    /// and returns the schedule (default: the synchronous Jacobi
+    /// steering) once it has the operator's dimension too.
+    ///
+    /// # Errors
+    /// Those of [`RunControl::check`], or
+    /// [`CoreError::DimensionMismatch`] naming the schedule.
+    pub fn take_schedule(
+        &mut self,
+        problem: &Problem<'_>,
+    ) -> crate::Result<Box<dyn ScheduleGen + 'a>> {
+        self.check(problem)?;
+        let n = problem.n();
+        let gen = self
+            .schedule
+            .take()
+            .unwrap_or_else(|| Box::new(SyncJacobi::new(n)));
+        check_dim(n, gen.n(), "Session (schedule)")?;
+        Ok(gen)
     }
 
     /// Rejects error and residual sampling, for backends where no
@@ -260,6 +271,22 @@ impl<'a> RunControl<'a> {
     }
 }
 
+/// `actual == expected`, or the mismatch naming `context`.
+pub(crate) fn check_dim(
+    expected: usize,
+    actual: usize,
+    context: &'static str,
+) -> crate::Result<()> {
+    if actual == expected {
+        return Ok(());
+    }
+    Err(CoreError::DimensionMismatch {
+        expected,
+        actual,
+        context,
+    })
+}
+
 /// The one result type every backend populates.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -272,10 +299,11 @@ pub struct RunReport {
     pub steps: u64,
     /// Completed macro-iterations (Definition 2) of the executed
     /// schedule, whatever the [`RecordMode`]: streamed by `Replay` /
-    /// `Flexible` (over the *effective* labels, partials included),
-    /// counted from the engine's own min-label trace by `Cluster` /
-    /// `ThreadedCluster` / `Sim`, the sweeps of `Barrier`, and for
-    /// `SharedMem` 0 unless it keeps a step log (not under `Off`).
+    /// `Flexible` (over the *effective* labels, partials included) and
+    /// `Sim` (over the labels each phase read at its start), counted
+    /// from the engine's own min-label trace by `Cluster` /
+    /// `ThreadedCluster`, the sweeps of `Barrier`, and for `SharedMem` 0
+    /// unless it keeps a step log (not under `Off`).
     pub macro_iterations: u64,
     /// `(j, ‖x(j) − x*‖_∞)` samples (empty unless requested).
     pub errors: Vec<(u64, f64)>,
@@ -436,9 +464,9 @@ pub fn macro_count(trace: Option<&Trace>) -> u64 {
 
 /// An execution engine for Eq. (1): its step loop reads the
 /// backend-independent [`Problem`] + [`RunControl`] (and the backend
-/// struct's own fields) and fills the [`RunReport`]. `Cluster`,
-/// `ThreadedCluster` and `Sim` still go through a native configuration
-/// whose result carries statistics the report cannot hold yet.
+/// struct's own fields) and fills the [`RunReport`]. Only `Cluster` and
+/// `ThreadedCluster` still go through a native configuration whose
+/// result carries statistics the report cannot hold yet.
 pub trait Backend {
     /// Short backend name for reports and error messages.
     fn name(&self) -> &'static str;

@@ -8,13 +8,13 @@
 //! iterate moved by at most `ε·(1−α)/α` in weighted max norm over a full
 //! macro-iteration of an `α`-contracting operator, then the distance to
 //! the fixed point is at most `ε`. [`StoppingRule::MacroContraction`]
-//! implements exactly that, told by the step loop's
-//! [`OnlineMacroTracker`] (streaming form of Definition 2) when a
-//! boundary closes. `RunControl::take_schedule` rejects rules outside
-//! the ranges documented on each variant.
+//! states exactly that. Rules are evaluated after each step by the one
+//! [`Observer`](crate::observer::Observer) — whose [`OnlineMacroTracker`]
+//! (streaming form of Definition 2) says when a boundary closes — for
+//! `Replay`, `Flexible` and `Sim` alike; `RunControl::check` rejects
+//! rules outside the ranges documented on each variant.
 
 use asynciter_numerics::norm::WeightedMaxNorm;
-use asynciter_opt::traits::Operator;
 
 pub use asynciter_models::macroiter::OnlineMacroTracker;
 
@@ -57,69 +57,6 @@ pub enum StoppingRule {
     },
 }
 
-/// Mutable evaluation state of a stopping rule.
-#[derive(Debug)]
-pub struct StopState<'a> {
-    rule: &'a StoppingRule,
-    prev_boundary_x: Option<Vec<f64>>,
-}
-
-impl<'a> StopState<'a> {
-    /// Initialises the state for `rule`.
-    pub fn new(rule: &'a StoppingRule) -> Self {
-        Self {
-            rule,
-            prev_boundary_x: None,
-        }
-    }
-
-    /// Observes step `j`, which closed a macro-iteration iff `boundary`
-    /// (the step loop's tracker says so); returns true when the run
-    /// should stop.
-    ///
-    /// `scratch` is the engine's caller-owned operator scratch (length
-    /// `≥ op.scratch_len()`), so residual checks in hot loops allocate
-    /// nothing. `xstar` serves [`StoppingRule::ErrorBelow`] only, which
-    /// `RunControl::take_schedule` rejects without one.
-    pub fn observe(
-        &mut self,
-        j: u64,
-        boundary: bool,
-        cur: &[f64],
-        op: &dyn Operator,
-        xstar: Option<&[f64]>,
-        scratch: &mut [f64],
-    ) -> bool {
-        match self.rule {
-            StoppingRule::Residual { eps, check_every } => {
-                let period = (*check_every).max(1);
-                j.is_multiple_of(period) && op.residual_inf_with(cur, scratch) <= *eps
-            }
-            StoppingRule::ErrorBelow { eps, check_every } => {
-                let period = (*check_every).max(1);
-                if !j.is_multiple_of(period) {
-                    return false;
-                }
-                xstar.is_some_and(|xs| asynciter_numerics::vecops::max_abs_diff(cur, xs) <= *eps)
-            }
-            StoppingRule::MacroContraction { eps, alpha, norm } => {
-                if !boundary {
-                    return false;
-                }
-                let stop = match &self.prev_boundary_x {
-                    Some(prev) => {
-                        let change = norm.dist(cur, prev);
-                        change <= eps * (1.0 - alpha) / alpha
-                    }
-                    None => false,
-                };
-                self.prev_boundary_x = Some(cur.to_vec());
-                stop
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +65,7 @@ mod tests {
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;
+    use asynciter_opt::traits::Operator;
 
     fn jacobi(n: usize) -> JacobiOperator {
         JacobiOperator::new(tridiagonal(n, 4.0, -1.0), vec![1.0; n]).unwrap()

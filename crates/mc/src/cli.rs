@@ -575,6 +575,19 @@ mod tests {
             assert_eq!(&err, want, "message drifted for {args:?}");
             assert_eq!(mc_main(&s(args)), 2, "exit code drifted for {args:?}");
         }
+        // Outside input: a trace file whose step 2 has an unsorted `S_j`
+        // used to reach an `assert!` (exit 101 with a backtrace).
+        let path = std::env::temp_dir().join(format!("mc-cli-{}.trace", std::process::id()));
+        let text = "asynciter-trace v1 n=2 labels=full\n1 a 0 | l 0 0\n2 a 1 0 | l 1 1\n";
+        std::fs::write(&path, text).unwrap();
+        let args = s(&["--from-trace", path.to_str().unwrap()]);
+        let want = format!(
+            "parse {path:?}: invalid parameter `trace-input`: line 3: S_j = [1, 0] \
+             must be nonempty, strictly increasing and below n = 2"
+        );
+        assert_eq!(parse_args(&args).err(), Some(want));
+        assert_eq!(mc_main(&args), 2, "a malformed trace file is a usage error");
+        std::fs::remove_file(&path).ok();
         assert_eq!(
             mc_main(&s(&["--steps"])),
             2,

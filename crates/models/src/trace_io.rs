@@ -15,7 +15,7 @@
 //! ```
 
 use crate::error::ModelError;
-use crate::trace::{LabelStore, Trace};
+use crate::trace::{well_formed_step, LabelStore, Trace};
 use std::io::{BufRead, Write};
 
 /// Serialises a trace to a writer.
@@ -76,9 +76,10 @@ fn parse_err(line: usize, message: impl Into<String>) -> ModelError {
 /// Deserialises a trace from a reader.
 ///
 /// # Errors
-/// [`ModelError::InvalidParameter`] on malformed input; structural trace
-/// invariants (sorted active sets, label arity) are re-validated by the
-/// underlying [`Trace::push_step`], surfacing corruption loudly.
+/// [`ModelError::InvalidParameter`] naming the line, on malformed input
+/// and on a step that is not well formed ([`well_formed_step`]: `S_j`
+/// non-empty, strictly increasing, below `n`) — a trace file is outside
+/// input and never reaches [`Trace::push_step`]'s assertion.
 pub fn read_trace(input: &mut dyn BufRead) -> crate::Result<Trace> {
     let mut lines = input.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| parse_err(1, "empty input"))?;
@@ -154,6 +155,11 @@ pub fn read_trace(input: &mut dyn BufRead) -> crate::Result<Trace> {
             }
             _ => return Err(parse_err(lineno, "missing label marker")),
         }
+        if !well_formed_step(&active, &labels, n) {
+            let message =
+                format!("S_j = {active:?} must be nonempty, strictly increasing and below n = {n}");
+            return Err(parse_err(lineno, message));
+        }
         trace.push_step(&active, &labels);
     }
     Ok(trace)
@@ -224,6 +230,27 @@ mod tests {
         assert!(trace_from_str("asynciter-trace v1 n=2 labels=full\n1 a 0 | l 0\n").is_err());
         // Non-consecutive step numbering.
         assert!(trace_from_str("asynciter-trace v1 n=2 labels=full\n2 a 0 | l 0 0\n").is_err());
+    }
+
+    #[test]
+    fn a_malformed_active_set_is_a_typed_error_naming_its_line() {
+        // Unsorted, empty, out of range, repeated: each used to reach
+        // the `assert!` in `Trace::push_step`.
+        for step in [
+            "1 a 1 0 | l 0 0",
+            "1 a | l 0 0",
+            "1 a 0 7 | l 0 0",
+            "1 a 1 1 | m 0",
+        ] {
+            let text = format!("asynciter-trace v1 n=2 labels=full\n{step}\n");
+            match trace_from_str(&text) {
+                Err(ModelError::InvalidParameter { name, message }) => {
+                    assert_eq!(name, "trace-input", "{step}");
+                    assert!(message.starts_with("line 2: S_j = ["), "{step}: {message}");
+                }
+                other => panic!("{step}: expected a typed parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

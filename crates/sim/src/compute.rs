@@ -39,10 +39,25 @@ pub enum ComputeModel {
 }
 
 impl ComputeModel {
+    /// Checks the model's parameters.
+    ///
+    /// # Errors
+    /// What is wrong, as a message: `Uniform` with `hi < lo`, or
+    /// `HeavyTail` with a tail index that is not positive.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            ComputeModel::Uniform { lo, hi } if hi < lo => Err(format!(
+                "uniform duration needs lo <= hi (got lo {lo}, hi {hi})"
+            )),
+            ComputeModel::HeavyTail { alpha, .. } => validate_alpha(alpha),
+            _ => Ok(()),
+        }
+    }
+
     /// Duration of phase `k ≥ 1`.
     ///
     /// # Panics
-    /// Panics when `k == 0` or the model is degenerate (`hi < lo`).
+    /// Panics when `k == 0` or the model does not [`validate`](Self::validate).
     pub fn duration(&self, k: u64, rng: &mut StdRng) -> u64 {
         assert!(k >= 1, "ComputeModel::duration: k counts from 1");
         match self {
@@ -58,6 +73,15 @@ impl ComputeModel {
             }
         }
     }
+}
+
+/// A Pareto tail index must be positive; NaN fails the comparison and is
+/// rejected too.
+fn validate_alpha(alpha: f64) -> Result<(), String> {
+    if alpha > 0.0 {
+        return Ok(());
+    }
+    Err(format!("heavy-tail alpha must be positive (got {alpha})"))
 }
 
 /// Link latency model.
@@ -86,10 +110,25 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
+    /// Checks the model's parameters.
+    ///
+    /// # Errors
+    /// What is wrong, as a message: `Jitter` with `hi < lo`, or
+    /// `HeavyTail` with a tail index that is not positive.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            LatencyModel::Jitter { lo, hi } if hi < lo => Err(format!(
+                "jitter latency needs lo <= hi (got lo {lo}, hi {hi})"
+            )),
+            LatencyModel::HeavyTail { alpha, .. } => validate_alpha(alpha),
+            _ => Ok(()),
+        }
+    }
+
     /// Samples a latency.
     ///
     /// # Panics
-    /// Panics when the model is degenerate (`hi < lo`).
+    /// Panics when the model does not [`validate`](Self::validate).
     pub fn latency(&self, rng: &mut StdRng) -> u64 {
         match self {
             LatencyModel::Fixed { ticks } => *ticks,

@@ -15,9 +15,15 @@
 //! simulator gives exact, reproducible timelines with real arithmetic:
 //! each simulated processor actually computes its block of the operator
 //! from its local (stale) copies, so simulated runs converge/diverge for
-//! real mathematical reasons, and every run yields both a
-//! [`timeline::Timeline`] (for rendering) and an
-//! [`asynciter_models::Trace`] (for macro-iteration/epoch analysis).
+//! real mathematical reasons.
+//!
+//! There is one door: `Session` → [`Sim`], which runs a [`SimConfig`]
+//! straight off the session's problem and controls into the shared
+//! `RunReport` — budget, error and residual sampling, every stopping
+//! rule, streamed macro-iterations, and an [`asynciter_models::Trace`]
+//! (for macro-iteration/epoch analysis) when recording is on.
+//! [`Sim::run_with_timeline`] is the same run that also hands out the
+//! [`timeline::Timeline`] the figures are rendered from.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -25,16 +31,11 @@
 #![deny(rust_2018_idioms)]
 
 pub mod compute;
-pub mod error;
 pub mod runner;
 pub mod scenario;
 pub mod session;
 pub mod timeline;
 
-pub use error::SimError;
-pub use runner::{SimConfig, SimResult, Simulator};
+pub use runner::SimConfig;
 pub use session::Sim;
 pub use timeline::{CommKind, Timeline};
-
-/// Convenience result alias for this crate.
-pub type Result<T> = std::result::Result<T, SimError>;

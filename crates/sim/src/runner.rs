@@ -6,31 +6,42 @@
 //! 1. captures the local copy at its **start** (the phase's input — this
 //!    is where staleness enters),
 //! 2. runs `inner_steps` iterations of the operator on the owned block
-//!    (off-block frozen),
+//!    (off-block frozen), rejecting a non-finite iterate before anything
+//!    of the phase can leave the processor,
 //! 3. optionally sends `partial_sends` intermediate block values at
 //!    evenly spaced times inside the phase (flexible communication,
 //!    Fig. 2's hatched arrows),
 //! 4. at its **end** is assigned the next global iteration number `j`
-//!    (completion order = the iteration order of Definition 1),
-//!    publishes locally, and sends the final values to every peer
-//!    (Fig. 1's arrows), each arrival delayed by the latency model.
+//!    (completion order = the iteration order of Definition 1), writes
+//!    its block into the global iterate `x(j)`, and sends the final
+//!    values to every peer (Fig. 1's arrows), each arrival delayed by
+//!    the latency model.
 //!
 //! Message arrivals update the receiver's local copy (keep-freshest by
-//! sender phase) and its per-component *global-label* bookkeeping, from
-//! which the run emits a [`Trace`] whose labels provably satisfy
-//! condition (a): a phase's read labels come from completions strictly
-//! before its own `j`.
+//! sender phase) and its per-component *global-label* bookkeeping: the
+//! labels a phase read at its start, which provably satisfy condition
+//! (a) — they come from completions strictly before its own `j`. Each
+//! phase end is one step told to the `asynciter-core`
+//! [`Observer`], which streams Definition 2 over those labels, keeps the
+//! trace when asked, samples, and evaluates the stopping rule: the run
+//! ends at the phase that fires it exactly as it ends at its budget.
+//!
+//! [`Sim`](crate::session::Sim) is the one door into this loop.
 
 use crate::compute::{ComputeModel, LatencyModel};
-use crate::error::SimError;
 use crate::timeline::{Comm, CommKind, Phase, Timeline};
+use asynciter_core::observer::Observer;
+use asynciter_core::session::{Problem, RunControl, RunReport};
+use asynciter_core::CoreError;
 use asynciter_models::partition::Partition;
-use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_opt::traits::Operator;
+use rand::rngs::StdRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Configuration of a simulation run.
+/// The simulated machine: who owns what, how long phases and messages
+/// take, and how a phase communicates. How long to run, what to sample,
+/// when to stop and what to keep are the session's `RunControl`.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Component → processor assignment.
@@ -44,32 +55,28 @@ pub struct SimConfig {
     pub inner_steps: usize,
     /// Number of mid-phase partial sends (0 = classic asynchronous).
     pub partial_sends: usize,
-    /// Total global iterations to simulate.
-    pub max_iterations: u64,
-    /// RNG seed.
+    /// RNG seed of the compute and latency draws: the default that a
+    /// session seed (`Session::seed`) overrides, so a canned scenario
+    /// carries its own.
     pub seed: u64,
-    /// Label retention of the emitted trace.
-    pub record_labels: LabelStore,
-    /// Record consensus error vs `xstar` every this many iterations
-    /// (0 = never).
-    pub error_every: u64,
 }
 
 impl SimConfig {
-    /// True when every simulated phase is arithmetically expressible as
-    /// one Definition-1 step — `inner_steps == 1` and no partial sends —
-    /// so the emitted trace, replayed through the deterministic replay
-    /// engine, must reproduce the simulated iterates *bit for bit*.
-    /// The conformance fuzzer's cross-backend oracle only injects traces
-    /// from configurations satisfying this predicate; multi-step phases
-    /// and mid-phase partials have no single-step replay form.
+    /// True when no value leaves a processor mid-phase, so each phase is
+    /// arithmetically `inner_steps` inner iterations of one scheduled
+    /// step: the recorded trace, replayed through
+    /// `Flexible { m: inner_steps, partial: false }` — the `Replay`
+    /// engine when `inner_steps == 1` — must reproduce the simulated
+    /// iterates *bit for bit*. The conformance fuzzer's cross-backend
+    /// oracle only injects traces from configurations satisfying this
+    /// predicate; mid-phase partials have no scheduled-step replay form.
     pub fn replay_equivalent(&self) -> bool {
-        self.inner_steps == 1 && self.partial_sends == 0
+        self.partial_sends == 0
     }
 
     /// A plain configuration with fixed unit compute times and unit
     /// latency.
-    pub fn uniform(partition: Partition, max_iterations: u64) -> Self {
+    pub fn uniform(partition: Partition) -> Self {
         let p = partition.num_machines();
         Self {
             partition,
@@ -77,32 +84,39 @@ impl SimConfig {
             latency: LatencyModel::Fixed { ticks: 1 },
             inner_steps: 1,
             partial_sends: 0,
-            max_iterations,
             seed: 0,
-            record_labels: LabelStore::Full,
-            error_every: 0,
         }
+    }
+
+    /// Checks the configuration against a problem of dimension `n`,
+    /// once, before the event loop.
+    fn check(&self, n: usize) -> asynciter_core::Result<()> {
+        let procs = self.partition.num_machines();
+        for (expected, actual, context) in [
+            (n, self.partition.n(), "Sim (partition)"),
+            (procs, self.compute.len(), "Sim (compute models)"),
+        ] {
+            if actual != expected {
+                return Err(CoreError::DimensionMismatch {
+                    expected,
+                    actual,
+                    context,
+                });
+            }
+        }
+        let invalid = |name, message| CoreError::InvalidParameter { name, message };
+        if self.inner_steps == 0 {
+            return Err(invalid("inner_steps", "must be positive".into()));
+        }
+        for model in &self.compute {
+            model.validate().map_err(|m| invalid("compute", m))?;
+        }
+        self.latency.validate().map_err(|m| invalid("latency", m))
     }
 }
 
-/// Result of a simulation run.
-#[derive(Debug)]
-pub struct SimResult {
-    /// The recorded timeline (Fig. 1/2 data).
-    pub timeline: Timeline,
-    /// The recorded trace (macro-iteration/epoch analysis data).
-    pub trace: Trace,
-    /// Consensus iterate (owner components) at the end.
-    pub final_consensus: Vec<f64>,
-    /// `(j, ‖consensus − x*‖_∞)` samples.
-    pub errors: Vec<(u64, f64)>,
-    /// Simulated completion time of each error sample (same indexing as
-    /// `errors`) — lets experiments convert convergence into simulated
-    /// wall-clock.
-    pub error_times: Vec<u64>,
-    /// Simulated end time.
-    pub end_time: u64,
-}
+/// The backend's name in reports and error messages.
+pub(crate) const NAME: &str = "sim";
 
 #[derive(Debug)]
 enum Event {
@@ -121,386 +135,305 @@ enum Event {
 struct InFlight {
     start: u64,
     end: u64,
-    phase_idx: u64,
     read_labels: Vec<u64>,
     final_values: Vec<f64>,
 }
 
-/// The deterministic simulator. See module docs.
-#[derive(Debug, Default)]
-pub struct Simulator;
+/// The state of one simulation: processors, event queue, timeline, the
+/// global iterate and the reusable phase-compute buffers.
+struct Run<'a> {
+    op: &'a dyn Operator,
+    cfg: &'a SimConfig,
+    rng: StdRng,
+    blocks: Vec<Vec<usize>>,
+    /// The iterate `x(j)`: every owner's last completed block.
+    x: Vec<f64>,
+    /// Completed global iterations `j`.
+    completed: u64,
+    // Per-processor state.
+    local: Vec<Vec<f64>>,
+    known_label: Vec<Vec<u64>>,
+    /// Freshest sender phase applied per (proc, component), for
+    /// keep-freshest message application.
+    known_phase: Vec<Vec<u64>>,
+    phase_count: Vec<u64>,
+    last_completed_j: Vec<u64>,
+    in_flight: Vec<Option<InFlight>>,
+    /// Pending events by `(time, index into events)`: the index breaks
+    /// ties in scheduling order.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    events: Vec<Option<Event>>,
+    timeline: Timeline,
+    // Phase input copy, block output and operator scratch, so the
+    // compute section allocates only what a phase must own (its
+    // recorded read labels and the values it sends).
+    w: Vec<f64>,
+    upd: Vec<f64>,
+    scratch: Vec<f64>,
+}
 
-impl Simulator {
-    /// Runs the simulation.
-    ///
-    /// # Errors
-    /// Dimension/parameter validation failures.
-    pub fn run(
-        op: &dyn Operator,
-        x0: &[f64],
-        cfg: &SimConfig,
-        xstar: Option<&[f64]>,
-    ) -> crate::Result<SimResult> {
-        let n = op.dim();
+impl<'a> Run<'a> {
+    fn new(cfg: &'a SimConfig, problem: &'a Problem<'_>, seed: u64) -> Self {
+        let (op, n) = (problem.op, problem.n());
         let procs = cfg.partition.num_machines();
-        if x0.len() != n || cfg.partition.n() != n {
-            return Err(SimError::DimensionMismatch {
-                expected: n,
-                actual: if x0.len() != n {
-                    x0.len()
-                } else {
-                    cfg.partition.n()
-                },
-                context: "Simulator::run",
-            });
+        Self {
+            op,
+            cfg,
+            rng: asynciter_numerics::rng::rng(seed),
+            blocks: (0..procs).map(|p| cfg.partition.components_of(p)).collect(),
+            x: problem.x0.clone(),
+            completed: 0,
+            local: vec![problem.x0.clone(); procs],
+            known_label: vec![vec![0; n]; procs],
+            known_phase: vec![vec![0; n]; procs],
+            phase_count: vec![0; procs],
+            last_completed_j: vec![0; procs],
+            in_flight: (0..procs).map(|_| None).collect(),
+            heap: BinaryHeap::new(),
+            events: Vec::new(),
+            timeline: Timeline::new(procs),
+            w: vec![0.0; n],
+            upd: vec![0.0; n],
+            scratch: vec![0.0; op.scratch_len()],
         }
-        if cfg.compute.len() != procs {
-            return Err(SimError::DimensionMismatch {
-                expected: procs,
-                actual: cfg.compute.len(),
-                context: "Simulator::run (compute models)",
+    }
+
+    fn push(&mut self, t: u64, e: Event) {
+        self.events.push(Some(e));
+        self.heap.push(Reverse((t, self.events.len() - 1)));
+    }
+
+    /// Sends `values` of `p`'s block to every peer at `send_t`, drawing
+    /// one latency per destination in destination order.
+    fn broadcast(&mut self, p: usize, send_t: u64, values: &[f64], label: u64, kind: CommKind) {
+        let sender_phase = self.phase_count[p];
+        for to in (0..self.blocks.len()).filter(|&to| to != p) {
+            let recv_t = send_t + self.cfg.latency.latency(&mut self.rng);
+            self.timeline.comms.push(Comm {
+                from: p,
+                to,
+                send_t,
+                recv_t,
+                sender_phase,
+                kind,
             });
-        }
-        if cfg.max_iterations == 0 || cfg.inner_steps == 0 {
-            return Err(SimError::InvalidParameter {
-                name: "max_iterations/inner_steps",
-                message: "must be positive".into(),
-            });
-        }
-        if cfg.error_every > 0 && xstar.is_none() {
-            return Err(SimError::InvalidParameter {
-                name: "error_every",
-                message: "error recording requires xstar".into(),
-            });
-        }
-
-        let mut rng = asynciter_numerics::rng::rng(cfg.seed);
-        let blocks: Vec<Vec<usize>> = (0..procs).map(|p| cfg.partition.components_of(p)).collect();
-
-        // Per-processor state.
-        let mut local: Vec<Vec<f64>> = vec![x0.to_vec(); procs];
-        let mut known_label: Vec<Vec<u64>> = vec![vec![0; n]; procs];
-        // Freshest sender phase applied per (proc, component) for
-        // keep-freshest message application.
-        let mut known_phase: Vec<Vec<u64>> = vec![vec![0; n]; procs];
-        let mut phase_count: Vec<u64> = vec![0; procs];
-        let mut last_completed_j: Vec<u64> = vec![0; procs];
-        let mut in_flight: Vec<Option<InFlight>> = (0..procs).map(|_| None).collect();
-
-        let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let mut events: Vec<Option<Event>> = Vec::new();
-        let mut seq = 0u64;
-        let push = |heap: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-                    events: &mut Vec<Option<Event>>,
-                    seq: &mut u64,
-                    t: u64,
-                    e: Event| {
-            events.push(Some(e));
-            heap.push(Reverse((t, *seq, events.len() - 1)));
-            *seq += 1;
-        };
-
-        let mut timeline = Timeline::new(procs);
-        let mut trace = Trace::new(n, cfg.record_labels);
-        let mut errors = Vec::new();
-        let mut error_times = Vec::new();
-        let mut j_global = 0u64;
-        let mut now = 0u64;
-        // Reusable phase-compute buffers (see `schedule_phase`).
-        let mut w_buf = vec![0.0; n];
-        let mut upd = vec![0.0; n];
-        let mut op_scratch = vec![0.0; op.scratch_len()];
-
-        // Schedules the next phase of processor `p` starting at `t`.
-        // `w_buf`/`upd`/`op_scratch` are the run's reusable work buffers
-        // (phase input copy, block output, operator scratch), so the
-        // compute section allocates only what a phase must own (its
-        // recorded read labels and final values).
-        #[allow(clippy::too_many_arguments)]
-        fn schedule_phase(
-            p: usize,
-            t: u64,
-            op: &dyn Operator,
-            cfg: &SimConfig,
-            blocks: &[Vec<usize>],
-            local: &[Vec<f64>],
-            known_label: &[Vec<u64>],
-            phase_count: &mut [u64],
-            last_completed_j: &[u64],
-            in_flight: &mut [Option<InFlight>],
-            rng: &mut rand::rngs::StdRng,
-            timeline: &mut Timeline,
-            heap: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-            events: &mut Vec<Option<Event>>,
-            seq: &mut u64,
-            w_buf: &mut [f64],
-            upd: &mut [f64],
-            op_scratch: &mut [f64],
-        ) {
-            phase_count[p] += 1;
-            let k = phase_count[p];
-            let dur = cfg.compute[p].duration(k, rng);
-            let end = t + dur;
-            // The phase input is the local copy *now* (stale for
-            // everything updated later).
-            w_buf.copy_from_slice(&local[p]);
-            let read_labels = known_label[p].clone();
-            // Inner iterations on the owned block, capturing intermediate
-            // (partial) values after each inner step when mid-phase sends
-            // are configured.
-            let mut partials: Vec<Vec<f64>> = Vec::new();
-            for _ in 0..cfg.inner_steps {
-                op.update_active_with(w_buf, &blocks[p], upd, op_scratch);
-                for &i in &blocks[p] {
-                    w_buf[i] = upd[i];
-                }
-                if cfg.partial_sends > 0 {
-                    partials.push(blocks[p].iter().map(|&i| w_buf[i]).collect());
-                }
-            }
-            let final_values: Vec<f64> = if cfg.partial_sends > 0 {
-                partials.pop().expect("inner_steps >= 1")
-            } else {
-                blocks[p].iter().map(|&i| w_buf[i]).collect()
+            let comps = self.blocks[p].iter().map(|&i| i as u32);
+            let e = Event::MsgArrive {
+                to,
+                comps: comps.zip(values.iter().copied()).collect(),
+                sender_phase,
+                global_label: label,
             };
-            // Mid-phase partial sends at evenly spaced interior times,
-            // carrying the freshest intermediate available then.
-            if cfg.partial_sends > 0 && !partials.is_empty() {
-                let sends = cfg.partial_sends.min(partials.len());
-                for s in 1..=sends {
-                    let send_t = t + dur * s as u64 / (sends as u64 + 1);
-                    let stage = ((partials.len() * s).div_ceil(sends + 1)).min(partials.len() - 1);
-                    let values = &partials[stage];
-                    for dest in 0..blocks.len() {
-                        if dest == p {
-                            continue;
-                        }
-                        let recv_t = send_t + cfg.latency.latency(rng);
-                        timeline.comms.push(Comm {
-                            from: p,
-                            to: dest,
-                            send_t,
-                            recv_t,
-                            sender_phase: k,
-                            kind: CommKind::Partial,
-                        });
-                        let e = Event::MsgArrive {
-                            to: dest,
-                            comps: blocks[p]
-                                .iter()
-                                .zip(values)
-                                .map(|(&i, &v)| (i as u32, v))
-                                .collect(),
-                            sender_phase: k,
-                            // Partials are at least as fresh as the
-                            // sender's last completed iteration.
-                            global_label: last_completed_j[p],
-                        };
-                        events.push(Some(e));
-                        heap.push(Reverse((recv_t, *seq, events.len() - 1)));
-                        *seq += 1;
-                    }
-                }
-            }
-            in_flight[p] = Some(InFlight {
-                start: t,
-                end,
-                phase_idx: k,
-                read_labels,
-                final_values,
-            });
-            events.push(Some(Event::PhaseEnd { p }));
-            heap.push(Reverse((end, *seq, events.len() - 1)));
-            *seq += 1;
+            self.push(recv_t, e);
         }
+    }
 
-        for p in 0..procs {
-            schedule_phase(
-                p,
-                0,
-                op,
-                cfg,
-                &blocks,
-                &local,
-                &known_label,
-                &mut phase_count,
-                &last_completed_j,
-                &mut in_flight,
-                &mut rng,
-                &mut timeline,
-                &mut heap,
-                &mut events,
-                &mut seq,
-                &mut w_buf,
-                &mut upd,
-                &mut op_scratch,
-            );
-        }
-
-        while let Some(Reverse((t, _, idx))) = heap.pop() {
-            if j_global >= cfg.max_iterations {
-                break;
-            }
-            now = t;
-            let event = events[idx].take().expect("event consumed once");
-            match event {
-                Event::MsgArrive {
-                    to,
-                    comps,
-                    sender_phase,
-                    global_label,
-                } => {
-                    for &(c, v) in &comps {
-                        let c = c as usize;
-                        // Keep-freshest by sender phase (single owner per
-                        // component ⇒ phases order that component's
-                        // values); equal phases accept (later partials of
-                        // the same phase are fresher).
-                        if sender_phase >= known_phase[to][c] {
-                            known_phase[to][c] = sender_phase;
-                            local[to][c] = v;
-                            known_label[to][c] = known_label[to][c].max(global_label);
-                        }
-                    }
-                }
-                Event::PhaseEnd { p } => {
-                    let fl = in_flight[p].take().expect("phase in flight");
-                    j_global += 1;
-                    let j = j_global;
-                    last_completed_j[p] = j;
-                    // Publish locally.
-                    for (&i, &v) in blocks[p].iter().zip(&fl.final_values) {
-                        local[p][i] = v;
-                        known_label[p][i] = j;
-                        known_phase[p][i] = fl.phase_idx;
-                    }
-                    timeline.phases.push(Phase {
-                        proc: p,
-                        start: fl.start,
-                        end: fl.end,
-                        j,
-                    });
-                    // Condition (a) by construction: reads predate j.
-                    debug_assert!(fl.read_labels.iter().all(|&l| l < j));
-                    trace.push_step(&blocks[p], &fl.read_labels);
-                    // Final-value messages to all peers.
-                    for dest in 0..procs {
-                        if dest == p {
-                            continue;
-                        }
-                        let recv_t = fl.end + cfg.latency.latency(&mut rng);
-                        timeline.comms.push(Comm {
-                            from: p,
-                            to: dest,
-                            send_t: fl.end,
-                            recv_t,
-                            sender_phase: fl.phase_idx,
-                            kind: CommKind::Full,
-                        });
-                        push(
-                            &mut heap,
-                            &mut events,
-                            &mut seq,
-                            recv_t,
-                            Event::MsgArrive {
-                                to: dest,
-                                comps: blocks[p]
-                                    .iter()
-                                    .zip(&fl.final_values)
-                                    .map(|(&i, &v)| (i as u32, v))
-                                    .collect(),
-                                sender_phase: fl.phase_idx,
-                                global_label: j,
-                            },
-                        );
-                    }
-                    if cfg.error_every > 0 && j.is_multiple_of(cfg.error_every) {
-                        let xs = xstar.expect("validated above");
-                        let mut consensus = vec![0.0; n];
-                        for (q, block) in blocks.iter().enumerate() {
-                            for &i in block {
-                                consensus[i] = local[q][i];
-                            }
-                        }
-                        errors.push((j, asynciter_numerics::vecops::max_abs_diff(&consensus, xs)));
-                        error_times.push(fl.end);
-                    }
-                    if j < cfg.max_iterations {
-                        schedule_phase(
-                            p,
-                            fl.end,
-                            op,
-                            cfg,
-                            &blocks,
-                            &local,
-                            &known_label,
-                            &mut phase_count,
-                            &last_completed_j,
-                            &mut in_flight,
-                            &mut rng,
-                            &mut timeline,
-                            &mut heap,
-                            &mut events,
-                            &mut seq,
-                            &mut w_buf,
-                            &mut upd,
-                            &mut op_scratch,
-                        );
-                    }
-                }
-            }
-        }
-
-        // Phases still in flight at the horizon never received an
-        // iteration number and are absent from `timeline.phases`; drop
-        // their already-scheduled partial communications so the timeline
-        // stays self-consistent.
-        let completed: Vec<u64> = (0..procs)
-            .map(|p| timeline.phases.iter().filter(|ph| ph.proc == p).count() as u64)
-            .collect();
-        timeline
-            .comms
-            .retain(|c| c.sender_phase <= completed[c.from]);
-
-        let mut final_consensus = vec![0.0; n];
-        for (q, block) in blocks.iter().enumerate() {
+    /// Schedules the next phase of processor `p` starting at `t`: draws
+    /// its duration, computes it from the local copy *now* (stale for
+    /// everything updated later) and sends its partials.
+    fn schedule_phase(&mut self, p: usize, t: u64) -> asynciter_core::Result<()> {
+        self.phase_count[p] += 1;
+        let k = self.phase_count[p];
+        let dur = self.cfg.compute[p].duration(k, &mut self.rng);
+        self.w.copy_from_slice(&self.local[p]);
+        let read_labels = self.known_label[p].clone();
+        // Inner iterations on the owned block. With mid-phase sends the
+        // intermediate (partial) values after each one are kept; the
+        // last stage is the phase's final values either way.
+        let (m, block) = (self.cfg.inner_steps, &self.blocks[p]);
+        let mut stages: Vec<Vec<f64>> = Vec::new();
+        for r in 1..=m {
+            self.op
+                .update_active_with(&self.w, block, &mut self.upd, &mut self.scratch);
             for &i in block {
-                final_consensus[i] = local[q][i];
+                if !self.upd[i].is_finite() {
+                    return Err(CoreError::NonFiniteIterate {
+                        at_step: self.completed + 1,
+                        component: i,
+                    });
+                }
+                self.w[i] = self.upd[i];
+            }
+            if self.cfg.partial_sends > 0 || r == m {
+                stages.push(block.iter().map(|&i| self.w[i]).collect());
             }
         }
+        let final_values = stages.pop().expect("inner_steps >= 1");
+        // Mid-phase partial sends at evenly spaced interior times,
+        // carrying the freshest intermediate available then. Partials
+        // are at least as fresh as the sender's last completed iteration.
+        let sends = self.cfg.partial_sends.min(stages.len());
+        for s in 1..=sends {
+            let send_t = t + dur * s as u64 / (sends as u64 + 1);
+            let stage = ((stages.len() * s).div_ceil(sends + 1)).min(stages.len() - 1);
+            let label = self.last_completed_j[p];
+            self.broadcast(p, send_t, &stages[stage], label, CommKind::Partial);
+        }
+        self.in_flight[p] = Some(InFlight {
+            start: t,
+            end: t + dur,
+            read_labels,
+            final_values,
+        });
+        self.push(t + dur, Event::PhaseEnd { p });
+        Ok(())
+    }
 
-        Ok(SimResult {
-            timeline,
-            trace,
-            final_consensus,
-            errors,
-            error_times,
-            end_time: now,
-        })
+    /// Applies an arrived message to `to`'s local copy. Keep-freshest by
+    /// sender phase (single owner per component ⇒ phases order that
+    /// component's values); equal phases accept (later partials of the
+    /// same phase are fresher).
+    fn arrive(&mut self, to: usize, comps: &[(u32, f64)], sender_phase: u64, global_label: u64) {
+        for &(c, v) in comps {
+            let c = c as usize;
+            if sender_phase >= self.known_phase[to][c] {
+                self.known_phase[to][c] = sender_phase;
+                self.local[to][c] = v;
+                self.known_label[to][c] = self.known_label[to][c].max(global_label);
+            }
+        }
+    }
+
+    /// Completes the phase of `p`: assigns it the next iteration number,
+    /// writes its block into `x(j)` and `p`'s own copy, and sends the
+    /// final values to all peers. Returns the phase.
+    fn end_phase(&mut self, p: usize) -> InFlight {
+        let fl = self.in_flight[p].take().expect("phase in flight");
+        self.completed += 1;
+        let j = self.completed;
+        self.last_completed_j[p] = j;
+        for (&i, &v) in self.blocks[p].iter().zip(&fl.final_values) {
+            self.x[i] = v;
+            self.local[p][i] = v;
+            self.known_label[p][i] = j;
+            self.known_phase[p][i] = self.phase_count[p];
+        }
+        self.timeline.phases.push(Phase {
+            proc: p,
+            start: fl.start,
+            end: fl.end,
+            j,
+        });
+        // Condition (a) by construction: reads predate j.
+        debug_assert!(fl.read_labels.iter().all(|&l| l < j));
+        self.broadcast(p, fl.end, &fl.final_values, j, CommKind::Full);
+        fl
     }
 }
 
+/// Checks the controls and `cfg` against `problem`, then runs the
+/// simulation to the budget or the stopping rule.
+pub(crate) fn run(
+    cfg: &SimConfig,
+    problem: &Problem<'_>,
+    ctl: &RunControl<'_>,
+) -> asynciter_core::Result<(RunReport, Timeline)> {
+    ctl.check(problem)?;
+    cfg.check(problem.n())?;
+    let start = std::time::Instant::now();
+    let mut run = Run::new(cfg, problem, ctl.seed.unwrap_or(cfg.seed));
+    let mut observer = Observer::new(problem, ctl);
+    let procs = run.blocks.len();
+    for p in 0..procs {
+        run.schedule_phase(p, 0)?;
+    }
+    let mut now = 0;
+    while let Some(Reverse((t, idx))) = run.heap.pop() {
+        now = t;
+        match run.events[idx].take().expect("event consumed once") {
+            Event::MsgArrive {
+                to,
+                comps,
+                sender_phase,
+                global_label,
+            } => run.arrive(to, &comps, sender_phase, global_label),
+            Event::PhaseEnd { p } => {
+                let fl = run.end_phase(p);
+                let (j, block) = (run.completed, &run.blocks[p]);
+                if observer.step(j, block, &fl.read_labels, &run.x, &mut run.scratch)
+                    || j == ctl.max_steps
+                {
+                    break;
+                }
+                run.schedule_phase(p, fl.end)?;
+            }
+        }
+    }
+
+    // Phases still in flight at the end never received an iteration
+    // number and are absent from `timeline.phases`; drop their
+    // already-scheduled partial communications so the timeline stays
+    // self-consistent.
+    let mut timeline = run.timeline;
+    let completed: Vec<u64> = (0..procs)
+        .map(|p| run.phase_count[p] - u64::from(run.in_flight[p].is_some()))
+        .collect();
+    timeline
+        .comms
+        .retain(|c| c.sender_phase <= completed[c.from]);
+
+    let mut report = RunReport {
+        per_worker_updates: completed,
+        partial_publishes: timeline.partial_count() as u64,
+        sim_time: Some(now),
+        wall: start.elapsed(),
+        ..RunReport::new(NAME, run.x, 0, f64::NAN)
+    };
+    observer.finish(&mut report);
+    let end_of = |&(j, _): &(u64, f64)| timeline.phases[j as usize - 1].end;
+    report.error_times = report.errors.iter().map(end_of).collect();
+    Ok((report, timeline))
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::session::Sim;
+    use asynciter_core::session::RecordMode;
     use asynciter_models::conditions::check_condition_a;
     use asynciter_numerics::sparse::tridiagonal;
-    use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;
 
     fn jacobi(n: usize) -> JacobiOperator {
         JacobiOperator::new(tridiagonal(n, 4.0, -1.0), vec![1.0; n]).unwrap()
     }
 
-    fn base_cfg(n: usize, procs: usize, iters: u64) -> SimConfig {
-        SimConfig::uniform(Partition::blocks(n, procs).unwrap(), iters)
+    fn base_cfg(n: usize, procs: usize) -> SimConfig {
+        SimConfig::uniform(Partition::blocks(n, procs).unwrap())
+    }
+
+    /// `steps` global iterations of `cfg` from `x0` through the one
+    /// door, fully recorded, sampling the error every `error_every`
+    /// steps when `xstar` is given.
+    pub(crate) fn simulate(
+        op: &dyn Operator,
+        x0: &[f64],
+        cfg: &SimConfig,
+        steps: u64,
+        (xstar, error_every): (Option<&[f64]>, u64),
+    ) -> asynciter_core::Result<(RunReport, Timeline)> {
+        let problem = Problem {
+            op,
+            x0: x0.to_vec(),
+            xstar: xstar.map(<[f64]>::to_vec),
+        };
+        let mut ctl = RunControl {
+            max_steps: steps,
+            error_every,
+            residual_every: 0,
+            stopping: None,
+            record: RecordMode::Full,
+            seed: None,
+            schedule: None,
+        };
+        Sim(cfg.clone()).run_with_timeline(&problem, &mut ctl)
     }
 
     #[test]
     fn deterministic_runs() {
         let op = jacobi(8);
         let cfg = {
-            let mut c = base_cfg(8, 2, 100);
+            let mut c = base_cfg(8, 2);
             c.compute = vec![
                 ComputeModel::Uniform { lo: 1, hi: 5 },
                 ComputeModel::Uniform { lo: 2, hi: 9 },
@@ -509,17 +442,17 @@ mod tests {
             c.seed = 42;
             c
         };
-        let a = Simulator::run(&op, &[0.0; 8], &cfg, None).unwrap();
-        let b = Simulator::run(&op, &[0.0; 8], &cfg, None).unwrap();
-        assert_eq!(a.final_consensus, b.final_consensus);
-        assert_eq!(a.timeline.phases, b.timeline.phases);
-        assert_eq!(a.end_time, b.end_time);
+        let (a, ta) = simulate(&op, &[0.0; 8], &cfg, 100, (None, 0)).unwrap();
+        let (b, tb) = simulate(&op, &[0.0; 8], &cfg, 100, (None, 0)).unwrap();
+        assert_eq!(a.final_x, b.final_x);
+        assert_eq!(ta.phases, tb.phases);
+        assert_eq!(a.sim_time, b.sim_time);
     }
 
     #[test]
     fn timeline_is_valid_and_trace_satisfies_condition_a() {
         let op = jacobi(12);
-        let mut cfg = base_cfg(12, 3, 300);
+        let mut cfg = base_cfg(12, 3);
         cfg.compute = vec![
             ComputeModel::Fixed { ticks: 2 },
             ComputeModel::Uniform { lo: 1, hi: 6 },
@@ -530,42 +463,43 @@ mod tests {
         ];
         cfg.latency = LatencyModel::Jitter { lo: 0, hi: 10 };
         cfg.seed = 7;
-        let res = Simulator::run(&op, &[0.0; 12], &cfg, None).unwrap();
-        res.timeline.validate().expect("valid timeline");
-        check_condition_a(&res.trace).expect("condition (a)");
-        assert_eq!(res.trace.len(), 300);
+        let (res, timeline) = simulate(&op, &[0.0; 12], &cfg, 300, (None, 0)).unwrap();
+        timeline.validate().expect("valid timeline");
+        let trace = res.trace.expect("RecordMode::Full");
+        check_condition_a(&trace).expect("condition (a)");
+        assert_eq!(trace.len(), 300);
     }
 
     #[test]
     fn converges_to_fixed_point() {
         let op = jacobi(12);
         let xstar = op.solve_dense_spd().unwrap();
-        let mut cfg = base_cfg(12, 3, 2000);
+        let mut cfg = base_cfg(12, 3);
         cfg.latency = LatencyModel::Jitter { lo: 0, hi: 4 };
         cfg.seed = 3;
-        let res = Simulator::run(&op, &[0.0; 12], &cfg, Some(&xstar)).unwrap();
+        let (res, _) = simulate(&op, &[0.0; 12], &cfg, 2000, (Some(&xstar), 0)).unwrap();
         assert!(
-            vecops::max_abs_diff(&res.final_consensus, &xstar) < 1e-9,
+            res.final_error(&xstar) < 1e-9,
             "error {}",
-            vecops::max_abs_diff(&res.final_consensus, &xstar)
+            res.final_error(&xstar)
         );
     }
 
     #[test]
     fn partial_sends_appear_in_timeline() {
         let op = jacobi(8);
-        let mut cfg = base_cfg(8, 2, 50);
+        let mut cfg = base_cfg(8, 2);
         cfg.inner_steps = 4;
         cfg.partial_sends = 2;
         cfg.compute = vec![ComputeModel::Fixed { ticks: 8 }; 2];
-        let res = Simulator::run(&op, &[0.0; 8], &cfg, None).unwrap();
-        assert!(res.timeline.partial_count() > 0);
-        res.timeline.validate().unwrap();
+        let (res, timeline) = simulate(&op, &[0.0; 8], &cfg, 50, (None, 0)).unwrap();
+        assert!(timeline.partial_count() > 0);
+        assert_eq!(res.partial_publishes, timeline.partial_count() as u64);
+        timeline.validate().unwrap();
         // Partials are sent strictly inside phases.
-        for c in &res.timeline.comms {
+        for c in &timeline.comms {
             if c.kind == CommKind::Partial {
-                let phase = res
-                    .timeline
+                let phase = timeline
                     .phases
                     .iter()
                     .find(|p| p.proc == c.from && p.start < c.send_t && c.send_t < p.end);
@@ -582,24 +516,24 @@ mod tests {
     #[test]
     fn heterogeneous_speeds_skew_phase_counts() {
         let op = jacobi(8);
-        let mut cfg = base_cfg(8, 2, 300);
+        let mut cfg = base_cfg(8, 2);
         cfg.compute = vec![
             ComputeModel::Fixed { ticks: 1 },
             ComputeModel::Fixed { ticks: 10 },
         ];
-        let res = Simulator::run(&op, &[0.0; 8], &cfg, None).unwrap();
-        let fast = res.timeline.phases_of(0).len();
-        let slow = res.timeline.phases_of(1).len();
+        let (res, timeline) = simulate(&op, &[0.0; 8], &cfg, 300, (None, 0)).unwrap();
+        let fast = timeline.phases_of(0).len();
+        let slow = timeline.phases_of(1).len();
         assert!(fast > 5 * slow, "expected ~10x skew, got {fast} vs {slow}");
+        assert_eq!(res.per_worker_updates, [fast as u64, slow as u64]);
     }
 
     #[test]
     fn errors_recorded_when_requested() {
         let op = jacobi(8);
         let xstar = op.solve_dense_spd().unwrap();
-        let mut cfg = base_cfg(8, 2, 200);
-        cfg.error_every = 20;
-        let res = Simulator::run(&op, &[0.0; 8], &cfg, Some(&xstar)).unwrap();
+        let cfg = base_cfg(8, 2);
+        let (res, _) = simulate(&op, &[0.0; 8], &cfg, 200, (Some(&xstar), 20)).unwrap();
         assert_eq!(res.errors.len(), 10);
         assert!(res.errors.first().unwrap().1 >= res.errors.last().unwrap().1);
         assert_eq!(res.error_times.len(), 10);
@@ -609,14 +543,27 @@ mod tests {
     #[test]
     fn validation_errors() {
         let op = jacobi(8);
-        let mut cfg = base_cfg(8, 2, 10);
-        cfg.compute.pop();
-        assert!(Simulator::run(&op, &[0.0; 8], &cfg, None).is_err());
-        let cfg = base_cfg(8, 2, 0);
-        assert!(Simulator::run(&op, &[0.0; 8], &cfg, None).is_err());
-        let mut cfg = base_cfg(8, 2, 10);
-        cfg.error_every = 5;
-        assert!(Simulator::run(&op, &[0.0; 8], &cfg, None).is_err());
-        assert!(Simulator::run(&op, &[0.0; 7], &cfg, None).is_err());
+        let kind = |x0: &[f64], cfg: &SimConfig, steps, error_every| match simulate(
+            &op,
+            x0,
+            cfg,
+            steps,
+            (None, error_every),
+        ) {
+            Err(CoreError::DimensionMismatch { context, .. }) => context,
+            Err(CoreError::InvalidParameter { name, .. }) => name,
+            other => panic!("expected a typed rejection, got {other:?}"),
+        };
+        let cfg = base_cfg(8, 2);
+        let mut short = cfg.clone();
+        short.compute.pop();
+        assert_eq!(kind(&[0.0; 8], &short, 10, 0), "Sim (compute models)");
+        assert_eq!(kind(&[0.0; 8], &cfg, 0, 0), "max_steps");
+        assert_eq!(kind(&[0.0; 8], &cfg, 10, 5), "error_every");
+        assert_eq!(kind(&[0.0; 7], &cfg, 10, 0), "Session (x0)");
+        assert_eq!(kind(&[0.0; 8], &base_cfg(6, 2), 10, 0), "Sim (partition)");
+        let mut idle = cfg.clone();
+        idle.inner_steps = 0;
+        assert_eq!(kind(&[0.0; 8], &idle, 10, 0), "inner_steps");
     }
 }

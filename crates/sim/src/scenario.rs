@@ -10,7 +10,8 @@
 //!
 //! Each scenario pairs a concrete 2-component contraction (so the
 //! simulated arithmetic is real) with the compute/latency models that
-//! produce the figure's shape.
+//! produce the figure's shape; how long it runs is the session's
+//! `.steps(..)`.
 
 use crate::compute::{ComputeModel, LatencyModel};
 use crate::runner::SimConfig;
@@ -35,7 +36,7 @@ pub fn two_component_operator() -> JacobiOperator {
 
 /// Fig. 1 scenario: two processors, `P1` phases of 3 ticks, `P2` phases
 /// jittering in `[4, 7]`, unit link latency, end-of-phase exchange only.
-pub fn fig1(iterations: u64, seed: u64) -> SimConfig {
+pub fn fig1(seed: u64) -> SimConfig {
     SimConfig {
         partition: Partition::identity(2),
         compute: vec![
@@ -45,17 +46,14 @@ pub fn fig1(iterations: u64, seed: u64) -> SimConfig {
         latency: LatencyModel::Fixed { ticks: 1 },
         inner_steps: 1,
         partial_sends: 0,
-        max_iterations: iterations,
         seed,
-        record_labels: asynciter_models::LabelStore::Full,
-        error_every: 0,
     }
 }
 
 /// Fig. 2 scenario: as [`fig1`] but each phase runs 4 inner iterations
 /// and sends 2 partial updates mid-phase (the hatched arrows).
-pub fn fig2(iterations: u64, seed: u64) -> SimConfig {
-    let mut cfg = fig1(iterations, seed);
+pub fn fig2(seed: u64) -> SimConfig {
+    let mut cfg = fig1(seed);
     cfg.compute = vec![
         ComputeModel::Fixed { ticks: 6 },
         ComputeModel::Uniform { lo: 8, hi: 12 },
@@ -67,7 +65,7 @@ pub fn fig2(iterations: u64, seed: u64) -> SimConfig {
 
 /// Baudet's example: `P1` updates `x₁` in one tick, `P2`'s `k`-th phase
 /// takes `k` ticks; exchange at phase end with (near-)zero latency.
-pub fn baudet(iterations: u64) -> SimConfig {
+pub fn baudet() -> SimConfig {
     SimConfig {
         partition: Partition::identity(2),
         compute: vec![
@@ -77,17 +75,14 @@ pub fn baudet(iterations: u64) -> SimConfig {
         latency: LatencyModel::Fixed { ticks: 0 },
         inner_steps: 1,
         partial_sends: 0,
-        max_iterations: iterations,
         seed: 0,
-        record_labels: asynciter_models::LabelStore::Full,
-        error_every: 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Simulator;
+    use crate::runner::tests::simulate;
     use asynciter_models::analysis::{delay_growth_exponent, delay_series};
     use asynciter_opt::traits::Operator;
 
@@ -108,32 +103,33 @@ mod tests {
     #[test]
     fn fig1_scenario_produces_expected_shape() {
         let op = two_component_operator();
-        let res = Simulator::run(&op, &[0.0, 0.0], &fig1(30, 1), None).unwrap();
-        res.timeline.validate().unwrap();
+        let (_, timeline) = simulate(&op, &[0.0, 0.0], &fig1(1), 30, (None, 0)).unwrap();
+        timeline.validate().unwrap();
         // P1 is faster → more phases.
-        assert!(res.timeline.phases_of(0).len() > res.timeline.phases_of(1).len());
+        assert!(timeline.phases_of(0).len() > timeline.phases_of(1).len());
         // Every full communication present, no partials.
-        assert_eq!(res.timeline.partial_count(), 0);
-        assert_eq!(res.timeline.comms.len(), 30); // one per completion (to 1 peer)
+        assert_eq!(timeline.partial_count(), 0);
+        assert_eq!(timeline.comms.len(), 30); // one per completion (to 1 peer)
     }
 
     #[test]
     fn fig2_scenario_has_partials() {
         let op = two_component_operator();
-        let res = Simulator::run(&op, &[0.0, 0.0], &fig2(20, 1), None).unwrap();
-        res.timeline.validate().unwrap();
-        assert!(res.timeline.partial_count() > 0);
+        let (_, timeline) = simulate(&op, &[0.0, 0.0], &fig2(1), 20, (None, 0)).unwrap();
+        timeline.validate().unwrap();
+        assert!(timeline.partial_count() > 0);
     }
 
     #[test]
     fn baudet_scenario_reproduces_sqrt_delay_growth() {
         let op = two_component_operator();
-        let res = Simulator::run(&op, &[0.0, 0.0], &baudet(30_000), None).unwrap();
+        let (res, _) = simulate(&op, &[0.0, 0.0], &baudet(), 30_000, (None, 0)).unwrap();
+        let trace = res.trace.expect("recorded");
         // Delay of x₂'s information at P1's steps grows like √j.
-        let series: Vec<(u64, u64)> = delay_series(&res.trace, 1)
+        let series: Vec<(u64, u64)> = delay_series(&trace, 1)
             .unwrap()
             .into_iter()
-            .zip(res.trace.iter())
+            .zip(trace.iter())
             .filter(|(_, (_, s))| s.active.as_slice() == [0])
             .map(|(d, _)| d)
             .collect();
@@ -149,9 +145,10 @@ mod tests {
         // The simulator's Baudet run must agree with the closed-form
         // construction in asynciter-models on the P2 update density.
         let op = two_component_operator();
-        let res = Simulator::run(&op, &[0.0, 0.0], &baudet(10_000), None).unwrap();
+        let (res, _) = simulate(&op, &[0.0, 0.0], &baudet(), 10_000, (None, 0)).unwrap();
         let p2_updates = res
             .trace
+            .expect("recorded")
             .iter()
             .filter(|(_, s)| s.active.as_slice() == [1])
             .count() as f64;

@@ -2,8 +2,10 @@
 //! emitted by a [`SimConfig::replay_equivalent`] simulation, injected
 //! back into the deterministic replay engine via
 //! `Session::replay_trace`, reproduces the simulated iterates bit for
-//! bit. The conformance fuzzer checks this over many seeds; these tests
-//! pin the property (and its boundary) at the sim crate level.
+//! bit (with `inner_steps = m > 1`, into `Flexible { m, partial: false }`:
+//! `tests/backend_equivalence.rs` at the root). The conformance fuzzer
+//! checks this over many seeds; these tests pin the property (and its
+//! boundary) at the sim crate level.
 
 use asynciter_core::session::{RecordMode, Replay, Session};
 use asynciter_models::partition::Partition;
@@ -19,11 +21,11 @@ fn jacobi(n: usize) -> JacobiOperator {
 
 #[test]
 fn replay_equivalent_predicate() {
-    let mut cfg = SimConfig::uniform(Partition::blocks(8, 2).unwrap(), 10);
+    let mut cfg = SimConfig::uniform(Partition::blocks(8, 2).unwrap());
     assert!(cfg.replay_equivalent());
+    // Inner iterations stay on the processor: still one scheduled step.
     cfg.inner_steps = 3;
-    assert!(!cfg.replay_equivalent());
-    cfg.inner_steps = 1;
+    assert!(cfg.replay_equivalent());
     cfg.partial_sends = 1;
     assert!(!cfg.replay_equivalent());
 }
@@ -33,7 +35,7 @@ fn multi_proc_sim_trace_replays_bitwise() {
     let n = 12;
     let op = jacobi(n);
     for (procs, seed) in [(2usize, 1u64), (3, 7), (4, 42)] {
-        let mut cfg = SimConfig::uniform(Partition::blocks(n, procs).unwrap(), 300);
+        let mut cfg = SimConfig::uniform(Partition::blocks(n, procs).unwrap());
         cfg.seed = seed;
         cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 5 }; procs];
         cfg.latency = LatencyModel::Jitter { lo: 1, hi: 9 };
@@ -62,7 +64,7 @@ fn multi_proc_sim_trace_replays_bitwise() {
 fn heavy_tail_sim_trace_replays_bitwise() {
     let n = 10;
     let op = jacobi(n);
-    let mut cfg = SimConfig::uniform(Partition::blocks(n, 2).unwrap(), 400);
+    let mut cfg = SimConfig::uniform(Partition::blocks(n, 2).unwrap());
     cfg.seed = 1234;
     cfg.compute = vec![
         ComputeModel::HeavyTail {

@@ -78,7 +78,7 @@ fn main() {
     // The same routing problem through the unified Session API on the
     // deterministic simulator backend: six simulated IMP clusters with
     // jittered links compute the identical table.
-    let sim_cfg = SimConfig::uniform(Partition::blocks(n, 6).expect("partition"), 1);
+    let sim_cfg = SimConfig::uniform(Partition::blocks(n, 6).expect("partition"));
     let sim = Session::new(&op)
         .x0(op.initial_estimate())
         .steps(2_000)

@@ -66,7 +66,7 @@ fn bellman_ford_on_simulator_routes_exactly() {
     let op = BellmanFordOperator::new(graph, 0).unwrap();
     let exact = op.exact();
 
-    let mut cfg = SimConfig::uniform(Partition::blocks(n, 6).unwrap(), 1);
+    let mut cfg = SimConfig::uniform(Partition::blocks(n, 6).unwrap());
     cfg.compute = vec![
         ComputeModel::Fixed { ticks: 1 },
         ComputeModel::Uniform { lo: 1, hi: 4 },
@@ -161,7 +161,7 @@ fn baudet_simulator_and_analytic_agree() {
         .x0(vec![0.0, 0.0])
         .steps(60_000)
         .record(RecordMode::Full)
-        .backend(Sim(scenario::baudet(60_000)))
+        .backend(Sim(scenario::baudet()))
         .run()
         .unwrap();
     let trace = sim.trace.expect("trace recorded");

@@ -9,6 +9,7 @@ use asynciter::opt::prox::L1;
 use asynciter::opt::proxgrad::{gamma_max, SeparableProxGrad};
 use asynciter::opt::quadratic::SeparableQuadratic;
 use asynciter::prelude::*;
+use asynciter::sim::compute::{ComputeModel, LatencyModel};
 
 /// The quickstart problem: the Definition-4 prox-gradient operator on a
 /// random separable quadratic with an ℓ₁ regulariser.
@@ -45,10 +46,7 @@ fn assert_replay_barrier_sim_bitwise(op: &dyn Operator, steps: u64, tag: &str) {
     // One simulated processor, unit compute, one inner step per phase.
     let sim = Session::new(op)
         .steps(steps)
-        .backend(Sim(SimConfig::uniform(
-            Partition::blocks(n, 1).unwrap(),
-            steps,
-        )))
+        .backend(Sim(SimConfig::uniform(Partition::blocks(n, 1).unwrap())))
         .run()
         .unwrap();
 
@@ -111,7 +109,6 @@ fn equivalence_holds_with_recording_and_error_curves() {
     let replay = session(Box::new(Replay));
     let sim = session(Box::new(Sim(SimConfig::uniform(
         Partition::blocks(n, 1).unwrap(),
-        steps,
     ))));
 
     assert_eq!(replay.errors.len(), sim.errors.len());
@@ -356,7 +353,51 @@ fn computed(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
         r.constraint_violations,
     );
     let stop = (r.steps, r.stopped_early, r.macro_iterations);
-    (bits(&r.final_x), residuals, stop, partials)
+    let sim = (r.sim_time, r.per_worker_updates.clone());
+    (bits(&r.final_x), residuals, stop, partials, sim)
+}
+
+/// `procs` simulated processors with jittered compute times and links.
+fn jittered_sim(n: usize, procs: usize, inner_steps: usize) -> SimConfig {
+    SimConfig {
+        compute: vec![ComputeModel::Uniform { lo: 1, hi: 5 }; procs],
+        latency: LatencyModel::Jitter { lo: 1, hi: 9 },
+        inner_steps,
+        ..SimConfig::uniform(Partition::blocks(n, procs).unwrap())
+    }
+}
+
+#[test]
+fn sim_with_inner_steps_matches_flexible_on_its_own_trace() {
+    // The local inner iterations between exchanges are executed
+    // identically by both engines: a phase of `m` inner steps is one
+    // scheduled step of `Flexible { m, partial: false }`, which at
+    // `m = 1` is `Replay`.
+    let op = quickstart_operator(12);
+    for m in [1, 2, 3] {
+        let sim = Session::new(&op)
+            .steps(300)
+            .seed(17)
+            .record(RecordMode::Full)
+            .backend(Sim(jittered_sim(12, 3, m)))
+            .run()
+            .unwrap();
+        let flexible = Session::new(&op)
+            .replay_trace(sim.trace.clone().unwrap())
+            .unwrap()
+            .backend(Flexible {
+                m,
+                partial: false,
+                ..Flexible::default()
+            })
+            .run()
+            .unwrap();
+        let bits = |r: &RunReport| r.final_x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sim), bits(&flexible), "m = {m}");
+        assert_eq!(sim.steps, flexible.steps, "m = {m}");
+        assert_eq!(sim.macro_iterations, flexible.macro_iterations, "m = {m}");
+        assert!(sim.macro_iterations > 0);
+    }
 }
 
 #[test]
@@ -450,33 +491,38 @@ fn recording_never_changes_an_iterate_bit() {
     // offline walk finds in the trace it kept.
     let op = quickstart_operator(24);
     let (xstar, _) = op.solve_exact().unwrap();
-    for flexible in [false, true] {
+    for backend in ["replay", "flexible", "sim"] {
         let run = |mode: RecordMode| {
             let session = Session::new(&op).steps(400).xstar(xstar.clone()).seed(5);
-            if flexible {
-                let blocks = Partition::blocks(24, 4).unwrap();
-                session
-                    .schedule(BlockRoundRobin::new(blocks, 6))
-                    .backend(Flexible {
-                        m: 3,
-                        partial_prob: 0.5,
-                        ..Flexible::default()
-                    })
-            } else {
-                session
+            match backend {
+                "flexible" => {
+                    let blocks = Partition::blocks(24, 4).unwrap();
+                    session
+                        .schedule(BlockRoundRobin::new(blocks, 6))
+                        .backend(Flexible {
+                            m: 3,
+                            partial_prob: 0.5,
+                            ..Flexible::default()
+                        })
+                }
+                "sim" => session.backend(Sim(jittered_sim(24, 4, 2))),
+                _ => session
                     .schedule(ChaoticBounded::new(24, 4, 12, 16, false, 29))
-                    .backend(Replay)
+                    .backend(Replay),
             }
             .record(mode)
             .run()
             .unwrap()
         };
         let off = run(RecordMode::Off);
+        assert_eq!(off.backend, backend);
         assert!(off.trace.is_none() && off.macro_iterations > 0);
-        assert_eq!(off.partial_reads > 0, flexible);
+        assert_eq!(off.partial_reads > 0, backend == "flexible");
+        assert_eq!(off.sim_time.is_some(), backend == "sim");
         for mode in [RecordMode::MinOnly, RecordMode::Full] {
             let kept = run(mode);
-            assert_eq!(computed(&kept), computed(&off), "{mode:?}");
+            assert_eq!(computed(&kept), computed(&off), "{backend} {mode:?}");
+            assert!(kept.trace.is_some(), "{backend} {mode:?}");
             assert_eq!(macro_count(kept.trace.as_ref()), off.macro_iterations);
         }
     }
