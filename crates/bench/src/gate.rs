@@ -50,6 +50,8 @@ use asynciter_opt::obstacle::{ObstacleProblem, ProjectedJacobi};
 use asynciter_opt::prox::L1;
 use asynciter_opt::proxgrad::{gamma_max, SparseProxGrad};
 use asynciter_opt::traits::{Operator, SmoothObjective};
+use asynciter_report::cli::Arity::{Int, Switch, Value};
+use asynciter_report::cli::{exit_code, read_baseline, write_artefact, Flag, Matches, Spec};
 use asynciter_report::json::{GateDoc, GateRecord};
 use asynciter_report::TextTable;
 use asynciter_runtime::session::{Barrier, Cluster, SharedMem, ThreadedCluster};
@@ -58,7 +60,7 @@ use asynciter_sim::compute::{ComputeModel, LatencyModel};
 use asynciter_sim::runner::SimConfig;
 use asynciter_sim::session::Sim;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::Path;
 
 // ---------------------------------------------------------------------------
 // Matrix axes
@@ -1030,78 +1032,39 @@ pub fn check_matrix(baseline: &GateDoc, current: &GateDoc) -> CheckReport {
 // CLI entry point (thin `bin/gate.rs` wraps this)
 // ---------------------------------------------------------------------------
 
-const USAGE: &str = "usage: gate [--quick | --full] [--seed N] [--out PATH] [--check BASELINE]
-
-Runs the backend x problem x delay-model scenario matrix, writes the
-machine-readable BENCH_gate.json (default --out), and with --check
-compares against a baseline, exiting 1 on any regression.";
-
-struct GateArgs {
-    mode: GateMode,
-    seed: u64,
-    out: PathBuf,
-    check: Option<PathBuf>,
-}
-
-fn parse_gate_args(args: &[String]) -> Result<GateArgs, String> {
-    let mut parsed = GateArgs {
-        mode: GateMode::Quick,
-        seed: 2022,
-        out: PathBuf::from("BENCH_gate.json"),
-        check: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--quick" => parsed.mode = GateMode::Quick,
-            "--full" => parsed.mode = GateMode::Full,
-            "--seed" => {
-                parsed.seed = val("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed requires an integer".to_string())?;
-            }
-            "--out" => parsed.out = PathBuf::from(val("--out")?),
-            "--check" => parsed.check = Some(PathBuf::from(val("--check")?)),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(parsed)
-}
+/// The gate's flag table (README § "Command-line contract").
+#[rustfmt::skip] // one flag per row
+pub const GATE: Spec<'static> = Spec {
+    tool: "gate",
+    about: "Runs the backend x problem x delay-model scenario matrix, writes the\n\
+            machine-readable BENCH_gate.json, and with --check compares against a\n\
+            baseline, exiting 1 on any regression.",
+    flags: &[
+        Flag("--quick", Switch, "the CI-sized matrix (default)"),
+        Flag("--full", Switch, "the full-sized matrix"),
+        Flag("--seed", Int("N"), "master seed (default 2022)"),
+        Flag("--out", Value("PATH"), "artefact path (default BENCH_gate.json)"),
+        Flag("--check", Value("BASELINE"), "baseline to compare against"),
+    ],
+};
 
 /// The gate CLI: runs the matrix, writes the artefact, optionally checks
 /// a baseline. Returns the process exit code: 0 on success, 1 on any
 /// regression or failed cell, 2 on usage/IO/parse errors.
 pub fn gate_main(args: &[String]) -> i32 {
-    let parsed = match parse_gate_args(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("gate: {msg}\n\n{USAGE}");
-            return 2;
-        }
+    GATE.run(args, run_gate)
+}
+
+fn run_gate(m: &Matches<'_>) -> Result<i32, String> {
+    let mode = match m.last_of(&["--quick", "--full"]) {
+        Some("--full") => GateMode::Full,
+        _ => GateMode::Quick,
     };
-    println!(
-        "gate: running {} scenario matrix (seed {})",
-        parsed.mode.id(),
-        parsed.seed
-    );
-    let doc = run_matrix(parsed.mode, parsed.seed);
-    if let Some(parent) = parsed.out.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("gate: cannot create {}: {e}", parent.display());
-                return 2;
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&parsed.out, doc.render()) {
-        eprintln!("gate: cannot write {}: {e}", parsed.out.display());
-        return 2;
-    }
+    let seed = m.int("--seed").unwrap_or(2022);
+    let out = Path::new(m.value("--out").unwrap_or("BENCH_gate.json"));
+    println!("gate: running {} scenario matrix (seed {seed})", mode.id());
+    let doc = run_matrix(mode, seed);
+    write_artefact(out, &doc.render())?;
     let cov = coverage(&doc);
     let failed: Vec<&GateRecord> = doc.records.iter().filter(|r| !r.is_ok()).collect();
     println!(
@@ -1109,7 +1072,7 @@ pub fn gate_main(args: &[String]) -> i32 {
         doc.records.len(),
         doc.records.len() - failed.len(),
         failed.len(),
-        parsed.out.display(),
+        out.display(),
         cov.backends.len(),
         cov.problems.len(),
         cov.delays.len(),
@@ -1117,22 +1080,9 @@ pub fn gate_main(args: &[String]) -> i32 {
     for r in &failed {
         eprintln!("gate: FAILED cell {}: {}", r.key(), r.note);
     }
-    let mut exit = if failed.is_empty() { 0 } else { 1 };
-    if let Some(path) = &parsed.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("gate: cannot read baseline {}: {e}", path.display());
-                return 2;
-            }
-        };
-        let baseline = match GateDoc::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("gate: corrupt baseline {}: {e}", path.display());
-                return 2;
-            }
-        };
+    let mut passed = failed.is_empty();
+    if let Some(path) = m.value("--check").map(Path::new) {
+        let baseline = read_baseline(path, GateDoc::parse)?;
         let report = check_matrix(&baseline, &doc);
         println!("{}", report.render_table());
         if report.passed() {
@@ -1156,10 +1106,10 @@ pub fn gate_main(args: &[String]) -> i32 {
                 report.cells.len(),
                 path.display()
             );
-            exit = 1;
+            passed = false;
         }
     }
-    exit
+    Ok(exit_code(passed))
 }
 
 #[cfg(test)]
@@ -1317,11 +1267,5 @@ mod tests {
         let table = report.render_table();
         let first_data_line = table.lines().nth(2).unwrap();
         assert!(first_data_line.contains("RESIDUAL"), "{table}");
-    }
-
-    #[test]
-    fn usage_errors_exit_2() {
-        assert_eq!(gate_main(&["--bogus".to_string()]), 2);
-        assert_eq!(gate_main(&["--seed".to_string()]), 2);
     }
 }

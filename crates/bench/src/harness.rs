@@ -16,8 +16,8 @@ pub fn results_dir(exp: &str) -> PathBuf {
 /// # Panics
 /// Panics on I/O failure (experiment binaries want loud failures).
 pub fn save_text(dir: &Path, name: &str, contents: &str) {
-    std::fs::create_dir_all(dir).expect("create results dir");
-    std::fs::write(dir.join(name), contents).expect("write artefact");
+    asynciter_report::cli::write_artefact(&dir.join(name), contents)
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Context for one experiment run: id, seed, and collected notes that

@@ -21,11 +21,15 @@
 //! control: the run must exit 1 with the leak named.
 
 use asynciter_conformance::service::{shrink_leak_trace, tenant_plan};
+use asynciter_report::cli::Arity::{Int, Switch, Value};
+use asynciter_report::cli::{
+    exit_code, read_baseline, shrunk_to, write_artefact, Flag, Matches, Spec,
+};
 use asynciter_report::stream::{render_hash, ServiceDoc, ServiceRecord};
 use asynciter_report::TextTable;
 use asynciter_service::{check_outcome, Service, ServiceConfig, ServiceMode};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::Path;
 
 // ---------------------------------------------------------------------------
 // The comparator
@@ -132,146 +136,72 @@ pub fn check_service_doc(base: &ServiceDoc, cur: &ServiceDoc) -> ServiceCheckRep
 // CLI
 // ---------------------------------------------------------------------------
 
-const USAGE: &str = "usage: service [--tenants N | --soak] [--seed N] [--mode det|free] \
-[--workers N] [--batch N] [--queue N] [--record] [--verify] [--inject-scratch-leak] \
-[--out PATH] [--check BASELINE] [--fault-dir DIR]
-
-Admits a seeded multi-tenant workload (every catalog problem x every
-deterministic backend), drains it through the service layer, writes the
-machine-readable BENCH_service.json, and optionally:
-  --verify   re-runs every job solo and diffs bitwise (tenant isolation);
-             with --record, divergences are shrunk into --fault-dir
-  --check    compares against a committed baseline, exiting 1 on any
-             regression (deterministic fields strict, timing not compared)";
-
-struct ServiceArgs {
-    tenants: u64,
-    seed: u64,
-    free: bool,
-    workers: usize,
-    batch: usize,
-    queue: Option<usize>,
-    record: bool,
-    verify: bool,
-    inject_leak: bool,
-    out: PathBuf,
-    check: Option<PathBuf>,
-    fault_dir: PathBuf,
-}
-
-fn parse_service_args(args: &[String]) -> Result<ServiceArgs, String> {
-    let mut parsed = ServiceArgs {
-        tenants: 64,
-        seed: 2022,
-        free: false,
-        workers: 3,
-        batch: 64,
-        queue: None,
-        record: false,
-        verify: false,
-        inject_leak: false,
-        out: PathBuf::from("BENCH_service.json"),
-        check: None,
-        fault_dir: PathBuf::from("results/service"),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--tenants" => {
-                parsed.tenants = val("--tenants")?
-                    .parse()
-                    .map_err(|_| "--tenants requires an integer".to_string())?;
-            }
-            "--soak" => parsed.tenants = 1000,
-            "--seed" => {
-                parsed.seed = val("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed requires an integer".to_string())?;
-            }
-            "--mode" => {
-                parsed.free = match val("--mode")? {
-                    "det" => false,
-                    "free" => true,
-                    other => return Err(format!("--mode must be det|free (got `{other}`)")),
-                };
-            }
-            "--workers" => {
-                parsed.workers = val("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers requires an integer".to_string())?;
-            }
-            "--batch" => {
-                parsed.batch = val("--batch")?
-                    .parse()
-                    .map_err(|_| "--batch requires an integer".to_string())?;
-            }
-            "--queue" => {
-                parsed.queue = Some(
-                    val("--queue")?
-                        .parse()
-                        .map_err(|_| "--queue requires an integer".to_string())?,
-                );
-            }
-            "--record" => parsed.record = true,
-            "--verify" => parsed.verify = true,
-            "--inject-scratch-leak" => parsed.inject_leak = true,
-            "--out" => parsed.out = PathBuf::from(val("--out")?),
-            "--check" => parsed.check = Some(PathBuf::from(val("--check")?)),
-            "--fault-dir" => parsed.fault_dir = PathBuf::from(val("--fault-dir")?),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(parsed)
-}
+/// The service CLI's flag table (README § "Command-line contract").
+#[rustfmt::skip] // one flag per row
+pub const SERVICE: Spec<'static> = Spec {
+    tool: "service",
+    about: "Admits a seeded multi-tenant workload (every catalog problem x every\n\
+            deterministic backend), drains it through the service layer and writes the\n\
+            machine-readable BENCH_service.json.",
+    flags: &[
+        Flag("--tenants", Int("N"), "tenants to admit (default 64)"),
+        Flag("--soak", Switch, "admit 1000 tenants"),
+        Flag("--seed", Int("N"), "workload and admission-order seed (default 2022)"),
+        Flag("--mode", Value("det|free"), "deterministic (default) or free-running drain"),
+        Flag("--workers", Int("N"), "free-running worker threads (default 3)"),
+        Flag("--batch", Int("N"), "records per streamed batch (default 64)"),
+        Flag("--queue", Int("N"), "queue capacity (default max(tenants, 16))"),
+        Flag("--record", Switch, "record every job's trace"),
+        Flag("--verify", Switch, "re-run every job solo and diff bitwise; with --record, shrink divergences"),
+        Flag("--inject-scratch-leak", Switch, "negative control: plant the dirty-lease bug"),
+        Flag("--out", Value("PATH"), "artefact path (default BENCH_service.json)"),
+        Flag("--check", Value("BASELINE"), "compare deterministic fields against a baseline; exit 1 on a regression"),
+        Flag("--fault-dir", Value("DIR"), "where shrunk divergences go (default results/service)"),
+    ],
+};
 
 /// The service CLI: admits the workload, drains, writes the artefact,
 /// optionally verifies isolation and checks a baseline. Returns the
 /// process exit code: 0 on success, 1 on divergences/regressions/failed
 /// jobs, 2 on usage/IO/parse errors.
 pub fn service_main(args: &[String]) -> i32 {
-    let parsed = match parse_service_args(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("service: {msg}\n\n{USAGE}");
-            return 2;
-        }
+    SERVICE.run(args, run_service)
+}
+
+fn run_service(m: &Matches<'_>) -> Result<i32, String> {
+    let tenants = match m.last_of(&["--tenants", "--soak"]) {
+        Some("--soak") => 1000,
+        _ => m.int("--tenants").unwrap_or(64),
     };
-    let mode = if parsed.free {
-        ServiceMode::FreeRunning {
-            workers: parsed.workers,
-        }
-    } else {
-        ServiceMode::Deterministic { seed: parsed.seed }
+    let seed = m.int("--seed").unwrap_or(2022);
+    let mode = match m.value("--mode") {
+        None | Some("det") => ServiceMode::Deterministic { seed },
+        Some("free") => ServiceMode::FreeRunning {
+            workers: m.int("--workers").unwrap_or(3) as usize,
+        },
+        Some(other) => return Err(format!("--mode must be det|free (got `{other}`)")),
     };
+    let inject_leak = m.has("--inject-scratch-leak");
+    let out = Path::new(m.value("--out").unwrap_or("BENCH_service.json"));
     let mut svc = Service::new(ServiceConfig {
-        queue_capacity: parsed
-            .queue
-            .unwrap_or_else(|| (parsed.tenants as usize).max(16)),
-        batch_size: parsed.batch,
+        queue_capacity: m.int("--queue").unwrap_or(tenants.max(16)) as usize,
+        batch_size: m.int("--batch").unwrap_or(64) as usize,
         mode,
-        inject_scratch_leak: parsed.inject_leak,
+        inject_scratch_leak: inject_leak,
     });
     println!(
-        "service: admitting {} tenants (seed {}, {} mode{})",
-        parsed.tenants,
-        parsed.seed,
-        if parsed.free {
-            "free-running"
-        } else {
-            "deterministic"
+        "service: admitting {tenants} tenants (seed {seed}, {} mode{})",
+        match mode {
+            ServiceMode::FreeRunning { .. } => "free-running",
+            ServiceMode::Deterministic { .. } => "deterministic",
         },
-        if parsed.inject_leak {
+        if inject_leak {
             ", scratch leak INJECTED"
         } else {
             ""
         },
     );
-    for spec in tenant_plan(parsed.tenants, parsed.seed, parsed.record) {
+    for spec in tenant_plan(tenants, seed, m.has("--record")) {
         if let Err(e) = svc.submit(spec) {
             // Backpressure and validation refusals are part of the
             // benchmark surface: counted in the doc, not fatal.
@@ -282,58 +212,39 @@ pub fn service_main(args: &[String]) -> i32 {
     let doc = &outcome.doc;
 
     let mut table = TextTable::new(&["metric", "value"]);
-    table.row(&["completed".into(), doc.completed.to_string()]);
-    table.row(&["failed".into(), doc.failed.to_string()]);
-    table.row(&["rejected".into(), doc.rejected.to_string()]);
-    table.row(&["cancelled".into(), doc.cancelled.to_string()]);
-    table.row(&["wall".into(), format!("{:.3}s", doc.wall_secs)]);
-    table.row(&["throughput".into(), format!("{:.1} jobs/s", doc.throughput)]);
-    table.row(&[
-        "p50 latency".into(),
-        format!("{:.2}ms", doc.p50_latency_secs * 1e3),
-    ]);
-    table.row(&[
-        "p95 latency".into(),
-        format!("{:.2}ms", doc.p95_latency_secs * 1e3),
-    ]);
-    table.row(&[
-        "max latency".into(),
-        format!("{:.2}ms", doc.max_latency_secs * 1e3),
-    ]);
+    let ms = |secs: f64| format!("{:.2}ms", secs * 1e3);
+    for (metric, value) in [
+        ("completed", doc.completed.to_string()),
+        ("failed", doc.failed.to_string()),
+        ("rejected", doc.rejected.to_string()),
+        ("cancelled", doc.cancelled.to_string()),
+        ("wall", format!("{:.3}s", doc.wall_secs)),
+        ("throughput", format!("{:.1} jobs/s", doc.throughput)),
+        ("p50 latency", ms(doc.p50_latency_secs)),
+        ("p95 latency", ms(doc.p95_latency_secs)),
+        ("max latency", ms(doc.max_latency_secs)),
+    ] {
+        table.row(&[metric.into(), value]);
+    }
     println!("{}", table.render());
 
-    if let Some(parent) = parsed.out.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("service: cannot create {}: {e}", parent.display());
-                return 2;
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&parsed.out, doc.render()) {
-        eprintln!("service: cannot write {}: {e}", parsed.out.display());
-        return 2;
-    }
+    write_artefact(out, &doc.render())?;
     println!(
         "service: {} records in {} batches -> {}",
         doc.records().count(),
         doc.batches.len(),
-        parsed.out.display()
+        out.display()
     );
 
-    let mut exit = if doc.failed > 0 {
-        for r in doc.records().filter(|r| r.status == "failed") {
-            eprintln!(
-                "service: FAILED tenant {} job {}: {}",
-                r.tenant, r.job, r.note
-            );
-        }
-        1
-    } else {
-        0
-    };
+    for r in doc.records().filter(|r| r.status == "failed") {
+        eprintln!(
+            "service: FAILED tenant {} job {}: {}",
+            r.tenant, r.job, r.note
+        );
+    }
+    let mut passed = doc.failed == 0;
 
-    if parsed.verify {
+    if m.has("--verify") {
         let divergences = check_outcome(svc.catalog(), &outcome);
         if divergences.is_empty() {
             println!(
@@ -346,24 +257,17 @@ pub fn service_main(args: &[String]) -> i32 {
             }
             // A recorded diverging job can be shrunk to a minimal
             // replayable exhibit of the leaked start vector.
+            let first = divergences.first().map(|d| d.job);
             if let Some(job) = outcome
                 .jobs
                 .iter()
-                .find(|c| divergences.first().is_some_and(|d| c.record.job == d.job))
+                .find(|c| Some(c.record.job) == first && c.spec.record)
             {
-                if job.spec.record {
-                    if std::fs::create_dir_all(&parsed.fault_dir).is_err() {
-                        eprintln!("service: cannot create {}", parsed.fault_dir.display());
-                    } else {
-                        let out = parsed.fault_dir.join("service-divergence.trace");
-                        match shrink_leak_trace(svc.catalog(), job, &out) {
-                            Ok((orig, shrunk)) => println!(
-                                "service: divergence shrunk {orig} -> {shrunk} steps -> {}",
-                                out.display()
-                            ),
-                            Err(e) => eprintln!("service: shrink failed: {e}"),
-                        }
-                    }
+                let fault_dir = m.value("--fault-dir").unwrap_or("results/service");
+                let out = Path::new(fault_dir).join("service-divergence.trace");
+                match shrink_leak_trace(svc.catalog(), job, &out).map(shrunk_to(&out)) {
+                    Ok(saved) => println!("service: {saved}"),
+                    Err(e) => eprintln!("service: shrink failed: {e}"),
                 }
             }
             eprintln!(
@@ -371,25 +275,12 @@ pub fn service_main(args: &[String]) -> i32 {
                 divergences.len(),
                 doc.completed
             );
-            exit = 1;
+            passed = false;
         }
     }
 
-    if let Some(path) = &parsed.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("service: cannot read baseline {}: {e}", path.display());
-                return 2;
-            }
-        };
-        let baseline = match ServiceDoc::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("service: corrupt baseline {}: {e}", path.display());
-                return 2;
-            }
-        };
+    if let Some(path) = m.value("--check").map(Path::new) {
+        let baseline = read_baseline(path, ServiceDoc::parse)?;
         let report = check_service_doc(&baseline, doc);
         if report.passed() {
             println!(
@@ -406,10 +297,10 @@ pub fn service_main(args: &[String]) -> i32 {
                 report.failures.len(),
                 path.display()
             );
-            exit = 1;
+            passed = false;
         }
     }
-    exit
+    Ok(exit_code(passed))
 }
 
 #[cfg(test)]
@@ -529,12 +420,5 @@ mod tests {
         cur.p95_latency_secs = 60.0;
         let report = check_service_doc(&base, &cur);
         assert!(report.passed(), "{:?}", report.failures);
-    }
-
-    #[test]
-    fn usage_errors_exit_2() {
-        assert_eq!(service_main(&["--bogus".to_string()]), 2);
-        assert_eq!(service_main(&["--tenants".to_string()]), 2);
-        assert_eq!(service_main(&["--mode".to_string(), "warp".to_string()]), 2);
     }
 }

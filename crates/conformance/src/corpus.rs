@@ -33,6 +33,7 @@ use asynciter_core::session::{RecordMode, Session};
 use asynciter_models::trace_io::{trace_from_str, trace_to_string};
 use asynciter_models::Trace;
 use asynciter_numerics::rng::{child_seed, rng};
+use asynciter_report::cli::write_artefact;
 use std::path::{Path, PathBuf};
 
 /// Master seed of the canonical corpus plans. Changing it invalidates
@@ -135,11 +136,8 @@ pub fn record_threaded_trace() -> Result<Trace, String> {
 /// # Errors
 /// I/O or serialisation failures, as a message.
 pub fn save_trace(path: &Path, trace: &Trace) -> Result<(), String> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).map_err(|e| format!("mkdir {parent:?}: {e}"))?;
-    }
     let text = trace_to_string(trace).map_err(|e| format!("serialise: {e}"))?;
-    std::fs::write(path, text).map_err(|e| format!("write {path:?}: {e}"))
+    write_artefact(path, &text)
 }
 
 /// Loads a single trace file.

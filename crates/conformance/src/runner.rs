@@ -25,11 +25,13 @@ use crate::corpus;
 use crate::oracle;
 use crate::plan::SchedulePlan;
 use crate::problems::{ConformanceProblem, ProblemKind};
-use crate::shrink::shrink_trace;
+use crate::shrink::{shrink_and_save, shrink_trace};
 use asynciter_core::session::{RecordMode, Session};
 use asynciter_models::schedule::{FrozenLabelAdversary, StarvedComponent};
 use asynciter_models::{LabelStore, ModelError, Trace};
 use asynciter_numerics::rng::{child_seed, rng};
+use asynciter_report::cli::Arity::{Int, Optional, Switch, Value};
+use asynciter_report::cli::{exit_code, must_find, shrunk_to, write_artefact, Flag, Matches, Spec};
 use asynciter_report::json::Json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -594,15 +596,8 @@ pub fn inject_fault_demo(seed: u64, out: &Path) -> Result<(u64, u64), String> {
             })
         )
     };
-    if !still_fails(&corrupt) {
-        return Err("injected fault was not rejected by the witness".into());
-    }
-    let res = shrink_trace(&corrupt, still_fails, 200_000);
-    if !still_fails(&res.trace) {
-        return Err("shrinking lost the injected fault".into());
-    }
-    corpus::save_trace(out, &res.trace)?;
-    Ok((corrupt.len() as u64, res.trace.len() as u64))
+    let not_caught = "injected fault was not rejected by the witness";
+    shrink_and_save(&corrupt, still_fails, 200_000, not_caught, out)
 }
 
 /// The message-reordering demo behind `--cluster-reorder`: runs a
@@ -637,15 +632,8 @@ pub fn cluster_reorder_demo(seed: u64, out: &Path) -> Result<(u64, u64), String>
         .map_err(|e| format!("cluster run failed: {e}"))?;
     let trace = report.trace.expect("RecordMode::Full");
     let still_fails = |t: &Trace| has_label_regression(t, workers);
-    if !still_fails(&trace) {
-        return Err("channel model produced no out-of-order application".into());
-    }
-    let res = shrink_trace(&trace, still_fails, 200_000);
-    if !still_fails(&res.trace) {
-        return Err("shrinking lost the reordering evidence".into());
-    }
-    corpus::save_trace(out, &res.trace)?;
-    Ok((trace.len() as u64, res.trace.len() as u64))
+    let not_caught = "channel model produced no out-of-order application";
+    shrink_and_save(&trace, still_fails, 200_000, not_caught, out)
 }
 
 /// The severed-link negative control behind `--inject-cluster-fault`:
@@ -701,193 +689,104 @@ pub fn inject_cluster_fault_demo(seed: u64) -> Result<(u64, f64), String> {
     Ok((res.steps_run, res.final_residual))
 }
 
+/// The conformance fuzzer's flag table (README § "Command-line
+/// contract"); the `must-find` and `record` modes write `PATH`.
+#[rustfmt::skip] // one flag per row
+pub const CONFORMANCE: Spec<'static> = Spec {
+    tool: "conformance",
+    about: "Generates seeded admissible schedules, cross-checks the differential oracles\n\
+            across backends, shrinks any failure to a replayable counterexample,\n\
+            re-validates the committed corpus and writes CONFORMANCE_report.json.",
+    flags: &[
+        Flag("--quick", Switch, "the CI-sized campaign, 240 cases (default)"),
+        Flag("--soak", Switch, "the nightly-sized campaign, 2000 cases"),
+        Flag("--cases", Int("N"), "override the number of fuzz cases"),
+        Flag("--seed", Int("N"), "master seed (default 42405)"),
+        Flag("--corpus", Value("DIR"), "corpus to re-validate (default tests/corpus)"),
+        Flag("--no-corpus", Switch, "skip the corpus re-validation"),
+        Flag("--fault-dir", Value("DIR"), "where shrunk counterexamples go (default .)"),
+        Flag("--out", Value("FILE"), "report path (default CONFORMANCE_report.json)"),
+        Flag("--inject-fault", Optional("PATH", FROZEN_LABEL), "must-find: a frozen label"),
+        Flag("--cluster-reorder", Optional("PATH", REORDER), "must-find: a reordered apply"),
+        Flag("--inject-scratch-leak", Optional("PATH", SCRATCH_LEAK), "must-find: a service leak"),
+        Flag("--inject-cluster-fault", Switch, "must-find: a severed essential message"),
+        Flag("--record-threaded", Optional("PATH", THREADED), "record: a verified racy run"),
+        Flag("--regen-corpus", Switch, "rewrite the seed corpus from its plans"),
+    ],
+};
+const FROZEN_LABEL: &str = "tests/corpus/fault-frozen-label.trace";
+const REORDER: &str = "tests/corpus/fault-cluster-reorder.trace";
+const SCRATCH_LEAK: &str = "tests/corpus/service-scratch-leak.trace";
+const THREADED: &str = "tests/corpus/threaded-00.trace";
+
 /// CLI entry point shared by the `conformance` binary. Returns the
 /// process exit code.
 pub fn conformance_main(args: &[String]) -> i32 {
-    // Mode presets are applied first regardless of flag order, so
-    // `--fault-dir out --soak` keeps the fault dir (the last mode flag
-    // wins; every other flag overlays the preset).
-    let mut cfg = match args
-        .iter()
-        .rev()
-        .find(|a| *a == "--quick" || *a == "--soak")
-    {
-        Some(a) if a == "--soak" => CampaignConfig::soak(0xA5A5),
+    CONFORMANCE.run(args, run_conformance)
+}
+
+fn run_conformance(m: &Matches<'_>) -> Result<i32, String> {
+    // The last mode flag wins; every other flag overlays the preset.
+    let mut cfg = match m.last_of(&["--quick", "--soak"]) {
+        Some("--soak") => CampaignConfig::soak(0xA5A5),
         _ => CampaignConfig::quick(0xA5A5),
     };
-    let mut out_json = PathBuf::from("CONFORMANCE_report.json");
-    let mut inject_fault: Option<PathBuf> = None;
-    let mut inject_scratch_leak: Option<PathBuf> = None;
-    let mut cluster_reorder: Option<PathBuf> = None;
-    let mut inject_cluster_fault = false;
-    let mut regen_corpus = false;
-    let mut record_threaded: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" | "--soak" => {} // handled above
-            "--cases" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    cfg.cases = v;
-                    cfg.mode = "custom".into();
-                }
-                None => return usage("--cases needs a number"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.seed = v,
-                None => return usage("--seed needs a number"),
-            },
-            "--corpus" => match it.next() {
-                Some(v) => cfg.corpus_dir = Some(PathBuf::from(v)),
-                None => return usage("--corpus needs a directory"),
-            },
-            "--no-corpus" => cfg.corpus_dir = None,
-            "--fault-dir" => match it.next() {
-                Some(v) => cfg.fault_dir = PathBuf::from(v),
-                None => return usage("--fault-dir needs a directory"),
-            },
-            "--out" => match it.next() {
-                Some(v) => out_json = PathBuf::from(v),
-                None => return usage("--out needs a path"),
-            },
-            "--inject-fault" => {
-                inject_fault = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| PathBuf::from("tests/corpus/fault-frozen-label.trace")),
-                );
-            }
-            "--inject-scratch-leak" => {
-                inject_scratch_leak =
-                    Some(it.next().map(PathBuf::from).unwrap_or_else(|| {
-                        PathBuf::from("tests/corpus/service-scratch-leak.trace")
-                    }));
-            }
-            "--cluster-reorder" => {
-                cluster_reorder =
-                    Some(it.next().map(PathBuf::from).unwrap_or_else(|| {
-                        PathBuf::from("tests/corpus/fault-cluster-reorder.trace")
-                    }));
-            }
-            "--inject-cluster-fault" => inject_cluster_fault = true,
-            "--regen-corpus" => regen_corpus = true,
-            "--record-threaded" => {
-                record_threaded = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| PathBuf::from("tests/corpus/threaded-00.trace")),
-                );
-            }
-            "--help" | "-h" => return usage(""),
-            other => return usage(&format!("unknown flag `{other}`")),
-        }
+    if let Some(cases) = m.int("--cases") {
+        cfg.cases = cases;
+        cfg.mode = "custom".into();
+    }
+    cfg.seed = m.int("--seed").unwrap_or(cfg.seed);
+    match m.last_of(&["--corpus", "--no-corpus"]) {
+        Some("--no-corpus") => cfg.corpus_dir = None,
+        Some(_) => cfg.corpus_dir = m.value("--corpus").map(PathBuf::from),
+        None => {}
+    }
+    if let Some(dir) = m.value("--fault-dir") {
+        cfg.fault_dir = dir.into();
     }
 
-    if regen_corpus {
-        let dir = cfg
-            .corpus_dir
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("tests/corpus"));
-        return match corpus::regen_seed_corpus(&dir) {
-            Ok(paths) => {
-                for p in &paths {
-                    println!("wrote {}", p.display());
-                }
-                0
-            }
-            Err(e) => {
-                eprintln!("corpus regeneration failed: {e}");
-                1
-            }
-        };
+    if m.has("--regen-corpus") {
+        let dir = cfg.corpus_dir.as_deref();
+        let dir = dir.unwrap_or(Path::new("tests/corpus"));
+        let written = corpus::regen_seed_corpus(dir)
+            .map(|paths| format!("wrote {} traces under {}", paths.len(), dir.display()));
+        return Ok(must_find("regen-corpus", written));
     }
-
-    if let Some(out) = record_threaded {
+    if let Some(out) = m.value("--record-threaded").map(Path::new) {
         // Racy by design: every invocation witnesses a different
         // interleaving. The trace is only written after the oracle
         // verified it (condition (a), bit-identical replay,
         // convergence), so whatever lands in the corpus is sound.
-        return match corpus::record_threaded_trace().and_then(|trace| {
-            corpus::save_trace(&out, &trace)?;
-            Ok(trace.len())
-        }) {
-            Ok(steps) => {
-                println!(
-                    "recorded a verified {steps}-step threaded-cluster execution → {}",
-                    out.display()
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("record-threaded failed: {e}");
-                1
-            }
-        };
+        let recorded = corpus::record_threaded_trace().and_then(|trace| {
+            corpus::save_trace(out, &trace)?;
+            let steps = trace.len();
+            Ok(format!(
+                "verified {steps}-step threaded-cluster execution saved {}",
+                out.display()
+            ))
+        });
+        return Ok(must_find("record-threaded", recorded));
     }
-
-    if let Some(out) = cluster_reorder {
-        return match cluster_reorder_demo(cfg.seed, &out) {
-            Ok((orig, shrunk)) => {
-                println!(
-                    "cluster reordering evidence: {orig}-step trace shrunk to {shrunk} steps → {}",
-                    out.display()
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("cluster-reorder demo failed: {e}");
-                1
-            }
-        };
+    if let Some(out) = m.value("--cluster-reorder").map(Path::new) {
+        let run = cluster_reorder_demo(cfg.seed, out).map(shrunk_to(out));
+        return Ok(must_find("cluster-reorder", run));
     }
-
-    if inject_cluster_fault {
-        return match inject_cluster_fault_demo(cfg.seed) {
-            Ok((steps, residual)) => {
-                println!(
-                    "severed essential message caught after {steps} steps \
-                     (consensus residual {residual:.3e} stays above tolerance)"
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("inject-cluster-fault demo failed: {e}");
-                1
-            }
-        };
+    if m.has("--inject-cluster-fault") {
+        let run = inject_cluster_fault_demo(cfg.seed).map(|(steps, residual)| {
+            format!(
+                "severed essential message caught after {steps} steps \
+                 (consensus residual {residual:.3e} stays above tolerance)"
+            )
+        });
+        return Ok(must_find("inject-cluster-fault", run));
     }
-
-    if let Some(out) = inject_scratch_leak {
-        return match crate::service::inject_scratch_leak_demo(cfg.seed, &out) {
-            Ok((orig, shrunk)) => {
-                println!(
-                    "planted scratch leak caught by the isolation oracle: \
-                     {orig}-step trace shrunk to {shrunk} steps → {}",
-                    out.display()
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("inject-scratch-leak demo failed: {e}");
-                1
-            }
-        };
+    if let Some(out) = m.value("--inject-scratch-leak").map(Path::new) {
+        let run = crate::service::inject_scratch_leak_demo(cfg.seed, out).map(shrunk_to(out));
+        return Ok(must_find("inject-scratch-leak", run));
     }
-
-    if let Some(out) = inject_fault {
-        return match inject_fault_demo(cfg.seed, &out) {
-            Ok((orig, shrunk)) => {
-                println!(
-                    "injected frozen-label fault: {orig}-step trace shrunk to {shrunk} steps → {}",
-                    out.display()
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("inject-fault demo failed: {e}");
-                1
-            }
-        };
+    if let Some(out) = m.value("--inject-fault").map(Path::new) {
+        let run = inject_fault_demo(cfg.seed, out).map(shrunk_to(out));
+        return Ok(must_find("inject-fault", run));
     }
 
     println!(
@@ -919,30 +818,15 @@ pub fn conformance_main(args: &[String]) -> i32 {
                 .unwrap_or_default(),
         );
     }
-    if let Err(e) = std::fs::write(&out_json, report.to_json().render_pretty()) {
-        eprintln!("could not write {}: {e}", out_json.display());
-        return 1;
-    }
+    let out = Path::new(m.value("--out").unwrap_or("CONFORMANCE_report.json"));
+    write_artefact(out, &report.to_json().render_pretty())?;
     println!(
         "=== {} in {:.1}s → {} ===",
         if report.passed() { "PASS" } else { "FAIL" },
         report.wall_secs,
-        out_json.display()
+        out.display()
     );
-    i32::from(!report.passed())
-}
-
-fn usage(err: &str) -> i32 {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: conformance [--quick|--soak] [--cases N] [--seed N] [--corpus DIR|--no-corpus]\n\
-         \x20                  [--fault-dir DIR] [--out FILE] [--inject-fault [PATH]]\n\
-         \x20                  [--cluster-reorder [PATH]] [--inject-cluster-fault] [--regen-corpus]\n\
-         \x20                  [--record-threaded [PATH]] [--inject-scratch-leak [PATH]]"
-    );
-    i32::from(!err.is_empty()) * 2
+    Ok(exit_code(report.passed()))
 }
 
 #[cfg(test)]

@@ -31,8 +31,7 @@ use asynciter_service::{
     ScheduleSpec, Service, ServiceConfig, ServiceMode, ServiceOutcome,
 };
 
-use crate::corpus;
-use crate::shrink::shrink_trace;
+use crate::shrink::shrink_and_save;
 
 /// A seeded mixed workload: `tenants` job specs cycling through every
 /// catalog problem and every deterministic backend family, each with a
@@ -195,15 +194,8 @@ pub fn shrink_leak_trace(
         (Some(a), Some(b)) => a.iter().zip(&b).any(|(x, y)| x.to_bits() != y.to_bits()),
         _ => false,
     };
-    if !still_fails(trace) {
-        return Err("clean and leaked starts replay identically on the full trace".into());
-    }
-    let res = shrink_trace(trace, still_fails, 200_000);
-    if !still_fails(&res.trace) {
-        return Err("shrinking lost the start-vector divergence".into());
-    }
-    corpus::save_trace(out, &res.trace)?;
-    Ok((trace.len() as u64, res.trace.len() as u64))
+    let not_caught = "clean and leaked starts replay identically on the full trace";
+    shrink_and_save(trace, still_fails, 200_000, not_caught, out)
 }
 
 /// The scratch-leak negative control behind `--inject-scratch-leak`:
@@ -258,6 +250,7 @@ pub fn inject_scratch_leak_demo(seed: u64, out: &Path) -> Result<(u64, u64), Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus;
 
     #[test]
     fn clean_sweeps_have_no_divergences_in_either_mode() {

@@ -20,6 +20,7 @@
 
 use asynciter_models::{LabelStore, Trace};
 use proptest::shrink::{minimize, u64_candidates, vec_remove_candidates};
+use std::path::Path;
 
 /// Outcome of a shrink run.
 #[derive(Debug)]
@@ -212,6 +213,35 @@ pub fn shrink_trace<F: FnMut(&Trace) -> bool>(
     }
 }
 
+/// The one "check, shrink, re-check, save" sequence behind every
+/// persisted exhibit: fails with `not_caught` unless `still_fails`
+/// holds on `trace`, minimises within `budget` predicate evaluations,
+/// confirms the minimised trace still fails, and writes it to `out`.
+/// Returns `(original steps, shrunk steps)`.
+///
+/// # Errors
+/// `not_caught`, a shrinker that lost the failure, or the save error.
+///
+/// # Panics
+/// As [`shrink_trace`]: on traces without full labels.
+pub fn shrink_and_save(
+    trace: &Trace,
+    mut still_fails: impl FnMut(&Trace) -> bool,
+    budget: u64,
+    not_caught: &str,
+    out: &Path,
+) -> Result<(u64, u64), String> {
+    if !still_fails(trace) {
+        return Err(not_caught.into());
+    }
+    let res = shrink_trace(trace, &mut still_fails, budget);
+    if !still_fails(&res.trace) {
+        return Err("shrinking lost the failure it was minimising".into());
+    }
+    crate::corpus::save_trace(out, &res.trace)?;
+    Ok((trace.len() as u64, res.trace.len() as u64))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,5 +341,31 @@ mod tests {
         let text = asynciter_models::trace_io::trace_to_string(&res.trace).unwrap();
         let back = asynciter_models::trace_io::trace_from_str(&text).unwrap();
         assert_eq!(back.len(), 3);
+    }
+
+    #[test]
+    fn shrink_and_save_checks_before_and_after_and_persists() {
+        let dir = std::env::temp_dir().join(format!("asynciter-shrink-{}", std::process::id()));
+        let out = dir.join("nested/exhibit.trace");
+        let t = chaotic_trace(120);
+        // Not caught: nothing is shrunk, nothing is written.
+        let err = shrink_and_save(&t, |_| false, 1_000, "not caught here", &out);
+        assert_eq!(err, Err("not caught here".to_string()));
+        assert!(!out.exists());
+        // A predicate the minimised trace no longer satisfies is reported
+        // rather than persisted.
+        let mut calls = 0;
+        let flaky = |_: &Trace| {
+            calls += 1;
+            calls == 1
+        };
+        let err = shrink_and_save(&t, flaky, 1_000, "n/a", &out).unwrap_err();
+        assert_eq!(err, "shrinking lost the failure it was minimising");
+        assert!(!out.exists());
+        // Caught: minimised, re-checked, saved under a fresh parent.
+        let steps = shrink_and_save(&t, |t| t.len() >= 4, 10_000, "n/a", &out);
+        assert_eq!(steps, Ok((120, 4)));
+        assert_eq!(crate::corpus::load_trace(&out).unwrap().len(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

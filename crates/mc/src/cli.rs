@@ -8,14 +8,13 @@
 //! mc --scope quick --out MC_report.json
 //! ```
 //!
-//! Exit codes (the same table as `gate`, `service` and `conformance`):
-//! `0` — scope verified, `--help`, or, in the must-find modes
-//! (`--inject-mc-bug`, `--inject-seam-*`, `--find-reorder`), the sought
-//! violation was found and emitted; `1` — a violation was found in a
-//! normal sweep, a must-find mode came up empty, a state-count lock or
-//! POR cross-check failed, or the state budget truncated the sweep;
-//! `2` — usage error (unknown flag, bad value, unreadable
-//! `--from-trace`) or an unwritable `--out`.
+//! Exit codes, the uniform usage-error forms and the flag table are the
+//! workspace-wide contract of [`asynciter_report::cli`] (README §
+//! "Command-line contract"). What `1` means here: a violation found in
+//! a normal sweep, a must-find mode (`--inject-mc-bug`,
+//! `--inject-seam-*`, `--find-reorder`) that came up empty, a failed
+//! state-count lock or POR cross-check, or a sweep the state budget
+//! truncated.
 
 use crate::counterexample::{emit_counterexample, find_reorder_demo, inject_bug_demo};
 use crate::explore::{
@@ -25,136 +24,82 @@ use crate::invariants::Property;
 use crate::scope::{McProblem, Scope};
 use crate::seam::{seam_bug_demo, SeamBug, SeamModel, SeamScope};
 use crate::state::Por;
-use asynciter_conformance::corpus::save_trace;
+use asynciter_conformance::corpus::{load_trace, save_trace};
+use asynciter_report::cli::Arity::{Int, Switch, Value};
+use asynciter_report::cli::{
+    must_find, shrunk_to, write_artefact, Flag, Matches, Spec, EXIT_FINDING, EXIT_OK,
+};
 use asynciter_report::json::Json;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-fn usage() -> String {
-    "usage: mc [--scope quick|flex|reorder|inject|triple|deep|deeper|seam1|seam2] \
-     [--strategy dfs|bfs] [--por off|on|check] [--steps N] [--workers N] \
-     [--max-states N] [--expect-states N] [--stats] [--fault-dir DIR] \
-     [--out FILE] [--from-trace FILE] [--inject-mc-bug] [--find-reorder] \
-     [--inject-seam-hold] [--inject-seam-drop] [--inject-seam-dup]"
-        .into()
-}
+/// The model checker's flag table (README § "Command-line contract").
+#[rustfmt::skip] // one flag per row
+pub const MC: Spec<'static> = Spec {
+    tool: "mc",
+    about: "Enumerates every admissible interleaving of a bounded scope, checks the\n\
+            invariants on every edge and terminal state, and shrinks any violation to a\n\
+            replayable corpus counterexample.",
+    flags: &[
+        Flag("--scope", Value("NAME"), "quick (default), flex, reorder, inject, triple, deep, deeper, seam1, seam2"),
+        Flag("--quick", Switch, "alias for --scope quick"),
+        Flag("--strategy", Value("dfs|bfs"), "search order (default dfs)"),
+        Flag("--por", Value("off|on|check"), "partial-order reduction; check runs both and compares (default off)"),
+        Flag("--steps", Int("N"), "override the scope's horizon"),
+        Flag("--workers", Int("N"), "override the scope's worker count (2 or 3)"),
+        Flag("--max-states", Int("N"), "state budget (default 5000000)"),
+        Flag("--expect-states", Int("N"), "lock: exit 1 unless exactly N states are visited"),
+        Flag("--stats", Switch, "print the search counters"),
+        Flag("--fault-dir", Value("DIR"), "where counterexamples go (default target/mc-failures)"),
+        Flag("--out", Value("FILE"), "write the sweep report as JSON"),
+        Flag("--from-trace", Value("FILE"), "derive the scope from a corpus trace"),
+        Flag("--inject-mc-bug", Switch, "must-find: the planted severed-apply bug"),
+        Flag("--find-reorder", Switch, "must-find: the out-of-order application class"),
+        Flag("--inject-seam-hold", Switch, "must-find: a planted transport bug on a held message"),
+        Flag("--inject-seam-drop", Switch, "must-find: a planted transport bug on a dropped message"),
+        Flag("--inject-seam-dup", Switch, "must-find: a planted transport bug on a duplicated message"),
+    ],
+};
 
-/// The three CLI reduction modes: run unreduced, run reduced, or run
-/// both and assert equivalence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PorMode {
-    Off,
-    On,
-    Check,
-}
-
-impl PorMode {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(PorMode::Off),
-            "on" => Ok(PorMode::On),
-            "check" => Ok(PorMode::Check),
-            other => Err(format!(
-                "unknown por mode '{other}' (valid: off, on, check)"
-            )),
-        }
-    }
-}
-
+/// What the flags select; plain values are read off the [`Matches`]
+/// where they are used.
 struct Args {
     scope: Scope,
     seam: Option<SeamScope>,
     seam_bug: Option<SeamBug>,
     strategy: Strategy,
-    por: PorMode,
-    max_states: u64,
-    expect_states: Option<u64>,
-    stats: bool,
-    fault_dir: PathBuf,
-    out: Option<PathBuf>,
-    inject: bool,
+    por: Por,
+    /// `--por check`: run unreduced and reduced, assert equivalence.
+    por_check: bool,
     find_reorder: bool,
-    scope_from_trace: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut scope_name: Option<String> = None;
-    let mut seam_bug: Option<SeamBug> = None;
-    let mut strategy = Strategy::Dfs;
-    let mut por: Option<PorMode> = None;
-    let mut steps: Option<u64> = None;
-    let mut workers: Option<usize> = None;
-    let mut max_states = 5_000_000u64;
-    let mut expect_states: Option<u64> = None;
-    let mut stats = false;
-    let mut fault_dir = PathBuf::from("target/mc-failures");
-    let mut out = None;
-    let mut from_trace: Option<PathBuf> = None;
-    let mut inject = false;
-    let mut find_reorder = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or(format!("{name} needs a value"))
-                .map(str::to_string)
-        };
-        match a.as_str() {
-            "--scope" => scope_name = Some(val("--scope")?),
-            "--strategy" => strategy = Strategy::parse(&val("--strategy")?)?,
-            "--por" => por = Some(PorMode::parse(&val("--por")?)?),
-            "--steps" => {
-                steps = Some(
-                    val("--steps")?
-                        .parse()
-                        .map_err(|e| format!("--steps: {e}"))?,
-                )
-            }
-            "--workers" => {
-                workers = Some(
-                    val("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                )
-            }
-            "--max-states" => {
-                max_states = val("--max-states")?
-                    .parse()
-                    .map_err(|e| format!("--max-states: {e}"))?
-            }
-            "--expect-states" => {
-                expect_states = Some(
-                    val("--expect-states")?
-                        .parse()
-                        .map_err(|e| format!("--expect-states: {e}"))?,
-                )
-            }
-            "--stats" => stats = true,
-            "--fault-dir" => fault_dir = PathBuf::from(val("--fault-dir")?),
-            "--out" => out = Some(PathBuf::from(val("--out")?)),
-            "--from-trace" => from_trace = Some(PathBuf::from(val("--from-trace")?)),
-            "--inject-mc-bug" => inject = true,
-            "--find-reorder" => find_reorder = true,
-            "--inject-seam-hold" => seam_bug = Some(SeamBug::Hold),
-            "--inject-seam-drop" => seam_bug = Some(SeamBug::Drop),
-            "--inject-seam-dup" => seam_bug = Some(SeamBug::Dup),
-            "--quick" => scope_name = Some("quick".into()),
-            other => return Err(format!("unknown argument '{other}'\n{}", usage())),
+/// The semantic half of argument handling: scope selection, overrides
+/// and the combinations the models do not support.
+fn read_args(m: &Matches<'_>) -> Result<Args, String> {
+    let scope_name = match m.last_of(&["--scope", "--quick"]) {
+        Some("--quick") => Some("quick"),
+        _ => m.value("--scope"),
+    };
+    let strategy = m.value("--strategy").map(Strategy::parse).transpose()?;
+    let (por, por_check) = match m.value("--por") {
+        None | Some("off") => (Por::Off, false),
+        Some("on") => (Por::On, false),
+        Some("check") => (Por::Off, true),
+        Some(other) => {
+            return Err(format!(
+                "unknown por mode '{other}' (valid: off, on, check)"
+            ))
         }
-    }
+    };
+    let from_trace = m.value("--from-trace").map(Path::new);
+    let (inject, find_reorder) = (m.has("--inject-mc-bug"), m.has("--find-reorder"));
     // The seam scopes are a different model: the cluster-regime scope
     // knobs and reduction do not apply to them.
-    let seam = match scope_name.as_deref() {
+    let seam = match scope_name {
         Some(name) if name.starts_with("seam") => {
             let seam = SeamScope::by_name(name)?;
-            if por.is_some()
-                || steps.is_some()
-                || workers.is_some()
-                || inject
-                || find_reorder
-                || from_trace.is_some()
-            {
+            let cluster_only = ["--por", "--steps", "--workers", "--from-trace"];
+            if inject || find_reorder || cluster_only.iter().any(|f| m.has(f)) {
                 return Err(format!(
                     "--scope {name}: seam scopes take no --por/--steps/--workers \
                      and no --inject-mc-bug/--find-reorder/--from-trace"
@@ -164,50 +109,46 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         }
         _ => None,
     };
-    let por = por.unwrap_or(PorMode::Off);
-    let mut scope = match (&seam, &from_trace, &scope_name, inject, find_reorder) {
+    let mut scope = match (&seam, from_trace, scope_name, inject, find_reorder) {
         (Some(_), ..) => Scope::quick(), // unused carrier; the seam scope drives the run
         (None, Some(path), _, _, _) => {
-            let trace = asynciter_conformance::corpus::load_trace(path)?;
-            let stem = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("trace")
-                .to_string();
-            Scope::from_trace(&stem, &trace)?
+            let stem = path.file_stem().and_then(|s| s.to_str());
+            Scope::from_trace(stem.unwrap_or("trace"), &load_trace(path)?)?
         }
         (None, None, Some(name), _, _) => Scope::by_name(name)?,
         (None, None, None, true, _) => Scope::inject(),
         (None, None, None, false, true) => Scope::reorder(),
         (None, None, None, false, false) => Scope::quick(),
     };
-    if inject {
-        scope.inject_bug = true;
-    }
-    if let Some(s) = steps {
+    scope.inject_bug |= inject;
+    if let Some(s) = m.int("--steps") {
         scope.steps = s;
     }
-    if let Some(w) = workers {
+    if let Some(w) = m.int("--workers") {
         if !(2..=3).contains(&w) {
             return Err("--workers: bounded scopes support 2 or 3 workers".into());
         }
-        scope.workers = w;
+        scope.workers = w as usize;
     }
     scope.validate()?;
+    let seam_bugs = [
+        "--inject-seam-hold",
+        "--inject-seam-drop",
+        "--inject-seam-dup",
+    ];
     Ok(Args {
         scope,
         seam,
-        seam_bug,
-        strategy,
+        seam_bug: match m.last_of(&seam_bugs) {
+            Some("--inject-seam-hold") => Some(SeamBug::Hold),
+            Some("--inject-seam-drop") => Some(SeamBug::Drop),
+            Some(_) => Some(SeamBug::Dup),
+            None => None,
+        },
+        strategy: strategy.unwrap_or(Strategy::Dfs),
         por,
-        max_states,
-        expect_states,
-        stats,
-        fault_dir,
-        out,
-        inject,
+        por_check,
         find_reorder,
-        scope_from_trace: from_trace.is_some(),
     })
 }
 
@@ -287,13 +228,14 @@ fn stats_json(outcome: &ExploreOutcome, sweep: &Sweep<'_>, strategy: Strategy) -
 /// `--expect-states` lock and the verdict. `emit` turns a found
 /// violation into a saved counterexample and describes what it wrote.
 fn report(
+    m: &Matches<'_>,
     parsed: &Args,
     sweep: &Sweep<'_>,
     outcome: &ExploreOutcome,
     emit: impl FnOnce(&FoundViolation) -> Result<String, String>,
-) -> i32 {
+) -> Result<i32, String> {
     let s = &outcome.stats;
-    if parsed.stats {
+    if m.has("--stats") {
         println!(
             "  visited {} states, {} dedup hits, {} edges, {} terminals",
             s.visited, s.dedup_hits, s.edges, s.terminals
@@ -307,34 +249,29 @@ fn report(
             sweep.wall_ms
         );
     }
-    if let Some(path) = &parsed.out {
-        if let Err(e) = std::fs::write(
-            path,
-            stats_json(outcome, sweep, parsed.strategy).render_pretty(),
-        ) {
-            eprintln!("mc: cannot write {}: {e}", path.display());
-            return 2;
-        }
+    if let Some(path) = m.value("--out").map(Path::new) {
+        let json = stats_json(outcome, sweep, parsed.strategy);
+        write_artefact(path, &json.render_pretty())?;
         println!("mc: wrote {}", path.display());
     }
-    if let Some(expect) = parsed.expect_states {
+    if let Some(expect) = m.int("--expect-states") {
         if s.visited != expect {
             eprintln!(
                 "mc: state-count lock FAILED — expected {expect} states, visited {} \
                  (coverage changed; re-measure and update the lock deliberately)",
                 s.visited
             );
-            return 1;
+            return Ok(EXIT_FINDING);
         }
         println!("mc: state-count lock ok ({expect} states)");
     }
-    match &outcome.violation {
+    Ok(match &outcome.violation {
         None if outcome.truncated => {
             eprintln!(
                 "mc: state budget exhausted after {} states — sweep NOT exhaustive",
                 s.visited
             );
-            1
+            EXIT_FINDING
         }
         None if parsed.find_reorder => {
             eprintln!(
@@ -342,7 +279,7 @@ fn report(
                  no out-of-order application",
                 sweep.name, s.visited
             );
-            1
+            EXIT_FINDING
         }
         None => {
             println!(
@@ -350,7 +287,7 @@ fn report(
                  admissible interleaving",
                 sweep.name, s.visited
             );
-            0
+            EXIT_OK
         }
         Some(found) if parsed.find_reorder && found.violation.property == Property::Reorder => {
             println!(
@@ -358,7 +295,7 @@ fn report(
                  at step {}: {}",
                 sweep.name, found.violation.j, found.violation.detail
             );
-            0
+            EXIT_OK
         }
         Some(found) => {
             eprintln!(
@@ -371,61 +308,40 @@ fn report(
                 Ok(saved) => eprintln!("mc: {saved}"),
                 Err(e) => eprintln!("mc: counterexample emission failed: {e}"),
             }
-            1
+            EXIT_FINDING
         }
-    }
-}
-
-/// Reports a must-find demo: exit 0 iff the sought violation was found,
-/// shrunk and saved to `out`.
-fn demo_exit(name: &str, out: &Path, run: Result<(u64, u64), String>) -> i32 {
-    match run {
-        Ok((orig, shrunk)) => {
-            println!(
-                "{name}: violation found, shrunk {orig} -> {shrunk} steps, saved {}",
-                out.display()
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("{name}: FAILED: {e}");
-            1
-        }
-    }
+    })
 }
 
 /// CLI entry point; returns the process exit code.
 pub fn mc_main(args: &[String]) -> i32 {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return 0;
-    }
-    let parsed = match parse_args(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    MC.run(args, |m| run_mc(m, &read_args(m)?))
+}
 
+fn run_mc(m: &Matches<'_>, parsed: &Args) -> Result<i32, String> {
     // Must-find modes delegate to the deterministic demos (the same
     // functions the tier-1 fixtures are generated and locked by): one
     // planted transport bug per seam fault kind, the severed cluster
     // apply, and the reorder rediscovery — except `--from-trace
     // --find-reorder`, which hunts the class on the derived scope in
     // the normal sweep below.
+    let fault_dir = Path::new(m.value("--fault-dir").unwrap_or("target/mc-failures"));
+    let max_states = m.int("--max-states").unwrap_or(5_000_000);
+    let saved = |file: &str| fault_dir.join(file);
     if let Some(bug) = parsed.seam_bug {
-        let out = parsed.fault_dir.join(format!("mc-seam-{}.trace", bug.id()));
-        let name = format!("inject-seam-{}", bug.id());
-        return demo_exit(&name, &out, seam_bug_demo(bug, &out));
+        let out = saved(&format!("mc-seam-{}.trace", bug.id()));
+        let run = seam_bug_demo(bug, &out).map(shrunk_to(&out));
+        return Ok(must_find(&format!("inject-seam-{}", bug.id()), run));
     }
-    if parsed.inject {
-        let out = parsed.fault_dir.join("mc-bug-severed-apply.trace");
-        return demo_exit("inject-mc-bug", &out, inject_bug_demo(&out));
+    if m.has("--inject-mc-bug") {
+        let out = saved("mc-bug-severed-apply.trace");
+        let run = inject_bug_demo(&out).map(shrunk_to(&out));
+        return Ok(must_find("inject-mc-bug", run));
     }
-    if parsed.find_reorder && !parsed.scope_from_trace {
-        let out = parsed.fault_dir.join("mc-reorder.trace");
-        return demo_exit("find-reorder", &out, find_reorder_demo(&out));
+    if parsed.find_reorder && !m.has("--from-trace") {
+        let out = saved("mc-reorder.trace");
+        let run = find_reorder_demo(&out).map(shrunk_to(&out));
+        return Ok(must_find("find-reorder", run));
     }
 
     let problem = McProblem::build();
@@ -435,16 +351,16 @@ pub fn mc_main(args: &[String]) -> i32 {
     if let Some(seam) = &parsed.seam {
         println!("mc: {}", seam.describe());
         let model = SeamModel::new(seam, &problem);
-        let outcome = explore(&model, parsed.strategy, parsed.max_states);
+        let outcome = explore(&model, parsed.strategy, max_states);
         let sweep = Sweep {
             name: &seam.name,
             description: seam.describe(),
             por: Por::Off,
             wall_ms: start.elapsed().as_millis(),
         };
-        return report(&parsed, &sweep, &outcome, |found| {
+        return report(m, parsed, &sweep, &outcome, |found| {
             let (trace, _) = rebuild(&model, &found.path);
-            let out = parsed.fault_dir.join("mc-seam-violation.trace");
+            let out = saved("mc-seam-violation.trace");
             save_trace(&out, &trace)?;
             Ok(format!(
                 "counterexample ({} steps) saved {}",
@@ -455,33 +371,30 @@ pub fn mc_main(args: &[String]) -> i32 {
     }
 
     println!("mc: {}", parsed.scope.describe());
-    let mut model = ClusterModel {
+    let model = ClusterModel {
         scope: &parsed.scope,
         problem: &problem,
         find_reorder: parsed.find_reorder,
-        por: Por::Off,
+        por: parsed.por,
     };
-    let outcome = match parsed.por {
-        PorMode::Off => explore(&model, parsed.strategy, parsed.max_states),
-        PorMode::On => {
-            model.por = Por::On;
-            explore(&model, parsed.strategy, parsed.max_states)
-        }
-        PorMode::Check => match explore_check_por(&model, parsed.strategy, parsed.max_states) {
+    let outcome = if parsed.por_check {
+        match explore_check_por(&model, parsed.strategy, max_states) {
             Err(e) => {
                 eprintln!("mc: POR-CHECK FAILED: {e}");
-                return 1;
+                return Ok(EXIT_FINDING);
             }
             Ok((off, on)) => {
                 let factor = off.stats.visited as f64 / on.stats.visited.max(1) as f64;
                 println!(
                     "mc: por-check ok — identical verdict; {} states unreduced, \
-                         {} reduced ({factor:.2}x)",
+                     {} reduced ({factor:.2}x)",
                     off.stats.visited, on.stats.visited
                 );
                 off
             }
-        },
+        }
+    } else {
+        explore(&model, parsed.strategy, max_states)
     };
     let sweep = Sweep {
         name: &parsed.scope.name,
@@ -489,17 +402,9 @@ pub fn mc_main(args: &[String]) -> i32 {
         por: model.por,
         wall_ms: start.elapsed().as_millis(),
     };
-    report(&parsed, &sweep, &outcome, |found| {
-        let out = parsed
-            .fault_dir
-            .join(format!("mc-{}.trace", found.violation.property.id()));
-        let rep = emit_counterexample(&model, found, &out)?;
-        Ok(format!(
-            "counterexample shrunk {} -> {} steps, saved {}",
-            rep.orig_steps,
-            rep.shrunk_steps,
-            out.display()
-        ))
+    report(m, parsed, &sweep, &outcome, |found| {
+        let out = saved(&format!("mc-{}.trace", found.violation.property.id()));
+        emit_counterexample(&model, found, &out).map(shrunk_to(&out))
     })
 }
 
@@ -511,6 +416,10 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
+    fn parse_args(args: &[String]) -> Result<Args, String> {
+        read_args(&MC.parse(args)?)
+    }
+
     #[test]
     fn arg_parsing_covers_modes_and_errors() {
         assert!(parse_args(&s(&["--scope", "nope"])).is_err());
@@ -518,7 +427,6 @@ mod tests {
         assert!(parse_args(&s(&["--workers", "9"])).is_err());
         let a = parse_args(&s(&["--quick", "--stats", "--strategy", "bfs"])).unwrap();
         assert_eq!(a.scope.name, "quick");
-        assert!(a.stats);
         assert_eq!(a.strategy, Strategy::Bfs);
         let a = parse_args(&s(&["--inject-mc-bug"])).unwrap();
         assert!(a.scope.inject_bug);
@@ -603,7 +511,6 @@ mod tests {
         assert_eq!(a.seam.as_ref().unwrap().workers, 1);
         let a = parse_args(&s(&["--scope", "seam2", "--stats", "--strategy", "bfs"])).unwrap();
         assert_eq!(a.seam.as_ref().unwrap().workers, 2);
-        assert!(a.stats);
         assert_eq!(
             a.strategy,
             Strategy::Bfs,
@@ -624,7 +531,11 @@ mod tests {
             "/../../tests/corpus/mc-reorder.trace"
         );
         let a = parse_args(&s(&["--from-trace", trace, "--find-reorder"])).unwrap();
-        assert!(a.scope_from_trace && a.find_reorder);
+        assert!(
+            a.find_reorder && a.scope.name.contains("mc-reorder"),
+            "{}",
+            a.scope.name
+        );
     }
 
     #[test]

@@ -24,28 +24,13 @@ use crate::invariants::Property;
 use crate::scope::{McProblem, Scope};
 use asynciter_conformance::cluster::has_label_regression;
 use asynciter_conformance::corpus::save_trace;
-use asynciter_conformance::shrink::shrink_trace;
+use asynciter_conformance::shrink::shrink_and_save;
 use asynciter_models::conditions::DelayEnvelope;
 use asynciter_models::Trace;
 use std::path::Path;
 
 /// Shrink budget for counterexample minimisation (predicate calls).
 const SHRINK_BUDGET: u64 = 20_000;
-
-/// Summary of an emitted counterexample.
-#[derive(Debug, Clone)]
-pub struct CounterexampleReport {
-    /// The violated property.
-    pub property: Property,
-    /// Diagnosis carried by the violation.
-    pub detail: String,
-    /// Steps in the rebuilt (pre-shrink) trace.
-    pub orig_steps: u64,
-    /// Steps in the minimised trace.
-    pub shrunk_steps: u64,
-    /// Shrinker predicate evaluations spent.
-    pub shrink_attempts: u64,
-}
 
 /// True when some recorded read label sits outside `envelope` — the
 /// trace-level signature of a frozen/corrupted label book under a
@@ -79,7 +64,9 @@ fn shrink_predicate(property: Property, scope: &Scope) -> Box<dyn FnMut(&Trace) 
 }
 
 /// Rebuilds, minimises and saves the counterexample of a found
-/// violation. The emitted file is the corpus `.trace` format.
+/// violation in the corpus `.trace` format. Returns `(rebuilt steps,
+/// saved steps)`; a violation whose class leaves no trace-pure
+/// signature is saved unshrunk.
 ///
 /// # Errors
 /// I/O failures from saving, as a message.
@@ -87,20 +74,15 @@ pub fn emit_counterexample(
     model: &ClusterModel<'_>,
     found: &FoundViolation,
     out: &Path,
-) -> Result<CounterexampleReport, String> {
+) -> Result<(u64, u64), String> {
     let (trace, _terminal) = rebuild(model, &found.path);
-    let orig_steps = trace.len() as u64;
     let mut pred = shrink_predicate(found.violation.property, model.scope);
-    let result = shrink_trace(&trace, &mut pred, SHRINK_BUDGET);
-    drop(pred);
-    save_trace(out, &result.trace)?;
-    Ok(CounterexampleReport {
-        property: found.violation.property,
-        detail: found.violation.detail.clone(),
-        orig_steps,
-        shrunk_steps: result.trace.len() as u64,
-        shrink_attempts: result.attempts,
-    })
+    if !pred(&trace) {
+        save_trace(out, &trace)?;
+        return Ok((trace.len() as u64, trace.len() as u64));
+    }
+    let no_signature = "the violation left no trace-pure signature";
+    shrink_and_save(&trace, pred, SHRINK_BUDGET, no_signature, out)
 }
 
 /// Negative control: plants the severed block-boundary label bug,
@@ -128,8 +110,7 @@ pub fn inject_bug_demo(out: &Path) -> Result<(u64, u64), String> {
             found.violation.detail
         ));
     }
-    let report = emit_counterexample(&model, &found, out)?;
-    Ok((report.orig_steps, report.shrunk_steps))
+    emit_counterexample(&model, &found, out)
 }
 
 /// Rediscovery probe: explores the `reorder` scope hunting the
@@ -161,8 +142,7 @@ pub fn find_reorder_demo(out: &Path) -> Result<(u64, u64), String> {
     if !has_label_regression(&trace, scope.workers) {
         return Err("find-reorder: rebuilt trace lost the regression".into());
     }
-    let report = emit_counterexample(&model, &found, out)?;
-    Ok((report.orig_steps, report.shrunk_steps))
+    emit_counterexample(&model, &found, out)
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ pub mod seam;
 pub mod state;
 
 pub use book::{Book, SpecMessage};
-pub use counterexample::{find_reorder_demo, inject_bug_demo, CounterexampleReport};
+pub use counterexample::{find_reorder_demo, inject_bug_demo};
 pub use explore::{
     explore, explore_check_por, rebuild, ClusterModel, ExploreOutcome, ExploreStats,
     FoundViolation, Model, Strategy,

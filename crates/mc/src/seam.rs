@@ -58,8 +58,7 @@ use crate::invariants::{
 };
 use crate::scope::McProblem;
 use crate::state::{per_destination, PorCounts};
-use asynciter_conformance::corpus::save_trace;
-use asynciter_conformance::shrink::shrink_trace;
+use asynciter_conformance::shrink::shrink_and_save;
 use asynciter_models::conditions::{AdmissibilityWitness, DelayEnvelope};
 use asynciter_models::Trace;
 use asynciter_runtime::transport::{Exit, FaultRouter, SendFate};
@@ -568,18 +567,13 @@ pub fn seam_bug_demo(bug: SeamBug, out: &Path) -> Result<(u64, u64), String> {
             Err(_) => break,
         }
     }
-    if !envelope_violation(&trace, scope.envelope) {
-        return Err(format!(
-            "inject-seam-{}: caught trace carries no envelope-violation signature",
-            bug.id()
-        ));
-    }
-    let orig_steps = trace.len() as u64;
+    let not_caught = format!(
+        "inject-seam-{}: caught trace carries no envelope-violation signature",
+        bug.id()
+    );
     let envelope = scope.envelope;
-    let mut pred = |t: &Trace| envelope_violation(t, envelope);
-    let result = shrink_trace(&trace, &mut pred, 20_000);
-    save_trace(out, &result.trace)?;
-    Ok((orig_steps, result.trace.len() as u64))
+    let pred = |t: &Trace| envelope_violation(t, envelope);
+    shrink_and_save(&trace, pred, 20_000, &not_caught, out)
 }
 
 #[cfg(test)]

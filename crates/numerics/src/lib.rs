@@ -40,9 +40,5 @@ pub use error::NumericsError;
 pub use norm::{BlockWeightedMaxNorm, WeightedMaxNorm};
 pub use sparse::CsrMatrix;
 
-/// Default tolerance used by reference solvers when computing "exact"
-/// fixed points / minimisers against which experiments measure error.
-pub const REFERENCE_TOL: f64 = 1e-13;
-
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, NumericsError>;

@@ -131,6 +131,8 @@ impl WeightedMaxNorm {
 ///
 /// This is the norm used in the flexible-communication constraint (3) when
 /// iterate components are vector blocks owned by different processors.
+/// No engine calls it yet; the Theorem 1 certificate of ROADMAP item 4(a)
+/// is its likely first caller, so it stays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockWeightedMaxNorm {
     /// Block boundaries: block `b` covers `offsets[b]..offsets[b+1]`.

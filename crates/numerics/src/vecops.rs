@@ -33,12 +33,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Squared Euclidean norm `‖x‖₂²`.
-#[inline]
-pub fn norm2_sq(x: &[f64]) -> f64 {
-    dot(x, x)
-}
-
 /// Infinity norm `‖x‖_∞ = max_i |x_i|`. Returns 0 for empty input.
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {

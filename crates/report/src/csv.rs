@@ -5,7 +5,6 @@
 //! file/String sinks. Reading CSV is out of scope.
 
 use std::fmt::Display;
-use std::io::Write;
 use std::path::Path;
 
 /// An in-memory CSV document builder.
@@ -78,21 +77,12 @@ impl CsvWriter {
         &self.buf
     }
 
-    /// Number of data rows written so far.
-    pub fn rows_written(&self) -> usize {
-        self.buf.matches('\n').count() - 1
-    }
-
     /// Writes the document to a file, creating parent directories.
     ///
     /// # Errors
-    /// I/O errors.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.buf.as_bytes())
+    /// As [`crate::cli::write_artefact`].
+    pub fn save(&self, path: &Path) -> Result<(), String> {
+        crate::cli::write_artefact(path, &self.buf)
     }
 }
 
@@ -105,7 +95,6 @@ mod tests {
         let mut w = CsvWriter::new(&["a", "b"]);
         w.row(&[1.5, 2.0]).row(&[3.0, 4.0]);
         assert_eq!(w.as_str(), "a,b\n1.5,2\n3,4\n");
-        assert_eq!(w.rows_written(), 2);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 #![deny(rust_2018_idioms)]
 
 pub mod ascii;
+pub mod cli;
 pub mod csv;
 pub mod gantt;
 pub mod json;

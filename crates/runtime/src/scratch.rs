@@ -79,11 +79,6 @@ impl ScratchPool {
         self.dirty.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether the planted dirty-lease bug is active.
-    pub fn dirty_leases_injected(&self) -> bool {
-        self.dirty.load(Ordering::Relaxed)
-    }
-
     /// Leases a workspace of exactly `len` zeros (bitwise equal to
     /// `vec![0.0; len]` — unless the dirty-lease bug is injected).
     /// Returns the buffer to the pool when the lease drops.

@@ -105,6 +105,28 @@ impl Catalog {
     }
 }
 
+#[cfg(test)]
+impl Catalog {
+    /// The catalog with `id`'s operator replaced by one that panics on
+    /// its first evaluation — the planted bug behind the service's
+    /// panicking-job test.
+    pub(crate) fn with_panicking_operator(id: ProblemId) -> Self {
+        struct Panics(usize);
+        impl Operator for Panics {
+            fn dim(&self) -> usize {
+                self.0
+            }
+            fn component(&self, _i: usize, _x: &[f64]) -> f64 {
+                panic!("planted operator bug")
+            }
+        }
+        let mut catalog = Self::new();
+        let entry = &mut catalog.entries[id as usize];
+        entry.op = Box::new(Panics(entry.n()));
+        catalog
+    }
+}
+
 impl Default for Catalog {
     fn default() -> Self {
         Self::new()

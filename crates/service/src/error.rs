@@ -31,6 +31,12 @@ pub enum ServiceError {
         /// The backend's own message.
         message: String,
     },
+    /// An admitted job panicked (an operator or engine bug); the drain
+    /// and every other tenant carry on.
+    JobPanicked {
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -45,6 +51,7 @@ impl fmt::Display for ServiceError {
                 write!(f, "nothing queued for tenant {tenant}")
             }
             ServiceError::Backend { message } => write!(f, "backend error: {message}"),
+            ServiceError::JobPanicked { message } => write!(f, "job panicked: {message}"),
         }
     }
 }

@@ -27,8 +27,9 @@ use asynciter_runtime::ScratchPool;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// How admitted jobs are executed at drain time.
@@ -241,20 +242,26 @@ impl Service {
                 std::thread::scope(|scope| {
                     for _ in 0..workers {
                         scope.spawn(|| loop {
-                            let next = shared.lock().expect("service queue poisoned").pop_front();
+                            // A job cannot unwind through either lock
+                            // (`run_one` contains its panics), so a
+                            // poisoned guard still holds valid data.
+                            let next = shared
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .pop_front();
                             let Some(admitted) = next else { break };
                             let completed =
                                 run_one(&self.catalog, &self.pool, &self.clock, admitted);
                             results
                                 .lock()
-                                .expect("service results poisoned")
+                                .unwrap_or_else(PoisonError::into_inner)
                                 .push(completed);
                             // Single-core CI: let siblings make progress.
                             std::thread::yield_now();
                         });
                     }
                 });
-                results.into_inner().expect("service results poisoned")
+                results.into_inner().unwrap_or_else(PoisonError::into_inner)
             }
         };
 
@@ -395,7 +402,20 @@ fn run_one(
     };
     let x0_used = spec.record.then(|| ws[..n].to_vec());
     let start = Instant::now();
-    let result = spec.execute(catalog, &ws[..n], record_mode);
+    // A panicking job (an operator or engine bug) is that job's failure:
+    // the closure only reads the staged start, so the workspace unwinds
+    // intact and the lease below returns to the pool as usual.
+    let run = AssertUnwindSafe(|| spec.execute(catalog, &ws[..n], record_mode));
+    let result = catch_unwind(run).unwrap_or_else(|payload| {
+        let message = match payload.downcast_ref::<&str>() {
+            Some(s) => s.to_string(),
+            None => match payload.downcast_ref::<String>() {
+                Some(s) => s.clone(),
+                None => "non-string panic payload".into(),
+            },
+        };
+        Err(ServiceError::JobPanicked { message })
+    });
     let wall_secs = start.elapsed().as_secs_f64();
     let completed_at = clock.fetch_add(1, Ordering::Relaxed);
     let base = ServiceRecord {
@@ -629,6 +649,49 @@ mod tests {
         let mut tenants: Vec<u64> = out.jobs.iter().map(|c| c.record.tenant).collect();
         tenants.sort_unstable();
         assert_eq!(tenants, (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_in_both_modes() {
+        for mode in [
+            ServiceMode::Deterministic { seed: 5 },
+            ServiceMode::FreeRunning { workers: 2 },
+        ] {
+            let mut svc = Service::new(ServiceConfig {
+                mode,
+                ..ServiceConfig::default()
+            });
+            svc.catalog = Catalog::with_panicking_operator(ProblemId::Lasso);
+            for t in 0..6 {
+                let mut spec = jacobi_spec(t);
+                if t == 3 {
+                    spec.problem = ProblemId::Lasso;
+                }
+                svc.submit(spec).unwrap();
+            }
+            let out = svc.drain();
+            assert_eq!((out.doc.completed, out.doc.failed), (5, 1), "{mode:?}");
+            for job in &out.jobs {
+                if job.spec.tenant == 3 {
+                    assert_eq!(job.record.status, "failed");
+                    assert_eq!(job.record.note, "job panicked: planted operator bug");
+                    assert!(job.report.is_none());
+                } else {
+                    // Every other tenant is bit-identical to its solo run.
+                    let solo = crate::verify::solo_report(&svc.catalog, &job.spec, RecordMode::Off);
+                    let report = job.report.as_ref().expect("ok job carries its report");
+                    let diff = crate::verify::diff_reports(
+                        &job.spec,
+                        job.record.job,
+                        report,
+                        &solo.unwrap(),
+                    );
+                    assert!(diff.is_empty(), "{mode:?}: {diff:?}");
+                }
+            }
+            // Every lease, the failed job's included, is back in the pool.
+            assert_eq!(svc.pool().idle() as u64, svc.pool().stats().created);
+        }
     }
 
     #[test]
