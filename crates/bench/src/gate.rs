@@ -9,8 +9,11 @@
 //! - **backends** — `replay`, `flexible`, `shared-mem`, `barrier`,
 //!   `sim`, `cluster`, `threaded-cluster` (every engine behind the
 //!   unified `Session` API),
-//! - **problems** — Jacobi/quadratic, lasso via prox-gradient,
-//!   Bellman–Ford routing, and the obstacle problem,
+//! - **problems** — the five `asynciter_opt::canonical` families
+//!   (Jacobi, lasso, obstacle, logistic, network flow) plus its
+//!   Bellman–Ford routing instance, at the size `--quick` / `--full`
+//!   names; the gate constructs no instance of its own, and `--seed`
+//!   moves schedules, latency draws and fault plans, never an instance,
 //! - **delay models** — no delay, bounded, unbounded heavy-tail,
 //!   out-of-order, and flexible partial communication,
 //!
@@ -19,6 +22,13 @@
 //! `BENCH_gate.json`, and — in `--check` mode — compares the fresh
 //! matrix against a committed baseline, failing with a non-zero exit
 //! when any cell's convergence or simulated time regresses.
+//!
+//! There is one stopping policy: every cell runs to the fixed-point
+//! residual [`TARGET`] (the session's `StoppingRule::Residual`, which
+//! all seven engines honour), so `steps` is steps-to-target — the rate
+//! Theorem 1 bounds. The step budget is only a backstop, one per step
+//! unit ([`BackendId::backstop`]); a cell that reaches it did not
+//! converge and is recorded `failed`, which fails the gate.
 //!
 //! Not every backend can realise every delay model natively (a barrier
 //! cannot reorder messages). Instead of holes in the matrix, each cell
@@ -41,15 +51,8 @@ use asynciter_core::stopping::StoppingRule;
 use asynciter_core::CoreError;
 use asynciter_models::partition::Partition;
 use asynciter_models::schedule::{BlockRoundRobin, ChaoticBounded, HeavyTailDelay};
-use asynciter_opt::bellman_ford::{BellmanFordOperator, Graph};
-use asynciter_opt::lasso::LassoProblem;
-use asynciter_opt::linear::JacobiOperator;
-use asynciter_opt::logistic::LogisticGradOperator;
-use asynciter_opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
-use asynciter_opt::obstacle::{ObstacleProblem, ProjectedJacobi};
-use asynciter_opt::prox::L1;
-use asynciter_opt::proxgrad::{gamma_max, SparseProxGrad};
-use asynciter_opt::traits::{Operator, SmoothObjective};
+use asynciter_opt::canonical::{self, Canonical, Size};
+use asynciter_opt::traits::Operator;
 use asynciter_report::cli::Arity::{Int, Switch, Value};
 use asynciter_report::cli::{exit_code, read_baseline, write_artefact, Flag, Matches, Spec};
 use asynciter_report::json::{GateDoc, GateRecord};
@@ -107,18 +110,18 @@ impl ProblemId {
         }
     }
 
-    /// Residual target for this problem's cells on the backends that
-    /// support a stopping rule (`replay` and `barrier` here; shared-mem
-    /// and cluster cells already run their own targets). Those cells
-    /// record steps-to-converge instead of burning the cap — the
-    /// single-core-host policy that keeps the quick matrix inside its
-    /// wall budget despite 60 extra cells. `flexible` and `sim` honour
-    /// stopping rules too, but keep their (deterministic) fixed budgets
-    /// until the baseline is refreshed on purpose (ROADMAP item 6).
-    fn residual_target(self) -> Option<f64> {
+    /// The `opt::canonical` instance of this problem: operator and start.
+    fn instance(self, size: Size) -> (Box<dyn Operator>, Vec<f64>) {
+        fn boxed<O: Operator + 'static>(c: Canonical<O>) -> (Box<dyn Operator>, Vec<f64>) {
+            (Box::new(c.op), c.x0)
+        }
         match self {
-            ProblemId::Logistic | ProblemId::NetworkFlow => Some(1e-9),
-            _ => None,
+            ProblemId::Jacobi => boxed(canonical::jacobi(size)),
+            ProblemId::Lasso => boxed(canonical::lasso(size)),
+            ProblemId::BellmanFord => boxed(canonical::bellman_ford(size)),
+            ProblemId::Obstacle => boxed(canonical::obstacle(size)),
+            ProblemId::Logistic => boxed(canonical::logistic(size)),
+            ProblemId::NetworkFlow => boxed(canonical::network_flow(size)),
         }
     }
 }
@@ -167,6 +170,34 @@ impl BackendId {
             BackendId::Threaded => "threaded-cluster",
         }
     }
+
+    /// How often a cell tests [`TARGET`], in the backend's step unit.
+    /// Deterministic backends stop at the first multiple that meets it,
+    /// so this value is part of what the baseline pins.
+    fn check_every(self) -> u64 {
+        match self {
+            BackendId::Replay | BackendId::Flexible | BackendId::Sim => 32,
+            BackendId::SharedMem => 64,
+            BackendId::Cluster | BackendId::Threaded => 16,
+            BackendId::Barrier => 1,
+        }
+    }
+
+    /// The safety net under the target, one per step unit: global
+    /// iterations, barrier sweeps (each a scheduling quantum per worker on
+    /// a single core) and racing block updates (under coarse OS
+    /// interleaving one free-running worker can spend a long stretch
+    /// before its peer runs). A cell that gets here has not converged
+    /// and is recorded as `failed`.
+    pub fn backstop(self) -> u64 {
+        match self {
+            BackendId::Replay | BackendId::Flexible | BackendId::Sim | BackendId::Cluster => {
+                400_000
+            }
+            BackendId::Barrier => 10_000,
+            BackendId::SharedMem | BackendId::Threaded => 4_000_000,
+        }
+    }
 }
 
 /// The delay-model axis.
@@ -203,160 +234,6 @@ impl DelayId {
             DelayId::OutOfOrder => "out-of-order",
             DelayId::FlexiblePartial => "flexible-partial",
         }
-    }
-}
-
-/// Run size: `Quick` is the CI gate (small instances, seconds), `Full`
-/// the nightly-scale sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateMode {
-    /// CI-sized instances.
-    Quick,
-    /// Larger instances and budgets.
-    Full,
-}
-
-impl GateMode {
-    /// Stable identifier stamped into the document.
-    pub fn id(self) -> &'static str {
-        match self {
-            GateMode::Quick => "quick",
-            GateMode::Full => "full",
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Problem instances and budgets
-// ---------------------------------------------------------------------------
-
-/// A constructed problem instance: the operator and its canonical start.
-struct GateProblem {
-    op: Box<dyn Operator>,
-    x0: Vec<f64>,
-}
-
-fn build_problem(pid: ProblemId, mode: GateMode, seed: u64) -> GateProblem {
-    let full = mode == GateMode::Full;
-    match pid {
-        ProblemId::Jacobi => {
-            let n = if full { 64 } else { 16 };
-            let op = JacobiOperator::new(
-                asynciter_numerics::sparse::tridiagonal(n, 4.0, -1.0),
-                vec![1.0; n],
-            )
-            .expect("static Jacobi instance is valid");
-            GateProblem {
-                x0: vec![0.0; op.dim()],
-                op: Box::new(op),
-            }
-        }
-        ProblemId::Lasso => {
-            let (n, m, k) = if full { (48, 480, 8) } else { (12, 72, 3) };
-            let problem =
-                LassoProblem::random(n, m, k, 0.05, 0.01, seed).expect("static lasso instance");
-            let q = problem.quadratic.clone();
-            let gamma = 0.9 * gamma_max(q.strong_convexity(), q.lipschitz());
-            let op = SparseProxGrad::new(q, L1::new(problem.lambda), gamma)
-                .expect("gamma within Theorem-1 range");
-            GateProblem {
-                x0: vec![0.0; n],
-                op: Box::new(op),
-            }
-        }
-        ProblemId::BellmanFord => {
-            let graph = if full {
-                Graph::random_geometric(64, 0.25, seed).expect("static geometric graph")
-            } else {
-                Graph::arpanet()
-            };
-            let op = BellmanFordOperator::new(graph, 0).expect("destination 0 exists");
-            GateProblem {
-                x0: op.initial_estimate(),
-                op: Box::new(op),
-            }
-        }
-        ProblemId::Obstacle => {
-            let g = if full { 16 } else { 8 };
-            let problem = ObstacleProblem::bump(g, g, 0.6).expect("static obstacle instance");
-            let op = ProjectedJacobi::new(problem);
-            GateProblem {
-                x0: op.upper_start(),
-                op: Box::new(op),
-            }
-        }
-        ProblemId::Logistic => {
-            let (n, m) = if full { (24, 240) } else { (8, 48) };
-            // Certifiably max-norm contractive under every delay model
-            // in the matrix (ridge above the data-coupling bound).
-            let op = LogisticGradOperator::certified_random(n, m, 2.0, seed)
-                .expect("certified logistic instance");
-            GateProblem {
-                x0: vec![0.0; n],
-                op: Box::new(op),
-            }
-        }
-        ProblemId::NetworkFlow => {
-            let ring = if full { 48 } else { 12 };
-            let problem = NetworkFlowProblem::wheel(ring, seed).expect("static wheel instance");
-            let op = PriceRelaxation::new(problem, 0).expect("hub-grounded relaxation");
-            GateProblem {
-                x0: vec![0.0; op.dim()],
-                op: Box::new(op),
-            }
-        }
-    }
-}
-
-/// Step budget per cell, in the backend's step unit (iterations, block
-/// updates, sweeps or phases).
-///
-/// Deterministic backends get fixed budgets that converge each quick
-/// cell well below the comparator's residual floor (the
-/// slowly-contracting obstacle problem proportionally more). Two
-/// backends are special-cased for single-core CI hosts:
-///
-/// - `shared-mem` workers are free-running, so under coarse OS
-///   interleaving one worker can burn any fixed global budget before
-///   its peer runs; those cells get a huge budget plus a residual
-///   stopping rule (the same pattern the runtime's own tests use).
-/// - `barrier` sweeps cost one spin-barrier crossing per worker, which
-///   on a single core means a scheduling quantum each; budgets are kept
-///   small since sweeps converge geometrically anyway.
-fn step_budget(pid: ProblemId, bid: BackendId, mode: GateMode) -> u64 {
-    let quick = match (pid, bid) {
-        (_, BackendId::SharedMem) => 2_000_000,
-        // The cluster event loop is sequential and deterministic, so a
-        // fixed budget would be safe — but like shared-mem it pairs a
-        // large budget with a residual target so every cell records
-        // "steps to converge" rather than "steps spent".
-        (_, BackendId::Cluster) => 400_000,
-        // Threaded workers are free-running like shared-mem: under
-        // coarse OS interleaving any fixed budget can be burned by one
-        // worker, so the cell is residual-driven with a huge backstop.
-        (_, BackendId::Threaded) => 4_000_000,
-        (ProblemId::Obstacle, BackendId::Replay | BackendId::Flexible) => 12_000,
-        (ProblemId::Obstacle, BackendId::Barrier) => 150,
-        (ProblemId::Obstacle, BackendId::Sim) => 2_000,
-        // The promoted problems pair these caps with residual targets on
-        // replay/barrier (see `ProblemId::residual_target`): ceilings
-        // there, exact (deterministic) step counts on flexible/sim.
-        (ProblemId::Logistic, BackendId::Replay | BackendId::Flexible) => 6_000,
-        (ProblemId::Logistic, BackendId::Barrier) => 200,
-        (ProblemId::Logistic, BackendId::Sim) => 800,
-        (ProblemId::NetworkFlow, BackendId::Replay | BackendId::Flexible) => 10_000,
-        (ProblemId::NetworkFlow, BackendId::Barrier) => 300,
-        (ProblemId::NetworkFlow, BackendId::Sim) => 1_200,
-        (_, BackendId::Replay | BackendId::Flexible) => 2_500,
-        (_, BackendId::Barrier) => 80,
-        (_, BackendId::Sim) => 600,
-    };
-    match mode {
-        GateMode::Quick => quick,
-        GateMode::Full => match bid {
-            BackendId::SharedMem | BackendId::Cluster | BackendId::Threaded => quick,
-            _ => quick * 4,
-        },
     }
 }
 
@@ -507,27 +384,18 @@ fn scheduled(s: Session<'_>, n: usize, did: DelayId, seed: u64) -> Session<'_> {
     }
 }
 
-/// Configures and runs one cell's session.
+/// Gives the cell's session its backend — the realisation of the delay
+/// model on that engine — and runs it.
 fn run_session(
     s: Session<'_>,
     n: usize,
-    pid: ProblemId,
     bid: BackendId,
     did: DelayId,
     seed: u64,
 ) -> asynciter_core::Result<RunReport> {
     let threads = workers(did);
     match bid {
-        BackendId::Replay => {
-            let mut s = scheduled(s, n, did, seed);
-            if let Some(eps) = pid.residual_target() {
-                s = s.stopping(StoppingRule::Residual {
-                    eps,
-                    check_every: 32,
-                });
-            }
-            s.backend(Replay).run()
-        }
+        BackendId::Replay => scheduled(s, n, did, seed).backend(Replay).run(),
         BackendId::Flexible if did == DelayId::FlexiblePartial => {
             let partition = Partition::blocks(n, threads).map_err(|e| CoreError::Backend {
                 backend: "flexible",
@@ -555,13 +423,7 @@ fn run_session(
             } else {
                 (1, 1)
             };
-            // Free-running workers need a convergence target, not a step
-            // count: see `step_budget`.
-            s.stopping(StoppingRule::Residual {
-                eps: 1e-9,
-                check_every: 64,
-            })
-            .backend(SharedMem {
+            s.backend(SharedMem {
                 threads,
                 inner_steps,
                 publish_period,
@@ -570,25 +432,15 @@ fn run_session(
             })
             .run()
         }
-        BackendId::Barrier => {
-            let mut s = s;
-            if let Some(eps) = pid.residual_target() {
-                // Maps onto the runner's sweep-change target: the cell
-                // records sweeps-to-converge instead of burning the cap.
-                s = s.stopping(StoppingRule::Residual {
-                    eps,
-                    check_every: 1,
-                });
-            }
-            s.backend(Barrier {
+        BackendId::Barrier => s
+            .backend(Barrier {
                 // Always two workers: extra threads only multiply
                 // spin-barrier crossings, which serialise on one core.
                 threads: 2,
                 spin: thread_spin(did, 2),
                 ..Barrier::default()
             })
-            .run()
-        }
+            .run(),
         BackendId::Sim => {
             let cfg = sim_config(n, did, seed)?;
             s.backend(Sim(cfg)).run()
@@ -625,15 +477,7 @@ fn run_session(
                     ..Cluster::default()
                 },
             };
-            // Sequential and deterministic, but still a residual target:
-            // cells record steps-to-converge (single-core safe by
-            // construction).
-            s.stopping(StoppingRule::Residual {
-                eps: 1e-9,
-                check_every: 16,
-            })
-            .backend(backend)
-            .run()
+            s.backend(backend).run()
         }
         BackendId::Threaded => {
             let workers = if did == DelayId::NoDelay { 1 } else { threads };
@@ -666,35 +510,37 @@ fn run_session(
                     ..ThreadedCluster::default()
                 },
             };
-            // Racy by nature: free-running workers need a convergence
-            // target, not a step count (see `step_budget`).
-            s.stopping(StoppingRule::Residual {
-                eps: 1e-9,
-                check_every: 16,
-            })
-            .backend(backend)
-            .run()
+            s.backend(backend).run()
         }
     }
 }
 
-/// Runs one cell, turning a failure into a recorded `"failed"` cell
-/// instead of aborting the matrix.
+/// The residual every cell runs to: the gate pins steps-to-target, the
+/// quantity Theorem 1 bounds, not how a budget was spent.
+pub const TARGET: f64 = 1e-9;
+
+/// Runs one cell to [`TARGET`] under its backend's backstop, turning a
+/// failure — an error, or a run the target did not stop — into a
+/// recorded `"failed"` cell instead of aborting the matrix.
 fn run_cell(
-    gp: &GateProblem,
+    op: &dyn Operator,
+    x0: &[f64],
     pid: ProblemId,
     bid: BackendId,
     did: DelayId,
-    mode: GateMode,
     seed: u64,
 ) -> GateRecord {
     let (fidelity, note) = fidelity_of(bid, did);
-    let steps = step_budget(pid, bid, mode);
-    let session = Session::new(gp.op.as_ref())
-        .x0(gp.x0.clone())
-        .steps(steps)
-        .seed(seed);
-    let result = run_session(session, gp.op.dim(), pid, bid, did, seed);
+    let backstop = bid.backstop();
+    let session =
+        Session::new(op)
+            .x0(x0)
+            .seed(seed)
+            .steps(backstop)
+            .stopping(StoppingRule::Residual {
+                eps: TARGET,
+                check_every: bid.check_every(),
+            });
     let mut record = GateRecord {
         problem: pid.id().to_string(),
         backend: bid.id().to_string(),
@@ -710,8 +556,13 @@ fn run_cell(
         macro_iterations: 0,
         per_worker_updates: Vec::new(),
     };
-    match result {
+    match run_session(session, op.dim(), bid, did, seed) {
         Ok(report) => {
+            if !report.stopped_early {
+                record.status = "failed".to_string();
+                record.note =
+                    format!("backstop of {backstop} steps reached before residual {TARGET:e}");
+            }
             record.steps = report.steps;
             record.wall_secs = report.wall_secs();
             record.sim_time = report.sim_time;
@@ -728,18 +579,18 @@ fn run_cell(
 }
 
 /// Runs the whole scenario matrix and returns the document.
-pub fn run_matrix(mode: GateMode, seed: u64) -> GateDoc {
+pub fn run_matrix(size: Size, seed: u64) -> GateDoc {
     let mut records =
         Vec::with_capacity(ProblemId::ALL.len() * BackendId::ALL.len() * DelayId::ALL.len());
     for &pid in &ProblemId::ALL {
-        let gp = build_problem(pid, mode, seed);
+        let (op, x0) = pid.instance(size);
         for &bid in &BackendId::ALL {
             for &did in &DelayId::ALL {
-                records.push(run_cell(&gp, pid, bid, did, mode, seed));
+                records.push(run_cell(op.as_ref(), &x0, pid, bid, did, seed));
             }
         }
     }
-    GateDoc::new(mode.id(), records)
+    GateDoc::new(size.id(), records)
 }
 
 /// Distinct axis values among the `ok` records of a document — the
@@ -1056,14 +907,14 @@ pub fn gate_main(args: &[String]) -> i32 {
 }
 
 fn run_gate(m: &Matches<'_>) -> Result<i32, String> {
-    let mode = match m.last_of(&["--quick", "--full"]) {
-        Some("--full") => GateMode::Full,
-        _ => GateMode::Quick,
+    let size = match m.last_of(&["--quick", "--full"]) {
+        Some("--full") => Size::Full,
+        _ => Size::Quick,
     };
     let seed = m.int("--seed").unwrap_or(2022);
     let out = Path::new(m.value("--out").unwrap_or("BENCH_gate.json"));
-    println!("gate: running {} scenario matrix (seed {seed})", mode.id());
-    let doc = run_matrix(mode, seed);
+    println!("gate: running {} scenario matrix (seed {seed})", size.id());
+    let doc = run_matrix(size, seed);
     write_artefact(out, &doc.render())?;
     let cov = coverage(&doc);
     let failed: Vec<&GateRecord> = doc.records.iter().filter(|r| !r.is_ok()).collect();
@@ -1136,6 +987,52 @@ mod tests {
 
     fn doc(records: Vec<GateRecord>) -> GateDoc {
         GateDoc::new("quick", records)
+    }
+
+    fn cell(op: &dyn Operator, x0: &[f64], bid: BackendId, did: DelayId) -> GateRecord {
+        run_cell(op, x0, ProblemId::Jacobi, bid, did, 2022)
+    }
+
+    /// Steps-to-target is the pinned quantity: the same cell on an
+    /// operator with the same fixed point and a slower contraction
+    /// still reaches the target, and no longer matches the baseline.
+    #[test]
+    fn a_slower_contraction_changes_a_deterministic_cell() {
+        let c = canonical::jacobi(Size::Quick);
+        let relaxed = asynciter_opt::relaxed::RelaxedOperator::new(c.op.clone(), 0.5).unwrap();
+        let (bid, did) = (BackendId::Replay, DelayId::Bounded);
+        let base = cell(&c.op, &c.x0, bid, did);
+        let slow = cell(&relaxed, &c.x0, bid, did);
+        assert!(base.is_ok() && slow.is_ok(), "{base:?} {slow:?}");
+        assert!(slow.final_residual <= TARGET && base.steps < slow.steps);
+        let report = check_matrix(&doc(vec![base]), &doc(vec![slow]));
+        assert_eq!(report.cells[0].verdict, Verdict::Changed);
+        let detail = &report.cells[0].detail;
+        assert!(
+            detail.starts_with("deterministic steps changed"),
+            "{detail}"
+        );
+    }
+
+    /// The backstop is a safety net, not a second way to finish.
+    #[test]
+    fn a_cell_that_reaches_its_backstop_is_failed() {
+        struct Drifts;
+        impl Operator for Drifts {
+            fn dim(&self) -> usize {
+                2
+            }
+            fn component(&self, i: usize, x: &[f64]) -> f64 {
+                x[i] + 1.0
+            }
+        }
+        let record = cell(&Drifts, &[0.0; 2], BackendId::Replay, DelayId::NoDelay);
+        assert_eq!(record.status, "failed");
+        assert_eq!(
+            record.note,
+            "backstop of 400000 steps reached before residual 1e-9"
+        );
+        assert_eq!((record.steps, record.final_residual), (400_000, 1.0));
     }
 
     #[test]

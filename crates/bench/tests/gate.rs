@@ -7,7 +7,7 @@
 //! host-independent facts (coverage, determinism-backed metrics, exit
 //! codes) and never gate on live clocks.
 
-use asynciter_bench::gate::{check_matrix, coverage, gate_main, Verdict};
+use asynciter_bench::gate::{check_matrix, coverage, gate_main, BackendId, Verdict, TARGET};
 use asynciter_report::json::GateDoc;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -95,14 +95,24 @@ fn gate_quick_end_to_end() {
         assert!(problems.len() >= 6, "{backend}: {problems:?}");
         assert!(delays.len() >= 4, "{backend}: {delays:?}");
     }
-    // Deterministic backends must have converged outright in quick mode;
-    // simulator cells must carry simulated time.
+    // Every cell was stopped by the target, not by its backstop; where
+    // the run is a function of the seed the iterate it stopped on is the
+    // final one, so the recorded residual meets the target too (a race
+    // stops on worker 0's view and records the consensus: those keep the
+    // comparator's floor). Simulator cells must carry simulated time.
     for r in &doc.records {
+        let backend = BackendId::ALL.into_iter().find(|b| b.id() == r.backend);
+        let backend = backend.unwrap_or_else(|| panic!("unknown backend in {}", r.key()));
+        assert!(r.steps < backend.backstop(), "{}: {}", r.key(), r.steps);
         if r.backend == "sim" {
             assert!(r.sim_time.is_some(), "{}", r.key());
         }
+        let bound = match backend {
+            BackendId::SharedMem | BackendId::Threaded => 1e-5,
+            _ => TARGET,
+        };
         assert!(
-            r.final_residual.is_finite() && r.final_residual <= 1e-3,
+            r.final_residual <= bound,
             "{}: residual {}",
             r.key(),
             r.final_residual
@@ -196,7 +206,7 @@ fn a_changed_step_count_fails_deterministic_cells_only() {
     assert_eq!(cell.key, "jacobi|replay|no-delay");
     assert_eq!(
         cell.detail,
-        "deterministic steps changed: baseline 2501, current 2500"
+        "deterministic steps changed: baseline 33, current 32"
     );
     assert!(bumped("threaded-cluster").passed());
 }

@@ -1,110 +1,10 @@
 //! Offline stand-in for the subset of `crossbeam` this workspace uses:
-//! [`channel`] (unbounded sender/receiver with `send` / `recv` /
-//! `try_recv` / `recv_timeout`) and [`utils::CachePadded`].
-//!
-//! The channel is a thin layer over `std::sync::mpsc`, which provides the
-//! exact semantics the runtime needs (multi-producer via `Sender: Clone`,
-//! single consumer per inbox, disconnection on drop of all senders).
+//! [`utils::CachePadded`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-
-/// Unbounded channels with crossbeam-compatible names.
-pub mod channel {
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    /// Error returned by [`Sender::send`] when the receiver is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty.
-        Empty,
-        /// All senders disconnected and the buffer is drained.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// No message arrived within the timeout.
-        Timeout,
-        /// All senders disconnected and the buffer is drained.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::recv`] on disconnection.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// The sending half of an unbounded channel (cloneable).
-    #[derive(Debug)]
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues a message; fails only when the receiver is dropped.
-        ///
-        /// # Errors
-        /// Returns the message back when the channel is disconnected.
-        pub fn send(&self, t: T) -> Result<(), SendError<T>> {
-            self.0.send(t).map_err(|mpsc::SendError(t)| SendError(t))
-        }
-    }
-
-    /// The receiving half of an unbounded channel.
-    #[derive(Debug)]
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or all senders disconnect.
-        ///
-        /// # Errors
-        /// [`RecvError`] when the channel is disconnected and drained.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv().map_err(|_| RecvError)
-        }
-
-        /// Non-blocking receive.
-        ///
-        /// # Errors
-        /// [`TryRecvError::Empty`] or [`TryRecvError::Disconnected`].
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => TryRecvError::Empty,
-                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-            })
-        }
-
-        /// Blocking receive with a timeout.
-        ///
-        /// # Errors
-        /// [`RecvTimeoutError::Timeout`] or
-        /// [`RecvTimeoutError::Disconnected`].
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.0.recv_timeout(timeout).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-                mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-            })
-        }
-    }
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(rx))
-    }
-}
 
 /// Utility types with crossbeam-compatible names.
 pub mod utils {
@@ -145,30 +45,7 @@ pub mod utils {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{unbounded, TryRecvError};
     use super::utils::CachePadded;
-    use std::time::Duration;
-
-    #[test]
-    fn channel_roundtrip_and_disconnect() {
-        let (tx, rx) = unbounded::<u32>();
-        let tx2 = tx.clone();
-        tx.send(1).unwrap();
-        tx2.send(2).unwrap();
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(rx.try_recv().unwrap(), 2);
-        assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Empty);
-        drop(tx);
-        drop(tx2);
-        assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Disconnected);
-        assert!(rx.recv().is_err());
-    }
-
-    #[test]
-    fn recv_timeout_times_out() {
-        let (_tx, rx) = unbounded::<u32>();
-        assert!(rx.recv_timeout(Duration::from_millis(5)).is_err());
-    }
 
     #[test]
     fn cache_padded_is_aligned_and_derefs() {
@@ -176,26 +53,5 @@ mod tests {
         assert_eq!(*p, 7);
         assert_eq!(std::mem::align_of::<CachePadded<u64>>(), 128);
         assert_eq!(p.into_inner(), 7);
-    }
-
-    #[test]
-    fn multi_producer_across_threads() {
-        let (tx, rx) = unbounded::<usize>();
-        std::thread::scope(|s| {
-            for w in 0..4 {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    for i in 0..100 {
-                        tx.send(w * 100 + i).unwrap();
-                    }
-                });
-            }
-            drop(tx);
-            let mut got = Vec::new();
-            while let Ok(v) = rx.recv() {
-                got.push(v);
-            }
-            assert_eq!(got.len(), 400);
-        });
     }
 }

@@ -12,7 +12,7 @@
 //! stay matched.
 
 use crate::plan::PlanLimits;
-use asynciter_opt::canonical::{self, Canonical};
+use asynciter_opt::canonical::{self, Canonical, Size};
 use asynciter_opt::traits::Operator;
 
 /// The problem axis of the conformance matrix.
@@ -73,12 +73,12 @@ impl ConformanceProblem {
         let any_plan = PlanLimits::default();
         match kind {
             ProblemKind::Jacobi => {
-                let c = canonical::jacobi();
+                let c = canonical::jacobi(Size::Quick);
                 let xstar = c.op.solve_dense_spd().expect("SPD solve");
                 calibrated(kind, c, Some(xstar), 1e-6, any_plan)
             }
             ProblemKind::Lasso => {
-                let c = canonical::lasso();
+                let c = canonical::lasso(Size::Quick);
                 let (xstar, _) = c.op.solve_exact().expect("exact lasso solve");
                 calibrated(kind, c, Some(xstar), 1e-5, any_plan)
             }
@@ -89,15 +89,15 @@ impl ConformanceProblem {
                     max_bounded_b: 16,
                     max_sqrt_c: 1.2,
                 };
-                calibrated(kind, canonical::obstacle(), None, 1e-4, limits)
+                calibrated(kind, canonical::obstacle(Size::Quick), None, 1e-4, limits)
             }
             ProblemKind::Logistic => {
-                let c = canonical::logistic();
+                let c = canonical::logistic(Size::Quick);
                 let xstar = c.op.solve_exact().expect("reference logistic solve");
                 calibrated(kind, c, Some(xstar), 1e-5, any_plan)
             }
             ProblemKind::NetworkFlow => {
-                let c = canonical::network_flow();
+                let c = canonical::network_flow(Size::Quick);
                 let xstar = c.op.problem().exact_prices(0).expect("exact dual prices");
                 // The wheel certificate is 1/2 per full relaxation
                 // sweep; cap staleness like the obstacle problem.

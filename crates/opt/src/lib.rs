@@ -29,8 +29,9 @@
 //!   example, \[11\]/\[17\]).
 //! - [`newton`] — diagonal modified-Newton operators (\[25\]).
 //! - [`relaxed`] — successive-relaxation wrapper `F_ω` for any operator.
-//! - [`canonical`] — the five calibrated instances the conformance
-//!   sweep and the service catalog both solve.
+//! - [`canonical`] — the one problem table: the instances the gate, the
+//!   conformance sweep and the service catalog solve, at CI and nightly
+//!   size.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

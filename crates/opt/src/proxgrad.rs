@@ -312,19 +312,17 @@ impl<P: SeparableProx> Operator for SparseProxGrad<P> {
     fn component(&self, i: usize, x: &[f64]) -> f64 {
         let (idx, vals) = self.f.q().row(i);
         let mut qp = 0.0;
-        let mut pi = 0.0;
+        let mut pi = None;
         for (&c, &qic) in idx.iter().zip(vals) {
             let pc = self.g.prox_component(c, x[c], self.gamma);
             qp += qic * pc;
             if c == i {
-                pi = pc;
+                pi = Some(pc);
             }
         }
         // Row might lack an explicit diagonal (never for validated
         // diagonally-dominant Q, but stay correct regardless).
-        if self.f.q().get(i, i) == 0.0 {
-            pi = self.g.prox_component(i, x[i], self.gamma);
-        }
+        let pi = pi.unwrap_or_else(|| self.g.prox_component(i, x[i], self.gamma));
         pi - self.gamma * (qp - self.f.b()[i])
     }
 }
@@ -586,6 +584,34 @@ mod tests {
             err.to_string().contains("unsorted or duplicate"),
             "unexpected error: {err}"
         );
+    }
+
+    #[test]
+    fn sparse_component_is_the_same_with_or_without_a_stored_diagonal() {
+        // Row 0 of Q with its diagonal stored, stored as zero, and absent.
+        // `SparseQuadratic::new` admits only the first; the fold must not
+        // depend on that.
+        let (g, gamma, x, b0) = (L1::new(0.3), 0.5, [1.7, -0.4], 0.25);
+        let p = [0, 1].map(|c| g.prox_component(c, x[c], gamma));
+        for (cols, vals, q00) in [
+            (vec![0, 1], vec![3.0, -1.0], 3.0),
+            (vec![0, 1], vec![0.0, -1.0], 0.0),
+            (vec![1], vec![-1.0], 0.0),
+        ] {
+            let row_ptr = vec![0, cols.len(), cols.len() + 2];
+            let q = asynciter_numerics::sparse::CsrMatrix::from_raw_parts(
+                2,
+                2,
+                row_ptr,
+                [cols, vec![0, 1]].concat(),
+                [vals, vec![-1.0, 3.0]].concat(),
+            )
+            .unwrap();
+            let f = SparseQuadratic::unvalidated(q, vec![b0, 0.0]);
+            let op = SparseProxGrad { f, g, gamma };
+            let expect = p[0] - gamma * (q00 * p[0] + -p[1] - b0);
+            assert_eq!(op.component(0, &x).to_bits(), expect.to_bits(), "q00={q00}");
+        }
     }
 
     #[test]

@@ -130,6 +130,21 @@ pub struct SparseQuadratic {
     lipschitz: f64,
 }
 
+#[cfg(test)]
+impl SparseQuadratic {
+    /// Skips every check of [`SparseQuadratic::new`] (the curvature
+    /// bounds are placeholders): for tests of code that must stay
+    /// correct on a `Q` the constructor rejects.
+    pub(crate) fn unvalidated(q: CsrMatrix, b: Vec<f64>) -> Self {
+        Self {
+            q,
+            b,
+            mu: 1.0,
+            lipschitz: 1.0,
+        }
+    }
+}
+
 impl SparseQuadratic {
     /// Builds the quadratic; curvature bounds are certified from `Q` by
     /// Gershgorin discs: `μ ≥ min_i (q_ii − Σ_{j≠i}|q_ij|)`,

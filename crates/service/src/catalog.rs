@@ -13,7 +13,7 @@
 //! stopping, so converged jobs finish in hundreds of steps while the
 //! budget only bounds the pathological tail.
 
-use asynciter_opt::canonical::{self, Canonical};
+use asynciter_opt::canonical::{self, Canonical, Size};
 use asynciter_opt::traits::Operator;
 
 /// The problem axis a job spec can name.
@@ -79,11 +79,11 @@ impl Catalog {
         let entries = ProblemId::ALL
             .into_iter()
             .map(|id| match id {
-                ProblemId::Jacobi => entry(id, canonical::jacobi(), 1_200),
-                ProblemId::Lasso => entry(id, canonical::lasso(), 1_200),
-                ProblemId::Obstacle => entry(id, canonical::obstacle(), 2_000),
-                ProblemId::Logistic => entry(id, canonical::logistic(), 1_200),
-                ProblemId::NetworkFlow => entry(id, canonical::network_flow(), 1_500),
+                ProblemId::Jacobi => entry(id, canonical::jacobi(Size::Quick), 1_200),
+                ProblemId::Lasso => entry(id, canonical::lasso(Size::Quick), 1_200),
+                ProblemId::Obstacle => entry(id, canonical::obstacle(Size::Quick), 2_000),
+                ProblemId::Logistic => entry(id, canonical::logistic(Size::Quick), 1_200),
+                ProblemId::NetworkFlow => entry(id, canonical::network_flow(Size::Quick), 1_500),
             })
             .collect();
         Self { entries }

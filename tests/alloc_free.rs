@@ -12,6 +12,7 @@
 //! The audit swaps in a counting global allocator that counts per thread,
 //! so no parallel test thread can pollute the counter.
 
+use asynciter::opt::canonical;
 use asynciter::opt::logistic::LogisticGradOperator;
 use asynciter::opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
 use asynciter::opt::traits::Operator;
@@ -93,7 +94,7 @@ fn audit_operator(op: &dyn Operator, steps: usize) -> u64 {
 #[test]
 fn per_step_paths_allocate_nothing() {
     // Lasso via the sparse prox-gradient operator.
-    let sparse = asynciter::opt::canonical::lasso().op;
+    let sparse = canonical::lasso(canonical::Size::Quick).op;
 
     // Logistic regression via the certified gradient operator (dense
     // data coupling: the scratch holds the per-sample weights).

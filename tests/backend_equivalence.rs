@@ -5,6 +5,7 @@
 //! edge-case tests for `History::value_at`.
 
 use asynciter::core::engine::History;
+use asynciter::opt::canonical;
 use asynciter::opt::prox::L1;
 use asynciter::opt::proxgrad::{gamma_max, SeparableProxGrad};
 use asynciter::opt::quadratic::SeparableQuadratic;
@@ -215,7 +216,7 @@ fn cluster_single_worker_matches_replay_bitwise_on_jacobi() {
 
 #[test]
 fn cluster_single_worker_matches_replay_bitwise_on_lasso() {
-    let op = asynciter::opt::canonical::lasso().op;
+    let op = canonical::lasso(canonical::Size::Quick).op;
     assert_cluster_degenerates(&op, 400, "lasso");
 }
 
