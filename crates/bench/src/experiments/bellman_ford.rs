@@ -15,12 +15,11 @@
 
 use crate::ExpContext;
 use asynciter_core::session::{Replay, Session};
-use asynciter_models::partition::Partition;
 use asynciter_models::schedule::ChaoticBounded;
 use asynciter_opt::bellman_ford::{BellmanFordOperator, Graph};
 use asynciter_report::csv::CsvWriter;
 use asynciter_report::table::TextTable;
-use asynciter_runtime::{ApplyPolicy, ClusterConfig, ClusterEngine};
+use asynciter_runtime::{ApplyPolicy, Cluster};
 
 /// Runs E6.
 pub fn run(seed: u64, quick: bool) {
@@ -48,21 +47,28 @@ pub fn run(seed: u64, quick: bool) {
     };
 
     for (name, graph, workers) in &graphs {
-        let n = graph.num_nodes();
         let op = BellmanFordOperator::new(graph.clone(), 0).expect("operator");
         let exact = op.exact();
-        let x0 = op.initial_estimate();
-        let partition = Partition::blocks(n, *workers).expect("partition");
         let budget = if quick { 300 } else { 800 };
         for &(hold, drop, dup) in &[(0.0, 0.0, 0.0), (0.3, 0.1, 0.05), (0.5, 0.25, 0.1)] {
             for policy in [ApplyPolicy::AsReceived, ApplyPolicy::KeepFreshest] {
-                let cfg = ClusterConfig::new(*workers as u64 * budget)
-                    .with_faults(hold, drop, dup)
-                    .with_policy(policy)
-                    .with_seed(seed);
-                let res = ClusterEngine::run(&op, &x0, &partition, &cfg, None).expect("run");
+                let res = Session::new(&op)
+                    .x0(op.initial_estimate())
+                    .steps(*workers as u64 * budget)
+                    .seed(seed)
+                    .backend(Cluster {
+                        workers: *workers,
+                        apply_policy: policy,
+                        hold_prob: hold,
+                        drop_prob: drop,
+                        dup_prob: dup,
+                        ..Cluster::default()
+                    })
+                    .run()
+                    .expect("run");
+                let channel = res.channel.as_ref().expect("cluster channel counters");
                 let err = res
-                    .consensus
+                    .final_x
                     .iter()
                     .zip(&exact)
                     .map(|(a, b)| (a - b).abs())
@@ -72,8 +78,8 @@ pub fn run(seed: u64, quick: bool) {
                     format!("{hold}/{drop}/{dup}"),
                     format!("{policy:?}"),
                     format!("{err:.2e}"),
-                    res.stats.dropped.to_string(),
-                    res.stats.held.to_string(),
+                    channel.dropped.to_string(),
+                    channel.held.to_string(),
                 ]);
                 csv.row_strings(&[
                     name.clone(),

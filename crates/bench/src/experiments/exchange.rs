@@ -12,11 +12,11 @@
 //! the traffic.
 
 use crate::ExpContext;
-use asynciter_models::partition::Partition;
+use asynciter_core::session::Session;
 use asynciter_opt::obstacle::{ObstacleProblem, ProjectedJacobi};
 use asynciter_report::csv::CsvWriter;
 use asynciter_report::table::TextTable;
-use asynciter_runtime::{ClusterConfig, ClusterEngine};
+use asynciter_runtime::Cluster;
 
 /// Runs E5.
 pub fn run(seed: u64, quick: bool) {
@@ -29,7 +29,6 @@ pub fn run(seed: u64, quick: bool) {
         .expect("reference");
     let op = ProjectedJacobi::new(problem);
     let workers = 4;
-    let partition = Partition::blocks(n, workers).expect("partition");
     let budget = if quick { 600 } else { 2_000 };
     let x0 = op.upper_start();
 
@@ -47,21 +46,29 @@ pub fn run(seed: u64, quick: bool) {
 
     let mut rows: Vec<(u64, u64, f64, f64)> = Vec::new();
     for q in [1u64, 2, 4, 8, 16, 32, 64] {
-        let cfg = ClusterConfig::new(workers as u64 * budget)
-            .with_exchange_every(q)
-            .with_seed(seed);
-        let res = ClusterEngine::run(&op, &x0, &partition, &cfg, None).expect("cluster run");
-        let err = asynciter_numerics::vecops::max_abs_diff(&res.consensus, &reference);
-        rows.push((q, res.stats.sent, res.final_residual, err));
+        let res = Session::new(&op)
+            .x0(x0.clone())
+            .steps(workers as u64 * budget)
+            .seed(seed)
+            .backend(Cluster {
+                workers,
+                exchange_every: q,
+                ..Cluster::default()
+            })
+            .run()
+            .expect("cluster run");
+        let sent = res.channel.as_ref().expect("cluster channel counters").sent;
+        let err = res.final_error(&reference);
+        rows.push((q, sent, res.final_residual, err));
         table.row(&[
             q.to_string(),
-            res.stats.sent.to_string(),
+            sent.to_string(),
             format!("{:.3e}", res.final_residual),
             format!("{:.3e}", err),
         ]);
         csv.row_strings(&[
             q.to_string(),
-            res.stats.sent.to_string(),
+            sent.to_string(),
             format!("{:.6e}", res.final_residual),
             format!("{:.6e}", err),
         ]);

@@ -1,14 +1,13 @@
 //! Seeded sampling of message-passing (cluster) fuzz cases.
 //!
-//! A [`ClusterPlan`] is the genotype of one message-level fuzz case: a
-//! worker count, an exchange period, a receiver policy and a channel
-//! model (link latency distribution + hold/drop/duplicate fault
-//! probabilities + flexible partial-exchange probability), all derived
-//! from one seed. Building the plan yields a
-//! [`Cluster`] backend whose run
-//! is a deterministic function of `(plan, problem)` — a failing case
-//! replays from its plan alone, exactly like the schedule plans in
-//! [`crate::plan`].
+//! A [`ClusterPlan`] is the genotype of one message-level fuzz case:
+//! the [`Cluster`] backend it runs — a worker count, an exchange period,
+//! a receiver policy and a channel model (link latency distribution +
+//! hold/drop/duplicate fault probabilities + flexible partial-exchange
+//! probability) — with its step budget and channel seed, all derived
+//! from one seed. The run is a deterministic function of
+//! `(plan, problem)` — a failing case replays from its plan alone,
+//! exactly like the schedule plans in [`crate::plan`].
 //!
 //! The cluster engine records the schedule it *executes* (labels =
 //! producing steps), which the differential oracle
@@ -32,37 +31,48 @@ use rand::RngExt;
 /// One message-passing fuzz case: a seeded channel-model recipe.
 #[derive(Debug, Clone)]
 pub struct ClusterPlan {
-    /// Number of workers (shards).
-    pub workers: usize,
+    /// The backend the case runs: worker count, exchange period,
+    /// receiver policy and channel model.
+    pub backend: Cluster,
     /// Global step budget of the run.
     pub steps: u64,
     /// Channel-model seed.
     pub seed: u64,
-    /// Exchange period (post a block message every this many updates).
-    pub exchange_every: u64,
-    /// Receiver policy.
-    pub apply_policy: ApplyPolicy,
-    /// Link latency model.
-    pub link: LinkModel,
-    /// Hold probability (out-of-order delivery).
-    pub hold_prob: f64,
-    /// Maximum extra latency of held deliveries.
-    pub hold_extra: u64,
-    /// Drop probability (message loss).
-    pub drop_prob: f64,
-    /// Duplication probability.
-    pub dup_prob: f64,
-    /// Partial (subset) exchange probability — flexible communication.
-    pub partial_prob: f64,
+}
+
+/// The draws every cluster plan makes after its worker count (and
+/// link), in the order they have always been made — the committed
+/// corpus traces are phenotypes of this stream: `(seed, exchange_every,
+/// apply_policy, hold_prob, hold_extra, drop_prob, dup_prob,
+/// partial_prob)`.
+///
+/// Fault probabilities are capped (hold ≤ 0.4, drop ≤ 0.25, dup ≤ 0.2)
+/// so every sampled channel still converges within the problem budgets
+/// — the convergence oracle runs on every case.
+fn sample_channel(rng_: &mut StdRng) -> (u64, u64, ApplyPolicy, f64, u64, f64, f64, f64) {
+    (
+        rng_.random::<u64>(),
+        rng_.random_range(1..=3),
+        if rng_.random() {
+            ApplyPolicy::AsReceived
+        } else {
+            ApplyPolicy::KeepFreshest
+        },
+        rng_.random_range(0.0..0.4),
+        rng_.random_range(4..=16),
+        rng_.random_range(0.0..0.25),
+        rng_.random_range(0.0..0.2),
+        if rng_.random() {
+            0.0
+        } else {
+            rng_.random_range(0.3..0.8)
+        },
+    )
 }
 
 impl ClusterPlan {
     /// Samples a random plan for an `n`-dimensional problem and `steps`
     /// global updates.
-    ///
-    /// Fault probabilities are capped (hold ≤ 0.4, drop ≤ 0.25,
-    /// dup ≤ 0.2) so every sampled channel still converges within the
-    /// problem budgets — the convergence oracle runs on every case.
     ///
     /// # Panics
     /// Panics when `n < 4` or `steps == 0`.
@@ -86,62 +96,42 @@ impl ClusterPlan {
                 alpha: rng_.random_range(1.2..2.2),
             },
         };
+        let (
+            seed,
+            exchange_every,
+            apply_policy,
+            hold_prob,
+            hold_extra,
+            drop_prob,
+            dup_prob,
+            partial_prob,
+        ) = sample_channel(rng_);
         Self {
-            workers,
+            backend: Cluster {
+                workers,
+                partition: None,
+                exchange_every,
+                apply_policy,
+                link,
+                hold_prob,
+                hold_extra,
+                drop_prob,
+                dup_prob,
+                partial_prob,
+            },
             steps,
-            seed: rng_.random::<u64>(),
-            exchange_every: rng_.random_range(1..=3),
-            apply_policy: if rng_.random() {
-                ApplyPolicy::AsReceived
-            } else {
-                ApplyPolicy::KeepFreshest
-            },
-            link,
-            hold_prob: rng_.random_range(0.0..0.4),
-            hold_extra: rng_.random_range(4..=16),
-            drop_prob: rng_.random_range(0.0..0.25),
-            dup_prob: rng_.random_range(0.0..0.2),
-            partial_prob: if rng_.random() {
-                0.0
-            } else {
-                rng_.random_range(0.3..0.8)
-            },
-        }
-    }
-
-    /// Builds the `Session` backend described by this plan.
-    pub fn backend(&self) -> Cluster {
-        Cluster {
-            workers: self.workers,
-            partition: None,
-            exchange_every: self.exchange_every,
-            apply_policy: self.apply_policy,
-            link: self.link,
-            hold_prob: self.hold_prob,
-            hold_extra: self.hold_extra,
-            drop_prob: self.drop_prob,
-            dup_prob: self.dup_prob,
-            partial_prob: self.partial_prob,
+            seed,
         }
     }
 
     /// One-line description for reports and failure records.
     pub fn describe(&self) -> String {
-        format!(
-            "cluster-plan(seed={:#x}, workers={}, steps={}, exchange={}, {:?}, {:?}, \
-             hold={:.2}+{}, drop={:.2}, dup={:.2}, partial={:.2})",
-            self.seed,
-            self.workers,
-            self.steps,
-            self.exchange_every,
-            self.apply_policy,
-            self.link,
-            self.hold_prob,
-            self.hold_extra,
-            self.drop_prob,
-            self.dup_prob,
-            self.partial_prob,
-        )
+        let Self {
+            backend,
+            steps,
+            seed,
+        } = self;
+        format!("cluster-plan(seed={seed:#x}, steps={steps}, {backend:?})")
     }
 }
 
@@ -157,93 +147,62 @@ impl ClusterPlan {
 /// condition (a), convergence).
 #[derive(Debug, Clone)]
 pub struct ThreadedPlan {
-    /// Number of worker threads (shards).
-    pub workers: usize,
+    /// The backend the case runs: thread count, exchange period,
+    /// receiver policy and fault recipe.
+    pub backend: ThreadedCluster,
     /// Step budget — a backstop only; runs stop on a residual target.
     pub max_steps: u64,
     /// Fault/partial-selection seed (per-worker streams derive from it).
     pub seed: u64,
-    /// Exchange period (post a block message every this many updates).
-    pub exchange_every: u64,
-    /// Receiver policy.
-    pub apply_policy: ApplyPolicy,
-    /// Hold probability (out-of-order delivery over FIFO channels).
-    pub hold_prob: f64,
-    /// Maximum extra sends a held message waits for.
-    pub hold_extra: u64,
-    /// Drop probability (message loss).
-    pub drop_prob: f64,
-    /// Duplication probability.
-    pub dup_prob: f64,
-    /// Partial (subset) exchange probability — flexible communication.
-    pub partial_prob: f64,
 }
 
 impl ThreadedPlan {
     /// Samples a random plan for an `n`-dimensional problem with a
-    /// `max_steps` backstop budget. Fault probabilities are capped the
-    /// same way as [`ClusterPlan::sample`] so every sampled channel
-    /// still converges.
+    /// `max_steps` backstop budget, fault probabilities capped as for
+    /// [`ClusterPlan::sample`].
     ///
     /// # Panics
     /// Panics when `n < 4` or `max_steps == 0`.
     pub fn sample(rng_: &mut StdRng, n: usize, max_steps: u64) -> Self {
         assert!(n >= 4, "ThreadedPlan::sample: need n >= 4");
         assert!(max_steps > 0, "ThreadedPlan::sample: need max_steps > 0");
+        let workers = rng_.random_range(2..=4.min(n / 2));
+        let (
+            seed,
+            exchange_every,
+            apply_policy,
+            hold_prob,
+            hold_extra,
+            drop_prob,
+            dup_prob,
+            partial_prob,
+        ) = sample_channel(rng_);
         Self {
-            workers: rng_.random_range(2..=4.min(n / 2)),
+            backend: ThreadedCluster {
+                workers,
+                partition: None,
+                exchange_every,
+                apply_policy,
+                hold_prob,
+                hold_extra,
+                drop_prob,
+                dup_prob,
+                partial_prob,
+                quiesce: None,
+            },
             max_steps,
-            seed: rng_.random::<u64>(),
-            exchange_every: rng_.random_range(1..=3),
-            apply_policy: if rng_.random() {
-                ApplyPolicy::AsReceived
-            } else {
-                ApplyPolicy::KeepFreshest
-            },
-            hold_prob: rng_.random_range(0.0..0.4),
-            hold_extra: rng_.random_range(4..=16),
-            drop_prob: rng_.random_range(0.0..0.25),
-            dup_prob: rng_.random_range(0.0..0.2),
-            partial_prob: if rng_.random() {
-                0.0
-            } else {
-                rng_.random_range(0.3..0.8)
-            },
-        }
-    }
-
-    /// Builds the `Session` backend described by this plan.
-    pub fn backend(&self) -> ThreadedCluster {
-        ThreadedCluster {
-            workers: self.workers,
-            partition: None,
-            exchange_every: self.exchange_every,
-            apply_policy: self.apply_policy,
-            hold_prob: self.hold_prob,
-            hold_extra: self.hold_extra,
-            drop_prob: self.drop_prob,
-            dup_prob: self.dup_prob,
-            partial_prob: self.partial_prob,
-            quiesce: None,
+            seed,
         }
     }
 
     /// One-line description for reports and failure records.
     pub fn describe(&self) -> String {
-        format!(
-            "threaded-plan(seed={:#x}, workers={}, max_steps={}, exchange={}, {:?}, \
-             hold={:.2}+{}, drop={:.2}, dup={:.2}, partial={:.2})",
-            self.seed,
-            self.workers,
-            self.max_steps,
-            self.exchange_every,
-            self.apply_policy,
-            self.hold_prob,
-            self.hold_extra,
-            self.drop_prob,
-            self.dup_prob,
-            self.partial_prob,
-        )
+        let Self {
+            backend,
+            max_steps,
+            seed,
+        } = self;
+        format!("threaded-plan(seed={seed:#x}, max_steps={max_steps}, {backend:?})")
     }
 }
 
@@ -291,13 +250,13 @@ mod tests {
         let mut partials = 0;
         for _ in 0..100 {
             let plan = ClusterPlan::sample(&mut r, 16, 100);
-            links.insert(match plan.link {
+            links.insert(match plan.backend.link {
                 LinkModel::Fixed { .. } => "fixed",
                 LinkModel::Jitter { .. } => "jitter",
                 LinkModel::HeavyTail { .. } => "heavy",
             });
-            policies.insert(format!("{:?}", plan.apply_policy));
-            partials += usize::from(plan.partial_prob > 0.0);
+            policies.insert(format!("{:?}", plan.backend.apply_policy));
+            partials += usize::from(plan.backend.partial_prob > 0.0);
         }
         assert_eq!(links.len(), 3, "link kinds missed: {links:?}");
         assert_eq!(policies.len(), 2);
@@ -315,7 +274,7 @@ mod tests {
                 .steps(plan.steps)
                 .seed(plan.seed)
                 .record(RecordMode::Full)
-                .backend(plan.backend())
+                .backend(plan.backend.clone())
                 .run()
                 .unwrap()
         };

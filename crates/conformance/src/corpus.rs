@@ -34,6 +34,7 @@ use asynciter_models::trace_io::{trace_from_str, trace_to_string};
 use asynciter_models::Trace;
 use asynciter_numerics::rng::{child_seed, rng};
 use asynciter_report::cli::write_artefact;
+use asynciter_runtime::session::ThreadedCluster;
 use std::path::{Path, PathBuf};
 
 /// Master seed of the canonical corpus plans. Changing it invalidates
@@ -91,7 +92,7 @@ pub fn record_cluster_trace(plan: &ClusterPlan) -> Trace {
         .steps(plan.steps)
         .seed(plan.seed)
         .record(RecordMode::Full)
-        .backend(plan.backend())
+        .backend(plan.backend.clone())
         .run()
         .expect("canonical cluster plan runs")
         .trace
@@ -104,16 +105,16 @@ pub fn record_cluster_trace(plan: &ClusterPlan) -> Trace {
 /// committed trace is one witnessed run, not a regenerable phenotype.
 pub fn threaded_plan() -> ThreadedPlan {
     ThreadedPlan {
-        workers: 3,
+        backend: ThreadedCluster {
+            workers: 3,
+            hold_prob: 0.3,
+            drop_prob: 0.15,
+            dup_prob: 0.1,
+            partial_prob: 0.4,
+            ..ThreadedCluster::default()
+        },
         max_steps: 4_000_000,
         seed: child_seed(CORPUS_SEED, 0x7D_00),
-        exchange_every: 1,
-        apply_policy: asynciter_runtime::ApplyPolicy::AsReceived,
-        hold_prob: 0.3,
-        hold_extra: 8,
-        drop_prob: 0.15,
-        dup_prob: 0.1,
-        partial_prob: 0.4,
     }
 }
 

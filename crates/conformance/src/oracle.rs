@@ -280,7 +280,7 @@ pub fn cluster_replay_equivalence(
         .steps(plan.steps)
         .seed(plan.seed)
         .record(RecordMode::Full)
-        .backend(plan.backend())
+        .backend(plan.backend.clone())
         .run()
         .map_err(|e| format!("cluster failed: {e}"))?;
     if !cluster.final_residual.is_finite() || cluster.final_residual > problem.tol {
@@ -378,7 +378,7 @@ pub fn threaded_replay_equivalence(
             check_every: 16,
         })
         .record(RecordMode::Full)
-        .backend(plan.backend())
+        .backend(plan.backend.clone())
         .run()
         .map_err(|e| format!("threaded cluster failed: {e}"))?;
     if !run.final_residual.is_finite() || run.final_residual > problem.tol {

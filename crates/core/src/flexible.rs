@@ -35,7 +35,8 @@
 //! until a first partial exists a step does no Definition-3 work. What
 //! follows a step — streaming macro-iterations, the trace if the
 //! [`RecordMode`](crate::session::RecordMode) keeps one, sampling and
-//! every stopping rule — is the [`Observer`]'s, shared with `Sim`.
+//! every stopping rule — is the [`Observer`]'s, shared with `Sim` and
+//! `Cluster`.
 
 use crate::engine::History;
 use crate::error::CoreError;

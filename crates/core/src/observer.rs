@@ -13,9 +13,10 @@
 //! [`RunReport`].
 //!
 //! Its callers are the step loop of [`crate::flexible`] (`Replay` and
-//! `Flexible`) and the event loop of `asynciter-sim`; `Cluster` is its
-//! next one. The thread engines cannot call it: no thread sees a
-//! consistent iterate mid-run.
+//! `Flexible`), the event loop of `asynciter-sim` and, the fourth, the
+//! message-passing event loop of `asynciter-runtime`'s `Cluster`. The
+//! thread engines cannot call it: no thread sees a consistent iterate
+//! mid-run.
 
 use crate::session::{Problem, RunControl, RunReport};
 use crate::stopping::StoppingRule;

@@ -24,11 +24,11 @@
 //!   [`RunReport`].
 //!
 //! The sequential engines observe in one place: the step loop (`Replay`,
-//! `Flexible`) and the simulator's event loop (`Sim`) pass
-//! [`RunControl::check`] and then tell one
-//! [`Observer`](crate::observer::Observer) each completed step, so
-//! macro-iteration streaming, the trace, sampling and every stopping
-//! rule are the same code for all three.
+//! `Flexible`), the simulator's event loop (`Sim`) and the
+//! message-passing event loop (`Cluster`) pass [`RunControl::check`] and
+//! then tell one [`Observer`](crate::observer::Observer) each completed
+//! step, so macro-iteration streaming, the trace, sampling and every
+//! stopping rule are the same code for all four.
 //!
 //! The fluent [`Session`] builder wires the three together:
 //!
@@ -86,8 +86,9 @@ impl Problem<'_> {
 /// `LabelStore` / `Option<LabelStore>` knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordMode {
-    /// Nothing is recorded: `Replay` / `Flexible` / `Sim` build no trace
-    /// and stream macro-iterations (see [`RunReport::macro_iterations`]).
+    /// Nothing is recorded: `Replay` / `Flexible` / `Sim` / `Cluster`
+    /// build no trace and stream macro-iterations (see
+    /// [`RunReport::macro_iterations`]).
     #[default]
     Off,
     /// Active sets and minimum labels only.
@@ -287,6 +288,25 @@ pub(crate) fn check_dim(
     })
 }
 
+/// Channel statistics of a message-passing run
+/// ([`RunReport::channel`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClusterStats {
+    /// Link deliveries attempted (one per message per destination).
+    pub sent: u64,
+    /// Deliveries that reached a mailbox (including duplicates).
+    pub delivered: u64,
+    /// Deliveries dropped.
+    pub dropped: u64,
+    /// Deliveries duplicated.
+    pub duplicated: u64,
+    /// Deliveries held back with extra latency (out-of-order).
+    pub held: u64,
+    /// Component applications a receiver discarded as stale
+    /// (`KeepFreshest` only).
+    pub discarded_stale: u64,
+}
+
 /// The one result type every backend populates.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -299,11 +319,12 @@ pub struct RunReport {
     pub steps: u64,
     /// Completed macro-iterations (Definition 2) of the executed
     /// schedule, whatever the [`RecordMode`]: streamed by `Replay` /
-    /// `Flexible` (over the *effective* labels, partials included) and
-    /// `Sim` (over the labels each phase read at its start), counted
-    /// from the engine's own min-label trace by `Cluster` /
-    /// `ThreadedCluster`, the sweeps of `Barrier`, and for `SharedMem` 0
-    /// unless it keeps a step log (not under `Off`).
+    /// `Flexible` (over the *effective* labels, partials included),
+    /// `Sim` (over the labels each phase read at its start) and
+    /// `Cluster` (over the stepping worker's label book), counted from
+    /// the engine's own min-label trace by `ThreadedCluster`, the sweeps
+    /// of `Barrier`, and for `SharedMem` 0 unless it keeps a step log
+    /// (not under `Off`).
     pub macro_iterations: u64,
     /// `(j, ‖x(j) − x*‖_∞)` samples (empty unless requested).
     pub errors: Vec<(u64, f64)>,
@@ -336,6 +357,9 @@ pub struct RunReport {
     pub trace: Option<Trace>,
     /// Simulated end time in ticks (simulator backend only).
     pub sim_time: Option<u64>,
+    /// What the channel did to the run's messages (`Cluster` and
+    /// `ThreadedCluster`; `None` elsewhere).
+    pub channel: Option<ClusterStats>,
     /// Owning tenant, when the run was executed by the multi-tenant
     /// service layer (`None` for solo sessions).
     pub tenant: Option<u64>,
@@ -368,9 +392,9 @@ impl RunReport {
     /// A report carrying the four quantities every backend produces,
     /// with every other field at its backend-independent default: no
     /// samples, no trace, zero counters, not stopped early, no simulated
-    /// time, no service ids, and a zero `wall` (which [`Session::run`]
-    /// replaces with the whole call's duration). Backends fill in what
-    /// they measure with struct-update syntax.
+    /// time, no channel statistics, no service ids, and a zero `wall`
+    /// (which [`Session::run`] replaces with the whole call's duration).
+    /// Backends fill in what they measure with struct-update syntax.
     pub fn new(backend: &'static str, final_x: Vec<f64>, steps: u64, final_residual: f64) -> Self {
         Self {
             backend,
@@ -389,19 +413,11 @@ impl RunReport {
             constraint_violations: 0,
             trace: None,
             sim_time: None,
+            channel: None,
             tenant: None,
             job: None,
             wall: Duration::ZERO,
         }
-    }
-
-    /// Counts the macro-iterations of the executed `trace` and keeps it
-    /// in the report when `record` says so.
-    #[must_use]
-    pub fn with_trace(mut self, trace: Trace, record: RecordMode) -> Self {
-        self.macro_iterations = macro_count(Some(&trace));
-        self.trace = record.keeps_trace().then_some(trace);
-        self
     }
 
     /// Wall-clock time in seconds — the serialization-friendly view of
@@ -464,9 +480,9 @@ pub fn macro_count(trace: Option<&Trace>) -> u64 {
 
 /// An execution engine for Eq. (1): its step loop reads the
 /// backend-independent [`Problem`] + [`RunControl`] (and the backend
-/// struct's own fields) and fills the [`RunReport`]. Only `Cluster` and
-/// `ThreadedCluster` still go through a native configuration whose
-/// result carries statistics the report cannot hold yet.
+/// struct's own fields) and fills the [`RunReport`]. Only
+/// `ThreadedCluster` still goes through a native configuration, the one
+/// whose entry point takes the caller's transport.
 pub trait Backend {
     /// Short backend name for reports and error messages.
     fn name(&self) -> &'static str;

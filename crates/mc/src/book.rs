@@ -140,26 +140,14 @@ pub struct Book {
 
 impl Book {
     /// `workers` block owners on the scope problem: all views at `x0`,
-    /// all labels 0, full-block posts every `exchange_every` updates.
+    /// all labels 0, a full-block post after every update.
     ///
     /// # Panics
     /// Panics when `workers` does not partition the scope dimension.
-    pub fn new(
-        problem: &McProblem,
-        workers: usize,
-        policy: ApplyPolicy,
-        exchange_every: u64,
-    ) -> Self {
+    pub fn new(problem: &McProblem, workers: usize, policy: ApplyPolicy) -> Self {
         let partition = Partition::blocks(MC_DIM, workers).expect("scope partition");
-        let workers = Worker::mesh(
-            &problem.op,
-            &problem.x0,
-            &partition,
-            policy,
-            exchange_every.max(1),
-            0.0,
-        )
-        .expect("scope mesh");
+        let workers =
+            Worker::mesh(&problem.op, &problem.x0, &partition, policy, 1, 0.0).expect("scope mesh");
         Self {
             spec: vec![vec![0; problem.n()]; workers.len()],
             workers,
@@ -290,7 +278,7 @@ mod tests {
     #[test]
     fn ghosts_bypass_the_spec_book_and_keys_order_by_age() {
         let problem = McProblem::build();
-        let mut book = Book::new(&problem, 2, ApplyPolicy::AsReceived, 1);
+        let mut book = Book::new(&problem, 2, ApplyPolicy::AsReceived);
         book.produce(&problem, 1, 1, DelayEnvelope::Bounded(4), None)
             .unwrap();
         let posted = book.post(1, 1).expect("exchange every update");
@@ -315,7 +303,7 @@ mod tests {
     #[test]
     fn stale_spec_labels_prune_the_produce() {
         let problem = McProblem::build();
-        let mut book = Book::new(&problem, 2, ApplyPolicy::KeepFreshest, 1);
+        let mut book = Book::new(&problem, 2, ApplyPolicy::KeepFreshest);
         // min_label(3) = 1 under Bounded(2); every spec label is 0.
         assert_eq!(
             book.produce(&problem, 0, 3, DelayEnvelope::Bounded(2), None)

@@ -80,9 +80,6 @@ pub struct Scope {
     pub workers: usize,
     /// Producing-step horizon (total global steps).
     pub steps: u64,
-    /// Exchange period: a worker posts its block every this many of its
-    /// own updates.
-    pub exchange_every: u64,
     /// Receiver policy applied on delivery.
     pub apply_policy: ApplyPolicy,
     /// Admissibility envelope used as a *pruning* predicate on the spec
@@ -120,7 +117,6 @@ impl Scope {
             name: "quick".into(),
             workers: 2,
             steps: 6,
-            exchange_every: 1,
             apply_policy: ApplyPolicy::KeepFreshest,
             envelope: DelayEnvelope::Bounded(6),
             allow_drop: true,
@@ -141,7 +137,6 @@ impl Scope {
             name: "flex".into(),
             workers: 2,
             steps: 5,
-            exchange_every: 1,
             apply_policy: ApplyPolicy::KeepFreshest,
             envelope: DelayEnvelope::Bounded(5),
             allow_drop: false,
@@ -161,7 +156,6 @@ impl Scope {
             name: "reorder".into(),
             workers: 2,
             steps: 6,
-            exchange_every: 1,
             apply_policy: ApplyPolicy::AsReceived,
             envelope: DelayEnvelope::Bounded(6),
             allow_drop: false,
@@ -181,7 +175,6 @@ impl Scope {
             name: "inject".into(),
             workers: 2,
             steps: 4,
-            exchange_every: 1,
             apply_policy: ApplyPolicy::AsReceived,
             envelope: DelayEnvelope::Bounded(2),
             allow_drop: false,
@@ -203,7 +196,6 @@ impl Scope {
             name: "triple".into(),
             workers: 3,
             steps: 6,
-            exchange_every: 1,
             apply_policy: ApplyPolicy::KeepFreshest,
             envelope: DelayEnvelope::Bounded(6),
             allow_drop: true,
@@ -328,7 +320,6 @@ impl Scope {
             name: format!("from-{stem}"),
             workers,
             steps,
-            exchange_every: 1,
             apply_policy: if reordering {
                 ApplyPolicy::AsReceived
             } else {

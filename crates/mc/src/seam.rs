@@ -108,8 +108,6 @@ pub struct SeamScope {
     /// Updates each worker performs (horizon = `workers * rounds`
     /// producing steps).
     pub rounds: u64,
-    /// A worker posts its block every this many of its own updates.
-    pub exchange_every: u64,
     /// Admissibility envelope, used as the spec-book pruning predicate
     /// exactly as in the cluster-regime scopes.
     pub envelope: DelayEnvelope,
@@ -140,7 +138,6 @@ impl SeamScope {
             name: "seam1".into(),
             workers: 1,
             rounds: 4,
-            exchange_every: 1,
             envelope: DelayEnvelope::Bounded(4),
             lag: 1,
             hold_max: 0,
@@ -159,7 +156,6 @@ impl SeamScope {
             name: "seam2".into(),
             workers: 2,
             rounds: 3,
-            exchange_every: 1,
             envelope: DelayEnvelope::Bounded(6),
             lag: 2,
             hold_max: 2,
@@ -353,12 +349,7 @@ impl Model for SeamModel<'_> {
         let scope = self.scope;
         SeamState {
             next_step: 1,
-            book: Book::new(
-                self.problem,
-                scope.workers,
-                ApplyPolicy::AsReceived,
-                scope.exchange_every,
-            ),
+            book: Book::new(self.problem, scope.workers, ApplyPolicy::AsReceived),
             routers: vec![FaultRouter::default(); scope.workers],
             inboxes: vec![VecDeque::new(); scope.workers],
         }

@@ -6,8 +6,8 @@
 //! label book — plus what this model adds: each worker's mailbox as a
 //! canonically sorted message list. The global step counter is part of
 //! the state, so states at different depths never alias; who acts when
-//! is derived round-robin from it, and when an exchange is due is the
-//! worker's own `exchange_every` gate.
+//! is derived round-robin from it, and every update is followed by an
+//! exchange.
 //!
 //! A [`StepChoice`] resolves the nondeterminism of one producing step:
 //! which mailbox messages to deliver (and, under `AsReceived`, in which
@@ -49,12 +49,7 @@ impl McState {
     pub fn initial(scope: &Scope, problem: &McProblem) -> Self {
         Self {
             next_step: 1,
-            book: Book::new(
-                problem,
-                scope.workers,
-                scope.apply_policy,
-                scope.exchange_every,
-            ),
+            book: Book::new(problem, scope.workers, scope.apply_policy),
             mailboxes: vec![Vec::new(); scope.workers],
             prev_read: vec![Vec::new(); scope.workers],
         }

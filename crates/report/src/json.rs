@@ -22,7 +22,7 @@
 //! serialized — it is a debugging artefact, unbounded in size, and the
 //! gate compares summary metrics only.
 
-use asynciter_core::session::{canonical_backend_name, RunReport};
+use asynciter_core::session::{canonical_backend_name, ClusterStats, RunReport};
 use std::fmt;
 
 /// Version stamped into every [`GateDoc`]; [`GateDoc::from_json`]
@@ -675,6 +675,24 @@ pub fn run_report_to_json(report: &RunReport) -> Json {
             },
         ),
         (
+            "channel".into(),
+            match &report.channel {
+                Some(stats) => Json::Obj(
+                    [
+                        ("sent", stats.sent),
+                        ("delivered", stats.delivered),
+                        ("dropped", stats.dropped),
+                        ("duplicated", stats.duplicated),
+                        ("held", stats.held),
+                        ("discarded_stale", stats.discarded_stale),
+                    ]
+                    .map(|(key, count)| (key.into(), Json::Num(count as f64)))
+                    .to_vec(),
+                ),
+                None => Json::Null,
+            },
+        ),
+        (
             "tenant".into(),
             match report.tenant {
                 Some(t) => Json::Num(t as f64),
@@ -712,6 +730,19 @@ pub fn run_report_from_json(json: &Json) -> Result<RunReport, JsonError> {
         constraint_checked: opt_u64(json, "constraint_checked")?.unwrap_or(0),
         constraint_violations: opt_u64(json, "constraint_violations")?.unwrap_or(0),
         sim_time: opt_u64(json, "sim_time")?,
+        // Added with the message-passing loop's move onto the session
+        // spine: absent means no channel.
+        channel: match json.get("channel") {
+            None | Some(Json::Null) => None,
+            Some(obj) => Some(ClusterStats {
+                sent: req_u64(obj, "sent")?,
+                delivered: req_u64(obj, "delivered")?,
+                dropped: req_u64(obj, "dropped")?,
+                duplicated: req_u64(obj, "duplicated")?,
+                held: req_u64(obj, "held")?,
+                discarded_stale: req_u64(obj, "discarded_stale")?,
+            }),
+        },
         // Added with the service layer: absent means a solo run.
         tenant: opt_u64(json, "tenant")?,
         job: opt_u64(json, "job")?,
@@ -1140,6 +1171,14 @@ mod tests {
             constraint_violations: 2,
             trace: None,
             sim_time: Some(999),
+            channel: Some(ClusterStats {
+                sent: 96,
+                delivered: 90,
+                dropped: 9,
+                duplicated: 3,
+                held: 27,
+                discarded_stale: 11,
+            }),
             tenant: Some(5),
             job: Some(41),
             wall: Duration::ZERO,
@@ -1161,6 +1200,7 @@ mod tests {
         assert_eq!(parsed.constraint_checked, report.constraint_checked);
         assert_eq!(parsed.constraint_violations, report.constraint_violations);
         assert_eq!(parsed.sim_time, report.sim_time);
+        assert_eq!(parsed.channel, report.channel);
         assert_eq!(parsed.tenant, report.tenant);
         assert_eq!(parsed.job, report.job);
         assert_eq!(parsed.wall, report.wall);
@@ -1212,8 +1252,14 @@ mod tests {
         // defaults are spelled; both the constructor and the parser's
         // absent-field handling must land on them.
         let built = RunReport::new("cluster", vec![0.5, -2.0], 17, 3.5e-9);
-        let parsed = run_report_from_json(&run_report_to_json(&built)).unwrap();
-        for r in [&built, &parsed] {
+        let mut json = run_report_to_json(&built);
+        let parsed = run_report_from_json(&json).unwrap();
+        // A document written before `channel` existed does not have it.
+        if let Json::Obj(fields) = &mut json {
+            fields.retain(|(key, _)| key != "channel");
+        }
+        let older = run_report_from_json(&json).unwrap();
+        for r in [&built, &parsed, &older] {
             assert_eq!(r.backend, "cluster");
             assert_eq!(r.final_x, vec![0.5, -2.0]);
             assert_eq!(r.steps, 17);
@@ -1226,6 +1272,7 @@ mod tests {
             assert_eq!((r.constraint_checked, r.constraint_violations), (0, 0));
             assert!(r.trace.is_none());
             assert_eq!((r.sim_time, r.tenant, r.job), (None, None, None));
+            assert_eq!(r.channel, None);
             assert_eq!(r.wall, Duration::ZERO);
         }
     }

@@ -22,7 +22,7 @@
 //!   the message level. Receivers fold partials in under an
 //!   [`ApplyPolicy`].
 //!
-//! This engine is a *sequential discrete event loop* over
+//! The [`Cluster`] backend is a *sequential discrete event loop* over
 //! [`Worker`]s — the one shard-owner step (receive → produce → post)
 //! every cluster scheduler drives: global step `j` is one block update
 //! by worker `(j − 1) mod p`, mail is delivered when the destination
@@ -35,12 +35,21 @@
 //! [`crate::threaded`], which runs the same workers on free-running
 //! threads over the [`crate::transport`] seam.
 //!
+//! The loop runs straight off `Problem` / `RunControl` and the
+//! [`Cluster`] fields and tells the shared [`Observer`] every completed
+//! step — `S_j` is the stepping worker's block, the labels are its label
+//! book as the update read it, `x(j)` is the consensus vector (each
+//! component in its owner's view) — so Definition 2, the trace, sampling
+//! and every stopping rule are the code `Replay`, `Flexible` and `Sim`
+//! use. [`ClusterEngine::run`] is the same loop behind the native
+//! configuration the standalone benchmark still links.
+//!
 //! ## Replay equivalence
 //!
-//! The engine records a [`Trace`] in which the label of component `c` at
-//! step `j` is the **producing step** of the value the acting worker
-//! currently holds for `c` (its own last write, or the label carried by
-//! the applied message; 0 for the initial value). Values in any local
+//! The recorded [`Trace`] gives component `c` at step `j` the label of
+//! the **producing step** of the value the acting worker currently holds
+//! for `c` (its own last write, or the label carried by the applied
+//! message; 0 for the initial value). Values in any local
 //! view are always values some global step produced, so injecting the
 //! recorded trace into the Definition-1 replay engine reproduces the
 //! cluster's iterates **bit for bit** — message faults and all. This is
@@ -52,8 +61,13 @@
 //! [`Partition`]: asynciter_models::partition::Partition
 
 use crate::error::RuntimeError;
+use crate::session::{resolve_partition, to_core};
 use crate::transport::{BlockMessage, Exit, FaultRouter, SendFate};
-use crate::worker::{assemble_consensus, check_positive, check_probabilities, Worker};
+use crate::worker::{check_probabilities, Worker};
+use asynciter_core::observer::Observer;
+pub use asynciter_core::session::ClusterStats;
+use asynciter_core::session::{Backend, Problem, RecordMode, RunControl, RunReport};
+use asynciter_core::stopping::StoppingRule;
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_numerics::rng::{pareto, rng};
@@ -129,7 +143,273 @@ impl LinkModel {
     }
 }
 
-/// Configuration of a cluster run.
+const NAME: &str = "cluster";
+
+/// The sharded message-passing backend: a deterministic, seeded virtual
+/// cluster. See the [module docs](self).
+///
+/// `RunControl::max_steps` is the global block-update budget (step `j`
+/// is one block update by worker `(j − 1) mod workers`) and the seed set
+/// via `Session::seed` drives the whole channel model. The event loop is
+/// sequential and keeps the consensus vector current, so error /
+/// residual sampling and every [`StoppingRule`] are honoured on it:
+/// `Residual` and `ErrorBelow` judge the consensus every `check_every`
+/// steps, `MacroContraction` judges it at the macro-iteration boundaries
+/// of the executed schedule. An explicit schedule is rejected — the
+/// cluster's schedule emerges from its channel model. With recording on,
+/// the executed message-passing schedule is kept as a trace whose labels
+/// are *producing steps* — injecting it back through
+/// `Session::replay_trace` reproduces the run bit for bit, the
+/// differential oracle the conformance fuzzer drives; under
+/// `RecordMode::Off` no trace is built.
+///
+/// [`RunReport`] mapping beyond the shared fields: `channel` carries the
+/// [`ClusterStats`]; `partial_publishes`/`partial_reads` count flexible
+/// partial exchanges posted/applied; under [`ApplyPolicy::KeepFreshest`]
+/// every received component application is a freshness check
+/// (`constraint_checked`) and every stale discard a prevented violation
+/// (`constraint_violations`) — the message-passing analogue of the
+/// flexible engine's constraint-(3) accounting.
+///
+/// Constructible with functional-update syntax:
+/// `Cluster { workers: 4, drop_prob: 0.1, ..Cluster::default() }`.
+#[derive(Debug, Clone)]
+pub struct Cluster {
+    /// Number of workers (= shards).
+    pub workers: usize,
+    /// Component→worker map (default: contiguous equal blocks).
+    pub partition: Option<Partition>,
+    /// Post a block message every this many local updates.
+    pub exchange_every: u64,
+    /// Receiver policy.
+    pub apply_policy: ApplyPolicy,
+    /// Link latency model.
+    pub link: LinkModel,
+    /// Probability a delivery is held back (out-of-order delivery).
+    pub hold_prob: f64,
+    /// Maximum extra latency (uniform in `1..=hold_extra`) for held
+    /// deliveries.
+    pub hold_extra: u64,
+    /// Probability a delivery is dropped.
+    pub drop_prob: f64,
+    /// Probability a delivery is duplicated (second copy routed
+    /// independently).
+    pub dup_prob: f64,
+    /// Probability a posted message is a partial (subset) exchange.
+    pub partial_prob: f64,
+}
+
+impl Default for Cluster {
+    /// A benign default: one worker, exchange every update, unit
+    /// latency, no faults.
+    fn default() -> Self {
+        Self {
+            workers: 1,
+            partition: None,
+            exchange_every: 1,
+            apply_policy: ApplyPolicy::AsReceived,
+            link: LinkModel::Fixed { ticks: 1 },
+            hold_prob: 0.0,
+            hold_extra: 8,
+            drop_prob: 0.0,
+            dup_prob: 0.0,
+            partial_prob: 0.0,
+        }
+    }
+}
+
+/// One mailbox entry: delivery time, tie-break sequence number, and the
+/// carried message.
+#[derive(Debug, Clone)]
+struct Envelope {
+    deliver_at: u64,
+    seq: u64,
+    msg: BlockMessage,
+}
+
+// Mailboxes are min-heaps on (deliver_at, seq); payload is ignored by
+// the ordering.
+impl PartialEq for Envelope {
+    fn eq(&self, other: &Self) -> bool {
+        (self.deliver_at, self.seq) == (other.deliver_at, other.seq)
+    }
+}
+impl Eq for Envelope {}
+impl PartialOrd for Envelope {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Envelope {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want earliest first.
+        (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
+    }
+}
+
+impl Cluster {
+    /// The event loop. `sever_component` silently removes that component
+    /// from every posted message — a severed link for one shard entry,
+    /// which only the conformance negative control asks for, through
+    /// [`ClusterEngine::run`].
+    fn run_severed(
+        &self,
+        problem: &Problem<'_>,
+        ctl: &RunControl<'_>,
+        sever_component: Option<usize>,
+    ) -> crate::Result<RunReport> {
+        ctl.reject_schedule(
+            NAME,
+            "the cluster's schedule emerges from its channel model; record it and replay \
+             through `Replay` instead",
+        )?;
+        ctl.check(problem)?;
+        let (op, n) = (problem.op, problem.n());
+        let partition = resolve_partition(NAME, &self.partition, n, self.workers)?;
+        self.link
+            .validate()
+            .map_err(|message| RuntimeError::InvalidParameter {
+                name: "link",
+                message,
+            })?;
+        check_probabilities(&[
+            ("hold_prob", self.hold_prob),
+            ("drop_prob", self.drop_prob),
+            ("dup_prob", self.dup_prob),
+        ])?;
+        if let Some(sc) = sever_component.filter(|&sc| sc >= n) {
+            return Err(RuntimeError::InvalidParameter {
+                name: "sever_component",
+                message: format!("component {sc} out of range for dim {n}"),
+            });
+        }
+        let mut workers = Worker::mesh(
+            op,
+            &problem.x0,
+            &partition,
+            self.apply_policy,
+            self.exchange_every,
+            self.partial_prob,
+        )?;
+        let start = Instant::now();
+        let mut mailboxes: Vec<BinaryHeap<Envelope>> =
+            workers.iter().map(|_| BinaryHeap::new()).collect();
+        // Drop/duplicate decisions and their counters; this engine's holds
+        // are extra link latency, so nothing is ever parked in the router.
+        let mut router = FaultRouter::default();
+        let (mut held, mut seq) = (0u64, 0u64);
+        let mut rng = rng(ctl.seed.unwrap_or(0));
+        let mut observer = Observer::new(problem, ctl);
+        // Allocated once: the consensus vector (each component in its
+        // owner's view), the labels the stepping worker read, and the
+        // observer's residual scratch.
+        let mut consensus = problem.x0.clone();
+        let mut read_labels = vec![0; n];
+        let mut scratch = vec![0.0; op.scratch_len()];
+
+        // One global step: deliver due mail → block update → exchange →
+        // observe.
+        for j in 1..=ctl.max_steps {
+            let w = ((j - 1) % workers.len() as u64) as usize;
+            let worker = &mut workers[w];
+
+            // Deliver all mail due by now, earliest (deliver_at, seq) first
+            // — holds put older messages behind newer ones.
+            while mailboxes[w].peek().is_some_and(|env| env.deliver_at <= j) {
+                worker.receive(&mailboxes[w].pop().expect("peeked").msg);
+            }
+
+            // The labels of the step are those of the view being read,
+            // *before* the write stamps the block with `j`; then Jacobi
+            // within the block: all components read the same view.
+            read_labels.copy_from_slice(worker.labels());
+            worker.produce(op, j)?;
+            for &i in worker.block() {
+                consensus[i] = worker.view()[i];
+            }
+
+            // Exchange: post the block (or a partial subset) to peers. Per
+            // destination the stream decides drop, then duplicate; every
+            // copy that leaves the router draws its own latency and hold.
+            let mut posted = worker.post(&mut rng);
+            if let (Some(msg), Some(sc)) = (&mut posted, sever_component) {
+                msg.comps.retain(|&(c, _, _)| c as usize != sc);
+            }
+            if let Some(msg) = posted.filter(|msg| !msg.comps.is_empty()) {
+                for dest in worker.peers() {
+                    let fate = if rng.random_range(0.0..1.0) < self.drop_prob {
+                        SendFate::Drop
+                    } else {
+                        let dup = rng.random_range(0.0..1.0) < self.dup_prob;
+                        SendFate::Deliver { dup, hold: 0 }
+                    };
+                    router.route(dest, msg.clone(), fate, |exit, dest, msg| {
+                        if exit == Exit::Dropped {
+                            return;
+                        }
+                        let mut latency = self.link.sample(&mut rng);
+                        if rng.random_range(0.0..1.0) < self.hold_prob {
+                            held += 1;
+                            latency += rng.random_range(1..=self.hold_extra.max(1));
+                        }
+                        seq += 1;
+                        mailboxes[dest].push(Envelope {
+                            deliver_at: j.saturating_add(latency),
+                            seq,
+                            msg,
+                        });
+                    });
+                }
+            }
+
+            if observer.step(j, worker.block(), &read_labels, &consensus, &mut scratch) {
+                break;
+            }
+        }
+
+        let sends = router.stats();
+        let totals = Worker::totals(&workers);
+        let mut report = RunReport {
+            per_worker_updates: workers.iter().map(|w| w.counters().updates).collect(),
+            partial_publishes: totals.partial_publishes,
+            partial_reads: totals.partial_reads,
+            constraint_checked: totals.constraint_checked,
+            constraint_violations: totals.constraint_violations,
+            channel: Some(ClusterStats {
+                sent: sends.sent,
+                delivered: totals.delivered,
+                dropped: sends.dropped,
+                duplicated: sends.duplicated,
+                held,
+                discarded_stale: totals.constraint_violations,
+            }),
+            wall: start.elapsed(),
+            ..RunReport::new(NAME, consensus, 0, f64::NAN)
+        };
+        observer.finish(&mut report);
+        Ok(report)
+    }
+}
+
+impl Backend for Cluster {
+    fn name(&self) -> &'static str {
+        NAME
+    }
+
+    fn run(
+        &mut self,
+        problem: &Problem<'_>,
+        ctl: &mut RunControl<'_>,
+    ) -> asynciter_core::Result<RunReport> {
+        self.run_severed(problem, ctl, None)
+            .map_err(|e| to_core(NAME, e))
+    }
+}
+
+/// The native configuration of [`ClusterEngine::run`], the door the
+/// standalone benchmark and the severed-message negative control still
+/// use: [`Cluster`]'s fields beside what a session keeps in
+/// `RunControl`, and `sever_component`.
 ///
 /// Build one with [`ClusterConfig::new`] and the `with_*` setters:
 ///
@@ -262,24 +542,6 @@ impl ClusterConfig {
     }
 }
 
-/// Channel statistics of a cluster run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClusterStats {
-    /// Link deliveries attempted (one per message per destination).
-    pub sent: u64,
-    /// Deliveries that reached a mailbox (including duplicates).
-    pub delivered: u64,
-    /// Deliveries dropped.
-    pub dropped: u64,
-    /// Deliveries duplicated.
-    pub duplicated: u64,
-    /// Deliveries held back with extra latency (out-of-order).
-    pub held: u64,
-    /// Component applications a receiver discarded as stale
-    /// (`KeepFreshest` only).
-    pub discarded_stale: u64,
-}
-
 /// Result of a cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterRunResult {
@@ -315,41 +577,13 @@ pub struct ClusterRunResult {
     pub wall: Duration,
 }
 
-/// One mailbox entry: delivery time, tie-break sequence number, and the
-/// carried message.
-#[derive(Debug, Clone)]
-struct Envelope {
-    deliver_at: u64,
-    seq: u64,
-    msg: BlockMessage,
-}
-
-// Mailboxes are min-heaps on (deliver_at, seq); payload is ignored by
-// the ordering.
-impl PartialEq for Envelope {
-    fn eq(&self, other: &Self) -> bool {
-        (self.deliver_at, self.seq) == (other.deliver_at, other.seq)
-    }
-}
-impl Eq for Envelope {}
-impl PartialOrd for Envelope {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Envelope {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
-    }
-}
-
-/// The sharded message-passing engine. See module docs.
+/// The native door to the [`Cluster`] event loop. See [`ClusterConfig`].
 #[derive(Debug, Default)]
 pub struct ClusterEngine;
 
 impl ClusterEngine {
-    /// Runs the distributed asynchronous iteration.
+    /// Runs [`Cluster`]'s event loop from a native configuration: one
+    /// worker per `partition` machine, always recorded.
     ///
     /// `xstar` is the known fixed point for error sampling (experiments
     /// only — the algorithm never reads it).
@@ -364,184 +598,62 @@ impl ClusterEngine {
         cfg: &ClusterConfig,
         xstar: Option<&[f64]>,
     ) -> crate::Result<ClusterRunResult> {
-        let n = op.dim();
-        validate(n, cfg, xstar)?;
-        let mut workers = Worker::mesh(
+        let problem = Problem {
             op,
-            x0,
-            partition,
-            cfg.apply_policy,
-            cfg.exchange_every,
-            cfg.partial_prob,
-        )?;
-        let start = Instant::now();
-        let mut mailboxes: Vec<BinaryHeap<Envelope>> =
-            workers.iter().map(|_| BinaryHeap::new()).collect();
-        // Drop/duplicate decisions and their counters; this engine's holds
-        // are extra link latency, so nothing is ever parked in the router.
-        let mut router = FaultRouter::default();
-        let (mut held, mut seq) = (0u64, 0u64);
-        let mut rng = rng(cfg.seed);
-        let mut trace = Trace::new(n, cfg.record);
-        let (mut errors, mut residuals) = (Vec::new(), Vec::new());
-        let (mut steps_run, mut stopped_early) = (0, false);
-        // Consensus assembly and its residual scratch, allocated once.
-        let mut scratch = vec![0.0; op.scratch_len()];
-        let mut consensus = vec![0.0; n];
-
-        // One global step: deliver due mail → record → block update →
-        // exchange → observe/stop.
-        for j in 1..=cfg.steps {
-            let w = ((j - 1) % workers.len() as u64) as usize;
-            let worker = &mut workers[w];
-
-            // Deliver all mail due by now, earliest (deliver_at, seq) first
-            // — holds put older messages behind newer ones.
-            while mailboxes[w].peek().is_some_and(|env| env.deliver_at <= j) {
-                worker.receive(&mailboxes[w].pop().expect("peeked").msg);
-            }
-
-            // Record the step *before* writing (active set = the owned
-            // block, labels = the producing steps of the view being read),
-            // then Jacobi within the block: all components read the same
-            // view.
-            trace.push_step(worker.block(), worker.labels());
-            worker.produce(op, j)?;
-            steps_run = j;
-
-            // Exchange: post the block (or a partial subset) to peers. Per
-            // destination the stream decides drop, then duplicate; every
-            // copy that leaves the router draws its own latency and hold.
-            let mut posted = worker.post(&mut rng);
-            if let (Some(msg), Some(sc)) = (&mut posted, cfg.sever_component) {
-                msg.comps.retain(|&(c, _, _)| c as usize != sc);
-            }
-            if let Some(msg) = posted.filter(|msg| !msg.comps.is_empty()) {
-                for dest in worker.peers() {
-                    let fate = if rng.random_range(0.0..1.0) < cfg.drop_prob {
-                        SendFate::Drop
-                    } else {
-                        let dup = rng.random_range(0.0..1.0) < cfg.dup_prob;
-                        SendFate::Deliver { dup, hold: 0 }
-                    };
-                    router.route(dest, msg.clone(), fate, |exit, dest, msg| {
-                        if exit == Exit::Dropped {
-                            return;
-                        }
-                        let mut latency = cfg.link.sample(&mut rng);
-                        if rng.random_range(0.0..1.0) < cfg.hold_prob {
-                            held += 1;
-                            latency += rng.random_range(1..=cfg.hold_extra.max(1));
-                        }
-                        seq += 1;
-                        mailboxes[dest].push(Envelope {
-                            deliver_at: j.saturating_add(latency),
-                            seq,
-                            msg,
-                        });
-                    });
-                }
-            }
-
-            // Observability and stopping on the consensus vector.
-            let want_error = cfg.error_every > 0 && j.is_multiple_of(cfg.error_every);
-            let want_residual = cfg.residual_every > 0 && j.is_multiple_of(cfg.residual_every);
-            let want_stop =
-                cfg.target_residual.is_some() && j.is_multiple_of(cfg.check_every.max(1));
-            if want_error || want_residual || want_stop {
-                assemble_consensus(&workers, &mut consensus);
-                if want_error {
-                    let xs = xstar.expect("validated: requires xstar");
-                    errors.push((j, asynciter_numerics::vecops::max_abs_diff(&consensus, xs)));
-                }
-                if want_residual || want_stop {
-                    let residual = op.residual_inf_with(&consensus, &mut scratch);
-                    if want_residual {
-                        residuals.push((j, residual));
-                    }
-                    if want_stop && cfg.target_residual.is_some_and(|eps| residual <= eps) {
-                        stopped_early = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        assemble_consensus(&workers, &mut consensus);
-        let final_residual = op.residual_inf(&consensus);
-        let sends = router.stats();
-        let totals = Worker::totals(&workers);
-        Ok(ClusterRunResult {
-            consensus,
-            final_residual,
-            stats: ClusterStats {
-                sent: sends.sent,
-                delivered: totals.delivered,
-                dropped: sends.dropped,
-                duplicated: sends.duplicated,
-                held,
-                discarded_stale: totals.constraint_violations,
+            x0: x0.to_vec(),
+            xstar: xstar.map(<[f64]>::to_vec),
+        };
+        let ctl = RunControl {
+            max_steps: cfg.steps,
+            error_every: cfg.error_every,
+            residual_every: cfg.residual_every,
+            stopping: cfg.target_residual.map(|eps| StoppingRule::Residual {
+                eps,
+                check_every: cfg.check_every,
+            }),
+            record: match cfg.record {
+                LabelStore::Full => RecordMode::Full,
+                LabelStore::MinOnly => RecordMode::MinOnly,
             },
-            trace,
-            steps_run,
-            per_worker_updates: workers.iter().map(|w| w.counters().updates).collect(),
-            errors,
-            residuals,
-            stopped_early,
-            partial_publishes: totals.partial_publishes,
-            partial_reads: totals.partial_reads,
-            constraint_checked: totals.constraint_checked,
-            constraint_violations: totals.constraint_violations,
-            wall: start.elapsed(),
+            seed: Some(cfg.seed),
+            schedule: None,
+        };
+        let cluster = Cluster {
+            workers: partition.num_machines(),
+            partition: Some(partition.clone()),
+            exchange_every: cfg.exchange_every,
+            apply_policy: cfg.apply_policy,
+            link: cfg.link,
+            hold_prob: cfg.hold_prob,
+            hold_extra: cfg.hold_extra,
+            drop_prob: cfg.drop_prob,
+            dup_prob: cfg.dup_prob,
+            partial_prob: cfg.partial_prob,
+        };
+        let report = cluster.run_severed(&problem, &ctl, cfg.sever_component)?;
+        Ok(ClusterRunResult {
+            consensus: report.final_x,
+            final_residual: report.final_residual,
+            stats: report.channel.expect("the event loop fills it"),
+            trace: report.trace.expect("both record modes keep the trace"),
+            steps_run: report.steps,
+            per_worker_updates: report.per_worker_updates,
+            errors: report.errors,
+            residuals: report.residuals,
+            stopped_early: report.stopped_early,
+            partial_publishes: report.partial_publishes,
+            partial_reads: report.partial_reads,
+            constraint_checked: report.constraint_checked,
+            constraint_violations: report.constraint_violations,
+            wall: report.wall,
         })
     }
-}
-
-fn validate(n: usize, cfg: &ClusterConfig, xstar: Option<&[f64]>) -> crate::Result<()> {
-    check_positive(&[("steps", cfg.steps)])?;
-    if cfg.error_every > 0 {
-        match xstar {
-            None => {
-                return Err(RuntimeError::InvalidParameter {
-                    name: "error_every",
-                    message: "error sampling requires a known fixed point".into(),
-                });
-            }
-            Some(xs) if xs.len() != n => {
-                return Err(RuntimeError::DimensionMismatch {
-                    expected: n,
-                    actual: xs.len(),
-                    context: "ClusterEngine::run (xstar)",
-                });
-            }
-            Some(_) => {}
-        }
-    }
-    cfg.link
-        .validate()
-        .map_err(|message| RuntimeError::InvalidParameter {
-            name: "link",
-            message,
-        })?;
-    check_probabilities(&[
-        ("hold_prob", cfg.hold_prob),
-        ("drop_prob", cfg.drop_prob),
-        ("dup_prob", cfg.dup_prob),
-    ])?;
-    if let Some(sc) = cfg.sever_component {
-        if sc >= n {
-            return Err(RuntimeError::InvalidParameter {
-                name: "sever_component",
-                message: format!("component {sc} out of range for dim {n}"),
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asynciter_core::session::Session;
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;
@@ -568,21 +680,56 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_deterministic() {
+    fn both_doors_run_one_deterministic_loop() {
+        // Two meters agree: the native door's result is the session
+        // door's report, field for field — counters, iterate and trace.
         let op = jacobi(16);
         let p = Partition::blocks(16, 4).unwrap();
-        let cfg = ClusterConfig::new(600)
+        let mut cfg = ClusterConfig::new(600)
             .with_faults(0.3, 0.15, 0.1)
+            .with_policy(ApplyPolicy::KeepFreshest)
             .with_link(LinkModel::Jitter { lo: 1, hi: 5 })
             .with_seed(9)
             .with_record(LabelStore::Full);
+        cfg.partial_prob = 0.4;
         let a = ClusterEngine::run(&op, &[0.0; 16], &p, &cfg, None).unwrap();
-        let b = ClusterEngine::run(&op, &[0.0; 16], &p, &cfg, None).unwrap();
-        assert_eq!(a.consensus, b.consensus);
-        assert_eq!(a.stats, b.stats);
-        for j in 1..=a.trace.len() as u64 {
-            assert_eq!(a.trace.step(j).active, b.trace.step(j).active);
-            assert_eq!(a.trace.labels(j).unwrap(), b.trace.labels(j).unwrap());
+        let b = Session::new(&op)
+            .steps(600)
+            .seed(9)
+            .record(RecordMode::Full)
+            .backend(Cluster {
+                workers: 4,
+                apply_policy: ApplyPolicy::KeepFreshest,
+                link: LinkModel::Jitter { lo: 1, hi: 5 },
+                hold_prob: 0.3,
+                drop_prob: 0.15,
+                dup_prob: 0.1,
+                partial_prob: 0.4,
+                ..Cluster::default()
+            })
+            .run()
+            .unwrap();
+        assert_eq!(a.consensus, b.final_x);
+        assert_eq!(Some(&a.stats), b.channel.as_ref());
+        assert!(a.stats.dropped > 0 && a.stats.held > 0 && a.stats.discarded_stale > 0);
+        assert_eq!(
+            (a.partial_publishes, a.partial_reads),
+            (b.partial_publishes, b.partial_reads)
+        );
+        assert_eq!(
+            (a.constraint_checked, a.constraint_violations),
+            (b.constraint_checked, b.constraint_violations)
+        );
+        assert!(a.partial_reads > 0 && a.constraint_violations > 0);
+        assert_eq!(
+            (a.steps_run, &a.per_worker_updates),
+            (b.steps, &b.per_worker_updates)
+        );
+        let kept = b.trace.unwrap();
+        assert_eq!(a.trace.len(), kept.len());
+        for (j, step) in a.trace.iter() {
+            assert_eq!(step, kept.step(j), "step {j}");
+            assert_eq!(a.trace.labels(j).unwrap(), kept.labels(j).unwrap());
         }
     }
 

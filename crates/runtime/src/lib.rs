@@ -24,9 +24,10 @@
 //!   Jacobi baseline with the same work model (and the harness's stop
 //!   flag and join, so a failing worker releases its peers), for the
 //!   async-vs-sync comparisons (experiment E3).
-//! - [`cluster`] — the deterministic sharded message-passing engine: a
-//!   seeded virtual cluster with per-worker mailboxes, latency models,
-//!   hold/drop/duplicate faults and flexible partial exchange, whose
+//! - [`cluster`] — the [`Cluster`] backend, the deterministic sharded
+//!   message-passing engine: a seeded virtual cluster with per-worker
+//!   mailboxes, latency models, hold/drop/duplicate faults and flexible
+//!   partial exchange, observed step by step like the core loop, whose
 //!   recorded traces replay bit-identically (experiments E5/E6).
 //! - [`worker`] — the message-passing [`Worker`]: one shard owner's
 //!   receive → produce → post step, driven by the `cluster` event loop,
@@ -49,10 +50,10 @@
 //!   tracker and the shared flush-window detector (experiment E10).
 //! - [`imbalance`] — calibrated spin-work injection used to model
 //!   heterogeneous processors.
-//! - [`session`] — the [`Cluster`] and [`ThreadedCluster`] backends
-//!   putting the two message-passing engines' native configurations
-//!   behind the unified `asynciter_core::session::Session` API, and the
-//!   one path under which all four backends are importable.
+//! - [`session`] — the [`ThreadedCluster`] backend putting the threaded
+//!   engine's native configuration behind the unified
+//!   `asynciter_core::session::Session` API, and the one path under
+//!   which all four backends are importable.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -1,13 +1,12 @@
 //! Runtime backends for the unified [`Session`] API.
 //!
 //! [`SharedMem`] is the free-running shared-memory engine
-//! ([`crate::async_engine`]) and [`Barrier`] the barrier-synchronous
-//! Jacobi baseline ([`crate::sync_engine`]): their step loops run
-//! straight off `Problem` / `RunControl`. [`Cluster`] puts the
-//! deterministic sharded message-passing engine
-//! ([`crate::cluster::ClusterEngine`]) and [`ThreadedCluster`] the
-//! genuinely concurrent transport-based cluster
-//! ([`crate::threaded::ThreadedClusterEngine`]) behind
+//! ([`crate::async_engine`]), [`Barrier`] the barrier-synchronous
+//! Jacobi baseline ([`crate::sync_engine`]) and [`Cluster`] the
+//! deterministic sharded message-passing engine ([`crate::cluster`]):
+//! their step loops run straight off `Problem` / `RunControl`.
+//! [`ThreadedCluster`] puts the genuinely concurrent transport-based
+//! cluster ([`crate::threaded::ThreadedClusterEngine`]) behind
 //! `asynciter_core::session::Backend`, so shared-memory vs synchronous
 //! vs message-passing comparisons are sessions differing only in the
 //! `.backend(..)` call.
@@ -15,11 +14,12 @@
 //! [`Session`]: asynciter_core::session::Session
 
 pub use crate::async_engine::SharedMem;
-use crate::cluster::{ApplyPolicy, ClusterConfig, ClusterEngine, LinkModel};
+use crate::cluster::ApplyPolicy;
+pub use crate::cluster::Cluster;
 pub use crate::sync_engine::Barrier;
 use crate::termination::Quiesce;
 use crate::threaded::{ThreadedClusterEngine, ThreadedConfig};
-use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
+use asynciter_core::session::{macro_count, Backend, Problem, RunControl, RunReport};
 use asynciter_core::CoreError;
 use asynciter_models::partition::Partition;
 
@@ -33,149 +33,32 @@ pub(crate) fn to_core(backend: &'static str, e: crate::RuntimeError) -> CoreErro
     }
 }
 
+/// The backend's component→worker map: `explicit`, or `n` components
+/// in `workers` contiguous equal blocks — one machine per worker either
+/// way.
 pub(crate) fn resolve_partition(
     backend: &'static str,
     explicit: &Option<Partition>,
     n: usize,
-    threads: usize,
-) -> Result<Partition, CoreError> {
-    match explicit {
-        Some(p) => Ok(p.clone()),
-        None => Partition::blocks(n, threads).map_err(|e| CoreError::Backend {
+    workers: usize,
+) -> crate::Result<Partition> {
+    let partition = match explicit {
+        Some(p) => p.clone(),
+        None => Partition::blocks(n, workers).map_err(|e| CoreError::Backend {
             backend,
-            message: format!("cannot partition {n} components over {threads} threads: {e}"),
-        }),
+            message: format!("cannot partition {n} components over {workers} workers: {e}"),
+        })?,
+    };
+    if partition.num_machines() != workers {
+        return Err(crate::RuntimeError::InvalidParameter {
+            name: "workers",
+            message: format!(
+                "partition has {} machines but workers = {workers}",
+                partition.num_machines()
+            ),
+        });
     }
-}
-
-/// The sharded message-passing backend: a deterministic, seeded virtual
-/// cluster ([`ClusterEngine`] behind the [`Backend`] interface).
-///
-/// `RunControl::max_steps` is the global block-update budget (step `j`
-/// is one block update by worker `(j − 1) mod workers`); the seed set
-/// via `Session::seed` drives the whole channel model; a
-/// [`StoppingRule::Residual`] rule maps onto the engine's consensus
-/// residual target. Error/residual sampling are supported (the event
-/// loop is sequential, so consensus snapshots are cheap). With
-/// recording on, the executed message-passing schedule is materialised
-/// as a trace whose labels are *producing steps* — injecting it back
-/// through `Session::replay_trace` reproduces the run bit for bit, the
-/// differential oracle the conformance fuzzer drives.
-///
-/// [`RunReport`] mapping beyond the shared fields:
-/// `partial_publishes`/`partial_reads` count flexible partial
-/// exchanges posted/applied; under [`ApplyPolicy::KeepFreshest`] every
-/// received component application is a freshness check
-/// (`constraint_checked`) and every stale discard a prevented
-/// violation (`constraint_violations`) — the message-passing analogue
-/// of the flexible engine's constraint-(3) accounting.
-///
-/// Constructible with functional-update syntax:
-/// `Cluster { workers: 4, drop_prob: 0.1, ..Cluster::default() }`.
-///
-/// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
-#[derive(Debug, Clone)]
-pub struct Cluster {
-    /// Number of workers (= shards).
-    pub workers: usize,
-    /// Component→worker map (default: contiguous equal blocks).
-    pub partition: Option<Partition>,
-    /// Post a block message every this many local updates.
-    pub exchange_every: u64,
-    /// Receiver policy.
-    pub apply_policy: ApplyPolicy,
-    /// Link latency model.
-    pub link: LinkModel,
-    /// Probability a delivery is held back (out-of-order delivery).
-    pub hold_prob: f64,
-    /// Maximum extra latency for held deliveries.
-    pub hold_extra: u64,
-    /// Probability a delivery is dropped.
-    pub drop_prob: f64,
-    /// Probability a delivery is duplicated.
-    pub dup_prob: f64,
-    /// Probability a posted message is a partial (subset) exchange.
-    pub partial_prob: f64,
-}
-
-impl Default for Cluster {
-    fn default() -> Self {
-        Self {
-            workers: 1,
-            partition: None,
-            exchange_every: 1,
-            apply_policy: ApplyPolicy::AsReceived,
-            link: LinkModel::Fixed { ticks: 1 },
-            hold_prob: 0.0,
-            hold_extra: 8,
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            partial_prob: 0.0,
-        }
-    }
-}
-
-impl Backend for Cluster {
-    fn name(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn run(
-        &mut self,
-        problem: &Problem<'_>,
-        ctl: &mut RunControl<'_>,
-    ) -> asynciter_core::Result<RunReport> {
-        ctl.reject_schedule(
-            self.name(),
-            "the cluster's schedule emerges from its channel model; record it and replay \
-             through `Replay` instead",
-        )?;
-        let n = problem.n();
-        let partition = resolve_partition(self.name(), &self.partition, n, self.workers)?;
-        let mut cfg = ClusterConfig::new(ctl.max_steps)
-            .with_exchange_every(self.exchange_every)
-            .with_policy(self.apply_policy)
-            .with_link(self.link)
-            .with_faults(self.hold_prob, self.drop_prob, self.dup_prob)
-            .with_seed(ctl.seed.unwrap_or(0))
-            .with_record(ctl.record.label_store());
-        cfg.hold_extra = self.hold_extra;
-        cfg.partial_prob = self.partial_prob;
-        cfg.error_every = ctl.error_every;
-        cfg.residual_every = ctl.residual_every;
-        if let Some((eps, check_every)) =
-            ctl.residual_target(self.name(), "the cluster's consensus residual target")?
-        {
-            cfg.target_residual = Some(eps);
-            cfg.check_every = check_every;
-        }
-        let res = ClusterEngine::run(
-            problem.op,
-            &problem.x0,
-            &partition,
-            &cfg,
-            problem.xstar.as_deref(),
-        )
-        .map_err(|e| to_core(self.name(), e))?;
-        Ok(RunReport {
-            errors: res.errors,
-            residuals: res.residuals,
-            stopped_early: res.stopped_early,
-            per_worker_updates: res.per_worker_updates,
-            partial_publishes: res.partial_publishes,
-            partial_reads: res.partial_reads,
-            constraint_checked: res.constraint_checked,
-            constraint_violations: res.constraint_violations,
-            wall: res.wall,
-            ..RunReport::new(
-                self.name(),
-                res.consensus,
-                res.steps_run,
-                res.final_residual,
-            )
-        }
-        .with_trace(res.trace, ctl.record))
-    }
+    Ok(partition)
 }
 
 /// The concurrent cluster backend: free-running worker threads
@@ -264,7 +147,8 @@ impl Backend for ThreadedCluster {
         )?;
         ctl.reject_sampling(self.name())?;
         let n = problem.n();
-        let partition = resolve_partition(self.name(), &self.partition, n, self.workers)?;
+        let partition = resolve_partition(self.name(), &self.partition, n, self.workers)
+            .map_err(|e| to_core(self.name(), e))?;
         let mut cfg = ThreadedConfig::new(ctl.max_steps)
             .with_faults(self.hold_prob, self.drop_prob, self.dup_prob)
             .with_seed(ctl.seed.unwrap_or(0))
@@ -283,12 +167,15 @@ impl Backend for ThreadedCluster {
         let res = ThreadedClusterEngine::run(problem.op, &problem.x0, &partition, &cfg)
             .map_err(|e| to_core(self.name(), e))?;
         Ok(RunReport {
+            macro_iterations: macro_count(Some(&res.trace)),
             stopped_early: res.stopped_early,
             per_worker_updates: res.per_worker_updates,
             partial_publishes: res.partial_publishes,
             partial_reads: res.partial_reads,
             constraint_checked: res.constraint_checked,
             constraint_violations: res.constraint_violations,
+            trace: ctl.record.keeps_trace().then_some(res.trace),
+            channel: Some(res.stats),
             wall: res.wall,
             ..RunReport::new(
                 self.name(),
@@ -296,16 +183,17 @@ impl Backend for ThreadedCluster {
                 res.steps_run,
                 res.final_residual,
             )
-        }
-        .with_trace(res.trace, ctl.record))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::LinkModel;
     use asynciter_core::session::{RecordMode, Replay, Session};
     use asynciter_core::stopping::StoppingRule;
+    use asynciter_numerics::norm::WeightedMaxNorm;
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;
@@ -491,22 +379,69 @@ mod tests {
     }
 
     #[test]
-    fn cluster_residual_stopping_and_unsupported_controls() {
+    fn cluster_honours_stopping_rules_and_unsupported_controls() {
         let op = jacobi(16);
-        let report = Session::new(&op)
-            .steps(1_000_000)
-            .stopping(StoppingRule::Residual {
-                eps: 1e-10,
-                check_every: 16,
-            })
-            .backend(Cluster {
-                workers: 2,
-                ..Cluster::default()
-            })
-            .run()
-            .unwrap();
-        assert!(report.stopped_early);
-        assert!(report.final_residual <= 1e-10);
+        let xstar = op.solve_dense_spd().unwrap();
+        let budget = 5_000;
+        let session = || {
+            Session::new(&op)
+                .steps(budget)
+                .seed(11)
+                .xstar(xstar.clone())
+                .residual_every(7)
+                .record(RecordMode::Full)
+        };
+        let cluster = Cluster {
+            workers: 4,
+            hold_prob: 0.3,
+            drop_prob: 0.15,
+            dup_prob: 0.1,
+            partial_prob: 0.4,
+            link: LinkModel::Jitter { lo: 1, hi: 6 },
+            ..Cluster::default()
+        };
+        let unstopped = session().backend(cluster.clone()).run().unwrap();
+        assert!(!unstopped.stopped_early && unstopped.steps == budget);
+        let trace = unstopped.trace.unwrap();
+        let rules = [
+            StoppingRule::Residual {
+                eps: 1e-9,
+                check_every: 4,
+            },
+            StoppingRule::ErrorBelow {
+                eps: 1e-9,
+                check_every: 3,
+            },
+            StoppingRule::MacroContraction {
+                eps: 1e-9,
+                alpha: op.contraction_factor(),
+                norm: WeightedMaxNorm::uniform(16),
+            },
+        ];
+        for rule in rules {
+            let stopped = session()
+                .stopping(rule.clone())
+                .backend(cluster.clone())
+                .run()
+                .unwrap();
+            assert!(stopped.stopped_early && stopped.steps < budget, "{rule:?}");
+            assert_eq!(stopped.residuals.len() as u64, stopped.steps / 7);
+            // The stop-prefix law: the core loop replaying the unstopped
+            // run's trace under the rule stops at the same step, on the
+            // same iterate.
+            let replayed = session()
+                .replay_trace(trace.clone())
+                .unwrap()
+                .stopping(rule.clone())
+                .backend(Replay)
+                .run()
+                .unwrap();
+            assert_eq!(replayed.steps, stopped.steps, "{rule:?}");
+            assert_eq!(replayed.macro_iterations, stopped.macro_iterations);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&replayed.final_x), bits(&stopped.final_x), "{rule:?}");
+        }
+        // A control the backend cannot honour is reported, not dropped.
         let err = Session::new(&op)
             .steps(10)
             .schedule(asynciter_models::schedule::SyncJacobi::new(16))
@@ -514,6 +449,14 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, CoreError::Backend { .. }), "{err}");
+        // One partition machine per worker, as `SharedMem` / `Barrier`
+        // ask: this used to run on the partition's two workers.
+        let mismatched = Cluster {
+            partition: Some(Partition::blocks(16, 2).unwrap()),
+            ..cluster
+        };
+        let err = Session::new(&op).backend(mismatched).run().unwrap_err();
+        assert!(err.to_string().contains("workers = 4"), "{err}");
     }
 
     #[test]
@@ -600,6 +543,14 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, CoreError::Backend { .. }), "{err}");
+        // One partition machine per worker: this used to run two threads.
+        let mismatched = ThreadedCluster {
+            workers: 3,
+            partition: Some(Partition::blocks(8, 2).unwrap()),
+            ..ThreadedCluster::default()
+        };
+        let err = Session::new(&op).backend(mismatched).run().unwrap_err();
+        assert!(err.to_string().contains("workers = 3"), "{err}");
     }
 
     #[test]

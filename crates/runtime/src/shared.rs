@@ -23,9 +23,9 @@ use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Checks a shared-memory run's inputs against the operator dimension
-/// `n` — `x0` and `partition` sized for it, one `partition` machine per
-/// worker, `spin` empty or one entry per worker — and returns each
-/// worker's component block.
+/// `n` — `x0` and `partition` (one machine per worker, see
+/// `resolve_partition`) sized for it, `spin` empty or one entry per
+/// worker — and returns each worker's component block.
 pub(crate) fn worker_blocks(
     n: usize,
     x0: &[f64],
@@ -44,15 +44,6 @@ pub(crate) fn worker_blocks(
                 context,
             });
         }
-    }
-    if workers == 0 || partition.num_machines() != workers {
-        return Err(RuntimeError::InvalidParameter {
-            name: "workers",
-            message: format!(
-                "partition has {} machines but workers = {workers}",
-                partition.num_machines()
-            ),
-        });
     }
     if !spin.is_empty() && spin.len() != workers {
         return Err(RuntimeError::InvalidParameter {

@@ -7,7 +7,7 @@
 //! *when* it runs or what happens to a message once posted — that is
 //! the scheduler's job, and three schedulers drive this same code:
 //!
-//! - [`crate::cluster::ClusterEngine`] — round-robin turns, latency
+//! - [`crate::cluster::Cluster`] — round-robin turns, latency
 //!   mailboxes, one seeded stream (deterministic);
 //! - [`crate::threaded::ThreadedClusterEngine`] — one OS thread per
 //!   worker, step numbers from a shared `SeqCst` counter, messages over

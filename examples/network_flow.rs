@@ -11,7 +11,6 @@ use asynciter::core::theory::perron_weights;
 use asynciter::numerics::sparse::CsrMatrix;
 use asynciter::opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
 use asynciter::prelude::*;
-use asynciter::runtime::{ClusterConfig, ClusterEngine};
 
 fn main() {
     // A random connected transshipment network with feasible supplies.
@@ -40,23 +39,27 @@ fn main() {
     // (5%) them.
     // σ ≈ 0.99 means ~2000 effective sweeps for 1e-6: budget accordingly
     // (workers may interleave coarsely on single-core hosts).
-    let partition = Partition::blocks(nodes, 4).expect("partition");
-    let cfg = ClusterConfig::new(4 * 8_000)
-        .with_faults(0.3, 0.1, 0.05)
-        .with_policy(ApplyPolicy::KeepFreshest)
-        .with_seed(7);
-    let run = ClusterEngine::run(&op, &vec![0.0; nodes], &partition, &cfg, None).expect("run");
+    let run = Session::new(&op)
+        .steps(4 * 8_000)
+        .seed(7)
+        .backend(Cluster {
+            workers: 4,
+            apply_policy: ApplyPolicy::KeepFreshest,
+            hold_prob: 0.3,
+            drop_prob: 0.1,
+            dup_prob: 0.05,
+            ..Cluster::default()
+        })
+        .run()
+        .expect("run");
+    let channel = run.channel.as_ref().expect("cluster channel counters");
     println!(
         "channel: {} sent, {} delivered, {} dropped, {} held (reordered), {} stale-discarded",
-        run.stats.sent,
-        run.stats.delivered,
-        run.stats.dropped,
-        run.stats.held,
-        run.stats.discarded_stale
+        channel.sent, channel.delivered, channel.dropped, channel.held, channel.discarded_stale
     );
 
-    let err = asynciter::numerics::vecops::max_abs_diff(&run.consensus, &exact);
-    let resid = problem.balance_residual(&run.consensus);
+    let err = run.final_error(&exact);
+    let resid = problem.balance_residual(&run.final_x);
     println!("price error vs exact dual: {err:.2e}; balance residual: {resid:.2e}");
     assert!(resid < 1e-6, "did not converge");
 
@@ -77,7 +80,7 @@ fn main() {
         .backend(Replay)
         .run()
         .expect("replay session");
-    let agree = asynciter::numerics::vecops::max_abs_diff(&replay.final_x, &run.consensus);
+    let agree = asynciter::numerics::vecops::max_abs_diff(&replay.final_x, &run.final_x);
     println!(
         "session replay backend agrees with message passing to {agree:.2e} \
          ({} macro-iterations)",
@@ -86,7 +89,7 @@ fn main() {
     assert!(agree < 1e-6, "backends disagree");
 
     // Recover the primal flows and verify conservation at every node.
-    let flows = problem.flows(&run.consensus);
+    let flows = problem.flows(&run.final_x);
     let div = problem.divergence(&flows);
     let worst = div
         .iter()

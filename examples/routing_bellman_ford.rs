@@ -8,7 +8,6 @@
 
 use asynciter::opt::bellman_ford::{BellmanFordOperator, Graph};
 use asynciter::prelude::*;
-use asynciter::runtime::{ClusterConfig, ClusterEngine};
 
 const NAMES: [&str; 18] = [
     "UCLA",
@@ -46,29 +45,33 @@ fn main() {
 
     // Six regional "routers" own three IMPs each; the channel reorders
     // 40%, drops 15% and duplicates 10% of messages.
-    let partition = Partition::blocks(n, 6).expect("partition");
-    let cfg = ClusterConfig::new(6 * 600)
-        .with_faults(0.4, 0.15, 0.1)
-        .with_policy(ApplyPolicy::AsReceived)
-        .with_seed(1969);
-    let run = ClusterEngine::run(&op, &op.initial_estimate(), &partition, &cfg, None).expect("run");
+    let run = Session::new(&op)
+        .x0(op.initial_estimate())
+        .steps(6 * 600)
+        .seed(1969)
+        .backend(Cluster {
+            workers: 6,
+            hold_prob: 0.4,
+            drop_prob: 0.15,
+            dup_prob: 0.1,
+            ..Cluster::default()
+        })
+        .run()
+        .expect("run");
+    let channel = run.channel.as_ref().expect("cluster channel counters");
     println!(
         "channel: {} sent / {} delivered / {} dropped / {} reordered / {} duplicated",
-        run.stats.sent,
-        run.stats.delivered,
-        run.stats.dropped,
-        run.stats.held,
-        run.stats.duplicated
+        channel.sent, channel.delivered, channel.dropped, channel.held, channel.duplicated
     );
 
     println!("\nrouting table (distance to {}):", NAMES[dest]);
     let mut worst = 0.0_f64;
     for i in 0..n {
-        let err = (run.consensus[i] - exact[i]).abs();
+        let err = (run.final_x[i] - exact[i]).abs();
         worst = worst.max(err);
         println!(
             "  {:<10} {:>8.3}  (exact {:>8.3})",
-            NAMES[i], run.consensus[i], exact[i]
+            NAMES[i], run.final_x[i], exact[i]
         );
     }
     println!("\nworst deviation from Dijkstra: {worst:.2e}");

@@ -7,7 +7,8 @@
 //! and drive millions of steps through `update_active_with` /
 //! `apply_with` / `residual_inf_with`).
 //!
-//! The last test audits an engine loop: an unrecorded `Replay` session.
+//! The last two tests audit engine loops: an unrecorded `Replay` session
+//! and an unrecorded one-worker `Cluster` session.
 //!
 //! The audit swaps in a counting global allocator that counts per thread,
 //! so no parallel test thread can pollute the counter.
@@ -174,4 +175,24 @@ fn unrecorded_replay_session_allocates_only_set_up_and_history() {
     assert_eq!(report.steps, 1_000);
     assert!(report.macro_iterations > 0 && report.trace.is_none());
     assert!(allocs < 200, "{allocs} heap allocations in 1000 steps");
+}
+
+#[test]
+fn unrecorded_cluster_session_allocates_only_set_up() {
+    // The message-passing loop tells the same observer: under
+    // `RecordMode::Off` it builds no trace either (it built and dropped
+    // one, 1 033 allocations, while it sampled and stopped by itself),
+    // and a lone worker posts nothing.
+    use asynciter::prelude::*;
+    let system = asynciter::numerics::sparse::tridiagonal(8, 4.0, -1.0);
+    let op = asynciter::opt::linear::JacobiOperator::new(system, vec![1.0; 8]).unwrap();
+    let mut report = None;
+    let allocs = count_allocs(|| {
+        let session = Session::new(&op).steps(1_000).record(RecordMode::Off);
+        report = session.backend(Cluster::default()).run().ok();
+    });
+    let report = report.expect("the session runs");
+    assert_eq!(report.steps, 1_000);
+    assert!(report.macro_iterations > 0 && report.trace.is_none());
+    assert!(allocs < 100, "{allocs} heap allocations in 1000 steps");
 }

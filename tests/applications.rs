@@ -7,7 +7,6 @@ use asynciter::opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
 use asynciter::opt::newton::DiagNewton;
 use asynciter::opt::obstacle::{ObstacleProblem, ProjectedJacobi};
 use asynciter::prelude::*;
-use asynciter::runtime::{ClusterConfig, ClusterEngine};
 use asynciter::sim::compute::{ComputeModel, LatencyModel};
 
 /// Network flow: the asynchronous dual relaxation recovers the exact
@@ -97,16 +96,22 @@ fn bellman_ford_on_simulator_routes_exactly() {
 #[test]
 fn bellman_ford_message_passing_hostile_channel() {
     let graph = Graph::random_geometric(30, 0.3, 17).unwrap();
-    let n = graph.num_nodes();
     let op = BellmanFordOperator::new(graph, 5).unwrap();
     let exact = op.exact();
-    let partition = Partition::blocks(n, 5).unwrap();
-    let cfg = ClusterConfig::new(5 * 600)
-        .with_faults(0.5, 0.3, 0.2)
-        .with_policy(ApplyPolicy::AsReceived)
-        .with_seed(23);
-    let res = ClusterEngine::run(&op, &op.initial_estimate(), &partition, &cfg, None).unwrap();
-    for (i, (got, want)) in res.consensus.iter().zip(&exact).enumerate() {
+    let res = Session::new(&op)
+        .x0(op.initial_estimate())
+        .steps(5 * 600)
+        .seed(23)
+        .backend(Cluster {
+            workers: 5,
+            hold_prob: 0.5,
+            drop_prob: 0.3,
+            dup_prob: 0.2,
+            ..Cluster::default()
+        })
+        .run()
+        .unwrap();
+    for (i, (got, want)) in res.final_x.iter().zip(&exact).enumerate() {
         assert!((got - want).abs() < 1e-9, "node {i}");
     }
 }

@@ -355,7 +355,8 @@ fn computed(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
     );
     let stop = (r.steps, r.stopped_early, r.macro_iterations);
     let sim = (r.sim_time, r.per_worker_updates.clone());
-    (bits(&r.final_x), residuals, stop, partials, sim)
+    let channel = r.channel.clone();
+    (bits(&r.final_x), residuals, stop, partials, sim, channel)
 }
 
 /// `procs` simulated processors with jittered compute times and links.
@@ -492,12 +493,20 @@ fn recording_never_changes_an_iterate_bit() {
     // offline walk finds in the trace it kept.
     let op = quickstart_operator(24);
     let (xstar, _) = op.solve_exact().unwrap();
-    for backend in ["replay", "flexible", "sim"] {
+    let backends = [
+        ("replay", 4),
+        ("flexible", 4),
+        ("sim", 4),
+        ("cluster", 2),
+        ("cluster", 3),
+        ("cluster", 4),
+    ];
+    for (backend, workers) in backends {
         let run = |mode: RecordMode| {
             let session = Session::new(&op).steps(400).xstar(xstar.clone()).seed(5);
             match backend {
                 "flexible" => {
-                    let blocks = Partition::blocks(24, 4).unwrap();
+                    let blocks = Partition::blocks(24, workers).unwrap();
                     session
                         .schedule(BlockRoundRobin::new(blocks, 6))
                         .backend(Flexible {
@@ -506,7 +515,16 @@ fn recording_never_changes_an_iterate_bit() {
                             ..Flexible::default()
                         })
                 }
-                "sim" => session.backend(Sim(jittered_sim(24, 4, 2))),
+                "sim" => session.backend(Sim(jittered_sim(24, workers, 2))),
+                "cluster" => session.backend(Cluster {
+                    workers,
+                    link: LinkModel::Jitter { lo: 1, hi: 6 },
+                    hold_prob: 0.3,
+                    drop_prob: 0.1,
+                    dup_prob: 0.1,
+                    partial_prob: 0.4,
+                    ..Cluster::default()
+                }),
                 _ => session
                     .schedule(ChaoticBounded::new(24, 4, 12, 16, false, 29))
                     .backend(Replay),
@@ -518,8 +536,10 @@ fn recording_never_changes_an_iterate_bit() {
         let off = run(RecordMode::Off);
         assert_eq!(off.backend, backend);
         assert!(off.trace.is_none() && off.macro_iterations > 0);
-        assert_eq!(off.partial_reads > 0, backend == "flexible");
+        let has_partials = matches!(backend, "flexible" | "cluster");
+        assert_eq!(off.partial_reads > 0, has_partials, "{backend}");
         assert_eq!(off.sim_time.is_some(), backend == "sim");
+        assert_eq!(off.channel.is_some(), backend == "cluster");
         for mode in [RecordMode::MinOnly, RecordMode::Full] {
             let kept = run(mode);
             assert_eq!(computed(&kept), computed(&off), "{backend} {mode:?}");
