@@ -28,7 +28,8 @@
 //! message-passing event loop (`Cluster`) pass [`RunControl::check`] and
 //! then tell one [`Observer`](crate::observer::Observer) each completed
 //! step, so macro-iteration streaming, the trace, sampling and every
-//! stopping rule are the same code for all four.
+//! stopping rule are the same code for all four; the three racing
+//! engines of `asynciter-runtime` pass the same check in one opening.
 //!
 //! The fluent [`Session`] builder wires the three together:
 //!
@@ -58,7 +59,6 @@ pub use crate::engine::Replay;
 use crate::error::CoreError;
 pub use crate::flexible::Flexible;
 use crate::stopping::StoppingRule;
-use asynciter_models::macroiter::macro_iterations;
 use asynciter_models::schedule::{ScheduleGen, SyncJacobi};
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_opt::traits::Operator;
@@ -86,8 +86,8 @@ impl Problem<'_> {
 /// `LabelStore` / `Option<LabelStore>` knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordMode {
-    /// Nothing is recorded: `Replay` / `Flexible` / `Sim` / `Cluster`
-    /// build no trace and stream macro-iterations (see
+    /// Nothing is recorded: no backend builds a trace, and all but
+    /// `SharedMem` still count macro-iterations (see
     /// [`RunReport::macro_iterations`]).
     #[default]
     Off,
@@ -321,10 +321,10 @@ pub struct RunReport {
     /// schedule, whatever the [`RecordMode`]: streamed by `Replay` /
     /// `Flexible` (over the *effective* labels, partials included),
     /// `Sim` (over the labels each phase read at its start) and
-    /// `Cluster` (over the stepping worker's label book), counted from
-    /// the engine's own min-label trace by `ThreadedCluster`, the sweeps
-    /// of `Barrier`, and for `SharedMem` 0 unless it keeps a step log
-    /// (not under `Off`).
+    /// `Cluster` (over the stepping worker's label book), counted in one
+    /// walk of the ticket-ordered step log by `ThreadedCluster` and
+    /// `SharedMem` (which keeps no log, and reports 0, under `Off`), and
+    /// the sweeps of `Barrier`.
     pub macro_iterations: u64,
     /// `(j, ‖x(j) − x*‖_∞)` samples (empty unless requested).
     pub errors: Vec<(u64, f64)>,
@@ -470,19 +470,11 @@ impl RunReport {
     }
 }
 
-/// Counts completed macro-iterations of a trace (0 for `None`/empty).
-pub fn macro_count(trace: Option<&Trace>) -> u64 {
-    match trace {
-        Some(t) if !t.is_empty() => macro_iterations(t).count() as u64,
-        _ => 0,
-    }
-}
-
 /// An execution engine for Eq. (1): its step loop reads the
 /// backend-independent [`Problem`] + [`RunControl`] (and the backend
-/// struct's own fields) and fills the [`RunReport`]. Only
-/// `ThreadedCluster` still goes through a native configuration, the one
-/// whose entry point takes the caller's transport.
+/// struct's own fields), passes [`RunControl::check`] before its first
+/// step and fills the [`RunReport`] — all seven, with no native
+/// configuration in between.
 pub trait Backend {
     /// Short backend name for reports and error messages.
     fn name(&self) -> &'static str;

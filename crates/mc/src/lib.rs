@@ -24,7 +24,7 @@
 //!   they are pruned (and counted) rather than explored.
 //! - Every model state is built on one [`book::Book`]: a
 //!   `runtime::Worker` per shard — the production step type of
-//!   `ClusterEngine` and `ThreadedClusterEngine`; views and engine
+//!   `Cluster` and `ThreadedCluster`; views and engine
 //!   labels are written only by its `receive` / `produce` — and beside
 //!   the workers an independent *spec* label book maintained from
 //!   choice semantics alone. Admissibility pruning reads the spec book,

@@ -11,7 +11,7 @@
 //!
 //! - **Production code on both sides of the wire.** A state holds one
 //!   [`Worker`] per shard and one [`FaultRouter`] per sender — the same
-//!   types `ThreadedClusterEngine` and `FaultEndpoint` run. Receiving,
+//!   types `ThreadedCluster` and `FaultEndpoint` run. Receiving,
 //!   producing, building the posted block, drop/dup/hold bookkeeping
 //!   and the release scan are theirs; a test in `tests/mc.rs` steps a
 //!   real `FaultEndpoint` over `MpscTransport` and this model through

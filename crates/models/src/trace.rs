@@ -39,7 +39,11 @@ pub struct TraceStep {
 /// `n` labels. The one definition behind [`Trace::push_step`]'s panic
 /// and the typed schedule error of the `asynciter-core` step loop.
 pub fn well_formed_step(active: &[usize], labels: &[u64], n: usize) -> bool {
-    labels.len() == n && active.last().is_some_and(|&i| i < n) && active.is_sorted_by(|a, b| a < b)
+    labels.len() == n && well_formed_active(active, n)
+}
+
+fn well_formed_active(active: &[usize], n: usize) -> bool {
+    active.last().is_some_and(|&i| i < n) && active.is_sorted_by(|a, b| a < b)
 }
 
 /// A recorded execution of an asynchronous iteration.
@@ -104,17 +108,35 @@ impl Trace {
     /// `labels.len() != n` (see [`well_formed_step`]).
     pub fn push_step(&mut self, active: &[usize], labels: &[u64]) {
         assert!(
-            well_formed_step(active, labels, self.n),
-            "push_step: S_j must be nonempty, strictly increasing and in range; \
-             labels must have length n"
+            labels.len() == self.n,
+            "push_step: labels must have length n"
         );
         let min_label = labels.iter().copied().min().expect("n > 0");
+        self.push(active, min_label, Some(labels));
+    }
+
+    /// [`Trace::push_step`] from `l(j) = min_label` alone, for recorders
+    /// that hold the minimum and not the vector: under
+    /// [`LabelStore::Full`] every label of the step is `min_label`.
+    ///
+    /// # Panics
+    /// As [`Trace::push_step`] on `active`.
+    pub fn push_min_step(&mut self, active: &[usize], min_label: u64) {
+        self.push(active, min_label, None);
+    }
+
+    fn push(&mut self, active: &[usize], min_label: u64, labels: Option<&[u64]>) {
+        assert!(
+            well_formed_active(active, self.n),
+            "push_step: S_j must be nonempty, strictly increasing and in range"
+        );
         self.steps.push(TraceStep {
             active: active.iter().map(|&i| i as u32).collect(),
             min_label,
         });
         if self.store == LabelStore::Full {
-            self.labels.push(labels.to_vec());
+            self.labels
+                .push(labels.map_or_else(|| vec![min_label; self.n], <[u64]>::to_vec));
         }
     }
 

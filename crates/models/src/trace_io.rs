@@ -132,7 +132,7 @@ pub fn read_trace(input: &mut dyn BufRead) -> crate::Result<Trace> {
             .map_err(|e| parse_err(lineno, format!("bad active index: {e}")))?;
 
         let mut tail_it = tail.split_whitespace();
-        match tail_it.next() {
+        let min_label = match tail_it.next() {
             Some("l") => {
                 let parsed: Vec<u64> = tail_it
                     .map(|v| v.parse::<u64>())
@@ -145,22 +145,26 @@ pub fn read_trace(input: &mut dyn BufRead) -> crate::Result<Trace> {
                     ));
                 }
                 labels.copy_from_slice(&parsed);
+                None
             }
             Some("m") => {
                 let m: u64 = tail_it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| parse_err(lineno, "bad min label"))?;
-                labels.fill(m);
+                Some(m)
             }
             _ => return Err(parse_err(lineno, "missing label marker")),
-        }
+        };
         if !well_formed_step(&active, &labels, n) {
             let message =
                 format!("S_j = {active:?} must be nonempty, strictly increasing and below n = {n}");
             return Err(parse_err(lineno, message));
         }
-        trace.push_step(&active, &labels);
+        match min_label {
+            Some(m) => trace.push_min_step(&active, m),
+            None => trace.push_step(&active, &labels),
+        }
     }
     Ok(trace)
 }

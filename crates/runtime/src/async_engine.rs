@@ -21,7 +21,7 @@ use crate::session::{resolve_partition, to_core};
 use crate::shared::{worker_blocks, SharedVec};
 use crate::termination::Quiesce;
 use crate::worker::check_positive;
-use asynciter_core::session::{macro_count, Backend, Problem, RunControl, RunReport};
+use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
 use asynciter_models::partition::Partition;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,25 +97,17 @@ impl SharedMem {
         problem: &Problem<'_>,
         ctl: &RunControl<'_>,
     ) -> crate::Result<RunReport> {
-        ctl.reject_sampling(NAME)?;
         ctl.reject_schedule(NAME, "free-running workers generate their own")?;
+        let race = Race::open(NAME, "the shared-memory runner", problem, ctl, self.quiesce)?;
         let (op, n) = (problem.op, problem.n());
         let partition = resolve_partition(NAME, &self.partition, n, self.threads)?;
-        let (target_residual, check_every) = ctl
-            .residual_target(NAME, "the shared-memory runner")?
-            .unzip();
-        let blocks = worker_blocks(n, &problem.x0, &partition, self.threads, &self.spin)?;
+        let blocks = worker_blocks(n, &partition, self.threads, &self.spin)?;
         check_positive(&[
             ("inner_steps", self.inner_steps as u64),
             ("publish_period", self.publish_period as u64),
         ])?;
-        let race = Race::new(
-            ctl.max_steps,
-            ctl.record.keeps_trace().then(|| ctl.record.label_store()),
-            target_residual,
-            check_every.unwrap_or(1),
-            self.quiesce,
-        )?;
+        // Under `RecordMode::Off` the step log is not kept either.
+        let logged = ctl.record.keeps_trace();
 
         let shared = SharedVec::new(&problem.x0);
         let partial_publishes = AtomicU64::new(0);
@@ -171,7 +163,9 @@ impl SharedMem {
                 publish(block, &vals, j);
                 // Clamp to j−1: labels were read before j was drawn, so
                 // this only tightens.
-                lane.log(j, labels.iter().map(|&l| l.min(j - 1)));
+                if logged {
+                    lane.log(j, labels.iter().map(|&l| l.min(j - 1)));
+                }
                 let residual = || {
                     shared.snapshot(&mut vals);
                     op.residual_inf_with(&vals, &mut scratch)
@@ -190,21 +184,13 @@ impl SharedMem {
             }
             Ok(())
         };
-        let finish = race.run(blocks.iter().collect(), body)?;
+        let (_, finish) = race.run(blocks.iter().collect(), body)?;
 
         let mut final_x = vec![0.0; n];
         shared.snapshot(&mut final_x);
-        let final_residual = op.residual_inf(&final_x);
-        let trace = race.trace(n, finish.log, |w| &blocks[w]);
-        let steps = finish.per_worker_updates.iter().sum();
         Ok(RunReport {
-            macro_iterations: macro_count(trace.as_ref()),
-            stopped_early: finish.stopped_early,
-            per_worker_updates: finish.per_worker_updates,
             partial_publishes: partial_publishes.load(Ordering::Relaxed),
-            trace,
-            wall: finish.wall,
-            ..RunReport::new(NAME, final_x, steps, final_residual)
+            ..race.close(NAME, op, final_x, finish, |w| &blocks[w])
         })
     }
 }

@@ -61,12 +61,12 @@
 //! [`Partition`]: asynciter_models::partition::Partition
 
 use crate::error::RuntimeError;
-use crate::session::{resolve_partition, to_core};
+use crate::session::{recorded, resolve_partition, to_core};
 use crate::transport::{BlockMessage, Exit, FaultRouter, SendFate};
 use crate::worker::{check_probabilities, Worker};
 use asynciter_core::observer::Observer;
 pub use asynciter_core::session::ClusterStats;
-use asynciter_core::session::{Backend, Problem, RecordMode, RunControl, RunReport};
+use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
 use asynciter_core::stopping::StoppingRule;
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
@@ -367,25 +367,14 @@ impl Cluster {
             }
         }
 
-        let sends = router.stats();
-        let totals = Worker::totals(&workers);
         let mut report = RunReport {
-            per_worker_updates: workers.iter().map(|w| w.counters().updates).collect(),
-            partial_publishes: totals.partial_publishes,
-            partial_reads: totals.partial_reads,
-            constraint_checked: totals.constraint_checked,
-            constraint_violations: totals.constraint_violations,
-            channel: Some(ClusterStats {
-                sent: sends.sent,
-                delivered: totals.delivered,
-                dropped: sends.dropped,
-                duplicated: sends.duplicated,
-                held,
-                discarded_stale: totals.constraint_violations,
-            }),
             wall: start.elapsed(),
             ..RunReport::new(NAME, consensus, 0, f64::NAN)
         };
+        // This engine counts its holds itself (see `router` above).
+        let mut sends = router.stats();
+        sends.held = held;
+        Worker::count_into(&workers, [sends], &mut report);
         observer.finish(&mut report);
         Ok(report)
     }
@@ -611,10 +600,7 @@ impl ClusterEngine {
                 eps,
                 check_every: cfg.check_every,
             }),
-            record: match cfg.record {
-                LabelStore::Full => RecordMode::Full,
-                LabelStore::MinOnly => RecordMode::MinOnly,
-            },
+            record: recorded(cfg.record),
             seed: Some(cfg.seed),
             schedule: None,
         };
@@ -653,7 +639,7 @@ impl ClusterEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asynciter_core::session::Session;
+    use asynciter_core::session::{RecordMode, Session};
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;

@@ -33,8 +33,6 @@ pub enum RuntimeError {
         /// Component that diverged.
         component: usize,
     },
-    /// Propagated model error (trace assembly).
-    Model(asynciter_models::ModelError),
     /// A session control the backend cannot honour, as the
     /// `asynciter_core::session::RunControl` checks report it.
     Control(asynciter_core::CoreError),
@@ -63,19 +61,12 @@ impl fmt::Display for RuntimeError {
                     "non-finite iterate at step {at_step}, component {component}"
                 )
             }
-            RuntimeError::Model(e) => write!(f, "model error: {e}"),
             RuntimeError::Control(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for RuntimeError {}
-
-impl From<asynciter_models::ModelError> for RuntimeError {
-    fn from(e: asynciter_models::ModelError) -> Self {
-        RuntimeError::Model(e)
-    }
-}
 
 impl From<asynciter_core::CoreError> for RuntimeError {
     fn from(e: asynciter_core::CoreError) -> Self {

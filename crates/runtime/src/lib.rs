@@ -9,21 +9,23 @@
 //!   wait-free relaxed readers (Hogwild-style inconsistent snapshots,
 //!   exactly the regime Definition 1 models).
 //! - `race` (crate-private) — the linearised free-running harness both
-//!   racing engines run on: the `SeqCst` step ticket whose total order
-//!   is the trace linearisation, the stop / converged flags, the
-//!   per-worker step log and its merge into the dense
-//!   [`asynciter_models::Trace`], the residual-target and quiescence
-//!   checks after a step, and the scoped spawn / join that turns a
-//!   worker's error or panic into the run's [`RuntimeError`].
+//!   racing engines run on: the one opening (`RunControl::check` first),
+//!   the `SeqCst` step ticket whose total order is the trace
+//!   linearisation, the stop / converged flags, the per-worker step log,
+//!   the residual-target and quiescence checks after a step, the scoped
+//!   spawn / join that turns a worker's error or panic into the run's
+//!   [`RuntimeError`], and the one closing — a walk of the log in ticket
+//!   order that counts Definition 2 and builds the dense
+//!   [`asynciter_models::Trace`] only when one is kept.
 //! - [`async_engine`] — the [`SharedMem`] backend, the shared-memory
 //!   step body on that harness: free-running workers updating their
 //!   blocks without any synchronisation; optional inner iterations with
 //!   partial publishing (flexible communication) and injected load
 //!   imbalance.
 //! - [`sync_engine`] — the [`Barrier`] backend, the barrier-synchronous
-//!   Jacobi baseline with the same work model (and the harness's stop
-//!   flag and join, so a failing worker releases its peers), for the
-//!   async-vs-sync comparisons (experiment E3).
+//!   Jacobi baseline with the same work model (and the harness's
+//!   opening, stop flag and join, so a failing worker releases its
+//!   peers), for the async-vs-sync comparisons (experiment E3).
 //! - [`cluster`] — the [`Cluster`] backend, the deterministic sharded
 //!   message-passing engine: a seeded virtual cluster with per-worker
 //!   mailboxes, latency models, hold/drop/duplicate faults and flexible
@@ -36,11 +38,11 @@
 //!   [`transport::Endpoint`] seam: labelled block messages over
 //!   swappable channels, with an in-process mpsc mesh, the fate-driven
 //!   [`transport::FaultRouter`] and a fault-injecting decorator.
-//! - [`threaded`] — the message-passing step body on the same harness,
-//!   the genuinely concurrent cluster: free-running worker threads
-//!   owning shards, exchanging block messages through the transport
-//!   seam; every run records a producing-step trace that replays
-//!   bit-identically through `Replay`.
+//! - [`threaded`] — the [`ThreadedCluster`] backend, the
+//!   message-passing step body on the same harness: free-running worker
+//!   threads owning shards, exchanging block messages through the
+//!   transport seam; every recorded run keeps a producing-step trace
+//!   that replays bit-identically through `Replay`.
 //! - [`scratch`] — the recycling [`ScratchPool`] the multi-tenant
 //!   service leases per-job workspaces from: clean leases are bitwise
 //!   fresh (so pooling is invisible to the bit-identity oracles) and
@@ -50,10 +52,8 @@
 //!   tracker and the shared flush-window detector (experiment E10).
 //! - [`imbalance`] — calibrated spin-work injection used to model
 //!   heterogeneous processors.
-//! - [`session`] — the [`ThreadedCluster`] backend putting the threaded
-//!   engine's native configuration behind the unified
-//!   `asynciter_core::session::Session` API, and the one path under
-//!   which all four backends are importable.
+//! - [`session`] — the one path under which all four backends are
+//!   importable, and what their doors share.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

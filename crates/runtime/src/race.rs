@@ -6,29 +6,33 @@
 //! everything it read has already been published; the `SeqCst` total
 //! order of that one counter *is* the trace linearisation — every label
 //! a worker holds was ticketed before its own ticket, so condition (a)
-//! holds by construction. Around the ticket the harness owns the stop
-//! and converged flags, the per-worker step log and its merge into the
-//! dense [`Trace`], the termination checks after a step (worker 0's
-//! residual target, [`Quiesce`] detection) and the scoped spawn / join
-//! that turns a worker's error or panic into the run's error. What a
+//! holds by construction. Around the ticket the harness owns the one
+//! opening of a race ([`Race::open`]: what every engine checks of
+//! `Problem` / `RunControl`), the stop and converged flags, the
+//! per-worker step log, the termination checks after a step (worker 0's
+//! residual target, [`Quiesce`] detection), the scoped spawn / join that
+//! turns a worker's error or panic into the run's error, and the one
+//! closing ([`Race::close`]: a walk of the log in ticket order that
+//! counts Definition 2 and builds the dense [`Trace`] if kept). What a
 //! step reads, computes and publishes is the engine's step body
 //! ([`crate::async_engine`], [`crate::threaded`]); the harness never
-//! asks which one it serves. [`crate::sync_engine`] borrows the flags
-//! and the join without drawing a ticket.
+//! asks which one it serves. [`crate::sync_engine`] borrows the opening,
+//! the flags and the join without drawing a ticket.
 
 use crate::error::RuntimeError;
 use crate::termination::{Quiesce, QuiescenceDetector, QuiescenceTracker};
-use crate::worker::check_positive;
+use asynciter_core::session::{Problem, RecordMode, RunControl, RunReport};
+use asynciter_models::macroiter::OnlineMacroTracker;
 use asynciter_models::trace::{LabelStore, Trace};
+use asynciter_opt::traits::Operator;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// One race: its checked rules and the state its workers share.
 pub(crate) struct Race {
     budget: u64,
-    record: Option<LabelStore>,
-    target_residual: Option<f64>,
-    check_every: u64,
+    record: RecordMode,
+    target: Option<(f64, u64)>, // residual target, check period
     quiesce: Option<Quiesce>,
     counter: AtomicU64,
     stop: AtomicBool,
@@ -88,17 +92,20 @@ impl Lane<'_> {
         Some(j)
     }
 
-    /// Logs step `j` as having read the values labelled `labels`.
+    /// Logs step `j` as having read the values labelled `labels`: their
+    /// minimum, and under `RecordMode::Full` all of them.
     pub fn log(&mut self, j: u64, labels: impl Iterator<Item = u64>) {
-        let (min_label, labels) = match self.race.record {
-            None => return,
-            Some(LabelStore::MinOnly) => (labels.min().unwrap_or(0), Vec::new()),
-            Some(LabelStore::Full) => (0, labels.collect()),
+        let (min_label, labels) = match self.race.record.label_store() {
+            LabelStore::MinOnly => (labels.min(), Vec::new()),
+            LabelStore::Full => {
+                let labels: Vec<u64> = labels.collect();
+                (labels.iter().copied().min(), labels)
+            }
         };
         self.log.push(Step {
             j,
             worker: self.worker,
-            min_label,
+            min_label: min_label.unwrap_or(0),
             labels,
         });
     }
@@ -121,43 +128,44 @@ impl Lane<'_> {
     /// Under a residual target: on worker 0, every `check_every` of its
     /// own updates, true (race converged) if `residual()` is at the target.
     pub fn on_target(&self, residual: impl FnOnce() -> f64) -> bool {
-        self.race.target_residual.is_some_and(|eps| {
+        self.race.target.is_some_and(|(eps, check_every)| {
             self.worker == 0
-                && self.updates.is_multiple_of(self.race.check_every.max(1))
+                && self.updates.is_multiple_of(check_every)
                 && residual() <= eps
                 && self.race.converge()
         })
     }
 }
 
-/// What a race leaves behind.
-pub(crate) struct Finish<T> {
-    /// What each worker's step body returned, by worker.
-    pub outputs: Vec<T>,
-    /// Steps ticketed per worker.
-    pub per_worker_updates: Vec<u64>,
+/// What a race leaves behind, beside what its step bodies returned.
+pub(crate) struct Finish {
     /// True when a termination rule fired before the budget was spent.
     pub stopped_early: bool,
     /// Wall-clock duration of the parallel section.
     pub wall: Duration,
-    /// Every logged step, worker by worker, for [`Race::trace`].
-    pub log: Vec<Step>,
+    /// Steps ticketed per worker, and every logged step, for [`Race::close`].
+    per_worker_updates: Vec<u64>,
+    log: Vec<Step>,
 }
 
 impl Race {
-    /// A race of at most `budget` steps, logged as `record` asks, ended
-    /// early by a residual target and/or a quiescence rule.
+    /// The opening of every race: `problem` and `ctl` pass
+    /// [`RunControl::check`], sampling is rejected (no thread sees a
+    /// consistent iterate mid-run) and the stopping rule becomes the
+    /// residual target `onto` names.
     ///
     /// # Errors
-    /// A zero budget or an invalid [`Quiesce`] rule.
-    pub fn new(
-        budget: u64,
-        record: Option<LabelStore>,
-        target_residual: Option<f64>,
-        check_every: u64,
+    /// What those checks report, or an invalid [`Quiesce`] rule.
+    pub fn open(
+        backend: &'static str,
+        onto: &str,
+        problem: &Problem<'_>,
+        ctl: &RunControl<'_>,
         quiesce: Option<Quiesce>,
     ) -> crate::Result<Self> {
-        check_positive(&[("step budget", budget)])?;
+        ctl.check(problem)?;
+        ctl.reject_sampling(backend)?;
+        let target = ctl.residual_target(backend, onto)?;
         // `QuiescenceTracker::new` asserts this: unreachable from a config.
         if let Some(q) = quiesce.filter(|q| q.eps.is_nan() || q.eps < 0.0 || q.streak == 0) {
             return Err(RuntimeError::InvalidParameter {
@@ -166,10 +174,9 @@ impl Race {
             });
         }
         Ok(Self {
-            budget,
-            record,
-            target_residual,
-            check_every,
+            budget: ctl.max_steps,
+            record: ctl.record,
+            target,
             quiesce,
             counter: AtomicU64::new(0),
             stop: AtomicBool::new(false),
@@ -185,6 +192,7 @@ impl Race {
 
     /// Runs one free-running thread per seat: `body(lane, seat)` loops
     /// its engine's step until [`Lane::stopped`], one ticket per step.
+    /// Returns what each body returned, by worker, and the [`Finish`].
     ///
     /// # Errors
     /// The first (by worker index) step-body error, a panicking body
@@ -193,7 +201,7 @@ impl Race {
         &self,
         seats: Vec<S>,
         body: impl Fn(&mut Lane<'_>, S) -> crate::Result<T> + Sync,
-    ) -> crate::Result<Finish<T>> {
+    ) -> crate::Result<(Vec<T>, Finish)> {
         let detector = self.quiesce.map(|_| QuiescenceDetector::new(seats.len()));
         let lane = |worker| Lane {
             race: self,
@@ -221,47 +229,97 @@ impl Race {
             };
             handles.into_iter().enumerate().map(join).collect()
         });
-        Ok(Finish {
+        let finish = Finish {
             wall: start.elapsed(),
-            outputs: joined.into_iter().collect::<crate::Result<_>>()?,
-            per_worker_updates: lanes.iter().map(|lane| lane.updates).collect(),
             stopped_early: self.converged.load(Ordering::Relaxed),
+            per_worker_updates: lanes.iter().map(|lane| lane.updates).collect(),
             log: lanes.into_iter().flat_map(|lane| lane.log).collect(),
-        })
+        };
+        Ok((joined.into_iter().collect::<crate::Result<_>>()?, finish))
     }
 
-    /// Sorts the logged steps into the global trace over `n` components
-    /// — dense by the ticket contract — with `block_of(w)` the active
-    /// set of worker `w`'s steps. `None` when nothing was recorded.
-    pub fn trace<'b>(
+    /// The closing of a ticketed race: the report of `final_x`, filled
+    /// from one walk of the step log in ticket order — dense by the
+    /// ticket contract. Each step, `S_j = block_of(worker)`, is told to
+    /// the Definition-2 tracker and pushed into a [`Trace`] only when
+    /// the [`RecordMode`] keeps one.
+    pub fn close<'b>(
         &self,
-        n: usize,
-        mut log: Vec<Step>,
+        backend: &'static str,
+        op: &dyn Operator,
+        final_x: Vec<f64>,
+        finish: Finish,
         block_of: impl Fn(usize) -> &'b [usize],
-    ) -> Option<Trace> {
-        let store = self.record?;
+    ) -> RunReport {
+        let mut log = finish.log;
         log.sort_unstable_by_key(|step| step.j);
-        let mut trace = Trace::new(n, store);
-        let mut min_only_labels = vec![0u64; n];
+        let (n, store) = (op.dim(), self.record.label_store());
+        let mut trace = (self.record.keeps_trace()).then(|| Trace::new(n, store));
+        let mut tracker = OnlineMacroTracker::new(n);
         for (idx, step) in log.iter().enumerate() {
             debug_assert_eq!(step.j as usize, idx + 1, "non-dense step numbering");
-            if store == LabelStore::Full {
-                trace.push_step(block_of(step.worker), &step.labels);
-            } else {
-                min_only_labels.fill(step.min_label);
-                trace.push_step(block_of(step.worker), &min_only_labels);
+            let block = block_of(step.worker);
+            tracker.observe(step.j, block, step.min_label);
+            match &mut trace {
+                Some(trace) if store == LabelStore::Full => trace.push_step(block, &step.labels),
+                Some(trace) => trace.push_min_step(block, step.min_label),
+                None => {}
             }
         }
-        Some(trace)
+        let final_residual = op.residual_inf(&final_x);
+        let steps = finish.per_worker_updates.iter().sum();
+        RunReport {
+            macro_iterations: tracker.completed(),
+            stopped_early: finish.stopped_early,
+            per_worker_updates: finish.per_worker_updates,
+            trace,
+            wall: finish.wall,
+            ..RunReport::new(backend, final_x, steps, final_residual)
+        }
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use asynciter_core::session::{Problem, RecordMode, RunControl};
     use asynciter_models::conditions::check_condition_a;
-    use asynciter_opt::traits::Operator;
+
+    /// Halves worker 0's block `{0, 1}`; worker 1's block `{2, 3}` is
+    /// whatever the function returns.
+    struct UpperBlock(fn() -> f64);
+
+    impl Operator for UpperBlock {
+        fn dim(&self) -> usize {
+            4
+        }
+        fn component(&self, i: usize, x: &[f64]) -> f64 {
+            if i >= 2 {
+                (self.0)()
+            } else {
+                0.5 * x[i]
+            }
+        }
+    }
+
+    fn problem(op: &UpperBlock) -> Problem<'_> {
+        Problem {
+            op,
+            x0: vec![1.0; 4],
+            xstar: None,
+        }
+    }
+
+    fn plain(max_steps: u64, record: RecordMode) -> RunControl<'static> {
+        RunControl {
+            max_steps,
+            error_every: 0,
+            residual_every: 0,
+            stopping: None,
+            record,
+            seed: None,
+            schedule: None,
+        }
+    }
 
     /// Drives `run` (an engine over 4 components in 2 blocks, handed a
     /// plain run from `[1.0; 4]` with a practically unbounded budget)
@@ -271,35 +329,9 @@ pub(crate) mod tests {
     pub(crate) fn check_a_failing_worker_stops_its_healthy_peers(
         run: impl Fn(&Problem<'_>, &mut RunControl<'_>) -> RuntimeError,
     ) {
-        struct FailsOnUpperBlock(fn() -> f64);
-        impl Operator for FailsOnUpperBlock {
-            fn dim(&self) -> usize {
-                4
-            }
-            fn component(&self, i: usize, x: &[f64]) -> f64 {
-                if i >= 2 {
-                    (self.0)()
-                } else {
-                    0.5 * x[i]
-                }
-            }
-        }
         let run = |fail: fn() -> f64| {
-            let problem = Problem {
-                op: &FailsOnUpperBlock(fail),
-                x0: vec![1.0; 4],
-                xstar: None,
-            };
-            let mut ctl = RunControl {
-                max_steps: u64::MAX,
-                error_every: 0,
-                residual_every: 0,
-                stopping: None,
-                record: RecordMode::Off,
-                seed: None,
-                schedule: None,
-            };
-            run(&problem, &mut ctl)
+            let op = UpperBlock(fail);
+            run(&problem(&op), &mut plain(u64::MAX, RecordMode::Off))
         };
         let err = run(|| f64::NAN);
         assert!(
@@ -313,7 +345,9 @@ pub(crate) mod tests {
     #[test]
     fn racing_threads_draw_every_ticket_exactly_once() {
         let budget = 10_000;
-        let race = Race::new(budget, None, None, 64, None).unwrap();
+        let op = UpperBlock(|| 0.0);
+        let ctl = plain(budget, RecordMode::Off);
+        let race = Race::open("race", "no target", &problem(&op), &ctl, None).unwrap();
         let body = |lane: &mut Lane<'_>, ()| {
             let mut drawn = Vec::new();
             while let Some(j) = lane.ticket() {
@@ -322,40 +356,62 @@ pub(crate) mod tests {
             assert!(lane.stopped(), "a spent budget ends the race");
             Ok(drawn)
         };
-        let finish = race.run(vec![(); 4], body).unwrap();
+        let (drawn, finish) = race.run(vec![(); 4], body).unwrap();
         assert!(!finish.stopped_early);
         assert_eq!(finish.per_worker_updates.iter().sum::<u64>(), budget);
-        let mut all: Vec<u64> = finish.outputs.concat();
+        let mut all: Vec<u64> = drawn.concat();
         all.sort_unstable();
         assert_eq!(all, (1..=budget).collect::<Vec<_>>(), "gap or repeat");
     }
 
     #[test]
-    fn out_of_order_logs_merge_into_a_dense_admissible_trace() {
-        let blocks = [vec![0, 1], vec![2]];
-        let step = |worker, j: u64| Step {
-            j,
-            worker,
-            min_label: j.saturating_sub(2),
-            labels: vec![j - 1, j.saturating_sub(2), j - 1],
-        };
-        // Worker-major order 3, 5, 1, 2, 4 is not the ticket order.
-        let log = || vec![step(0, 3), step(0, 5), step(1, 1), step(1, 2), step(1, 4)];
-        for record in [LabelStore::MinOnly, LabelStore::Full] {
-            let race = Race::new(5, Some(record), None, 64, None).unwrap();
-            let trace = race.trace(3, log(), |w| &blocks[w]).expect("recording on");
-            assert_eq!(trace.store(), record);
+    fn out_of_order_logs_close_into_a_dense_admissible_trace() {
+        let blocks = [vec![0, 1], vec![2, 3]];
+        let op = UpperBlock(|| 0.0);
+        // Worker-major order 3, 5, 1, 2, 4 is not the ticket order. Step 3
+        // completes the one macro-iteration: step 4 reads label 2 < j_1 = 3,
+        // so block 1 is not covered a second time.
+        let turns: [(usize, u64); 5] = [(0, 3), (0, 5), (1, 1), (1, 2), (1, 4)];
+        for record in [RecordMode::Off, RecordMode::MinOnly, RecordMode::Full] {
+            let ctl = plain(5, record);
+            let race = Race::open("race", "no target", &problem(&op), &ctl, None).unwrap();
+            let mut lanes = [0, 1].map(|worker| Lane {
+                race: &race,
+                quiet: None,
+                worker,
+                updates: 0,
+                log: Vec::new(),
+            });
+            for (worker, j) in turns {
+                let labels = [j - 1, j.saturating_sub(2), j - 1, j - 1];
+                lanes[worker].log(j, labels.into_iter());
+            }
+            let finish = Finish {
+                stopped_early: false,
+                wall: Duration::ZERO,
+                per_worker_updates: vec![2, 3],
+                log: lanes.into_iter().flat_map(|lane| lane.log).collect(),
+            };
+            let report = race.close("race", &op, vec![0.0; 4], finish, |w| &blocks[w]);
+            assert_eq!(
+                (report.steps, report.macro_iterations),
+                (5, 1),
+                "{record:?}"
+            );
+            let Some(trace) = report.trace else {
+                assert_eq!(record, RecordMode::Off, "only `Off` builds no trace");
+                continue;
+            };
+            assert_eq!(trace.store(), record.label_store());
             assert_eq!(trace.activations_of(0), [3, 5]);
             assert_eq!(trace.activations_of(2), [1, 2, 4]);
             // Condition (a) on what each mode keeps.
             for (j, step) in trace.iter() {
                 assert_eq!(step.min_label, j.saturating_sub(2), "step {j}");
             }
-            if record == LabelStore::Full {
+            if record == RecordMode::Full {
                 check_condition_a(&trace).unwrap();
             }
         }
-        let race = Race::new(5, None, None, 64, None).unwrap();
-        assert!(race.trace(3, log(), |w| &blocks[w]).is_none());
     }
 }

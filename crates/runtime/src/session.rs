@@ -2,26 +2,25 @@
 //!
 //! [`SharedMem`] is the free-running shared-memory engine
 //! ([`crate::async_engine`]), [`Barrier`] the barrier-synchronous
-//! Jacobi baseline ([`crate::sync_engine`]) and [`Cluster`] the
-//! deterministic sharded message-passing engine ([`crate::cluster`]):
-//! their step loops run straight off `Problem` / `RunControl`.
-//! [`ThreadedCluster`] puts the genuinely concurrent transport-based
-//! cluster ([`crate::threaded::ThreadedClusterEngine`]) behind
-//! `asynciter_core::session::Backend`, so shared-memory vs synchronous
-//! vs message-passing comparisons are sessions differing only in the
-//! `.backend(..)` call.
+//! Jacobi baseline ([`crate::sync_engine`]), [`Cluster`] the
+//! deterministic sharded message-passing engine ([`crate::cluster`]) and
+//! [`ThreadedCluster`] its genuinely concurrent transport-based sibling
+//! ([`crate::threaded`]): all four step loops run straight off
+//! `Problem` / `RunControl`, so shared-memory vs synchronous vs
+//! message-passing comparisons are sessions differing only in the
+//! `.backend(..)` call. This module is the one path under which the
+//! four are importable, and what their doors share.
 //!
 //! [`Session`]: asynciter_core::session::Session
 
 pub use crate::async_engine::SharedMem;
-use crate::cluster::ApplyPolicy;
 pub use crate::cluster::Cluster;
 pub use crate::sync_engine::Barrier;
-use crate::termination::Quiesce;
-use crate::threaded::{ThreadedClusterEngine, ThreadedConfig};
-use asynciter_core::session::{macro_count, Backend, Problem, RunControl, RunReport};
+pub use crate::threaded::ThreadedCluster;
+use asynciter_core::session::RecordMode;
 use asynciter_core::CoreError;
 use asynciter_models::partition::Partition;
+use asynciter_models::trace::LabelStore;
 
 pub(crate) fn to_core(backend: &'static str, e: crate::RuntimeError) -> CoreError {
     match e {
@@ -61,129 +60,11 @@ pub(crate) fn resolve_partition(
     Ok(partition)
 }
 
-/// The concurrent cluster backend: free-running worker threads
-/// exchanging labelled block messages over the
-/// [`crate::transport`] seam ([`ThreadedClusterEngine`] behind the
-/// [`Backend`] interface) — the same sharded work model as [`Cluster`],
-/// executed on real OS threads instead of a sequential event loop.
-///
-/// `RunControl::max_steps` is the global block-update budget, but
-/// thread interleaving makes fixed budgets scheduler-dependent: prefer
-/// a [`StoppingRule::Residual`] rule (mapped onto worker 0's local-view
-/// residual target) and/or a [`Quiesce`] termination rule, with the
-/// budget as a generous safety net. The seed set via `Session::seed`
-/// drives per-worker fault and partial-exchange RNG streams; runs are
-/// **not** reproducible from the seed — correctness is anchored per
-/// run: with recording on, the executed schedule is materialised as a
-/// producing-step trace that replays bit-identically through
-/// `Session::replay_trace`, faults, races and all (the conformance
-/// oracle). Error/residual sampling are unsupported (no thread may
-/// observe a consistent consensus mid-run).
-///
-/// Degenerately, `ThreadedCluster { workers: 1, .. }` executes the same
-/// step sequence as `Cluster { workers: 1 }` bit for bit
-/// (`tests/backend_equivalence.rs`).
-///
-/// Constructible with functional-update syntax:
-/// `ThreadedCluster { workers: 4, drop_prob: 0.1, ..ThreadedCluster::default() }`.
-///
-/// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
-#[derive(Debug, Clone)]
-pub struct ThreadedCluster {
-    /// Number of worker threads (= shards).
-    pub workers: usize,
-    /// Component→worker map (default: contiguous equal blocks).
-    pub partition: Option<Partition>,
-    /// Post a block message every this many local updates.
-    pub exchange_every: u64,
-    /// Receiver policy.
-    pub apply_policy: ApplyPolicy,
-    /// Probability a send is held behind later traffic (out-of-order
-    /// delivery).
-    pub hold_prob: f64,
-    /// Maximum sends a held message waits behind.
-    pub hold_extra: u64,
-    /// Probability a send is dropped.
-    pub drop_prob: f64,
-    /// Probability a send is duplicated.
-    pub dup_prob: f64,
-    /// Probability a posted message is a partial (subset) exchange.
-    pub partial_prob: f64,
-    /// Optional quiescence-detection termination rule.
-    pub quiesce: Option<Quiesce>,
-}
-
-impl Default for ThreadedCluster {
-    fn default() -> Self {
-        Self {
-            workers: 1,
-            partition: None,
-            exchange_every: 1,
-            apply_policy: ApplyPolicy::AsReceived,
-            hold_prob: 0.0,
-            hold_extra: 8,
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            partial_prob: 0.0,
-            quiesce: None,
-        }
-    }
-}
-
-impl Backend for ThreadedCluster {
-    fn name(&self) -> &'static str {
-        "threaded-cluster"
-    }
-
-    fn run(
-        &mut self,
-        problem: &Problem<'_>,
-        ctl: &mut RunControl<'_>,
-    ) -> asynciter_core::Result<RunReport> {
-        ctl.reject_schedule(
-            self.name(),
-            "the threaded cluster's schedule emerges from real thread interleaving; record \
-             it and replay through `Replay` instead",
-        )?;
-        ctl.reject_sampling(self.name())?;
-        let n = problem.n();
-        let partition = resolve_partition(self.name(), &self.partition, n, self.workers)
-            .map_err(|e| to_core(self.name(), e))?;
-        let mut cfg = ThreadedConfig::new(ctl.max_steps)
-            .with_faults(self.hold_prob, self.drop_prob, self.dup_prob)
-            .with_seed(ctl.seed.unwrap_or(0))
-            .with_record(ctl.record.label_store());
-        cfg.exchange_every = self.exchange_every;
-        cfg.apply_policy = self.apply_policy;
-        cfg.hold_extra = self.hold_extra;
-        cfg.partial_prob = self.partial_prob;
-        cfg.quiesce = self.quiesce;
-        if let Some((eps, check_every)) =
-            ctl.residual_target(self.name(), "the threaded cluster's residual target")?
-        {
-            cfg.target_residual = Some(eps);
-            cfg.check_every = check_every;
-        }
-        let res = ThreadedClusterEngine::run(problem.op, &problem.x0, &partition, &cfg)
-            .map_err(|e| to_core(self.name(), e))?;
-        Ok(RunReport {
-            macro_iterations: macro_count(Some(&res.trace)),
-            stopped_early: res.stopped_early,
-            per_worker_updates: res.per_worker_updates,
-            partial_publishes: res.partial_publishes,
-            partial_reads: res.partial_reads,
-            constraint_checked: res.constraint_checked,
-            constraint_violations: res.constraint_violations,
-            trace: ctl.record.keeps_trace().then_some(res.trace),
-            channel: Some(res.stats),
-            wall: res.wall,
-            ..RunReport::new(
-                self.name(),
-                res.consensus,
-                res.steps_run,
-                res.final_residual,
-            )
-        })
+/// The [`RecordMode`] of a native configuration, which always records.
+pub(crate) fn recorded(store: LabelStore) -> RecordMode {
+    match store {
+        LabelStore::Full => RecordMode::Full,
+        LabelStore::MinOnly => RecordMode::MinOnly,
     }
 }
 
@@ -191,7 +72,7 @@ impl Backend for ThreadedCluster {
 mod tests {
     use super::*;
     use crate::cluster::LinkModel;
-    use asynciter_core::session::{RecordMode, Replay, Session};
+    use asynciter_core::session::{Replay, Session};
     use asynciter_core::stopping::StoppingRule;
     use asynciter_numerics::norm::WeightedMaxNorm;
     use asynciter_numerics::sparse::tridiagonal;
@@ -302,6 +183,7 @@ mod tests {
         assert!(matches!(err, CoreError::Backend { .. }), "{err}");
         let err = Session::new(&op)
             .steps(10)
+            .xstar(vec![0.0; 8])
             .stopping(StoppingRule::ErrorBelow {
                 eps: 1e-6,
                 check_every: 1,
@@ -481,10 +363,11 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(report.backend, "threaded-cluster");
-        assert!(report.stopped_early);
+        assert!(report.stopped_early, "residual target never fired");
         assert!(report.final_error(&xstar) < 1e-8);
         assert_eq!(report.per_worker_updates.iter().sum::<u64>(), report.steps);
         assert!(report.macro_iterations > 0);
+        assert!(report.channel.is_some_and(|channel| channel.sent > 0));
         let trace = report.trace.expect("trace recorded");
         assert_eq!(trace.len() as u64, report.steps);
         asynciter_models::conditions::check_condition_a(&trace).unwrap();

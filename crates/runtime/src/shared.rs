@@ -22,28 +22,22 @@ use asynciter_models::partition::Partition;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Checks a shared-memory run's inputs against the operator dimension
-/// `n` — `x0` and `partition` (one machine per worker, see
+/// Checks what a shared-memory run adds to the race's opening, against
+/// the operator dimension `n` — `partition` (one machine per worker, see
 /// `resolve_partition`) sized for it, `spin` empty or one entry per
 /// worker — and returns each worker's component block.
 pub(crate) fn worker_blocks(
     n: usize,
-    x0: &[f64],
     partition: &Partition,
     workers: usize,
     spin: &[u64],
 ) -> crate::Result<Vec<Vec<usize>>> {
-    for (actual, context) in [
-        (x0.len(), "shared-memory run (x0)"),
-        (partition.n(), "shared-memory run (partition)"),
-    ] {
-        if actual != n {
-            return Err(RuntimeError::DimensionMismatch {
-                expected: n,
-                actual,
-                context,
-            });
-        }
+    if partition.n() != n {
+        return Err(RuntimeError::DimensionMismatch {
+            expected: n,
+            actual: partition.n(),
+            context: "shared-memory run (partition)",
+        });
     }
     if !spin.is_empty() && spin.len() != workers {
         return Err(RuntimeError::InvalidParameter {

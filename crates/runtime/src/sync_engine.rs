@@ -121,18 +121,15 @@ impl Barrier {
         problem: &Problem<'_>,
         ctl: &RunControl<'_>,
     ) -> crate::Result<RunReport> {
-        ctl.reject_sampling(NAME)?;
         ctl.reject_schedule(NAME, "sweeps are synchronous by construction")?;
+        // Sweeps draw no tickets: the race lends its opening, its stop and
+        // converged flags and the join that types a failure.
+        let onto = "the barrier runner's sweep-change target";
+        let race = Race::open(NAME, onto, problem, ctl, None)?;
         let (op, n) = (problem.op, problem.n());
         let partition = resolve_partition(NAME, &self.partition, n, self.threads)?;
-        let target_change = ctl
-            .residual_target(NAME, "the barrier runner's sweep-change target")?
-            .map(|(eps, _)| eps);
-        let blocks = worker_blocks(n, &problem.x0, &partition, self.threads, &self.spin)?;
-        // Sweeps draw no tickets: the race lends its budget check, its
-        // stop and converged flags and the join that types a failure.
+        let blocks = worker_blocks(n, &partition, self.threads, &self.spin)?;
         let budget = ctl.max_steps;
-        let race = Race::new(budget, None, target_change, 1, None)?;
 
         // Double buffering: `bufs[t % 2]` is read, `bufs[(t+1) % 2]`
         // written, with barriers fencing the role swap.
@@ -178,6 +175,8 @@ impl Barrier {
                             change.max((write.value(i) - read.value(i)).abs())
                         })
                     };
+                    // A lane that draws no tickets is due its check
+                    // every sweep, whatever the rule's `check_every`.
                     lane.on_target(change);
                 }
                 // Decision barrier: the stop flag is now consistent.
@@ -187,7 +186,7 @@ impl Barrier {
             }
             Ok(())
         };
-        let finish = race.run(blocks.iter().collect(), body)?;
+        let (_, finish) = race.run(blocks.iter().collect(), body)?;
 
         let sweeps = sweeps_done.load(Ordering::Relaxed);
         let mut final_x = vec![0.0; n];

@@ -9,9 +9,9 @@
 //!
 //! - [`crate::cluster::Cluster`] — round-robin turns, latency
 //!   mailboxes, one seeded stream (deterministic);
-//! - [`crate::threaded::ThreadedClusterEngine`] — one OS thread per
-//!   worker, step numbers from a shared `SeqCst` counter, messages over
-//!   a [`crate::transport::Transport`];
+//! - [`crate::threaded::ThreadedCluster`] — one OS thread per worker,
+//!   step numbers from a shared `SeqCst` counter, messages over a
+//!   [`crate::transport::Transport`];
 //! - `asynciter-mc`'s `SeamModel` — every interleaving of worker steps
 //!   crossed with every [`crate::transport::SendFate`], exhaustively.
 //!
@@ -20,15 +20,15 @@
 
 use crate::cluster::ApplyPolicy;
 use crate::error::RuntimeError;
-use crate::transport::BlockMessage;
+use crate::transport::{BlockMessage, SendStats};
+use asynciter_core::session::{ClusterStats, RunReport};
 use asynciter_models::partition::Partition;
 use asynciter_opt::traits::Operator;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-/// What one worker did so far. Summed over workers ([`Worker::totals`])
-/// these are the receiver-side and flexible-exchange counters of a run
-/// result.
+/// What one worker did so far. Summed over workers these are the
+/// receiver-side and flexible-exchange counters of a `RunReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerCounters {
     /// Block updates produced.
@@ -141,18 +141,31 @@ impl Worker {
         self.counters
     }
 
-    /// Counters summed over `workers`.
-    pub fn totals(workers: &[Worker]) -> WorkerCounters {
-        workers
-            .iter()
-            .fold(WorkerCounters::default(), |t, w| WorkerCounters {
-                updates: t.updates + w.counters.updates,
-                delivered: t.delivered + w.counters.delivered,
-                partial_publishes: t.partial_publishes + w.counters.partial_publishes,
-                partial_reads: t.partial_reads + w.counters.partial_reads,
-                constraint_checked: t.constraint_checked + w.counters.constraint_checked,
-                constraint_violations: t.constraint_violations + w.counters.constraint_violations,
-            })
+    /// Adds what a finished run's mesh counted to a fresh `report`:
+    /// updates per worker, the flexible-exchange and freshness counters,
+    /// and as `RunReport::channel` the summed `sends` and receipts.
+    pub(crate) fn count_into(
+        workers: &[Worker],
+        sends: impl IntoIterator<Item = SendStats>,
+        report: &mut RunReport,
+    ) {
+        let mut channel = ClusterStats::default();
+        for s in sends {
+            channel.sent += s.sent;
+            channel.dropped += s.dropped;
+            channel.duplicated += s.duplicated;
+            channel.held += s.held;
+        }
+        for c in workers.iter().map(|w| w.counters) {
+            channel.delivered += c.delivered;
+            channel.discarded_stale += c.constraint_violations;
+            report.partial_publishes += c.partial_publishes;
+            report.partial_reads += c.partial_reads;
+            report.constraint_checked += c.constraint_checked;
+            report.constraint_violations += c.constraint_violations;
+        }
+        report.per_worker_updates = workers.iter().map(|w| w.counters.updates).collect();
+        report.channel = Some(channel);
     }
 
     /// Every other worker of the mesh, ascending — the destinations of
@@ -248,15 +261,6 @@ impl Worker {
     /// Fixed-point residual of the local view.
     pub fn residual(&mut self, op: &dyn Operator) -> f64 {
         op.residual_inf_with(&self.view, &mut self.scratch)
-    }
-}
-
-/// Writes each component's value in its owner's view into `consensus`.
-pub(crate) fn assemble_consensus(workers: &[Worker], consensus: &mut [f64]) {
-    for worker in workers {
-        for &i in &worker.block {
-            consensus[i] = worker.view[i];
-        }
     }
 }
 

@@ -98,7 +98,7 @@ pub use asynciter_sim as sim;
 /// touches (schedules, partitions, stopping rules, the `Operator` trait).
 pub mod prelude {
     pub use asynciter_core::session::{
-        macro_count, Backend, Flexible, Problem, RecordMode, Replay, RunControl, RunReport, Session,
+        Backend, Flexible, Problem, RecordMode, Replay, RunControl, RunReport, Session,
     };
     pub use asynciter_core::stopping::StoppingRule;
     pub use asynciter_core::CoreError;

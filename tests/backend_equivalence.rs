@@ -5,6 +5,7 @@
 //! edge-case tests for `History::value_at`.
 
 use asynciter::core::engine::History;
+use asynciter::models::macroiter::macro_iterations;
 use asynciter::opt::canonical;
 use asynciter::opt::prox::L1;
 use asynciter::opt::proxgrad::{gamma_max, SeparableProxGrad};
@@ -500,6 +501,8 @@ fn recording_never_changes_an_iterate_bit() {
         ("cluster", 2),
         ("cluster", 3),
         ("cluster", 4),
+        // One free-running worker is deterministic.
+        ("threaded-cluster", 1),
     ];
     for (backend, workers) in backends {
         let run = |mode: RecordMode| {
@@ -516,6 +519,10 @@ fn recording_never_changes_an_iterate_bit() {
                         })
                 }
                 "sim" => session.backend(Sim(jittered_sim(24, workers, 2))),
+                "threaded-cluster" => session.backend(ThreadedCluster {
+                    workers,
+                    ..ThreadedCluster::default()
+                }),
                 "cluster" => session.backend(Cluster {
                     workers,
                     link: LinkModel::Jitter { lo: 1, hi: 6 },
@@ -539,12 +546,93 @@ fn recording_never_changes_an_iterate_bit() {
         let has_partials = matches!(backend, "flexible" | "cluster");
         assert_eq!(off.partial_reads > 0, has_partials, "{backend}");
         assert_eq!(off.sim_time.is_some(), backend == "sim");
-        assert_eq!(off.channel.is_some(), backend == "cluster");
+        let has_channel = matches!(backend, "cluster" | "threaded-cluster");
+        assert_eq!(off.channel.is_some(), has_channel, "{backend}");
         for mode in [RecordMode::MinOnly, RecordMode::Full] {
             let kept = run(mode);
             assert_eq!(computed(&kept), computed(&off), "{backend} {mode:?}");
             assert!(kept.trace.is_some(), "{backend} {mode:?}");
-            assert_eq!(macro_count(kept.trace.as_ref()), off.macro_iterations);
+            let offline = macro_iterations(kept.trace.as_ref().unwrap()).count();
+            assert_eq!(offline as u64, off.macro_iterations, "{backend} {mode:?}");
+        }
+    }
+}
+
+#[test]
+fn every_backend_answers_bad_input_with_the_same_typed_error() {
+    // One opening: what `RunControl::check` rejects is the same error
+    // whichever engine the session names. `SharedMem`, `Barrier` and
+    // `ThreadedCluster` used to spend the whole budget on the first
+    // three rows and return `Ok`.
+    let op = quickstart_operator(8);
+    let backend = |name: &str| -> Box<dyn Backend> {
+        match name {
+            "replay" => Box::new(Replay),
+            "flexible" => Box::new(Flexible::default()),
+            "shared-mem" => Box::new(SharedMem {
+                threads: 2,
+                ..SharedMem::default()
+            }),
+            "barrier" => Box::new(Barrier {
+                threads: 2,
+                ..Barrier::default()
+            }),
+            "sim" => Box::new(Sim(jittered_sim(8, 2, 1))),
+            "cluster" => Box::new(Cluster {
+                workers: 2,
+                ..Cluster::default()
+            }),
+            _ => Box::new(ThreadedCluster {
+                workers: 2,
+                ..ThreadedCluster::default()
+            }),
+        }
+    };
+    type Row = (fn(Session<'_>) -> Session<'_>, (&'static str, usize));
+    let rows: [Row; 4] = [
+        (
+            |s| {
+                s.stopping(StoppingRule::Residual {
+                    eps: f64::NAN,
+                    check_every: 1,
+                })
+            },
+            ("stopping", 0),
+        ),
+        (|s| s.xstar(vec![0.0; 7]), ("Session (xstar)", 7)),
+        (
+            |s| {
+                s.stopping(StoppingRule::MacroContraction {
+                    eps: 1e-6,
+                    alpha: 0.5,
+                    norm: WeightedMaxNorm::uniform(7),
+                })
+            },
+            ("Session (stopping norm)", 7),
+        ),
+        (|s| s.steps(0), ("max_steps", 0)),
+    ];
+    for name in [
+        "replay",
+        "flexible",
+        "shared-mem",
+        "barrier",
+        "sim",
+        "cluster",
+        "threaded-cluster",
+    ] {
+        for (bad, expected) in &rows {
+            let session = Session::new(&op).steps(20_000).backend(backend(name));
+            let got = match bad(session).run() {
+                Err(CoreError::DimensionMismatch {
+                    expected: 8,
+                    actual,
+                    context,
+                }) => (context, actual),
+                Err(CoreError::InvalidParameter { name, .. }) => (name, 0),
+                other => panic!("{name}: expected a typed rejection, got {other:?}"),
+            };
+            assert_eq!(got, *expected, "{name}");
         }
     }
 }
