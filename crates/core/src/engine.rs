@@ -26,8 +26,10 @@ use crate::session::{Backend, Problem, RunControl, RunReport};
 ///
 /// `value_at(i, l)` returns `x_i(l)`: the value component `i` had at
 /// iteration label `l` — i.e. the value written by the most recent update
-/// of `i` at or before `l` (or the initial value). Lookups are binary
-/// searches over each component's private update log.
+/// of `i` at or before `l` (or the initial value). A lookup gallops
+/// backwards from the newest entry of the component's private update log,
+/// so it costs `O(log u)` in the number `u` of updates of `i` newer than
+/// `l` — the delay, not the length of the run.
 #[derive(Debug, Clone)]
 pub struct History {
     /// Per component: update log `(step j, value)`, starting with `(0, x0)`.
@@ -54,9 +56,11 @@ impl History {
     #[inline]
     pub fn push(&mut self, i: usize, j: u64, value: f64) {
         let log = &mut self.logs[i];
-        debug_assert!(
-            log.last().map(|&(s, _)| s < j).unwrap_or(true),
-            "History::push: non-increasing step"
+        // Every lookup relies on each log being sorted by step.
+        let last = log.last().expect("log never empty").0;
+        assert!(
+            last < j,
+            "History::push: step {j} of component {i} is not after its last update {last}"
         );
         log.push((j, value));
     }
@@ -65,14 +69,26 @@ impl History {
     #[inline]
     pub fn value_at(&self, i: usize, l: u64) -> f64 {
         let log = &self.logs[i];
-        // Most logs are queried near their end (fresh labels); check the
-        // last entry before binary searching.
-        let (last_j, last_v) = *log.last().expect("log never empty");
+        // Labels lag the newest update by the delay, so most reads are of
+        // the last entry or just before it.
+        let newest = log.len() - 1;
+        let (last_j, last_v) = log[newest];
         if last_j <= l {
             return last_v;
         }
-        let pos = log.partition_point(|&(s, _)| s <= l);
-        log[pos - 1].1
+        // Gallop backwards (newest − 1, − 2, − 4, …) to a probe at or
+        // before `l`; `log[0]` is step 0, so the loop ends. Then
+        // `log[lo].0 <= l < log[hi].0` and the answer lies in `lo..hi`.
+        let (mut hi, mut back) = (newest, 1);
+        let lo = loop {
+            let probe = newest.saturating_sub(back);
+            if log[probe].0 <= l {
+                break probe;
+            }
+            hi = probe;
+            back *= 2;
+        };
+        log[lo + log[lo + 1..hi].partition_point(|&(s, _)| s <= l)].1
     }
 
     /// The current (most recent) value of component `i`.
@@ -173,6 +189,16 @@ mod tests {
         assert_eq!(h.value_at(1, 50), 20.0);
         assert_eq!(h.current(0), 12.0);
         assert_eq!(h.entries(), 4);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "History::push: step 3 of component 0 is not after its last update 3"
+    )]
+    fn history_push_rejects_a_non_increasing_step() {
+        let mut h = History::new(&[0.0]);
+        h.push(0, 3, 1.0);
+        h.push(0, 3, 2.0);
     }
 
     #[test]

@@ -179,6 +179,16 @@ impl Backend for Flexible {
                     ),
                 });
             }
+            if let Some(h) = buf.labels.iter().position(|&l| l >= j) {
+                // Condition (a), l_h(j) ≤ j − 1: a later label would read x(j − 1).
+                return Err(CoreError::InvalidParameter {
+                    name: "schedule",
+                    message: format!(
+                        "step {j}: component {h} reads label {} — condition (a) needs l_h(j) <= j - 1",
+                        buf.labels[h]
+                    ),
+                });
+            }
             history.assemble(&buf.labels, &mut w);
 
             // The labels this step effectively read. Until the first
@@ -263,9 +273,11 @@ impl Backend for Flexible {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Replay;
     use crate::session::Session;
     use asynciter_models::partition::Partition;
     use asynciter_models::schedule::BlockRoundRobin;
+    use asynciter_models::trace::{LabelStore, Trace};
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;
@@ -412,6 +424,36 @@ mod tests {
             ..with_m(2)
         };
         assert!(session(&op, (2, 1), 10, bad).run().is_err());
+    }
+
+    #[test]
+    fn a_label_at_or_after_its_step_is_a_typed_schedule_error() {
+        // `trace_io`'s condition-(a) roundtrip trace: step 2 reads label 5.
+        let mut t = Trace::new(2, LabelStore::Full);
+        t.push_step(&[0], &[0, 0]);
+        t.push_step(&[1], &[5, 0]);
+        let op = jacobi(2);
+        let backends: [Box<dyn Backend>; 2] = [Box::new(Replay), Box::new(with_m(2))];
+        for backend in backends {
+            let name = backend.name();
+            let err = Session::new(&op)
+                .replay_trace(t.clone())
+                .unwrap()
+                .backend(backend)
+                .run()
+                .unwrap_err();
+            match err {
+                CoreError::InvalidParameter {
+                    name: "schedule",
+                    message,
+                } => assert_eq!(
+                    message,
+                    "step 2: component 0 reads label 5 — condition (a) needs l_h(j) <= j - 1",
+                    "{name}"
+                ),
+                other => panic!("{name}: expected the schedule error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -686,6 +686,68 @@ fn history_value_at_out_of_order_lookups() {
 }
 
 #[test]
+fn history_value_at_equals_a_linear_scan_on_long_and_short_logs() {
+    use asynciter::numerics::rng::child_seed;
+    let mut stream = 0u64;
+    let mut draw = move || {
+        stream += 1;
+        child_seed(25, stream)
+    };
+    // Component 0 gets ≥ 10 000 updates at random increasing steps, the
+    // others 0, 1, 2 and 5; `logs` is the reference copy.
+    let lens = [10_000usize, 0, 1, 2, 5];
+    let mut h = History::new(&[0.5; 5]);
+    let mut logs: Vec<Vec<(u64, f64)>> = vec![vec![(0, 0.5)]; 5];
+    for (i, &len) in lens.iter().enumerate() {
+        let mut j = 0;
+        for _ in 0..len {
+            j += 1 + draw() % 8;
+            let v = (draw() >> 11) as f64 - 2f64.powi(52);
+            h.push(i, j, v);
+            logs[i].push((j, v));
+        }
+    }
+    let scan = |i: usize, l: u64| logs[i].iter().rev().find(|&&(s, _)| s <= l).unwrap().1;
+    for (i, log) in logs.iter().enumerate() {
+        let last = log.last().unwrap().0;
+        let mut labels = vec![0, last, last + 1, u64::MAX];
+        // Entry steps and the labels just around them: every entry of the
+        // short logs, every 11th of the long one.
+        for &(s, _) in log.iter().step_by(log.len() / 1000 + 1) {
+            labels.extend([s, s.saturating_sub(1), s + 1]);
+        }
+        for _ in 0..1000 {
+            // Uniform over [0, last], then heavy-tailed toward 0, where the
+            // gallop walks back to index 0.
+            labels.push(draw() % (last + 1));
+            labels.push((draw() % (last + 1)) >> (draw() % 24));
+        }
+        for l in labels {
+            assert_eq!(
+                h.value_at(i, l).to_bits(),
+                scan(i, l).to_bits(),
+                "component {i}, label {l}"
+            );
+        }
+    }
+    let mut out = [0.0; 5];
+    for _ in 0..200 {
+        let labels: Vec<u64> = logs
+            .iter()
+            .map(|log| draw() % (log.last().unwrap().0 + 2))
+            .collect();
+        h.assemble(&labels, &mut out);
+        for (i, (&l, &o)) in labels.iter().zip(&out).enumerate() {
+            assert_eq!(
+                o.to_bits(),
+                h.value_at(i, l).to_bits(),
+                "component {i}, label {l}"
+            );
+        }
+    }
+}
+
+#[test]
 fn history_assemble_honours_mixed_stale_labels() {
     let mut h = History::new(&[1.0, 2.0, 3.0]);
     h.push(0, 1, 10.0);
