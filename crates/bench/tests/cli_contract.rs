@@ -155,6 +155,32 @@ fn binaries_answer_help_on_stdout_and_bad_argv_on_stderr() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A trace header cannot size an allocation: `mc --from-trace` on a
+/// one-line file announcing a huge `n` is a usage error (exit 2), where
+/// it used to abort allocating 32 TB (exit 134) or overflow a capacity
+/// (exit 101).
+#[test]
+fn mc_from_trace_answers_a_huge_header_n_with_exit_2() {
+    let dir = scratch_dir("huge-n");
+    for (file, header) in [
+        (
+            "full.trace",
+            "asynciter-trace v1 n=4000000000000 labels=full\n",
+        ),
+        (
+            "min.trace",
+            "asynciter-trace v1 n=2305843009213693952 labels=min\n",
+        ),
+    ] {
+        std::fs::write(dir.join(file), header).unwrap();
+        let out = spawn(env!("CARGO_BIN_EXE_mc"), &dir, &["--from-trace", file]);
+        assert_eq!(out.status.code(), Some(2), "{file}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("trace dimension"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An optional `[PATH]` is only ever an argument that does not start with
 /// `-`: `--inject-fault --seed 7` is the demo with seed 7 on the default
 /// path, and `--inject-fault --out r.json` writes no file named `--out`.

@@ -42,7 +42,7 @@ pub fn well_formed_step(active: &[usize], labels: &[u64], n: usize) -> bool {
     labels.len() == n && well_formed_active(active, n)
 }
 
-fn well_formed_active(active: &[usize], n: usize) -> bool {
+pub(crate) fn well_formed_active(active: &[usize], n: usize) -> bool {
     active.last().is_some_and(|&i| i < n) && active.is_sorted_by(|a, b| a < b)
 }
 

@@ -7,8 +7,9 @@
 //! and drive millions of steps through `update_active_with` /
 //! `apply_with` / `residual_inf_with`).
 //!
-//! The last two tests audit engine loops: an unrecorded `Replay` session
-//! and an unrecorded one-worker `Cluster` session.
+//! Two tests audit engine loops: an unrecorded `Replay` session and an
+//! unrecorded one-worker `Cluster` session. The last audits the trace
+//! text codec every replay check runs.
 //!
 //! The audit swaps in a counting global allocator that counts per thread,
 //! so no parallel test thread can pollute the counter.
@@ -195,4 +196,29 @@ fn unrecorded_cluster_session_allocates_only_set_up() {
     assert_eq!(report.steps, 1_000);
     assert!(report.macro_iterations > 0 && report.trace.is_none());
     assert!(allocs < 100, "{allocs} heap allocations in 1000 steps");
+}
+
+#[test]
+fn trace_text_allocates_once_to_write_and_only_the_trace_to_read() {
+    // The writer sizes its buffer with a counting pass, so it allocates
+    // once (growing by doubling, it allocated 21 times here); the reader
+    // allocates the trace's own storage, two vectors per step, plus the
+    // growth of the trace's step lists and of two reused line buffers:
+    // 1 438 here, where per-line strings and vectors made it 14 766.
+    use asynciter::models::schedule::{record, ChaoticBounded};
+    use asynciter::models::trace::LabelStore;
+    use asynciter::models::trace_io::{trace_from_str, trace_to_string};
+    let mut gen = ChaoticBounded::new(4096, 1, 512, 40, false, 7);
+    let trace = record(&mut gen, 700, LabelStore::Full);
+    let mut text = String::new();
+    let writes = count_allocs(|| text = trace_to_string(&trace).unwrap());
+    assert_eq!(writes, 1, "{writes} allocations to write the trace");
+    let mut parsed = None;
+    let reads = count_allocs(|| parsed = trace_from_str(&text).ok());
+    assert_eq!(parsed.expect("the text parses").len(), 700);
+    let extra = reads.checked_sub(2 * 700);
+    assert!(
+        extra.is_some_and(|extra| extra <= 64),
+        "{reads} allocations to read 700 steps"
+    );
 }

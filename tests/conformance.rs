@@ -52,6 +52,25 @@ fn corpus_seed_traces_match_their_plans_bit_for_bit() {
 }
 
 #[test]
+fn every_corpus_trace_renders_back_to_its_own_bytes() {
+    use asynciter::models::trace_io::{trace_from_str, trace_to_string};
+    let mut checked = 0;
+    for entry in std::fs::read_dir(CORPUS_DIR).expect("committed corpus") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|ext| ext == "trace") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let trace = trace_from_str(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            assert!(
+                trace_to_string(&trace).unwrap() == text,
+                "{path:?} renders differently"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 27, "corpus files");
+}
+
+#[test]
 fn corpus_traces_satisfy_model_invariants_and_replay_deterministically() {
     let entries = corpus::load_dir(Path::new(CORPUS_DIR)).expect("committed corpus loads");
     assert!(entries.len() >= 25, "corpus unexpectedly small");
