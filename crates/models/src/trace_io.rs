@@ -42,23 +42,12 @@ use std::str::FromStr;
 trait Sink {
     fn put(&mut self, bytes: &[u8]);
     fn put_int(&mut self, v: u64);
-    /// A space, then `v`: how every index and label is written.
-    #[inline]
-    fn put_spaced(&mut self, v: u64) {
-        self.put(b" ");
-        self.put_int(v);
-    }
 }
 
-/// Decimal digits of `v`, by comparison below 1000 (every label of a run
-/// shorter than a thousand steps).
+/// Decimal digits of `v`.
 #[inline]
-const fn digits(v: u64) -> usize {
-    if v < 1000 {
-        1 + (v >= 10) as usize + (v >= 100) as usize
-    } else {
-        v.ilog10() as usize + 1
-    }
+fn digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Counts the bytes a render would emit.
@@ -75,24 +64,6 @@ impl Sink for Len {
         self.0 += digits(v);
     }
 }
-
-/// `" d"`, `" dd"` or `" ddd"` for every `v < 1000`, left-aligned in four
-/// bytes: [`Cursor::put_spaced`] stores all four and keeps `1 + digits(v)`.
-static SPACED: [[u8; 4]; 1000] = {
-    let mut table = [[b' '; 4]; 1000];
-    let mut v = 0;
-    while v < 1000 {
-        let mut at = digits(v as u64);
-        let mut rest = v;
-        while at > 0 {
-            table[v][at] = b'0' + (rest % 10) as u8;
-            rest /= 10;
-            at -= 1;
-        }
-        v += 1;
-    }
-    table
-};
 
 /// A buffer of the exact rendered length and how much of it is written.
 struct Cursor {
@@ -116,40 +87,26 @@ impl Sink for Cursor {
         }
         self.at = end;
     }
-
-    #[inline]
-    fn put_spaced(&mut self, v: u64) {
-        // The store needs four bytes before the end of the text; only the
-        // last label of the last line can lack them.
-        match self.buf.get_mut(self.at..self.at + 4) {
-            Some(slot) if v < 1000 => {
-                slot.copy_from_slice(&SPACED[v as usize]);
-                self.at += 1 + digits(v);
-            }
-            _ => {
-                self.put(b" ");
-                self.put_int(v);
-            }
-        }
-    }
 }
 
 fn render_step(trace: &Trace, j: u64, step: &TraceStep, out: &mut impl Sink) -> crate::Result<()> {
     out.put_int(j);
     out.put(b" a");
     for &i in &step.active {
-        out.put_spaced(u64::from(i));
+        out.put(b" ");
+        out.put_int(u64::from(i));
     }
     match trace.store() {
         LabelStore::Full => {
             out.put(b" | l");
             for &l in trace.labels(j)? {
-                out.put_spaced(l);
+                out.put(b" ");
+                out.put_int(l);
             }
         }
         LabelStore::MinOnly => {
-            out.put(b" | m");
-            out.put_spaced(step.min_label);
+            out.put(b" | m ");
+            out.put_int(step.min_label);
         }
     }
     out.put(b"\n");
@@ -213,7 +170,8 @@ fn parse_err(line: usize, message: impl Into<String>) -> ModelError {
 ///
 /// # Errors
 /// As [`trace_from_str`]; a read error or a byte sequence that is not
-/// UTF-8 is also [`ModelError::InvalidParameter`] naming its line.
+/// UTF-8 is also [`ModelError::InvalidParameter`] naming its line, unless
+/// an earlier line is already malformed.
 pub fn read_trace(input: &mut dyn BufRead) -> crate::Result<Trace> {
     let line_of = |bytes: &[u8]| 1 + bytes.iter().filter(|&&b| b == b'\n').count();
     let mut bytes = Vec::new();
@@ -224,6 +182,12 @@ pub fn read_trace(input: &mut dyn BufRead) -> crate::Result<Trace> {
         Ok(text) => trace_from_str(&text),
         Err(e) => {
             let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+            // The whole lines before the bad byte are text: an error in
+            // them comes first, as it would reading line by line.
+            let lines = &valid[..valid.iter().rposition(|&b| b == b'\n').map_or(0, |k| k + 1)];
+            if let Some(text) = std::str::from_utf8(lines).ok().filter(|t| !t.is_empty()) {
+                trace_from_str(text)?;
+            }
             Err(parse_err(
                 line_of(valid),
                 "stream did not contain valid UTF-8",
@@ -238,8 +202,9 @@ pub fn read_trace(input: &mut dyn BufRead) -> crate::Result<Trace> {
 /// [`ModelError::InvalidParameter`] naming the line, on malformed input,
 /// on a label marker the header does not announce, and on a step that is
 /// not well formed ([`crate::trace::well_formed_step`]: `S_j` non-empty,
-/// strictly increasing, below `n`) — a trace file is outside input and
-/// never reaches [`Trace::push_step`]'s assertion.
+/// strictly increasing, below `n`) or whose active index passes
+/// `u32::MAX` — a trace file is outside input and never reaches
+/// [`Trace::push_step`]'s assertion or its 32-bit index store.
 pub fn trace_from_str(s: &str) -> crate::Result<Trace> {
     let mut lines = s.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| parse_err(1, "empty input"))?;
@@ -296,14 +261,16 @@ fn parse_step(
     }
     parse_ints(head, active).map_err(|e| format!("bad active index: {e}"))?;
 
-    let check_active = |active: &[usize]| {
-        if well_formed_active(active, n) {
-            Ok(())
-        } else {
-            Err(format!(
-                "S_j = {active:?} must be nonempty, strictly increasing and below n = {n}"
-            ))
-        }
+    let check_active = |active: &[usize]| match active.last() {
+        _ if !well_formed_active(active, n) => Err(format!(
+            "S_j = {active:?} must be nonempty, strictly increasing and below n = {n}"
+        )),
+        // A trace stores indices in 32 bits; only `n > 2^32` lets one past.
+        Some(&i) if u32::try_from(i).is_err() => Err(format!(
+            "active index {i} is above {}, the largest a trace stores",
+            u32::MAX
+        )),
+        _ => Ok(()),
     };
     match (next_token(tail), trace.store()) {
         ((Some("l"), rest), LabelStore::Full) => {
@@ -359,36 +326,10 @@ fn next_token(s: &str) -> (Option<&str>, &str) {
     (Some(&s[start..end]), &s[end..])
 }
 
-/// The value of the `k`-digit token (`1 ≤ k ≤ 7`) that starts `window`
-/// and ends at whitespace, read as one little-endian word: one test
-/// finds the first byte that is not a digit, three multiplications fold
-/// the digits into a number. `None` when the window holds anything else.
-#[inline]
-fn word_token(window: [u8; 8], k: usize) -> Option<u64> {
-    let word = u64::from_le_bytes(window);
-    let digits = word.wrapping_sub(0x3030_3030_3030_3030);
-    // Each byte's high bit flags a non-digit; exact up to the first one,
-    // past which borrows and carries may spill.
-    let flags = (digits | word.wrapping_add(0x4646_4646_4646_4646)) & 0x8080_8080_8080_8080;
-    if flags & (u64::MAX >> (56 - 8 * k)) != 0x80 << (8 * k) || !is_space(window[k]) {
-        return None;
-    }
-    // The k digits moved to the top bytes: eight digits, leading zeros
-    // first, folded into pairs, then into the number.
-    let v = digits << (64 - 8 * k);
-    let pairs = v.wrapping_mul(10).wrapping_add(v >> 8);
-    let lanes = 0x0000_00FF_0000_00FF;
-    let high = (pairs & lanes).wrapping_mul(100 + (1_000_000 << 32));
-    let low = ((pairs >> 16) & lanes).wrapping_mul(1 + (10_000 << 32));
-    Some(high.wrapping_add(low) >> 32)
-}
-
-/// Parses every token of `s` into `out`, cleared first. A token as long
-/// as the one before it is read as one word ([`word_token`]); any other
-/// token of at most 19 ASCII digits — every token the writer emits —
-/// accumulates digit by digit; the rest go through `str::parse`, so a
-/// sign, overflow or a bad digit is accepted or rejected exactly as
-/// `parse` does.
+/// Parses every token of `s` into `out`, cleared first. A token of at
+/// most 19 ASCII digits — every token the writer emits — accumulates
+/// digit by digit; the rest go through `str::parse`, so a sign, overflow
+/// or a bad digit is accepted or rejected exactly as `parse` does.
 fn parse_ints<T>(s: &str, out: &mut Vec<T>) -> Result<(), ParseIntError>
 where
     T: FromStr<Err = ParseIntError> + TryFrom<u64>,
@@ -396,16 +337,9 @@ where
     out.clear();
     let bytes = s.as_bytes();
     let mut at = 0;
-    // The width the word path tries: most tokens are as wide as the one
-    // before, so it is that of the last token read digit by digit (≤ 7).
-    let mut guess = 1;
     while at < bytes.len() {
-        let word = bytes
-            .get(at..at + 8)
-            .and_then(|w| word_token(w.try_into().ok()?, guess));
-        if let Some(v) = word.and_then(|v| T::try_from(v).ok()) {
-            out.push(v);
-            at += guess + 1;
+        if is_space(bytes[at]) {
+            at += 1;
             continue;
         }
         let start = at;
@@ -418,22 +352,16 @@ where
             value = value.wrapping_mul(10).wrapping_add(u64::from(d));
             at += 1;
         }
-        let plain = at > start && at - start <= 19 && bytes.get(at).is_none_or(|&b| is_space(b));
-        if let Some(v) = plain.then(|| T::try_from(value).ok()).flatten() {
-            out.push(v);
-            if at - start <= 7 {
-                guess = at - start;
+        let plain = at - start <= 19 && bytes.get(at).is_none_or(|&b| is_space(b));
+        match plain.then(|| T::try_from(value).ok()).flatten() {
+            Some(v) => out.push(v),
+            None => {
+                at = bytes[at..]
+                    .iter()
+                    .position(|&b| is_space(b))
+                    .map_or(bytes.len(), |k| at + k);
+                out.push(s[start..at].parse()?);
             }
-            at += 1; // and the space after it
-        } else if at == start && is_space(bytes[at]) {
-            at += 1;
-        } else {
-            let end = bytes[at..]
-                .iter()
-                .position(|&b| is_space(b))
-                .map_or(bytes.len(), |k| at + k);
-            out.push(s[start..end].parse()?);
-            at = end;
         }
     }
     Ok(())
@@ -880,20 +808,37 @@ mod tests {
                 }
             }
         }
-        // Bytes that are not UTF-8 name their line, as the reference did.
-        let bytes = b"asynciter-trace v1 n=2 labels=full\n1 a 0 | l 0 0\n2 a \xff | l 0 0\n";
-        let new = read_trace(&mut &bytes[..]).unwrap_err();
-        assert_eq!(new, reference::read_trace(&mut &bytes[..]).unwrap_err());
-        assert!(new
-            .to_string()
-            .contains("line 3: stream did not contain valid UTF-8"));
+        // Bytes that are not UTF-8 name their line, as the reference did,
+        // unless an earlier line is malformed: the first bad line wins.
+        for (bytes, want) in [
+            (
+                &b"asynciter-trace v1 n=2 labels=full\n1 a 0 | l 0 0\n2 a \xff | l 0 0\n"[..],
+                "line 3: stream did not contain valid UTF-8",
+            ),
+            (
+                b"asynciter-trace v1 n=2 labels=full\n1 a 0 l 0 0\n2 a 0 | l 0 0\n\
+                  3 a 0 | l 0 0\n4 a \xff | l 0 0\n",
+                "line 2: missing ` | ` separator",
+            ),
+            (
+                b"asynciter-trace v1 n=2 labels=full\n1 a 0 | l 0 0\n2 a 0 | l 0 0 \xff",
+                "line 3: stream did not contain valid UTF-8",
+            ),
+            (
+                b"asynciter-trace v1 n=2 labels=f\xffull\n1 a 0 | l 0 0\n",
+                "line 1: stream did not contain valid UTF-8",
+            ),
+        ] {
+            let new = read_trace(&mut &bytes[..]).unwrap_err();
+            assert_eq!(new, reference::read_trace(&mut &bytes[..]).unwrap_err());
+            assert!(new.to_string().contains(want), "{new}");
+        }
     }
 
     #[test]
     fn tokens_of_every_width_read_as_str_parse_reads_them() {
-        // Widths 1..=20 in runs and alone, so the guessed width holds,
-        // changes and misses; a word window straddling the end; each
-        // whitespace byte as the terminator.
+        // Widths 1..=20, so 19 digits accumulate and 20 go to `parse`;
+        // each whitespace byte as the terminator; a token at the end.
         let mut rng = asynciter_numerics::rng::rng(9);
         for _ in 0..400 {
             let mut text = String::new();
@@ -928,6 +873,20 @@ mod tests {
         assert_eq!((t.n(), t.len()), (4_000_000_000_000, 0));
         let t = trace_from_str(min).unwrap();
         assert_eq!((t.n(), t.len()), (2_305_843_009_213_693_952, 0));
+
+        // Past `2^32` components an index can pass the trace's 32-bit
+        // store: a typed error on its line, never a truncated `S_j`.
+        let wide = "asynciter-trace v1 n=8589934592 labels=min\n";
+        for (step, i) in [
+            ("1 a 4294967296 | m 0", 4_294_967_296u64),
+            ("1 a 1 4294967297 | m 0", 4_294_967_297),
+        ] {
+            let message = trace_from_str(&format!("{wide}{step}\n")).unwrap_err();
+            let want = format!("line 2: active index {i} is above 4294967295");
+            assert!(message.to_string().contains(&want), "{message}");
+        }
+        let t = trace_from_str(&format!("{wide}1 a 0 4294967295 | m 0\n")).unwrap();
+        assert_eq!(t.step(1).active, [0, u32::MAX]);
 
         // The same headers over recorded steps: a min-only trace reads its
         // steps, a full one fails on its first label count.
