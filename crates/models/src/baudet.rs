@@ -92,7 +92,7 @@ pub fn baudet_trace(num_steps: u64) -> Trace {
 pub fn p1_read_delays(trace: &Trace) -> Vec<(u64, u64)> {
     trace
         .iter()
-        .filter(|(_, s)| s.active.as_slice() == [0])
+        .filter(|(_, s)| s.active == [0])
         .map(|(j, _)| {
             let l = trace.labels(j).expect("baudet trace stores full labels")[1];
             (j, j - l)
@@ -167,7 +167,7 @@ mod tests {
         let t = baudet_trace(10_000);
         let p2_steps: Vec<u64> = t
             .iter()
-            .filter(|(_, s)| s.active.as_slice() == [1])
+            .filter(|(_, s)| s.active == [1])
             .map(|(j, _)| j)
             .collect();
         // Of J global iterations, only O(√J) belong to P2.

@@ -69,7 +69,7 @@ pub fn epoch_sequence(trace: &Trace, partition: &Partition, min_updates: u64) ->
     let mut boundaries = vec![0u64];
     for (j, step) in trace.iter() {
         touched.fill(false);
-        for &i in &step.active {
+        for &i in step.active {
             touched[partition.machine_of(i as usize)] = true;
         }
         for (m, &t) in touched.iter().enumerate() {

@@ -8,13 +8,18 @@
 //! computed from traces, whether they come from a synthetic schedule
 //! generator, the discrete-event simulator, or a real multi-threaded run.
 //!
-//! Full per-step label vectors cost `O(n)` memory per step; long runs on
-//! large problems can opt into [`LabelStore::MinOnly`], which keeps only
-//! `l(j) = min_h l_h(j)` (sufficient for macro-iterations) and the delay
-//! of the *performing* update.
+//! The sets `S_j` live in one arena per trace: a pushed set equal to one
+//! of the last 16 distinct sets stored points at that copy instead of
+//! making another. So a message-passing run, whose `S_j` is always one of
+//! its workers' blocks, stores each block once, and a step costs an
+//! offset, a length and `l(j) = min_h l_h(j)` (24 bytes) under
+//! [`LabelStore::MinOnly`] — enough for macro-iterations — plus its `n`
+//! labels (`8n` bytes) under [`LabelStore::Full`]. A schedule drawing
+//! random subsets misses and pays `4|S_j|` bytes per step for its copy.
 
 use crate::error::ModelError;
 use crate::partition::Partition;
+use std::collections::VecDeque;
 
 /// How much label information a trace retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,13 +30,27 @@ pub enum LabelStore {
     MinOnly,
 }
 
-/// One recorded iteration: the set `S_j` and label summary for step `j`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceStep {
+/// One recorded iteration: the set `S_j` and label summary for step `j`,
+/// borrowed from its [`Trace`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceStep<'a> {
     /// Components updated at this iteration (`S_j`), strictly increasing.
-    pub active: Vec<u32>,
+    pub active: &'a [u32],
     /// `l(j) = min_h l_h(j)`: the oldest label read by this update.
     pub min_label: u64,
+}
+
+/// How many of the most recently stored distinct sets a push compares
+/// `S_j` against before copying it: at least the largest worker count a
+/// message-passing run records, so each worker's block is stored once.
+const RECENT_SETS: usize = 16;
+
+/// Where a step's `S_j` sits in [`Trace`]'s arena, and its `l(j)`.
+#[derive(Debug, Clone, Copy)]
+struct StepRec {
+    start: usize,
+    len: usize,
+    min_label: u64,
 }
 
 /// Whether `(active, labels)` is a structurally valid step over `n`
@@ -50,7 +69,13 @@ pub(crate) fn well_formed_active(active: &[usize], n: usize) -> bool {
 #[derive(Debug, Clone)]
 pub struct Trace {
     n: usize,
-    steps: Vec<TraceStep>,
+    steps: Vec<StepRec>,
+    /// Every distinct `S_j` stored, back to back; steps point into it.
+    arena: Vec<u32>,
+    /// `(start, len)` in `arena` of the last [`RECENT_SETS`] distinct sets
+    /// stored, oldest first. On the heap: a `Trace` sits inline in every
+    /// run report, recorded or not.
+    recent: VecDeque<(usize, usize)>,
     /// Full labels per step when `LabelStore::Full`; empty otherwise.
     labels: Vec<Vec<u64>>,
     store: LabelStore,
@@ -66,6 +91,8 @@ impl Trace {
         Self {
             n,
             steps: Vec::new(),
+            arena: Vec::new(),
+            recent: VecDeque::new(),
             labels: Vec::new(),
             store,
         }
@@ -130,8 +157,10 @@ impl Trace {
             well_formed_active(active, self.n),
             "push_step: S_j must be nonempty, strictly increasing and in range"
         );
-        self.steps.push(TraceStep {
-            active: active.iter().map(|&i| i as u32).collect(),
+        let (start, len) = self.intern(active);
+        self.steps.push(StepRec {
+            start,
+            len,
             min_label,
         });
         if self.store == LabelStore::Full {
@@ -140,17 +169,44 @@ impl Trace {
         }
     }
 
+    /// `(start, len)` of `active` in the arena: a recent equal set's, or
+    /// a fresh copy's.
+    fn intern(&mut self, active: &[usize]) -> (usize, usize) {
+        let arena = &self.arena;
+        let same = |&&(start, len): &&(usize, usize)| {
+            len == active.len()
+                && (arena[start..start + len].iter().zip(active)).all(|(&a, &i)| a == i as u32)
+        };
+        if let Some(&hit) = self.recent.iter().find(same) {
+            return hit;
+        }
+        let set = (self.arena.len(), active.len());
+        self.arena.extend(active.iter().map(|&i| i as u32));
+        if self.recent.len() == RECENT_SETS {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(set);
+        set
+    }
+
+    fn view(&self, rec: &StepRec) -> TraceStep<'_> {
+        TraceStep {
+            active: &self.arena[rec.start..rec.start + rec.len],
+            min_label: rec.min_label,
+        }
+    }
+
     /// The recorded step for iteration `j` (1-based).
     ///
     /// # Panics
     /// Panics when `j` is 0 or beyond the recorded range.
     #[inline]
-    pub fn step(&self, j: u64) -> &TraceStep {
+    pub fn step(&self, j: u64) -> TraceStep<'_> {
         assert!(
             j >= 1 && (j as usize) <= self.steps.len(),
             "step: j out of range"
         );
-        &self.steps[j as usize - 1]
+        self.view(&self.steps[j as usize - 1])
     }
 
     /// Full label vector of iteration `j` (1-based).
@@ -173,11 +229,8 @@ impl Trace {
     }
 
     /// Iterates over `(j, step)` pairs in increasing `j`.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &TraceStep)> {
-        self.steps
-            .iter()
-            .enumerate()
-            .map(|(k, s)| (k as u64 + 1, s))
+    pub fn iter(&self) -> impl Iterator<Item = (u64, TraceStep<'_>)> {
+        (self.steps.iter().enumerate()).map(|(k, s)| (k as u64 + 1, self.view(s)))
     }
 
     /// Iteration indices at which component `i` was updated.
@@ -199,9 +252,9 @@ impl Trace {
         assert_eq!(partition.n(), self.n, "machine_update_counts: dimension");
         let mut counts = vec![0u64; partition.num_machines()];
         let mut touched = vec![false; partition.num_machines()];
-        for s in &self.steps {
+        for (_, s) in self.iter() {
             touched.fill(false);
-            for &i in &s.active {
+            for &i in s.active {
                 touched[partition.machine_of(i as usize)] = true;
             }
             for (m, &t) in touched.iter().enumerate() {
@@ -312,5 +365,169 @@ mod tests {
         let t = toy_trace();
         let js: Vec<u64> = t.iter().map(|(j, _)| j).collect();
         assert_eq!(js, vec![1, 2, 3]);
+    }
+
+    /// The store the arena replaced, one owned copy of `S_j` per step:
+    /// the reference every query of an interned trace must agree with.
+    struct Naive {
+        sets: Vec<Vec<u32>>,
+        mins: Vec<u64>,
+        labels: Vec<Vec<u64>>,
+    }
+
+    /// Pushes every `(S_j, labels)` onto a [`Trace`] and onto a [`Naive`]
+    /// store; under `MinOnly` through `push_min_step`, so both doors run.
+    fn record_both(
+        n: usize,
+        store: LabelStore,
+        steps: &[(Vec<usize>, Vec<u64>)],
+    ) -> (Trace, Naive) {
+        let mut t = Trace::new(n, store);
+        let mut naive = Naive {
+            sets: Vec::new(),
+            mins: Vec::new(),
+            labels: Vec::new(),
+        };
+        for (active, labels) in steps {
+            let min = *labels.iter().min().unwrap();
+            match store {
+                LabelStore::Full => t.push_step(active, labels),
+                LabelStore::MinOnly => t.push_min_step(active, min),
+            }
+            naive.sets.push(active.iter().map(|&i| i as u32).collect());
+            naive.mins.push(min);
+            naive.labels.push(labels.clone());
+        }
+        (t, naive)
+    }
+
+    fn naive_text(t: &Trace, naive: &Naive) -> String {
+        let full = t.store() == LabelStore::Full;
+        let mode = if full { "full" } else { "min" };
+        let mut text = format!("asynciter-trace v1 n={} labels={mode}\n", t.n());
+        for (k, set) in naive.sets.iter().enumerate() {
+            let ints =
+                |v: &mut dyn Iterator<Item = u64>| v.map(|x| format!(" {x}")).collect::<String>();
+            let active = ints(&mut set.iter().map(|&i| u64::from(i)));
+            let tail = if full {
+                format!("l{}", ints(&mut naive.labels[k].iter().copied()))
+            } else {
+                format!("m {}", naive.mins[k])
+            };
+            text += &format!("{} a{active} | {tail}\n", k + 1);
+        }
+        text
+    }
+
+    fn assert_agree(t: &Trace, naive: &Naive) {
+        assert_eq!(t.len(), naive.sets.len());
+        for (j, s) in t.iter() {
+            let k = j as usize - 1;
+            assert_eq!(s, t.step(j), "iter and step disagree at j={j}");
+            assert_eq!(s.active, naive.sets[k], "S_j at j={j}");
+            assert_eq!(s.min_label, naive.mins[k], "l(j) at j={j}");
+            if t.store() == LabelStore::Full {
+                assert_eq!(t.labels(j).unwrap(), naive.labels[k]);
+            }
+        }
+        for i in 0..t.n() {
+            let want: Vec<u64> = (1..)
+                .zip(&naive.sets)
+                .filter(|(_, set)| set.contains(&(i as u32)))
+                .map(|(j, _)| j)
+                .collect();
+            assert_eq!(t.activations_of(i), want, "activations of {i}");
+        }
+        for machines in [1, 2, t.n()] {
+            let p = Partition::blocks(t.n(), machines).unwrap();
+            let mut want = vec![0u64; machines];
+            for set in &naive.sets {
+                let mut touched: Vec<usize> =
+                    set.iter().map(|&i| p.machine_of(i as usize)).collect();
+                touched.dedup();
+                touched.iter().for_each(|&m| want[m] += 1);
+            }
+            assert_eq!(t.machine_update_counts(&p), want, "{machines} machines");
+        }
+        let suffix: Vec<u64> = (0..naive.mins.len())
+            .map(|k| *naive.mins[k..].iter().min().unwrap())
+            .collect();
+        assert_eq!(t.min_label_suffix(), suffix);
+        let text = crate::trace_io::trace_to_string(t).unwrap();
+        assert_eq!(text, naive_text(t, naive));
+    }
+
+    fn check_both_stores(n: usize, sets: &[Vec<usize>]) -> Trace {
+        let steps: Vec<_> = (0u64..)
+            .zip(sets)
+            .map(|(j, s)| (s.clone(), (0..n as u64).map(|i| (j + i) / 2).collect()))
+            .collect();
+        let checked = [LabelStore::Full, LabelStore::MinOnly].map(|store| {
+            let (t, naive) = record_both(n, store, &steps);
+            assert_agree(&t, &naive);
+            t
+        });
+        let [_, min_only] = checked;
+        min_only
+    }
+
+    #[test]
+    fn a_set_recurring_past_the_recent_window_is_copied_again_and_reads_back() {
+        let n = RECENT_SETS + 2;
+        let mut sets: Vec<Vec<usize>> = (0..=RECENT_SETS).map(|i| vec![i]).collect();
+        sets.push(vec![0]);
+        sets.push(vec![RECENT_SETS]);
+        let t = check_both_stores(n, &sets);
+        // `{0}` had left the window and is stored twice; the last set hit.
+        assert_eq!(t.arena.len(), RECENT_SETS + 2);
+    }
+
+    #[test]
+    fn sets_equal_in_length_and_ends_but_not_middle_stay_distinct() {
+        let sets = [vec![0, 1, 5], vec![0, 2, 5], vec![0, 1, 5], vec![0, 2, 5]];
+        let t = check_both_stores(6, &sets);
+        assert_eq!(t.arena.len(), 6);
+    }
+
+    #[test]
+    fn a_prefix_of_a_stored_set_is_not_that_set() {
+        let sets = [
+            vec![0, 1],
+            vec![0, 1, 2],
+            vec![0],
+            vec![0, 1, 2],
+            vec![0, 1],
+        ];
+        let t = check_both_stores(3, &sets);
+        assert_eq!(t.arena.len(), 6);
+    }
+
+    fn sets_of(mut gen: impl crate::schedule::ScheduleGen, steps: u64) -> Vec<Vec<usize>> {
+        let mut buf = crate::schedule::StepBuf::new(gen.n());
+        (1..=steps)
+            .map(|j| {
+                gen.step(j, &mut buf);
+                buf.active.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn random_subset_schedules_agree_with_the_reference() {
+        for seed in 0..4 {
+            let gen = crate::schedule::ChaoticBounded::new(24, 1, 6, 5, false, seed);
+            check_both_stores(24, &sets_of(gen, 300));
+        }
+    }
+
+    #[test]
+    fn block_round_robin_stores_each_block_once() {
+        for workers in [1, 2, 8, RECENT_SETS] {
+            let n = 4 * RECENT_SETS;
+            let blocks = Partition::blocks(n, workers).unwrap();
+            let gen = crate::schedule::BlockRoundRobin::new(blocks, 2);
+            let t = check_both_stores(n, &sets_of(gen, 500));
+            assert_eq!(t.arena.len(), n, "{workers} workers");
+        }
     }
 }

@@ -89,10 +89,15 @@ impl Sink for Cursor {
     }
 }
 
-fn render_step(trace: &Trace, j: u64, step: &TraceStep, out: &mut impl Sink) -> crate::Result<()> {
+fn render_step(
+    trace: &Trace,
+    j: u64,
+    step: TraceStep<'_>,
+    out: &mut impl Sink,
+) -> crate::Result<()> {
     out.put_int(j);
     out.put(b" a");
-    for &i in &step.active {
+    for &i in step.active {
         out.put(b" ");
         out.put_int(u64::from(i));
     }
@@ -484,7 +489,7 @@ mod tests {
             writeln!(out, "asynciter-trace v1 n={} labels={mode}", trace.n()).map_err(io_err)?;
             for (j, step) in trace.iter() {
                 write!(out, "{j} a").map_err(io_err)?;
-                for &i in &step.active {
+                for &i in step.active {
                     write!(out, " {i}").map_err(io_err)?;
                 }
                 match trace.store() {

@@ -336,15 +336,25 @@ impl Cluster {
                 msg.comps.retain(|&(c, _, _)| c as usize != sc);
             }
             if let Some(msg) = posted.filter(|msg| !msg.comps.is_empty()) {
-                for dest in worker.peers() {
+                // Only a copy that may be delivered to a peer before the
+                // last is cloned: a dropped send hands the message back.
+                let mut spare = Some(msg);
+                let mut peers = worker.peers().peekable();
+                while let Some(dest) = peers.next() {
                     let fate = if rng.random_range(0.0..1.0) < self.drop_prob {
                         SendFate::Drop
                     } else {
                         let dup = rng.random_range(0.0..1.0) < self.dup_prob;
                         SendFate::Deliver { dup, hold: 0 }
                     };
-                    router.route(dest, msg.clone(), fate, |exit, dest, msg| {
+                    let msg = match fate {
+                        SendFate::Deliver { .. } if peers.peek().is_some() => spare.clone(),
+                        _ => spare.take(),
+                    };
+                    let msg = msg.expect("a dropped send hands the message back");
+                    router.route(dest, msg, fate, |exit, dest, msg| {
                         if exit == Exit::Dropped {
+                            spare = Some(msg);
                             return;
                         }
                         // Latency saturates: a copy due past `u64::MAX`

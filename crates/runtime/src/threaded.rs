@@ -210,10 +210,15 @@ impl ThreadedCluster {
                 }
                 worker.produce(op, j)?;
 
-                // Exchange: post the block (or a partial subset) to every peer.
+                // Exchange: post the block (or a partial subset) to every
+                // peer; the last one gets the message itself, not a copy.
                 if let Some(msg) = worker.post(&mut prng) {
-                    for dest in worker.peers() {
+                    let last = worker.peers().last();
+                    for dest in worker.peers().filter(|&dest| Some(dest) != last) {
                         ep.send(dest, msg.clone());
+                    }
+                    if let Some(dest) = last {
+                        ep.send(dest, msg);
                     }
                 }
 

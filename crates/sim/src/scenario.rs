@@ -130,7 +130,7 @@ mod tests {
             .unwrap()
             .into_iter()
             .zip(trace.iter())
-            .filter(|(_, (_, s))| s.active.as_slice() == [0])
+            .filter(|(_, (_, s))| s.active == [0])
             .map(|(d, _)| d)
             .collect();
         let (_, p, r2) = delay_growth_exponent(&series, 1024).expect("fit");
@@ -150,7 +150,7 @@ mod tests {
             .trace
             .expect("recorded")
             .iter()
-            .filter(|(_, s)| s.active.as_slice() == [1])
+            .filter(|(_, s)| s.active == [1])
             .count() as f64;
         let expected = (2.0 * 10_000f64).sqrt();
         assert!(

@@ -8,8 +8,9 @@
 //! `apply_with` / `residual_inf_with`).
 //!
 //! Two tests audit engine loops: an unrecorded `Replay` session and an
-//! unrecorded one-worker `Cluster` session. The last audits the trace
-//! text codec every replay check runs.
+//! unrecorded one-worker `Cluster` session. The last two audit the trace:
+//! the text codec every replay check runs, and the active-set store a
+//! message-passing run records into.
 //!
 //! The audit swaps in a counting global allocator that counts per thread,
 //! so no parallel test thread can pollute the counter.
@@ -202,9 +203,10 @@ fn unrecorded_cluster_session_allocates_only_set_up() {
 fn trace_text_allocates_once_to_write_and_only_the_trace_to_read() {
     // The writer sizes its buffer with a counting pass, so it allocates
     // once (growing by doubling, it allocated 21 times here); the reader
-    // allocates the trace's own storage, two vectors per step, plus the
-    // growth of the trace's step lists and of two reused line buffers:
-    // 1 438 here, where per-line strings and vectors made it 14 766.
+    // allocates the trace's own storage, one label vector per step, plus
+    // the growth of the trace's step list, active-set arena and recent-set
+    // ring and of two reused line buffers: 754 here, where per-line
+    // strings and vectors made it 14 766 and a copy of `S_j` per step 1 438.
     use asynciter::models::schedule::{record, ChaoticBounded};
     use asynciter::models::trace::LabelStore;
     use asynciter::models::trace_io::{trace_from_str, trace_to_string};
@@ -216,9 +218,28 @@ fn trace_text_allocates_once_to_write_and_only_the_trace_to_read() {
     let mut parsed = None;
     let reads = count_allocs(|| parsed = trace_from_str(&text).ok());
     assert_eq!(parsed.expect("the text parses").len(), 700);
-    let extra = reads.checked_sub(2 * 700);
+    let extra = reads.checked_sub(700);
     assert!(
         extra.is_some_and(|extra| extra <= 64),
         "{reads} allocations to read 700 steps"
     );
+}
+
+#[test]
+fn a_block_trace_allocates_only_its_growth() {
+    // A message-passing run's `S_j` is always one of its workers' blocks:
+    // each is stored once, so 10 000 steps of two 512-component blocks
+    // cost the doubling of the step list, one arena growth per block and
+    // the recent-set ring (16 allocations here), not a copy per step
+    // (10 000 more).
+    use asynciter::models::trace::{LabelStore, Trace};
+    let blocks: [Vec<usize>; 2] = [(0..512).collect(), (512..1024).collect()];
+    let mut trace = Trace::new(1024, LabelStore::MinOnly);
+    let allocs = count_allocs(|| {
+        for j in 1..=10_000u64 {
+            trace.push_min_step(&blocks[j as usize % 2], j / 2);
+        }
+    });
+    assert_eq!(trace.len(), 10_000);
+    assert!(allocs <= 32, "{allocs} allocations to record 10 000 steps");
 }

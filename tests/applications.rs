@@ -357,7 +357,7 @@ fn baudet_simulator_and_analytic_agree() {
         .unwrap()
         .into_iter()
         .zip(trace.iter())
-        .filter(|(_, (_, s))| s.active.as_slice() == [0])
+        .filter(|(_, (_, s))| s.active == [0])
         .map(|(d, _)| d)
         .collect();
     let (_, p_sim, _) = delay_growth_exponent(&series, 1024).unwrap();
