@@ -49,6 +49,7 @@
 use asynciter_core::session::{Flexible, Replay, RunReport, Session};
 use asynciter_core::stopping::StoppingRule;
 use asynciter_core::CoreError;
+use asynciter_models::channel::LinkModel;
 use asynciter_models::partition::Partition;
 use asynciter_models::schedule::{BlockRoundRobin, ChaoticBounded, HeavyTailDelay};
 use asynciter_opt::canonical::{self, Canonical, Size};
@@ -58,8 +59,8 @@ use asynciter_report::cli::{exit_code, read_baseline, write_artefact, Flag, Matc
 use asynciter_report::json::{GateDoc, GateRecord};
 use asynciter_report::TextTable;
 use asynciter_runtime::session::{Barrier, Cluster, SharedMem, ThreadedCluster};
-use asynciter_runtime::{ApplyPolicy, LinkModel};
-use asynciter_sim::compute::{ComputeModel, LatencyModel};
+use asynciter_runtime::ApplyPolicy;
+use asynciter_sim::compute::ComputeModel;
 use asynciter_sim::runner::SimConfig;
 use asynciter_sim::session::Sim;
 use std::collections::BTreeSet;
@@ -339,7 +340,7 @@ fn sim_config(n: usize, did: DelayId, seed: u64) -> Result<SimConfig, CoreError>
         DelayId::NoDelay => {}
         DelayId::Bounded => {
             cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 4 }; procs];
-            cfg.latency = LatencyModel::Jitter { lo: 1, hi: 3 };
+            cfg.latency = LinkModel::Jitter { lo: 1, hi: 3 };
         }
         DelayId::UnboundedHeavyTail => {
             cfg.compute = vec![
@@ -349,7 +350,7 @@ fn sim_config(n: usize, did: DelayId, seed: u64) -> Result<SimConfig, CoreError>
                 };
                 procs
             ];
-            cfg.latency = LatencyModel::HeavyTail {
+            cfg.latency = LinkModel::HeavyTail {
                 scale: 1,
                 alpha: 1.3,
             };
@@ -357,11 +358,11 @@ fn sim_config(n: usize, did: DelayId, seed: u64) -> Result<SimConfig, CoreError>
         DelayId::OutOfOrder => {
             cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 3 }; procs];
             // Jitter wider than the send period reorders messages.
-            cfg.latency = LatencyModel::Jitter { lo: 1, hi: 12 };
+            cfg.latency = LinkModel::Jitter { lo: 1, hi: 12 };
         }
         DelayId::FlexiblePartial => {
             cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 4 }; procs];
-            cfg.latency = LatencyModel::Jitter { lo: 1, hi: 3 };
+            cfg.latency = LinkModel::Jitter { lo: 1, hi: 3 };
             cfg.inner_steps = 4;
             cfg.partial_sends = 2;
         }

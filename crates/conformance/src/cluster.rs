@@ -23,8 +23,9 @@
 //! verifies each live run against its own recorded trace instead of
 //! regenerating from the plan.
 
+use asynciter_models::channel::LinkModel;
 use asynciter_runtime::session::{Cluster, ThreadedCluster};
-use asynciter_runtime::{ApplyPolicy, LinkModel};
+use asynciter_runtime::ApplyPolicy;
 use rand::rngs::StdRng;
 use rand::RngExt;
 

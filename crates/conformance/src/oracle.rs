@@ -40,10 +40,11 @@ use crate::problems::ConformanceProblem;
 use asynciter_core::session::RecordMode;
 use asynciter_core::session::{Flexible, Replay, Session};
 use asynciter_core::stopping::StoppingRule;
+use asynciter_models::channel::LinkModel;
 use asynciter_models::Partition;
 use asynciter_models::Trace;
 use asynciter_runtime::session::{Cluster, ThreadedCluster};
-use asynciter_sim::compute::{ComputeModel, LatencyModel};
+use asynciter_sim::compute::ComputeModel;
 use asynciter_sim::runner::SimConfig;
 use asynciter_sim::session::Sim;
 
@@ -117,15 +118,15 @@ pub fn replay_roundtrip(problem: &ConformanceProblem, trace: &Trace) -> Result<(
 
 /// Simulator latency/compute regime for an equivalence case, derived
 /// from the seed so soak runs sweep all three.
-fn sim_regime(seed: u64, procs: usize) -> (Vec<ComputeModel>, LatencyModel) {
+fn sim_regime(seed: u64, procs: usize) -> (Vec<ComputeModel>, LinkModel) {
     match seed % 3 {
         0 => (
             vec![ComputeModel::Fixed { ticks: 1 }; procs],
-            LatencyModel::Fixed { ticks: 1 },
+            LinkModel::Fixed { ticks: 1 },
         ),
         1 => (
             vec![ComputeModel::Uniform { lo: 1, hi: 5 }; procs],
-            LatencyModel::Jitter { lo: 1, hi: 9 },
+            LinkModel::Jitter { lo: 1, hi: 9 },
         ),
         _ => (
             vec![
@@ -135,7 +136,7 @@ fn sim_regime(seed: u64, procs: usize) -> (Vec<ComputeModel>, LatencyModel) {
                 };
                 procs
             ],
-            LatencyModel::HeavyTail {
+            LinkModel::HeavyTail {
                 scale: 1,
                 alpha: 1.3,
             },

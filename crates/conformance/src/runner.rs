@@ -618,7 +618,7 @@ pub fn cluster_reorder_demo(seed: u64, out: &Path) -> Result<(u64, u64), String>
         workers,
         hold_prob: 0.6,
         hold_extra: 12,
-        link: asynciter_runtime::LinkModel::Jitter { lo: 1, hi: 6 },
+        link: asynciter_models::channel::LinkModel::Jitter { lo: 1, hi: 6 },
         apply_policy: asynciter_runtime::ApplyPolicy::AsReceived,
         ..asynciter_runtime::session::Cluster::default()
     };

@@ -25,6 +25,9 @@
 //!   fits used by the experiment harness.
 //! - [`partition`] — component→machine maps shared by trace analysis and
 //!   the runtimes.
+//! - [`channel`] — the channel model under both discrete-event loops
+//!   (`Sim`, `Cluster`): the [`LinkModel`] latency distribution and the
+//!   time-ordered [`EventQueue`].
 //! - [`trace_io`] — archive/replay serialisation for recorded traces.
 
 #![deny(missing_docs)]
@@ -34,6 +37,7 @@
 
 pub mod analysis;
 pub mod baudet;
+pub mod channel;
 pub mod conditions;
 pub mod epoch;
 pub mod error;
@@ -43,6 +47,7 @@ pub mod schedule;
 pub mod trace;
 pub mod trace_io;
 
+pub use channel::{EventQueue, LinkModel};
 pub use conditions::{AdmissibilityWitness, DelayEnvelope};
 pub use error::ModelError;
 pub use partition::Partition;

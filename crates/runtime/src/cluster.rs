@@ -68,13 +68,12 @@ use asynciter_core::observer::Observer;
 pub use asynciter_core::session::ClusterStats;
 use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
 use asynciter_core::stopping::StoppingRule;
+use asynciter_models::channel::{EventQueue, LinkModel};
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
-use asynciter_numerics::rng::{pareto, rng};
+use asynciter_numerics::rng::rng;
 use asynciter_opt::traits::Operator;
-use rand::rngs::StdRng;
 use rand::RngExt;
-use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 /// Message application policy at the receiver.
@@ -86,61 +85,6 @@ pub enum ApplyPolicy {
     /// Apply only messages at least as fresh (by producing label) as
     /// current knowledge; older ones are discarded as stale.
     KeepFreshest,
-}
-
-/// Per-link latency distribution, mirroring the delay zoo.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinkModel {
-    /// Constant latency: in-order, bounded staleness (condition (d)).
-    Fixed {
-        /// Latency in steps.
-        ticks: u64,
-    },
-    /// Uniform latency in `[lo, hi]`: bounded, mildly reordering.
-    Jitter {
-        /// Minimum latency.
-        lo: u64,
-        /// Maximum latency.
-        hi: u64,
-    },
-    /// Pareto-tailed latency: unbounded delays, occasionally enormous.
-    HeavyTail {
-        /// Scale (minimum latency).
-        scale: u64,
-        /// Pareto shape (smaller = heavier tail); must be positive.
-        alpha: f64,
-    },
-}
-
-impl LinkModel {
-    fn sample(&self, r: &mut StdRng) -> u64 {
-        match *self {
-            LinkModel::Fixed { ticks } => ticks,
-            LinkModel::Jitter { lo, hi } => r.random_range(lo..=hi),
-            LinkModel::HeavyTail { scale, alpha } => {
-                pareto(r, scale.max(1) as f64, alpha).round() as u64
-            }
-        }
-    }
-
-    /// Checks the distribution's parameters.
-    ///
-    /// # Errors
-    /// What is wrong, as a message: `Jitter` with `hi < lo`, or
-    /// `HeavyTail` with a shape that is not positive.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            LinkModel::Jitter { lo, hi } if hi < lo => Err(format!(
-                "jitter delay needs lo <= hi (got lo {lo}, hi {hi})"
-            )),
-            // A NaN shape fails the guard and is rejected too.
-            LinkModel::HeavyTail { alpha, .. } if alpha > 0.0 => Ok(()),
-            LinkModel::HeavyTail { alpha, .. } => {
-                Err(format!("heavy-tail alpha must be positive (got {alpha})"))
-            }
-            _ => Ok(()),
-        }
-    }
 }
 
 const NAME: &str = "cluster";
@@ -218,35 +162,6 @@ impl Default for Cluster {
     }
 }
 
-/// One mailbox entry: delivery time, tie-break sequence number, and the
-/// carried message.
-#[derive(Debug, Clone)]
-struct Envelope {
-    deliver_at: u64,
-    seq: u64,
-    msg: BlockMessage,
-}
-
-// Mailboxes are min-heaps on (deliver_at, seq); payload is ignored by
-// the ordering.
-impl PartialEq for Envelope {
-    fn eq(&self, other: &Self) -> bool {
-        (self.deliver_at, self.seq) == (other.deliver_at, other.seq)
-    }
-}
-impl Eq for Envelope {}
-impl PartialOrd for Envelope {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Envelope {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
-    }
-}
-
 impl Cluster {
     /// The event loop. `sever_component` silently removes that component
     /// from every posted message — a severed link for one shard entry,
@@ -292,12 +207,12 @@ impl Cluster {
             self.partial_prob,
         )?;
         let start = Instant::now();
-        let mut mailboxes: Vec<BinaryHeap<Envelope>> =
-            workers.iter().map(|_| BinaryHeap::new()).collect();
+        let mut mailboxes: Vec<EventQueue<BlockMessage>> =
+            workers.iter().map(|_| EventQueue::default()).collect();
         // Drop/duplicate decisions and their counters; this engine's holds
         // are extra link latency, so nothing is ever parked in the router.
         let mut router = FaultRouter::default();
-        let (mut held, mut seq) = (0u64, 0u64);
+        let mut held = 0u64;
         let mut rng = rng(ctl.seed.unwrap_or(0));
         let mut observer = Observer::new(problem, ctl);
         // Allocated once: the consensus vector (each component in its
@@ -313,10 +228,10 @@ impl Cluster {
             let w = ((j - 1) % workers.len() as u64) as usize;
             let worker = &mut workers[w];
 
-            // Deliver all mail due by now, earliest (deliver_at, seq) first
-            // — holds put older messages behind newer ones.
-            while mailboxes[w].peek().is_some_and(|env| env.deliver_at <= j) {
-                worker.receive(&mailboxes[w].pop().expect("peeked").msg);
+            // Deliver all mail due by now, earliest first and equal times
+            // in send order — holds put older messages behind newer ones.
+            while let Some((_, msg)) = mailboxes[w].pop_due(j) {
+                worker.receive(&msg);
             }
 
             // The labels of the step are those of the view being read,
@@ -357,20 +272,15 @@ impl Cluster {
                             spare = Some(msg);
                             return;
                         }
-                        // Latency saturates: a copy due past `u64::MAX`
-                        // steps never arrives.
+                        // Latency saturates: a copy due at `u64::MAX`
+                        // steps never arrives, and is never queued.
                         let mut latency = self.link.sample(&mut rng);
                         if rng.random_range(0.0..1.0) < self.hold_prob {
                             held += 1;
                             latency = latency
                                 .saturating_add(rng.random_range(1..=self.hold_extra.max(1)));
                         }
-                        seq += 1;
-                        mailboxes[dest].push(Envelope {
-                            deliver_at: j.saturating_add(latency),
-                            seq,
-                            msg,
-                        });
+                        mailboxes[dest].push(j.saturating_add(latency), msg);
                     });
                 }
             }
@@ -419,7 +329,8 @@ impl Backend for Cluster {
 /// use asynciter_numerics::sparse::tridiagonal;
 /// use asynciter_opt::linear::JacobiOperator;
 /// use asynciter_models::partition::Partition;
-/// use asynciter_runtime::cluster::{ClusterConfig, ClusterEngine, LinkModel};
+/// use asynciter_models::channel::LinkModel;
+/// use asynciter_runtime::cluster::{ClusterConfig, ClusterEngine};
 ///
 /// let op = JacobiOperator::new(tridiagonal(16, 4.0, -1.0), vec![1.0; 16]).unwrap();
 /// let partition = Partition::blocks(16, 4).unwrap();

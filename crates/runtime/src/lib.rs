@@ -77,9 +77,10 @@ pub mod transport;
 pub mod worker;
 
 pub use async_engine::SnapshotMode;
-pub use cluster::{
-    ApplyPolicy, ClusterConfig, ClusterEngine, ClusterRunResult, ClusterStats, LinkModel,
-};
+/// Re-exported from its home, `asynciter_models::channel`, for the
+/// standalone benchmark.
+pub use asynciter_models::channel::LinkModel;
+pub use cluster::{ApplyPolicy, ClusterConfig, ClusterEngine, ClusterRunResult, ClusterStats};
 pub use error::RuntimeError;
 pub use scratch::{PoolStats, ScratchLease, ScratchPool};
 pub use session::{Barrier, Cluster, SharedMem, ThreadedCluster};

@@ -71,9 +71,9 @@ pub(crate) fn recorded(store: LabelStore) -> RecordMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::LinkModel;
     use asynciter_core::session::{Replay, Session};
     use asynciter_core::stopping::StoppingRule;
+    use asynciter_models::channel::LinkModel;
     use asynciter_numerics::norm::WeightedMaxNorm;
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;

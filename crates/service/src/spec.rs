@@ -17,8 +17,9 @@ use crate::catalog::{Catalog, ProblemId};
 use crate::error::{Result, ServiceError};
 use asynciter_core::session::{Flexible, RecordMode, Replay, RunReport, Session};
 use asynciter_core::stopping::StoppingRule;
+use asynciter_models::channel::LinkModel;
 use asynciter_models::schedule::{ChaoticBounded, SyncJacobi};
-use asynciter_runtime::{ApplyPolicy, Cluster, LinkModel};
+use asynciter_runtime::{ApplyPolicy, Cluster};
 
 /// How often stopping-capable backends check the residual target.
 const CHECK_EVERY: u64 = 16;

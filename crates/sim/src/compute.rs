@@ -1,8 +1,8 @@
-//! Per-processor compute-time and per-link latency models.
+//! Per-processor compute-time models.
 //!
 //! Simulated time is `u64` ticks. Compute models determine how long each
-//! updating phase takes; latency models determine when a sent value
-//! arrives. Jittered latencies naturally reorder messages; Baudet's
+//! updating phase takes; when a sent value arrives is the link model
+//! `Cluster` shares, `asynciter_models::channel::LinkModel`. Baudet's
 //! model (`k`-th update takes `k` ticks) reproduces the `√j` delay
 //! growth of the paper's §II example. Every draw saturates at `u64::MAX`
 //! ticks, which the simulator treats as never.
@@ -50,7 +50,11 @@ impl ComputeModel {
             ComputeModel::Uniform { lo, hi } if hi < lo => Err(format!(
                 "uniform duration needs lo <= hi (got lo {lo}, hi {hi})"
             )),
-            ComputeModel::HeavyTail { alpha, .. } => validate_alpha(alpha),
+            // A NaN tail index fails the guard and is rejected too.
+            ComputeModel::HeavyTail { alpha, .. } if alpha > 0.0 => Ok(()),
+            ComputeModel::HeavyTail { alpha, .. } => {
+                Err(format!("heavy-tail alpha must be positive (got {alpha})"))
+            }
             _ => Ok(()),
         }
     }
@@ -76,75 +80,6 @@ impl ComputeModel {
     }
 }
 
-/// A Pareto tail index must be positive; NaN fails the comparison and is
-/// rejected too.
-fn validate_alpha(alpha: f64) -> Result<(), String> {
-    if alpha > 0.0 {
-        return Ok(());
-    }
-    Err(format!("heavy-tail alpha must be positive (got {alpha})"))
-}
-
-/// Link latency model.
-#[derive(Debug, Clone)]
-pub enum LatencyModel {
-    /// Constant latency.
-    Fixed {
-        /// Latency in ticks.
-        ticks: u64,
-    },
-    /// Uniform jitter in `[lo, hi]` — jitter wider than the send period
-    /// reorders messages.
-    Jitter {
-        /// Minimum latency.
-        lo: u64,
-        /// Maximum latency.
-        hi: u64,
-    },
-    /// Pareto-tailed latency (occasional very late messages).
-    HeavyTail {
-        /// Scale (minimum latency).
-        scale: u64,
-        /// Tail index.
-        alpha: f64,
-    },
-}
-
-impl LatencyModel {
-    /// Checks the model's parameters.
-    ///
-    /// # Errors
-    /// What is wrong, as a message: `Jitter` with `hi < lo`, or
-    /// `HeavyTail` with a tail index that is not positive.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            LatencyModel::Jitter { lo, hi } if hi < lo => Err(format!(
-                "jitter latency needs lo <= hi (got lo {lo}, hi {hi})"
-            )),
-            LatencyModel::HeavyTail { alpha, .. } => validate_alpha(alpha),
-            _ => Ok(()),
-        }
-    }
-
-    /// Samples a latency.
-    ///
-    /// # Panics
-    /// Panics when the model does not [`validate`](Self::validate).
-    pub fn latency(&self, rng: &mut StdRng) -> u64 {
-        match self {
-            LatencyModel::Fixed { ticks } => *ticks,
-            LatencyModel::Jitter { lo, hi } => {
-                assert!(lo <= hi, "LatencyModel::Jitter: lo > hi");
-                rng.random_range(*lo..=*hi)
-            }
-            LatencyModel::HeavyTail { scale, alpha } => {
-                let d = asynciter_numerics::rng::pareto(rng, 1.0, *alpha);
-                (*scale as f64 * d).ceil() as u64
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +90,6 @@ mod tests {
         let mut r = rng(1);
         assert_eq!(ComputeModel::Fixed { ticks: 5 }.duration(1, &mut r), 5);
         assert_eq!(ComputeModel::Fixed { ticks: 5 }.duration(9, &mut r), 5);
-        assert_eq!(LatencyModel::Fixed { ticks: 2 }.latency(&mut r), 2);
         // Zero tick durations are clamped to 1 (time must advance).
         assert_eq!(ComputeModel::Fixed { ticks: 0 }.duration(1, &mut r), 1);
     }
@@ -179,20 +113,5 @@ mod tests {
             let d = m.duration(1, &mut r);
             assert!((2..=6).contains(&d));
         }
-        let l = LatencyModel::Jitter { lo: 0, hi: 9 };
-        for _ in 0..100 {
-            assert!(l.latency(&mut r) <= 9);
-        }
-    }
-
-    #[test]
-    fn heavy_tail_occasionally_huge() {
-        let mut r = rng(4);
-        let m = LatencyModel::HeavyTail {
-            scale: 1,
-            alpha: 1.1,
-        };
-        let max = (0..5000).map(|_| m.latency(&mut r)).max().unwrap();
-        assert!(max > 50, "max latency {max}");
     }
 }

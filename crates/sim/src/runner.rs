@@ -33,16 +33,15 @@
 //!
 //! [`Sim`](crate::session::Sim) is the one door into this loop.
 
-use crate::compute::{ComputeModel, LatencyModel};
+use crate::compute::ComputeModel;
 use crate::timeline::{Comm, CommKind, Phase, Timeline};
 use asynciter_core::observer::Observer;
 use asynciter_core::session::{Problem, RunControl, RunReport};
 use asynciter_core::CoreError;
+use asynciter_models::channel::{EventQueue, LinkModel};
 use asynciter_models::partition::Partition;
 use asynciter_opt::traits::Operator;
 use rand::rngs::StdRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The simulated machine: who owns what, how long phases and messages
 /// take, and how a phase communicates. How long to run, what to sample,
@@ -53,9 +52,9 @@ pub struct SimConfig {
     pub partition: Partition,
     /// Per-processor compute-time models.
     pub compute: Vec<ComputeModel>,
-    /// Link latency model (shared by all links; latencies are drawn
-    /// independently per message).
-    pub latency: LatencyModel,
+    /// Link latency model in ticks (shared by all links; latencies are
+    /// drawn independently per message).
+    pub latency: LinkModel,
     /// Inner iterations per phase (`m ≥ 1`).
     pub inner_steps: usize,
     /// Number of mid-phase partial sends (0 = classic asynchronous).
@@ -86,7 +85,7 @@ impl SimConfig {
         Self {
             partition,
             compute: vec![ComputeModel::Fixed { ticks: 1 }; p],
-            latency: LatencyModel::Fixed { ticks: 1 },
+            latency: LinkModel::Fixed { ticks: 1 },
             inner_steps: 1,
             partial_sends: 0,
             seed: 0,
@@ -123,32 +122,22 @@ impl SimConfig {
 /// The backend's name in reports and error messages.
 pub(crate) const NAME: &str = "sim";
 
-/// The tick simulated time saturates at; nothing due then ever happens.
-const NEVER: u64 = u64::MAX;
-
 #[derive(Debug)]
 enum Event {
     /// Phase of processor `p` completes.
     PhaseEnd { p: usize },
-    /// A message with block values arrives at `to`.
+    /// Values of `from`'s block, in block order, arrive at `to`.
     MsgArrive {
         to: usize,
-        comps: Vec<(u32, f64)>,
+        from: usize,
+        values: Vec<f64>,
         sender_phase: u64,
         global_label: u64,
     },
 }
 
-/// In-flight phase bookkeeping.
-struct InFlight {
-    start: u64,
-    end: u64,
-    read_labels: Vec<u64>,
-    final_values: Vec<f64>,
-}
-
 /// The state of one simulation: processors, event queue, timeline, the
-/// global iterate and the reusable phase-compute buffers.
+/// global iterate and the phase buffers, all allocated at set-up.
 struct Run<'a> {
     op: &'a dyn Operator,
     cfg: &'a SimConfig,
@@ -166,15 +155,17 @@ struct Run<'a> {
     known_phase: Vec<Vec<u64>>,
     phase_count: Vec<u64>,
     last_completed_j: Vec<u64>,
-    in_flight: Vec<Option<InFlight>>,
-    /// Pending events by `(time, index into events)`: the index breaks
-    /// ties in scheduling order.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    events: Vec<Option<Event>>,
+    /// `(start, end)` of each processor's phase in flight.
+    in_flight: Vec<Option<(u64, u64)>>,
+    /// The labels each processor's phase in flight read at its start.
+    read_labels: Vec<Vec<u64>>,
+    /// Each processor's phase in flight, one block-long stage per inner
+    /// iteration: partial sends read the interior stages, the last is
+    /// the phase's final values.
+    stages: Vec<Vec<f64>>,
+    queue: EventQueue<Event>,
     timeline: Timeline,
-    // Phase input copy, block output and operator scratch, so the
-    // compute section allocates only what a phase must own (its
-    // recorded read labels and the values it sends).
+    // Phase input copy, block output and operator scratch.
     w: Vec<f64>,
     upd: Vec<f64>,
     scratch: Vec<f64>,
@@ -184,11 +175,16 @@ impl<'a> Run<'a> {
     fn new(cfg: &'a SimConfig, problem: &'a Problem<'_>, seed: u64) -> Self {
         let (op, n) = (problem.op, problem.n());
         let procs = cfg.partition.num_machines();
+        let blocks: Vec<Vec<usize>> = (0..procs).map(|p| cfg.partition.components_of(p)).collect();
         Self {
             op,
             cfg,
             rng: asynciter_numerics::rng::rng(seed),
-            blocks: (0..procs).map(|p| cfg.partition.components_of(p)).collect(),
+            stages: blocks
+                .iter()
+                .map(|b| vec![0.0; cfg.inner_steps * b.len()])
+                .collect(),
+            blocks,
             x: problem.x0.clone(),
             completed: 0,
             local: vec![problem.x0.clone(); procs],
@@ -196,9 +192,9 @@ impl<'a> Run<'a> {
             known_phase: vec![vec![0; n]; procs],
             phase_count: vec![0; procs],
             last_completed_j: vec![0; procs],
-            in_flight: (0..procs).map(|_| None).collect(),
-            heap: BinaryHeap::new(),
-            events: Vec::new(),
+            in_flight: vec![None; procs],
+            read_labels: vec![vec![0; n]; procs],
+            queue: EventQueue::default(),
             timeline: Timeline::new(procs),
             w: vec![0.0; n],
             upd: vec![0.0; n],
@@ -206,21 +202,14 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Schedules `e` at `t`; an event due at the end of time is dropped.
-    fn push(&mut self, t: u64, e: Event) {
-        if t == NEVER {
-            return;
-        }
-        self.events.push(Some(e));
-        self.heap.push(Reverse((t, self.events.len() - 1)));
-    }
-
-    /// Sends `values` of `p`'s block to every peer at `send_t`, drawing
-    /// one latency per destination in destination order.
-    fn broadcast(&mut self, p: usize, send_t: u64, values: &[f64], label: u64, kind: CommKind) {
+    /// Sends stage `stage` of `p`'s phase to every peer at `send_t`,
+    /// drawing one latency per destination in destination order.
+    fn broadcast(&mut self, p: usize, send_t: u64, stage: usize, label: u64, kind: CommKind) {
         let sender_phase = self.phase_count[p];
+        let len = self.blocks[p].len();
+        let values = &self.stages[p][stage * len..(stage + 1) * len];
         for to in (0..self.blocks.len()).filter(|&to| to != p) {
-            let recv_t = send_t.saturating_add(self.cfg.latency.latency(&mut self.rng));
+            let recv_t = send_t.saturating_add(self.cfg.latency.sample(&mut self.rng));
             self.timeline.comms.push(Comm {
                 from: p,
                 to,
@@ -229,14 +218,14 @@ impl<'a> Run<'a> {
                 sender_phase,
                 kind,
             });
-            let comps = self.blocks[p].iter().map(|&i| i as u32);
             let e = Event::MsgArrive {
                 to,
-                comps: comps.zip(values.iter().copied()).collect(),
+                from: p,
+                values: values.to_vec(),
                 sender_phase,
                 global_label: label,
             };
-            self.push(recv_t, e);
+            self.queue.push(recv_t, e);
         }
     }
 
@@ -249,16 +238,15 @@ impl<'a> Run<'a> {
         let dur = self.cfg.compute[p].duration(k, &mut self.rng);
         let end = t.saturating_add(dur);
         self.w.copy_from_slice(&self.local[p]);
-        let read_labels = self.known_label[p].clone();
-        // Inner iterations on the owned block. With mid-phase sends the
-        // intermediate (partial) values after each one are kept; the
-        // last stage is the phase's final values either way.
+        self.read_labels[p].copy_from_slice(&self.known_label[p]);
+        // Inner iterations on the owned block, each kept as a stage.
         let (m, block) = (self.cfg.inner_steps, &self.blocks[p]);
-        let mut stages: Vec<Vec<f64>> = Vec::new();
-        for r in 1..=m {
+        let len = block.len();
+        for r in 0..m {
             self.op
                 .update_active_with(&self.w, block, &mut self.upd, &mut self.scratch);
-            for &i in block {
+            let stage = &mut self.stages[p][r * len..(r + 1) * len];
+            for (slot, &i) in stage.iter_mut().zip(block) {
                 if !self.upd[i].is_finite() {
                     return Err(CoreError::NonFiniteIterate {
                         at_step: self.completed + 1,
@@ -266,57 +254,52 @@ impl<'a> Run<'a> {
                     });
                 }
                 self.w[i] = self.upd[i];
-            }
-            if self.cfg.partial_sends > 0 || r == m {
-                stages.push(block.iter().map(|&i| self.w[i]).collect());
+                *slot = self.upd[i];
             }
         }
-        let final_values = stages.pop().expect("inner_steps >= 1");
         // Mid-phase partial sends at evenly spaced interior times,
-        // carrying the freshest intermediate available then. Partials
-        // are at least as fresh as the sender's last completed iteration.
-        let sends = self.cfg.partial_sends.min(stages.len());
+        // carrying the freshest intermediate stage available then.
+        // Partials are at least as fresh as the sender's last completed
+        // iteration.
+        let interior = m - 1;
+        let sends = self.cfg.partial_sends.min(interior);
         for s in 1..=sends {
             let offset = u128::from(dur) * s as u128 / (sends as u128 + 1);
             let send_t = t.saturating_add(offset as u64);
-            let stage = ((stages.len() * s).div_ceil(sends + 1)).min(stages.len() - 1);
+            let stage = ((interior * s).div_ceil(sends + 1)).min(interior - 1);
             let label = self.last_completed_j[p];
-            self.broadcast(p, send_t, &stages[stage], label, CommKind::Partial);
+            self.broadcast(p, send_t, stage, label, CommKind::Partial);
         }
-        self.in_flight[p] = Some(InFlight {
-            start: t,
-            end,
-            read_labels,
-            final_values,
-        });
-        self.push(end, Event::PhaseEnd { p });
+        self.in_flight[p] = Some((t, end));
+        self.queue.push(end, Event::PhaseEnd { p });
         Ok(())
     }
 
-    /// Applies an arrived message to `to`'s local copy. Keep-freshest by
-    /// sender phase (single owner per component ⇒ phases order that
-    /// component's values); equal phases accept (later partials of the
-    /// same phase are fresher).
-    fn arrive(&mut self, to: usize, comps: &[(u32, f64)], sender_phase: u64, global_label: u64) {
-        for &(c, v) in comps {
-            let c = c as usize;
+    /// Applies values of `from`'s block arrived at `to` to `to`'s local
+    /// copy. Keep-freshest by sender phase (single owner per component ⇒
+    /// phases order that component's values); equal phases accept (later
+    /// partials of the same phase are fresher).
+    fn arrive(&mut self, to: usize, from: usize, values: &[f64], sender_phase: u64, label: u64) {
+        for (&c, &v) in self.blocks[from].iter().zip(values) {
             if sender_phase >= self.known_phase[to][c] {
                 self.known_phase[to][c] = sender_phase;
                 self.local[to][c] = v;
-                self.known_label[to][c] = self.known_label[to][c].max(global_label);
+                self.known_label[to][c] = self.known_label[to][c].max(label);
             }
         }
     }
 
     /// Completes the phase of `p`: assigns it the next iteration number,
     /// writes its block into `x(j)` and `p`'s own copy, and sends the
-    /// final values to all peers. Returns the phase.
-    fn end_phase(&mut self, p: usize) -> InFlight {
-        let fl = self.in_flight[p].take().expect("phase in flight");
+    /// final values to all peers. Returns the phase's end.
+    fn end_phase(&mut self, p: usize) -> u64 {
+        let (start, end) = self.in_flight[p].take().expect("phase in flight");
         self.completed += 1;
         let j = self.completed;
         self.last_completed_j[p] = j;
-        for (&i, &v) in self.blocks[p].iter().zip(&fl.final_values) {
+        let last = self.cfg.inner_steps - 1;
+        let len = self.blocks[p].len();
+        for (&i, &v) in self.blocks[p].iter().zip(&self.stages[p][last * len..]) {
             self.x[i] = v;
             self.local[p][i] = v;
             self.known_label[p][i] = j;
@@ -324,14 +307,14 @@ impl<'a> Run<'a> {
         }
         self.timeline.phases.push(Phase {
             proc: p,
-            start: fl.start,
-            end: fl.end,
+            start,
+            end,
             j,
         });
         // Condition (a) by construction: reads predate j.
-        debug_assert!(fl.read_labels.iter().all(|&l| l < j));
-        self.broadcast(p, fl.end, &fl.final_values, j, CommKind::Full);
-        fl
+        debug_assert!(self.read_labels[p].iter().all(|&l| l < j));
+        self.broadcast(p, end, last, j, CommKind::Full);
+        end
     }
 }
 
@@ -352,24 +335,24 @@ pub(crate) fn run(
         run.schedule_phase(p, 0)?;
     }
     let mut now = 0;
-    while let Some(Reverse((t, idx))) = run.heap.pop() {
+    while let Some((t, event)) = run.queue.pop() {
         now = t;
-        match run.events[idx].take().expect("event consumed once") {
+        match event {
             Event::MsgArrive {
                 to,
-                comps,
+                from,
+                values,
                 sender_phase,
                 global_label,
-            } => run.arrive(to, &comps, sender_phase, global_label),
+            } => run.arrive(to, from, &values, sender_phase, global_label),
             Event::PhaseEnd { p } => {
-                let fl = run.end_phase(p);
+                let end = run.end_phase(p);
                 let (j, block) = (run.completed, &run.blocks[p]);
-                if observer.step(j, block, &fl.read_labels, &run.x, &mut run.scratch)
-                    || j == ctl.max_steps
-                {
+                let read = &run.read_labels[p];
+                if observer.step(j, block, read, &run.x, &mut run.scratch) || j == ctl.max_steps {
                     break;
                 }
-                run.schedule_phase(p, fl.end)?;
+                run.schedule_phase(p, end)?;
             }
         }
     }
@@ -404,6 +387,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::session::Sim;
     use asynciter_core::session::RecordMode;
+    use asynciter_models::channel::NEVER;
     use asynciter_models::conditions::check_condition_a;
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_opt::linear::JacobiOperator;
@@ -452,7 +436,7 @@ pub(crate) mod tests {
                 ComputeModel::Uniform { lo: 1, hi: 5 },
                 ComputeModel::Uniform { lo: 2, hi: 9 },
             ];
-            c.latency = LatencyModel::Jitter { lo: 0, hi: 7 };
+            c.latency = LinkModel::Jitter { lo: 0, hi: 7 };
             c.seed = 42;
             c
         };
@@ -475,7 +459,7 @@ pub(crate) mod tests {
                 alpha: 1.5,
             },
         ];
-        cfg.latency = LatencyModel::Jitter { lo: 0, hi: 10 };
+        cfg.latency = LinkModel::Jitter { lo: 0, hi: 10 };
         cfg.seed = 7;
         let (res, timeline) = simulate(&op, &[0.0; 12], &cfg, 300, (None, 0)).unwrap();
         timeline.validate().expect("valid timeline");
@@ -489,7 +473,7 @@ pub(crate) mod tests {
         let op = jacobi(12);
         let xstar = op.solve_dense_spd().unwrap();
         let mut cfg = base_cfg(12, 3);
-        cfg.latency = LatencyModel::Jitter { lo: 0, hi: 4 };
+        cfg.latency = LinkModel::Jitter { lo: 0, hi: 4 };
         cfg.seed = 3;
         let (res, _) = simulate(&op, &[0.0; 12], &cfg, 2000, (Some(&xstar), 0)).unwrap();
         assert!(
@@ -507,7 +491,7 @@ pub(crate) mod tests {
         for (compute, latency) in [
             (
                 ComputeModel::Uniform { lo: 1, hi: 3 },
-                LatencyModel::HeavyTail {
+                LinkModel::HeavyTail {
                     scale: 1,
                     alpha: 0.1,
                 },
@@ -517,7 +501,7 @@ pub(crate) mod tests {
                     scale: 1,
                     alpha: 0.1,
                 },
-                LatencyModel::Fixed { ticks: 1 },
+                LinkModel::Fixed { ticks: 1 },
             ),
         ] {
             let mut cfg = base_cfg(8, 2);

@@ -13,8 +13,9 @@
 //! produce the figure's shape; how long it runs is the session's
 //! `.steps(..)`.
 
-use crate::compute::{ComputeModel, LatencyModel};
+use crate::compute::ComputeModel;
 use crate::runner::SimConfig;
+use asynciter_models::channel::LinkModel;
 use asynciter_models::partition::Partition;
 use asynciter_numerics::sparse::CsrMatrix;
 use asynciter_opt::linear::JacobiOperator;
@@ -43,7 +44,7 @@ pub fn fig1(seed: u64) -> SimConfig {
             ComputeModel::Fixed { ticks: 3 },
             ComputeModel::Uniform { lo: 4, hi: 7 },
         ],
-        latency: LatencyModel::Fixed { ticks: 1 },
+        latency: LinkModel::Fixed { ticks: 1 },
         inner_steps: 1,
         partial_sends: 0,
         seed,
@@ -72,7 +73,7 @@ pub fn baudet() -> SimConfig {
             ComputeModel::Fixed { ticks: 1 },
             ComputeModel::Baudet { scale: 1 },
         ],
-        latency: LatencyModel::Fixed { ticks: 0 },
+        latency: LinkModel::Fixed { ticks: 0 },
         inner_steps: 1,
         partial_sends: 0,
         seed: 0,

@@ -64,9 +64,10 @@ impl Backend for Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::{ComputeModel, LatencyModel};
+    use crate::compute::ComputeModel;
     use asynciter_core::session::{Flexible, RecordMode, Replay, Session};
     use asynciter_core::{CoreError, StoppingRule};
+    use asynciter_models::channel::LinkModel;
     use asynciter_models::partition::Partition;
     use asynciter_models::schedule::SyncJacobi;
     use asynciter_numerics::norm::WeightedMaxNorm;
@@ -123,7 +124,7 @@ mod tests {
         let xstar = op.solve_dense_spd().unwrap();
         let mut cfg = uniform(12, 3);
         cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 5 }; 3];
-        cfg.latency = LatencyModel::Jitter { lo: 1, hi: 9 };
+        cfg.latency = LinkModel::Jitter { lo: 1, hi: 9 };
         cfg.inner_steps = 2;
         let budget = 5_000;
         // Error samples at every step give each phase's end time.
@@ -229,14 +230,14 @@ mod tests {
     #[test]
     fn caller_input_that_used_to_panic_is_a_typed_error() {
         let op = jacobi(8);
-        let (nan, jitter) = (f64::NAN, LatencyModel::Jitter { lo: 5, hi: 2 });
+        let (nan, jitter) = (f64::NAN, LinkModel::Jitter { lo: 5, hi: 2 });
         let heavy_compute = |alpha| ComputeModel::HeavyTail { scale: 1, alpha };
-        let heavy_latency = |alpha| LatencyModel::HeavyTail { scale: 1, alpha };
+        let heavy_latency = |alpha| LinkModel::HeavyTail { scale: 1, alpha };
         let compute = |model: ComputeModel| SimConfig {
             compute: vec![ComputeModel::Fixed { ticks: 1 }, model],
             ..uniform(8, 2)
         };
-        let latency = |latency: LatencyModel| SimConfig {
+        let latency = |latency: LinkModel| SimConfig {
             latency,
             ..uniform(8, 2)
         };

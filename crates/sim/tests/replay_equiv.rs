@@ -8,10 +8,11 @@
 //! boundary) at the sim crate level.
 
 use asynciter_core::session::{RecordMode, Replay, Session};
+use asynciter_models::channel::LinkModel;
 use asynciter_models::partition::Partition;
 use asynciter_numerics::sparse::tridiagonal;
 use asynciter_opt::linear::JacobiOperator;
-use asynciter_sim::compute::{ComputeModel, LatencyModel};
+use asynciter_sim::compute::ComputeModel;
 use asynciter_sim::runner::SimConfig;
 use asynciter_sim::session::Sim;
 
@@ -38,7 +39,7 @@ fn multi_proc_sim_trace_replays_bitwise() {
         let mut cfg = SimConfig::uniform(Partition::blocks(n, procs).unwrap());
         cfg.seed = seed;
         cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 5 }; procs];
-        cfg.latency = LatencyModel::Jitter { lo: 1, hi: 9 };
+        cfg.latency = LinkModel::Jitter { lo: 1, hi: 9 };
         assert!(cfg.replay_equivalent());
         let sim = Session::new(&op)
             .steps(300)
@@ -73,7 +74,7 @@ fn heavy_tail_sim_trace_replays_bitwise() {
         };
         2
     ];
-    cfg.latency = LatencyModel::HeavyTail {
+    cfg.latency = LinkModel::HeavyTail {
         scale: 1,
         alpha: 1.3,
     };

@@ -102,6 +102,7 @@ pub mod prelude {
     };
     pub use asynciter_core::stopping::StoppingRule;
     pub use asynciter_core::CoreError;
+    pub use asynciter_models::channel::LinkModel;
     pub use asynciter_models::partition::Partition;
     pub use asynciter_models::schedule::{
         BlockRoundRobin, ChaoticBounded, CyclicCoordinate, HeavyTailDelay, RecordedSchedule,
@@ -111,7 +112,7 @@ pub mod prelude {
     pub use asynciter_numerics::norm::WeightedMaxNorm;
     pub use asynciter_opt::traits::Operator;
     pub use asynciter_runtime::session::{Barrier, Cluster, SharedMem, ThreadedCluster};
-    pub use asynciter_runtime::{ApplyPolicy, LinkModel, SnapshotMode};
+    pub use asynciter_runtime::{ApplyPolicy, SnapshotMode};
     pub use asynciter_sim::runner::SimConfig;
     pub use asynciter_sim::session::Sim;
 }

@@ -2,12 +2,13 @@
 //! on the workspace engines — through the unified `Session` API wherever
 //! a backend exists — checked against independent references.
 
+use asynciter::models::channel::LinkModel;
 use asynciter::opt::bellman_ford::{BellmanFordOperator, Graph};
 use asynciter::opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
 use asynciter::opt::newton::DiagNewton;
 use asynciter::opt::obstacle::{ObstacleProblem, ProjectedJacobi};
 use asynciter::prelude::*;
-use asynciter::sim::compute::{ComputeModel, LatencyModel};
+use asynciter::sim::compute::ComputeModel;
 
 /// Network flow: the asynchronous dual relaxation recovers the exact
 /// optimal flows under severe delays, certified by the Perron weights of
@@ -163,7 +164,7 @@ fn bellman_ford_on_simulator_routes_exactly() {
         ComputeModel::Uniform { lo: 2, hi: 6 },
         ComputeModel::Baudet { scale: 1 },
     ];
-    cfg.latency = LatencyModel::Jitter { lo: 0, hi: 9 };
+    cfg.latency = LinkModel::Jitter { lo: 0, hi: 9 };
     cfg.seed = 3;
     let run = Session::new(&op)
         .x0(op.initial_estimate())

@@ -11,7 +11,7 @@ use asynciter::opt::prox::L1;
 use asynciter::opt::proxgrad::{gamma_max, SeparableProxGrad};
 use asynciter::opt::quadratic::SeparableQuadratic;
 use asynciter::prelude::*;
-use asynciter::sim::compute::{ComputeModel, LatencyModel};
+use asynciter::sim::compute::ComputeModel;
 
 /// The quickstart problem: the Definition-4 prox-gradient operator on a
 /// random separable quadratic with an ℓ₁ regulariser.
@@ -364,7 +364,7 @@ fn computed(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
 fn jittered_sim(n: usize, procs: usize, inner_steps: usize) -> SimConfig {
     SimConfig {
         compute: vec![ComputeModel::Uniform { lo: 1, hi: 5 }; procs],
-        latency: LatencyModel::Jitter { lo: 1, hi: 9 },
+        latency: LinkModel::Jitter { lo: 1, hi: 9 },
         inner_steps,
         ..SimConfig::uniform(Partition::blocks(n, procs).unwrap())
     }
