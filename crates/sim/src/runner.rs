@@ -22,11 +22,14 @@
 //! message that never arrives (as `Cluster` treats a delivery due past
 //! its last step), never an overflow.
 //!
-//! Message arrivals update the receiver's local copy (keep-freshest by
-//! sender phase) and its per-component *global-label* bookkeeping: the
-//! labels a phase read at its start, which provably satisfy condition
-//! (a) — they come from completions strictly before its own `j`. Each
-//! phase end is one step told to the `asynciter-core`
+//! Message arrivals update the receiver's local copy and its
+//! per-component *global-label* bookkeeping — the labels a phase reads at
+//! its start, which provably satisfy condition (a): they come from
+//! completions strictly before its own `j`. A receiver keeps the freshest
+//! value it has heard: messages are ordered by `(sender phase, stage)`, a
+//! phase's final values being its last stage, so a partial that arrives
+//! after a later partial or after its own phase's final is discarded.
+//! Each phase end is one step told to the `asynciter-core`
 //! [`Observer`], which streams Definition 2 over those labels, keeps the
 //! trace when asked, samples, and evaluates the stopping rule: the run
 //! ends at the phase that fires it exactly as it ends at its budget.
@@ -131,7 +134,8 @@ enum Event {
         to: usize,
         from: usize,
         values: Vec<f64>,
-        sender_phase: u64,
+        /// `(sender phase, stage)`: the values' freshness.
+        fresh: (u64, usize),
         global_label: u64,
     },
 }
@@ -150,9 +154,9 @@ struct Run<'a> {
     // Per-processor state.
     local: Vec<Vec<f64>>,
     known_label: Vec<Vec<u64>>,
-    /// Freshest sender phase applied per (proc, component), for
-    /// keep-freshest message application.
-    known_phase: Vec<Vec<u64>>,
+    /// Freshest `(sender phase, stage)` applied per (proc, component),
+    /// for keep-freshest message application.
+    known_fresh: Vec<Vec<(u64, usize)>>,
     phase_count: Vec<u64>,
     last_completed_j: Vec<u64>,
     /// `(start, end)` of each processor's phase in flight.
@@ -189,7 +193,7 @@ impl<'a> Run<'a> {
             completed: 0,
             local: vec![problem.x0.clone(); procs],
             known_label: vec![vec![0; n]; procs],
-            known_phase: vec![vec![0; n]; procs],
+            known_fresh: vec![vec![(0, 0); n]; procs],
             phase_count: vec![0; procs],
             last_completed_j: vec![0; procs],
             in_flight: vec![None; procs],
@@ -222,7 +226,7 @@ impl<'a> Run<'a> {
                 to,
                 from: p,
                 values: values.to_vec(),
-                sender_phase,
+                fresh: (sender_phase, stage),
                 global_label: label,
             };
             self.queue.push(recv_t, e);
@@ -276,13 +280,13 @@ impl<'a> Run<'a> {
     }
 
     /// Applies values of `from`'s block arrived at `to` to `to`'s local
-    /// copy. Keep-freshest by sender phase (single owner per component ⇒
-    /// phases order that component's values); equal phases accept (later
-    /// partials of the same phase are fresher).
-    fn arrive(&mut self, to: usize, from: usize, values: &[f64], sender_phase: u64, label: u64) {
+    /// copy, keeping the freshest: a single owner per component means
+    /// `(sender phase, stage)` orders that component's values, and a
+    /// phase's final values are its last stage.
+    fn arrive(&mut self, to: usize, from: usize, values: &[f64], fresh: (u64, usize), label: u64) {
         for (&c, &v) in self.blocks[from].iter().zip(values) {
-            if sender_phase >= self.known_phase[to][c] {
-                self.known_phase[to][c] = sender_phase;
+            if fresh >= self.known_fresh[to][c] {
+                self.known_fresh[to][c] = fresh;
                 self.local[to][c] = v;
                 self.known_label[to][c] = self.known_label[to][c].max(label);
             }
@@ -303,7 +307,6 @@ impl<'a> Run<'a> {
             self.x[i] = v;
             self.local[p][i] = v;
             self.known_label[p][i] = j;
-            self.known_phase[p][i] = self.phase_count[p];
         }
         self.timeline.phases.push(Phase {
             proc: p,
@@ -342,9 +345,9 @@ pub(crate) fn run(
                 to,
                 from,
                 values,
-                sender_phase,
+                fresh,
                 global_label,
-            } => run.arrive(to, from, &values, sender_phase, global_label),
+            } => run.arrive(to, from, &values, fresh, global_label),
             Event::PhaseEnd { p } => {
                 let end = run.end_phase(p);
                 let (j, block) = (run.completed, &run.blocks[p]);
@@ -481,6 +484,34 @@ pub(crate) mod tests {
             "error {}",
             res.final_error(&xstar)
         );
+    }
+
+    #[test]
+    fn a_reordered_partial_never_overwrites_a_fresher_value() {
+        // Processor 1 hears processor 0's block (components 0..4) out of
+        // order. Phases run 3 inner steps, so stage 2 is a phase's final.
+        let op = jacobi(8);
+        let problem = Problem {
+            op: &op,
+            x0: vec![0.0; 8],
+            xstar: None,
+        };
+        let mut cfg = base_cfg(8, 2);
+        (cfg.inner_steps, cfg.partial_sends) = (3, 2);
+        let mut run = Run::new(&cfg, &problem, 0);
+        let heard = |run: &Run<'_>| (run.local[1][0], run.known_label[1][0]);
+        // The final of phase 2 (step 5), then a partial of phase 2 sent
+        // before it, carrying the sender's last step, 3.
+        run.arrive(1, 0, &[2.0; 4], (2, 2), 5);
+        run.arrive(1, 0, &[1.5; 4], (2, 1), 3);
+        assert_eq!(heard(&run), (2.0, 5), "F(k) then P_k");
+        // Phase 3's second partial, then its first.
+        run.arrive(1, 0, &[3.5; 4], (3, 1), 5);
+        run.arrive(1, 0, &[3.0; 4], (3, 0), 5);
+        assert_eq!(heard(&run), (3.5, 5), "P_k^2 then P_k^1");
+        // A later phase's first partial is fresher than all of them.
+        run.arrive(1, 0, &[4.0; 4], (4, 0), 6);
+        assert_eq!(heard(&run), (4.0, 6));
     }
 
     #[test]
