@@ -11,7 +11,10 @@
 //! by a seeded channel model mirroring the delay zoo:
 //!
 //! - a [`LinkModel`] latency distribution — `Fixed` (in-order bounded),
-//!   `Jitter` (bounded random) or `HeavyTail` (Pareto: unbounded delays);
+//!   `Jitter` (bounded random) or `HeavyTail` (Pareto: unbounded delays),
+//!   the one `Sim` draws from too; each mailbox is an [`EventQueue`] in
+//!   global steps, earliest delivery first and equal steps in send order,
+//!   as in `Sim`'s event loop (both live in `asynciter_models::channel`);
 //! - **hold** (`hold_prob`): extra random latency parks a message behind
 //!   newer ones — genuine out-of-order delivery;
 //! - **drop** (`drop_prob`): the message is lost (asynchronous iterations

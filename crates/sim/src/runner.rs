@@ -17,10 +17,17 @@
 //!    values to every peer (Fig. 1's arrows), each arrival delayed by
 //!    the latency model.
 //!
-//! Simulated time saturates at `u64::MAX`, a tick that never comes: a
-//! heavy-tailed draw that would pass it is a phase that never ends or a
-//! message that never arrives (as `Cluster` treats a delivery due past
-//! its last step), never an overflow.
+//! Phase ends and message arrivals wait in one [`EventQueue`] — earliest
+//! tick first, equal ticks in scheduling order — and each message's
+//! latency is a [`LinkModel`] draw: the channel model `Cluster` delivers its mail
+//! with. Simulated time saturates at `u64::MAX`, a tick that never comes:
+//! a heavy-tailed draw that would pass it is a phase that never ends or a
+//! message that never arrives, which the queue never schedules, never an
+//! overflow.
+//!
+//! Every buffer a phase needs — its read labels, one stage per inner
+//! iteration — is per processor and allocated at set-up; what a step
+//! allocates is one payload per message sent.
 //!
 //! Message arrivals update the receiver's local copy and its
 //! per-component *global-label* bookkeeping — the labels a phase reads at

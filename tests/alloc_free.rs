@@ -7,8 +7,9 @@
 //! and drive millions of steps through `update_active_with` /
 //! `apply_with` / `residual_inf_with`).
 //!
-//! Two tests audit engine loops: an unrecorded `Replay` session and an
-//! unrecorded one-worker `Cluster` session. The last two audit the trace:
+//! Three tests audit engine loops: an unrecorded `Replay` session, an
+//! unrecorded one-worker `Cluster` session and an unrecorded `Sim`
+//! session on one and two processors. The last two audit the trace:
 //! the text codec every replay check runs, and the active-set store a
 //! message-passing run records into.
 //!
@@ -197,6 +198,33 @@ fn unrecorded_cluster_session_allocates_only_set_up() {
     assert_eq!(report.steps, 1_000);
     assert!(report.macro_iterations > 0 && report.trace.is_none());
     assert!(allocs < 100, "{allocs} heap allocations in 1000 steps");
+}
+
+#[test]
+fn unrecorded_sim_session_allocates_only_set_up() {
+    // The simulator's phase buffers (read labels, inner-iteration stages)
+    // are per processor and allocated at set-up: 33 allocations on one
+    // processor, where a phase allocated three (3 038). What two
+    // processors add is the payload of each message sent, one per phase
+    // end: 1 047, where it was 4 054.
+    use asynciter::prelude::*;
+    let system = asynciter::numerics::sparse::tridiagonal(8, 4.0, -1.0);
+    let op = asynciter::opt::linear::JacobiOperator::new(system, vec![1.0; 8]).unwrap();
+    for (procs, bound) in [(1, 99), (2, 1_100)] {
+        let cfg = SimConfig::uniform(Partition::blocks(8, procs).unwrap());
+        let mut report = None;
+        let allocs = count_allocs(|| {
+            let session = Session::new(&op).steps(1_000).record(RecordMode::Off);
+            report = session.backend(Sim(cfg)).run().ok();
+        });
+        let report = report.expect("the session runs");
+        assert_eq!(report.steps, 1_000);
+        assert!(report.macro_iterations > 0 && report.trace.is_none());
+        assert!(
+            allocs <= bound,
+            "{procs} processor(s): {allocs} heap allocations in 1000 steps"
+        );
+    }
 }
 
 #[test]
