@@ -1,19 +1,15 @@
 //! The channel model both discrete-event loops share.
 //!
-//! `Sim` (ticks of simulated time) and `Cluster` (global steps) deliver
-//! block messages the same way: each message draws a [`LinkModel`]
-//! latency, waits in an [`EventQueue`] and is handed over when its time
-//! comes — earliest first, equal times in the order they were
-//! scheduled, as in a DSLab-style discrete-event core. Jitter wider than
-//! the send period and Pareto tails reorder messages; a draw that
-//! saturates at `u64::MAX` is a message that never arrives, so the queue
-//! never schedules it.
+//! `Sim` (in ticks) and `Cluster` (in global steps) deliver block messages
+//! the same way: each message draws a [`LinkModel`] latency and waits in
+//! an [`EventQueue`] — earliest first, equal times in scheduling order, as
+//! in a DSLab-style discrete-event core — until its time comes. A draw
+//! that saturates at [`NEVER`] is a message that never arrives.
 
 use asynciter_numerics::rng::pareto;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// The time that never comes: an event due then is never scheduled.
 pub const NEVER: u64 = u64::MAX;
@@ -84,14 +80,15 @@ impl LinkModel {
 /// times in push order. A push due at [`NEVER`] is never scheduled.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
+    /// Keyed by `(due time, push count)`.
+    events: BTreeMap<(u64, u64), T>,
     pushed: u64,
 }
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            events: BTreeMap::new(),
             pushed: 0,
         }
     }
@@ -101,57 +98,25 @@ impl<T> EventQueue<T> {
     /// Schedules `event` at time `at`; an event due at [`NEVER`] is
     /// dropped.
     pub fn push(&mut self, at: u64, event: T) {
-        if at == NEVER {
-            return;
+        if at != NEVER {
+            self.pushed += 1;
+            self.events.insert((at, self.pushed), event);
         }
-        self.pushed += 1;
-        self.heap.push(Reverse(Entry {
-            at,
-            seq: self.pushed,
-            event,
-        }));
     }
 
     /// Removes and returns the earliest event with its time.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
+        self.events.pop_first().map(|((at, _), event)| (at, event))
     }
 
     /// Removes and returns the earliest event if it is due by `now`;
     /// later events stay queued.
     pub fn pop_due(&mut self, now: u64) -> Option<(u64, T)> {
-        if self.heap.peek()?.0.at > now {
+        let (&(at, _), _) = self.events.first_key_value()?;
+        if at > now {
             return None;
         }
         self.pop()
-    }
-}
-
-/// A queued event, ordered by `(at, seq)`; the payload takes no part.
-#[derive(Debug)]
-struct Entry<T> {
-    at: u64,
-    seq: u64,
-    event: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl<T> Eq for Entry<T> {}
-
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
