@@ -26,8 +26,8 @@
 //! - [`partition`] — component→machine maps shared by trace analysis and
 //!   the runtimes.
 //! - [`channel`] — the channel model under both discrete-event loops
-//!   (`Sim`, `Cluster`): the [`LinkModel`] latency distribution and the
-//!   time-ordered [`EventQueue`].
+//!   (`Sim`, `Cluster`): the [`channel::LinkModel`] latency distribution
+//!   and the time-ordered [`channel::EventQueue`].
 //! - [`trace_io`] — archive/replay serialisation for recorded traces.
 
 #![deny(missing_docs)]
@@ -47,7 +47,6 @@ pub mod schedule;
 pub mod trace;
 pub mod trace_io;
 
-pub use channel::{EventQueue, LinkModel};
 pub use conditions::{AdmissibilityWitness, DelayEnvelope};
 pub use error::ModelError;
 pub use partition::Partition;

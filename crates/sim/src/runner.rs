@@ -19,11 +19,11 @@
 //!
 //! Phase ends and message arrivals wait in one [`EventQueue`] — earliest
 //! tick first, equal ticks in scheduling order — and each message's
-//! latency is a [`LinkModel`] draw: the channel model `Cluster` delivers its mail
-//! with. Simulated time saturates at `u64::MAX`, a tick that never comes:
-//! a heavy-tailed draw that would pass it is a phase that never ends or a
-//! message that never arrives, which the queue never schedules, never an
-//! overflow.
+//! latency is a [`LinkModel`] draw: the channel model `Cluster` delivers
+//! its mail with. Simulated time saturates at `u64::MAX`, a tick that
+//! never comes: a heavy-tailed draw that would pass it is a phase that
+//! never ends or a message that never arrives, which the queue never
+//! schedules, never an overflow.
 //!
 //! Every buffer a phase needs — its read labels, one stage per inner
 //! iteration — is per processor and allocated at set-up; what a step
