@@ -32,8 +32,8 @@ impl LogisticRegression {
     /// Builds the objective.
     ///
     /// # Errors
-    /// Errors on dimension mismatch, labels outside `{−1, +1}`, or
-    /// nonpositive `λ`.
+    /// Errors on dimension mismatch, a non-finite entry of `a`, labels
+    /// outside `{−1, +1}`, or nonpositive `λ`.
     pub fn new(a: DenseMatrix, z: Vec<f64>, lambda: f64) -> crate::Result<Self> {
         if a.rows() != z.len() {
             return Err(OptError::DimensionMismatch {
@@ -46,6 +46,17 @@ impl LogisticRegression {
             return Err(OptError::InvalidParameter {
                 name: "z",
                 message: format!("label z[{h}] = {v} must be ±1"),
+            });
+        }
+        if let Some(k) = a.data().iter().position(|v| !v.is_finite()) {
+            return Err(OptError::InvalidParameter {
+                name: "a",
+                message: format!(
+                    "entry a[{}][{}] = {} must be finite",
+                    k / a.cols(),
+                    k % a.cols(),
+                    a.data()[k]
+                ),
             });
         }
         if lambda.is_nan() || lambda <= 0.0 {
@@ -269,11 +280,16 @@ impl SmoothObjective for LogisticRegression {
 ///
 /// The gradient couples every component through the data, so the
 /// per-sample weights `w_h = z_h σ(−z_h a_hᵀx)` are shared by all
-/// components: [`Operator::update_active_with`] computes them once into
-/// the caller-owned scratch (`scratch_len() == m`), making block updates
-/// `O(m·n)` instead of `O(|block|·m·n)` with **zero** per-step heap
-/// allocation. All evaluation paths are bit-identical to
-/// [`Operator::component`].
+/// components. Every scratch path makes **one** row-major pass over the
+/// data: per sample, `w_h`, then `g_i −= w_h a_hi` into one accumulator
+/// per evaluated component — `out` itself for
+/// [`Operator::apply_with`] (no scratch), the caller-owned scratch for
+/// [`Operator::update_active_with`] and [`Operator::residual_inf_with`]
+/// (`scratch_len() == n`). A block update is `O(m·n)` instead of
+/// `O(|block|·m·n)`, reads the data once, and allocates nothing. Each
+/// `g_i` is summed over `h = 0, 1, …, m−1` in order, exactly as in
+/// [`Operator::component`], so all evaluation paths are bit-identical
+/// to it.
 #[derive(Debug, Clone)]
 pub struct LogisticGradOperator {
     f: LogisticRegression,
@@ -292,7 +308,8 @@ impl LogisticGradOperator {
     pub fn new(f: LogisticRegression, gamma: f64) -> crate::Result<Self> {
         crate::proxgrad::validate_gamma(gamma, f.strong_convexity(), f.lipschitz())?;
         let coupling = f.max_norm_coupling();
-        if coupling >= f.lambda() {
+        // ±∞ data make the coupling ∞ − ∞ = NaN: that is not a certificate.
+        if coupling.is_nan() || coupling >= f.lambda() {
             return Err(OptError::InvalidProblem {
                 message: format!(
                     "logistic instance is not certifiably max-norm contractive: \
@@ -358,25 +375,35 @@ impl LogisticGradOperator {
         self.f.reference_solution(1e-12, 2_000_000)
     }
 
-    /// `w_h = z_h σ(−z_h a_hᵀ x)` for every sample, into `weights`.
+    /// The one row-major pass over the data that every scratch path
+    /// shares: for each sample `h` in order, the weight
+    /// `w_h = z_h σ(−z_h a_hᵀx)` and the row `a_h`. Each caller folds
+    /// `g_i −= w_h a_hi` into its accumulators, so every `g_i` sees the
+    /// same operations in the same order as [`Operator::component`].
     #[inline]
-    fn sample_weights(&self, x: &[f64], weights: &mut [f64]) {
-        for (h, w) in weights.iter_mut().enumerate() {
+    fn for_each_sample(&self, x: &[f64], mut f: impl FnMut(f64, &[f64])) {
+        for (h, &z) in self.f.z.iter().enumerate() {
             let row = self.f.a.row(h);
-            let margin = self.f.z[h] * asynciter_numerics::vecops::dot(row, x);
-            *w = self.f.z[h] * sigmoid(-margin);
+            let margin = z * asynciter_numerics::vecops::dot(row, x);
+            f(z * sigmoid(-margin), row);
         }
     }
 
-    /// `G_i(x)` from precomputed sample weights — the shared kernel of
-    /// every evaluation path (bit-identical across all of them).
+    /// `g_i = −Σ_h w_h a_hi` for every component, into `g`.
     #[inline]
-    fn component_from_weights(&self, i: usize, x: &[f64], weights: &[f64]) -> f64 {
-        let mut g = 0.0;
-        for (h, &w) in weights.iter().enumerate() {
-            g -= w * self.f.a.row(h)[i];
-        }
-        x[i] - self.gamma * (g / weights.len() as f64 + self.f.lambda * x[i])
+    fn gradient_sums(&self, x: &[f64], g: &mut [f64]) {
+        g.fill(0.0);
+        self.for_each_sample(x, |w, row| {
+            for (gi, &a) in g.iter_mut().zip(row) {
+                *gi -= w * a;
+            }
+        });
+    }
+
+    /// `G_i(x)` from the data sum `g = −Σ_h w_h a_hi`.
+    #[inline]
+    fn finish(&self, i: usize, x: &[f64], g: f64) -> f64 {
+        x[i] - self.gamma * (g / self.f.samples() as f64 + self.f.lambda * x[i])
     }
 }
 
@@ -398,7 +425,7 @@ impl Operator for LogisticGradOperator {
     }
 
     fn scratch_len(&self) -> usize {
-        self.f.samples()
+        self.dim()
     }
 
     fn update_active_with(
@@ -410,35 +437,39 @@ impl Operator for LogisticGradOperator {
     ) {
         assert_eq!(x.len(), self.dim(), "LogisticGradOperator: x dim");
         assert_eq!(out.len(), self.dim(), "LogisticGradOperator: out dim");
-        let weights = &mut scratch[..self.f.samples()];
-        self.sample_weights(x, weights);
-        for &i in active {
-            out[i] = self.component_from_weights(i, x, weights);
+        // One accumulator per entry of `active`.
+        let g = &mut scratch[..active.len()];
+        g.fill(0.0);
+        self.for_each_sample(x, |w, row| {
+            for (gk, &i) in g.iter_mut().zip(active) {
+                *gk -= w * row[i];
+            }
+        });
+        for (&gk, &i) in g.iter().zip(active) {
+            out[i] = self.finish(i, x, gk);
         }
     }
 
-    fn apply_with(&self, x: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+    fn apply_with(&self, x: &[f64], out: &mut [f64], _scratch: &mut [f64]) {
         assert_eq!(x.len(), self.dim(), "LogisticGradOperator: x dim");
         assert_eq!(out.len(), self.dim(), "LogisticGradOperator: out dim");
-        let weights = &mut scratch[..self.f.samples()];
-        self.sample_weights(x, weights);
+        self.gradient_sums(x, out);
         for (i, o) in out.iter_mut().enumerate() {
-            *o = self.component_from_weights(i, x, weights);
+            *o = self.finish(i, x, *o);
         }
     }
 
     fn apply(&self, x: &[f64], out: &mut [f64]) {
-        let mut scratch = vec![0.0; self.scratch_len()];
-        self.apply_with(x, out, &mut scratch);
+        self.apply_with(x, out, &mut []);
     }
 
     fn residual_inf_with(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
         assert_eq!(x.len(), self.dim(), "LogisticGradOperator: x dim");
-        let weights = &mut scratch[..self.f.samples()];
-        self.sample_weights(x, weights);
+        let g = &mut scratch[..self.dim()];
+        self.gradient_sums(x, g);
         let mut r = 0.0_f64;
-        for i in 0..self.dim() {
-            r = r.max((x[i] - self.component_from_weights(i, x, weights)).abs());
+        for (i, &gi) in g.iter().enumerate() {
+            r = r.max((x[i] - self.finish(i, x, gi)).abs());
         }
         r
     }
@@ -538,28 +569,70 @@ mod tests {
         assert!(LogisticGradOperator::new(strong, 1.1 * gmax).is_err());
     }
 
-    #[test]
-    fn grad_operator_paths_are_bit_identical() {
-        let op = certified();
-        let n = op.dim();
-        let mut rng = asynciter_numerics::rng::rng(3);
-        let x = asynciter_numerics::rng::normal_vec(&mut rng, n);
-        let mut scratch = vec![0.0; op.scratch_len()];
-        let mut via_update = vec![0.0; n];
-        let active: Vec<usize> = (0..n).collect();
-        op.update_active_with(&x, &active, &mut via_update, &mut scratch);
-        let mut via_apply = vec![0.0; n];
-        op.apply_with(&x, &mut via_apply, &mut scratch);
-        for i in 0..n {
-            let direct = op.component(i, &x);
-            assert_eq!(direct.to_bits(), via_update[i].to_bits(), "update i={i}");
-            assert_eq!(direct.to_bits(), via_apply[i].to_bits(), "apply i={i}");
+    /// A quiet NaN with a payload no arithmetic produces: an entry the
+    /// update must leave alone keeps exactly these bits.
+    const SENTINEL: u64 = 0x7ff8_dead_beef_0001;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// Every scratch path equals `component(i, x)` bit for bit: the
+        /// row-major pass sums each `g_i` over `h = 0, 1, …, m−1` in the
+        /// same order, so reordering the samples or rescaling the weights
+        /// shows here.
+        #[test]
+        fn grad_operator_scratch_paths_match_component_bitwise(seed in 0u64..1 << 32) {
+            use asynciter_numerics::rng;
+            let mut r = rng::rng(seed);
+            for (n, m) in [(6, 40), (8, 48), (128, 256)] {
+                let op = LogisticGradOperator::certified_random(n, m, 2.0, seed).unwrap();
+                let mut x = rng::normal_vec(&mut r, n);
+                let zeros = rng::sample_indices(&mut r, n, 2);
+                x[zeros[0]] = 0.0;
+                x[zeros[1]] = -0.0;
+                let want: Vec<f64> = (0..n).map(|i| op.component(i, &x)).collect();
+
+                let mut scratch = vec![0.0; op.scratch_len()];
+                for k in [1, n / 4, n] {
+                    let mut active = rng::sample_indices(&mut r, n, k);
+                    active.sort_unstable();
+                    let mut out = vec![f64::from_bits(SENTINEL); n];
+                    op.update_active_with(&x, &active, &mut out, &mut scratch);
+                    for i in 0..n {
+                        let expect = if active.contains(&i) { want[i].to_bits() } else { SENTINEL };
+                        assert_eq!(out[i].to_bits(), expect, "update n={n} |S|={k} i={i}");
+                    }
+                }
+
+                let mut via_with = vec![f64::from_bits(SENTINEL); n];
+                op.apply_with(&x, &mut via_with, &mut []);
+                let mut via_apply = vec![f64::from_bits(SENTINEL); n];
+                op.apply(&x, &mut via_apply);
+                for i in 0..n {
+                    assert_eq!(via_with[i].to_bits(), want[i].to_bits(), "apply_with n={n} i={i}");
+                    assert_eq!(via_apply[i].to_bits(), want[i].to_bits(), "apply n={n} i={i}");
+                }
+
+                let mut scratch = vec![f64::from_bits(SENTINEL); op.scratch_len()];
+                let residual = (0..n).fold(0.0_f64, |r, i| r.max((x[i] - want[i]).abs()));
+                let via_with = op.residual_inf_with(&x, &mut scratch);
+                assert_eq!(via_with.to_bits(), residual.to_bits(), "residual_inf_with n={n}");
+                assert_eq!(op.residual_inf(&x).to_bits(), residual.to_bits(), "residual_inf n={n}");
+            }
         }
-        // Residual paths agree bitwise too.
-        assert_eq!(
-            op.residual_inf(&x).to_bits(),
-            op.residual_inf_with(&x, &mut scratch).to_bits()
-        );
+    }
+
+    #[test]
+    fn non_finite_data_is_an_error_not_a_panic() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let a = DenseMatrix::from_vec(2, 2, vec![1.0, bad, 0.5, -1.0]).unwrap();
+            let built = LogisticRegression::new(a, vec![1.0, -1.0], 1.0)
+                .and_then(LogisticGradOperator::with_max_step);
+            assert!(
+                matches!(built, Err(OptError::InvalidParameter { name: "a", .. })),
+                "{bad}: {built:?}"
+            );
+        }
     }
 
     #[test]

@@ -59,6 +59,12 @@ pub(crate) fn validate_gamma(gamma: f64, mu: f64, l: f64) -> crate::Result<()> {
             message: format!("step size must be finite and positive, got {gamma}"),
         });
     }
+    if !(mu > 0.0 && l >= mu) {
+        return Err(OptError::InvalidParameter {
+            name: "mu/L",
+            message: format!("Theorem 1 needs curvature 0 < mu <= L, got mu = {mu}, L = {l}"),
+        });
+    }
     let gmax = gamma_max(mu, l);
     if gamma > gmax * (1.0 + 1e-12) {
         return Err(OptError::InvalidParameter {
@@ -473,6 +479,17 @@ mod tests {
     use crate::prox::{BoxConstraint, ZeroReg, L1};
     use crate::quadratic::{SeparableQuadratic, SparseQuadratic};
     use asynciter_numerics::vecops;
+
+    #[test]
+    fn curvature_outside_theorem_1_is_an_error_not_a_panic() {
+        for (mu, l) in [(f64::NAN, 1.0), (1.0, f64::NAN), (0.0, 1.0), (2.0, 1.0)] {
+            let err = validate_gamma(0.1, mu, l);
+            assert!(
+                matches!(err, Err(OptError::InvalidParameter { name: "mu/L", .. })),
+                "mu={mu} L={l}: {err:?}"
+            );
+        }
+    }
 
     fn sep_problem() -> SeparableProxGrad<SeparableQuadratic, L1> {
         let f = SeparableQuadratic::new(vec![1.0, 2.0, 4.0], vec![1.0, -2.0, 0.1]).unwrap();

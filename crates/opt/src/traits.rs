@@ -66,8 +66,9 @@ pub trait Operator: Sync {
     /// subexpressions). Engines allocate `vec![0.0; op.scratch_len()]`
     /// **once** per run/worker and thread it through every step, so the
     /// per-step paths stay heap-allocation-free even for operators with
-    /// dense shared state (e.g. the per-sample weights of
-    /// [`crate::logistic::LogisticGradOperator`]).
+    /// dense shared state (e.g. the `n` gradient accumulators that
+    /// [`crate::logistic::LogisticGradOperator`] fills in one pass over
+    /// its data).
     fn scratch_len(&self) -> usize {
         0
     }

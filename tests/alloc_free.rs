@@ -101,9 +101,24 @@ fn per_step_paths_allocate_nothing() {
     let sparse = canonical::lasso(canonical::Size::Quick).op;
 
     // Logistic regression via the certified gradient operator (dense
-    // data coupling: the scratch holds the per-sample weights).
+    // data coupling: one pass over the data per call, summing into `out`
+    // for `apply` and into one scratch accumulator per component for
+    // block updates and residuals).
     let logistic = LogisticGradOperator::certified_random(8, 48, 2.0, 3).unwrap();
-    assert!(logistic.scratch_len() > 0, "logistic shares sample weights");
+    assert_eq!(
+        logistic.scratch_len(),
+        logistic.dim(),
+        "logistic keeps one accumulator per component in scratch"
+    );
+    // Its plain `apply` needs no scratch at all, so it allocates nothing.
+    let x = vec![0.1; logistic.dim()];
+    let mut out = vec![0.0; logistic.dim()];
+    let allocs = count_allocs(|| {
+        for _ in 0..500 {
+            logistic.apply(&x, &mut out);
+        }
+    });
+    assert_eq!(allocs, 0, "logistic-grad apply: {allocs} heap allocations");
 
     // Network flow via the hub-grounded price relaxation.
     let flow = PriceRelaxation::new(NetworkFlowProblem::wheel(12, 5).unwrap(), 0).unwrap();
