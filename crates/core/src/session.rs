@@ -338,20 +338,30 @@ pub struct RunReport {
     pub final_residual: f64,
     /// True when a stopping rule (or residual target) fired early.
     pub stopped_early: bool,
-    /// Updates per worker (thread backends; empty otherwise).
+    /// Updates per worker: block updates per thread (`SharedMem`,
+    /// `ThreadedCluster`), sweeps per thread (`Barrier`), block updates
+    /// per shard owner (`Cluster`) and completed phases per processor
+    /// (`Sim`); empty for `Replay` and `Flexible`.
     pub per_worker_updates: Vec<u64>,
     /// Mid-phase partial publishes / partial sends (flexible
-    /// communication; 0 for backends without partials).
+    /// communication: `Flexible`, `SharedMem`, `Sim`, and the partial
+    /// exchanges of `Cluster` and `ThreadedCluster`; 0 for backends
+    /// without partials).
     pub partial_publishes: u64,
-    /// Reads that consumed (upgraded to) a published partial value
-    /// (flexible backend only; thread/sim backends apply partials
-    /// directly to shared or local state and report 0).
+    /// Values read out of a partial publish: reads that upgraded to a
+    /// published partial value (`Flexible`), or components applied out
+    /// of a partial message (`Cluster`, `ThreadedCluster`). `SharedMem`
+    /// and `Sim` apply partials straight to shared or local state and
+    /// report 0.
     pub partial_reads: u64,
-    /// Constraint-(3) checks performed (flexible backend with a known
-    /// fixed point; 0 elsewhere).
+    /// Checks performed: constraint (3) on each partial read (`Flexible`
+    /// with a known fixed point), or freshness on each received
+    /// component (`Cluster` and `ThreadedCluster` under
+    /// `ApplyPolicy::KeepFreshest`); 0 elsewhere.
     pub constraint_checked: u64,
-    /// Constraint-(3) violations observed — prevented (fallback to the
-    /// labelled value) when enforcement is on, merely counted otherwise.
+    /// Failed checks: constraint-(3) violations — prevented (fallback to
+    /// the labelled value) when enforcement is on, merely counted
+    /// otherwise — or received components discarded as stale.
     pub constraint_violations: u64,
     /// The recorded trace (when [`RecordMode`] keeps it).
     pub trace: Option<Trace>,

@@ -35,7 +35,8 @@
 //!   routing: `tests/applications.rs::bellman_ford_message_passing_hostile_channel`).
 //! - [`worker`] — the message-passing [`Worker`]: one shard owner's
 //!   receive → produce → post step, driven by the `cluster` event loop,
-//!   the `threaded` engine and the model checker's seam scopes alike.
+//!   the `threaded` engine, the model checker's seam scopes and
+//!   `asynciter-sim`'s discrete-event loop alike.
 //! - [`transport`] — the socket-ready [`transport::Transport`] /
 //!   [`transport::Endpoint`] seam: labelled block messages over
 //!   swappable channels, with an in-process mpsc mesh, the fate-driven

@@ -5,10 +5,13 @@
 //! best knowledge of everyone else, the producing-step label of every
 //! view entry, its operator scratch and its counters. It never decides
 //! *when* it runs or what happens to a message once posted — that is
-//! the scheduler's job, and three schedulers drive this same code:
+//! the scheduler's job, and four schedulers drive this same code:
 //!
 //! - [`crate::cluster::Cluster`] — round-robin turns, latency
 //!   mailboxes, one seeded stream (deterministic);
+//! - `asynciter-sim`'s `Sim` — simulated compute times and link
+//!   latencies, a phase numbered by [`Worker::stamp`] when it ends
+//!   (deterministic);
 //! - [`crate::threaded::ThreadedCluster`] — one OS thread per worker,
 //!   step numbers from a shared `SeqCst` counter, messages over a
 //!   [`crate::transport::Transport`];
@@ -225,10 +228,19 @@ impl Worker {
                 });
             }
             self.view[i] = v;
-            self.labels[i] = j;
         }
+        self.stamp(j);
         self.counters.updates += 1;
         Ok(())
+    }
+
+    /// Stamps the owned block with label `j`: the label half of
+    /// [`Worker::produce`], for a scheduler that numbers an update when
+    /// it completes rather than when it is computed.
+    pub fn stamp(&mut self, j: u64) {
+        for &i in &self.block {
+            self.labels[i] = j;
+        }
     }
 
     /// The exchange after an update: the owned block with its labels —

@@ -13,12 +13,13 @@
 //!
 //! Unlike the thread runtimes (which are real but nondeterministic), the
 //! simulator gives exact, reproducible timelines with real arithmetic:
-//! each simulated processor actually computes its block of the operator
-//! from its local (stale) copies, so simulated runs converge/diverge for
-//! real mathematical reasons. Its channel is the one `Cluster` uses
-//! (`asynciter_models::channel`: the `LinkModel` latency draw and the
-//! time-ordered `EventQueue`); only the compute-time models
-//! ([`compute`]) are its own.
+//! each simulated processor is an `asynciter_runtime::Worker` — the
+//! shard owner `Cluster` steps — that actually computes its block of the
+//! operator from its local (stale) view, so simulated runs
+//! converge/diverge for real mathematical reasons. Its channel is the
+//! one `Cluster` uses (`asynciter_models::channel`: the `LinkModel`
+//! latency draw and the time-ordered `EventQueue`); only the
+//! compute-time models ([`compute`]) and the timeline are its own.
 //!
 //! There is one door: `Session` → [`Sim`], which runs a [`SimConfig`]
 //! straight off the session's problem and controls into the shared

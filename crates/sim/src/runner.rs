@@ -1,21 +1,22 @@
 //! The discrete-event simulation loop.
 //!
-//! Each processor owns a block of components and keeps a *local copy* of
-//! the whole iterate (its knowledge of the others). An updating phase:
+//! Each processor is a [`Worker`]: it owns a block of components and a
+//! labelled *local view* of the whole iterate (its knowledge of the
+//! others). An updating phase:
 //!
-//! 1. captures the local copy at its **start** (the phase's input — this
-//!    is where staleness enters),
-//! 2. runs `inner_steps` iterations of the operator on the owned block
-//!    (off-block frozen), rejecting a non-finite iterate before anything
-//!    of the phase can leave the processor,
+//! 1. records the view's labels at its **start** (the phase's input —
+//!    this is where staleness enters),
+//! 2. runs `inner_steps` [`Worker::produce`] calls on the owned block
+//!    (off-block frozen); a non-finite inner iterate fails the run,
 //! 3. optionally sends `partial_sends` intermediate block values at
 //!    evenly spaced times inside the phase (flexible communication,
-//!    Fig. 2's hatched arrows),
+//!    Fig. 2's hatched arrows), each a [`Worker::post`] right after the
+//!    inner iteration it carries,
 //! 4. at its **end** is assigned the next global iteration number `j`
-//!    (completion order = the iteration order of Definition 1), writes
-//!    its block into the global iterate `x(j)`, and sends the final
-//!    values to every peer (Fig. 1's arrows), each arrival delayed by
-//!    the latency model.
+//!    (completion order = the iteration order of Definition 1),
+//!    [stamps](Worker::stamp) its block with `j`, writes it into the
+//!    global iterate `x(j)`, and sends the final values to every peer
+//!    (Fig. 1's arrows), each arrival delayed by the latency model.
 //!
 //! Phase ends and message arrivals wait in one [`EventQueue`] — earliest
 //! tick first, equal ticks in scheduling order — and each message's
@@ -25,18 +26,17 @@
 //! never ends or a message that never arrives, which the queue never
 //! schedules, never an overflow.
 //!
-//! Every buffer a phase needs — its read labels, one stage per inner
-//! iteration — is per processor and allocated at set-up; what a step
-//! allocates is one payload per message sent.
+//! Every buffer a phase needs is per processor and allocated at set-up;
+//! what a step allocates is one payload per message sent.
 //!
-//! Message arrivals update the receiver's local copy and its
-//! per-component *global-label* bookkeeping — the labels a phase reads at
-//! its start, which provably satisfy condition (a): they come from
-//! completions strictly before its own `j`. A receiver keeps the freshest
-//! value it has heard: messages are ordered by `(sender phase, stage)`, a
-//! phase's final values being its last stage, so a partial that arrives
-//! after a later partial or after its own phase's final is discarded.
-//! Each phase end is one step told to the `asynciter-core`
+//! Message arrivals go through [`Worker::receive`]; the labels a phase
+//! reads provably satisfy condition (a): they come from completions
+//! strictly before its own `j`. A receiver keeps the freshest value it
+//! has heard: a message carries its sender's whole block, ordered by
+//! `(sender phase, stage)`, a phase's final values being its last stage,
+//! so one that arrives after a fresher one from the same sender (a
+//! partial after a later partial or its own phase's final) is dropped
+//! whole. Each phase end is one step told to the `asynciter-core`
 //! [`Observer`], which streams Definition 2 over those labels, keeps the
 //! trace when asked, samples, and evaluates the stopping rule: the run
 //! ends at the phase that fires it exactly as it ends at its budget.
@@ -47,10 +47,11 @@ use crate::compute::ComputeModel;
 use crate::timeline::{Comm, CommKind, Phase, Timeline};
 use asynciter_core::observer::Observer;
 use asynciter_core::session::{Problem, RunControl, RunReport};
-use asynciter_core::CoreError;
+use asynciter_core::{CoreError, Result};
 use asynciter_models::channel::{EventQueue, LinkModel};
 use asynciter_models::partition::Partition;
 use asynciter_opt::traits::Operator;
+use asynciter_runtime::{ApplyPolicy, BlockMessage, RuntimeError, Worker};
 use rand::rngs::StdRng;
 
 /// The simulated machine: who owns what, how long phases and messages
@@ -104,7 +105,7 @@ impl SimConfig {
 
     /// Checks the configuration against a problem of dimension `n`,
     /// once, before the event loop.
-    fn check(&self, n: usize) -> asynciter_core::Result<()> {
+    fn check(&self, n: usize) -> Result<()> {
         let procs = self.partition.num_machines();
         for (expected, actual, context) in [
             (n, self.partition.n(), "Sim (partition)"),
@@ -136,90 +137,72 @@ pub(crate) const NAME: &str = "sim";
 enum Event {
     /// Phase of processor `p` completes.
     PhaseEnd { p: usize },
-    /// Values of `from`'s block, in block order, arrive at `to`.
+    /// `msg`, its sender's block, arrives at `to`.
     MsgArrive {
         to: usize,
-        from: usize,
-        values: Vec<f64>,
+        msg: BlockMessage,
         /// `(sender phase, stage)`: the values' freshness.
         fresh: (u64, usize),
-        global_label: u64,
     },
 }
 
 /// The state of one simulation: processors, event queue, timeline, the
-/// global iterate and the phase buffers, all allocated at set-up.
+/// global iterate and the phase bookkeeping, all allocated at set-up.
 struct Run<'a> {
     op: &'a dyn Operator,
     cfg: &'a SimConfig,
     rng: StdRng,
-    blocks: Vec<Vec<usize>>,
+    /// One shard owner per processor: block, view and label book.
+    workers: Vec<Worker>,
     /// The iterate `x(j)`: every owner's last completed block.
     x: Vec<f64>,
     /// Completed global iterations `j`.
     completed: u64,
-    // Per-processor state.
-    local: Vec<Vec<f64>>,
-    known_label: Vec<Vec<u64>>,
-    /// Freshest `(sender phase, stage)` applied per (proc, component),
-    /// for keep-freshest message application.
-    known_fresh: Vec<Vec<(u64, usize)>>,
+    /// Freshest `(sender phase, stage)` each processor applied per sender.
+    heard: Vec<Vec<(u64, usize)>>,
     phase_count: Vec<u64>,
     last_completed_j: Vec<u64>,
     /// `(start, end)` of each processor's phase in flight.
     in_flight: Vec<Option<(u64, u64)>>,
     /// The labels each processor's phase in flight read at its start.
     read_labels: Vec<Vec<u64>>,
-    /// Each processor's phase in flight, one block-long stage per inner
-    /// iteration: partial sends read the interior stages, the last is
-    /// the phase's final values.
-    stages: Vec<Vec<f64>>,
     queue: EventQueue<Event>,
     timeline: Timeline,
-    // Phase input copy, block output and operator scratch.
-    w: Vec<f64>,
-    upd: Vec<f64>,
-    scratch: Vec<f64>,
 }
 
 impl<'a> Run<'a> {
-    fn new(cfg: &'a SimConfig, problem: &'a Problem<'_>, seed: u64) -> Self {
+    fn new(cfg: &'a SimConfig, problem: &'a Problem<'_>, seed: u64) -> Result<Self> {
         let (op, n) = (problem.op, problem.n());
         let procs = cfg.partition.num_machines();
-        let blocks: Vec<Vec<usize>> = (0..procs).map(|p| cfg.partition.components_of(p)).collect();
-        Self {
+        // Whole blocks, due after every `produce`; `heard` keeps the freshest.
+        let policy = ApplyPolicy::AsReceived;
+        let workers = Worker::mesh(op, &problem.x0, &cfg.partition, policy, 1, 0.0)
+            .map_err(|e| worker_error(e, 0))?;
+        Ok(Self {
             op,
             cfg,
             rng: asynciter_numerics::rng::rng(seed),
-            stages: blocks
-                .iter()
-                .map(|b| vec![0.0; cfg.inner_steps * b.len()])
-                .collect(),
-            blocks,
+            workers,
             x: problem.x0.clone(),
             completed: 0,
-            local: vec![problem.x0.clone(); procs],
-            known_label: vec![vec![0; n]; procs],
-            known_fresh: vec![vec![(0, 0); n]; procs],
+            heard: vec![vec![(0, 0); procs]; procs],
             phase_count: vec![0; procs],
             last_completed_j: vec![0; procs],
             in_flight: vec![None; procs],
             read_labels: vec![vec![0; n]; procs],
             queue: EventQueue::default(),
             timeline: Timeline::new(procs),
-            w: vec![0.0; n],
-            upd: vec![0.0; n],
-            scratch: vec![0.0; op.scratch_len()],
-        }
+        })
     }
 
-    /// Sends stage `stage` of `p`'s phase to every peer at `send_t`,
-    /// drawing one latency per destination in destination order.
-    fn broadcast(&mut self, p: usize, send_t: u64, stage: usize, label: u64, kind: CommKind) {
+    /// Posts `p`'s block as stage `stage` of its phase to every peer at
+    /// `send_t`, drawing one latency per destination in destination
+    /// order. Peers before the last get a copy.
+    fn broadcast(&mut self, p: usize, send_t: u64, stage: usize, kind: CommKind) {
         let sender_phase = self.phase_count[p];
-        let len = self.blocks[p].len();
-        let values = &self.stages[p][stage * len..(stage + 1) * len];
-        for to in (0..self.blocks.len()).filter(|&to| to != p) {
+        let mut spare = self.workers[p].post(&mut self.rng);
+        let mut peers = self.workers[p].peers().peekable();
+        while let Some(to) = peers.next() {
             let recv_t = send_t.saturating_add(self.cfg.latency.sample(&mut self.rng));
             self.timeline.comms.push(Comm {
                 from: p,
@@ -229,91 +212,75 @@ impl<'a> Run<'a> {
                 sender_phase,
                 kind,
             });
-            let e = Event::MsgArrive {
-                to,
-                from: p,
-                values: values.to_vec(),
-                fresh: (sender_phase, stage),
-                global_label: label,
+            let msg = if peers.peek().is_some() {
+                spare.clone()
+            } else {
+                spare.take()
             };
-            self.queue.push(recv_t, e);
+            let msg = msg.expect("a worker with peers posts every update");
+            let fresh = (sender_phase, stage);
+            self.queue.push(recv_t, Event::MsgArrive { to, msg, fresh });
         }
     }
 
     /// Schedules the next phase of processor `p` starting at `t`: draws
-    /// its duration, computes it from the local copy *now* (stale for
+    /// its duration, computes it from the local view *now* (stale for
     /// everything updated later) and sends its partials.
-    fn schedule_phase(&mut self, p: usize, t: u64) -> asynciter_core::Result<()> {
+    fn schedule_phase(&mut self, p: usize, t: u64) -> Result<()> {
         self.phase_count[p] += 1;
         let k = self.phase_count[p];
         let dur = self.cfg.compute[p].duration(k, &mut self.rng);
         let end = t.saturating_add(dur);
-        self.w.copy_from_slice(&self.local[p]);
-        self.read_labels[p].copy_from_slice(&self.known_label[p]);
-        // Inner iterations on the owned block, each kept as a stage.
-        let (m, block) = (self.cfg.inner_steps, &self.blocks[p]);
-        let len = block.len();
-        for r in 0..m {
-            self.op
-                .update_active_with(&self.w, block, &mut self.upd, &mut self.scratch);
-            let stage = &mut self.stages[p][r * len..(r + 1) * len];
-            for (slot, &i) in stage.iter_mut().zip(block) {
-                if !self.upd[i].is_finite() {
-                    return Err(CoreError::NonFiniteIterate {
-                        at_step: self.completed + 1,
-                        component: i,
-                    });
-                }
-                self.w[i] = self.upd[i];
-                *slot = self.upd[i];
-            }
-        }
-        // Mid-phase partial sends at evenly spaced interior times,
-        // carrying the freshest intermediate stage available then.
-        // Partials are at least as fresh as the sender's last completed
-        // iteration.
+        self.read_labels[p].copy_from_slice(self.workers[p].labels());
+        // Mid-phase partial sends at evenly spaced interior times, each
+        // carrying the freshest inner iteration available then, posted
+        // right after it. The block keeps the sender's last completed
+        // iteration as its label until the phase ends.
+        let (m, label) = (self.cfg.inner_steps, self.last_completed_j[p]);
         let interior = m - 1;
         let sends = self.cfg.partial_sends.min(interior);
-        for s in 1..=sends {
-            let offset = u128::from(dur) * s as u128 / (sends as u128 + 1);
-            let send_t = t.saturating_add(offset as u64);
-            let stage = ((interior * s).div_ceil(sends + 1)).min(interior - 1);
-            let label = self.last_completed_j[p];
-            self.broadcast(p, send_t, stage, label, CommKind::Partial);
+        let stage = |s: usize| ((interior * s).div_ceil(sends + 1)).min(interior - 1);
+        let mut s = 1;
+        for r in 0..m {
+            self.workers[p]
+                .produce(self.op, label)
+                .map_err(|e| worker_error(e, self.completed + 1))?;
+            while s <= sends && stage(s) == r {
+                let offset = u128::from(dur) * s as u128 / (sends as u128 + 1);
+                self.broadcast(p, t.saturating_add(offset as u64), r, CommKind::Partial);
+                s += 1;
+            }
         }
         self.in_flight[p] = Some((t, end));
         self.queue.push(end, Event::PhaseEnd { p });
         Ok(())
     }
 
-    /// Applies values of `from`'s block arrived at `to` to `to`'s local
-    /// copy, keeping the freshest: a single owner per component means
-    /// `(sender phase, stage)` orders that component's values, and a
-    /// phase's final values are its last stage.
-    fn arrive(&mut self, to: usize, from: usize, values: &[f64], fresh: (u64, usize), label: u64) {
-        for (&c, &v) in self.blocks[from].iter().zip(values) {
-            if fresh >= self.known_fresh[to][c] {
-                self.known_fresh[to][c] = fresh;
-                self.local[to][c] = v;
-                self.known_label[to][c] = self.known_label[to][c].max(label);
-            }
+    /// Applies `msg` at `to` unless `to` applied a fresher one from the
+    /// same sender: one owner per component and whole blocks per message
+    /// mean `(sender phase, stage)` orders all a sender sends, and labels
+    /// never decrease, so applying the rest as received keeps the freshest.
+    fn arrive(&mut self, to: usize, msg: &BlockMessage, fresh: (u64, usize)) {
+        let heard = &mut self.heard[to][msg.from];
+        if fresh >= *heard {
+            *heard = fresh;
+            self.workers[to].receive(msg);
         }
     }
 
     /// Completes the phase of `p`: assigns it the next iteration number,
-    /// writes its block into `x(j)` and `p`'s own copy, and sends the
-    /// final values to all peers. Returns the phase's end.
+    /// stamps its block with it, writes the block into `x(j)`, and sends
+    /// the final values to all peers. Returns the phase's end. The view
+    /// still holds the last inner iteration: arrivals skip own blocks.
     fn end_phase(&mut self, p: usize) -> u64 {
         let (start, end) = self.in_flight[p].take().expect("phase in flight");
         self.completed += 1;
         let j = self.completed;
         self.last_completed_j[p] = j;
-        let last = self.cfg.inner_steps - 1;
-        let len = self.blocks[p].len();
-        for (&i, &v) in self.blocks[p].iter().zip(&self.stages[p][last * len..]) {
-            self.x[i] = v;
-            self.local[p][i] = v;
-            self.known_label[p][i] = j;
+        let worker = &mut self.workers[p];
+        worker.stamp(j);
+        for &i in worker.block() {
+            self.x[i] = worker.view()[i];
         }
         self.timeline.phases.push(Phase {
             proc: p,
@@ -323,8 +290,22 @@ impl<'a> Run<'a> {
         });
         // Condition (a) by construction: reads predate j.
         debug_assert!(self.read_labels[p].iter().all(|&l| l < j));
-        self.broadcast(p, end, last, j, CommKind::Full);
+        self.broadcast(p, end, self.cfg.inner_steps - 1, CommKind::Full);
         end
+    }
+}
+
+/// A [`Worker`] error as this backend's: a non-finite inner iterate fails
+/// step `at_step`; the rest, ruled out by the checks before, are opaque.
+fn worker_error(e: RuntimeError, at_step: u64) -> CoreError {
+    match e {
+        RuntimeError::NonFiniteIterate { component, .. } => {
+            CoreError::NonFiniteIterate { at_step, component }
+        }
+        e => CoreError::Backend {
+            backend: NAME,
+            message: e.to_string(),
+        },
     }
 }
 
@@ -334,13 +315,14 @@ pub(crate) fn run(
     cfg: &SimConfig,
     problem: &Problem<'_>,
     ctl: &RunControl<'_>,
-) -> asynciter_core::Result<(RunReport, Timeline)> {
+) -> Result<(RunReport, Timeline)> {
     ctl.check(problem)?;
     cfg.check(problem.n())?;
     let start = std::time::Instant::now();
-    let mut run = Run::new(cfg, problem, ctl.seed.unwrap_or(cfg.seed));
+    let mut run = Run::new(cfg, problem, ctl.seed.unwrap_or(cfg.seed))?;
     let mut observer = Observer::new(problem, ctl);
-    let procs = run.blocks.len();
+    let mut scratch = vec![0.0; problem.op.scratch_len()];
+    let procs = run.workers.len();
     for p in 0..procs {
         run.schedule_phase(p, 0)?;
     }
@@ -348,18 +330,12 @@ pub(crate) fn run(
     while let Some((t, event)) = run.queue.pop() {
         now = t;
         match event {
-            Event::MsgArrive {
-                to,
-                from,
-                values,
-                fresh,
-                global_label,
-            } => run.arrive(to, from, &values, fresh, global_label),
+            Event::MsgArrive { to, msg, fresh } => run.arrive(to, &msg, fresh),
             Event::PhaseEnd { p } => {
                 let end = run.end_phase(p);
-                let (j, block) = (run.completed, &run.blocks[p]);
+                let (j, block) = (run.completed, run.workers[p].block());
                 let read = &run.read_labels[p];
-                if observer.step(j, block, read, &run.x, &mut run.scratch) || j == ctl.max_steps {
+                if observer.step(j, block, read, &run.x, &mut scratch) || j == ctl.max_steps {
                     break;
                 }
                 run.schedule_phase(p, end)?;
@@ -419,7 +395,7 @@ pub(crate) mod tests {
         cfg: &SimConfig,
         steps: u64,
         (xstar, error_every): (Option<&[f64]>, u64),
-    ) -> asynciter_core::Result<(RunReport, Timeline)> {
+    ) -> Result<(RunReport, Timeline)> {
         let problem = Problem {
             op,
             x0: x0.to_vec(),
@@ -505,19 +481,24 @@ pub(crate) mod tests {
         };
         let mut cfg = base_cfg(8, 2);
         (cfg.inner_steps, cfg.partial_sends) = (3, 2);
-        let mut run = Run::new(&cfg, &problem, 0);
-        let heard = |run: &Run<'_>| (run.local[1][0], run.known_label[1][0]);
+        let mut run = Run::new(&cfg, &problem, 0).unwrap();
+        let block = |v: f64, label: u64| BlockMessage {
+            from: 0,
+            comps: (0..4).map(|c| (c, v, label)).collect(),
+            partial: false,
+        };
+        let heard = |run: &Run<'_>| (run.workers[1].view()[0], run.workers[1].labels()[0]);
         // The final of phase 2 (step 5), then a partial of phase 2 sent
         // before it, carrying the sender's last step, 3.
-        run.arrive(1, 0, &[2.0; 4], (2, 2), 5);
-        run.arrive(1, 0, &[1.5; 4], (2, 1), 3);
+        run.arrive(1, &block(2.0, 5), (2, 2));
+        run.arrive(1, &block(1.5, 3), (2, 1));
         assert_eq!(heard(&run), (2.0, 5), "F(k) then P_k");
         // Phase 3's second partial, then its first.
-        run.arrive(1, 0, &[3.5; 4], (3, 1), 5);
-        run.arrive(1, 0, &[3.0; 4], (3, 0), 5);
+        run.arrive(1, &block(3.5, 5), (3, 1));
+        run.arrive(1, &block(3.0, 5), (3, 0));
         assert_eq!(heard(&run), (3.5, 5), "P_k^2 then P_k^1");
         // A later phase's first partial is fresher than all of them.
-        run.arrive(1, 0, &[4.0; 4], (4, 0), 6);
+        run.arrive(1, &block(4.0, 6), (4, 0));
         assert_eq!(heard(&run), (4.0, 6));
     }
 

@@ -217,11 +217,12 @@ fn unrecorded_cluster_session_allocates_only_set_up() {
 
 #[test]
 fn unrecorded_sim_session_allocates_only_set_up() {
-    // The simulator's phase buffers (read labels, inner-iteration stages)
-    // are per processor and allocated at set-up: 33 allocations on one
-    // processor, where a phase allocated three (3 038). What two
-    // processors add is the payload of each message sent, one per phase
-    // end: 1 047, where it was 4 054.
+    // Each simulated processor is a `runtime::Worker` (view, label book,
+    // block output and operator scratch) plus its read labels, all
+    // allocated at set-up: 28 allocations on one processor, where a
+    // phase allocated three (3 038). What two processors add is the
+    // payload of each message sent, one per phase end: 1 042, where it
+    // was 4 054.
     use asynciter::prelude::*;
     let system = asynciter::numerics::sparse::tridiagonal(8, 4.0, -1.0);
     let op = asynciter::opt::linear::JacobiOperator::new(system, vec![1.0; 8]).unwrap();

@@ -545,6 +545,15 @@ fn recording_never_changes_an_iterate_bit() {
         assert!(off.trace.is_none() && off.macro_iterations > 0);
         let has_partials = matches!(backend, "flexible" | "cluster");
         assert_eq!(off.partial_reads > 0, has_partials, "{backend}");
+        // Constraint (3) is checked only by `Flexible` with a known fixed
+        // point: this `Cluster` applies as received, checking nothing.
+        assert_eq!(
+            off.constraint_checked > 0,
+            backend == "flexible",
+            "{backend}"
+        );
+        let per_worker = matches!(backend, "sim" | "cluster" | "threaded-cluster");
+        assert_eq!(!off.per_worker_updates.is_empty(), per_worker, "{backend}");
         assert_eq!(off.sim_time.is_some(), backend == "sim");
         let has_channel = matches!(backend, "cluster" | "threaded-cluster");
         assert_eq!(off.channel.is_some(), has_channel, "{backend}");
