@@ -30,6 +30,12 @@ pub enum CoreError {
         /// Offending component.
         component: usize,
     },
+    /// A worker thread of a racing backend panicked; its peers were
+    /// stopped and the run returns this instead of a report.
+    WorkerPanicked {
+        /// Index of the worker that panicked.
+        worker: usize,
+    },
     /// A session backend failed or was asked for something it cannot do.
     Backend {
         /// Backend name.
@@ -58,6 +64,7 @@ impl fmt::Display for CoreError {
                 f,
                 "iterate became non-finite at step {at_step}, component {component}"
             ),
+            CoreError::WorkerPanicked { worker } => write!(f, "worker {worker} panicked"),
             CoreError::Backend { backend, message } => {
                 write!(f, "backend `{backend}`: {message}")
             }
@@ -93,6 +100,8 @@ mod tests {
         };
         assert!(e.to_string().contains("step 4"));
         assert!(e.source().is_none());
+        let e = CoreError::WorkerPanicked { worker: 3 };
+        assert!(e.to_string().contains("worker 3"));
         let m: CoreError = asynciter_models::ModelError::EmptyTrace.into();
         assert!(m.source().is_some());
     }

@@ -14,14 +14,14 @@
 //! it drew `j`, so all recorded labels are `≤ j − 1`: the emitted trace
 //! satisfies condition (a) by construction.
 
-use crate::error::RuntimeError;
 use crate::imbalance::spin;
 use crate::race::{Lane, Race};
-use crate::session::{resolve_partition, to_core};
+use crate::session::resolve_partition;
 use crate::shared::{worker_blocks, SharedVec};
 use crate::termination::Quiesce;
 use crate::worker::check_positive;
 use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
+use asynciter_core::CoreError;
 use asynciter_models::partition::Partition;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -86,22 +86,20 @@ impl Default for SharedMem {
     }
 }
 
-impl SharedMem {
-    /// Runs the asynchronous iteration with `self.threads` free-running
-    /// workers — [`Backend::run`] with the failure still typed.
-    ///
-    /// # Errors
-    /// Unsupported controls, dimension/parameter validation failures, a
-    /// non-finite iterate (operator divergence) or a panicking operator.
-    pub fn run_typed(
-        &self,
+impl Backend for SharedMem {
+    fn name(&self) -> &'static str {
+        NAME
+    }
+
+    fn run(
+        &mut self,
         problem: &Problem<'_>,
-        ctl: &RunControl<'_>,
-    ) -> crate::Result<RunReport> {
+        ctl: &mut RunControl<'_>,
+    ) -> asynciter_core::Result<RunReport> {
         ctl.reject_schedule(NAME, "free-running workers generate their own")?;
         let race = Race::open(NAME, "the shared-memory runner", problem, ctl, self.quiesce)?;
         let (op, n) = (problem.op, problem.n());
-        let partition = resolve_partition(NAME, &self.partition, n, self.threads)?;
+        let partition = resolve_partition("threads", &self.partition, n, self.threads)?;
         let blocks = worker_blocks(n, &partition, self.threads, &self.spin)?;
         check_positive(&[
             ("inner_steps", self.inner_steps as u64),
@@ -144,7 +142,7 @@ impl SharedMem {
                     op.update_active_with(&vals, block, &mut upd, &mut scratch);
                     for &i in block {
                         if !upd[i].is_finite() {
-                            return Err(RuntimeError::NonFiniteIterate {
+                            return Err(CoreError::NonFiniteIterate {
                                 at_step: lane.now() + 1,
                                 component: i,
                             });
@@ -193,20 +191,6 @@ impl SharedMem {
             partial_publishes: partial_publishes.load(Ordering::Relaxed),
             ..race.close(NAME, op, final_x, finish, |w| &blocks[w])
         })
-    }
-}
-
-impl Backend for SharedMem {
-    fn name(&self) -> &'static str {
-        NAME
-    }
-
-    fn run(
-        &mut self,
-        problem: &Problem<'_>,
-        ctl: &mut RunControl<'_>,
-    ) -> asynciter_core::Result<RunReport> {
-        self.run_typed(problem, ctl).map_err(|e| to_core(NAME, e))
     }
 }
 
@@ -419,9 +403,7 @@ mod tests {
     #[test]
     fn a_failing_worker_stops_its_healthy_peers() {
         // A NaN block must also never reach the shared vector.
-        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(|problem, ctl| {
-            shared_mem(2).run_typed(problem, ctl).unwrap_err()
-        });
+        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(shared_mem(2), None);
     }
 
     #[test]

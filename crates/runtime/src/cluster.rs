@@ -63,14 +63,14 @@
 //!
 //! [`Partition`]: asynciter_models::partition::Partition
 
-use crate::error::RuntimeError;
-use crate::session::{recorded, resolve_partition, to_core};
+use crate::session::{recorded, resolve_partition};
 use crate::transport::{BlockMessage, Exit, FaultRouter, SendFate};
 use crate::worker::{check_probabilities, Worker};
 use asynciter_core::observer::Observer;
 pub use asynciter_core::session::ClusterStats;
 use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
 use asynciter_core::stopping::StoppingRule;
+use asynciter_core::{CoreError, Result};
 use asynciter_models::channel::{EventQueue, LinkModel};
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
@@ -175,7 +175,7 @@ impl Cluster {
         problem: &Problem<'_>,
         ctl: &RunControl<'_>,
         sever_component: Option<usize>,
-    ) -> crate::Result<RunReport> {
+    ) -> Result<RunReport> {
         ctl.reject_schedule(
             NAME,
             "the cluster's schedule emerges from its channel model; record it and replay \
@@ -183,10 +183,10 @@ impl Cluster {
         )?;
         ctl.check(problem)?;
         let (op, n) = (problem.op, problem.n());
-        let partition = resolve_partition(NAME, &self.partition, n, self.workers)?;
+        let partition = resolve_partition("workers", &self.partition, n, self.workers)?;
         self.link
             .validate()
-            .map_err(|message| RuntimeError::InvalidParameter {
+            .map_err(|message| CoreError::InvalidParameter {
                 name: "link",
                 message,
             })?;
@@ -196,7 +196,7 @@ impl Cluster {
             ("dup_prob", self.dup_prob),
         ])?;
         if let Some(sc) = sever_component.filter(|&sc| sc >= n) {
-            return Err(RuntimeError::InvalidParameter {
+            return Err(CoreError::InvalidParameter {
                 name: "sever_component",
                 message: format!("component {sc} out of range for dim {n}"),
             });
@@ -311,13 +311,8 @@ impl Backend for Cluster {
         NAME
     }
 
-    fn run(
-        &mut self,
-        problem: &Problem<'_>,
-        ctl: &mut RunControl<'_>,
-    ) -> asynciter_core::Result<RunReport> {
+    fn run(&mut self, problem: &Problem<'_>, ctl: &mut RunControl<'_>) -> Result<RunReport> {
         self.run_severed(problem, ctl, None)
-            .map_err(|e| to_core(NAME, e))
     }
 }
 
@@ -513,7 +508,7 @@ impl ClusterEngine {
         partition: &Partition,
         cfg: &ClusterConfig,
         xstar: Option<&[f64]>,
-    ) -> crate::Result<ClusterRunResult> {
+    ) -> Result<ClusterRunResult> {
         let problem = Problem {
             op,
             x0: x0.to_vec(),

@@ -13,10 +13,10 @@
 //!   the `SeqCst` step ticket whose total order is the trace
 //!   linearisation, the stop / converged flags, the per-worker step log,
 //!   the residual-target and quiescence checks after a step, the scoped
-//!   spawn / join that turns a worker's error or panic into the run's
-//!   [`RuntimeError`], and the one closing — a walk of the log in ticket
-//!   order that counts Definition 2 and builds the dense
-//!   [`asynciter_models::Trace`] only when one is kept.
+//!   spawn / join that returns a worker's error as the run's and its
+//!   panic as [`CoreError::WorkerPanicked`], and the one closing — a
+//!   walk of the log in ticket order that counts Definition 2 and builds
+//!   the dense [`asynciter_models::Trace`] only when one is kept.
 //! - [`async_engine`] — the [`SharedMem`] backend, the shared-memory
 //!   step body on that harness: free-running workers updating their
 //!   blocks without any synchronisation; optional inner iterations with
@@ -57,6 +57,13 @@
 //!   heterogeneous processors.
 //! - [`session`] — the one path under which all four backends are
 //!   importable, and what their doors share.
+//!
+//! Every fallible function here returns [`asynciter_core::Result`]: a
+//! fault is typed where it arises, so a session gets the same
+//! [`CoreError`] variant for it whichever backend it names.
+//!
+//! [`CoreError`]: asynciter_core::CoreError
+//! [`CoreError::WorkerPanicked`]: asynciter_core::CoreError::WorkerPanicked
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -65,7 +72,6 @@
 
 pub mod async_engine;
 pub mod cluster;
-pub mod error;
 pub mod imbalance;
 mod race;
 pub mod scratch;
@@ -82,7 +88,6 @@ pub use async_engine::SnapshotMode;
 /// standalone benchmark.
 pub use asynciter_models::channel::LinkModel;
 pub use cluster::{ApplyPolicy, ClusterConfig, ClusterEngine, ClusterRunResult, ClusterStats};
-pub use error::RuntimeError;
 pub use scratch::{PoolStats, ScratchLease, ScratchPool};
 pub use session::{Barrier, Cluster, SharedMem, ThreadedCluster};
 pub use shared::SharedVec;
@@ -93,6 +98,3 @@ pub use transport::{
     BlockMessage, Endpoint, FaultEndpoint, FaultPlan, MpscTransport, SendFate, Transport,
 };
 pub use worker::{Worker, WorkerCounters};
-
-/// Convenience result alias for this crate.
-pub type Result<T> = std::result::Result<T, RuntimeError>;

@@ -19,9 +19,9 @@
 //! asks which one it serves. [`crate::sync_engine`] borrows the opening,
 //! the flags and the join without drawing a ticket.
 
-use crate::error::RuntimeError;
 use crate::termination::{Quiesce, QuiescenceDetector, QuiescenceTracker};
 use asynciter_core::session::{Problem, RecordMode, RunControl, RunReport};
+use asynciter_core::{CoreError, Result};
 use asynciter_models::macroiter::OnlineMacroTracker;
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_opt::traits::Operator;
@@ -162,13 +162,13 @@ impl Race {
         problem: &Problem<'_>,
         ctl: &RunControl<'_>,
         quiesce: Option<Quiesce>,
-    ) -> crate::Result<Self> {
+    ) -> Result<Self> {
         ctl.check(problem)?;
         ctl.reject_sampling(backend)?;
         let target = ctl.residual_target(backend, onto)?;
         // `QuiescenceTracker::new` asserts this: unreachable from a config.
         if let Some(q) = quiesce.filter(|q| q.eps.is_nan() || q.eps < 0.0 || q.streak == 0) {
-            return Err(RuntimeError::InvalidParameter {
+            return Err(CoreError::InvalidParameter {
                 name: "quiesce",
                 message: format!("requires eps >= 0 and streak > 0, got {q:?}"),
             });
@@ -196,12 +196,12 @@ impl Race {
     ///
     /// # Errors
     /// The first (by worker index) step-body error, a panicking body
-    /// being [`RuntimeError::WorkerPanicked`]; either stops every peer.
+    /// being [`CoreError::WorkerPanicked`]; either stops every peer.
     pub fn run<S: Send, T: Send>(
         &self,
         seats: Vec<S>,
-        body: impl Fn(&mut Lane<'_>, S) -> crate::Result<T> + Sync,
-    ) -> crate::Result<(Vec<T>, Finish)> {
+        body: impl Fn(&mut Lane<'_>, S) -> Result<T> + Sync,
+    ) -> Result<(Vec<T>, Finish)> {
         let detector = self.quiesce.map(|_| QuiescenceDetector::new(seats.len()));
         let lane = |worker| Lane {
             race: self,
@@ -214,7 +214,7 @@ impl Race {
         let mut lanes: Vec<Lane<'_>> = (0..seats.len()).map(lane).collect();
         let start = Instant::now();
         // Every handle is joined: no panic unwinds through the scope.
-        let joined: Vec<crate::Result<T>> = std::thread::scope(|scope| {
+        let joined: Vec<Result<T>> = std::thread::scope(|scope| {
             let spawn = |(lane, seat)| {
                 let body = &body;
                 scope.spawn(move || {
@@ -225,7 +225,7 @@ impl Race {
             let handles: Vec<_> = lanes.iter_mut().zip(seats).map(spawn).collect();
             let join = |(worker, h): (usize, std::thread::ScopedJoinHandle<'_, _>)| {
                 h.join()
-                    .unwrap_or(Err(RuntimeError::WorkerPanicked { worker }))
+                    .unwrap_or(Err(CoreError::WorkerPanicked { worker }))
             };
             handles.into_iter().enumerate().map(join).collect()
         });
@@ -235,7 +235,7 @@ impl Race {
             per_worker_updates: lanes.iter().map(|lane| lane.updates).collect(),
             log: lanes.into_iter().flat_map(|lane| lane.log).collect(),
         };
-        Ok((joined.into_iter().collect::<crate::Result<_>>()?, finish))
+        Ok((joined.into_iter().collect::<Result<_>>()?, finish))
     }
 
     /// The closing of a ticketed race: the report of `final_x`, filled
@@ -282,6 +282,8 @@ impl Race {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use asynciter_core::session::{Backend, Session};
+    use asynciter_core::stopping::StoppingRule;
     use asynciter_models::conditions::check_condition_a;
 
     /// Halves worker 0's block `{0, 1}`; worker 1's block `{2, 3}` is
@@ -321,25 +323,32 @@ pub(crate) mod tests {
         }
     }
 
-    /// Drives `run` (an engine over 4 components in 2 blocks, handed a
-    /// plain run from `[1.0; 4]` with a practically unbounded budget)
-    /// with an operator that is healthy on worker 0's block and fails on
-    /// worker 1's — by going NaN, then by panicking: the healthy peer
-    /// must be stopped and the failure returned as its typed error.
+    /// Runs `backend` (an engine over 4 components in 2 blocks) through
+    /// a `Session` from `[1.0; 4]` with a practically unbounded budget,
+    /// under `stopping` if given, with an operator that is healthy on
+    /// worker 0's block and fails on worker 1's — by going NaN, then by
+    /// panicking: the healthy peer must be stopped and the failure
+    /// returned as its typed error.
     pub(crate) fn check_a_failing_worker_stops_its_healthy_peers(
-        run: impl Fn(&Problem<'_>, &mut RunControl<'_>) -> RuntimeError,
+        backend: impl Backend + Clone,
+        stopping: Option<StoppingRule>,
     ) {
         let run = |fail: fn() -> f64| {
             let op = UpperBlock(fail);
-            run(&problem(&op), &mut plain(u64::MAX, RecordMode::Off))
+            let session = Session::new(&op).x0(vec![1.0; 4]).steps(u64::MAX);
+            let session = match stopping.clone() {
+                Some(rule) => session.stopping(rule),
+                None => session,
+            };
+            session.backend(backend.clone()).run().unwrap_err()
         };
         let err = run(|| f64::NAN);
         assert!(
-            matches!(err, RuntimeError::NonFiniteIterate { component: 2, .. }),
+            matches!(err, CoreError::NonFiniteIterate { component: 2, .. }),
             "{err:?}"
         );
         let err = run(|| panic!("operator bug on worker 1's block"));
-        assert_eq!(err, RuntimeError::WorkerPanicked { worker: 1 });
+        assert_eq!(err, CoreError::WorkerPanicked { worker: 1 });
     }
 
     #[test]

@@ -18,44 +18,37 @@ pub use crate::cluster::Cluster;
 pub use crate::sync_engine::Barrier;
 pub use crate::threaded::ThreadedCluster;
 use asynciter_core::session::RecordMode;
-use asynciter_core::CoreError;
+use asynciter_core::{CoreError, Result};
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::LabelStore;
 
-pub(crate) fn to_core(backend: &'static str, e: crate::RuntimeError) -> CoreError {
-    match e {
-        crate::RuntimeError::Control(e) => e,
-        e => CoreError::Backend {
-            backend,
-            message: e.to_string(),
-        },
-    }
-}
-
 /// The backend's component→worker map: `explicit`, or `n` components
 /// in `workers` contiguous equal blocks — one machine per worker either
-/// way.
+/// way. `field` names the backend's worker count (`workers` or
+/// `threads`), which a count that cannot own the map is reported on.
 pub(crate) fn resolve_partition(
-    backend: &'static str,
+    field: &'static str,
     explicit: &Option<Partition>,
     n: usize,
     workers: usize,
-) -> crate::Result<Partition> {
+) -> Result<Partition> {
+    let invalid = |message| CoreError::InvalidParameter {
+        name: field,
+        message,
+    };
     let partition = match explicit {
         Some(p) => p.clone(),
-        None => Partition::blocks(n, workers).map_err(|e| CoreError::Backend {
-            backend,
-            message: format!("cannot partition {n} components over {workers} workers: {e}"),
+        None => Partition::blocks(n, workers).map_err(|e| {
+            invalid(format!(
+                "cannot split {n} components into {workers} blocks: {e}"
+            ))
         })?,
     };
     if partition.num_machines() != workers {
-        return Err(crate::RuntimeError::InvalidParameter {
-            name: "workers",
-            message: format!(
-                "partition has {} machines but workers = {workers}",
-                partition.num_machines()
-            ),
-        });
+        return Err(invalid(format!(
+            "partition has {} machines but {field} = {workers}",
+            partition.num_machines()
+        )));
     }
     Ok(partition)
 }
@@ -338,7 +331,16 @@ mod tests {
             ..cluster
         };
         let err = Session::new(&op).backend(mismatched).run().unwrap_err();
-        assert!(err.to_string().contains("workers = 4"), "{err}");
+        assert!(
+            matches!(
+                err,
+                CoreError::InvalidParameter {
+                    name: "workers",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -433,7 +435,16 @@ mod tests {
             ..ThreadedCluster::default()
         };
         let err = Session::new(&op).backend(mismatched).run().unwrap_err();
-        assert!(err.to_string().contains("workers = 3"), "{err}");
+        assert!(
+            matches!(
+                err,
+                CoreError::InvalidParameter {
+                    name: "workers",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

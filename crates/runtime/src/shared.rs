@@ -17,7 +17,7 @@
 //! delays conservative (condition (a) is preserved by construction; see
 //! `async_engine`).
 
-use crate::error::RuntimeError;
+use asynciter_core::{CoreError, Result};
 use asynciter_models::partition::Partition;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,17 +31,17 @@ pub(crate) fn worker_blocks(
     partition: &Partition,
     workers: usize,
     spin: &[u64],
-) -> crate::Result<Vec<Vec<usize>>> {
+) -> Result<Vec<Vec<usize>>> {
     if partition.n() != n {
-        return Err(RuntimeError::DimensionMismatch {
+        return Err(CoreError::DimensionMismatch {
             expected: n,
             actual: partition.n(),
             context: "shared-memory run (partition)",
         });
     }
     if !spin.is_empty() && spin.len() != workers {
-        return Err(RuntimeError::InvalidParameter {
-            name: "spin_per_update",
+        return Err(CoreError::InvalidParameter {
+            name: "spin",
             message: "must be empty or one entry per worker".into(),
         });
     }

@@ -12,12 +12,12 @@
 //! join only: a worker that fails or panics releases the peers waiting
 //! for it at the barrier and is the run's typed error.
 
-use crate::error::RuntimeError;
 use crate::imbalance::spin;
 use crate::race::{Lane, Race};
-use crate::session::{resolve_partition, to_core};
+use crate::session::resolve_partition;
 use crate::shared::{worker_blocks, SharedVec};
 use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
+use asynciter_core::CoreError;
 use asynciter_models::partition::Partition;
 use asynciter_models::schedule::{record, SyncJacobi};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -109,25 +109,23 @@ impl Default for Barrier {
     }
 }
 
-impl Barrier {
-    /// Runs barrier-synchronous Jacobi sweeps with `self.threads`
-    /// workers — [`Backend::run`] with the failure still typed.
-    ///
-    /// # Errors
-    /// Unsupported controls, dimension/parameter validation failures, a
-    /// non-finite iterate (operator divergence) or a panicking operator.
-    pub fn run_typed(
-        &self,
+impl Backend for Barrier {
+    fn name(&self) -> &'static str {
+        NAME
+    }
+
+    fn run(
+        &mut self,
         problem: &Problem<'_>,
-        ctl: &RunControl<'_>,
-    ) -> crate::Result<RunReport> {
+        ctl: &mut RunControl<'_>,
+    ) -> asynciter_core::Result<RunReport> {
         ctl.reject_schedule(NAME, "sweeps are synchronous by construction")?;
         // Sweeps draw no tickets: the race lends its opening, its stop and
         // converged flags and the join that types a failure.
         let onto = "the barrier runner's sweep-change target";
         let race = Race::open(NAME, onto, problem, ctl, None)?;
         let (op, n) = (problem.op, problem.n());
-        let partition = resolve_partition(NAME, &self.partition, n, self.threads)?;
+        let partition = resolve_partition("threads", &self.partition, n, self.threads)?;
         let blocks = worker_blocks(n, &partition, self.threads, &self.spin)?;
         let budget = ctl.max_steps;
 
@@ -156,7 +154,7 @@ impl Barrier {
                 // Nothing non-finite is ever written: `f64::max` would
                 // drop a NaN from the sweep change and the residual.
                 if let Some(&i) = block.iter().find(|&&i| !upd[i].is_finite()) {
-                    return Err(RuntimeError::NonFiniteIterate {
+                    return Err(CoreError::NonFiniteIterate {
                         at_step: t + 1,
                         component: i,
                     });
@@ -204,20 +202,6 @@ impl Barrier {
             wall: finish.wall,
             ..RunReport::new(NAME, final_x, sweeps, final_residual)
         })
-    }
-}
-
-impl Backend for Barrier {
-    fn name(&self) -> &'static str {
-        NAME
-    }
-
-    fn run(
-        &mut self,
-        problem: &Problem<'_>,
-        ctl: &mut RunControl<'_>,
-    ) -> asynciter_core::Result<RunReport> {
-        self.run_typed(problem, ctl).map_err(|e| to_core(NAME, e))
     }
 }
 
@@ -362,10 +346,8 @@ mod tests {
         // Before the block check, the NaN run *converged*: `f64::max`
         // drops NaN from the sweep change, which the healthy block takes
         // under the target; the panic left worker 0 at the barrier.
-        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(|problem, ctl| {
-            ctl.stopping = Some(change_target(1e-9));
-            barrier(2).run_typed(problem, ctl).unwrap_err()
-        });
+        let target = Some(change_target(1e-9));
+        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(barrier(2), target);
     }
 
     #[test]

@@ -49,12 +49,13 @@
 
 use crate::cluster::{ApplyPolicy, ClusterStats};
 use crate::race::{Lane, Race};
-use crate::session::{recorded, resolve_partition, to_core};
+use crate::session::{recorded, resolve_partition};
 pub use crate::termination::Quiesce;
 use crate::transport::{Endpoint, FaultEndpoint, FaultPlan, MpscTransport, SendStats, Transport};
 use crate::worker::{check_probabilities, Worker};
 use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
 use asynciter_core::stopping::StoppingRule;
+use asynciter_core::Result;
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::{LabelStore, Trace};
 use asynciter_numerics::rng::rng;
@@ -137,8 +138,8 @@ fn substream(seed: u64, worker: u64, stream: u64) -> u64 {
 
 impl ThreadedCluster {
     /// Runs the threaded cluster over an arbitrary [`Transport`] — the
-    /// socket-ready entry point, and [`Backend::run`] (which hands in
-    /// the in-process [`MpscTransport`]) with the failure still typed.
+    /// socket-ready entry point; [`Backend::run`] hands in the in-process
+    /// [`MpscTransport`].
     ///
     /// # Errors
     /// Unsupported controls, dimension/parameter validation failures, a
@@ -148,7 +149,7 @@ impl ThreadedCluster {
         problem: &Problem<'_>,
         ctl: &RunControl<'_>,
         transport: &mut dyn Transport,
-    ) -> crate::Result<RunReport> {
+    ) -> Result<RunReport> {
         ctl.reject_schedule(
             NAME,
             "the threaded cluster's schedule emerges from real thread interleaving; record \
@@ -162,7 +163,7 @@ impl ThreadedCluster {
             ("dup_prob", self.dup_prob),
         ])?;
         let (op, n) = (problem.op, problem.n());
-        let partition = resolve_partition(NAME, &self.partition, n, self.workers)?;
+        let partition = resolve_partition("workers", &self.partition, n, self.workers)?;
         let mesh = Worker::mesh(
             op,
             &problem.x0,
@@ -263,13 +264,8 @@ impl Backend for ThreadedCluster {
         NAME
     }
 
-    fn run(
-        &mut self,
-        problem: &Problem<'_>,
-        ctl: &mut RunControl<'_>,
-    ) -> asynciter_core::Result<RunReport> {
+    fn run(&mut self, problem: &Problem<'_>, ctl: &mut RunControl<'_>) -> Result<RunReport> {
         self.run_over(problem, ctl, &mut MpscTransport)
-            .map_err(|e| to_core(NAME, e))
     }
 }
 
@@ -407,7 +403,7 @@ impl ThreadedClusterEngine {
         partition: &Partition,
         cfg: &ThreadedConfig,
         transport: &mut dyn Transport,
-    ) -> crate::Result<ThreadedRunResult> {
+    ) -> Result<ThreadedRunResult> {
         let problem = Problem {
             op,
             x0: x0.to_vec(),
@@ -509,9 +505,7 @@ mod tests {
 
     #[test]
     fn a_failing_worker_stops_its_healthy_peers() {
-        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(|problem, ctl| {
-            (threaded(2).run_over(problem, ctl, &mut MpscTransport)).unwrap_err()
-        });
+        crate::race::tests::check_a_failing_worker_stops_its_healthy_peers(threaded(2), None);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! is a deep copy of everything the worker's future depends on.
 
 use crate::cluster::ApplyPolicy;
-use crate::error::RuntimeError;
 use crate::transport::{BlockMessage, SendStats};
 use asynciter_core::session::{ClusterStats, RunReport};
+use asynciter_core::{CoreError, Result};
 use asynciter_models::partition::Partition;
 use asynciter_opt::traits::Operator;
 use rand::rngs::StdRng;
@@ -84,14 +84,14 @@ impl Worker {
         policy: ApplyPolicy,
         exchange_every: u64,
         partial_prob: f64,
-    ) -> crate::Result<Vec<Worker>> {
+    ) -> Result<Vec<Worker>> {
         let n = op.dim();
         for (actual, context) in [
             (x0.len(), "Worker::mesh (x0)"),
             (partition.n(), "Worker::mesh (partition)"),
         ] {
             if actual != n {
-                return Err(RuntimeError::DimensionMismatch {
+                return Err(CoreError::DimensionMismatch {
                     expected: n,
                     actual,
                     context,
@@ -216,13 +216,14 @@ impl Worker {
     /// the current view, the produced components stamped with label `j`.
     ///
     /// # Errors
-    /// [`RuntimeError::NonFiniteIterate`] when the operator diverges.
-    pub fn produce(&mut self, op: &dyn Operator, j: u64) -> Result<(), RuntimeError> {
+    /// [`CoreError::NonFiniteIterate`] at step `j` when the operator
+    /// diverges.
+    pub fn produce(&mut self, op: &dyn Operator, j: u64) -> Result<()> {
         op.update_active_with(&self.view, &self.block, &mut self.upd, &mut self.scratch);
         for &i in &self.block {
             let v = self.upd[i];
             if !v.is_finite() {
-                return Err(RuntimeError::NonFiniteIterate {
+                return Err(CoreError::NonFiniteIterate {
                     at_step: j,
                     component: i,
                 });
@@ -277,10 +278,10 @@ impl Worker {
 }
 
 /// Rejects any named count that is zero.
-pub(crate) fn check_positive(counts: &[(&'static str, u64)]) -> Result<(), RuntimeError> {
+pub(crate) fn check_positive(counts: &[(&'static str, u64)]) -> Result<()> {
     match counts.iter().find(|(_, count)| *count == 0) {
         None => Ok(()),
-        Some(&(name, _)) => Err(RuntimeError::InvalidParameter {
+        Some(&(name, _)) => Err(CoreError::InvalidParameter {
             name,
             message: "must be positive".into(),
         }),
@@ -288,10 +289,10 @@ pub(crate) fn check_positive(counts: &[(&'static str, u64)]) -> Result<(), Runti
 }
 
 /// Rejects any named probability outside `[0, 1]`.
-pub(crate) fn check_probabilities(probs: &[(&'static str, f64)]) -> Result<(), RuntimeError> {
+pub(crate) fn check_probabilities(probs: &[(&'static str, f64)]) -> Result<()> {
     match probs.iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
         None => Ok(()),
-        Some(&(name, p)) => Err(RuntimeError::InvalidParameter {
+        Some(&(name, p)) => Err(CoreError::InvalidParameter {
             name,
             message: format!("{name} = {p} outside [0,1]"),
         }),

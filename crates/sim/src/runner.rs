@@ -51,7 +51,7 @@ use asynciter_core::{CoreError, Result};
 use asynciter_models::channel::{EventQueue, LinkModel};
 use asynciter_models::partition::Partition;
 use asynciter_opt::traits::Operator;
-use asynciter_runtime::{ApplyPolicy, BlockMessage, RuntimeError, Worker};
+use asynciter_runtime::{ApplyPolicy, BlockMessage, Worker};
 use rand::rngs::StdRng;
 
 /// The simulated machine: who owns what, how long phases and messages
@@ -176,8 +176,7 @@ impl<'a> Run<'a> {
         let procs = cfg.partition.num_machines();
         // Whole blocks, due after every `produce`; `heard` keeps the freshest.
         let policy = ApplyPolicy::AsReceived;
-        let workers = Worker::mesh(op, &problem.x0, &cfg.partition, policy, 1, 0.0)
-            .map_err(|e| worker_error(e, 0))?;
+        let workers = Worker::mesh(op, &problem.x0, &cfg.partition, policy, 1, 0.0)?;
         Ok(Self {
             op,
             cfg,
@@ -242,9 +241,13 @@ impl<'a> Run<'a> {
         let stage = |s: usize| ((interior * s).div_ceil(sends + 1)).min(interior - 1);
         let mut s = 1;
         for r in 0..m {
-            self.workers[p]
-                .produce(self.op, label)
-                .map_err(|e| worker_error(e, self.completed + 1))?;
+            // A non-finite inner iterate fails the step this phase would
+            // have been numbered when it ended.
+            let mut produced = self.workers[p].produce(self.op, label);
+            if let Err(CoreError::NonFiniteIterate { at_step, .. }) = &mut produced {
+                *at_step = self.completed + 1;
+            }
+            produced?;
             while s <= sends && stage(s) == r {
                 let offset = u128::from(dur) * s as u128 / (sends as u128 + 1);
                 self.broadcast(p, t.saturating_add(offset as u64), r, CommKind::Partial);
@@ -292,20 +295,6 @@ impl<'a> Run<'a> {
         debug_assert!(self.read_labels[p].iter().all(|&l| l < j));
         self.broadcast(p, end, self.cfg.inner_steps - 1, CommKind::Full);
         end
-    }
-}
-
-/// A [`Worker`] error as this backend's: a non-finite inner iterate fails
-/// step `at_step`; the rest, ruled out by the checks before, are opaque.
-fn worker_error(e: RuntimeError, at_step: u64) -> CoreError {
-    match e {
-        RuntimeError::NonFiniteIterate { component, .. } => {
-            CoreError::NonFiniteIterate { at_step, component }
-        }
-        e => CoreError::Backend {
-            backend: NAME,
-            message: e.to_string(),
-        },
     }
 }
 

@@ -567,6 +567,43 @@ fn recording_never_changes_an_iterate_bit() {
     }
 }
 
+/// The seven engines, each over two workers of an `n`-component problem.
+fn every_backend(n: usize) -> [(&'static str, Box<dyn Backend>); 7] {
+    [
+        ("replay", Box::new(Replay)),
+        ("flexible", Box::new(Flexible::default())),
+        (
+            "shared-mem",
+            Box::new(SharedMem {
+                threads: 2,
+                ..SharedMem::default()
+            }),
+        ),
+        (
+            "barrier",
+            Box::new(Barrier {
+                threads: 2,
+                ..Barrier::default()
+            }),
+        ),
+        ("sim", Box::new(Sim(jittered_sim(n, 2, 1)))),
+        (
+            "cluster",
+            Box::new(Cluster {
+                workers: 2,
+                ..Cluster::default()
+            }),
+        ),
+        (
+            "threaded-cluster",
+            Box::new(ThreadedCluster {
+                workers: 2,
+                ..ThreadedCluster::default()
+            }),
+        ),
+    ]
+}
+
 #[test]
 fn every_backend_answers_bad_input_with_the_same_typed_error() {
     // One opening: what `RunControl::check` rejects is the same error
@@ -574,29 +611,6 @@ fn every_backend_answers_bad_input_with_the_same_typed_error() {
     // `ThreadedCluster` used to spend the whole budget on the first
     // three rows and return `Ok`.
     let op = quickstart_operator(8);
-    let backend = |name: &str| -> Box<dyn Backend> {
-        match name {
-            "replay" => Box::new(Replay),
-            "flexible" => Box::new(Flexible::default()),
-            "shared-mem" => Box::new(SharedMem {
-                threads: 2,
-                ..SharedMem::default()
-            }),
-            "barrier" => Box::new(Barrier {
-                threads: 2,
-                ..Barrier::default()
-            }),
-            "sim" => Box::new(Sim(jittered_sim(8, 2, 1))),
-            "cluster" => Box::new(Cluster {
-                workers: 2,
-                ..Cluster::default()
-            }),
-            _ => Box::new(ThreadedCluster {
-                workers: 2,
-                ..ThreadedCluster::default()
-            }),
-        }
-    };
     type Row = (fn(Session<'_>) -> Session<'_>, (&'static str, usize));
     let rows: [Row; 4] = [
         (
@@ -621,17 +635,9 @@ fn every_backend_answers_bad_input_with_the_same_typed_error() {
         ),
         (|s| s.steps(0), ("max_steps", 0)),
     ];
-    for name in [
-        "replay",
-        "flexible",
-        "shared-mem",
-        "barrier",
-        "sim",
-        "cluster",
-        "threaded-cluster",
-    ] {
-        for (bad, expected) in &rows {
-            let session = Session::new(&op).steps(20_000).backend(backend(name));
+    for (bad, expected) in &rows {
+        for (name, backend) in every_backend(8) {
+            let session = Session::new(&op).steps(20_000).backend(backend);
             let got = match bad(session).run() {
                 Err(CoreError::DimensionMismatch {
                     expected: 8,
@@ -643,6 +649,100 @@ fn every_backend_answers_bad_input_with_the_same_typed_error() {
             };
             assert_eq!(got, *expected, "{name}");
         }
+    }
+}
+
+/// Halves components 0–1 (the first of two blocks); components 2–3 go
+/// NaN.
+struct UpperBlockDiverges;
+
+impl Operator for UpperBlockDiverges {
+    fn dim(&self) -> usize {
+        4
+    }
+    fn component(&self, i: usize, x: &[f64]) -> f64 {
+        if i >= 2 {
+            f64::NAN
+        } else {
+            0.5 * x[i]
+        }
+    }
+}
+
+#[test]
+fn every_backend_answers_divergence_with_non_finite_iterate() {
+    // One answer per fault. The budget is unbounded so no racing worker
+    // can spend it before its NaN peer steps.
+    for (name, backend) in every_backend(4) {
+        let got = Session::new(&UpperBlockDiverges)
+            .x0(vec![1.0; 4])
+            .steps(u64::MAX)
+            .backend(backend)
+            .run();
+        assert!(
+            matches!(got, Err(CoreError::NonFiniteIterate { component: 2, .. })),
+            "{name}: {got:?}"
+        );
+    }
+}
+
+/// A copy of `backend` with `set` applied to it.
+fn altered<B: Backend + Clone + 'static>(
+    backend: &B,
+    set: impl FnOnce(&mut B),
+) -> Box<dyn Backend> {
+    let mut backend = backend.clone();
+    set(&mut backend);
+    Box::new(backend)
+}
+
+#[test]
+fn every_engine_specific_bad_field_is_rejected_under_its_own_name() {
+    // Each row: the name of a field the backend has, and the backend
+    // with that field set out of range.
+    let op = quickstart_operator(8);
+    let cluster = &Cluster {
+        workers: 2,
+        ..Cluster::default()
+    };
+    let threaded = &ThreadedCluster {
+        workers: 2,
+        ..ThreadedCluster::default()
+    };
+    let shared = &SharedMem {
+        threads: 2,
+        ..SharedMem::default()
+    };
+    let barrier = &Barrier {
+        threads: 2,
+        ..Barrier::default()
+    };
+    let (jitter, three_blocks) = (LinkModel::Jitter { lo: 5, hi: 2 }, Partition::blocks(8, 3));
+    let rows = [
+        ("drop_prob", altered(cluster, |c| c.drop_prob = 1.5)),
+        ("link", altered(cluster, |c| c.link = jitter)),
+        ("exchange_every", altered(cluster, |c| c.exchange_every = 0)),
+        ("workers", altered(cluster, |c| c.workers = 0)),
+        ("workers", altered(cluster, |c| c.workers = 9)),
+        ("hold_prob", altered(threaded, |t| t.hold_prob = 2.0)),
+        ("workers", altered(threaded, |t| t.workers = 0)),
+        ("inner_steps", altered(shared, |s| s.inner_steps = 0)),
+        ("spin", altered(shared, |s| s.spin = vec![1])),
+        ("threads", altered(shared, |s| s.threads = 0)),
+        ("spin", altered(barrier, |b| b.spin = vec![1, 2, 3])),
+        ("threads", altered(barrier, |b| b.threads = 0)),
+        (
+            "threads",
+            altered(barrier, |b| b.partition = three_blocks.ok()),
+        ),
+    ];
+    for (field, backend) in rows {
+        let backend_name = backend.name();
+        let got = Session::new(&op).steps(20).backend(backend).run();
+        assert!(
+            matches!(&got, Err(CoreError::InvalidParameter { name, .. }) if *name == field),
+            "{backend_name} `{field}`: {got:?}"
+        );
     }
 }
 
