@@ -12,15 +12,14 @@ use crate::ExpContext;
 use asynciter_core::session::{Problem, RecordMode, RunControl, RunReport};
 use asynciter_report::csv::CsvWriter;
 use asynciter_report::gantt::{render_gantt, GComm, GPhase};
-use asynciter_sim::runner::SimConfig;
 use asynciter_sim::scenario;
 use asynciter_sim::session::Sim;
 use asynciter_sim::timeline::{CommKind, Timeline};
 
-/// `iterations` global iterations of `cfg` on the scenarios'
-/// two-component operator from zero, fully recorded, with the timeline
-/// the figures are drawn from.
-pub(crate) fn simulate(cfg: SimConfig, iterations: u64) -> (RunReport, Timeline) {
+/// `iterations` global iterations of `sim` under `seed` on the
+/// scenarios' two-component operator from zero, fully recorded, with the
+/// timeline the figures are drawn from.
+pub(crate) fn simulate(sim: Sim, seed: u64, iterations: u64) -> (RunReport, Timeline) {
     let problem = Problem {
         op: &scenario::two_component_operator(),
         x0: vec![0.0, 0.0],
@@ -32,11 +31,10 @@ pub(crate) fn simulate(cfg: SimConfig, iterations: u64) -> (RunReport, Timeline)
         residual_every: 0,
         stopping: None,
         record: RecordMode::Full,
-        seed: None,
+        seed,
         schedule: None,
     };
-    Sim(cfg)
-        .run_with_timeline(&problem, &mut ctl)
+    sim.run_with_timeline(&problem, &mut ctl)
         .expect("simulation")
 }
 
@@ -44,7 +42,7 @@ pub(crate) fn simulate(cfg: SimConfig, iterations: u64) -> (RunReport, Timeline)
 pub fn run(seed: u64, quick: bool) {
     let mut ctx = ExpContext::new("F1", seed);
     let iterations = if quick { 10 } else { 16 };
-    let (res, timeline) = simulate(scenario::fig1(seed), iterations);
+    let (res, timeline) = simulate(scenario::fig1(), seed, iterations);
     timeline.validate().expect("timeline invariants");
     let trace = res.trace.as_ref().expect("recorded");
     asynciter_models::conditions::check_condition_a(trace).expect("condition (a)");

@@ -17,7 +17,7 @@ use asynciter_sim::timeline::CommKind;
 pub fn run(seed: u64, quick: bool) {
     let mut ctx = ExpContext::new("F2", seed);
     let iterations = if quick { 8 } else { 12 };
-    let (res, timeline) = super::fig1::simulate(scenario::fig2(seed), iterations);
+    let (res, timeline) = super::fig1::simulate(scenario::fig2(), seed, iterations);
     timeline.validate().expect("timeline invariants");
 
     let phases: Vec<GPhase> = timeline

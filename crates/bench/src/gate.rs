@@ -48,7 +48,6 @@
 
 use asynciter_core::session::{Flexible, Replay, RunReport, Session};
 use asynciter_core::stopping::StoppingRule;
-use asynciter_core::CoreError;
 use asynciter_models::channel::LinkModel;
 use asynciter_models::partition::Partition;
 use asynciter_models::schedule::{BlockRoundRobin, ChaoticBounded, HeavyTailDelay};
@@ -61,7 +60,6 @@ use asynciter_report::TextTable;
 use asynciter_runtime::session::{Barrier, Cluster, SharedMem, ThreadedCluster};
 use asynciter_runtime::ApplyPolicy;
 use asynciter_sim::compute::ComputeModel;
-use asynciter_sim::runner::SimConfig;
 use asynciter_sim::session::Sim;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -324,50 +322,44 @@ fn thread_spin(did: DelayId, threads: usize) -> Vec<u64> {
     }
 }
 
-fn sim_partition(n: usize, procs: usize) -> Result<Partition, CoreError> {
-    Partition::blocks(n, procs).map_err(|e| CoreError::Backend {
-        backend: "sim",
-        message: format!("cannot partition {n} components over {procs} processors: {e}"),
-    })
-}
-
 /// Simulator realisation of each delay model.
-fn sim_config(n: usize, did: DelayId, seed: u64) -> Result<SimConfig, CoreError> {
+fn sim_machine(did: DelayId) -> Sim {
     let procs = workers(did);
-    let mut cfg = SimConfig::uniform(sim_partition(n, procs)?);
-    cfg.seed = seed;
+    let uniform = Sim::uniform(procs);
     match did {
-        DelayId::NoDelay => {}
-        DelayId::Bounded => {
-            cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 4 }; procs];
-            cfg.latency = LinkModel::Jitter { lo: 1, hi: 3 };
-        }
-        DelayId::UnboundedHeavyTail => {
-            cfg.compute = vec![
+        DelayId::NoDelay => uniform,
+        DelayId::Bounded => Sim {
+            compute: vec![ComputeModel::Uniform { lo: 1, hi: 4 }; procs],
+            link: LinkModel::Jitter { lo: 1, hi: 3 },
+            ..uniform
+        },
+        DelayId::UnboundedHeavyTail => Sim {
+            compute: vec![
                 ComputeModel::HeavyTail {
                     scale: 1,
                     alpha: 1.3,
                 };
                 procs
-            ];
-            cfg.latency = LinkModel::HeavyTail {
+            ],
+            link: LinkModel::HeavyTail {
                 scale: 1,
                 alpha: 1.3,
-            };
-        }
-        DelayId::OutOfOrder => {
-            cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 3 }; procs];
-            // Jitter wider than the send period reorders messages.
-            cfg.latency = LinkModel::Jitter { lo: 1, hi: 12 };
-        }
-        DelayId::FlexiblePartial => {
-            cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 4 }; procs];
-            cfg.latency = LinkModel::Jitter { lo: 1, hi: 3 };
-            cfg.inner_steps = 4;
-            cfg.partial_sends = 2;
-        }
+            },
+            ..uniform
+        },
+        // Jitter wider than the send period reorders messages.
+        DelayId::OutOfOrder => Sim {
+            compute: vec![ComputeModel::Uniform { lo: 1, hi: 3 }; procs],
+            link: LinkModel::Jitter { lo: 1, hi: 12 },
+            ..uniform
+        },
+        DelayId::FlexiblePartial => Sim {
+            compute: vec![ComputeModel::Uniform { lo: 1, hi: 4 }; procs],
+            link: LinkModel::Jitter { lo: 1, hi: 3 },
+            inner_steps: 4,
+            partial_sends: 2,
+        },
     }
-    Ok(cfg)
 }
 
 /// Installs the delay model's `(𝒮, ℒ)` realisation for the two
@@ -397,19 +389,14 @@ fn run_session(
     let threads = workers(did);
     match bid {
         BackendId::Replay => scheduled(s, n, did, seed).backend(Replay).run(),
-        BackendId::Flexible if did == DelayId::FlexiblePartial => {
-            let partition = Partition::blocks(n, threads).map_err(|e| CoreError::Backend {
-                backend: "flexible",
-                message: format!("cannot partition {n} over {threads} blocks: {e}"),
-            })?;
-            s.schedule(BlockRoundRobin::new(partition, 4))
-                .backend(Flexible {
-                    m: 4,
-                    partial: true,
-                    ..Flexible::default()
-                })
-                .run()
-        }
+        BackendId::Flexible if did == DelayId::FlexiblePartial => s
+            .schedule(BlockRoundRobin::new(Partition::blocks(n, threads)?, 4))
+            .backend(Flexible {
+                m: 4,
+                partial: true,
+                ..Flexible::default()
+            })
+            .run(),
         BackendId::Flexible => scheduled(s, n, did, seed)
             .backend(Flexible {
                 m: 2,
@@ -439,13 +426,9 @@ fn run_session(
                 // spin-barrier crossings, which serialise on one core.
                 threads: 2,
                 spin: thread_spin(did, 2),
-                ..Barrier::default()
             })
             .run(),
-        BackendId::Sim => {
-            let cfg = sim_config(n, did, seed)?;
-            s.backend(Sim(cfg)).run()
-        }
+        BackendId::Sim => s.backend(sim_machine(did)).run(),
         BackendId::Cluster => {
             let workers = if did == DelayId::NoDelay { 1 } else { threads };
             let backend = match did {

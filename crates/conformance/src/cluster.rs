@@ -110,7 +110,6 @@ impl ClusterPlan {
         Self {
             backend: Cluster {
                 workers,
-                partition: None,
                 exchange_every,
                 apply_policy,
                 link,
@@ -181,7 +180,6 @@ impl ThreadedPlan {
         Self {
             backend: ThreadedCluster {
                 workers,
-                partition: None,
                 exchange_every,
                 apply_policy,
                 hold_prob,

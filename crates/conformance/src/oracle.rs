@@ -41,11 +41,9 @@ use asynciter_core::session::RecordMode;
 use asynciter_core::session::{Flexible, Replay, Session};
 use asynciter_core::stopping::StoppingRule;
 use asynciter_models::channel::LinkModel;
-use asynciter_models::Partition;
 use asynciter_models::Trace;
 use asynciter_runtime::session::{Cluster, ThreadedCluster};
 use asynciter_sim::compute::ComputeModel;
-use asynciter_sim::runner::SimConfig;
 use asynciter_sim::session::Sim;
 
 /// Convergence under an injected admissible trace.
@@ -158,26 +156,25 @@ pub fn sim_equivalence(
     procs: usize,
     iterations: u64,
 ) -> Result<(), String> {
-    let n = problem.n();
-    let partition =
-        Partition::blocks(n, procs).map_err(|e| format!("sim partition {n}/{procs}: {e}"))?;
-    let mut cfg = SimConfig::uniform(partition);
-    cfg.seed = seed;
-    let (compute, latency) = sim_regime(seed, procs);
-    cfg.compute = compute;
-    cfg.latency = latency;
-    cfg.inner_steps = 1 + (seed / 3 % 3) as usize;
+    let (compute, link) = sim_regime(seed, procs);
+    let machine = Sim {
+        compute,
+        link,
+        inner_steps: 1 + (seed / 3 % 3) as usize,
+        partial_sends: 0,
+    };
     let definition_3 = Flexible {
-        m: cfg.inner_steps,
+        m: machine.inner_steps,
         partial: false,
         ..Flexible::default()
     };
-    debug_assert!(cfg.replay_equivalent());
+    debug_assert!(machine.replay_equivalent());
     let sim = Session::new(problem.op.as_ref())
         .x0(problem.x0.clone())
         .steps(iterations)
+        .seed(seed)
         .record(RecordMode::Full)
-        .backend(Sim(cfg))
+        .backend(machine)
         .run()
         .map_err(|e| format!("sim failed: {e}"))?;
     let trace = sim.trace.clone().expect("RecordMode::Full");

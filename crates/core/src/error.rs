@@ -36,7 +36,12 @@ pub enum CoreError {
         /// Index of the worker that panicked.
         worker: usize,
     },
-    /// A session backend failed or was asked for something it cannot do.
+    /// A session backend was asked for a control it cannot honour (an
+    /// explicit schedule, error or residual sampling, a stopping rule it
+    /// cannot map). Built only by
+    /// [`unsupported`](crate::session::unsupported); bad configuration
+    /// is [`CoreError::InvalidParameter`] or
+    /// [`CoreError::DimensionMismatch`].
     Backend {
         /// Backend name.
         backend: &'static str,

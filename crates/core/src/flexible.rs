@@ -151,7 +151,7 @@ impl Backend for Flexible {
         let mut report = RunReport::new(self.name(), problem.x0.clone(), 0, f64::NAN);
         let mut observer = Observer::new(problem, ctl);
         let cur = &mut report.final_x;
-        let mut rng = asynciter_numerics::rng::rng(ctl.seed.unwrap_or(0));
+        let mut rng = asynciter_numerics::rng::rng(ctl.seed);
         let mut history = History::new(&problem.x0);
         // Definition-3 state, sized only if the run can publish at all
         // (`publish_period < m`): the freshest published partial per

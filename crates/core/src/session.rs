@@ -20,7 +20,7 @@
 //!   `Barrier { threads }`, the deterministic sharded message-passing
 //!   `Cluster { workers, .. }` and its genuinely concurrent sibling
 //!   `ThreadedCluster { workers, .. }` in `asynciter-runtime`;
-//!   `Sim(config)` in `asynciter-sim`. Every backend populates the same
+//!   `Sim { compute, .. }` in `asynciter-sim`. Every backend populates the same
 //!   [`RunReport`].
 //!
 //! The sequential engines observe in one place: the step loop (`Replay`,
@@ -131,11 +131,10 @@ pub struct RunControl<'a> {
     pub stopping: Option<StoppingRule>,
     /// Trace retention.
     pub record: RecordMode,
-    /// Seed for backends with internal randomness. `None` when the user
-    /// never called [`Session::seed`]: backends with their own configured
-    /// seed (e.g. `Sim`) keep it, others default to 0. `Some(s)` always
-    /// overrides.
-    pub seed: Option<u64>,
+    /// Seed of every backend with internal randomness — the only one:
+    /// no backend carries a seed of its own ([`Session::seed`], default
+    /// 0).
+    pub seed: u64,
     /// Schedule for schedule-driven backends.
     pub schedule: Option<Box<dyn ScheduleGen + 'a>>,
 }
@@ -302,9 +301,6 @@ pub struct ClusterStats {
     pub duplicated: u64,
     /// Deliveries held back with extra latency (out-of-order).
     pub held: u64,
-    /// Component applications a receiver discarded as stale
-    /// (`KeepFreshest` only).
-    pub discarded_stale: u64,
 }
 
 /// The one result type every backend populates.
@@ -530,7 +526,7 @@ pub struct Session<'a> {
     residual_every: u64,
     stopping: Option<StoppingRule>,
     record: RecordMode,
-    seed: Option<u64>,
+    seed: u64,
     schedule: Option<Box<dyn ScheduleGen + 'a>>,
     backend: Option<Box<dyn Backend + 'a>>,
 }
@@ -547,7 +543,7 @@ impl<'a> Session<'a> {
             residual_every: 0,
             stopping: None,
             record: RecordMode::Off,
-            seed: None,
+            seed: 0,
             schedule: None,
             backend: None,
         }
@@ -631,11 +627,12 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Sets the seed for backends with internal randomness (always
-    /// overrides a backend-configured seed).
+    /// Sets the seed of every backend with internal randomness (default
+    /// 0): backends carry none of their own, so a session that only
+    /// swaps `.backend(..)` keeps its randomness.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
+        self.seed = seed;
         self
     }
 

@@ -684,7 +684,6 @@ pub fn run_report_to_json(report: &RunReport) -> Json {
                         ("dropped", stats.dropped),
                         ("duplicated", stats.duplicated),
                         ("held", stats.held),
-                        ("discarded_stale", stats.discarded_stale),
                     ]
                     .map(|(key, count)| (key.into(), Json::Num(count as f64)))
                     .to_vec(),
@@ -740,7 +739,6 @@ pub fn run_report_from_json(json: &Json) -> Result<RunReport, JsonError> {
                 dropped: req_u64(obj, "dropped")?,
                 duplicated: req_u64(obj, "duplicated")?,
                 held: req_u64(obj, "held")?,
-                discarded_stale: req_u64(obj, "discarded_stale")?,
             }),
         },
         // Added with the service layer: absent means a solo run.
@@ -1177,7 +1175,6 @@ mod tests {
                 dropped: 9,
                 duplicated: 3,
                 held: 27,
-                discarded_stale: 11,
             }),
             tenant: Some(5),
             job: Some(41),

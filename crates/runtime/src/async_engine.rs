@@ -16,13 +16,11 @@
 
 use crate::imbalance::spin;
 use crate::race::{Lane, Race};
-use crate::session::resolve_partition;
 use crate::shared::{worker_blocks, SharedVec};
 use crate::termination::Quiesce;
 use crate::worker::check_positive;
 use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
 use asynciter_core::CoreError;
-use asynciter_models::partition::Partition;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Snapshot consistency ablation: what a consistent read of the shared
@@ -54,10 +52,9 @@ const NAME: &str = "shared-mem";
 /// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
 #[derive(Debug, Clone)]
 pub struct SharedMem {
-    /// Number of worker threads (= machines of the partition).
+    /// Number of worker threads, each owning one of as many contiguous
+    /// component blocks.
     pub threads: usize,
-    /// Component→worker map (default: contiguous equal blocks).
-    pub partition: Option<Partition>,
     /// Inner iterations per block update (`m ≥ 1`).
     pub inner_steps: usize,
     /// Publish partials every this many inner steps (`≥ inner_steps`
@@ -76,7 +73,6 @@ impl Default for SharedMem {
     fn default() -> Self {
         Self {
             threads: 1,
-            partition: None,
             inner_steps: 1,
             publish_period: 1,
             spin: Vec::new(),
@@ -99,8 +95,7 @@ impl Backend for SharedMem {
         ctl.reject_schedule(NAME, "free-running workers generate their own")?;
         let race = Race::open(NAME, "the shared-memory runner", problem, ctl, self.quiesce)?;
         let (op, n) = (problem.op, problem.n());
-        let partition = resolve_partition("threads", &self.partition, n, self.threads)?;
-        let blocks = worker_blocks(n, &partition, self.threads, &self.spin)?;
+        let blocks = worker_blocks(n, self.threads, &self.spin)?;
         check_positive(&[
             ("inner_steps", self.inner_steps as u64),
             ("publish_period", self.publish_period as u64),
@@ -322,12 +317,6 @@ mod tests {
     fn validation_errors() {
         let op = jacobi(8);
         let run = |backend: SharedMem| Session::new(&op).steps(100).backend(backend).run();
-        // Wrong worker count vs partition.
-        let mismatched = SharedMem {
-            partition: Some(Partition::blocks(8, 2).unwrap()),
-            ..shared_mem(3)
-        };
-        assert!(run(mismatched).is_err());
         // Wrong x0 length.
         let short_x0 = Session::new(&op).steps(100).x0(vec![0.0; 7]);
         assert!(short_x0.backend(shared_mem(2)).run().is_err());

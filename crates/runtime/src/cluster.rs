@@ -63,7 +63,7 @@
 //!
 //! [`Partition`]: asynciter_models::partition::Partition
 
-use crate::session::{recorded, resolve_partition};
+use crate::session::{block_partition, native_workers, recorded};
 use crate::transport::{BlockMessage, Exit, FaultRouter, SendFate};
 use crate::worker::{check_probabilities, Worker};
 use asynciter_core::observer::Observer;
@@ -122,10 +122,9 @@ const NAME: &str = "cluster";
 /// `Cluster { workers: 4, drop_prob: 0.1, ..Cluster::default() }`.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    /// Number of workers (= shards).
+    /// Number of workers, each owning one of as many contiguous
+    /// component blocks (its shard).
     pub workers: usize,
-    /// Component→worker map (default: contiguous equal blocks).
-    pub partition: Option<Partition>,
     /// Post a block message every this many local updates.
     pub exchange_every: u64,
     /// Receiver policy.
@@ -152,7 +151,6 @@ impl Default for Cluster {
     fn default() -> Self {
         Self {
             workers: 1,
-            partition: None,
             exchange_every: 1,
             apply_policy: ApplyPolicy::AsReceived,
             link: LinkModel::Fixed { ticks: 1 },
@@ -183,7 +181,7 @@ impl Cluster {
         )?;
         ctl.check(problem)?;
         let (op, n) = (problem.op, problem.n());
-        let partition = resolve_partition("workers", &self.partition, n, self.workers)?;
+        let partition = block_partition("workers", n, self.workers)?;
         self.link
             .validate()
             .map_err(|message| CoreError::InvalidParameter {
@@ -216,7 +214,7 @@ impl Cluster {
         // are extra link latency, so nothing is ever parked in the router.
         let mut router = FaultRouter::default();
         let mut held = 0u64;
-        let mut rng = rng(ctl.seed.unwrap_or(0));
+        let mut rng = rng(ctl.seed);
         let mut observer = Observer::new(problem, ctl);
         // Allocated once: the consensus vector (each component in its
         // owner's view), the labels the stepping worker read, and the
@@ -523,12 +521,11 @@ impl ClusterEngine {
                 check_every: cfg.check_every,
             }),
             record: recorded(cfg.record),
-            seed: Some(cfg.seed),
+            seed: cfg.seed,
             schedule: None,
         };
         let cluster = Cluster {
-            workers: partition.num_machines(),
-            partition: Some(partition.clone()),
+            workers: native_workers(partition, op.dim(), "ClusterEngine::run (partition)")?,
             exchange_every: cfg.exchange_every,
             apply_policy: cfg.apply_policy,
             link: cfg.link,
@@ -619,7 +616,7 @@ mod tests {
             .unwrap();
         assert_eq!(a.consensus, b.final_x);
         assert_eq!(Some(&a.stats), b.channel.as_ref());
-        assert!(a.stats.dropped > 0 && a.stats.held > 0 && a.stats.discarded_stale > 0);
+        assert!(a.stats.dropped > 0 && a.stats.held > 0 && a.constraint_violations > 0);
         assert_eq!(
             (a.partial_publishes, a.partial_reads),
             (b.partial_publishes, b.partial_reads)
@@ -672,10 +669,9 @@ mod tests {
             .with_seed(11);
         let res = ClusterEngine::run(&op, &[0.0; 16], &p, &cfg, None).unwrap();
         assert!(
-            res.stats.discarded_stale > 0,
+            res.constraint_violations > 0,
             "reordering should produce stale discards"
         );
-        assert_eq!(res.constraint_violations, res.stats.discarded_stale);
         assert!(res.constraint_checked > res.constraint_violations);
     }
 
@@ -804,9 +800,13 @@ mod tests {
         let mut bad = ClusterConfig::new(10);
         bad.sever_component = Some(8);
         assert!(ClusterEngine::run(&op, &[0.0; 8], &p, &bad, None).is_err());
-        // The worker mesh checks its own inputs.
+        // A partition not sized for the operator.
         let p9 = Partition::blocks(9, 2).unwrap();
-        assert!(ClusterEngine::run(&op, &[0.0; 8], &p9, &ClusterConfig::new(10), None).is_err());
+        let err = ClusterEngine::run(&op, &[0.0; 8], &p9, &ClusterConfig::new(10), None);
+        assert!(
+            matches!(err, Err(CoreError::DimensionMismatch { actual: 9, .. })),
+            "{err:?}"
+        );
         let bad = ClusterConfig::new(10).with_exchange_every(0);
         assert!(ClusterEngine::run(&op, &[0.0; 8], &p, &bad, None).is_err());
         let mut bad = ClusterConfig::new(10);

@@ -318,7 +318,7 @@ pub(crate) mod tests {
             residual_every: 0,
             stopping: None,
             record,
-            seed: None,
+            seed: 0,
             schedule: None,
         }
     }

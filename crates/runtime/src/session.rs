@@ -9,7 +9,11 @@
 //! `Problem` / `RunControl`, so shared-memory vs synchronous vs
 //! message-passing comparisons are sessions differing only in the
 //! `.backend(..)` call. This module is the one path under which the
-//! four are importable, and what their doors share.
+//! four are importable, and what their doors share: each backend's
+//! worker count (`workers` or `threads`) is its only machine setting,
+//! and every run splits the components into that many contiguous blocks
+//! through [`block_partition`] — no backend takes a partition of its
+//! own, and none a seed (`RunControl::seed` is the one).
 //!
 //! [`Session`]: asynciter_core::session::Session
 
@@ -22,35 +26,37 @@ use asynciter_core::{CoreError, Result};
 use asynciter_models::partition::Partition;
 use asynciter_models::trace::LabelStore;
 
-/// The backend's component→worker map: `explicit`, or `n` components
-/// in `workers` contiguous equal blocks — one machine per worker either
-/// way. `field` names the backend's worker count (`workers` or
-/// `threads`), which a count that cannot own the map is reported on.
-pub(crate) fn resolve_partition(
-    field: &'static str,
-    explicit: &Option<Partition>,
-    n: usize,
-    workers: usize,
-) -> Result<Partition> {
-    let invalid = |message| CoreError::InvalidParameter {
+/// The component→worker map of every message-passing and shared-memory
+/// backend: `n` components in `count` contiguous equal blocks, one
+/// machine per worker. The count is the backend's own field — `workers`,
+/// `threads`, or `Sim`'s `compute` models — so it has one home, and
+/// `field` names it when it cannot own the map (zero, or more than `n`).
+///
+/// # Errors
+/// [`CoreError::InvalidParameter`] on `field`.
+pub fn block_partition(field: &'static str, n: usize, count: usize) -> Result<Partition> {
+    Partition::blocks(n, count).map_err(|e| CoreError::InvalidParameter {
         name: field,
-        message,
-    };
-    let partition = match explicit {
-        Some(p) => p.clone(),
-        None => Partition::blocks(n, workers).map_err(|e| {
-            invalid(format!(
-                "cannot split {n} components into {workers} blocks: {e}"
-            ))
-        })?,
-    };
-    if partition.num_machines() != workers {
-        return Err(invalid(format!(
-            "partition has {} machines but {field} = {workers}",
-            partition.num_machines()
-        )));
+        message: format!("cannot split {n} components into {count} blocks: {e}"),
+    })
+}
+
+/// The worker count of a native adapter's `partition` — one worker per
+/// machine — once it is sized for the operator's `n` components; the
+/// backend then rebuilds the same contiguous blocks from that count.
+pub(crate) fn native_workers(
+    partition: &Partition,
+    n: usize,
+    context: &'static str,
+) -> Result<usize> {
+    if partition.n() != n {
+        return Err(CoreError::DimensionMismatch {
+            expected: n,
+            actual: partition.n(),
+            context,
+        });
     }
-    Ok(partition)
+    Ok(partition.num_machines())
 }
 
 /// The [`RecordMode`] of a native configuration, which always records.
@@ -324,23 +330,6 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, CoreError::Backend { .. }), "{err}");
-        // One partition machine per worker, as `SharedMem` / `Barrier`
-        // ask: this used to run on the partition's two workers.
-        let mismatched = Cluster {
-            partition: Some(Partition::blocks(16, 2).unwrap()),
-            ..cluster
-        };
-        let err = Session::new(&op).backend(mismatched).run().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CoreError::InvalidParameter {
-                    name: "workers",
-                    ..
-                }
-            ),
-            "{err}"
-        );
     }
 
     #[test]
@@ -428,23 +417,6 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, CoreError::Backend { .. }), "{err}");
-        // One partition machine per worker: this used to run two threads.
-        let mismatched = ThreadedCluster {
-            workers: 3,
-            partition: Some(Partition::blocks(8, 2).unwrap()),
-            ..ThreadedCluster::default()
-        };
-        let err = Session::new(&op).backend(mismatched).run().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CoreError::InvalidParameter {
-                    name: "workers",
-                    ..
-                }
-            ),
-            "{err}"
-        );
     }
 
     #[test]

@@ -17,35 +17,24 @@
 //! delays conservative (condition (a) is preserved by construction; see
 //! `async_engine`).
 
+use crate::session::block_partition;
 use asynciter_core::{CoreError, Result};
-use asynciter_models::partition::Partition;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Checks what a shared-memory run adds to the race's opening, against
-/// the operator dimension `n` — `partition` (one machine per worker, see
-/// `resolve_partition`) sized for it, `spin` empty or one entry per
-/// worker — and returns each worker's component block.
-pub(crate) fn worker_blocks(
-    n: usize,
-    partition: &Partition,
-    workers: usize,
-    spin: &[u64],
-) -> Result<Vec<Vec<usize>>> {
-    if partition.n() != n {
-        return Err(CoreError::DimensionMismatch {
-            expected: n,
-            actual: partition.n(),
-            context: "shared-memory run (partition)",
-        });
-    }
-    if !spin.is_empty() && spin.len() != workers {
+/// Checks what a shared-memory run adds to the race's opening — a
+/// `threads` count that can own `n` components (see
+/// [`block_partition`]), `spin` empty or one entry per worker — and
+/// returns each worker's component block.
+pub(crate) fn worker_blocks(n: usize, threads: usize, spin: &[u64]) -> Result<Vec<Vec<usize>>> {
+    let partition = block_partition("threads", n, threads)?;
+    if !spin.is_empty() && spin.len() != threads {
         return Err(CoreError::InvalidParameter {
             name: "spin",
             message: "must be empty or one entry per worker".into(),
         });
     }
-    Ok((0..workers).map(|w| partition.components_of(w)).collect())
+    Ok((0..threads).map(|w| partition.components_of(w)).collect())
 }
 
 /// One component's slot: value bits + last-writer label.

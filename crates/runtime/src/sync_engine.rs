@@ -14,11 +14,9 @@
 
 use crate::imbalance::spin;
 use crate::race::{Lane, Race};
-use crate::session::resolve_partition;
 use crate::shared::{worker_blocks, SharedVec};
 use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
 use asynciter_core::CoreError;
-use asynciter_models::partition::Partition;
 use asynciter_models::schedule::{record, SyncJacobi};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -91,10 +89,9 @@ const NAME: &str = "barrier";
 /// [`StoppingRule::Residual`]: asynciter_core::stopping::StoppingRule::Residual
 #[derive(Debug, Clone)]
 pub struct Barrier {
-    /// Number of worker threads.
+    /// Number of worker threads, each owning one of as many contiguous
+    /// component blocks.
     pub threads: usize,
-    /// Component→worker map (default: contiguous equal blocks).
-    pub partition: Option<Partition>,
     /// Per-worker spin units per sweep (load imbalance); empty = none.
     pub spin: Vec<u64>,
 }
@@ -103,7 +100,6 @@ impl Default for Barrier {
     fn default() -> Self {
         Self {
             threads: 1,
-            partition: None,
             spin: Vec::new(),
         }
     }
@@ -125,8 +121,7 @@ impl Backend for Barrier {
         let onto = "the barrier runner's sweep-change target";
         let race = Race::open(NAME, onto, problem, ctl, None)?;
         let (op, n) = (problem.op, problem.n());
-        let partition = resolve_partition("threads", &self.partition, n, self.threads)?;
-        let blocks = worker_blocks(n, &partition, self.threads, &self.spin)?;
+        let blocks = worker_blocks(n, self.threads, &self.spin)?;
         let budget = ctl.max_steps;
 
         // Double buffering: `bufs[t % 2]` is read, `bufs[(t+1) % 2]`
@@ -354,11 +349,6 @@ mod tests {
     fn validation_errors() {
         let op = jacobi(8);
         let run = |backend: Barrier| Session::new(&op).steps(10).backend(backend).run();
-        let mismatched = Barrier {
-            partition: Some(Partition::blocks(8, 2).unwrap()),
-            ..barrier(3)
-        };
-        assert!(run(mismatched).is_err());
         let short_x0 = Session::new(&op).steps(10).x0(vec![0.0; 7]);
         assert!(short_x0.backend(barrier(2)).run().is_err());
         let no_sweeps = Session::new(&op).steps(0);

@@ -49,7 +49,7 @@
 
 use crate::cluster::{ApplyPolicy, ClusterStats};
 use crate::race::{Lane, Race};
-use crate::session::{recorded, resolve_partition};
+use crate::session::{block_partition, native_workers, recorded};
 pub use crate::termination::Quiesce;
 use crate::transport::{Endpoint, FaultEndpoint, FaultPlan, MpscTransport, SendStats, Transport};
 use crate::worker::{check_probabilities, Worker};
@@ -88,10 +88,9 @@ const NAME: &str = "threaded-cluster";
 /// `ThreadedCluster { workers: 4, drop_prob: 0.1, ..ThreadedCluster::default() }`.
 #[derive(Debug, Clone)]
 pub struct ThreadedCluster {
-    /// Number of worker threads (= shards).
+    /// Number of worker threads, each owning one of as many contiguous
+    /// component blocks (its shard).
     pub workers: usize,
-    /// Component→worker map (default: contiguous equal blocks).
-    pub partition: Option<Partition>,
     /// Post a block message every this many local updates.
     pub exchange_every: u64,
     /// Receiver policy.
@@ -115,7 +114,6 @@ impl Default for ThreadedCluster {
     fn default() -> Self {
         Self {
             workers: 1,
-            partition: None,
             exchange_every: 1,
             apply_policy: ApplyPolicy::AsReceived,
             hold_prob: 0.0,
@@ -163,7 +161,7 @@ impl ThreadedCluster {
             ("dup_prob", self.dup_prob),
         ])?;
         let (op, n) = (problem.op, problem.n());
-        let partition = resolve_partition("workers", &self.partition, n, self.workers)?;
+        let partition = block_partition("workers", n, self.workers)?;
         let mesh = Worker::mesh(
             op,
             &problem.x0,
@@ -178,7 +176,7 @@ impl ThreadedCluster {
             drop_prob: self.drop_prob,
             dup_prob: self.dup_prob,
         };
-        let seed = ctl.seed.unwrap_or(0);
+        let seed = ctl.seed;
         let endpoints = (transport.connect(mesh.len()).into_iter().enumerate())
             .map(|(w, ep)| FaultEndpoint::new(ep, plan, substream(seed, w as u64, 1)));
         let seats = mesh.into_iter().zip(endpoints).collect();
@@ -418,12 +416,15 @@ impl ThreadedClusterEngine {
                 check_every: cfg.check_every,
             }),
             record: recorded(cfg.record),
-            seed: Some(cfg.seed),
+            seed: cfg.seed,
             schedule: None,
         };
         let cluster = ThreadedCluster {
-            workers: partition.num_machines(),
-            partition: Some(partition.clone()),
+            workers: native_workers(
+                partition,
+                op.dim(),
+                "ThreadedClusterEngine::run_with (partition)",
+            )?,
             exchange_every: cfg.exchange_every,
             apply_policy: cfg.apply_policy,
             hold_prob: cfg.hold_prob,
@@ -455,6 +456,7 @@ impl ThreadedClusterEngine {
 mod tests {
     use super::*;
     use asynciter_core::session::{RecordMode, Session};
+    use asynciter_core::CoreError;
     use asynciter_models::conditions::check_condition_a;
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_opt::linear::JacobiOperator;
@@ -521,6 +523,14 @@ mod tests {
             ..threaded(2)
         })
         .is_err());
+        // The native door's partition must be sized for the operator.
+        let p9 = Partition::blocks(9, 2).unwrap();
+        let cfg = ThreadedConfig::new(10);
+        let err = ThreadedClusterEngine::run_with(&op, &[0.0; 8], &p9, &cfg, &mut MpscTransport);
+        assert!(
+            matches!(err, Err(CoreError::DimensionMismatch { actual: 9, .. })),
+            "{err:?}"
+        );
         let quiesce = Some(Quiesce {
             eps: 1e-9,
             streak: 0,

@@ -161,7 +161,6 @@ impl Worker {
         }
         for c in workers.iter().map(|w| w.counters) {
             channel.delivered += c.delivered;
-            channel.discarded_stale += c.constraint_violations;
             report.partial_publishes += c.partial_publishes;
             report.partial_reads += c.partial_reads;
             report.constraint_checked += c.constraint_checked;

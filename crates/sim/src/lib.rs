@@ -21,11 +21,13 @@
 //! latency draw and the time-ordered `EventQueue`); only the
 //! compute-time models ([`compute`]) and the timeline are its own.
 //!
-//! There is one door: `Session` → [`Sim`], which runs a [`SimConfig`]
-//! straight off the session's problem and controls into the shared
-//! `RunReport` — budget, error and residual sampling, every stopping
-//! rule, streamed macro-iterations, and an [`asynciter_models::Trace`]
-//! (for macro-iteration/epoch analysis) when recording is on.
+//! There is one door: `Session` → [`Sim`], a plain backend struct like
+//! `Cluster` — one compute model per processor, the link model, inner
+//! steps and partial sends — run straight off the session's problem and
+//! controls into the shared `RunReport`: budget, the seed of every draw,
+//! error and residual sampling, every stopping rule, streamed
+//! macro-iterations, and an [`asynciter_models::Trace`] (for
+//! macro-iteration/epoch analysis) when recording is on.
 //! [`Sim::run_with_timeline`] is the same run that also hands out the
 //! [`timeline::Timeline`] the figures are rendered from.
 
@@ -40,6 +42,5 @@ pub mod scenario;
 pub mod session;
 pub mod timeline;
 
-pub use runner::SimConfig;
 pub use session::Sim;
 pub use timeline::{CommKind, Timeline};

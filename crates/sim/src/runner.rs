@@ -1,17 +1,21 @@
 //! The discrete-event simulation loop.
 //!
-//! Each processor is a [`Worker`]: it owns a block of components and a
-//! labelled *local view* of the whole iterate (its knowledge of the
-//! others). An updating phase:
+//! The machine is a [`Sim`]: one processor per compute model, processor
+//! `p` owning the `p`-th of as many contiguous component blocks, as on
+//! every runtime backend. Every draw — phase durations and link
+//! latencies — comes from one stream seeded by the session
+//! (`RunControl::seed`). Each processor is a [`Worker`]: it owns its
+//! block and a labelled *local view* of the whole iterate (its knowledge
+//! of the others). An updating phase:
 //!
 //! 1. records the view's labels at its **start** (the phase's input —
 //!    this is where staleness enters),
 //! 2. runs `inner_steps` [`Worker::produce`] calls on the owned block
 //!    (off-block frozen); a non-finite inner iterate fails the run,
-//! 3. optionally sends `partial_sends` intermediate block values at
-//!    evenly spaced times inside the phase (flexible communication,
-//!    Fig. 2's hatched arrows), each a [`Worker::post`] right after the
-//!    inner iteration it carries,
+//! 3. optionally sends `partial_sends < inner_steps` intermediate block
+//!    values at evenly spaced times inside the phase (flexible
+//!    communication, Fig. 2's hatched arrows), each a [`Worker::post`]
+//!    right after the inner iteration it carries,
 //! 4. at its **end** is assigned the next global iteration number `j`
 //!    (completion order = the iteration order of Definition 1),
 //!    [stamps](Worker::stamp) its block with `j`, writes it into the
@@ -20,11 +24,11 @@
 //!
 //! Phase ends and message arrivals wait in one [`EventQueue`] — earliest
 //! tick first, equal ticks in scheduling order — and each message's
-//! latency is a [`LinkModel`] draw: the channel model `Cluster` delivers
-//! its mail with. Simulated time saturates at `u64::MAX`, a tick that
-//! never comes: a heavy-tailed draw that would pass it is a phase that
-//! never ends or a message that never arrives, which the queue never
-//! schedules, never an overflow.
+//! latency is a [`LinkModel`](asynciter_models::channel::LinkModel)
+//! draw: the channel model `Cluster` delivers its mail with. Simulated
+//! time saturates at `u64::MAX`, a tick that never comes: a heavy-tailed
+//! draw that would pass it is a phase that never ends or a message that
+//! never arrives, which the queue never schedules, never an overflow.
 //!
 //! Every buffer a phase needs is per processor and allocated at set-up;
 //! what a step allocates is one payload per message sent.
@@ -41,94 +45,18 @@
 //! trace when asked, samples, and evaluates the stopping rule: the run
 //! ends at the phase that fires it exactly as it ends at its budget.
 //!
-//! [`Sim`](crate::session::Sim) is the one door into this loop.
+//! [`Sim`] is the one door into this loop.
 
-use crate::compute::ComputeModel;
+use crate::session::Sim;
 use crate::timeline::{Comm, CommKind, Phase, Timeline};
 use asynciter_core::observer::Observer;
 use asynciter_core::session::{Problem, RunControl, RunReport};
 use asynciter_core::{CoreError, Result};
-use asynciter_models::channel::{EventQueue, LinkModel};
+use asynciter_models::channel::EventQueue;
 use asynciter_models::partition::Partition;
 use asynciter_opt::traits::Operator;
 use asynciter_runtime::{ApplyPolicy, BlockMessage, Worker};
 use rand::rngs::StdRng;
-
-/// The simulated machine: who owns what, how long phases and messages
-/// take, and how a phase communicates. How long to run, what to sample,
-/// when to stop and what to keep are the session's `RunControl`.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Component → processor assignment.
-    pub partition: Partition,
-    /// Per-processor compute-time models.
-    pub compute: Vec<ComputeModel>,
-    /// Link latency model in ticks (shared by all links; latencies are
-    /// drawn independently per message).
-    pub latency: LinkModel,
-    /// Inner iterations per phase (`m ≥ 1`).
-    pub inner_steps: usize,
-    /// Number of mid-phase partial sends (0 = classic asynchronous).
-    pub partial_sends: usize,
-    /// RNG seed of the compute and latency draws: the default that a
-    /// session seed (`Session::seed`) overrides, so a canned scenario
-    /// carries its own.
-    pub seed: u64,
-}
-
-impl SimConfig {
-    /// True when no value leaves a processor mid-phase, so each phase is
-    /// arithmetically `inner_steps` inner iterations of one scheduled
-    /// step: the recorded trace, replayed through
-    /// `Flexible { m: inner_steps, partial: false }` — the `Replay`
-    /// engine when `inner_steps == 1` — must reproduce the simulated
-    /// iterates *bit for bit*. The conformance fuzzer's cross-backend
-    /// oracle only injects traces from configurations satisfying this
-    /// predicate; mid-phase partials have no scheduled-step replay form.
-    pub fn replay_equivalent(&self) -> bool {
-        self.partial_sends == 0
-    }
-
-    /// A plain configuration with fixed unit compute times and unit
-    /// latency.
-    pub fn uniform(partition: Partition) -> Self {
-        let p = partition.num_machines();
-        Self {
-            partition,
-            compute: vec![ComputeModel::Fixed { ticks: 1 }; p],
-            latency: LinkModel::Fixed { ticks: 1 },
-            inner_steps: 1,
-            partial_sends: 0,
-            seed: 0,
-        }
-    }
-
-    /// Checks the configuration against a problem of dimension `n`,
-    /// once, before the event loop.
-    fn check(&self, n: usize) -> Result<()> {
-        let procs = self.partition.num_machines();
-        for (expected, actual, context) in [
-            (n, self.partition.n(), "Sim (partition)"),
-            (procs, self.compute.len(), "Sim (compute models)"),
-        ] {
-            if actual != expected {
-                return Err(CoreError::DimensionMismatch {
-                    expected,
-                    actual,
-                    context,
-                });
-            }
-        }
-        let invalid = |name, message| CoreError::InvalidParameter { name, message };
-        if self.inner_steps == 0 {
-            return Err(invalid("inner_steps", "must be positive".into()));
-        }
-        for model in &self.compute {
-            model.validate().map_err(|m| invalid("compute", m))?;
-        }
-        self.latency.validate().map_err(|m| invalid("latency", m))
-    }
-}
 
 /// The backend's name in reports and error messages.
 pub(crate) const NAME: &str = "sim";
@@ -150,7 +78,7 @@ enum Event {
 /// global iterate and the phase bookkeeping, all allocated at set-up.
 struct Run<'a> {
     op: &'a dyn Operator,
-    cfg: &'a SimConfig,
+    sim: &'a Sim,
     rng: StdRng,
     /// One shard owner per processor: block, view and label book.
     workers: Vec<Worker>,
@@ -171,15 +99,20 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    fn new(cfg: &'a SimConfig, problem: &'a Problem<'_>, seed: u64) -> Result<Self> {
+    fn new(
+        sim: &'a Sim,
+        partition: &Partition,
+        problem: &'a Problem<'_>,
+        seed: u64,
+    ) -> Result<Self> {
         let (op, n) = (problem.op, problem.n());
-        let procs = cfg.partition.num_machines();
+        let procs = partition.num_machines();
         // Whole blocks, due after every `produce`; `heard` keeps the freshest.
         let policy = ApplyPolicy::AsReceived;
-        let workers = Worker::mesh(op, &problem.x0, &cfg.partition, policy, 1, 0.0)?;
+        let workers = Worker::mesh(op, &problem.x0, partition, policy, 1, 0.0)?;
         Ok(Self {
             op,
-            cfg,
+            sim,
             rng: asynciter_numerics::rng::rng(seed),
             workers,
             x: problem.x0.clone(),
@@ -202,7 +135,7 @@ impl<'a> Run<'a> {
         let mut spare = self.workers[p].post(&mut self.rng);
         let mut peers = self.workers[p].peers().peekable();
         while let Some(to) = peers.next() {
-            let recv_t = send_t.saturating_add(self.cfg.latency.sample(&mut self.rng));
+            let recv_t = send_t.saturating_add(self.sim.link.sample(&mut self.rng));
             self.timeline.comms.push(Comm {
                 from: p,
                 to,
@@ -228,16 +161,15 @@ impl<'a> Run<'a> {
     fn schedule_phase(&mut self, p: usize, t: u64) -> Result<()> {
         self.phase_count[p] += 1;
         let k = self.phase_count[p];
-        let dur = self.cfg.compute[p].duration(k, &mut self.rng);
+        let dur = self.sim.compute[p].duration(k, &mut self.rng);
         let end = t.saturating_add(dur);
         self.read_labels[p].copy_from_slice(self.workers[p].labels());
         // Mid-phase partial sends at evenly spaced interior times, each
         // carrying the freshest inner iteration available then, posted
         // right after it. The block keeps the sender's last completed
         // iteration as its label until the phase ends.
-        let (m, label) = (self.cfg.inner_steps, self.last_completed_j[p]);
-        let interior = m - 1;
-        let sends = self.cfg.partial_sends.min(interior);
+        let (m, label) = (self.sim.inner_steps, self.last_completed_j[p]);
+        let (interior, sends) = (m - 1, self.sim.partial_sends);
         let stage = |s: usize| ((interior * s).div_ceil(sends + 1)).min(interior - 1);
         let mut s = 1;
         for r in 0..m {
@@ -293,22 +225,22 @@ impl<'a> Run<'a> {
         });
         // Condition (a) by construction: reads predate j.
         debug_assert!(self.read_labels[p].iter().all(|&l| l < j));
-        self.broadcast(p, end, self.cfg.inner_steps - 1, CommKind::Full);
+        self.broadcast(p, end, self.sim.inner_steps - 1, CommKind::Full);
         end
     }
 }
 
-/// Checks the controls and `cfg` against `problem`, then runs the
+/// Checks the controls and `sim` against `problem`, then runs the
 /// simulation to the budget or the stopping rule.
 pub(crate) fn run(
-    cfg: &SimConfig,
+    sim: &Sim,
     problem: &Problem<'_>,
     ctl: &RunControl<'_>,
 ) -> Result<(RunReport, Timeline)> {
     ctl.check(problem)?;
-    cfg.check(problem.n())?;
+    let partition = sim.check(problem.n())?;
     let start = std::time::Instant::now();
-    let mut run = Run::new(cfg, problem, ctl.seed.unwrap_or(cfg.seed))?;
+    let mut run = Run::new(sim, &partition, problem, ctl.seed)?;
     let mut observer = Observer::new(problem, ctl);
     let mut scratch = vec![0.0; problem.op.scratch_len()];
     let procs = run.workers.len();
@@ -360,9 +292,9 @@ pub(crate) fn run(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::session::Sim;
+    use crate::compute::ComputeModel;
     use asynciter_core::session::RecordMode;
-    use asynciter_models::channel::NEVER;
+    use asynciter_models::channel::{LinkModel, NEVER};
     use asynciter_models::conditions::check_condition_a;
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_opt::linear::JacobiOperator;
@@ -371,18 +303,14 @@ pub(crate) mod tests {
         JacobiOperator::new(tridiagonal(n, 4.0, -1.0), vec![1.0; n]).unwrap()
     }
 
-    fn base_cfg(n: usize, procs: usize) -> SimConfig {
-        SimConfig::uniform(Partition::blocks(n, procs).unwrap())
-    }
-
-    /// `steps` global iterations of `cfg` from `x0` through the one
-    /// door, fully recorded, sampling the error every `error_every`
-    /// steps when `xstar` is given.
+    /// `steps` global iterations of `sim` from `x0` under `seed` through
+    /// the one door, fully recorded, sampling the error every
+    /// `error_every` steps when `xstar` is given.
     pub(crate) fn simulate(
         op: &dyn Operator,
         x0: &[f64],
-        cfg: &SimConfig,
-        steps: u64,
+        sim: &Sim,
+        (steps, seed): (u64, u64),
         (xstar, error_every): (Option<&[f64]>, u64),
     ) -> Result<(RunReport, Timeline)> {
         let problem = Problem {
@@ -396,27 +324,25 @@ pub(crate) mod tests {
             residual_every: 0,
             stopping: None,
             record: RecordMode::Full,
-            seed: None,
+            seed,
             schedule: None,
         };
-        Sim(cfg.clone()).run_with_timeline(&problem, &mut ctl)
+        sim.run_with_timeline(&problem, &mut ctl)
     }
 
     #[test]
     fn deterministic_runs() {
         let op = jacobi(8);
-        let cfg = {
-            let mut c = base_cfg(8, 2);
-            c.compute = vec![
+        let sim = Sim {
+            compute: vec![
                 ComputeModel::Uniform { lo: 1, hi: 5 },
                 ComputeModel::Uniform { lo: 2, hi: 9 },
-            ];
-            c.latency = LinkModel::Jitter { lo: 0, hi: 7 };
-            c.seed = 42;
-            c
+            ],
+            link: LinkModel::Jitter { lo: 0, hi: 7 },
+            ..Sim::uniform(2)
         };
-        let (a, ta) = simulate(&op, &[0.0; 8], &cfg, 100, (None, 0)).unwrap();
-        let (b, tb) = simulate(&op, &[0.0; 8], &cfg, 100, (None, 0)).unwrap();
+        let (a, ta) = simulate(&op, &[0.0; 8], &sim, (100, 42), (None, 0)).unwrap();
+        let (b, tb) = simulate(&op, &[0.0; 8], &sim, (100, 42), (None, 0)).unwrap();
         assert_eq!(a.final_x, b.final_x);
         assert_eq!(ta.phases, tb.phases);
         assert_eq!(a.sim_time, b.sim_time);
@@ -425,18 +351,19 @@ pub(crate) mod tests {
     #[test]
     fn timeline_is_valid_and_trace_satisfies_condition_a() {
         let op = jacobi(12);
-        let mut cfg = base_cfg(12, 3);
-        cfg.compute = vec![
-            ComputeModel::Fixed { ticks: 2 },
-            ComputeModel::Uniform { lo: 1, hi: 6 },
-            ComputeModel::HeavyTail {
-                scale: 1,
-                alpha: 1.5,
-            },
-        ];
-        cfg.latency = LinkModel::Jitter { lo: 0, hi: 10 };
-        cfg.seed = 7;
-        let (res, timeline) = simulate(&op, &[0.0; 12], &cfg, 300, (None, 0)).unwrap();
+        let sim = Sim {
+            compute: vec![
+                ComputeModel::Fixed { ticks: 2 },
+                ComputeModel::Uniform { lo: 1, hi: 6 },
+                ComputeModel::HeavyTail {
+                    scale: 1,
+                    alpha: 1.5,
+                },
+            ],
+            link: LinkModel::Jitter { lo: 0, hi: 10 },
+            ..Sim::uniform(3)
+        };
+        let (res, timeline) = simulate(&op, &[0.0; 12], &sim, (300, 7), (None, 0)).unwrap();
         timeline.validate().expect("valid timeline");
         let trace = res.trace.expect("RecordMode::Full");
         check_condition_a(&trace).expect("condition (a)");
@@ -447,10 +374,11 @@ pub(crate) mod tests {
     fn converges_to_fixed_point() {
         let op = jacobi(12);
         let xstar = op.solve_dense_spd().unwrap();
-        let mut cfg = base_cfg(12, 3);
-        cfg.latency = LinkModel::Jitter { lo: 0, hi: 4 };
-        cfg.seed = 3;
-        let (res, _) = simulate(&op, &[0.0; 12], &cfg, 2000, (Some(&xstar), 0)).unwrap();
+        let sim = Sim {
+            link: LinkModel::Jitter { lo: 0, hi: 4 },
+            ..Sim::uniform(3)
+        };
+        let (res, _) = simulate(&op, &[0.0; 12], &sim, (2000, 3), (Some(&xstar), 0)).unwrap();
         assert!(
             res.final_error(&xstar) < 1e-9,
             "error {}",
@@ -468,9 +396,13 @@ pub(crate) mod tests {
             x0: vec![0.0; 8],
             xstar: None,
         };
-        let mut cfg = base_cfg(8, 2);
-        (cfg.inner_steps, cfg.partial_sends) = (3, 2);
-        let mut run = Run::new(&cfg, &problem, 0).unwrap();
+        let sim = Sim {
+            inner_steps: 3,
+            partial_sends: 2,
+            ..Sim::uniform(2)
+        };
+        let partition = sim.check(8).unwrap();
+        let mut run = Run::new(&sim, &partition, &problem, 0).unwrap();
         let block = |v: f64, label: u64| BlockMessage {
             from: 0,
             comps: (0..4).map(|c| (c, v, label)).collect(),
@@ -496,7 +428,7 @@ pub(crate) mod tests {
         // α = 0.1: about one draw in 80 is `u64::MAX` ticks by itself, so
         // `send_t + latency` and `t + dur` pass the end of time often.
         let op = jacobi(8);
-        for (compute, latency) in [
+        for (compute, link) in [
             (
                 ComputeModel::Uniform { lo: 1, hi: 3 },
                 LinkModel::HeavyTail {
@@ -512,12 +444,13 @@ pub(crate) mod tests {
                 LinkModel::Fixed { ticks: 1 },
             ),
         ] {
-            let mut cfg = base_cfg(8, 2);
-            cfg.compute = vec![compute; 2];
-            cfg.latency = latency;
-            cfg.inner_steps = 2;
-            cfg.partial_sends = 1;
-            let (res, timeline) = simulate(&op, &[0.0; 8], &cfg, 400, (None, 0)).unwrap();
+            let sim = Sim {
+                compute: vec![compute; 2],
+                link,
+                inner_steps: 2,
+                partial_sends: 1,
+            };
+            let (res, timeline) = simulate(&op, &[0.0; 8], &sim, (400, 0), (None, 0)).unwrap();
             timeline.validate().expect("valid timeline");
             check_condition_a(&res.trace.expect("RecordMode::Full")).expect("condition (a)");
             assert_eq!(timeline.phases.len() as u64, res.steps);
@@ -530,11 +463,13 @@ pub(crate) mod tests {
     #[test]
     fn partial_sends_appear_in_timeline() {
         let op = jacobi(8);
-        let mut cfg = base_cfg(8, 2);
-        cfg.inner_steps = 4;
-        cfg.partial_sends = 2;
-        cfg.compute = vec![ComputeModel::Fixed { ticks: 8 }; 2];
-        let (res, timeline) = simulate(&op, &[0.0; 8], &cfg, 50, (None, 0)).unwrap();
+        let sim = Sim {
+            compute: vec![ComputeModel::Fixed { ticks: 8 }; 2],
+            inner_steps: 4,
+            partial_sends: 2,
+            ..Sim::uniform(2)
+        };
+        let (res, timeline) = simulate(&op, &[0.0; 8], &sim, (50, 0), (None, 0)).unwrap();
         assert!(timeline.partial_count() > 0);
         assert_eq!(res.partial_publishes, timeline.partial_count() as u64);
         timeline.validate().unwrap();
@@ -558,12 +493,14 @@ pub(crate) mod tests {
     #[test]
     fn heterogeneous_speeds_skew_phase_counts() {
         let op = jacobi(8);
-        let mut cfg = base_cfg(8, 2);
-        cfg.compute = vec![
-            ComputeModel::Fixed { ticks: 1 },
-            ComputeModel::Fixed { ticks: 10 },
-        ];
-        let (res, timeline) = simulate(&op, &[0.0; 8], &cfg, 300, (None, 0)).unwrap();
+        let sim = Sim {
+            compute: vec![
+                ComputeModel::Fixed { ticks: 1 },
+                ComputeModel::Fixed { ticks: 10 },
+            ],
+            ..Sim::uniform(2)
+        };
+        let (res, timeline) = simulate(&op, &[0.0; 8], &sim, (300, 0), (None, 0)).unwrap();
         let fast = timeline.phases_of(0).len();
         let slow = timeline.phases_of(1).len();
         assert!(fast > 5 * slow, "expected ~10x skew, got {fast} vs {slow}");
@@ -574,8 +511,8 @@ pub(crate) mod tests {
     fn errors_recorded_when_requested() {
         let op = jacobi(8);
         let xstar = op.solve_dense_spd().unwrap();
-        let cfg = base_cfg(8, 2);
-        let (res, _) = simulate(&op, &[0.0; 8], &cfg, 200, (Some(&xstar), 20)).unwrap();
+        let sim = Sim::uniform(2);
+        let (res, _) = simulate(&op, &[0.0; 8], &sim, (200, 0), (Some(&xstar), 20)).unwrap();
         assert_eq!(res.errors.len(), 10);
         assert!(res.errors.first().unwrap().1 >= res.errors.last().unwrap().1);
         assert_eq!(res.error_times.len(), 10);
@@ -585,27 +522,34 @@ pub(crate) mod tests {
     #[test]
     fn validation_errors() {
         let op = jacobi(8);
-        let kind = |x0: &[f64], cfg: &SimConfig, steps, error_every| match simulate(
+        let kind = |x0: &[f64], sim: &Sim, steps, error_every| match simulate(
             &op,
             x0,
-            cfg,
-            steps,
+            sim,
+            (steps, 0),
             (None, error_every),
         ) {
             Err(CoreError::DimensionMismatch { context, .. }) => context,
             Err(CoreError::InvalidParameter { name, .. }) => name,
             other => panic!("expected a typed rejection, got {other:?}"),
         };
-        let cfg = base_cfg(8, 2);
-        let mut short = cfg.clone();
-        short.compute.pop();
-        assert_eq!(kind(&[0.0; 8], &short, 10, 0), "Sim (compute models)");
-        assert_eq!(kind(&[0.0; 8], &cfg, 0, 0), "max_steps");
-        assert_eq!(kind(&[0.0; 8], &cfg, 10, 5), "error_every");
-        assert_eq!(kind(&[0.0; 7], &cfg, 10, 0), "Session (x0)");
-        assert_eq!(kind(&[0.0; 8], &base_cfg(6, 2), 10, 0), "Sim (partition)");
-        let mut idle = cfg.clone();
-        idle.inner_steps = 0;
+        let sim = Sim::uniform(2);
+        assert_eq!(kind(&[0.0; 8], &Sim::uniform(0), 10, 0), "compute");
+        assert_eq!(kind(&[0.0; 8], &Sim::uniform(9), 10, 0), "compute");
+        assert_eq!(kind(&[0.0; 8], &sim, 0, 0), "max_steps");
+        assert_eq!(kind(&[0.0; 8], &sim, 10, 5), "error_every");
+        assert_eq!(kind(&[0.0; 7], &sim, 10, 0), "Session (x0)");
+        let idle = Sim {
+            inner_steps: 0,
+            ..sim.clone()
+        };
         assert_eq!(kind(&[0.0; 8], &idle, 10, 0), "inner_steps");
+        // One partial after each interior inner iteration at most.
+        let crowded = Sim {
+            inner_steps: 4,
+            partial_sends: 4,
+            ..sim
+        };
+        assert_eq!(kind(&[0.0; 8], &crowded, 10, 0), "partial_sends");
     }
 }

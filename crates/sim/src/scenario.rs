@@ -10,13 +10,12 @@
 //!
 //! Each scenario pairs a concrete 2-component contraction (so the
 //! simulated arithmetic is real) with the compute/latency models that
-//! produce the figure's shape; how long it runs is the session's
-//! `.steps(..)`.
+//! produce the figure's shape; how long it runs and the seed of its
+//! draws are the session's `.steps(..)` and `.seed(..)`.
 
 use crate::compute::ComputeModel;
-use crate::runner::SimConfig;
+use crate::session::Sim;
 use asynciter_models::channel::LinkModel;
-use asynciter_models::partition::Partition;
 use asynciter_numerics::sparse::CsrMatrix;
 use asynciter_opt::linear::JacobiOperator;
 
@@ -37,46 +36,40 @@ pub fn two_component_operator() -> JacobiOperator {
 
 /// Fig. 1 scenario: two processors, `P1` phases of 3 ticks, `P2` phases
 /// jittering in `[4, 7]`, unit link latency, end-of-phase exchange only.
-pub fn fig1(seed: u64) -> SimConfig {
-    SimConfig {
-        partition: Partition::identity(2),
+pub fn fig1() -> Sim {
+    Sim {
         compute: vec![
             ComputeModel::Fixed { ticks: 3 },
             ComputeModel::Uniform { lo: 4, hi: 7 },
         ],
-        latency: LinkModel::Fixed { ticks: 1 },
-        inner_steps: 1,
-        partial_sends: 0,
-        seed,
+        ..Sim::uniform(2)
     }
 }
 
 /// Fig. 2 scenario: as [`fig1`] but each phase runs 4 inner iterations
 /// and sends 2 partial updates mid-phase (the hatched arrows).
-pub fn fig2(seed: u64) -> SimConfig {
-    let mut cfg = fig1(seed);
-    cfg.compute = vec![
-        ComputeModel::Fixed { ticks: 6 },
-        ComputeModel::Uniform { lo: 8, hi: 12 },
-    ];
-    cfg.inner_steps = 4;
-    cfg.partial_sends = 2;
-    cfg
+pub fn fig2() -> Sim {
+    Sim {
+        compute: vec![
+            ComputeModel::Fixed { ticks: 6 },
+            ComputeModel::Uniform { lo: 8, hi: 12 },
+        ],
+        inner_steps: 4,
+        partial_sends: 2,
+        ..fig1()
+    }
 }
 
 /// Baudet's example: `P1` updates `x₁` in one tick, `P2`'s `k`-th phase
 /// takes `k` ticks; exchange at phase end with (near-)zero latency.
-pub fn baudet() -> SimConfig {
-    SimConfig {
-        partition: Partition::identity(2),
+pub fn baudet() -> Sim {
+    Sim {
         compute: vec![
             ComputeModel::Fixed { ticks: 1 },
             ComputeModel::Baudet { scale: 1 },
         ],
-        latency: LinkModel::Fixed { ticks: 0 },
-        inner_steps: 1,
-        partial_sends: 0,
-        seed: 0,
+        link: LinkModel::Fixed { ticks: 0 },
+        ..Sim::uniform(2)
     }
 }
 
@@ -104,7 +97,7 @@ mod tests {
     #[test]
     fn fig1_scenario_produces_expected_shape() {
         let op = two_component_operator();
-        let (_, timeline) = simulate(&op, &[0.0, 0.0], &fig1(1), 30, (None, 0)).unwrap();
+        let (_, timeline) = simulate(&op, &[0.0, 0.0], &fig1(), (30, 1), (None, 0)).unwrap();
         timeline.validate().unwrap();
         // P1 is faster → more phases.
         assert!(timeline.phases_of(0).len() > timeline.phases_of(1).len());
@@ -116,7 +109,7 @@ mod tests {
     #[test]
     fn fig2_scenario_has_partials() {
         let op = two_component_operator();
-        let (_, timeline) = simulate(&op, &[0.0, 0.0], &fig2(1), 20, (None, 0)).unwrap();
+        let (_, timeline) = simulate(&op, &[0.0, 0.0], &fig2(), (20, 1), (None, 0)).unwrap();
         timeline.validate().unwrap();
         assert!(timeline.partial_count() > 0);
     }
@@ -124,7 +117,7 @@ mod tests {
     #[test]
     fn baudet_scenario_reproduces_sqrt_delay_growth() {
         let op = two_component_operator();
-        let (res, _) = simulate(&op, &[0.0, 0.0], &baudet(), 30_000, (None, 0)).unwrap();
+        let (res, _) = simulate(&op, &[0.0, 0.0], &baudet(), (30_000, 0), (None, 0)).unwrap();
         let trace = res.trace.expect("recorded");
         // Delay of x₂'s information at P1's steps grows like √j.
         let series: Vec<(u64, u64)> = delay_series(&trace, 1)
@@ -146,7 +139,7 @@ mod tests {
         // The simulator's Baudet run must agree with the closed-form
         // construction in asynciter-models on the P2 update density.
         let op = two_component_operator();
-        let (res, _) = simulate(&op, &[0.0, 0.0], &baudet(), 10_000, (None, 0)).unwrap();
+        let (res, _) = simulate(&op, &[0.0, 0.0], &baudet(), (10_000, 0), (None, 0)).unwrap();
         let p2_updates = res
             .trace
             .expect("recorded")

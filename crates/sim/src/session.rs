@@ -1,48 +1,120 @@
 //! Discrete-event-simulator backend for the unified [`Session`] API:
 //! the one door into the simulator.
 //!
-//! [`Sim`] wraps a [`SimConfig`] — the simulated machine: partition,
-//! compute models, latency model, flexible-communication settings — and
-//! runs it straight off the session's `Problem` and [`RunControl`] into
-//! the `RunReport`. `max_steps` is the budget of global iterations,
-//! error *and* residual sampling and every `StoppingRule` are honoured
-//! (the event loop tells the shared `asynciter-core` `Observer` each
-//! phase end), `record` decides whether a trace is built at all, and an
-//! explicitly set session seed replaces the config seed — so the same
-//! session drives replay, threads and simulation interchangeably. Only
-//! an explicit schedule is rejected: the event loop generates its own.
+//! [`Sim`] is the simulated machine — one compute model per processor,
+//! the link model, the flexible-communication settings — and runs
+//! straight off the session's `Problem` and [`RunControl`] into the
+//! `RunReport`. Its processor count is `compute.len()`, and the
+//! components split into that many contiguous blocks as on every runtime
+//! backend. `max_steps` is the budget of global iterations, error *and*
+//! residual sampling and every `StoppingRule` are honoured (the event
+//! loop tells the shared `asynciter-core` `Observer` each phase end),
+//! `record` decides whether a trace is built at all, and the session's
+//! seed drives every compute and latency draw — so the same session
+//! drives replay, threads and simulation interchangeably. Only an
+//! explicit schedule is rejected: the event loop generates its own.
 //!
 //! [`Session`]: asynciter_core::session::Session
 
-use crate::runner::{self, SimConfig, NAME};
+use crate::compute::ComputeModel;
+use crate::runner::{self, NAME};
 use crate::timeline::Timeline;
 use asynciter_core::session::{Backend, Problem, RunControl, RunReport};
+use asynciter_core::{CoreError, Result};
+use asynciter_models::channel::LinkModel;
+use asynciter_models::partition::Partition;
+use asynciter_runtime::session::block_partition;
 
-/// The simulator backend: `Sim(config)`.
+/// The simulator backend: the simulated machine — how long phases and
+/// messages take, and how a phase communicates. How long to run, what to
+/// sample, when to stop, what to keep and the seed of every draw are the
+/// session's [`RunControl`].
 ///
-/// The wrapped [`SimConfig`] carries everything execution-specific
-/// (partition, per-processor compute models, link latency, inner steps,
-/// partial sends); the session supplies problem and observation controls.
+/// Constructible with functional-update syntax:
+/// `Sim { inner_steps: 4, partial_sends: 2, ..Sim::uniform(2) }`.
 #[derive(Debug, Clone)]
-pub struct Sim(pub SimConfig);
+pub struct Sim {
+    /// One compute-time model per processor: their number is the
+    /// processor count, and processor `p` owns the `p`-th of as many
+    /// contiguous component blocks.
+    pub compute: Vec<ComputeModel>,
+    /// Link latency model in ticks (shared by all links; latencies are
+    /// drawn independently per message).
+    pub link: LinkModel,
+    /// Inner iterations per phase (`m ≥ 1`).
+    pub inner_steps: usize,
+    /// Mid-phase partial sends per phase: 0 is classic asynchronous, and
+    /// there is at most one after each interior inner iteration, so
+    /// fewer than `inner_steps`.
+    pub partial_sends: usize,
+}
 
 impl Sim {
+    /// `procs` processors with fixed unit compute times, unit latency,
+    /// one inner step per phase and no partial sends.
+    pub fn uniform(procs: usize) -> Self {
+        Self {
+            compute: vec![ComputeModel::Fixed { ticks: 1 }; procs],
+            link: LinkModel::Fixed { ticks: 1 },
+            inner_steps: 1,
+            partial_sends: 0,
+        }
+    }
+
+    /// True when no value leaves a processor mid-phase, so each phase is
+    /// arithmetically `inner_steps` inner iterations of one scheduled
+    /// step: the recorded trace, replayed through
+    /// `Flexible { m: inner_steps, partial: false }` — the `Replay`
+    /// engine when `inner_steps == 1` — must reproduce the simulated
+    /// iterates *bit for bit*. The conformance fuzzer's cross-backend
+    /// oracle only injects traces from machines satisfying this
+    /// predicate; mid-phase partials have no scheduled-step replay form.
+    pub fn replay_equivalent(&self) -> bool {
+        self.partial_sends == 0
+    }
+
+    /// Checks the machine against a problem of dimension `n`, once,
+    /// before the event loop, and returns its component → processor map.
+    pub(crate) fn check(&self, n: usize) -> Result<Partition> {
+        let partition = block_partition("compute", n, self.compute.len())?;
+        let invalid = |name, message| CoreError::InvalidParameter { name, message };
+        if self.inner_steps == 0 {
+            return Err(invalid("inner_steps", "must be positive".into()));
+        }
+        // `inner_steps ≥ 1` from here, so no partials always fit.
+        if self.partial_sends >= self.inner_steps {
+            return Err(invalid(
+                "partial_sends",
+                format!(
+                    "must be below inner_steps = {} (at most one after each interior \
+                     inner iteration), got {}",
+                    self.inner_steps, self.partial_sends
+                ),
+            ));
+        }
+        for model in &self.compute {
+            model.validate().map_err(|m| invalid("compute", m))?;
+        }
+        self.link.validate().map_err(|m| invalid("link", m))?;
+        Ok(partition)
+    }
+
     /// [`Backend::run`] that also hands out the [`Timeline`] of the run —
     /// the phases and communications behind the paper's Fig. 1 / Fig. 2,
     /// which the `RunReport` has no field for.
     ///
     /// # Errors
     /// An explicit schedule, controls `RunControl::check` rejects, a
-    /// configuration that does not fit the problem (partition or
-    /// compute-model count, zero `inner_steps`, a degenerate compute or
-    /// latency model), or a non-finite iterate.
+    /// machine that does not fit the problem (no compute model or more
+    /// than `n`, zero `inner_steps`, `partial_sends ≥ inner_steps`, a
+    /// degenerate compute or link model), or a non-finite iterate.
     pub fn run_with_timeline(
         &self,
         problem: &Problem<'_>,
         ctl: &mut RunControl<'_>,
-    ) -> asynciter_core::Result<(RunReport, Timeline)> {
+    ) -> Result<(RunReport, Timeline)> {
         ctl.reject_schedule(NAME, "the event loop generates its own")?;
-        runner::run(&self.0, problem, ctl)
+        runner::run(self, problem, ctl)
     }
 }
 
@@ -51,11 +123,7 @@ impl Backend for Sim {
         NAME
     }
 
-    fn run(
-        &mut self,
-        problem: &Problem<'_>,
-        ctl: &mut RunControl<'_>,
-    ) -> asynciter_core::Result<RunReport> {
+    fn run(&mut self, problem: &Problem<'_>, ctl: &mut RunControl<'_>) -> Result<RunReport> {
         let (report, _) = self.run_with_timeline(problem, ctl)?;
         Ok(report)
     }
@@ -64,11 +132,8 @@ impl Backend for Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::ComputeModel;
     use asynciter_core::session::{Flexible, RecordMode, Replay, Session};
-    use asynciter_core::{CoreError, StoppingRule};
-    use asynciter_models::channel::LinkModel;
-    use asynciter_models::partition::Partition;
+    use asynciter_core::StoppingRule;
     use asynciter_models::schedule::SyncJacobi;
     use asynciter_numerics::norm::WeightedMaxNorm;
     use asynciter_numerics::sparse::tridiagonal;
@@ -77,10 +142,6 @@ mod tests {
 
     fn jacobi(n: usize) -> JacobiOperator {
         JacobiOperator::new(tridiagonal(n, 4.0, -1.0), vec![1.0; n]).unwrap()
-    }
-
-    fn uniform(n: usize, procs: usize) -> SimConfig {
-        SimConfig::uniform(Partition::blocks(n, procs).unwrap())
     }
 
     #[test]
@@ -92,7 +153,7 @@ mod tests {
             .xstar(xstar.clone())
             .error_every(50)
             .record(RecordMode::Full)
-            .backend(Sim(uniform(8, 2)))
+            .backend(Sim::uniform(2))
             .run()
             .unwrap();
         assert_eq!(report.backend, "sim");
@@ -111,8 +172,8 @@ mod tests {
         // full Jacobi sweep on fresh data — identical arithmetic to the
         // replay engine's synchronous schedule.
         let op = jacobi(10);
-        let cfg = uniform(10, 1);
-        let sim = Session::new(&op).steps(40).backend(Sim(cfg)).run().unwrap();
+        let sim = Session::new(&op).steps(40).backend(Sim::uniform(1)).run();
+        let sim = sim.unwrap();
         let replay = Session::new(&op).steps(40).backend(Replay).run().unwrap();
         assert_eq!(sim.final_x, replay.final_x);
         assert_eq!(sim.steps, replay.steps);
@@ -122,10 +183,12 @@ mod tests {
     fn sim_honours_stopping_rules_and_residual_sampling() {
         let op = jacobi(12);
         let xstar = op.solve_dense_spd().unwrap();
-        let mut cfg = uniform(12, 3);
-        cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 5 }; 3];
-        cfg.latency = LinkModel::Jitter { lo: 1, hi: 9 };
-        cfg.inner_steps = 2;
+        let sim = Sim {
+            compute: vec![ComputeModel::Uniform { lo: 1, hi: 5 }; 3],
+            link: LinkModel::Jitter { lo: 1, hi: 9 },
+            inner_steps: 2,
+            ..Sim::uniform(3)
+        };
         let budget = 5_000;
         // Error samples at every step give each phase's end time.
         let session = || {
@@ -137,7 +200,7 @@ mod tests {
                 .residual_every(7)
                 .record(RecordMode::Full)
         };
-        let unstopped = session().backend(Sim(cfg.clone())).run().unwrap();
+        let unstopped = session().backend(sim.clone()).run().unwrap();
         assert!(!unstopped.stopped_early && unstopped.steps == budget);
         let trace = unstopped.trace.unwrap();
         let rules = [
@@ -156,8 +219,8 @@ mod tests {
             },
         ];
         for rule in rules {
-            let sim = Sim(cfg.clone());
-            let stopped = session().stopping(rule.clone()).backend(sim).run().unwrap();
+            let stopped = session().stopping(rule.clone()).backend(sim.clone());
+            let stopped = stopped.run().unwrap();
             assert!(stopped.stopped_early && stopped.steps < budget, "{rule:?}");
             let stop_end = unstopped.error_times[stopped.steps as usize - 1];
             assert_eq!(stopped.sim_time, Some(stop_end), "{rule:?}");
@@ -184,7 +247,7 @@ mod tests {
         let err = Session::new(&op)
             .steps(10)
             .schedule(SyncJacobi::new(12))
-            .backend(Sim(cfg))
+            .backend(sim)
             .run()
             .unwrap_err();
         assert!(matches!(err, CoreError::Backend { .. }), "{err}");
@@ -212,12 +275,15 @@ mod tests {
         // Used to run to `Ok` with NaN in `final_x` and a finite
         // `final_residual` (`f64::max` drops NaN).
         for partial_sends in [0, 1] {
-            let mut cfg = uniform(4, 2);
-            (cfg.inner_steps, cfg.partial_sends) = (2, partial_sends);
+            let sim = Sim {
+                inner_steps: 2,
+                partial_sends,
+                ..Sim::uniform(2)
+            };
             let err = Session::new(&UpperBlockDiverges)
                 .x0(vec![1.0; 4])
                 .steps(200)
-                .backend(Sim(cfg))
+                .backend(sim)
                 .run()
                 .unwrap_err();
             assert!(
@@ -232,17 +298,17 @@ mod tests {
         let op = jacobi(8);
         let (nan, jitter) = (f64::NAN, LinkModel::Jitter { lo: 5, hi: 2 });
         let heavy_compute = |alpha| ComputeModel::HeavyTail { scale: 1, alpha };
-        let heavy_latency = |alpha| LinkModel::HeavyTail { scale: 1, alpha };
-        let compute = |model: ComputeModel| SimConfig {
+        let heavy_link = |alpha| LinkModel::HeavyTail { scale: 1, alpha };
+        let compute = |model: ComputeModel| Sim {
             compute: vec![ComputeModel::Fixed { ticks: 1 }, model],
-            ..uniform(8, 2)
+            ..Sim::uniform(2)
         };
-        let latency = |latency: LinkModel| SimConfig {
-            latency,
-            ..uniform(8, 2)
+        let link = |link: LinkModel| Sim {
+            link,
+            ..Sim::uniform(2)
         };
         let rows = [
-            (uniform(8, 2), 7, "Session (xstar)"),
+            (Sim::uniform(2), 7, "Session (xstar)"),
             (
                 compute(ComputeModel::Uniform { lo: 5, hi: 2 }),
                 8,
@@ -250,17 +316,17 @@ mod tests {
             ),
             (compute(heavy_compute(0.0)), 8, "compute"),
             (compute(heavy_compute(nan)), 8, "compute"),
-            (latency(jitter), 8, "latency"),
-            (latency(heavy_latency(0.0)), 8, "latency"),
-            (latency(heavy_latency(nan)), 8, "latency"),
+            (link(jitter), 8, "link"),
+            (link(heavy_link(0.0)), 8, "link"),
+            (link(heavy_link(nan)), 8, "link"),
         ];
-        for (cfg, xstar_len, want) in rows {
-            let tag = format!("{cfg:?}");
+        for (sim, xstar_len, want) in rows {
+            let tag = format!("{sim:?}");
             let run = Session::new(&op)
                 .steps(50)
                 .xstar(vec![0.0; xstar_len])
                 .error_every(1)
-                .backend(Sim(cfg))
+                .backend(sim)
                 .run();
             let got = match run {
                 Err(CoreError::DimensionMismatch { context, .. }) => context,

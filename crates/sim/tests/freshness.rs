@@ -11,7 +11,6 @@ use asynciter_models::partition::Partition;
 use asynciter_numerics::sparse::tridiagonal;
 use asynciter_opt::linear::JacobiOperator;
 use asynciter_sim::compute::ComputeModel;
-use asynciter_sim::runner::SimConfig;
 use asynciter_sim::session::Sim;
 
 #[test]
@@ -27,23 +26,26 @@ fn a_processor_never_reads_an_older_label_than_its_last_phase() {
     ];
     // Classic exchange, and four inner iterations with two partials.
     let phases = [(1, 0), (4, 2)];
-    for latency in links {
+    for link in links {
         for (inner_steps, partial_sends) in phases {
             for procs in [2, 3] {
                 for seed in 0..4 {
                     let partition = Partition::blocks(n, procs).unwrap();
-                    let mut cfg = SimConfig::uniform(partition.clone());
-                    cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 4 }; procs];
-                    (cfg.latency, cfg.seed) = (latency, seed);
-                    (cfg.inner_steps, cfg.partial_sends) = (inner_steps, partial_sends);
+                    let sim = Sim {
+                        compute: vec![ComputeModel::Uniform { lo: 1, hi: 4 }; procs],
+                        link,
+                        inner_steps,
+                        partial_sends,
+                    };
                     let report = Session::new(&op)
                         .steps(400)
+                        .seed(seed)
                         .record(RecordMode::Full)
-                        .backend(Sim(cfg))
+                        .backend(sim)
                         .run()
                         .unwrap();
                     let trace = report.trace.expect("RecordMode::Full");
-                    let case = format!("procs {procs} {latency:?} m {inner_steps} seed {seed}");
+                    let case = format!("procs {procs} {link:?} m {inner_steps} seed {seed}");
                     let mut last_read: Vec<Option<&[u64]>> = vec![None; procs];
                     for (j, step) in trace.iter() {
                         let p = partition.machine_of(step.active[0] as usize);

@@ -1,5 +1,5 @@
 //! The simulator half of the cross-backend equivalence oracle: any trace
-//! emitted by a [`SimConfig::replay_equivalent`] simulation, injected
+//! emitted by a [`Sim::replay_equivalent`] simulation, injected
 //! back into the deterministic replay engine via
 //! `Session::replay_trace`, reproduces the simulated iterates bit for
 //! bit (with `inner_steps = m > 1`, into `Flexible { m, partial: false }`:
@@ -9,11 +9,9 @@
 
 use asynciter_core::session::{RecordMode, Replay, Session};
 use asynciter_models::channel::LinkModel;
-use asynciter_models::partition::Partition;
 use asynciter_numerics::sparse::tridiagonal;
 use asynciter_opt::linear::JacobiOperator;
 use asynciter_sim::compute::ComputeModel;
-use asynciter_sim::runner::SimConfig;
 use asynciter_sim::session::Sim;
 
 fn jacobi(n: usize) -> JacobiOperator {
@@ -22,13 +20,13 @@ fn jacobi(n: usize) -> JacobiOperator {
 
 #[test]
 fn replay_equivalent_predicate() {
-    let mut cfg = SimConfig::uniform(Partition::blocks(8, 2).unwrap());
-    assert!(cfg.replay_equivalent());
+    let mut sim = Sim::uniform(2);
+    assert!(sim.replay_equivalent());
     // Inner iterations stay on the processor: still one scheduled step.
-    cfg.inner_steps = 3;
-    assert!(cfg.replay_equivalent());
-    cfg.partial_sends = 1;
-    assert!(!cfg.replay_equivalent());
+    sim.inner_steps = 3;
+    assert!(sim.replay_equivalent());
+    sim.partial_sends = 1;
+    assert!(!sim.replay_equivalent());
 }
 
 #[test]
@@ -36,15 +34,17 @@ fn multi_proc_sim_trace_replays_bitwise() {
     let n = 12;
     let op = jacobi(n);
     for (procs, seed) in [(2usize, 1u64), (3, 7), (4, 42)] {
-        let mut cfg = SimConfig::uniform(Partition::blocks(n, procs).unwrap());
-        cfg.seed = seed;
-        cfg.compute = vec![ComputeModel::Uniform { lo: 1, hi: 5 }; procs];
-        cfg.latency = LinkModel::Jitter { lo: 1, hi: 9 };
-        assert!(cfg.replay_equivalent());
+        let machine = Sim {
+            compute: vec![ComputeModel::Uniform { lo: 1, hi: 5 }; procs],
+            link: LinkModel::Jitter { lo: 1, hi: 9 },
+            ..Sim::uniform(procs)
+        };
+        assert!(machine.replay_equivalent());
         let sim = Session::new(&op)
             .steps(300)
+            .seed(seed)
             .record(RecordMode::Full)
-            .backend(Sim(cfg))
+            .backend(machine)
             .run()
             .unwrap();
         let replay = Session::new(&op)
@@ -65,23 +65,25 @@ fn multi_proc_sim_trace_replays_bitwise() {
 fn heavy_tail_sim_trace_replays_bitwise() {
     let n = 10;
     let op = jacobi(n);
-    let mut cfg = SimConfig::uniform(Partition::blocks(n, 2).unwrap());
-    cfg.seed = 1234;
-    cfg.compute = vec![
-        ComputeModel::HeavyTail {
+    let machine = Sim {
+        compute: vec![
+            ComputeModel::HeavyTail {
+                scale: 1,
+                alpha: 1.3,
+            };
+            2
+        ],
+        link: LinkModel::HeavyTail {
             scale: 1,
             alpha: 1.3,
-        };
-        2
-    ];
-    cfg.latency = LinkModel::HeavyTail {
-        scale: 1,
-        alpha: 1.3,
+        },
+        ..Sim::uniform(2)
     };
     let sim = Session::new(&op)
         .steps(400)
+        .seed(1234)
         .record(RecordMode::Full)
-        .backend(Sim(cfg))
+        .backend(machine)
         .run()
         .unwrap();
     let replay = Session::new(&op)

@@ -53,7 +53,7 @@ fn main() {
     let channel = run.channel.as_ref().expect("cluster channel counters");
     println!(
         "channel: {} sent, {} delivered, {} dropped, {} held (reordered), {} stale-discarded",
-        channel.sent, channel.delivered, channel.dropped, channel.held, channel.discarded_stale
+        channel.sent, channel.delivered, channel.dropped, channel.held, run.constraint_violations
     );
 
     let err = run.final_error(&exact);

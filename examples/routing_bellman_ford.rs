@@ -81,11 +81,10 @@ fn main() {
     // The same routing problem through the unified Session API on the
     // deterministic simulator backend: six simulated IMP clusters with
     // jittered links compute the identical table.
-    let sim_cfg = SimConfig::uniform(Partition::blocks(n, 6).expect("partition"));
     let sim = Session::new(&op)
         .x0(op.initial_estimate())
         .steps(2_000)
-        .backend(Sim(sim_cfg))
+        .backend(Sim::uniform(6))
         .run()
         .expect("sim session");
     let sim_worst = (0..n)

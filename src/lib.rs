@@ -113,6 +113,5 @@ pub mod prelude {
     pub use asynciter_opt::traits::Operator;
     pub use asynciter_runtime::session::{Barrier, Cluster, SharedMem, ThreadedCluster};
     pub use asynciter_runtime::{ApplyPolicy, SnapshotMode};
-    pub use asynciter_sim::runner::SimConfig;
     pub use asynciter_sim::session::Sim;
 }

@@ -227,11 +227,11 @@ fn unrecorded_sim_session_allocates_only_set_up() {
     let system = asynciter::numerics::sparse::tridiagonal(8, 4.0, -1.0);
     let op = asynciter::opt::linear::JacobiOperator::new(system, vec![1.0; 8]).unwrap();
     for (procs, bound) in [(1, 99), (2, 1_100)] {
-        let cfg = SimConfig::uniform(Partition::blocks(8, procs).unwrap());
+        let sim = Sim::uniform(procs);
         let mut report = None;
         let allocs = count_allocs(|| {
             let session = Session::new(&op).steps(1_000).record(RecordMode::Off);
-            report = session.backend(Sim(cfg)).run().ok();
+            report = session.backend(sim).run().ok();
         });
         let report = report.expect("the session runs");
         assert_eq!(report.steps, 1_000);

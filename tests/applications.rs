@@ -147,29 +147,29 @@ fn obstacle_fifo_reads_decrease_monotonically() {
 /// exactly.
 #[test]
 fn bellman_ford_on_simulator_routes_exactly() {
-    let graph = Graph::arpanet();
-    let n = graph.num_nodes();
-    let op = BellmanFordOperator::new(graph, 0).unwrap();
+    let op = BellmanFordOperator::new(Graph::arpanet(), 0).unwrap();
     let exact = op.exact();
 
-    let mut cfg = SimConfig::uniform(Partition::blocks(n, 6).unwrap());
-    cfg.compute = vec![
-        ComputeModel::Fixed { ticks: 1 },
-        ComputeModel::Uniform { lo: 1, hi: 4 },
-        ComputeModel::HeavyTail {
-            scale: 1,
-            alpha: 1.4,
-        },
-        ComputeModel::Fixed { ticks: 2 },
-        ComputeModel::Uniform { lo: 2, hi: 6 },
-        ComputeModel::Baudet { scale: 1 },
-    ];
-    cfg.latency = LinkModel::Jitter { lo: 0, hi: 9 };
-    cfg.seed = 3;
+    let sim = Sim {
+        compute: vec![
+            ComputeModel::Fixed { ticks: 1 },
+            ComputeModel::Uniform { lo: 1, hi: 4 },
+            ComputeModel::HeavyTail {
+                scale: 1,
+                alpha: 1.4,
+            },
+            ComputeModel::Fixed { ticks: 2 },
+            ComputeModel::Uniform { lo: 2, hi: 6 },
+            ComputeModel::Baudet { scale: 1 },
+        ],
+        link: LinkModel::Jitter { lo: 0, hi: 9 },
+        ..Sim::uniform(6)
+    };
     let run = Session::new(&op)
         .x0(op.initial_estimate())
         .steps(4_000)
-        .backend(Sim(cfg))
+        .seed(3)
+        .backend(sim)
         .run()
         .unwrap();
     for (i, (got, want)) in run.final_x.iter().zip(&exact).enumerate() {
@@ -266,18 +266,18 @@ fn sim_async_beats_ideal_sync_under_load_imbalance() {
         .into_iter()
         .map(|factor| {
             let ticks = linear_imbalance(workers, 10, factor);
-            let cfg = SimConfig {
+            let sim = Sim {
                 compute: ticks
                     .iter()
                     .map(|&ticks| ComputeModel::Fixed { ticks })
                     .collect(),
-                ..SimConfig::uniform(Partition::blocks(n, workers).unwrap())
+                ..Sim::uniform(workers)
             };
             let run = Session::new(&op)
                 .steps(40 * sweeps.steps * workers as u64)
                 .xstar(xstar.clone())
                 .stopping(to_eps(workers as u64))
-                .backend(Sim(cfg))
+                .backend(sim)
                 .run()
                 .unwrap();
             assert!(run.stopped_early, "{factor}x imbalance did not reach eps");
@@ -350,7 +350,7 @@ fn baudet_simulator_and_analytic_agree() {
         .x0(vec![0.0, 0.0])
         .steps(60_000)
         .record(RecordMode::Full)
-        .backend(Sim(scenario::baudet()))
+        .backend(scenario::baudet())
         .run()
         .unwrap();
     let trace = sim.trace.expect("trace recorded");

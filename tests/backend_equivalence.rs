@@ -48,7 +48,7 @@ fn assert_replay_barrier_sim_bitwise(op: &dyn Operator, steps: u64, tag: &str) {
     // One simulated processor, unit compute, one inner step per phase.
     let sim = Session::new(op)
         .steps(steps)
-        .backend(Sim(SimConfig::uniform(Partition::blocks(n, 1).unwrap())))
+        .backend(Sim::uniform(1))
         .run()
         .unwrap();
 
@@ -109,9 +109,7 @@ fn equivalence_holds_with_recording_and_error_curves() {
     };
 
     let replay = session(Box::new(Replay));
-    let sim = session(Box::new(Sim(SimConfig::uniform(
-        Partition::blocks(n, 1).unwrap(),
-    ))));
+    let sim = session(Box::new(Sim::uniform(1)));
 
     assert_eq!(replay.errors.len(), sim.errors.len());
     for ((ja, ea), (jb, eb)) in replay.errors.iter().zip(&sim.errors) {
@@ -361,12 +359,12 @@ fn computed(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
 }
 
 /// `procs` simulated processors with jittered compute times and links.
-fn jittered_sim(n: usize, procs: usize, inner_steps: usize) -> SimConfig {
-    SimConfig {
+fn jittered_sim(procs: usize, inner_steps: usize) -> Sim {
+    Sim {
         compute: vec![ComputeModel::Uniform { lo: 1, hi: 5 }; procs],
-        latency: LinkModel::Jitter { lo: 1, hi: 9 },
+        link: LinkModel::Jitter { lo: 1, hi: 9 },
         inner_steps,
-        ..SimConfig::uniform(Partition::blocks(n, procs).unwrap())
+        partial_sends: 0,
     }
 }
 
@@ -382,7 +380,7 @@ fn sim_with_inner_steps_matches_flexible_on_its_own_trace() {
             .steps(300)
             .seed(17)
             .record(RecordMode::Full)
-            .backend(Sim(jittered_sim(12, 3, m)))
+            .backend(jittered_sim(3, m))
             .run()
             .unwrap();
         let flexible = Session::new(&op)
@@ -518,7 +516,7 @@ fn recording_never_changes_an_iterate_bit() {
                             ..Flexible::default()
                         })
                 }
-                "sim" => session.backend(Sim(jittered_sim(24, workers, 2))),
+                "sim" => session.backend(jittered_sim(workers, 2)),
                 "threaded-cluster" => session.backend(ThreadedCluster {
                     workers,
                     ..ThreadedCluster::default()
@@ -567,8 +565,8 @@ fn recording_never_changes_an_iterate_bit() {
     }
 }
 
-/// The seven engines, each over two workers of an `n`-component problem.
-fn every_backend(n: usize) -> [(&'static str, Box<dyn Backend>); 7] {
+/// The seven engines, each over two workers where it has any.
+fn every_backend() -> [(&'static str, Box<dyn Backend>); 7] {
     [
         ("replay", Box::new(Replay)),
         ("flexible", Box::new(Flexible::default())),
@@ -586,7 +584,7 @@ fn every_backend(n: usize) -> [(&'static str, Box<dyn Backend>); 7] {
                 ..Barrier::default()
             }),
         ),
-        ("sim", Box::new(Sim(jittered_sim(n, 2, 1)))),
+        ("sim", Box::new(jittered_sim(2, 1))),
         (
             "cluster",
             Box::new(Cluster {
@@ -636,7 +634,7 @@ fn every_backend_answers_bad_input_with_the_same_typed_error() {
         (|s| s.steps(0), ("max_steps", 0)),
     ];
     for (bad, expected) in &rows {
-        for (name, backend) in every_backend(8) {
+        for (name, backend) in every_backend() {
             let session = Session::new(&op).steps(20_000).backend(backend);
             let got = match bad(session).run() {
                 Err(CoreError::DimensionMismatch {
@@ -673,7 +671,7 @@ impl Operator for UpperBlockDiverges {
 fn every_backend_answers_divergence_with_non_finite_iterate() {
     // One answer per fault. The budget is unbounded so no racing worker
     // can spend it before its NaN peer steps.
-    for (name, backend) in every_backend(4) {
+    for (name, backend) in every_backend() {
         let got = Session::new(&UpperBlockDiverges)
             .x0(vec![1.0; 4])
             .steps(u64::MAX)
@@ -717,7 +715,8 @@ fn every_engine_specific_bad_field_is_rejected_under_its_own_name() {
         threads: 2,
         ..Barrier::default()
     };
-    let (jitter, three_blocks) = (LinkModel::Jitter { lo: 5, hi: 2 }, Partition::blocks(8, 3));
+    let sim = &Sim::uniform(2);
+    let jitter = LinkModel::Jitter { lo: 5, hi: 2 };
     let rows = [
         ("drop_prob", altered(cluster, |c| c.drop_prob = 1.5)),
         ("link", altered(cluster, |c| c.link = jitter)),
@@ -731,9 +730,16 @@ fn every_engine_specific_bad_field_is_rejected_under_its_own_name() {
         ("threads", altered(shared, |s| s.threads = 0)),
         ("spin", altered(barrier, |b| b.spin = vec![1, 2, 3])),
         ("threads", altered(barrier, |b| b.threads = 0)),
+        ("compute", altered(sim, |s| s.compute.clear())),
         (
-            "threads",
-            altered(barrier, |b| b.partition = three_blocks.ok()),
+            "compute",
+            altered(sim, |s| s.compute = Sim::uniform(9).compute),
+        ),
+        ("inner_steps", altered(sim, |s| s.inner_steps = 0)),
+        ("link", altered(sim, |s| s.link = jitter)),
+        (
+            "partial_sends",
+            altered(sim, |s| (s.inner_steps, s.partial_sends) = (4, 5)),
         ),
     ];
     for (field, backend) in rows {
@@ -744,6 +750,69 @@ fn every_engine_specific_bad_field_is_rejected_under_its_own_name() {
             "{backend_name} `{field}`: {got:?}"
         );
     }
+}
+
+#[test]
+fn an_unseeded_session_is_seed_zero_on_every_seeded_backend() {
+    // The session is the only seed source: no backend keeps a seed of
+    // its own to fall back on, so leaving `.seed` out is `.seed(0)`.
+    let op = quickstart_operator(12);
+    let session = || Session::new(&op).steps(120).record(RecordMode::Full);
+    // Partials are read only across blocks that update at different steps.
+    let blocks = || BlockRoundRobin::new(Partition::blocks(12, 3).unwrap(), 4);
+    assert_unseeded_is_seed_zero(
+        || session().schedule(blocks()),
+        &Flexible {
+            m: 4,
+            partial: true,
+            partial_prob: 0.4,
+            ..Flexible::default()
+        },
+    );
+    assert_unseeded_is_seed_zero(
+        session,
+        &Sim {
+            partial_sends: 1,
+            ..jittered_sim(3, 2)
+        },
+    );
+    assert_unseeded_is_seed_zero(
+        session,
+        &Cluster {
+            workers: 3,
+            link: LinkModel::Jitter { lo: 1, hi: 6 },
+            hold_prob: 0.3,
+            drop_prob: 0.1,
+            dup_prob: 0.1,
+            partial_prob: 0.4,
+            ..Cluster::default()
+        },
+    );
+}
+
+/// `backend` computes the same in a `session` with no `.seed` as with
+/// `.seed(0)` — iterate bits, counts, simulated time and the executed
+/// schedule with its labels — and something else with `.seed(1)`.
+fn assert_unseeded_is_seed_zero<'a, B: Backend + Clone + 'a>(
+    session: impl Fn() -> Session<'a>,
+    backend: &B,
+) {
+    let computed = |r: &RunReport| {
+        let trace = r.trace.as_ref().expect("RecordMode::Full");
+        let schedule: Vec<_> = (trace.iter())
+            .map(|(j, step)| (step.active.to_vec(), trace.labels(j).unwrap().to_vec()))
+            .collect();
+        let bits: Vec<u64> = r.final_x.iter().map(|v| v.to_bits()).collect();
+        let counts = (r.steps, r.macro_iterations, r.sim_time, r.partial_reads);
+        (bits, counts, schedule)
+    };
+    let unseeded = session().backend(backend.clone()).run().unwrap();
+    let zero = session().seed(0).backend(backend.clone()).run().unwrap();
+    let other = session().seed(1).backend(backend.clone()).run().unwrap();
+    let name = backend.name();
+    assert_eq!(computed(&unseeded), computed(&zero), "{name}");
+    // … and the seed reaches the backend's draws at all.
+    assert_ne!(computed(&unseeded), computed(&other), "{name}");
 }
 
 // ---------------------------------------------------------------------------

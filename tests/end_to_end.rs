@@ -113,7 +113,6 @@ fn threaded_trace_analysis_and_replay() {
         .record(RecordMode::Full)
         .backend(SharedMem {
             threads: 4,
-            partition: Some(partition.clone()),
             spin: vec![200; 4],
             ..SharedMem::default()
         })
