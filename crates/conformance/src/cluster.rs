@@ -43,32 +43,36 @@ pub struct ClusterPlan {
 
 /// The draws every cluster plan makes after its worker count (and
 /// link), in the order they have always been made — the committed
-/// corpus traces are phenotypes of this stream: `(seed, exchange_every,
-/// apply_policy, hold_prob, hold_extra, drop_prob, dup_prob,
-/// partial_prob)`.
+/// corpus traces are phenotypes of this stream: the seed, then the
+/// fields below in the order written (a struct literal evaluates its
+/// fields in source order). Returned as the threaded recipe, which is
+/// the cluster's without a link.
 ///
 /// Fault probabilities are capped (hold ≤ 0.4, drop ≤ 0.25, dup ≤ 0.2)
 /// so every sampled channel still converges within the problem budgets
 /// — the convergence oracle runs on every case.
-fn sample_channel(rng_: &mut StdRng) -> (u64, u64, ApplyPolicy, f64, u64, f64, f64, f64) {
-    (
-        rng_.random::<u64>(),
-        rng_.random_range(1..=3),
-        if rng_.random() {
+fn sample_channel(rng_: &mut StdRng, workers: usize) -> (u64, ThreadedCluster) {
+    let seed = rng_.random::<u64>();
+    let channel = ThreadedCluster {
+        workers,
+        exchange_every: rng_.random_range(1..=3),
+        apply_policy: if rng_.random() {
             ApplyPolicy::AsReceived
         } else {
             ApplyPolicy::KeepFreshest
         },
-        rng_.random_range(0.0..0.4),
-        rng_.random_range(4..=16),
-        rng_.random_range(0.0..0.25),
-        rng_.random_range(0.0..0.2),
-        if rng_.random() {
+        hold_prob: rng_.random_range(0.0..0.4),
+        hold_extra: rng_.random_range(4..=16),
+        drop_prob: rng_.random_range(0.0..0.25),
+        dup_prob: rng_.random_range(0.0..0.2),
+        partial_prob: if rng_.random() {
             0.0
         } else {
             rng_.random_range(0.3..0.8)
         },
-    )
+        quiesce: None,
+    };
+    (seed, channel)
 }
 
 impl ClusterPlan {
@@ -97,28 +101,20 @@ impl ClusterPlan {
                 alpha: rng_.random_range(1.2..2.2),
             },
         };
-        let (
-            seed,
-            exchange_every,
-            apply_policy,
-            hold_prob,
-            hold_extra,
-            drop_prob,
-            dup_prob,
-            partial_prob,
-        ) = sample_channel(rng_);
+        let (seed, c) = sample_channel(rng_, workers);
+        let backend = Cluster {
+            workers,
+            exchange_every: c.exchange_every,
+            apply_policy: c.apply_policy,
+            link,
+            hold_prob: c.hold_prob,
+            hold_extra: c.hold_extra,
+            drop_prob: c.drop_prob,
+            dup_prob: c.dup_prob,
+            partial_prob: c.partial_prob,
+        };
         Self {
-            backend: Cluster {
-                workers,
-                exchange_every,
-                apply_policy,
-                link,
-                hold_prob,
-                hold_extra,
-                drop_prob,
-                dup_prob,
-                partial_prob,
-            },
+            backend,
             steps,
             seed,
         }
@@ -167,28 +163,9 @@ impl ThreadedPlan {
         assert!(n >= 4, "ThreadedPlan::sample: need n >= 4");
         assert!(max_steps > 0, "ThreadedPlan::sample: need max_steps > 0");
         let workers = rng_.random_range(2..=4.min(n / 2));
-        let (
-            seed,
-            exchange_every,
-            apply_policy,
-            hold_prob,
-            hold_extra,
-            drop_prob,
-            dup_prob,
-            partial_prob,
-        ) = sample_channel(rng_);
+        let (seed, backend) = sample_channel(rng_, workers);
         Self {
-            backend: ThreadedCluster {
-                workers,
-                exchange_every,
-                apply_policy,
-                hold_prob,
-                hold_extra,
-                drop_prob,
-                dup_prob,
-                partial_prob,
-                quiesce: None,
-            },
+            backend,
             max_steps,
             seed,
         }

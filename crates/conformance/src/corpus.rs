@@ -29,7 +29,6 @@
 use crate::cluster::{ClusterPlan, ThreadedPlan};
 use crate::plan::SchedulePlan;
 use crate::problems::{ConformanceProblem, ProblemKind};
-use asynciter_core::session::{RecordMode, Session};
 use asynciter_models::trace_io::{trace_from_str, trace_to_string};
 use asynciter_models::Trace;
 use asynciter_numerics::rng::{child_seed, rng};
@@ -87,22 +86,20 @@ pub fn cluster_plans() -> Vec<(String, ClusterPlan)> {
 /// Panics when the canonical plan fails to run (a bug).
 pub fn record_cluster_trace(plan: &ClusterPlan) -> Trace {
     let problem = ConformanceProblem::build(ProblemKind::Jacobi);
-    Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .steps(plan.steps)
-        .seed(plan.seed)
-        .record(RecordMode::Full)
-        .backend(plan.backend.clone())
-        .run()
-        .expect("canonical cluster plan runs")
-        .trace
-        .expect("RecordMode::Full keeps the trace")
+    let cluster = plan.backend.clone();
+    crate::oracle::record(&problem, |s| {
+        s.steps(plan.steps).seed(plan.seed).backend(cluster)
+    })
+    .expect("canonical cluster plan runs")
+    .1
 }
 
 /// The canonical threaded (genuinely concurrent) plan behind
 /// `threaded-00.trace`: a faulty three-worker recipe on the Jacobi
 /// problem. The plan is canonical; its *executions* are racy, so the
-/// committed trace is one witnessed run, not a regenerable phenotype.
+/// committed trace is one witnessed run, not a regenerable phenotype:
+/// `--record-threaded` saves a run only after
+/// [`crate::oracle::threaded_replay_equivalence`] verified it.
 pub fn threaded_plan() -> ThreadedPlan {
     ThreadedPlan {
         backend: ThreadedCluster {
@@ -116,19 +113,6 @@ pub fn threaded_plan() -> ThreadedPlan {
         max_steps: 4_000_000,
         seed: child_seed(CORPUS_SEED, 0x7D_00),
     }
-}
-
-/// Runs the canonical [`threaded_plan`] on the Jacobi problem and
-/// returns the recorded trace, *after* the
-/// [`crate::oracle::threaded_replay_equivalence`] oracle has verified
-/// it (condition (a), bit-identical replay, convergence). This is the
-/// `--record-threaded` recorder for `threaded-00.trace`.
-///
-/// # Errors
-/// Propagates the oracle's failure message.
-pub fn record_threaded_trace() -> Result<Trace, String> {
-    let problem = ConformanceProblem::build(ProblemKind::Jacobi);
-    crate::oracle::threaded_replay_equivalence(&problem, &threaded_plan())
 }
 
 /// Writes a trace to `path` in the archive format, creating parent

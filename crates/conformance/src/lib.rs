@@ -23,13 +23,13 @@
 //!   label freshening), built on the deterministic greedy machinery of
 //!   the workspace `proptest` shim. Minimised traces are persisted via
 //!   `trace_io` and committed as regression seeds.
-//! - [`oracle`] — the differential oracles: **metamorphic** (every
-//!   admissible schedule drives the residual below tolerance on
-//!   Jacobi/lasso/obstacle), **equivalence** (replay round-trips are
-//!   bit-identical; a `replay_equivalent` simulation's trace, injected
-//!   back through `Session::replay_trace`, reproduces the simulated
-//!   iterates bit for bit), and **flexible degradation** (partial
-//!   communication still converges, with coherent constraint stats).
+//! - [`oracle`] — the replay law of Definition 1, written once: a
+//!   recorded schedule replayed through Eq. (1) reproduces its run's
+//!   iterates bit for bit. One replay door, one bitwise and one schedule
+//!   comparator, and [`oracle::record_and_replay`]; the campaign oracles
+//!   (metamorphic convergence, replay round-trip, flexible degradation,
+//!   sim / cluster / threaded equivalence), the corpus check, the
+//!   service leak shrinker and `mc`'s horizon property all call them.
 //! - [`cluster`] — seeded **message-passing fuzz cases**
 //!   ([`cluster::ClusterPlan`]): worker counts, link latency models and
 //!   hold/drop/duplicate/partial channel faults for the sharded

@@ -1,50 +1,181 @@
 //! Differential oracles: what must hold for every admissible schedule.
 //!
-//! Each oracle takes a problem and (usually) a recorded trace, runs the
-//! relevant backends through the unified `Session` API, and returns
-//! `Err(message)` when the paper's guarantee is violated:
+//! Definition 1 makes the iterates a function of `(F, x(0), 𝒮, ℒ)`, so any
+//! machine's recorded schedule, replayed through Eq. (1), must reproduce
+//! its iterates bit for bit. That law is written once here, and every
+//! verification tier — the campaign oracles, the corpus re-validation, the
+//! service leak shrinker and `mc`'s horizon property — goes through it:
+//! [`replay`] is the one door from a recorded [`Trace`] back into the
+//! engine, [`same_bits`] the one iterate comparator (on `to_bits`, so
+//! `0.0` and `-0.0` differ and a NaN equals its own bits), [`same_schedule`]
+//! the one schedule comparator, and [`record_and_replay`] the law itself.
 //!
-//! - [`metamorphic`] — Theorem-level convergence: replaying any
-//!   admissible trace drives the fixed-point residual below the
-//!   problem's tolerance.
-//! - [`replay_roundtrip`] — determinism and archival equivalence: a
-//!   replayed trace re-replays bit-identically, including after a
-//!   round-trip through the `trace_io` text format.
-//! - [`sim_equivalence`] — cross-backend: a `replay_equivalent`
-//!   simulation's trace (one to three inner iterations per phase),
-//!   injected into the core step loop with as many inner iterations,
-//!   reproduces the simulated iterates bit for bit.
-//! - [`flexible_degrades`] — Definition 3: the flexible engine with
-//!   partial communication still converges on the same schedule
-//!   (looser tolerance), publishes partials, and reports coherent
-//!   constraint statistics.
-//! - [`cluster_replay_equivalence`] — cross-backend, message level: a
-//!   cluster run's recorded schedule, injected into the replay engine,
-//!   reproduces the cluster's consensus bit for bit — out-of-order,
-//!   lossy, duplicating and partially-communicating channels included —
-//!   and the consensus converges within the problem tolerance.
-//! - [`cluster_degenerates_to_replay`] — the degenerate cluster
-//!   (1 worker, in-order, faultless) *is* the synchronous schedule:
-//!   bit-identical to `Replay` with the default schedule.
-//! - [`threaded_replay_equivalence`] — cross-backend, *racy* runs: a
-//!   genuinely concurrent threaded-cluster run (real threads, faulty
-//!   transport, residual-target stopping) records a trace that replays
-//!   bit-identically through the Definition-1 engine, satisfies
-//!   condition (a), and converges within the problem tolerance.
-//! - [`threaded_degenerates_to_cluster`] — one free-running worker with
-//!   a faultless transport executes exactly the sequential cluster's
-//!   step sequence: bit-identical iterates under the same budget.
+//! The oracles, each `Err(message)` when the paper's guarantee fails:
+//!
+//! - [`metamorphic`] — replaying any admissible trace drives the residual
+//!   below the problem's tolerance;
+//! - [`replay_roundtrip`] — a replay re-replays bit-identically, also
+//!   through the `trace_io` text format, and re-records its schedule;
+//! - [`flexible_degrades`] — Definition 3 with partial communication
+//!   still converges on the same schedule, with coherent statistics;
+//! - [`sim_equivalence`], [`cluster_replay_equivalence`],
+//!   [`threaded_replay_equivalence`] — the law on a `replay_equivalent`
+//!   simulation, a faulty message-passing cluster and a *racy*
+//!   real-thread cluster;
+//! - [`cluster_degenerates_to_replay`], [`threaded_degenerates_to_cluster`]
+//!   — one in-order, faultless worker is the synchronous schedule.
 
 use crate::cluster::{ClusterPlan, ThreadedPlan};
 use crate::problems::ConformanceProblem;
-use asynciter_core::session::RecordMode;
-use asynciter_core::session::{Flexible, Replay, Session};
+use asynciter_core::session::{Backend, Flexible, RecordMode, Replay, RunReport, Session};
 use asynciter_core::stopping::StoppingRule;
 use asynciter_models::channel::LinkModel;
+use asynciter_models::conditions::check_condition_a;
+use asynciter_models::trace_io::{trace_from_str, trace_to_string};
 use asynciter_models::Trace;
+use asynciter_opt::traits::Operator;
 use asynciter_runtime::session::{Cluster, ThreadedCluster};
 use asynciter_sim::compute::ComputeModel;
 use asynciter_sim::session::Sim;
+use std::convert::identity;
+use std::fmt;
+
+/// Where two runs first part ways.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mismatch {
+    /// The two sides have different lengths (components or steps):
+    /// `(left, right)`.
+    Length(usize, usize),
+    /// The first differing index: a component of an iterate, or the
+    /// 1-based step `j` of a schedule.
+    At(usize),
+}
+
+impl fmt::Display for Mismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Length(left, right) => write!(f, "lengths differ ({left} vs {right})"),
+            Self::At(i) => write!(f, "first difference at {i}"),
+        }
+    }
+}
+
+/// Equal lengths, then the first index of `first..first + len` that
+/// `differs`.
+fn first_mismatch(
+    (left, right): (usize, usize),
+    first: usize,
+    differs: impl Fn(usize) -> bool,
+) -> Result<(), Mismatch> {
+    if left != right {
+        return Err(Mismatch::Length(left, right));
+    }
+    (first..first + left)
+        .find(|&i| differs(i))
+        .map_or(Ok(()), |i| Err(Mismatch::At(i)))
+}
+
+/// Bit identity of two iterates: the first component whose `to_bits()`
+/// differ, or a length mismatch.
+///
+/// # Errors
+/// The first [`Mismatch`].
+pub fn same_bits(a: &[f64], b: &[f64]) -> Result<(), Mismatch> {
+    first_mismatch((a.len(), b.len()), 0, |i| a[i].to_bits() != b[i].to_bits())
+}
+
+/// Identity of two recorded schedules: the first step `j` whose
+/// `step(j)` (active set and `min_label`) or `labels(j)` differ, or a
+/// length mismatch.
+///
+/// # Errors
+/// The first [`Mismatch`].
+pub fn same_schedule(a: &Trace, b: &Trace) -> Result<(), Mismatch> {
+    first_mismatch((a.len(), b.len()), 1, |j| {
+        let j = j as u64;
+        a.step(j) != b.step(j) || a.labels(j).ok() != b.labels(j).ok()
+    })
+}
+
+/// [`same_bits`] as an oracle verdict naming `what` and the differing
+/// values.
+fn bitwise(what: &str, a: &[f64], b: &[f64]) -> Result<(), String> {
+    same_bits(a, b).map_err(|m| match m {
+        Mismatch::At(i) => format!("{what}: component {i} differs ({:?} vs {:?})", a[i], b[i]),
+        length => format!("{what}: {length}"),
+    })
+}
+
+/// Replays `trace` from `x0` through Eq. (1): the session `with` adds
+/// (backend, seed, recording, …) runs the trace as its schedule and step
+/// budget. The default backend is [`Replay`].
+///
+/// # Errors
+/// A message when the trace is not replayable (min-only or empty) or the
+/// run fails.
+pub fn replay<'a>(
+    op: &'a dyn Operator,
+    x0: &[f64],
+    trace: &Trace,
+    with: impl FnOnce(Session<'a>) -> Session<'a>,
+) -> Result<RunReport, String> {
+    let session = Session::new(op)
+        .x0(x0)
+        .replay_trace(trace.clone())
+        .map_err(|e| format!("replay_trace rejected the trace: {e}"))?;
+    with(session)
+        .run()
+        .map_err(|e| format!("replay failed: {e}"))
+}
+
+/// Runs the session `machine` configures (steps, seed, stopping rule,
+/// backend) from the problem's start with [`RecordMode::Full`], and
+/// returns the report with its trace taken out.
+///
+/// # Errors
+/// A message when the run fails.
+pub fn record<'a>(
+    problem: &'a ConformanceProblem,
+    machine: impl FnOnce(Session<'a>) -> Session<'a>,
+) -> Result<(RunReport, Trace), String> {
+    let mut run = machine(Session::new(problem.op.as_ref()).x0(problem.x0.clone()))
+        .record(RecordMode::Full)
+        .run()
+        .map_err(|e| format!("recorded run failed: {e}"))?;
+    let trace = run.trace.take().expect("RecordMode::Full");
+    Ok((run, trace))
+}
+
+/// The record-and-replay law: [`record`]s the run `machine` configures;
+/// with a `tol`, checks `final_residual ≤ tol`; checks condition (a) on
+/// the trace; replays it through `replay_with` and compares the final
+/// iterates bit for bit. Returns the verified trace.
+///
+/// # Errors
+/// A message naming the failed run, the unconverged residual, the
+/// violated condition or the first divergent component.
+pub fn record_and_replay<'a>(
+    problem: &'a ConformanceProblem,
+    machine: impl FnOnce(Session<'a>) -> Session<'a>,
+    tol: Option<f64>,
+    replay_with: impl Backend + 'a,
+) -> Result<Trace, String> {
+    let (run, trace) = record(problem, machine)?;
+    let name = run.backend;
+    if let Some(tol) = tol {
+        if !run.final_residual.is_finite() || run.final_residual > tol {
+            return Err(format!(
+                "{name}: consensus residual {:.3e} above tolerance {tol:.1e} after {} steps",
+                run.final_residual, run.steps
+            ));
+        }
+    }
+    check_condition_a(&trace).map_err(|e| format!("{name} trace violates condition (a): {e}"))?;
+    let op = problem.op.as_ref();
+    let replayed = replay(op, &problem.x0, &trace, |s| s.backend(replay_with))?;
+    let what = format!("{name} vs its replay");
+    bitwise(&what, &run.final_x, &replayed.final_x).map(|()| trace)
+}
 
 /// Convergence under an injected admissible trace.
 ///
@@ -52,13 +183,7 @@ use asynciter_sim::session::Sim;
 /// A message naming the residual and tolerance when the replay fails to
 /// converge (or the backend errors).
 pub fn metamorphic(problem: &ConformanceProblem, trace: &Trace) -> Result<(), String> {
-    let report = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .replay_trace(trace.clone())
-        .map_err(|e| format!("replay_trace rejected the trace: {e}"))?
-        .backend(Replay)
-        .run()
-        .map_err(|e| format!("replay failed: {e}"))?;
+    let report = replay(problem.op.as_ref(), &problem.x0, trace, identity)?;
     if !report.final_residual.is_finite() || report.final_residual > problem.tol {
         return Err(format!(
             "metamorphic: residual {:.3e} above tolerance {:.1e} after {} steps",
@@ -68,132 +193,79 @@ pub fn metamorphic(problem: &ConformanceProblem, trace: &Trace) -> Result<(), St
     Ok(())
 }
 
-/// Bit-identical re-replay, directly and through the archive format.
+/// Bit-identical re-replay, directly and through the archive format, and
+/// the re-recorded schedule equal to the injected one.
 ///
 /// # Errors
 /// A message locating the first divergence.
 pub fn replay_roundtrip(problem: &ConformanceProblem, trace: &Trace) -> Result<(), String> {
-    let run = |t: Trace| {
-        Session::new(problem.op.as_ref())
-            .x0(problem.x0.clone())
-            .replay_trace(t)
-            .map_err(|e| format!("replay_trace rejected the trace: {e}"))?
-            .record(RecordMode::Full)
-            .run()
-            .map_err(|e| format!("replay failed: {e}"))
-    };
-    let first = run(trace.clone())?;
-    let second = run(trace.clone())?;
-    if first.final_x != second.final_x {
-        return Err("roundtrip: two replays of one trace disagree".into());
-    }
-    let text = asynciter_models::trace_io::trace_to_string(trace)
-        .map_err(|e| format!("trace_io write failed: {e}"))?;
-    let parsed = asynciter_models::trace_io::trace_from_str(&text)
-        .map_err(|e| format!("trace_io read failed: {e}"))?;
-    let archived = run(parsed)?;
-    if first.final_x != archived.final_x {
-        return Err("roundtrip: archived trace replays differently".into());
-    }
-    // The replay engine must re-record exactly the schedule it was fed.
+    let op = problem.op.as_ref();
+    let run = |t: &Trace| replay(op, &problem.x0, t, |s| s.record(RecordMode::Full));
+    let first = run(trace)?;
+    let x = &first.final_x;
+    bitwise("roundtrip: replayed twice", x, &run(trace)?.final_x)?;
+    let text = trace_to_string(trace).map_err(|e| format!("trace_io write failed: {e}"))?;
+    let archived = trace_from_str(&text).map_err(|e| format!("trace_io read failed: {e}"))?;
+    bitwise("roundtrip: archived", x, &run(&archived)?.final_x)?;
     let re = first.trace.as_ref().expect("RecordMode::Full");
-    if re.len() != trace.len() {
-        return Err(format!(
-            "roundtrip: re-recorded {} steps, injected {}",
-            re.len(),
-            trace.len()
-        ));
-    }
-    for j in 1..=trace.len() as u64 {
-        if re.step(j).active != trace.step(j).active || re.labels(j).ok() != trace.labels(j).ok() {
-            return Err(format!(
-                "roundtrip: re-recorded schedule diverges at step {j}"
-            ));
-        }
-    }
-    Ok(())
+    same_schedule(re, trace)
+        .map_err(|m| format!("roundtrip: re-recorded schedule differs from the injected one, {m}"))
 }
 
-/// Simulator latency/compute regime for an equivalence case, derived
+/// Simulator compute/latency regime for an equivalence case, derived
 /// from the seed so soak runs sweep all three.
-fn sim_regime(seed: u64, procs: usize) -> (Vec<ComputeModel>, LinkModel) {
+fn sim_regime(seed: u64) -> (ComputeModel, LinkModel) {
+    let (scale, alpha) = (1, 1.3);
     match seed % 3 {
         0 => (
-            vec![ComputeModel::Fixed { ticks: 1 }; procs],
+            ComputeModel::Fixed { ticks: 1 },
             LinkModel::Fixed { ticks: 1 },
         ),
         1 => (
-            vec![ComputeModel::Uniform { lo: 1, hi: 5 }; procs],
+            ComputeModel::Uniform { lo: 1, hi: 5 },
             LinkModel::Jitter { lo: 1, hi: 9 },
         ),
         _ => (
-            vec![
-                ComputeModel::HeavyTail {
-                    scale: 1,
-                    alpha: 1.3,
-                };
-                procs
-            ],
-            LinkModel::HeavyTail {
-                scale: 1,
-                alpha: 1.3,
-            },
+            ComputeModel::HeavyTail { scale, alpha },
+            LinkModel::HeavyTail { scale, alpha },
         ),
     }
 }
 
-/// Cross-backend equivalence: Sim with `1 + (seed / 3) % 3` inner
+/// [`record_and_replay`] on `Sim` with `1 + (seed / 3) % 3` inner
 /// iterations per phase — drawn independently of the `seed % 3` regime,
-/// so nine consecutive seeds cover every pair — and the core step loop
-/// with as many (`Replay`'s loop at 1) produce bit-identical iterates on
-/// the same recorded schedule.
+/// so nine consecutive seeds cover every pair — replayed by the core
+/// step loop with as many (`Flexible { m, partial: false }`).
 ///
 /// # Errors
-/// A message naming the first divergent component, or any backend error.
+/// The law's message, with the case's seed and machine size.
 pub fn sim_equivalence(
     problem: &ConformanceProblem,
     seed: u64,
     procs: usize,
     iterations: u64,
 ) -> Result<(), String> {
-    let (compute, link) = sim_regime(seed, procs);
+    let (compute, link) = sim_regime(seed);
     let machine = Sim {
-        compute,
+        compute: vec![compute; procs],
         link,
         inner_steps: 1 + (seed / 3 % 3) as usize,
         partial_sends: 0,
     };
+    debug_assert!(machine.replay_equivalent());
     let definition_3 = Flexible {
         m: machine.inner_steps,
         partial: false,
         ..Flexible::default()
     };
-    debug_assert!(machine.replay_equivalent());
-    let sim = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .steps(iterations)
-        .seed(seed)
-        .record(RecordMode::Full)
-        .backend(machine)
-        .run()
-        .map_err(|e| format!("sim failed: {e}"))?;
-    let trace = sim.trace.clone().expect("RecordMode::Full");
-    let replay = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .replay_trace(trace)
-        .map_err(|e| format!("sim trace not replayable: {e}"))?
-        .backend(definition_3)
-        .run()
-        .map_err(|e| format!("replay of sim trace failed: {e}"))?;
-    for (i, (a, b)) in sim.final_x.iter().zip(&replay.final_x).enumerate() {
-        if a.to_bits() != b.to_bits() {
-            return Err(format!(
-                "sim-equivalence: component {i} differs (sim {a:?} vs replay {b:?}) \
-                 after {iterations} iterations, seed {seed}, {procs} procs"
-            ));
-        }
-    }
-    Ok(())
+    record_and_replay(
+        problem,
+        |s| s.steps(iterations).seed(seed).backend(machine),
+        None,
+        definition_3,
+    )
+    .map(|_trace| ())
+    .map_err(|e| format!("{e} (seed {seed}, {procs} procs, {iterations} iterations)"))
 }
 
 /// Flexible communication degrades gracefully on the same schedule:
@@ -208,21 +280,18 @@ pub fn flexible_degrades(
     seed: u64,
 ) -> Result<(), String> {
     let enforce = problem.xstar.is_some();
-    let mut session = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .replay_trace(trace.clone())
-        .map_err(|e| format!("replay_trace rejected the trace: {e}"))?
-        .seed(seed)
-        .backend(Flexible {
+    let report = replay(problem.op.as_ref(), &problem.x0, trace, |s| {
+        let s = s.seed(seed).backend(Flexible {
             m: 3,
             partial: true,
             enforce_constraint: enforce,
             ..Flexible::default()
         });
-    if let Some(xs) = &problem.xstar {
-        session = session.xstar(xs.clone());
-    }
-    let report = session.run().map_err(|e| format!("flexible failed: {e}"))?;
+        match &problem.xstar {
+            Some(xs) => s.xstar(xs.clone()),
+            None => s,
+        }
+    })?;
     if !report.final_residual.is_finite() || report.final_residual > problem.flex_tol {
         return Err(format!(
             "flexible: residual {:.3e} above tolerance {:.1e}",
@@ -263,52 +332,79 @@ pub fn flexible_degrades(
     Ok(())
 }
 
-/// Cross-backend equivalence at the message level: the cluster's
-/// recorded schedule replays bit-identically through the Definition-1
-/// engine, the trace satisfies condition (a), and the consensus
-/// converges within the problem tolerance.
+/// [`record_and_replay`] at the message level: a seeded faulty cluster
+/// run, replayed by [`Replay`], with its consensus within the problem
+/// tolerance.
 ///
 /// # Errors
-/// A message naming the first divergent component, the failed
-/// condition, or the unconverged residual.
+/// The law's message.
 pub fn cluster_replay_equivalence(
     problem: &ConformanceProblem,
     plan: &ClusterPlan,
 ) -> Result<(), String> {
-    let cluster = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .steps(plan.steps)
-        .seed(plan.seed)
-        .record(RecordMode::Full)
-        .backend(plan.backend.clone())
-        .run()
-        .map_err(|e| format!("cluster failed: {e}"))?;
-    if !cluster.final_residual.is_finite() || cluster.final_residual > problem.tol {
-        return Err(format!(
-            "cluster: consensus residual {:.3e} above tolerance {:.1e} after {} steps",
-            cluster.final_residual, problem.tol, cluster.steps
-        ));
-    }
-    let trace = cluster.trace.clone().expect("RecordMode::Full");
-    asynciter_models::conditions::check_condition_a(&trace)
-        .map_err(|e| format!("cluster trace violates condition (a): {e}"))?;
-    let replay = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .replay_trace(trace)
-        .map_err(|e| format!("cluster trace not replayable: {e}"))?
-        .backend(Replay)
-        .run()
-        .map_err(|e| format!("replay of cluster trace failed: {e}"))?;
-    for (i, (a, b)) in cluster.final_x.iter().zip(&replay.final_x).enumerate() {
-        if a.to_bits() != b.to_bits() {
-            return Err(format!(
-                "cluster-equivalence: component {i} differs (cluster {a:?} vs replay {b:?}) \
-                 under {}",
-                plan.describe()
-            ));
-        }
-    }
-    Ok(())
+    record_and_replay(
+        problem,
+        |s| {
+            s.steps(plan.steps)
+                .seed(plan.seed)
+                .backend(plan.backend.clone())
+        },
+        Some(problem.tol),
+        Replay,
+    )
+    .map(|_trace| ())
+}
+
+/// [`record_and_replay`] on a *racy* run: real threads over a faulty
+/// transport, stopped by a residual target, replayed by [`Replay`], with
+/// the consensus within the problem tolerance. The OS scheduler picks
+/// the interleaving, so the live run is checked against its own trace,
+/// which is returned for callers to archive.
+///
+/// # Errors
+/// The law's message.
+pub fn threaded_replay_equivalence(
+    problem: &ConformanceProblem,
+    plan: &ThreadedPlan,
+) -> Result<Trace, String> {
+    // Stop two orders below the tolerance: the stopping rule reads
+    // worker 0's (slightly stale) local view, while the law judges the
+    // assembled consensus.
+    let stopping = StoppingRule::Residual {
+        eps: problem.tol / 100.0,
+        check_every: 16,
+    };
+    record_and_replay(
+        problem,
+        |s| {
+            s.steps(plan.max_steps)
+                .seed(plan.seed)
+                .stopping(stopping)
+                .backend(plan.backend.clone())
+        },
+        Some(problem.tol),
+        Replay,
+    )
+}
+
+/// Runs `a` and `b` from the problem's start for `steps` and compares
+/// their final iterates bit for bit.
+fn degenerate<'p>(
+    problem: &'p ConformanceProblem,
+    steps: u64,
+    a: impl Backend + 'p,
+    b: impl Backend + 'p,
+) -> Result<(), String> {
+    let run = |session: Session<'_>| session.run().map_err(|e| format!("run failed: {e}"));
+    let start = || {
+        Session::new(problem.op.as_ref())
+            .x0(problem.x0.clone())
+            .steps(steps)
+    };
+    let a = run(start().backend(a))?;
+    let b = run(start().backend(b))?;
+    let what = format!("{} vs {} after {steps} steps", a.backend, b.backend);
+    bitwise(&what, &a.final_x, &b.final_x)
 }
 
 /// The degenerate cluster — one worker, in-order links, no faults — is
@@ -321,92 +417,11 @@ pub fn cluster_degenerates_to_replay(
     problem: &ConformanceProblem,
     steps: u64,
 ) -> Result<(), String> {
-    let cluster = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .steps(steps)
-        .backend(Cluster {
-            workers: 1,
-            ..Cluster::default()
-        })
-        .run()
-        .map_err(|e| format!("degenerate cluster failed: {e}"))?;
-    let replay = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .steps(steps)
-        .backend(Replay)
-        .run()
-        .map_err(|e| format!("replay failed: {e}"))?;
-    for (i, (a, b)) in cluster.final_x.iter().zip(&replay.final_x).enumerate() {
-        if a.to_bits() != b.to_bits() {
-            return Err(format!(
-                "degenerate cluster: component {i} differs ({a:?} vs {b:?}) after {steps} steps"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Cross-backend equivalence for *racy* executions: a genuinely
-/// concurrent threaded-cluster run — real threads over a faulty
-/// transport, stopped by a residual target — must record a trace that
-/// satisfies condition (a) and replays bit-identically through the
-/// Definition-1 engine, and its consensus must converge within the
-/// problem tolerance.
-///
-/// Because the OS scheduler picks the interleaving, the run cannot be
-/// regenerated from the plan; the oracle checks the live run against
-/// its own trace and returns that trace (so callers may archive the
-/// witnessed execution).
-///
-/// # Errors
-/// A message naming the first divergent component, the failed
-/// condition, or the unconverged residual.
-pub fn threaded_replay_equivalence(
-    problem: &ConformanceProblem,
-    plan: &ThreadedPlan,
-) -> Result<Trace, String> {
-    // Stop two orders below the tolerance: the stopping rule reads
-    // worker 0's (slightly stale) local view, while the oracle judges
-    // the assembled consensus.
-    let eps = problem.tol / 100.0;
-    let run = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .steps(plan.max_steps)
-        .seed(plan.seed)
-        .stopping(StoppingRule::Residual {
-            eps,
-            check_every: 16,
-        })
-        .record(RecordMode::Full)
-        .backend(plan.backend.clone())
-        .run()
-        .map_err(|e| format!("threaded cluster failed: {e}"))?;
-    if !run.final_residual.is_finite() || run.final_residual > problem.tol {
-        return Err(format!(
-            "threaded: consensus residual {:.3e} above tolerance {:.1e} after {} steps",
-            run.final_residual, problem.tol, run.steps
-        ));
-    }
-    let trace = run.trace.clone().expect("RecordMode::Full");
-    asynciter_models::conditions::check_condition_a(&trace)
-        .map_err(|e| format!("threaded trace violates condition (a): {e}"))?;
-    let replay = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .replay_trace(trace.clone())
-        .map_err(|e| format!("threaded trace not replayable: {e}"))?
-        .backend(Replay)
-        .run()
-        .map_err(|e| format!("replay of threaded trace failed: {e}"))?;
-    for (i, (a, b)) in run.final_x.iter().zip(&replay.final_x).enumerate() {
-        if a.to_bits() != b.to_bits() {
-            return Err(format!(
-                "threaded-equivalence: component {i} differs (threaded {a:?} vs replay {b:?}) \
-                 under {}",
-                plan.describe()
-            ));
-        }
-    }
-    Ok(trace)
+    let one = Cluster {
+        workers: 1,
+        ..Cluster::default()
+    };
+    degenerate(problem, steps, one, Replay)
 }
 
 /// The degenerate threaded cluster — one free-running worker, faultless
@@ -421,33 +436,15 @@ pub fn threaded_degenerates_to_cluster(
     problem: &ConformanceProblem,
     steps: u64,
 ) -> Result<(), String> {
-    let threaded = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .steps(steps)
-        .backend(ThreadedCluster {
-            workers: 1,
-            ..ThreadedCluster::default()
-        })
-        .run()
-        .map_err(|e| format!("degenerate threaded cluster failed: {e}"))?;
-    let cluster = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .steps(steps)
-        .backend(Cluster {
-            workers: 1,
-            ..Cluster::default()
-        })
-        .run()
-        .map_err(|e| format!("sequential cluster failed: {e}"))?;
-    for (i, (a, b)) in threaded.final_x.iter().zip(&cluster.final_x).enumerate() {
-        if a.to_bits() != b.to_bits() {
-            return Err(format!(
-                "degenerate threaded cluster: component {i} differs \
-                 (threaded {a:?} vs cluster {b:?}) after {steps} steps"
-            ));
-        }
-    }
-    Ok(())
+    let threaded = ThreadedCluster {
+        workers: 1,
+        ..ThreadedCluster::default()
+    };
+    let cluster = Cluster {
+        workers: 1,
+        ..Cluster::default()
+    };
+    degenerate(problem, steps, threaded, cluster)
 }
 
 #[cfg(test)]
@@ -496,6 +493,36 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", plan.describe()));
         }
         threaded_degenerates_to_cluster(&problem, 60).unwrap();
+    }
+
+    #[test]
+    fn bit_identity_compares_bits_not_float_equality() {
+        // 0.0 == -0.0 as floats, but the replay law is bitwise.
+        assert_eq!(same_bits(&[0.0], &[-0.0]), Err(Mismatch::At(0)));
+        // A NaN is not == to itself, but agrees with its own bits.
+        let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        assert_eq!(same_bits(&[1.0, nan], &[1.0, nan]), Ok(()));
+        assert_eq!(same_bits(&[1.0], &[1.0, 2.0]), Err(Mismatch::Length(1, 2)));
+        assert_eq!(
+            same_bits(&[1.0, 2.0], &[1.0]).unwrap_err().to_string(),
+            "lengths differ (2 vs 1)"
+        );
+    }
+
+    #[test]
+    fn schedules_differing_only_in_one_min_label_differ() {
+        // Min-only traces store no label vectors, so only `step(j)`
+        // (active set and `l(j)`) can tell these apart.
+        let mut a = asynciter_models::Trace::new(3, asynciter_models::LabelStore::MinOnly);
+        let mut b = asynciter_models::Trace::new(3, asynciter_models::LabelStore::MinOnly);
+        for j in 0..4u64 {
+            a.push_min_step(&[0, 2], j);
+            b.push_min_step(&[0, 2], if j == 2 { 1 } else { j });
+        }
+        assert_eq!(same_schedule(&a, &a), Ok(()));
+        assert_eq!(same_schedule(&a, &b), Err(Mismatch::At(3)));
+        b.push_min_step(&[1], 4);
+        assert_eq!(same_schedule(&a, &b), Err(Mismatch::Length(4, 5)));
     }
 
     #[test]

@@ -1,22 +1,23 @@
 //! The conformance campaign: generate → certify → cross-check → shrink.
 //!
 //! One campaign runs `cases` fuzz cases. Case `c` deterministically
-//! derives a plan from `seed` and problem `c mod 3`, records its trace,
-//! checks the plan's own [`AdmissibilityWitness`] accepts it (the
-//! generated-admissibility invariant), then drives the differential
-//! oracles: metamorphic on every case, replay round-trip / flexible
-//! degradation / sim equivalence / cluster equivalence (a seeded
-//! message-passing plan whose recorded schedule must replay
-//! bit-identically) / threaded equivalence (a *racy* real-thread run
-//! checked against its own recorded schedule) on striding subsets.
-//! Every campaign
-//! also runs the *negative controls* — adversarial schedules the
-//! witness must reject — and re-validates the committed corpus.
+//! derives a plan from `seed` and problem `c mod 5` (one of the five
+//! [`ProblemKind`]s), records its trace, checks the plan's own
+//! [`AdmissibilityWitness`] accepts it (the generated-admissibility
+//! invariant), then drives the campaign's differential oracles:
+//! metamorphic on every case, replay round-trip / flexible degradation /
+//! sim equivalence / cluster equivalence (a seeded message-passing plan
+//! whose recorded schedule must replay bit-identically) / threaded
+//! equivalence (a *racy* real-thread run checked against its own
+//! recorded schedule) on striding subsets. Every campaign also runs the
+//! *negative controls* — adversarial schedules the witness must reject —
+//! and re-validates the committed corpus through the same replay law
+//! ([`crate::oracle`]).
 //!
-//! Any failing case is minimised with [`crate::shrink::shrink_trace`]
-//! (predicate: the same oracle still fails on the injected trace) and
-//! the counterexample is written as a replayable `.trace` file for
-//! commit under `tests/corpus/`.
+//! A failing oracle that consumes the injected trace is minimised with
+//! [`crate::shrink::shrink_and_save`] (predicate: the same oracle still
+//! fails on the shrunk trace) and the counterexample is written as a
+//! replayable `.trace` file for commit under `tests/corpus/`.
 //!
 //! [`AdmissibilityWitness`]: asynciter_models::AdmissibilityWitness
 
@@ -25,8 +26,7 @@ use crate::corpus;
 use crate::oracle;
 use crate::plan::SchedulePlan;
 use crate::problems::{ConformanceProblem, ProblemKind};
-use crate::shrink::{shrink_and_save, shrink_trace};
-use asynciter_core::session::{RecordMode, Session};
+use crate::shrink::shrink_and_save;
 use asynciter_models::schedule::{FrozenLabelAdversary, StarvedComponent};
 use asynciter_models::{LabelStore, ModelError, Trace};
 use asynciter_numerics::rng::{child_seed, rng};
@@ -67,7 +67,7 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// The CI-sized campaign: ≥ 200 schedules over the three problems.
+    /// The CI-sized campaign: ≥ 200 schedules over the five problems.
     pub fn quick(seed: u64) -> Self {
         Self {
             mode: "quick".into(),
@@ -103,8 +103,8 @@ impl CampaignConfig {
 /// failing oracle consumes an injectable trace.
 #[derive(Debug, Clone)]
 pub struct FailureRecord {
-    /// Case index (`u64::MAX` for corpus/control failures).
-    pub case: u64,
+    /// Fuzz case index (`None` for corpus/control failures).
+    pub case: Option<u64>,
     /// Problem id.
     pub problem: String,
     /// Oracle (or phase) that failed.
@@ -117,6 +117,20 @@ pub struct FailureRecord {
     pub shrunk_steps: Option<u64>,
     /// Where the counterexample was written.
     pub trace_path: Option<String>,
+}
+
+impl FailureRecord {
+    fn new(case: Option<u64>, problem: &str, oracle: &str, plan: String, message: String) -> Self {
+        Self {
+            case,
+            problem: problem.into(),
+            oracle: oracle.into(),
+            plan,
+            message,
+            shrunk_steps: None,
+            trace_path: None,
+        }
+    }
 }
 
 /// Campaign outcome.
@@ -155,126 +169,145 @@ impl CampaignReport {
 
     /// Serialises the report for `CONFORMANCE_report.json`.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema_version".into(), Json::Num(1.0)),
-            ("kind".into(), Json::Str("conformance".into())),
-            ("mode".into(), Json::Str(self.mode.clone())),
-            ("seed".into(), Json::Num(self.seed as f64)),
-            ("cases".into(), Json::Num(self.cases_run as f64)),
-            (
-                "problems".into(),
-                Json::Arr(self.problems.iter().map(|p| Json::Str(p.clone())).collect()),
-            ),
-            (
-                "problem_cases".into(),
-                Json::Obj(
-                    self.problem_cases
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                        .collect(),
+        let num = |v: u64| Json::Num(v as f64);
+        let text = |s: &str| Json::Str(s.into());
+        let obj = |fields: Vec<(&str, Json)>| {
+            Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        };
+        let counts = |m: &BTreeMap<String, u64>| {
+            Json::Obj(m.iter().map(|(k, &v)| (k.clone(), num(v))).collect())
+        };
+        let failure = |f: &FailureRecord| {
+            obj(vec![
+                ("case", f.case.map_or(Json::Null, num)),
+                ("problem", text(&f.problem)),
+                ("oracle", text(&f.oracle)),
+                ("plan", text(&f.plan)),
+                ("message", text(&f.message)),
+                ("shrunk_steps", f.shrunk_steps.map_or(Json::Null, num)),
+                (
+                    "trace_path",
+                    f.trace_path.as_deref().map_or(Json::Null, text),
                 ),
-            ),
+            ])
+        };
+        obj(vec![
+            ("schema_version", Json::Num(1.0)),
+            ("kind", text("conformance")),
+            ("mode", text(&self.mode)),
+            ("seed", num(self.seed)),
+            ("cases", num(self.cases_run)),
             (
-                "oracles".into(),
-                Json::Obj(
-                    self.oracle_runs
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                        .collect(),
-                ),
+                "problems",
+                Json::Arr(self.problems.iter().map(|p| text(p)).collect()),
             ),
+            ("problem_cases", counts(&self.problem_cases)),
+            ("oracles", counts(&self.oracle_runs)),
+            ("witness_rejections", num(self.witness_rejections)),
+            ("corpus_checked", num(self.corpus_checked)),
             (
-                "witness_rejections".into(),
-                Json::Num(self.witness_rejections as f64),
+                "failures",
+                Json::Arr(self.failures.iter().map(failure).collect()),
             ),
-            (
-                "corpus_checked".into(),
-                Json::Num(self.corpus_checked as f64),
-            ),
-            (
-                "failures".into(),
-                Json::Arr(
-                    self.failures
-                        .iter()
-                        .map(|f| {
-                            Json::Obj(vec![
-                                (
-                                    "case".into(),
-                                    if f.case == u64::MAX {
-                                        Json::Null
-                                    } else {
-                                        Json::Num(f.case as f64)
-                                    },
-                                ),
-                                ("problem".into(), Json::Str(f.problem.clone())),
-                                ("oracle".into(), Json::Str(f.oracle.clone())),
-                                ("plan".into(), Json::Str(f.plan.clone())),
-                                ("message".into(), Json::Str(f.message.clone())),
-                                (
-                                    "shrunk_steps".into(),
-                                    match f.shrunk_steps {
-                                        Some(s) => Json::Num(s as f64),
-                                        None => Json::Null,
-                                    },
-                                ),
-                                (
-                                    "trace_path".into(),
-                                    match &f.trace_path {
-                                        Some(p) => Json::Str(p.clone()),
-                                        None => Json::Null,
-                                    },
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("wall_secs".into(), Json::Num(self.wall_secs)),
+            ("wall_secs", Json::Num(self.wall_secs)),
         ])
     }
 }
 
-/// Which oracles run for a given case index.
-fn oracles_for(cfg: &CampaignConfig, case: u64) -> Vec<&'static str> {
-    let mut out = vec!["metamorphic"];
-    if case.is_multiple_of(cfg.roundtrip_every) {
-        out.push("replay-roundtrip");
-    }
-    if case.is_multiple_of(cfg.flexible_every) {
-        out.push("flexible");
-    }
-    if case.is_multiple_of(cfg.sim_every) {
-        out.push("sim-equivalence");
-    }
-    if case.is_multiple_of(cfg.cluster_every) {
-        out.push("cluster-equivalence");
-    }
-    if case.is_multiple_of(cfg.threaded_every) {
-        out.push("threaded-equivalence");
-    }
-    out
+/// What one fuzz case hands an oracle.
+struct Case<'a> {
+    cfg: &'a CampaignConfig,
+    index: u64,
+    problem: &'a ConformanceProblem,
+    plan_seed: u64,
 }
 
-/// Shrinks a failing trace against `still_fails`, writes the
-/// counterexample, and fills the failure record.
+/// How an oracle meets a case.
+enum Check {
+    /// Consumes the case's injected trace, so a failure shrinks over it.
+    OnTrace(fn(&Case<'_>, &Trace) -> Result<(), String>),
+    /// Runs its own machine, seeded from the case; a failure is reported
+    /// as is.
+    OwnRun(fn(&Case<'_>) -> Result<(), String>),
+}
+
+/// One campaign oracle: its report name, its [`CampaignConfig`] stride
+/// and its check.
+struct Oracle {
+    name: &'static str,
+    every: fn(&CampaignConfig) -> u64,
+    check: Check,
+}
+
+/// Every campaign oracle, in the order each case runs them.
+static ORACLES: [Oracle; 6] = [
+    Oracle {
+        name: "metamorphic",
+        every: |_| 1,
+        check: Check::OnTrace(|c, t| oracle::metamorphic(c.problem, t)),
+    },
+    Oracle {
+        name: "replay-roundtrip",
+        every: |cfg| cfg.roundtrip_every,
+        check: Check::OnTrace(|c, t| oracle::replay_roundtrip(c.problem, t)),
+    },
+    Oracle {
+        name: "flexible",
+        every: |cfg| cfg.flexible_every,
+        check: Check::OnTrace(|c, t| {
+            oracle::flexible_degrades(c.problem, t, child_seed(c.plan_seed, 9))
+        }),
+    },
+    Oracle {
+        name: "sim-equivalence",
+        every: |cfg| cfg.sim_every,
+        check: Check::OwnRun(|c| {
+            let seed = child_seed(c.cfg.seed, c.index ^ 0x51D);
+            let procs = 2 + (c.index % 3) as usize;
+            oracle::sim_equivalence(c.problem, seed, procs, c.cfg.sim_iterations)
+        }),
+    },
+    Oracle {
+        name: "cluster-equivalence",
+        every: |cfg| cfg.cluster_every,
+        check: Check::OwnRun(|c| {
+            let mut r = rng(child_seed(c.cfg.seed, c.index ^ 0xC1A));
+            let plan = ClusterPlan::sample(&mut r, c.problem.n(), c.problem.steps);
+            oracle::cluster_replay_equivalence(c.problem, &plan)
+                .map_err(|e| format!("{e} [{}]", plan.describe()))
+        }),
+    },
+    Oracle {
+        name: "threaded-equivalence",
+        every: |cfg| cfg.threaded_every,
+        check: Check::OwnRun(|c| {
+            let mut r = rng(child_seed(c.cfg.seed, c.index ^ 0x7DD));
+            let plan = ThreadedPlan::sample(&mut r, c.problem.n(), 4_000_000);
+            oracle::threaded_replay_equivalence(c.problem, &plan)
+                .map(|_trace| ())
+                .map_err(|e| format!("{e} [{}]", plan.describe()))
+        }),
+    },
+];
+
+/// Shrinks fuzz case `case`'s failing trace against `still_fails`,
+/// writes the counterexample and fills the failure record.
 fn shrink_and_persist(
     cfg: &CampaignConfig,
+    case: u64,
     record: &mut FailureRecord,
     trace: &Trace,
-    mut still_fails: impl FnMut(&Trace) -> bool,
+    still_fails: impl FnMut(&Trace) -> bool,
 ) {
-    let res = shrink_trace(trace, &mut still_fails, cfg.shrink_budget);
-    record.shrunk_steps = Some(res.trace.len() as u64);
-    let path = cfg.fault_dir.join(format!(
-        "fault-case{}-{}.trace",
-        record.case,
-        record.oracle.replace(' ', "-")
-    ));
-    match corpus::save_trace(&path, &res.trace) {
-        Ok(()) => record.trace_path = Some(path.display().to_string()),
-        Err(e) => record
-            .message
-            .push_str(&format!(" (counterexample not saved: {e})")),
+    let name = format!("fault-case{case}-{}.trace", record.oracle.replace(' ', "-"));
+    let path = cfg.fault_dir.join(name);
+    let flaky = "the failure did not recur on its own trace";
+    match shrink_and_save(trace, still_fails, cfg.shrink_budget, flaky, &path) {
+        Ok((_, shrunk)) => {
+            record.shrunk_steps = Some(shrunk);
+            record.trace_path = Some(path.display().to_string());
+        }
+        Err(e) => record.message += &format!(" (counterexample not saved: {e})"),
     }
 }
 
@@ -290,15 +323,13 @@ fn negative_controls(seed: u64, failures: &mut Vec<FailureRecord>) -> u64 {
         Err(ModelError::ConditionViolated { condition, .. }) if condition == expect => {
             rejections += 1;
         }
-        other => failures.push(FailureRecord {
-            case: u64::MAX,
-            problem: "jacobi".into(),
-            oracle: format!("witness-control-{name}"),
-            plan: plan.describe(),
-            message: format!("expected condition ({expect}) rejection, got {other:?}"),
-            shrunk_steps: None,
-            trace_path: None,
-        }),
+        other => failures.push(FailureRecord::new(
+            None,
+            "jacobi",
+            &format!("witness-control-{name}"),
+            plan.describe(),
+            format!("expected condition ({expect}) rejection, got {other:?}"),
+        )),
     };
     // Condition (b): freeze one component's label at 0 forever.
     let mut frozen = FrozenLabelAdversary::new(plan.build(), 1, 0);
@@ -317,27 +348,23 @@ fn negative_controls(seed: u64, failures: &mut Vec<FailureRecord>) -> u64 {
     rejections
 }
 
-/// Re-validates the committed corpus: seed traces must equal their
-/// regenerated plans and pass their witnesses; fault fixtures must
-/// parse and replay deterministically (their original failure
-/// predicates are plan-specific, so reproduction is checked by the
-/// tier-1 suite — `fault_fixture_reproduces_from_the_demo` — not
-/// here).
+/// Re-validates the committed corpus: seed and cluster traces must equal
+/// their regenerated plans (seed traces must also pass their witnesses);
+/// cluster, threaded and counterexample traces must replay
+/// deterministically on the problem of their dimension — a file no
+/// problem can replay is a `corpus-unmatched` failure. (Fault fixtures'
+/// original predicates are plan-specific; the tier-1 suite checks their
+/// reproduction — `fault_fixture_reproduces_from_the_demo`.)
 fn check_corpus(
     dir: &Path,
     problems: &[ConformanceProblem],
     failures: &mut Vec<FailureRecord>,
 ) -> u64 {
     let mut fail = |oracle: &str, path: &Path, message: String| {
-        failures.push(FailureRecord {
-            case: u64::MAX,
-            problem: String::new(),
-            oracle: oracle.into(),
-            plan: String::new(),
-            message: format!("{}: {message}", path.display()),
-            shrunk_steps: None,
-            trace_path: Some(path.display().to_string()),
-        });
+        let message = format!("{}: {message}", path.display());
+        let mut record = FailureRecord::new(None, "", oracle, String::new(), message);
+        record.trace_path = Some(path.display().to_string());
+        failures.push(record);
     };
     let entries = match corpus::load_dir(dir) {
         Ok(entries) => entries,
@@ -357,82 +384,56 @@ fn check_corpus(
             .and_then(|s| s.to_str())
             .unwrap_or_default()
             .to_string();
-        if let Some(cplan) = cluster_plans.get(&stem) {
+        // Which replay check the file gets, after its own checks pass.
+        let replay_as = if let Some(cplan) = cluster_plans.get(&stem) {
             // Committed cluster traces must equal their regenerated
-            // plans (engine/channel-model determinism) and replay
-            // bit-identically through the Definition-1 engine.
+            // plans (engine/channel-model determinism).
             let regen = corpus::record_cluster_trace(cplan);
-            if regen.len() != trace.len()
-                || (1..=trace.len() as u64).any(|j| {
-                    regen.step(j).active != trace.step(j).active
-                        || regen.labels(j).ok() != trace.labels(j).ok()
-                })
-            {
-                fail(
-                    "corpus-cluster-regen",
-                    &path,
-                    "committed cluster trace no longer matches its plan (engine drift)".into(),
-                );
+            if let Err(m) = oracle::same_schedule(&regen, &trace) {
+                let drift = "committed cluster trace no longer matches its plan (engine drift)";
+                fail("corpus-cluster-regen", &path, format!("{drift}: {m}"));
                 continue;
             }
-            if let Some(p) = problems.iter().find(|p| p.n() == trace.n()) {
-                if let Err(e) = oracle::replay_roundtrip(p, &trace) {
-                    fail("corpus-cluster-replay", &path, e);
-                }
-            }
-            continue;
-        }
-        if let Some(plan) = plans.get(&stem) {
-            let regen = plan.record_trace();
-            if regen.len() != trace.len()
-                || (1..=trace.len() as u64).any(|j| {
-                    regen.step(j).active != trace.step(j).active
-                        || regen.labels(j).ok() != trace.labels(j).ok()
-                })
-            {
-                fail(
-                    "corpus-regen",
-                    &path,
-                    "committed trace no longer matches its plan (generator drift)".into(),
-                );
-                continue;
-            }
-            if let Err(e) = plan.witness().check(&trace) {
+            "corpus-cluster-replay"
+        } else if let Some(plan) = plans.get(&stem) {
+            if let Err(m) = oracle::same_schedule(&plan.record_trace(), &trace) {
+                let drift = "committed trace no longer matches its plan (generator drift)";
+                fail("corpus-regen", &path, format!("{drift}: {m}"));
+            } else if let Err(e) = plan.witness().check(&trace) {
                 fail("corpus-witness", &path, format!("witness rejected: {e}"));
             }
+            continue;
         } else if stem.starts_with("threaded-") {
             // Witnessed racy executions: there is no plan to regenerate
             // against (the OS scheduler picked the interleaving), but
-            // the committed schedule must still be admissible and
-            // replay deterministically.
+            // the committed schedule must still be admissible.
             if let Err(e) = asynciter_models::conditions::check_condition_a(&trace) {
-                fail(
-                    "corpus-threaded-condition-a",
-                    &path,
-                    format!("condition (a) violated: {e}"),
-                );
+                let message = format!("condition (a) violated: {e}");
+                fail("corpus-threaded-condition-a", &path, message);
                 continue;
             }
-            if let Some(p) = problems.iter().find(|p| p.n() == trace.n()) {
-                if let Err(e) = oracle::replay_roundtrip(p, &trace) {
-                    fail("corpus-threaded-replay", &path, e);
-                }
-            }
+            "corpus-threaded-replay"
         } else if stem.starts_with("fault-")
             || stem.starts_with("mc-")
             || stem.starts_with("service-")
         {
-            // Replayability of committed counterexamples — fuzzer
-            // faults, model-checker counterexamples and service
-            // isolation exhibits alike: the matching problem (by
-            // dimension) must accept the injected trace.
-            if let Some(p) = problems.iter().find(|p| p.n() == trace.n()) {
-                if let Err(e) = oracle::replay_roundtrip(p, &trace) {
-                    fail("corpus-fault-replay", &path, e);
-                }
-            }
+            // Committed counterexamples — fuzzer faults, model-checker
+            // counterexamples and service isolation exhibits alike.
+            "corpus-fault-replay"
         } else {
             fail("corpus-unknown", &path, "unrecognised corpus file".into());
+            continue;
+        };
+        match problems.iter().find(|p| p.n() == trace.n()) {
+            Some(p) => {
+                if let Err(e) = oracle::replay_roundtrip(p, &trace) {
+                    fail(replay_as, &path, e);
+                }
+            }
+            None => {
+                let message = format!("no problem has dimension {}", trace.n());
+                fail("corpus-unmatched", &path, message);
+            }
         }
     }
     checked
@@ -454,9 +455,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 
     for case in 0..cfg.cases {
         let problem = &problems[(case % problems.len() as u64) as usize];
-        *problem_cases
-            .get_mut(problem.kind.id())
-            .expect("initialised above") += 1;
+        let id = problem.kind.id();
+        *problem_cases.get_mut(id).expect("initialised above") += 1;
         let mut r = rng(child_seed(cfg.seed, case));
         let plan = SchedulePlan::sample(&mut r, problem.n(), problem.steps, problem.limits);
         let trace = plan.record_trace();
@@ -466,74 +466,36 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         *oracle_runs.entry("witness".into()).or_default() += 1;
         if let Err(e) = plan.witness().check(&trace) {
             let witness = plan.witness();
-            let mut record = FailureRecord {
-                case,
-                problem: problem.kind.id().into(),
-                oracle: "witness".into(),
-                plan: plan.describe(),
-                message: format!("generated schedule rejected: {e}"),
-                shrunk_steps: None,
-                trace_path: None,
-            };
-            shrink_and_persist(cfg, &mut record, &trace, |t| witness.check(t).is_err());
+            let message = format!("generated schedule rejected: {e}");
+            let mut record =
+                FailureRecord::new(Some(case), id, "witness", plan.describe(), message);
+            shrink_and_persist(cfg, case, &mut record, &trace, |t| {
+                witness.check(t).is_err()
+            });
             failures.push(record);
             continue;
         }
 
-        for oracle_name in oracles_for(cfg, case) {
-            *oracle_runs.entry(oracle_name.into()).or_default() += 1;
-            let result = match oracle_name {
-                "metamorphic" => oracle::metamorphic(problem, &trace),
-                "replay-roundtrip" => oracle::replay_roundtrip(problem, &trace),
-                "flexible" => oracle::flexible_degrades(problem, &trace, child_seed(plan.seed, 9)),
-                "sim-equivalence" => oracle::sim_equivalence(
-                    problem,
-                    child_seed(cfg.seed, case ^ 0x51D),
-                    2 + (case % 3) as usize,
-                    cfg.sim_iterations,
-                ),
-                "cluster-equivalence" => {
-                    let mut cr = rng(child_seed(cfg.seed, case ^ 0xC1A));
-                    let cplan = ClusterPlan::sample(&mut cr, problem.n(), problem.steps);
-                    let described = cplan.describe();
-                    oracle::cluster_replay_equivalence(problem, &cplan)
-                        .map_err(|e| format!("{e} [{described}]"))
-                }
-                "threaded-equivalence" => {
-                    let mut tr = rng(child_seed(cfg.seed, case ^ 0x7DD));
-                    let tplan = ThreadedPlan::sample(&mut tr, problem.n(), 4_000_000);
-                    let described = tplan.describe();
-                    oracle::threaded_replay_equivalence(problem, &tplan)
-                        .map(|_trace| ())
-                        .map_err(|e| format!("{e} [{described}]"))
-                }
-                _ => unreachable!("unknown oracle"),
+        let ctx = Case {
+            cfg,
+            index: case,
+            problem,
+            plan_seed: plan.seed,
+        };
+        for o in ORACLES
+            .iter()
+            .filter(|o| case.is_multiple_of((o.every)(cfg)))
+        {
+            *oracle_runs.entry(o.name.into()).or_default() += 1;
+            let result = match o.check {
+                Check::OnTrace(check) => check(&ctx, &trace),
+                Check::OwnRun(check) => check(&ctx),
             };
             if let Err(message) = result {
-                let mut record = FailureRecord {
-                    case,
-                    problem: problem.kind.id().into(),
-                    oracle: oracle_name.into(),
-                    plan: plan.describe(),
-                    message,
-                    shrunk_steps: None,
-                    trace_path: None,
-                };
-                if !matches!(
-                    oracle_name,
-                    "sim-equivalence" | "cluster-equivalence" | "threaded-equivalence"
-                ) {
-                    // These oracles consume the injected trace, so the
-                    // trace is the shrinkable input.
-                    let still_fails = |t: &Trace| match oracle_name {
-                        "metamorphic" => oracle::metamorphic(problem, t).is_err(),
-                        "replay-roundtrip" => oracle::replay_roundtrip(problem, t).is_err(),
-                        "flexible" => {
-                            oracle::flexible_degrades(problem, t, child_seed(plan.seed, 9)).is_err()
-                        }
-                        _ => unreachable!(),
-                    };
-                    shrink_and_persist(cfg, &mut record, &trace, still_fails);
+                let mut record =
+                    FailureRecord::new(Some(case), id, o.name, plan.describe(), message);
+                if let Check::OnTrace(check) = o.check {
+                    shrink_and_persist(cfg, case, &mut record, &trace, |t| check(&ctx, t).is_err());
                 }
                 failures.push(record);
             }
@@ -622,15 +584,8 @@ pub fn cluster_reorder_demo(seed: u64, out: &Path) -> Result<(u64, u64), String>
         apply_policy: asynciter_runtime::ApplyPolicy::AsReceived,
         ..asynciter_runtime::session::Cluster::default()
     };
-    let report = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .steps(240)
-        .seed(child_seed(seed, 0x0C0))
-        .record(RecordMode::Full)
-        .backend(backend)
-        .run()
-        .map_err(|e| format!("cluster run failed: {e}"))?;
-    let trace = report.trace.expect("RecordMode::Full");
+    let seed = child_seed(seed, 0x0C0);
+    let (_, trace) = oracle::record(&problem, |s| s.steps(240).seed(seed).backend(backend))?;
     let still_fails = |t: &Trace| has_label_regression(t, workers);
     let not_caught = "channel model produced no out-of-order application";
     shrink_and_save(&trace, still_fails, 200_000, not_caught, out)
@@ -757,7 +712,9 @@ fn run_conformance(m: &Matches<'_>) -> Result<i32, String> {
         // interleaving. The trace is only written after the oracle
         // verified it (condition (a), bit-identical replay,
         // convergence), so whatever lands in the corpus is sound.
-        let recorded = corpus::record_threaded_trace().and_then(|trace| {
+        let jacobi = ConformanceProblem::build(ProblemKind::Jacobi);
+        let witnessed = oracle::threaded_replay_equivalence(&jacobi, &corpus::threaded_plan());
+        let recorded = witnessed.and_then(|trace| {
             corpus::save_trace(out, &trace)?;
             let steps = trace.len();
             Ok(format!(
@@ -804,11 +761,7 @@ fn run_conformance(m: &Matches<'_>) -> Result<i32, String> {
     for f in &report.failures {
         eprintln!(
             "FAIL case={} problem={} oracle={}: {}{}",
-            if f.case == u64::MAX {
-                "-".to_string()
-            } else {
-                f.case.to_string()
-            },
+            f.case.map_or("-".into(), |c| c.to_string()),
             f.problem,
             f.oracle,
             f.message,
@@ -871,6 +824,27 @@ mod tests {
         assert!(json.contains("\"witness_rejections\": 2"));
         assert!(json.contains("\"problem_cases\""));
         assert!(json.contains("\"network-flow\": 1"));
+    }
+
+    #[test]
+    fn a_corpus_trace_no_problem_can_replay_fails_the_campaign() {
+        // Every problem has n >= 4: nothing can replay a 3-component
+        // counterexample, so re-validation must not pass it silently.
+        let dir = std::env::temp_dir().join("asynciter-conformance-unmatched-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut trace = Trace::new(3, LabelStore::Full);
+        trace.push_step(&[0, 1, 2], &[0, 0, 0]);
+        corpus::save_trace(&dir.join("fault-x.trace"), &trace).unwrap();
+        let cfg = CampaignConfig {
+            cases: 0,
+            corpus_dir: Some(dir.clone()),
+            ..tiny_config(&dir)
+        };
+        let report = run_campaign(&cfg);
+        assert_eq!(report.corpus_checked, 1);
+        let oracles: Vec<&str> = report.failures.iter().map(|f| f.oracle.as_str()).collect();
+        assert_eq!(oracles, ["corpus-unmatched"], "{:#?}", report.failures);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   the oracle catches it, shrink, and persist the counterexample
 //!   (committed as `tests/corpus/service-scratch-leak.trace`).
 
+use std::convert::identity;
 use std::path::Path;
 
-use asynciter_core::session::{Replay, Session};
 use asynciter_models::Trace;
 use asynciter_numerics::rng::child_seed;
 use asynciter_runtime::ApplyPolicy;
@@ -31,6 +31,7 @@ use asynciter_service::{
     ScheduleSpec, Service, ServiceConfig, ServiceMode, ServiceOutcome,
 };
 
+use crate::oracle::{replay, same_bits};
 use crate::shrink::shrink_and_save;
 
 /// A seeded mixed workload: `tenants` job specs cycling through every
@@ -126,25 +127,6 @@ pub fn tenant_equivalence(
     })
 }
 
-/// Replays `trace` from `x0` through the Definition-1 engine and
-/// returns the final iterate bits.
-fn replay_from(
-    catalog: &Catalog,
-    problem: ProblemId,
-    x0: &[f64],
-    trace: &Trace,
-) -> Option<Vec<f64>> {
-    let entry = catalog.get(problem);
-    Session::new(entry.op.as_ref())
-        .x0(x0)
-        .replay_trace(trace.clone())
-        .ok()?
-        .backend(Replay)
-        .run()
-        .ok()
-        .map(|r| r.final_x)
-}
-
 /// Shrinks a diverging recorded job's trace to a minimal schedule on
 /// which the canonical start and the start the service actually used
 /// produce different final-iterate bits — the smallest replayable
@@ -173,25 +155,22 @@ pub fn shrink_leak_trace(
         .x0
         .as_ref()
         .ok_or("diverging job did not capture its start vector")?;
-    let clean = &catalog.get(completed.spec.problem).x0;
-    if clean.len() == dirty.len()
-        && clean
-            .iter()
-            .zip(dirty)
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-    {
+    let entry = catalog.get(completed.spec.problem);
+    let clean = &entry.x0;
+    if same_bits(clean, dirty).is_ok() {
         return Err(
             "divergence is not start-vector dependent: the service ran from the canonical \
              start bits (suspect the engine, not the scratch pool)"
                 .into(),
         );
     }
-    let problem = completed.spec.problem;
+    // The law's replay from each start, compared bit for bit.
+    let op = entry.op.as_ref();
     let still_fails = |t: &Trace| match (
-        replay_from(catalog, problem, clean, t),
-        replay_from(catalog, problem, dirty, t),
+        replay(op, clean, t, identity),
+        replay(op, dirty, t, identity),
     ) {
-        (Some(a), Some(b)) => a.iter().zip(&b).any(|(x, y)| x.to_bits() != y.to_bits()),
+        (Ok(a), Ok(b)) => same_bits(&a.final_x, &b.final_x).is_err(),
         _ => false,
     };
     let not_caught = "clean and leaked starts replay identically on the full trace";

@@ -34,10 +34,11 @@
 use crate::book::{Book, EdgeInfo};
 use crate::scope::{McProblem, Scope};
 use crate::state::McState;
-use asynciter_core::session::Session;
+use asynciter_conformance::oracle::{replay, same_bits, Mismatch};
 use asynciter_models::conditions::AdmissibilityWitness;
 use asynciter_models::Trace;
 use asynciter_runtime::ApplyPolicy;
+use std::convert::identity;
 
 /// Relative slack for floating-point property comparisons (shared with
 /// the transport-seam checks).
@@ -267,21 +268,18 @@ pub(crate) fn check_horizon(
 
     // Bit-identical replay: the Definition-1 engine, fed the recorded
     // producing-step trace, must land on exactly the same consensus.
-    let replay = Session::new(&problem.op)
-        .x0(problem.x0.clone())
-        .replay_trace(trace.clone())
-        .and_then(Session::run);
-    match replay {
-        Err(e) => violation(format!("terminal trace does not replay: {e}")),
-        Ok(report) => (0..n)
-            .find(|&c| report.final_x[c].to_bits() != consensus[c].to_bits())
-            .and_then(|c| {
-                violation(format!(
-                    "replay diverged from the explored state at component {c}: \
-                     replay={:?} vs consensus={:?}",
-                    report.final_x[c], consensus[c]
-                ))
-            }),
+    let report = match replay(&problem.op, &problem.x0, trace, identity) {
+        Ok(report) => report,
+        Err(e) => return violation(format!("terminal trace does not replay: {e}")),
+    };
+    match same_bits(&report.final_x, &consensus) {
+        Ok(()) => None,
+        Err(Mismatch::At(c)) => violation(format!(
+            "replay diverged from the explored state at component {c}: \
+             replay={:?} vs consensus={:?}",
+            report.final_x[c], consensus[c]
+        )),
+        Err(length) => violation(format!("replay vs consensus: {length}")),
     }
 }
 

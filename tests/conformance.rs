@@ -9,7 +9,9 @@
 
 use asynciter::conformance::cluster::has_label_regression;
 use asynciter::conformance::corpus::{self, CORPUS_STEPS};
-use asynciter::conformance::oracle::cluster_degenerates_to_replay;
+use asynciter::conformance::oracle::{
+    cluster_degenerates_to_replay, replay, same_bits, threaded_degenerates_to_cluster,
+};
 use asynciter::conformance::runner::{
     cluster_reorder_demo, inject_cluster_fault_demo, inject_fault_demo, run_campaign,
     CampaignConfig,
@@ -17,7 +19,6 @@ use asynciter::conformance::runner::{
 use asynciter::conformance::{ConformanceProblem, ProblemKind};
 use asynciter::models::conditions::check_condition_a;
 use asynciter::models::macroiter::macro_iterations;
-use asynciter::prelude::*;
 use std::path::Path;
 
 const CORPUS_DIR: &str = "tests/corpus";
@@ -91,22 +92,12 @@ fn corpus_traces_satisfy_model_invariants_and_replay_deterministically() {
             .iter()
             .find(|p| p.n() == trace.n())
             .unwrap_or_else(|| panic!("{}: no problem of dim {}", path.display(), trace.n()));
-        let run = |t: Trace| {
-            Session::new(problem.op.as_ref())
-                .x0(problem.x0.clone())
-                .replay_trace(t)
-                .unwrap()
-                .run()
-                .unwrap()
+        let run = || {
+            replay(problem.op.as_ref(), &problem.x0, &trace, |s| s)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
         };
-        let a = run(trace.clone());
-        let b = run(trace);
-        assert_eq!(
-            a.final_x,
-            b.final_x,
-            "{}: replay not deterministic",
-            path.display()
-        );
+        same_bits(&run().final_x, &run().final_x)
+            .unwrap_or_else(|m| panic!("{}: replay not deterministic, {m}", path.display()));
     }
 }
 
@@ -227,12 +218,7 @@ fn threaded_corpus_trace_is_admissible_and_replays_convergently() {
     check_condition_a(&trace).expect("condition (a)");
     let problem = ConformanceProblem::build(ProblemKind::Jacobi);
     assert_eq!(trace.n(), problem.n(), "recorded on the Jacobi problem");
-    let report = Session::new(problem.op.as_ref())
-        .x0(problem.x0.clone())
-        .replay_trace(trace)
-        .unwrap()
-        .run()
-        .unwrap();
+    let report = replay(problem.op.as_ref(), &problem.x0, &trace, |s| s).unwrap();
     assert!(
         report.final_residual <= problem.tol,
         "replayed residual {:.3e} above tolerance",
@@ -253,9 +239,13 @@ fn dropping_an_essential_message_is_caught() {
 
 #[test]
 fn degenerate_cluster_is_bitwise_replay_on_all_problems() {
+    // Both degenerate laws on every family: one in-order, faultless
+    // worker is the synchronous schedule, threaded or not.
     for kind in ProblemKind::ALL {
         let problem = ConformanceProblem::build(kind);
         cluster_degenerates_to_replay(&problem, 50)
+            .unwrap_or_else(|e| panic!("{}: {e}", kind.id()));
+        threaded_degenerates_to_cluster(&problem, 50)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.id()));
     }
 }
