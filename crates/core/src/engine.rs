@@ -30,10 +30,25 @@ use crate::session::{Backend, Problem, RunControl, RunReport};
 /// backwards from the newest entry of the component's private update log,
 /// so it costs `O(log u)` in the number `u` of updates of `i` newer than
 /// `l` — the delay, not the length of the run.
+///
+/// **Compaction.** Without a floor every update is kept for the whole
+/// run. Once [`set_floor`](Self::set_floor) promises that no label below
+/// `floor` will be read again, an entry whose successor is at or below
+/// the floor can never answer a lookup. When a log is full and at least
+/// half of it is such dead prefix, [`push`](Self::push) drains that
+/// prefix instead of growing. It keeps the newest entry at or below the
+/// floor, so every log still starts at a step `≤ floor ≤ l` for each
+/// admissible label `l`, a lookup still ends there, and no read changes.
+/// A log then holds under four times the entries its delay window does,
+/// not one per update of the run, and the drains cost `O(1)` amortised
+/// per push.
 #[derive(Debug, Clone)]
 pub struct History {
-    /// Per component: update log `(step j, value)`, starting with `(0, x0)`.
+    /// Per component: update log `(step j, value)`, starting at a step
+    /// `≤ floor` (step 0 with `x0` until the first compaction).
     logs: Vec<Vec<(u64, f64)>>,
+    /// No label below this is read any more (`0`: every label is).
+    floor: u64,
 }
 
 impl History {
@@ -41,7 +56,15 @@ impl History {
     pub fn new(x0: &[f64]) -> Self {
         Self {
             logs: x0.iter().map(|&v| vec![(0u64, v)]).collect(),
+            floor: 0,
         }
+    }
+
+    /// Promises that no label below `floor` will be read again, which
+    /// lets [`push`](Self::push) drop the entries only such labels could
+    /// read. A floor lower than the current one is ignored.
+    pub fn set_floor(&mut self, floor: u64) {
+        self.floor = self.floor.max(floor);
     }
 
     /// Number of components.
@@ -49,7 +72,8 @@ impl History {
         self.logs.len()
     }
 
-    /// Records the update `x_i(j) = value`.
+    /// Records the update `x_i(j) = value`, compacting a full log below
+    /// the floor first (see the type docs).
     ///
     /// # Panics
     /// Panics when steps are not appended in increasing order.
@@ -62,10 +86,22 @@ impl History {
             last < j,
             "History::push: step {j} of component {i} is not after its last update {last}"
         );
+        if log.len() == log.capacity() {
+            // `log[dead]` is the newest entry at or below the floor; all
+            // before it are shadowed for every label `≥ floor`.
+            let dead = log.partition_point(|&(s, _)| s <= self.floor) - 1;
+            if dead > 0 && 2 * dead >= log.len() {
+                log.drain(..dead);
+            }
+        }
         log.push((j, value));
     }
 
     /// `x_i(l)`: the value of component `i` at label `l`.
+    ///
+    /// # Panics
+    /// Panics when `l` lies below the floor and the log of `i` no longer
+    /// reaches back to it.
     #[inline]
     pub fn value_at(&self, i: usize, l: u64) -> f64 {
         let log = &self.logs[i];
@@ -77,14 +113,20 @@ impl History {
             return last_v;
         }
         // Gallop backwards (newest − 1, − 2, − 4, …) to a probe at or
-        // before `l`; `log[0]` is step 0, so the loop ends. Then
-        // `log[lo].0 <= l < log[hi].0` and the answer lies in `lo..hi`.
+        // before `l`; `log[0]` is at or below the floor, so for `l ≥ floor`
+        // the loop ends. Then `log[lo].0 <= l < log[hi].0` and the answer
+        // lies in `lo..hi`.
         let (mut hi, mut back) = (newest, 1);
         let lo = loop {
             let probe = newest.saturating_sub(back);
             if log[probe].0 <= l {
                 break probe;
             }
+            assert!(
+                probe > 0,
+                "History::value_at: label {l} of component {i} is below the floor {}",
+                self.floor
+            );
             hi = probe;
             back *= 2;
         };
@@ -117,7 +159,8 @@ impl History {
         }
     }
 
-    /// Total number of stored log entries (memory diagnostic).
+    /// Total number of stored log entries (memory diagnostic): bounded by
+    /// the delay window under a floor, by the run length without one.
     pub fn entries(&self) -> usize {
         self.logs.iter().map(Vec::len).sum()
     }
@@ -142,8 +185,9 @@ impl Backend for Replay {
     /// with one inner iteration and no partial ever published.
     ///
     /// # Errors
-    /// Dimension mismatches, invalid controls, a malformed schedule step,
-    /// or a non-finite iterate (operator divergence).
+    /// Dimension mismatches, invalid controls, a malformed schedule step
+    /// (a label later than its step or below the schedule's promised
+    /// floor included), or a non-finite iterate (operator divergence).
     fn run(&mut self, problem: &Problem<'_>, ctl: &mut RunControl<'_>) -> crate::Result<RunReport> {
         let mut definition_1 = Flexible {
             m: 1,
@@ -210,6 +254,49 @@ mod tests {
         assert_eq!(out, [1.0, 2.0]);
         h.assemble(&[1, 0], &mut out);
         assert_eq!(out, [5.0, 2.0]);
+    }
+
+    #[test]
+    fn a_floor_compacts_history_without_changing_a_read() {
+        use rand::RngExt;
+        // Reads look at most `window` steps back; the floor promises it.
+        let (n, window) = (5, 24u64);
+        for seed in 0..3 {
+            let mut rng = asynciter_numerics::rng::rng(seed);
+            let x0: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            let (mut plain, mut compact) = (History::new(&x0), History::new(&x0));
+            for j in 1..=5_000u64 {
+                let floor = j.saturating_sub(window);
+                compact.set_floor(floor);
+                for i in 0..n {
+                    if rng.random_range(0.0..1.0) < 0.4 {
+                        let v = rng.random_range(-1.0..1.0);
+                        plain.push(i, j, v);
+                        compact.push(i, j, v);
+                    }
+                }
+                for i in 0..n {
+                    for l in floor..=j {
+                        let (a, b) = (plain.value_at(i, l), compact.value_at(i, l));
+                        assert_eq!(a.to_bits(), b.to_bits(), "x_{i}({l}) at j={j}");
+                    }
+                }
+                // A log holds under four times the window it can be read in.
+                assert!(compact.entries() < 4 * (window as usize + 1) * n);
+            }
+            assert!(compact.entries() * 10 < plain.entries());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "History::value_at: label 3 of component 0 is below the floor 90")]
+    fn a_read_below_a_compacted_floor_panics() {
+        let mut h = History::new(&[0.0]);
+        h.set_floor(90);
+        for j in 1..=100 {
+            h.push(0, j, j as f64);
+        }
+        h.value_at(0, 3);
     }
 
     #[test]

@@ -106,7 +106,8 @@ impl Backend for Flexible {
     ///
     /// # Errors
     /// Dimension mismatches, invalid parameters or stopping rules, a
-    /// malformed schedule step, or a non-finite iterate.
+    /// malformed schedule step (a label later than its step or below the
+    /// schedule's promised floor included), or a non-finite iterate.
     fn run(&mut self, problem: &Problem<'_>, ctl: &mut RunControl<'_>) -> crate::Result<RunReport> {
         if !self.partial && self.publish_period.is_some() {
             return Err(CoreError::InvalidParameter {
@@ -165,9 +166,13 @@ impl Backend for Flexible {
         let mut buf = StepBuf::new(n);
         let mut w = vec![0.0; n]; // read vector x(l(j)), upgraded to x̃, then inner iterates
         let mut scratch = vec![0.0; op.scratch_len()];
+        // The schedule's promised label floor, held nondecreasing: what
+        // lies below it `history` may drop, so no label may read there.
+        let mut floor = 0;
 
         for j in 1..=ctl.max_steps {
             gen.step(j, &mut buf);
+            floor = gen.label_floor(j).max(floor);
             if !well_formed_step(&buf.active, &buf.labels, n) {
                 // The schedule is caller input: checked on every step.
                 return Err(CoreError::InvalidParameter {
@@ -179,16 +184,26 @@ impl Backend for Flexible {
                     ),
                 });
             }
-            if let Some(h) = buf.labels.iter().position(|&l| l >= j) {
-                // Condition (a), l_h(j) ≤ j − 1: a later label would read x(j − 1).
+            // One pass for both bounds on a label: condition (a),
+            // l_h(j) ≤ j − 1 (a later label would read x(j − 1)), and the
+            // promised floor (an earlier one may be compacted away).
+            if let Some(h) = buf.labels.iter().position(|l| !(floor..j).contains(l)) {
+                let l = buf.labels[h];
+                let message = if l >= j {
+                    format!(
+                        "step {j}: component {h} reads label {l} — condition (a) needs l_h(j) <= j - 1"
+                    )
+                } else {
+                    format!(
+                        "step {j}: component {h} reads label {l} below the schedule's promised label floor {floor}"
+                    )
+                };
                 return Err(CoreError::InvalidParameter {
                     name: "schedule",
-                    message: format!(
-                        "step {j}: component {h} reads label {} — condition (a) needs l_h(j) <= j - 1",
-                        buf.labels[h]
-                    ),
+                    message,
                 });
             }
+            history.set_floor(floor);
             history.assemble(&buf.labels, &mut w);
 
             // The labels this step effectively read. Until the first
@@ -278,7 +293,7 @@ mod tests {
     use crate::engine::Replay;
     use crate::session::Session;
     use asynciter_models::partition::Partition;
-    use asynciter_models::schedule::BlockRoundRobin;
+    use asynciter_models::schedule::{BlockRoundRobin, ScheduleGen};
     use asynciter_models::trace::{LabelStore, Trace};
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
@@ -451,6 +466,49 @@ mod tests {
                 } => assert_eq!(
                     message,
                     "step 2: component 0 reads label 5 — condition (a) needs l_h(j) <= j - 1",
+                    "{name}"
+                ),
+                other => panic!("{name}: expected the schedule error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_label_below_the_promised_floor_is_a_typed_schedule_error() {
+        // Promises that nothing older than `j − 1` is read again, then
+        // has component 1 read label 0 at every step.
+        struct Lies;
+        impl ScheduleGen for Lies {
+            fn n(&self) -> usize {
+                2
+            }
+            fn step(&mut self, j: u64, buf: &mut StepBuf) {
+                buf.active.clear();
+                buf.active.push(0);
+                buf.labels.clear();
+                buf.labels.extend([j - 1, 0]);
+            }
+            fn label_floor(&self, j: u64) -> u64 {
+                j - 1
+            }
+        }
+        let op = jacobi(2);
+        let backends: [Box<dyn Backend>; 2] = [Box::new(Replay), Box::new(with_m(2))];
+        for backend in backends {
+            let name = backend.name();
+            let err = Session::new(&op)
+                .steps(10)
+                .schedule(Lies)
+                .backend(backend)
+                .run()
+                .unwrap_err();
+            match err {
+                CoreError::InvalidParameter {
+                    name: "schedule",
+                    message,
+                } => assert_eq!(
+                    message,
+                    "step 2: component 1 reads label 0 below the schedule's promised label floor 1",
                     "{name}"
                 ),
                 other => panic!("{name}: expected the schedule error, got {other:?}"),

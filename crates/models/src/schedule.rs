@@ -31,6 +31,13 @@
 //! | [`CoverageGuard`] | forces condition (c) with an explicit gap bound |
 //! | [`LabelJitter`] | random extra delay / out-of-order mutation within the envelope |
 //! | [`ActiveThin`] | random partial-update mutation of the steering sets |
+//!
+//! Every generator whose delays are bounded by an envelope also promises
+//! a *label floor* ([`ScheduleGen::label_floor`]): its own smallest
+//! drawable label `j − D(j)`, and for a [`RecordedSchedule`] the suffix
+//! minimum of its labels. The replay engines check each label against it
+//! and keep only the history a read can still reach. The adversaries that
+//! break condition (b) and the heavy-tailed delays promise nothing.
 
 use crate::trace::{LabelStore, Trace};
 use rand::rngs::StdRng;
@@ -69,6 +76,23 @@ pub trait ScheduleGen {
     /// structural rules.
     fn step(&mut self, j: u64, buf: &mut StepBuf);
 
+    /// A promised *label floor*: every label of every step `j' ≥ j` is
+    /// `≥ label_floor(j)`, so nothing older than it will be read again.
+    ///
+    /// Condition (b) alone gives no such floor — a later step may read an
+    /// older label than an earlier one — so it has to come from the
+    /// generator, typically as its delay envelope `j − D(j)`
+    /// (Feyzmahdavian & Johansson; Peng–Xu–Yan–Yin). The default `0`
+    /// promises nothing. A floor must be nondecreasing in `j` and must
+    /// not depend on the steps drawn so far. The replay engines discard
+    /// history below it, and answer a label under it with the typed
+    /// schedule error they give a condition-(a) violation
+    /// (`InvalidParameter { name: "schedule" }`).
+    fn label_floor(&self, j: u64) -> u64 {
+        let _ = j;
+        0
+    }
+
     /// A short human-readable description for experiment logs.
     fn describe(&self) -> String {
         format!("schedule(n={})", self.n())
@@ -84,6 +108,10 @@ impl<G: ScheduleGen + ?Sized> ScheduleGen for Box<G> {
         (**self).step(j, buf);
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        (**self).label_floor(j)
+    }
+
     fn describe(&self) -> String {
         (**self).describe()
     }
@@ -96,6 +124,10 @@ impl<G: ScheduleGen + ?Sized> ScheduleGen for &mut G {
 
     fn step(&mut self, j: u64, buf: &mut StepBuf) {
         (**self).step(j, buf);
+    }
+
+    fn label_floor(&self, j: u64) -> u64 {
+        (**self).label_floor(j)
     }
 
     fn describe(&self) -> String {
@@ -149,6 +181,10 @@ impl ScheduleGen for SyncJacobi {
         buf.labels.fill(j - 1);
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        j.saturating_sub(1)
+    }
+
     fn describe(&self) -> String {
         format!("sync-jacobi(n={})", self.n)
     }
@@ -183,6 +219,10 @@ impl ScheduleGen for CyclicCoordinate {
         buf.active.push(((j - 1) % self.n as u64) as usize);
         buf.labels.resize(self.n, 0);
         buf.labels.fill(j - 1);
+    }
+
+    fn label_floor(&self, j: u64) -> u64 {
+        j.saturating_sub(1)
     }
 
     fn describe(&self) -> String {
@@ -228,7 +268,11 @@ impl ScheduleGen for BlockRoundRobin {
                 .map(|(i, _)| i),
         );
         buf.labels.resize(self.n(), 0);
-        buf.labels.fill(j.saturating_sub(self.lag));
+        buf.labels.fill(self.label_floor(j));
+    }
+
+    fn label_floor(&self, j: u64) -> u64 {
+        j.saturating_sub(self.lag)
     }
 
     fn describe(&self) -> String {
@@ -313,6 +357,11 @@ impl ScheduleGen for ChaoticBounded {
         }
     }
 
+    /// `j − b`: a FIFO-monotone label only ever rises above its draw.
+    fn label_floor(&self, j: u64) -> u64 {
+        j.saturating_sub(self.b)
+    }
+
     fn describe(&self) -> String {
         format!(
             "chaotic-bounded(n={}, k∈[{},{}], b={}, {})",
@@ -366,6 +415,12 @@ impl UnboundedSqrtDelay {
             rng: asynciter_numerics::rng::rng(seed),
         }
     }
+
+    /// The largest delay step `j` may draw, `⌊1 + c√j⌋ ≥ 1`, rounded
+    /// exactly as [`ScheduleGen::step`] rounds it.
+    fn max_delay(&self, j: u64) -> u64 {
+        (1.0 + self.c * (j as f64).sqrt()).floor() as u64
+    }
 }
 
 impl ScheduleGen for UnboundedSqrtDelay {
@@ -380,11 +435,18 @@ impl ScheduleGen for UnboundedSqrtDelay {
         buf.active.clear();
         buf.active.extend(active);
         buf.labels.resize(self.n, 0);
-        let dmax = (1.0 + self.c * (j as f64).sqrt()).floor() as u64;
+        let dmax = self.max_delay(j).min(j);
         for h in 0..self.n {
-            let d = self.rng.random_range(1..=dmax.min(j).max(1));
+            let d = self.rng.random_range(1..=dmax);
             buf.labels[h] = j - d;
         }
+    }
+
+    /// The smallest drawable label `j − min(j, ⌊1 + c√j⌋)`: `0` while
+    /// the delay bound covers `j`, nondecreasing after, since past
+    /// `j = c²` the term `c√j` grows by less than ½ per step.
+    fn label_floor(&self, j: u64) -> u64 {
+        j - self.max_delay(j).min(j)
     }
 
     fn describe(&self) -> String {
@@ -505,6 +567,10 @@ impl<G: ScheduleGen> ScheduleGen for StarvedComponent<G> {
         }
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        self.inner.label_floor(j)
+    }
+
     fn describe(&self) -> String {
         format!(
             "starved(victim={}, after={}) ∘ {}",
@@ -599,6 +665,10 @@ impl<G: ScheduleGen> ScheduleGen for EnvelopeClamp<G> {
         }
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        self.envelope.min_label(j).max(self.inner.label_floor(j))
+    }
+
     fn describe(&self) -> String {
         format!(
             "clamp({}) ∘ {}",
@@ -660,6 +730,10 @@ impl<G: ScheduleGen> ScheduleGen for CoverageGuard<G> {
         }
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        self.inner.label_floor(j)
+    }
+
     fn describe(&self) -> String {
         format!("cover(gap<{}) ∘ {}", self.max_gap, self.inner.describe())
     }
@@ -711,6 +785,11 @@ impl<G: ScheduleGen> ScheduleGen for LabelJitter<G> {
                 *l = self.rng.random_range(lo..=j - 1);
             }
         }
+    }
+
+    /// A label is the inner one or a redraw from the envelope window.
+    fn label_floor(&self, j: u64) -> u64 {
+        self.envelope.min_label(j).min(self.inner.label_floor(j))
     }
 
     fn describe(&self) -> String {
@@ -774,6 +853,10 @@ impl<G: ScheduleGen> ScheduleGen for ActiveThin<G> {
         }
     }
 
+    fn label_floor(&self, j: u64) -> u64 {
+        self.inner.label_floor(j)
+    }
+
     fn describe(&self) -> String {
         format!("thin(keep={}) ∘ {}", self.keep_prob, self.inner.describe())
     }
@@ -788,6 +871,8 @@ impl<G: ScheduleGen> ScheduleGen for ActiveThin<G> {
 #[derive(Debug, Clone)]
 pub struct RecordedSchedule {
     trace: Trace,
+    /// `floors[k]`: the smallest label of any step `≥ k + 1`.
+    floors: Vec<u64>,
 }
 
 impl RecordedSchedule {
@@ -803,7 +888,8 @@ impl RecordedSchedule {
         if trace.is_empty() {
             return Err(crate::ModelError::EmptyTrace);
         }
-        Ok(Self { trace })
+        let floors = trace.min_label_suffix();
+        Ok(Self { trace, floors })
     }
 
     /// Number of recorded steps.
@@ -831,6 +917,15 @@ impl ScheduleGen for RecordedSchedule {
         let labels = self.trace.labels(j).expect("checked Full in constructor");
         buf.labels.clear();
         buf.labels.extend_from_slice(labels);
+    }
+
+    /// The suffix minimum of the recorded steps' smallest labels (the
+    /// last step's beyond the recorded length).
+    fn label_floor(&self, j: u64) -> u64 {
+        match j.min(self.floors.len() as u64) {
+            0 => 0,
+            k => self.floors[k as usize - 1],
+        }
     }
 
     fn describe(&self) -> String {
@@ -1104,6 +1199,109 @@ mod tests {
         assert!(w.check(&t).is_ok(), "{:?}", w.check(&t));
         assert!(g.describe().contains("cover"));
         assert!(g.describe().contains("clamp"));
+    }
+
+    /// Steps `gen` through `steps` iterations and checks the promise of
+    /// [`ScheduleGen::label_floor`]: it never decreases, and no label of
+    /// step `j` lies below `label_floor(j)`. Returns the last floor.
+    fn keeps_floor_promise(gen: &mut dyn ScheduleGen, steps: u64) -> u64 {
+        let mut buf = StepBuf::new(gen.n());
+        let mut prev = 0;
+        for j in 1..=steps {
+            gen.step(j, &mut buf);
+            let floor = gen.label_floor(j);
+            assert!(floor >= prev, "{}: floor fell at j={j}", gen.describe());
+            let min = *buf.labels.iter().min().unwrap();
+            assert!(min >= floor, "{}: label {min} at j={j}", gen.describe());
+            prev = floor;
+        }
+        prev
+    }
+
+    #[test]
+    fn sqrt_delay_floor_is_its_own_smallest_label() {
+        // The largest f64 below 1: at j = 4^q, c√j is the largest f64
+        // below 2^q, one ulp under an integer, and `⌊1.0 + c√j⌋` rounds
+        // up to 2^q + 1 where the envelope's `1 + ⌊c√j⌋` gives 2^q.
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        for c in [0.5, 1.0, 10.0, below_one] {
+            for seed in 1..=3 {
+                let mut g = UnboundedSqrtDelay::new(8, 1, 8, c, seed);
+                let last = keeps_floor_promise(&mut g, 5_000);
+                assert!(last > 4_000, "c={c}: floor {last} at j=5000");
+            }
+        }
+        // At c = 10 the delay bound covers j for about 100 steps.
+        let g = UnboundedSqrtDelay::new(8, 1, 8, 10.0, 1);
+        assert_eq!(g.label_floor(100), 0);
+        assert!(g.label_floor(110) > 0);
+        // Where the two roundings part, the generator's floor is the lower
+        // one, and a label sits on it: the envelope's would be broken.
+        let env = crate::conditions::DelayEnvelope::SqrtGrowth { c: below_one };
+        let mut g = UnboundedSqrtDelay::new(64, 1, 64, below_one, 5);
+        let mut buf = StepBuf::new(64);
+        for j in 1..=16 {
+            g.step(j, &mut buf);
+        }
+        assert_eq!(g.label_floor(16), 11);
+        assert_eq!(env.min_label(16), 12);
+        assert!(buf.labels.contains(&11), "{:?}", buf.labels);
+    }
+
+    #[test]
+    fn every_generator_keeps_its_floor_promise() {
+        use crate::conditions::DelayEnvelope;
+        let envelopes = [
+            DelayEnvelope::Bounded(6),
+            DelayEnvelope::SqrtGrowth { c: 1.5 },
+        ];
+        for seed in 1..=3 {
+            let p = Partition::blocks(6, 3).unwrap();
+            let mut gens: Vec<Box<dyn ScheduleGen>> = vec![
+                Box::new(SyncJacobi::new(6)),
+                Box::new(CyclicCoordinate::new(6)),
+                Box::new(BlockRoundRobin::new(p, 4)),
+                Box::new(ChaoticBounded::new(6, 1, 6, 5, false, seed)),
+                Box::new(ChaoticBounded::new(6, 1, 6, 5, true, seed)),
+                Box::new(HeavyTailDelay::new(6, 1, 6, 1.5, seed)),
+                Box::new(StarvedComponent::new(SyncJacobi::new(6), 1, 10)),
+                Box::new(FrozenLabelAdversary::new(SyncJacobi::new(6), 0, 3)),
+                Box::new(CoverageGuard::new(
+                    ActiveThin::new(ChaoticBounded::new(6, 1, 3, 9, false, seed), 0.5, seed),
+                    12,
+                )),
+            ];
+            for env in envelopes {
+                let heavy = || HeavyTailDelay::new(6, 1, 6, 1.2, seed);
+                let chaotic = || ChaoticBounded::new(6, 1, 6, 40, false, seed);
+                gens.push(Box::new(EnvelopeClamp::new(heavy(), env)));
+                gens.push(Box::new(EnvelopeClamp::new(chaotic(), env)));
+                gens.push(Box::new(LabelJitter::new(heavy(), env, 0.3, seed)));
+                gens.push(Box::new(LabelJitter::new(chaotic(), env, 0.3, seed)));
+                gens.push(Box::new(EnvelopeClamp::new(
+                    LabelJitter::new(SyncJacobi::new(6), env, 0.5, seed),
+                    env,
+                )));
+            }
+            for mut g in gens {
+                keeps_floor_promise(g.as_mut(), 5_000);
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_schedule_floor_is_the_suffix_minimum() {
+        // An out-of-order trace: a later step may read older labels than
+        // an earlier one, so the floor is the suffix minimum, not the
+        // step's own minimum.
+        let t = run(&mut ChaoticBounded::new(5, 1, 3, 30, false, 99), 5_000);
+        let mut g = RecordedSchedule::new(t.clone()).unwrap();
+        assert!(keeps_floor_promise(&mut g, 5_000) > 4_900);
+        let suffix = t.min_label_suffix();
+        let below_own_min = (1..=5_000u64).filter(|&j| g.label_floor(j) < t.step(j).min_label);
+        assert!(below_own_min.count() > 0);
+        assert_eq!(g.label_floor(5_000), suffix[4_999]);
+        assert_eq!(g.label_floor(9_999), suffix[4_999]);
     }
 
     #[test]

@@ -125,6 +125,29 @@ impl Catalog {
         entry.op = Box::new(Panics(entry.n()));
         catalog
     }
+
+    /// The catalog with `id`'s operator wrapped so that only
+    /// `residual_inf_with` panics: a run that never checks a residual
+    /// target succeeds, and the service's re-check after it is the first
+    /// call to fail.
+    pub(crate) fn with_panicking_recheck(id: ProblemId) -> Self {
+        struct PanicsInRecheck(Box<dyn Operator>);
+        impl Operator for PanicsInRecheck {
+            fn dim(&self) -> usize {
+                self.0.dim()
+            }
+            fn component(&self, i: usize, x: &[f64]) -> f64 {
+                self.0.component(i, x)
+            }
+            fn residual_inf_with(&self, _x: &[f64], _scratch: &mut [f64]) -> f64 {
+                panic!("planted re-check bug")
+            }
+        }
+        let mut catalog = Self::new();
+        let inner = Self::new().entries.swap_remove(id as usize).op;
+        catalog.entries[id as usize].op = Box::new(PanicsInRecheck(inner));
+        catalog
+    }
 }
 
 impl Default for Catalog {

@@ -402,10 +402,25 @@ fn run_one(
     };
     let x0_used = spec.record.then(|| ws[..n].to_vec());
     let start = Instant::now();
-    // A panicking job (an operator or engine bug) is that job's failure:
-    // the closure only reads the staged start, so the workspace unwinds
-    // intact and the lease below returns to the pool as usual.
-    let run = AssertUnwindSafe(|| spec.execute(catalog, &ws[..n], record_mode));
+    // The job's wall time ends with its run, before the re-check.
+    let mut run_secs = None;
+    // A panicking job (an operator or engine bug, in the run or in the
+    // re-check after it) is that job's failure: a clean lease is
+    // zero-filled when handed out, so whatever the closure left in the
+    // workspace is harmless and the lease returns to the pool as usual.
+    let run = AssertUnwindSafe(|| {
+        let report = spec.execute(catalog, &ws[..n], record_mode);
+        run_secs = Some(start.elapsed().as_secs_f64());
+        let report = report?;
+        // Deposit the final iterate in staging and re-verify the
+        // residual through the pooled scratch half — an integrity
+        // check on the backend's own figure, alloc-free for operators
+        // with a real scratch path.
+        let (stage, scratch) = ws.split_at_mut(n);
+        stage.copy_from_slice(&report.final_x);
+        let recheck = entry.op.residual_inf_with(stage, scratch);
+        Ok((report, recheck))
+    });
     let result = catch_unwind(run).unwrap_or_else(|payload| {
         let message = match payload.downcast_ref::<&str>() {
             Some(s) => s.to_string(),
@@ -416,7 +431,7 @@ fn run_one(
         };
         Err(ServiceError::JobPanicked { message })
     });
-    let wall_secs = start.elapsed().as_secs_f64();
+    let wall_secs = run_secs.unwrap_or_else(|| start.elapsed().as_secs_f64());
     let completed_at = clock.fetch_add(1, Ordering::Relaxed);
     let base = ServiceRecord {
         tenant: spec.tenant,
@@ -435,15 +450,8 @@ fn run_one(
         wall_secs,
     };
     match result {
-        Ok(report) => {
+        Ok((report, recheck)) => {
             let report = report.with_ids(spec.tenant, job);
-            // Deposit the final iterate in staging and re-verify the
-            // residual through the pooled scratch half — an integrity
-            // check on the backend's own figure, alloc-free for
-            // operators with a real scratch path.
-            let (stage, scratch) = ws.split_at_mut(n);
-            stage.copy_from_slice(&report.final_x);
-            let recheck = entry.op.residual_inf_with(stage, scratch);
             let verified = recheck.to_bits() == report.final_residual.to_bits();
             let record = ServiceRecord {
                 status: if verified { "ok" } else { "failed" }.into(),
@@ -651,8 +659,10 @@ mod tests {
         assert_eq!(tenants, (0..12).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn a_panicking_job_fails_alone_in_both_modes() {
+    /// Drains six Jacobi tenants in both modes, tenant 3 made a `planted`
+    /// job on `catalog`: it alone fails with `note`, every other tenant
+    /// is bit-identical to its solo run, and every lease comes back.
+    fn a_planted_panic_fails_alone(catalog: fn() -> Catalog, planted: JobSpec, note: &str) {
         for mode in [
             ServiceMode::Deterministic { seed: 5 },
             ServiceMode::FreeRunning { workers: 2 },
@@ -661,12 +671,13 @@ mod tests {
                 mode,
                 ..ServiceConfig::default()
             });
-            svc.catalog = Catalog::with_panicking_operator(ProblemId::Lasso);
+            svc.catalog = catalog();
             for t in 0..6 {
-                let mut spec = jacobi_spec(t);
-                if t == 3 {
-                    spec.problem = ProblemId::Lasso;
-                }
+                let spec = if t == 3 {
+                    planted.clone()
+                } else {
+                    jacobi_spec(t)
+                };
                 svc.submit(spec).unwrap();
             }
             let out = svc.drain();
@@ -674,7 +685,7 @@ mod tests {
             for job in &out.jobs {
                 if job.spec.tenant == 3 {
                     assert_eq!(job.record.status, "failed");
-                    assert_eq!(job.record.note, "job panicked: planted operator bug");
+                    assert_eq!(job.record.note, note);
                     assert!(job.report.is_none());
                 } else {
                     // Every other tenant is bit-identical to its solo run.
@@ -692,6 +703,36 @@ mod tests {
             // Every lease, the failed job's included, is back in the pool.
             assert_eq!(svc.pool().idle() as u64, svc.pool().stats().created);
         }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_in_both_modes() {
+        a_planted_panic_fails_alone(
+            || Catalog::with_panicking_operator(ProblemId::Lasso),
+            JobSpec {
+                problem: ProblemId::Lasso,
+                ..jacobi_spec(3)
+            },
+            "job panicked: planted operator bug",
+        );
+    }
+
+    #[test]
+    fn a_job_whose_residual_recheck_panics_fails_alone_in_both_modes() {
+        // A flexible job checks no residual target, so its run succeeds
+        // and the panic comes from the service's re-check after it.
+        a_planted_panic_fails_alone(
+            || Catalog::with_panicking_recheck(ProblemId::Lasso),
+            JobSpec {
+                problem: ProblemId::Lasso,
+                backend: BackendSpec::Flexible {
+                    m: 2,
+                    partial: false,
+                },
+                ..jacobi_spec(3)
+            },
+            "job panicked: planted re-check bug",
+        );
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! and drive millions of steps through `update_active_with` /
 //! `apply_with` / `residual_inf_with`).
 //!
-//! Three tests audit engine loops: an unrecorded `Replay` session, an
-//! unrecorded one-worker `Cluster` session and an unrecorded `Sim`
+//! Four tests audit engine loops: an unrecorded `Replay` session, at two
+//! lengths too (a floor-promising schedule keeps `History` from growing),
+//! an unrecorded one-worker `Cluster` session and an unrecorded `Sim`
 //! session on one and two processors. The last two audit the trace:
 //! the text codec every replay check runs, and the active-set store a
 //! message-passing run records into.
@@ -173,26 +174,45 @@ fn pool_leases_keep_per_step_loops_alloc_free_across_tenants() {
     assert_eq!(stats.reused, 64, "every lease recycled the warmed buffer");
 }
 
-#[test]
-fn unrecorded_replay_session_allocates_only_set_up_and_history() {
-    // An *engine* loop rather than an operator kernel: under
-    // `RecordMode::Off` nothing is recorded, so 1 000 steps cost the
-    // session's set-up plus the doubling growth of the eight `History`
-    // logs — not one trace step (a `Vec<u32>`) per iteration.
+/// Heap allocations of an unrecorded `Replay` session of `steps` steps
+/// on an 8-component Jacobi system, under a block round robin with read
+/// lag 3: a delayed schedule whose generator allocates nothing itself.
+fn unrecorded_replay_allocs(steps: u64) -> u64 {
     use asynciter::prelude::*;
     let system = asynciter::numerics::sparse::tridiagonal(8, 4.0, -1.0);
     let op = asynciter::opt::linear::JacobiOperator::new(system, vec![1.0; 8]).unwrap();
     let mut report = None;
     let allocs = count_allocs(|| {
-        // A delayed schedule whose generator allocates nothing itself.
         let schedule = BlockRoundRobin::new(Partition::blocks(8, 2).unwrap(), 3);
-        let session = Session::new(&op).steps(1_000).schedule(schedule);
+        let session = Session::new(&op).steps(steps).schedule(schedule);
         report = session.record(RecordMode::Off).backend(Replay).run().ok();
     });
     let report = report.expect("the session runs");
-    assert_eq!(report.steps, 1_000);
+    assert_eq!(report.steps, steps);
     assert!(report.macro_iterations > 0 && report.trace.is_none());
-    assert!(allocs < 200, "{allocs} heap allocations in 1000 steps");
+    allocs
+}
+
+#[test]
+fn unrecorded_replay_session_allocates_only_set_up_and_history() {
+    // An *engine* loop rather than an operator kernel: under
+    // `RecordMode::Off` nothing is recorded, so 1 000 steps cost the
+    // session's set-up plus the growth of the eight `History` logs to
+    // the few entries the schedule's label floor keeps readable — not
+    // one trace step (a `Vec<u32>`) per iteration. That is 25
+    // allocations; keeping every update, the logs' doubling made it 81.
+    let allocs = unrecorded_replay_allocs(1_000);
+    assert!(allocs < 50, "{allocs} heap allocations in 1000 steps");
+}
+
+#[test]
+fn a_floor_promising_replay_session_allocates_the_same_at_any_length() {
+    // The round robin promises the label floor `j − 3`, so each
+    // `History` log compacts below it instead of growing: ten times the
+    // steps, not one allocation more.
+    let short = unrecorded_replay_allocs(1_000);
+    let long = unrecorded_replay_allocs(10_000);
+    assert_eq!(short, long, "1 000 steps: {short}, 10 000 steps: {long}");
 }
 
 #[test]
