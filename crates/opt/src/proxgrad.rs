@@ -201,9 +201,22 @@ impl<F: SeparableSmooth, P: SeparableProx> Operator for SeparableProxGrad<F, P> 
 /// G_i(x) = p_i − γ ( Σ_c q_ic · p_c − b_i ),    p_c = prox_c(x_c),
 /// ```
 ///
-/// evaluated over row `i`'s sparsity pattern only — no scratch vector,
-/// `O(nnz(row i))` per component, so asynchronous block updates stay
-/// allocation-free.
+/// evaluated over row `i`'s sparsity pattern only.
+///
+/// `p = prox_{γg}(x)` is shared by every component, so the scratch paths
+/// hoist it: [`Operator::update_active_with`] and
+/// [`Operator::residual_inf_with`] fill `scratch[..n]` with `p` in one
+/// contiguous pass (`scratch_len() == n`), then fold each row against it.
+/// [`Operator::component`] computes each `p_c` inline instead. All paths
+/// run one row kernel, which sums `q_ic · p_c` in the same CSR order, so
+/// they are bit-identical.
+///
+/// A scratch call costs `n` prox evaluations whatever `|S_j|` is, where
+/// the per-component fold costs `Σ_{i∈S_j} nnz(row i)`. One path is kept,
+/// with no cost-based choice between the two: every caller in the
+/// workspace has `Σ_{i∈S_j} nnz(row i) ≥ n` (the canonical lasso rows are
+/// dense; the benchmark's sparse family updates at least `n/8` rows of
+/// ≈ 17 entries per step), so no workload sits on the other side.
 #[derive(Debug, Clone)]
 pub struct SparseProxGrad<P> {
     f: SparseQuadratic,
@@ -316,11 +329,46 @@ impl<P: SeparableProx> Operator for SparseProxGrad<P> {
 
     #[inline]
     fn component(&self, i: usize, x: &[f64]) -> f64 {
+        self.row(i, |c| self.g.prox_component(c, x[c], self.gamma))
+    }
+
+    fn scratch_len(&self) -> usize {
+        self.dim()
+    }
+
+    fn update_active_with(
+        &self,
+        x: &[f64],
+        active: &[usize],
+        out: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        let p = self.prox_into(x, scratch);
+        for &i in active {
+            out[i] = self.row(i, |c| p[c]);
+        }
+    }
+
+    fn residual_inf_with(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
+        let p = self.prox_into(x, scratch);
+        let mut m = 0.0_f64;
+        for (i, &xi) in x.iter().enumerate() {
+            m = m.max((xi - self.row(i, |c| p[c])).abs());
+        }
+        m
+    }
+}
+
+impl<P: SeparableProx> SparseProxGrad<P> {
+    /// `G_i` given where each `p_c = prox_c(x_c)` comes from: the one row
+    /// kernel of every evaluation path.
+    #[inline(always)]
+    fn row(&self, i: usize, p: impl Fn(usize) -> f64) -> f64 {
         let (idx, vals) = self.f.q().row(i);
         let mut qp = 0.0;
         let mut pi = None;
         for (&c, &qic) in idx.iter().zip(vals) {
-            let pc = self.g.prox_component(c, x[c], self.gamma);
+            let pc = p(c);
             qp += qic * pc;
             if c == i {
                 pi = Some(pc);
@@ -328,8 +376,18 @@ impl<P: SeparableProx> Operator for SparseProxGrad<P> {
         }
         // Row might lack an explicit diagonal (never for validated
         // diagonally-dominant Q, but stay correct regardless).
-        let pi = pi.unwrap_or_else(|| self.g.prox_component(i, x[i], self.gamma));
+        let pi = pi.unwrap_or_else(|| p(i));
         pi - self.gamma * (qp - self.f.b()[i])
+    }
+
+    /// Fills `scratch[..n]` with `prox_{γg}(x)` in one pass and returns it.
+    fn prox_into<'s>(&self, x: &[f64], scratch: &'s mut [f64]) -> &'s [f64] {
+        assert_eq!(x.len(), self.dim(), "SparseProxGrad: x dimension");
+        let p = &mut scratch[..x.len()];
+        for (c, (pc, &xc)) in p.iter_mut().zip(x).enumerate() {
+            *pc = self.g.prox_component(c, xc, self.gamma);
+        }
+        p
     }
 }
 
@@ -628,6 +686,61 @@ mod tests {
             let op = SparseProxGrad { f, g, gamma };
             let expect = p[0] - gamma * (q00 * p[0] + -p[1] - b0);
             assert_eq!(op.component(0, &x).to_bits(), expect.to_bits(), "q00={q00}");
+            let mut out = [0.0; 2];
+            op.update_active_with(&x, &[0], &mut out, &mut [0.0; 2]);
+            assert_eq!(out[0].to_bits(), expect.to_bits(), "scratch q00={q00}");
+        }
+    }
+
+    /// A quiet NaN with a payload no arithmetic produces: an entry the
+    /// update must leave alone keeps exactly these bits.
+    const SENTINEL: u64 = 0x7ff8_dead_beef_0001;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// The scratch paths, which compute `prox(x)` once per call, equal
+        /// the per-component fold bit for bit: each row sums `q_ic · p_c`
+        /// in the same CSR order, so reordering a row's sum, or reading a
+        /// stale or wrong `p_c`, shows here. `x` holds exact zeros of both
+        /// signs and values exactly at the L1 threshold `±γλ`.
+        #[test]
+        fn sparse_scratch_paths_match_component_bitwise(seed in 0u64..1 << 32) {
+            use asynciter_numerics::rng;
+            let mut r = rng::rng(seed);
+            let lam = 0.1;
+            for (n, degree) in [(1, 0), (12, 11), (64, 8), (257, 8)] {
+                let f = SparseQuadratic::random_diag_dominant(n, degree, 0.4, 1.0, seed).unwrap();
+                let gamma = 0.9 * gamma_max(f.strong_convexity(), f.lipschitz());
+                let op = SparseProxGrad::new(f, L1::new(lam), gamma).unwrap();
+                let t = gamma * lam;
+                let mut x = rng::normal_vec(&mut r, n);
+                for (k, &i) in rng::sample_indices(&mut r, n, n.min(4)).iter().enumerate() {
+                    x[i] = [0.0, -0.0, t, -t][k];
+                }
+                let want: Vec<f64> = (0..n).map(|i| op.component(i, &x)).collect();
+
+                let mut half = rng::sample_indices(&mut r, n, n / 2);
+                half.sort_unstable();
+                let one = vec![rng::sample_indices(&mut r, n, 1)[0]];
+                let all: Vec<usize> = (0..n).collect();
+                let mut scratch = vec![f64::from_bits(SENTINEL); op.scratch_len()];
+                for active in [Vec::new(), one, all, half] {
+                    let mut out = vec![f64::from_bits(SENTINEL); n];
+                    op.update_active_with(&x, &active, &mut out, &mut scratch);
+                    for i in 0..n {
+                        let expect = if active.contains(&i) { want[i].to_bits() } else { SENTINEL };
+                        assert_eq!(out[i].to_bits(), expect, "update n={n} |S|={} i={i}", active.len());
+                    }
+                }
+
+                let mut scratch = vec![f64::from_bits(SENTINEL); op.scratch_len()];
+                let residual = op.residual_inf(&x);
+                let folded = (0..n).fold(0.0_f64, |r, i| r.max((x[i] - want[i]).abs()));
+                assert_eq!(residual.to_bits(), folded.to_bits(), "default residual n={n}");
+                let via_with = op.residual_inf_with(&x, &mut scratch);
+                assert_eq!(via_with.to_bits(), residual.to_bits(), "residual_inf_with n={n}");
+            }
         }
     }
 

@@ -68,7 +68,9 @@ pub trait Operator: Sync {
     /// per-step paths stay heap-allocation-free even for operators with
     /// dense shared state (e.g. the `n` gradient accumulators that
     /// [`crate::logistic::LogisticGradOperator`] fills in one pass over
-    /// its data).
+    /// its data, or the `n` values of `prox(x)` that
+    /// [`crate::proxgrad::SparseProxGrad`] computes once per call instead
+    /// of once per row entry).
     fn scratch_len(&self) -> usize {
         0
     }

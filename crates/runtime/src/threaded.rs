@@ -181,10 +181,13 @@ impl ThreadedCluster {
             .map(|(w, ep)| FaultEndpoint::new(ep, plan, substream(seed, w as u64, 1)));
         let seats = mesh.into_iter().zip(endpoints).collect();
 
+        // The block before each step feeds only the `Quiesce` rule's change
+        // measure: without the rule it stays empty and is never copied into.
+        let quiesce = self.quiesce.is_some();
         let body = |lane: &mut Lane<'_>, (mut worker, mut ep): (Worker, FaultEndpoint)| {
             // Buffers are allocated once: the step loop is heap-allocation-free
             // apart from message payloads (transport-owned) and step logging.
-            let mut old_block = vec![0.0; worker.block().len()];
+            let mut old_block = vec![0.0; if quiesce { worker.block().len() } else { 0 }];
             let mut prng = rng(substream(seed, worker.id() as u64, 2));
 
             loop {
@@ -204,8 +207,8 @@ impl ThreadedCluster {
                     "condition (a) violated: a label reached step {j}"
                 );
                 lane.log(j, worker.labels().iter().copied());
-                for (k, &i) in worker.block().iter().enumerate() {
-                    old_block[k] = worker.view()[i];
+                for (old, &i) in old_block.iter_mut().zip(worker.block()) {
+                    *old = worker.view()[i];
                 }
                 worker.produce(op, j)?;
 

@@ -98,8 +98,14 @@ fn audit_operator(op: &dyn Operator, steps: usize) -> u64 {
 
 #[test]
 fn per_step_paths_allocate_nothing() {
-    // Lasso via the sparse prox-gradient operator.
+    // Lasso via the sparse prox-gradient operator (`prox(x)` computed
+    // once per block update or residual into scratch).
     let sparse = canonical::lasso(canonical::Size::Quick).op;
+    assert_eq!(
+        sparse.scratch_len(),
+        sparse.dim(),
+        "sparse prox-grad keeps prox(x) in scratch"
+    );
 
     // Logistic regression via the certified gradient operator (dense
     // data coupling: one pass over the data per call, summing into `out`

@@ -205,3 +205,35 @@ fn all_regimes_agree_on_the_fixed_point() {
         assert!(err < 1e-8, "{desc}: error {err}");
     }
 }
+
+/// Pins the exact bits of one sparse prox-gradient solve: the
+/// `replay_sparse` benchmark family (`random_diag_dominant(n, 8, 0.4,
+/// 1.0)`, `L1(0.1)`, `γ = 0.9·γ_max`, `√j`-growing out-of-order delays)
+/// at `n = 1024`, replayed to a `1e-8` residual. The gate pins bits only
+/// on the dense `n = 12` lasso and the benchmark pins are counts, which
+/// a one-ulp change in the sparse kernel need not move; this digest of
+/// the final iterate does.
+#[test]
+fn sparse_replay_solve_keeps_its_bits() {
+    use asynciter::opt::traits::SmoothObjective;
+    use asynciter::report::hash_f64s;
+    let n = 1024;
+    let f = SparseQuadratic::random_diag_dominant(n, 8, 0.4, 1.0, 2022).unwrap();
+    let gamma = 0.9 * gamma_max(f.strong_convexity(), f.lipschitz());
+    let op = SparseProxGrad::new(f, L1::new(0.1), gamma).unwrap();
+    let run = Session::new(&op)
+        .steps(1_000_000)
+        .schedule(UnboundedSqrtDelay::new(n, n / 8, n / 4, 1.0, 2022))
+        .stopping(StoppingRule::Residual {
+            eps: 1e-8,
+            check_every: 16,
+        })
+        .backend(Replay)
+        .run()
+        .unwrap();
+    assert!(run.stopped_early, "no 1e-8 residual in {} steps", run.steps);
+    assert_eq!(
+        (run.steps, hash_f64s(&run.final_x)),
+        (784, 0x407d_0e36_cf9c_826b)
+    );
+}
