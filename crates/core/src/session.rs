@@ -86,8 +86,8 @@ impl Problem<'_> {
 /// `LabelStore` / `Option<LabelStore>` knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordMode {
-    /// Nothing is recorded: no backend builds a trace, and all but
-    /// `SharedMem` still count macro-iterations (see
+    /// Nothing is recorded: no backend builds a trace, and every
+    /// backend still counts macro-iterations (see
     /// [`RunReport::macro_iterations`]).
     #[default]
     Off,
@@ -317,10 +317,9 @@ pub struct RunReport {
     /// schedule, whatever the [`RecordMode`]: streamed by `Replay` /
     /// `Flexible` (over the *effective* labels, partials included),
     /// `Sim` (over the labels each phase read at its start) and
-    /// `Cluster` (over the stepping worker's label book), counted in one
-    /// walk of the ticket-ordered step log by `ThreadedCluster` and
-    /// `SharedMem` (which keeps no log, and reports 0, under `Off`), and
-    /// the sweeps of `Barrier`.
+    /// `Cluster` (over the stepping worker's label book), counted over
+    /// workers in one merge of the per-worker step logs in ticket order
+    /// by `ThreadedCluster` and `SharedMem`, and the sweeps of `Barrier`.
     pub macro_iterations: u64,
     /// `(j, ‖x(j) − x*‖_∞)` samples (empty unless requested).
     pub errors: Vec<(u64, f64)>,

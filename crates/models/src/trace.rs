@@ -16,6 +16,9 @@
 //! [`LabelStore::MinOnly`] — enough for macro-iterations — plus its `n`
 //! labels (`8n` bytes) under [`LabelStore::Full`]. A schedule drawing
 //! random subsets misses and pays `4|S_j|` bytes per step for its copy.
+//! A recorder that knows a set recurs names the earlier step instead
+//! ([`Trace::push_min_step_like`], [`Trace::push_step_like`]): that push
+//! neither checks nor compares the set again.
 
 use crate::error::ModelError;
 use crate::partition::Partition;
@@ -134,12 +137,9 @@ impl Trace {
     /// Panics when `active` is empty/unsorted/out-of-range or when
     /// `labels.len() != n` (see [`well_formed_step`]).
     pub fn push_step(&mut self, active: &[usize], labels: &[u64]) {
-        assert!(
-            labels.len() == self.n,
-            "push_step: labels must have length n"
-        );
-        let min_label = labels.iter().copied().min().expect("n > 0");
-        self.push(active, min_label, Some(labels));
+        let min_label = self.min_of(labels);
+        let set = self.checked_intern(active);
+        self.push(set, min_label, Some(labels));
     }
 
     /// [`Trace::push_step`] from `l(j) = min_label` alone, for recorders
@@ -149,15 +149,61 @@ impl Trace {
     /// # Panics
     /// As [`Trace::push_step`] on `active`.
     pub fn push_min_step(&mut self, active: &[usize], min_label: u64) {
-        self.push(active, min_label, None);
+        let set = self.checked_intern(active);
+        self.push(set, min_label, None);
     }
 
-    fn push(&mut self, active: &[usize], min_label: u64, labels: Option<&[u64]>) {
+    /// [`Trace::push_step`] with `S_j` equal to the recorded `S_k`, in
+    /// O(1) beside the labels: the set is neither checked again nor
+    /// compared, since step `k` of this trace passed both. A recorder
+    /// whose sets recur (a worker's block) pushes each set once by
+    /// [`Trace::push_step`] and names that step afterwards.
+    ///
+    /// # Panics
+    /// Panics when `k` is not a recorded step (`1 ≤ k ≤ len()`) or when
+    /// `labels.len() != n`.
+    pub fn push_step_like(&mut self, k: u64, labels: &[u64]) {
+        let min_label = self.min_of(labels);
+        self.push(self.set_of(k), min_label, Some(labels));
+    }
+
+    /// [`Trace::push_min_step`] with `S_j` equal to the recorded `S_k`:
+    /// see [`Trace::push_step_like`].
+    ///
+    /// # Panics
+    /// Panics when `k` is not a recorded step (`1 ≤ k ≤ len()`).
+    pub fn push_min_step_like(&mut self, k: u64, min_label: u64) {
+        self.push(self.set_of(k), min_label, None);
+    }
+
+    /// `l(j)` of a full label vector, checked to have length `n`.
+    fn min_of(&self, labels: &[u64]) -> u64 {
+        assert!(
+            labels.len() == self.n,
+            "push_step: labels must have length n"
+        );
+        labels.iter().copied().min().expect("n > 0")
+    }
+
+    /// `(start, len)` in the arena of recorded step `k`'s `S_k`.
+    fn set_of(&self, k: u64) -> (usize, usize) {
+        assert!(
+            k >= 1 && k as usize <= self.steps.len(),
+            "push_step_like: step {k} is not recorded"
+        );
+        let rec = &self.steps[k as usize - 1];
+        (rec.start, rec.len)
+    }
+
+    fn checked_intern(&mut self, active: &[usize]) -> (usize, usize) {
         assert!(
             well_formed_active(active, self.n),
             "push_step: S_j must be nonempty, strictly increasing and in range"
         );
-        let (start, len) = self.intern(active);
+        self.intern(active)
+    }
+
+    fn push(&mut self, (start, len): (usize, usize), min_label: u64, labels: Option<&[u64]>) {
         self.steps.push(StepRec {
             start,
             len,
@@ -469,6 +515,48 @@ mod tests {
         });
         let [_, min_only] = checked;
         min_only
+    }
+
+    #[test]
+    fn a_push_like_an_earlier_step_reads_back_as_a_naive_push() {
+        let blocks = [vec![0, 1, 2], vec![3, 4]];
+        for store in [LabelStore::Full, LabelStore::MinOnly] {
+            let mut t = Trace::new(5, store);
+            let mut naive = Naive {
+                sets: Vec::new(),
+                mins: Vec::new(),
+                labels: Vec::new(),
+            };
+            // Each block pushed by set once, then by naming that step.
+            let mut first: [Option<u64>; 2] = [None; 2];
+            for j in 1..=40u64 {
+                let w = usize::from(j * j % 3 == 0);
+                let labels: Vec<u64> = (0..5).map(|i| (j - 1).saturating_sub(i % 3)).collect();
+                let min = *labels.iter().min().unwrap();
+                match (first[w], store) {
+                    (None, LabelStore::Full) => t.push_step(&blocks[w], &labels),
+                    (None, LabelStore::MinOnly) => t.push_min_step(&blocks[w], min),
+                    (Some(k), LabelStore::Full) => t.push_step_like(k, &labels),
+                    (Some(k), LabelStore::MinOnly) => t.push_min_step_like(k, min),
+                }
+                first[w].get_or_insert(j);
+                naive
+                    .sets
+                    .push(blocks[w].iter().map(|&i| i as u32).collect());
+                naive.mins.push(min);
+                naive.labels.push(labels);
+            }
+            assert_agree(&t, &naive);
+            assert_eq!(t.arena.len(), 5, "each block stored once");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "step 2 is not recorded")]
+    fn a_push_like_an_unrecorded_step_panics() {
+        let mut t = Trace::new(2, LabelStore::MinOnly);
+        t.push_min_step(&[0], 0);
+        t.push_min_step_like(2, 0);
     }
 
     #[test]

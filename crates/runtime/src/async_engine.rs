@@ -100,8 +100,6 @@ impl Backend for SharedMem {
             ("inner_steps", self.inner_steps as u64),
             ("publish_period", self.publish_period as u64),
         ])?;
-        // Under `RecordMode::Off` the step log is not kept either.
-        let logged = ctl.record.keeps_trace();
 
         let shared = SharedVec::new(&problem.x0);
         let partial_publishes = AtomicU64::new(0);
@@ -117,7 +115,7 @@ impl Backend for SharedMem {
         let body = |lane: &mut Lane<'_>, block: &Vec<usize>| {
             let spin_units = self.spin.get(lane.worker).copied().unwrap_or(0);
             // Per-worker buffers allocated once: the update loop is
-            // heap-allocation-free apart from step logging.
+            // heap-allocation-free apart from the step log's growth.
             let mut vals = vec![0.0; n];
             let mut labels = vec![0u64; n];
             let mut upd = vec![0.0; n];
@@ -157,9 +155,10 @@ impl Backend for SharedMem {
                 publish(block, &vals, j);
                 // Clamp to j−1: labels were read before j was drawn, so
                 // this only tightens.
-                if logged {
-                    lane.log(j, labels.iter().map(|&l| l.min(j - 1)));
+                for l in &mut labels {
+                    *l = (*l).min(j - 1);
                 }
+                lane.log(j, &labels);
                 let residual = || {
                     shared.snapshot(&mut vals);
                     op.residual_inf_with(&vals, &mut scratch)
@@ -263,6 +262,19 @@ mod tests {
             .unwrap();
         assert!(vecops::max_abs_diff(&res.final_x, &xstar) < 1e-9);
         assert_eq!(res.per_worker_updates, vec![500]);
+    }
+
+    #[test]
+    fn an_unrecorded_run_counts_macro_iterations_as_a_recorded_one() {
+        let op = jacobi(8);
+        let count = |record| {
+            let session = Session::new(&op).steps(500).record(record);
+            let report = session.backend(shared_mem(1)).run().unwrap();
+            report.macro_iterations
+        };
+        // A lone worker reads every label at j − 1: each step completes one.
+        assert_eq!(count(RecordMode::Off), 500);
+        assert_eq!(count(RecordMode::MinOnly), 500);
     }
 
     #[test]

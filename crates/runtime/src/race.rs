@@ -18,13 +18,35 @@
 //! ([`crate::async_engine`], [`crate::threaded`]); the harness never
 //! asks which one it serves. [`crate::sync_engine`] borrows the opening,
 //! the flags and the join without drawing a ticket.
+//!
+//! **The step log.** Each lane keeps its own log, whatever the
+//! [`RecordMode`]: 16 bytes per step, the ticket `j` and
+//! `l(j) = min_h l_h(j)` (the lane names the worker), plus, under
+//! `RecordMode::Full` only, the step's `n` labels appended to one flat
+//! per-lane vector. A lane logs each ticket as it draws it, so its log
+//! is already in ticket order: the closing merges the lanes on their
+//! next tickets instead of copying and sorting one log.
+//!
+//! **Definition 2 over workers.** Every step of worker `w` updates all
+//! of its block, and the blocks are nonempty, disjoint and cover `0..n`
+//! (both engines cut them with `Partition::blocks`; the closing asserts
+//! it once, in O(n)). So a step covers every component of a block
+//! exactly when it covers that block's worker, with the same `l(j)`,
+//! and the macro-iteration tracker runs over `W` workers instead of `n`
+//! components with the same boundaries. Each worker's block is checked
+//! and stored in the trace once, at its first step; later steps name
+//! that step ([`Trace::push_min_step_like`]). A closing step then costs
+//! O(log W) — the label copy under `RecordMode::Full` aside — where it
+//! cost a pass over the block twice.
 
 use crate::termination::{Quiesce, QuiescenceDetector, QuiescenceTracker};
 use asynciter_core::session::{Problem, RecordMode, RunControl, RunReport};
 use asynciter_core::{CoreError, Result};
 use asynciter_models::macroiter::OnlineMacroTracker;
-use asynciter_models::trace::{LabelStore, Trace};
+use asynciter_models::trace::Trace;
 use asynciter_opt::traits::Operator;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -39,12 +61,20 @@ pub(crate) struct Race {
     converged: AtomicBool,
 }
 
-/// One logged step.
-pub(crate) struct Step {
+/// One logged step: its ticket and `l(j)`; its lane names the worker.
+#[derive(Debug, Clone, Copy)]
+struct Step {
     j: u64,
-    worker: usize,
     min_label: u64,
-    labels: Vec<u64>, // empty unless LabelStore::Full
+}
+
+/// One worker's step log, in ticket order: a lane logs each ticket as
+/// it draws it, and tickets only grow.
+#[derive(Default)]
+struct LaneLog {
+    steps: Vec<Step>,
+    /// `n` labels per step under `RecordMode::Full`; empty otherwise.
+    labels: Vec<u64>,
 }
 
 /// One worker's handle on the race.
@@ -55,7 +85,7 @@ pub(crate) struct Lane<'a> {
     /// This worker's index.
     pub worker: usize,
     updates: u64,
-    log: Vec<Step>,
+    log: LaneLog,
 }
 
 /// However a worker leaves its step body — finished, with an error or
@@ -93,21 +123,14 @@ impl Lane<'_> {
     }
 
     /// Logs step `j` as having read the values labelled `labels`: their
-    /// minimum, and under `RecordMode::Full` all of them.
-    pub fn log(&mut self, j: u64, labels: impl Iterator<Item = u64>) {
-        let (min_label, labels) = match self.race.record.label_store() {
-            LabelStore::MinOnly => (labels.min(), Vec::new()),
-            LabelStore::Full => {
-                let labels: Vec<u64> = labels.collect();
-                (labels.iter().copied().min(), labels)
-            }
-        };
-        self.log.push(Step {
-            j,
-            worker: self.worker,
-            min_label: min_label.unwrap_or(0),
-            labels,
-        });
+    /// minimum, and under `RecordMode::Full` all of them. Allocates only
+    /// when the log grows.
+    pub fn log(&mut self, j: u64, labels: &[u64]) {
+        let min_label = min_label(labels);
+        self.log.steps.push(Step { j, min_label });
+        if self.race.record == RecordMode::Full {
+            self.log.labels.extend_from_slice(labels);
+        }
     }
 
     /// Under a [`Quiesce`] rule: reports that step `j` moved the block by
@@ -137,15 +160,31 @@ impl Lane<'_> {
     }
 }
 
+/// `min(labels)` over eight independent accumulators, so the compares
+/// of one chunk do not wait on one another: exact, since `min` is
+/// associative and commutative. A race has `n ≥ 1` labels.
+fn min_label(labels: &[u64]) -> u64 {
+    let chunks = labels.chunks_exact(8);
+    let tail = chunks.remainder();
+    let mut acc = [u64::MAX; 8];
+    for chunk in chunks {
+        for (a, &l) in acc.iter_mut().zip(chunk) {
+            *a = (*a).min(l);
+        }
+    }
+    acc.iter().chain(tail).copied().fold(u64::MAX, u64::min)
+}
+
 /// What a race leaves behind, beside what its step bodies returned.
 pub(crate) struct Finish {
     /// True when a termination rule fired before the budget was spent.
     pub stopped_early: bool,
     /// Wall-clock duration of the parallel section.
     pub wall: Duration,
-    /// Steps ticketed per worker, and every logged step, for [`Race::close`].
+    /// Steps ticketed per worker, and each worker's step log, for
+    /// [`Race::close`].
     per_worker_updates: Vec<u64>,
-    log: Vec<Step>,
+    logs: Vec<LaneLog>,
 }
 
 impl Race {
@@ -184,6 +223,20 @@ impl Race {
         })
     }
 
+    fn lane<'a>(
+        &'a self,
+        worker: usize,
+        quiet: Option<(u64, &'a QuiescenceDetector, QuiescenceTracker)>,
+    ) -> Lane<'a> {
+        Lane {
+            race: self,
+            quiet,
+            worker,
+            updates: 0,
+            log: LaneLog::default(),
+        }
+    }
+
     fn converge(&self) -> bool {
         self.converged.store(true, Ordering::Relaxed);
         self.stop.store(true, Ordering::Relaxed);
@@ -203,13 +256,10 @@ impl Race {
         body: impl Fn(&mut Lane<'_>, S) -> Result<T> + Sync,
     ) -> Result<(Vec<T>, Finish)> {
         let detector = self.quiesce.map(|_| QuiescenceDetector::new(seats.len()));
-        let lane = |worker| Lane {
-            race: self,
-            quiet: (self.quiesce.zip(detector.as_ref()))
-                .map(|(q, det)| (q.margin, det, QuiescenceTracker::new(q.eps, q.streak))),
-            worker,
-            updates: 0,
-            log: Vec::new(),
+        let lane = |worker| {
+            let quiet = (self.quiesce.zip(detector.as_ref()))
+                .map(|(q, det)| (q.margin, det, QuiescenceTracker::new(q.eps, q.streak)));
+            self.lane(worker, quiet)
         };
         let mut lanes: Vec<Lane<'_>> = (0..seats.len()).map(lane).collect();
         let start = Instant::now();
@@ -233,16 +283,19 @@ impl Race {
             wall: start.elapsed(),
             stopped_early: self.converged.load(Ordering::Relaxed),
             per_worker_updates: lanes.iter().map(|lane| lane.updates).collect(),
-            log: lanes.into_iter().flat_map(|lane| lane.log).collect(),
+            logs: lanes.into_iter().map(|lane| lane.log).collect(),
         };
         Ok((joined.into_iter().collect::<Result<_>>()?, finish))
     }
 
     /// The closing of a ticketed race: the report of `final_x`, filled
-    /// from one walk of the step log in ticket order — dense by the
-    /// ticket contract. Each step, `S_j = block_of(worker)`, is told to
-    /// the Definition-2 tracker and pushed into a [`Trace`] only when
-    /// the [`RecordMode`] keeps one.
+    /// from one merge of the lanes' logs in ticket order — dense by the
+    /// ticket contract. Each step is told to the Definition-2 tracker
+    /// over workers, and pushed into a [`Trace`] (`S_j = block_of(worker)`)
+    /// only when the [`RecordMode`] keeps one.
+    ///
+    /// # Panics
+    /// When the workers' blocks do not partition `0..n`.
     pub fn close<'b>(
         &self,
         backend: &'static str,
@@ -251,20 +304,37 @@ impl Race {
         finish: Finish,
         block_of: impl Fn(usize) -> &'b [usize],
     ) -> RunReport {
-        let mut log = finish.log;
-        log.sort_unstable_by_key(|step| step.j);
-        let (n, store) = (op.dim(), self.record.label_store());
-        let mut trace = (self.record.keeps_trace()).then(|| Trace::new(n, store));
-        let mut tracker = OnlineMacroTracker::new(n);
-        for (idx, step) in log.iter().enumerate() {
-            debug_assert_eq!(step.j as usize, idx + 1, "non-dense step numbering");
-            let block = block_of(step.worker);
-            tracker.observe(step.j, block, step.min_label);
-            match &mut trace {
-                Some(trace) if store == LabelStore::Full => trace.push_step(block, &step.labels),
-                Some(trace) => trace.push_min_step(block, step.min_label),
-                None => {}
+        let (n, logs) = (op.dim(), &finish.logs);
+        assert_partition(n, (0..logs.len()).map(&block_of));
+        let mut trace =
+            (self.record.keeps_trace()).then(|| Trace::new(n, self.record.label_store()));
+        let full = self.record == RecordMode::Full;
+        // The trace step at which each worker's block was first pushed.
+        let mut first: Vec<Option<u64>> = vec![None; logs.len()];
+        let mut tracker = OnlineMacroTracker::new(logs.len());
+        // k-way merge on each lane's next ticket `j`: (j, worker, index).
+        let mut heads: BinaryHeap<Reverse<(u64, usize, usize)>> = (logs.iter().enumerate())
+            .filter_map(|(w, log)| Some(Reverse((log.steps.first()?.j, w, 0))))
+            .collect();
+        let mut expect = 1;
+        while let Some(Reverse((j, w, k))) = heads.pop() {
+            debug_assert_eq!(j, expect, "non-dense step numbering");
+            expect += 1;
+            let log = &logs[w];
+            if let Some(step) = log.steps.get(k + 1) {
+                heads.push(Reverse((step.j, w, k + 1)));
             }
+            let min_label = log.steps[k].min_label;
+            tracker.observe(j, &[w], min_label);
+            let Some(trace) = &mut trace else { continue };
+            let labels = full.then(|| &log.labels[k * n..(k + 1) * n]);
+            match (first[w], labels) {
+                (None, Some(labels)) => trace.push_step(block_of(w), labels),
+                (None, None) => trace.push_min_step(block_of(w), min_label),
+                (Some(at), Some(labels)) => trace.push_step_like(at, labels),
+                (Some(at), None) => trace.push_min_step_like(at, min_label),
+            }
+            first[w].get_or_insert(j);
         }
         let final_residual = op.residual_inf(&final_x);
         let steps = finish.per_worker_updates.iter().sum();
@@ -277,6 +347,25 @@ impl Race {
             ..RunReport::new(backend, final_x, steps, final_residual)
         }
     }
+}
+
+/// Asserts in O(n) that `blocks` are nonempty and partition `0..n`:
+/// then a step covers its whole block exactly when it covers its worker,
+/// and Definition 2 counted over workers is the count over components.
+fn assert_partition<'b>(n: usize, blocks: impl Iterator<Item = &'b [usize]>) {
+    let mut owned = vec![false; n];
+    let mut count = 0;
+    for block in blocks {
+        assert!(!block.is_empty(), "race: a worker owns no component");
+        for &i in block {
+            assert!(
+                i < n && !std::mem::replace(&mut owned[i], true),
+                "race: component {i} is not owned by exactly one worker"
+            );
+            count += 1;
+        }
+    }
+    assert_eq!(count, n, "race: the workers' blocks do not cover 0..{n}");
 }
 
 #[cfg(test)]
@@ -384,22 +473,16 @@ pub(crate) mod tests {
         for record in [RecordMode::Off, RecordMode::MinOnly, RecordMode::Full] {
             let ctl = plain(5, record);
             let race = Race::open("race", "no target", &problem(&op), &ctl, None).unwrap();
-            let mut lanes = [0, 1].map(|worker| Lane {
-                race: &race,
-                quiet: None,
-                worker,
-                updates: 0,
-                log: Vec::new(),
-            });
+            let mut lanes = [0, 1].map(|worker| race.lane(worker, None));
             for (worker, j) in turns {
                 let labels = [j - 1, j.saturating_sub(2), j - 1, j - 1];
-                lanes[worker].log(j, labels.into_iter());
+                lanes[worker].log(j, &labels);
             }
             let finish = Finish {
                 stopped_early: false,
                 wall: Duration::ZERO,
                 per_worker_updates: vec![2, 3],
-                log: lanes.into_iter().flat_map(|lane| lane.log).collect(),
+                logs: lanes.map(|lane| lane.log).into(),
             };
             let report = race.close("race", &op, vec![0.0; 4], finish, |w| &blocks[w]);
             assert_eq!(
@@ -422,5 +505,108 @@ pub(crate) mod tests {
                 check_condition_a(&trace).unwrap();
             }
         }
+    }
+
+    /// The zero map on `n` components: a close needs only its dimension.
+    struct Zero(usize);
+
+    impl Operator for Zero {
+        fn dim(&self) -> usize {
+            self.0
+        }
+        fn component(&self, _: usize, _: &[f64]) -> f64 {
+            0.0
+        }
+    }
+
+    #[test]
+    fn close_agrees_with_a_naive_walk_over_components() {
+        use asynciter_models::macroiter::macro_iterations;
+        use asynciter_models::partition::Partition;
+        use asynciter_models::trace::LabelStore;
+        use asynciter_numerics::rng::rng;
+        use rand::RngExt;
+        let mut boundaries = 0;
+        for seed in 0..64u64 {
+            let mut r = rng(seed);
+            let workers = r.random_range(1..=8usize);
+            let n = workers + r.random_range(0..=3 * workers);
+            let partition = Partition::blocks(n, workers).unwrap();
+            let blocks: Vec<Vec<usize>> =
+                (0..workers).map(|w| partition.components_of(w)).collect();
+            let steps = r.random_range(1..=400u64);
+            // Ticket j goes to a random lane: a random interleaving.
+            let owner: Vec<usize> = (0..steps).map(|_| r.random_range(0..workers)).collect();
+            // Every label at or below j − 1; one step in four has a
+            // minimum drawn from the whole past, so often below the last
+            // boundary, the others a minimum at most 2 behind.
+            let labels: Vec<Vec<u64>> = (1..=steps)
+                .map(|j| {
+                    let min = if r.random_range(0..4u32) == 0 {
+                        r.random_range(0..j)
+                    } else {
+                        (j - 1).saturating_sub(r.random_range(0..3))
+                    };
+                    let mut labels: Vec<u64> = (0..n).map(|_| r.random_range(min..j)).collect();
+                    labels[r.random_range(0..n)] = min;
+                    labels
+                })
+                .collect();
+            let op = Zero(n);
+            let problem = Problem {
+                op: &op,
+                x0: vec![0.0; n],
+                xstar: None,
+            };
+            for record in [RecordMode::Off, RecordMode::MinOnly, RecordMode::Full] {
+                let case = format!("seed {seed}, {workers} workers, n = {n}, {record:?}");
+                let race = Race::open("race", "no target", &problem, &plain(steps, record), None);
+                let race = race.unwrap();
+                let mut lanes: Vec<Lane<'_>> = (0..workers).map(|w| race.lane(w, None)).collect();
+                let mut per_worker_updates = vec![0; workers];
+                for (j, (&w, labels)) in (1..).zip(owner.iter().zip(&labels)) {
+                    lanes[w].log(j, labels);
+                    per_worker_updates[w] += 1;
+                }
+                let finish = Finish {
+                    stopped_early: false,
+                    wall: Duration::ZERO,
+                    per_worker_updates,
+                    logs: lanes.into_iter().map(|lane| lane.log).collect(),
+                };
+                let report = race.close("race", &op, vec![0.0; n], finish, |w| &blocks[w]);
+
+                let store = record.label_store();
+                let mut naive = Trace::new(n, store);
+                let mut components = OnlineMacroTracker::new(n);
+                for (j, (&w, labels)) in (1..).zip(owner.iter().zip(&labels)) {
+                    let min = *labels.iter().min().unwrap();
+                    match store {
+                        LabelStore::Full => naive.push_step(&blocks[w], labels),
+                        LabelStore::MinOnly => naive.push_min_step(&blocks[w], min),
+                    }
+                    components.observe(j, &blocks[w], min);
+                }
+                let want = macro_iterations(&naive).count() as u64;
+                assert_eq!(components.completed(), want, "{case}");
+                assert_eq!(report.macro_iterations, want, "{case}");
+                boundaries += want;
+                let Some(trace) = report.trace else {
+                    assert_eq!(record, RecordMode::Off, "{case}");
+                    continue;
+                };
+                assert_eq!((trace.len(), trace.store()), (naive.len(), store), "{case}");
+                for ((j, got), (_, want)) in trace.iter().zip(naive.iter()) {
+                    assert_eq!(got, want, "{case}, step {j}");
+                    if store == LabelStore::Full {
+                        assert_eq!(trace.labels(j), naive.labels(j), "{case}, step {j}");
+                    }
+                }
+            }
+        }
+        assert!(
+            boundaries > 1_000,
+            "the cases complete few macro-iterations"
+        );
     }
 }

@@ -186,7 +186,7 @@ impl ThreadedCluster {
         let quiesce = self.quiesce.is_some();
         let body = |lane: &mut Lane<'_>, (mut worker, mut ep): (Worker, FaultEndpoint)| {
             // Buffers are allocated once: the step loop is heap-allocation-free
-            // apart from message payloads (transport-owned) and step logging.
+            // apart from message payloads (transport-owned) and the step log's growth.
             let mut old_block = vec![0.0; if quiesce { worker.block().len() } else { 0 }];
             let mut prng = rng(substream(seed, worker.id() as u64, 2));
 
@@ -206,7 +206,7 @@ impl ThreadedCluster {
                     worker.labels().iter().all(|&l| l < j),
                     "condition (a) violated: a label reached step {j}"
                 );
-                lane.log(j, worker.labels().iter().copied());
+                lane.log(j, worker.labels());
                 for (old, &i) in old_block.iter_mut().zip(worker.block()) {
                     *old = worker.view()[i];
                 }

@@ -7,15 +7,18 @@
 //! and drive millions of steps through `update_active_with` /
 //! `apply_with` / `residual_inf_with`).
 //!
-//! Four tests audit engine loops: an unrecorded `Replay` session, at two
+//! Five tests audit engine loops: an unrecorded `Replay` session, at two
 //! lengths too (a floor-promising schedule keeps `History` from growing),
-//! an unrecorded one-worker `Cluster` session and an unrecorded `Sim`
-//! session on one and two processors. The last two audit the trace:
+//! an unrecorded one-worker `Cluster` session, an unrecorded `Sim`
+//! session on one and two processors, and a recorded one-thread
+//! `SharedMem` session at two lengths. The last two audit the trace:
 //! the text codec every replay check runs, and the active-set store a
 //! message-passing run records into.
 //!
 //! The audit swaps in a counting global allocator that counts per thread,
-//! so no parallel test thread can pollute the counter.
+//! so no parallel test thread can pollute the counter. A racing session
+//! steps on threads of its own, so its audit counts process-wide, in a
+//! child process that runs that one test alone.
 
 use asynciter::opt::canonical;
 use asynciter::opt::logistic::LogisticGradOperator;
@@ -23,6 +26,7 @@ use asynciter::opt::network_flow::{NetworkFlowProblem, PriceRelaxation};
 use asynciter::opt::traits::Operator;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct CountingAlloc;
 
@@ -35,7 +39,14 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+// Process-wide counting, for code that allocates on threads it spawns.
+static COUNTING_ALL: AtomicBool = AtomicBool::new(false);
+static ALLOCS_ALL: AtomicU64 = AtomicU64::new(0);
+
 fn note_alloc() {
+    if COUNTING_ALL.load(Ordering::Relaxed) {
+        ALLOCS_ALL.fetch_add(1, Ordering::Relaxed);
+    }
     let _ = COUNTING.try_with(|c| {
         if c.get() {
             let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
@@ -70,6 +81,16 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     f();
     COUNTING.with(|c| c.set(false));
     ALLOCS.with(|a| a.get())
+}
+
+/// [`count_allocs`] on every thread of the process: sound only where no
+/// other test runs beside `f`.
+fn count_process_allocs(f: impl FnOnce()) -> u64 {
+    ALLOCS_ALL.store(0, Ordering::Relaxed);
+    COUNTING_ALL.store(true, Ordering::Relaxed);
+    f();
+    COUNTING_ALL.store(false, Ordering::Relaxed);
+    ALLOCS_ALL.load(Ordering::Relaxed)
 }
 
 /// Drives `steps` rounds of the scratch evaluation paths over
@@ -267,6 +288,58 @@ fn unrecorded_sim_session_allocates_only_set_up() {
             "{procs} processor(s): {allocs} heap allocations in 1000 steps"
         );
     }
+}
+
+/// Heap allocations, on every thread, of a one-thread `SharedMem`
+/// session of `steps` steps recorded `MinOnly` on an 8-component Jacobi
+/// system.
+fn racing_session_allocs(steps: u64) -> u64 {
+    use asynciter::prelude::*;
+    let system = asynciter::numerics::sparse::tridiagonal(8, 4.0, -1.0);
+    let op = asynciter::opt::linear::JacobiOperator::new(system, vec![1.0; 8]).unwrap();
+    let mut report = None;
+    let allocs = count_process_allocs(|| {
+        let session = Session::new(&op).steps(steps).record(RecordMode::MinOnly);
+        report = session.backend(SharedMem::default()).run().ok();
+    });
+    let report = report.expect("the session runs");
+    assert_eq!(report.steps, steps);
+    assert_eq!(report.macro_iterations, steps, "a lone worker reads fresh");
+    assert_eq!(report.trace.map(|t| t.len() as u64), Some(steps));
+    allocs
+}
+
+#[test]
+fn a_racing_session_allocates_only_its_logs_growth() {
+    // The worker steps on a thread of its own, so the count is
+    // process-wide, which a sibling test would pollute: the test runs
+    // itself again, alone, in a child process that reports both counts.
+    const CHILD: &str = "ALLOC_FREE_RACING_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        let (short, long) = (racing_session_allocs(1_000), racing_session_allocs(10_000));
+        eprintln!("allocs {short} {long}");
+        return;
+    }
+    let name = "a_racing_session_allocates_only_its_logs_growth";
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([name, "--exact", "--nocapture", "--test-threads=1"])
+        .env(CHILD, "1")
+        .output()
+        .expect("the test binary runs again");
+    let stderr = String::from_utf8_lossy(&child.stderr);
+    assert!(child.status.success(), "child failed: {stderr}");
+    let counts = (stderr.lines().find_map(|l| l.strip_prefix("allocs ")))
+        .and_then(|counts| counts.split_once(' '))
+        .unwrap_or_else(|| panic!("no counts in: {stderr}"));
+    let [short, long] = [counts.0, counts.1].map(|c| c.parse::<u64>().unwrap());
+    // Ten times the steps adds at most ⌈log2 10⌉ = 4 doublings to each
+    // of the two per-step vectors, the lane's step log and the trace's
+    // step list; the block is stored once. A per-step allocation in the
+    // step loop adds 9 000.
+    assert!(
+        long <= short + 8,
+        "1 000 steps: {short} allocations, 10 000 steps: {long}"
+    );
 }
 
 #[test]
