@@ -215,6 +215,7 @@ pub fn has_label_regression(trace: &asynciter_models::Trace, workers: usize) -> 
 mod tests {
     use super::*;
     use crate::problems::{ConformanceProblem, ProblemKind};
+    use asynciter_core::compare::{same_run, same_schedule, Fields};
     use asynciter_core::session::{RecordMode, Session};
     use asynciter_numerics::rng::rng;
 
@@ -255,11 +256,9 @@ mod tests {
                 .unwrap()
         };
         let (a, b) = (run(), run());
-        assert_eq!(a.final_x, b.final_x);
-        let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
-        for j in 1..=ta.len() as u64 {
-            assert_eq!(ta.labels(j).unwrap(), tb.labels(j).unwrap());
-        }
+        assert_eq!(same_run(&a, &b, Fields::Computed), Ok(()));
+        let schedules = same_schedule(&a.trace.unwrap(), &b.trace.unwrap());
+        assert_eq!(schedules, Ok(()));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   `trace_io` and committed as regression seeds.
 //! - [`oracle`] — the replay law of Definition 1, written once: a
 //!   recorded schedule replayed through Eq. (1) reproduces its run's
-//!   iterates bit for bit. One replay door, one bitwise and one schedule
-//!   comparator, and [`oracle::record_and_replay`]; the campaign oracles
+//!   iterates bit for bit. One replay door and [`oracle::record_and_replay`],
+//!   comparing through `asynciter_core::compare`; the campaign oracles
 //!   (metamorphic convergence, replay round-trip, flexible degradation,
 //!   sim / cluster / threaded equivalence), the corpus check, the
 //!   service leak shrinker and `mc`'s horizon property all call them.

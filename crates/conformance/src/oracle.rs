@@ -6,9 +6,9 @@
 //! verification tier — the campaign oracles, the corpus re-validation, the
 //! service leak shrinker and `mc`'s horizon property — goes through it:
 //! [`replay`] is the one door from a recorded [`Trace`] back into the
-//! engine, [`same_bits`] the one iterate comparator (on `to_bits`, so
-//! `0.0` and `-0.0` differ and a NaN equals its own bits), [`same_schedule`]
-//! the one schedule comparator, and [`record_and_replay`] the law itself.
+//! engine and [`record_and_replay`] the law itself. What "the same run"
+//! means is `asynciter_core::compare`'s: [`same_run`] on the
+//! [`Fields`] a law fixes, [`same_schedule`] for schedules.
 //!
 //! The oracles, each `Err(message)` when the paper's guarantee fails:
 //!
@@ -22,11 +22,17 @@
 //!   [`threaded_replay_equivalence`] — the law on a `replay_equivalent`
 //!   simulation, a faulty message-passing cluster and a *racy*
 //!   real-thread cluster;
-//! - [`cluster_degenerates_to_replay`], [`threaded_degenerates_to_cluster`]
-//!   — one in-order, faultless worker is the synchronous schedule.
+//! - [`backends_agree`] — two machines executing one schedule agree;
+//!   [`cluster_degenerates_to_replay`] and [`threaded_degenerates_to_cluster`]
+//!   are its instances: one in-order, faultless worker is the synchronous
+//!   schedule.
 
 use crate::cluster::{ClusterPlan, ThreadedPlan};
 use crate::problems::ConformanceProblem;
+/// The iterate comparator, for crates that reach the law only through
+/// this module (`mc`).
+pub use asynciter_core::compare::{same_bits, Mismatch};
+use asynciter_core::compare::{same_run, same_schedule, Fields};
 use asynciter_core::session::{Backend, Flexible, RecordMode, Replay, RunReport, Session};
 use asynciter_core::stopping::StoppingRule;
 use asynciter_models::channel::LinkModel;
@@ -38,73 +44,6 @@ use asynciter_runtime::session::{Cluster, ThreadedCluster};
 use asynciter_sim::compute::ComputeModel;
 use asynciter_sim::session::Sim;
 use std::convert::identity;
-use std::fmt;
-
-/// Where two runs first part ways.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mismatch {
-    /// The two sides have different lengths (components or steps):
-    /// `(left, right)`.
-    Length(usize, usize),
-    /// The first differing index: a component of an iterate, or the
-    /// 1-based step `j` of a schedule.
-    At(usize),
-}
-
-impl fmt::Display for Mismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Length(left, right) => write!(f, "lengths differ ({left} vs {right})"),
-            Self::At(i) => write!(f, "first difference at {i}"),
-        }
-    }
-}
-
-/// Equal lengths, then the first index of `first..first + len` that
-/// `differs`.
-fn first_mismatch(
-    (left, right): (usize, usize),
-    first: usize,
-    differs: impl Fn(usize) -> bool,
-) -> Result<(), Mismatch> {
-    if left != right {
-        return Err(Mismatch::Length(left, right));
-    }
-    (first..first + left)
-        .find(|&i| differs(i))
-        .map_or(Ok(()), |i| Err(Mismatch::At(i)))
-}
-
-/// Bit identity of two iterates: the first component whose `to_bits()`
-/// differ, or a length mismatch.
-///
-/// # Errors
-/// The first [`Mismatch`].
-pub fn same_bits(a: &[f64], b: &[f64]) -> Result<(), Mismatch> {
-    first_mismatch((a.len(), b.len()), 0, |i| a[i].to_bits() != b[i].to_bits())
-}
-
-/// Identity of two recorded schedules: the first step `j` whose
-/// `step(j)` (active set and `min_label`) or `labels(j)` differ, or a
-/// length mismatch.
-///
-/// # Errors
-/// The first [`Mismatch`].
-pub fn same_schedule(a: &Trace, b: &Trace) -> Result<(), Mismatch> {
-    first_mismatch((a.len(), b.len()), 1, |j| {
-        let j = j as u64;
-        a.step(j) != b.step(j) || a.labels(j).ok() != b.labels(j).ok()
-    })
-}
-
-/// [`same_bits`] as an oracle verdict naming `what` and the differing
-/// values.
-fn bitwise(what: &str, a: &[f64], b: &[f64]) -> Result<(), String> {
-    same_bits(a, b).map_err(|m| match m {
-        Mismatch::At(i) => format!("{what}: component {i} differs ({:?} vs {:?})", a[i], b[i]),
-        length => format!("{what}: {length}"),
-    })
-}
 
 /// Replays `trace` from `x0` through Eq. (1): the session `with` adds
 /// (backend, seed, recording, …) runs the trace as its schedule and step
@@ -148,12 +87,12 @@ pub fn record<'a>(
 
 /// The record-and-replay law: [`record`]s the run `machine` configures;
 /// with a `tol`, checks `final_residual ≤ tol`; checks condition (a) on
-/// the trace; replays it through `replay_with` and compares the final
-/// iterates bit for bit. Returns the verified trace.
+/// the trace; replays it through `replay_with` and compares the two
+/// runs on the fields Definition 1 fixes. Returns the verified trace.
 ///
 /// # Errors
 /// A message naming the failed run, the unconverged residual, the
-/// violated condition or the first divergent component.
+/// violated condition or every differing field.
 pub fn record_and_replay<'a>(
     problem: &'a ConformanceProblem,
     machine: impl FnOnce(Session<'a>) -> Session<'a>,
@@ -173,8 +112,9 @@ pub fn record_and_replay<'a>(
     check_condition_a(&trace).map_err(|e| format!("{name} trace violates condition (a): {e}"))?;
     let op = problem.op.as_ref();
     let replayed = replay(op, &problem.x0, &trace, |s| s.backend(replay_with))?;
-    let what = format!("{name} vs its replay");
-    bitwise(&what, &run.final_x, &replayed.final_x).map(|()| trace)
+    same_run(&run, &replayed, Fields::Definition1)
+        .map(|()| trace)
+        .map_err(|e| format!("{name} vs its replay: {e}"))
 }
 
 /// Convergence under an injected admissible trace.
@@ -202,11 +142,12 @@ pub fn replay_roundtrip(problem: &ConformanceProblem, trace: &Trace) -> Result<(
     let op = problem.op.as_ref();
     let run = |t: &Trace| replay(op, &problem.x0, t, |s| s.record(RecordMode::Full));
     let first = run(trace)?;
-    let x = &first.final_x;
-    bitwise("roundtrip: replayed twice", x, &run(trace)?.final_x)?;
+    same_run(&first, &run(trace)?, Fields::Computed)
+        .map_err(|e| format!("roundtrip: replayed twice: {e}"))?;
     let text = trace_to_string(trace).map_err(|e| format!("trace_io write failed: {e}"))?;
     let archived = trace_from_str(&text).map_err(|e| format!("trace_io read failed: {e}"))?;
-    bitwise("roundtrip: archived", x, &run(&archived)?.final_x)?;
+    same_run(&first, &run(&archived)?, Fields::Computed)
+        .map_err(|e| format!("roundtrip: archived: {e}"))?;
     let re = first.trace.as_ref().expect("RecordMode::Full");
     same_schedule(re, trace)
         .map_err(|m| format!("roundtrip: re-recorded schedule differs from the injected one, {m}"))
@@ -387,24 +328,24 @@ pub fn threaded_replay_equivalence(
     )
 }
 
-/// Runs `a` and `b` from the problem's start for `steps` and compares
-/// their final iterates bit for bit.
-fn degenerate<'p>(
+/// Runs `a` and `b` from the problem's start under the session `with`
+/// configures (budget, samples, recording) and compares them on the
+/// fields Definition 1 fixes: two machines executing one schedule.
+///
+/// # Errors
+/// A message naming the failed run or every differing field.
+pub fn backends_agree<'p>(
     problem: &'p ConformanceProblem,
-    steps: u64,
     a: impl Backend + 'p,
     b: impl Backend + 'p,
+    with: impl Fn(Session<'p>) -> Session<'p>,
 ) -> Result<(), String> {
-    let run = |session: Session<'_>| session.run().map_err(|e| format!("run failed: {e}"));
-    let start = || {
-        Session::new(problem.op.as_ref())
-            .x0(problem.x0.clone())
-            .steps(steps)
-    };
+    let run = |session: Session<'p>| session.run().map_err(|e| format!("run failed: {e}"));
+    let start = || with(Session::new(problem.op.as_ref()).x0(problem.x0.clone()));
     let a = run(start().backend(a))?;
     let b = run(start().backend(b))?;
-    let what = format!("{} vs {} after {steps} steps", a.backend, b.backend);
-    bitwise(&what, &a.final_x, &b.final_x)
+    let what = format!("{} vs {} after {} steps", a.backend, b.backend, a.steps);
+    same_run(&a, &b, Fields::Definition1).map_err(|e| format!("{what}: {e}"))
 }
 
 /// The degenerate cluster — one worker, in-order links, no faults — is
@@ -412,7 +353,7 @@ fn degenerate<'p>(
 /// default schedule.
 ///
 /// # Errors
-/// A message naming the first divergent component.
+/// [`backends_agree`]'s message.
 pub fn cluster_degenerates_to_replay(
     problem: &ConformanceProblem,
     steps: u64,
@@ -421,7 +362,7 @@ pub fn cluster_degenerates_to_replay(
         workers: 1,
         ..Cluster::default()
     };
-    degenerate(problem, steps, one, Replay)
+    backends_agree(problem, one, Replay, |s| s.steps(steps))
 }
 
 /// The degenerate threaded cluster — one free-running worker, faultless
@@ -431,7 +372,7 @@ pub fn cluster_degenerates_to_replay(
 /// no-op at one worker.)
 ///
 /// # Errors
-/// A message naming the first divergent component.
+/// [`backends_agree`]'s message.
 pub fn threaded_degenerates_to_cluster(
     problem: &ConformanceProblem,
     steps: u64,
@@ -444,7 +385,7 @@ pub fn threaded_degenerates_to_cluster(
         workers: 1,
         ..Cluster::default()
     };
-    degenerate(problem, steps, threaded, cluster)
+    backends_agree(problem, threaded, cluster, |s| s.steps(steps))
 }
 
 #[cfg(test)]
@@ -493,36 +434,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", plan.describe()));
         }
         threaded_degenerates_to_cluster(&problem, 60).unwrap();
-    }
-
-    #[test]
-    fn bit_identity_compares_bits_not_float_equality() {
-        // 0.0 == -0.0 as floats, but the replay law is bitwise.
-        assert_eq!(same_bits(&[0.0], &[-0.0]), Err(Mismatch::At(0)));
-        // A NaN is not == to itself, but agrees with its own bits.
-        let nan = f64::from_bits(0x7ff8_0000_0000_0001);
-        assert_eq!(same_bits(&[1.0, nan], &[1.0, nan]), Ok(()));
-        assert_eq!(same_bits(&[1.0], &[1.0, 2.0]), Err(Mismatch::Length(1, 2)));
-        assert_eq!(
-            same_bits(&[1.0, 2.0], &[1.0]).unwrap_err().to_string(),
-            "lengths differ (2 vs 1)"
-        );
-    }
-
-    #[test]
-    fn schedules_differing_only_in_one_min_label_differ() {
-        // Min-only traces store no label vectors, so only `step(j)`
-        // (active set and `l(j)`) can tell these apart.
-        let mut a = asynciter_models::Trace::new(3, asynciter_models::LabelStore::MinOnly);
-        let mut b = asynciter_models::Trace::new(3, asynciter_models::LabelStore::MinOnly);
-        for j in 0..4u64 {
-            a.push_min_step(&[0, 2], j);
-            b.push_min_step(&[0, 2], if j == 2 { 1 } else { j });
-        }
-        assert_eq!(same_schedule(&a, &a), Ok(()));
-        assert_eq!(same_schedule(&a, &b), Err(Mismatch::At(3)));
-        b.push_min_step(&[1], 4);
-        assert_eq!(same_schedule(&a, &b), Err(Mismatch::Length(4, 5)));
     }
 
     #[test]

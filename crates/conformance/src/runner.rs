@@ -27,6 +27,7 @@ use crate::oracle;
 use crate::plan::SchedulePlan;
 use crate::problems::{ConformanceProblem, ProblemKind};
 use crate::shrink::shrink_and_save;
+use asynciter_core::compare::same_schedule;
 use asynciter_models::schedule::{FrozenLabelAdversary, StarvedComponent};
 use asynciter_models::{LabelStore, ModelError, Trace};
 use asynciter_numerics::rng::{child_seed, rng};
@@ -389,14 +390,14 @@ fn check_corpus(
             // Committed cluster traces must equal their regenerated
             // plans (engine/channel-model determinism).
             let regen = corpus::record_cluster_trace(cplan);
-            if let Err(m) = oracle::same_schedule(&regen, &trace) {
+            if let Err(m) = same_schedule(&regen, &trace) {
                 let drift = "committed cluster trace no longer matches its plan (engine drift)";
                 fail("corpus-cluster-regen", &path, format!("{drift}: {m}"));
                 continue;
             }
             "corpus-cluster-replay"
         } else if let Some(plan) = plans.get(&stem) {
-            if let Err(m) = oracle::same_schedule(&plan.record_trace(), &trace) {
+            if let Err(m) = same_schedule(&plan.record_trace(), &trace) {
                 let drift = "committed trace no longer matches its plan (generator drift)";
                 fail("corpus-regen", &path, format!("{drift}: {m}"));
             } else if let Err(e) = plan.witness().check(&trace) {

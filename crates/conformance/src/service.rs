@@ -23,6 +23,7 @@
 use std::convert::identity;
 use std::path::Path;
 
+use asynciter_core::compare::{same_bits, same_run, Fields};
 use asynciter_models::Trace;
 use asynciter_numerics::rng::child_seed;
 use asynciter_runtime::ApplyPolicy;
@@ -31,7 +32,7 @@ use asynciter_service::{
     ScheduleSpec, Service, ServiceConfig, ServiceMode, ServiceOutcome,
 };
 
-use crate::oracle::{replay, same_bits};
+use crate::oracle::replay;
 use crate::shrink::shrink_and_save;
 
 /// A seeded mixed workload: `tenants` job specs cycling through every
@@ -170,7 +171,7 @@ pub fn shrink_leak_trace(
         replay(op, clean, t, identity),
         replay(op, dirty, t, identity),
     ) {
-        (Ok(a), Ok(b)) => same_bits(&a.final_x, &b.final_x).is_err(),
+        (Ok(a), Ok(b)) => same_run(&a, &b, Fields::Computed).is_err(),
         _ => false,
     };
     let not_caught = "clean and leaked starts replay identically on the full trace";

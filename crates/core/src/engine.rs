@@ -203,6 +203,7 @@ impl Backend for Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::{same_run, Fields};
     use crate::error::CoreError;
     use crate::session::{RecordMode, Session};
     use asynciter_models::schedule::{ChaoticBounded, CyclicCoordinate, SyncJacobi};
@@ -369,7 +370,7 @@ mod tests {
                 .unwrap()
         };
         let (a, b) = (run(), run());
-        assert_eq!(a.final_x, b.final_x);
+        assert_eq!(same_run(&a, &b, Fields::Computed), Ok(()));
         let (a, b) = (a.trace.unwrap(), b.trace.unwrap());
         assert_eq!(a.len(), b.len());
         for j in 1..=a.len() as u64 {

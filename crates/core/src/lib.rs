@@ -13,6 +13,10 @@
 //!   step loop: updates run `m` inner iterations and *publish partial
 //!   results*, and readers may consume those partials (sub-step labels);
 //!   the engine can check — or enforce — the norm constraint (3).
+//! - [`compare`] — what "the same run" means, written once: bit identity
+//!   of two iterates ([`compare::same_bits`]), of two schedules, and of
+//!   two [`RunReport`]s on the [`compare::Fields`] a law fixes
+//!   ([`compare::same_run`]).
 //! - [`theory`] — Theorem 1's `(1−ρ)^k` envelope, Perron weights for
 //!   weighted-max-norm contraction certificates, and empirical contraction
 //!   estimation.
@@ -35,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
+pub mod compare;
 pub mod engine;
 pub mod error;
 pub mod flexible;

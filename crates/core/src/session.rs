@@ -676,9 +676,9 @@ impl<'a> Session<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::{same_run, Fields};
     use asynciter_models::schedule::{ChaoticBounded, SyncJacobi};
     use asynciter_numerics::sparse::tridiagonal;
-    use asynciter_numerics::vecops;
     use asynciter_opt::linear::JacobiOperator;
 
     fn jacobi(n: usize) -> JacobiOperator {
@@ -929,8 +929,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(first.final_x, replayed.final_x);
-        assert_eq!(first.steps, replayed.steps);
+        assert_eq!(same_run(&first, &replayed, Fields::Computed), Ok(()));
     }
 
     #[test]
@@ -957,9 +956,6 @@ mod tests {
                 .unwrap()
         };
         let (a, b) = (run(), run());
-        assert_eq!(a.final_x, b.final_x);
-        assert_eq!(a.macro_iterations, b.macro_iterations);
-        let diff = vecops::max_abs_diff(&a.final_x, &b.final_x);
-        assert_eq!(diff, 0.0);
+        assert_eq!(same_run(&a, &b, Fields::Computed), Ok(()));
     }
 }

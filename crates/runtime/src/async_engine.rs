@@ -129,8 +129,11 @@ impl Backend for SharedMem {
                 // Simulated compute load (heterogeneity).
                 spin(spin_units);
                 // m inner iterations on the block, off-block frozen at
-                // the snapshot. Nothing non-finite is ever published.
+                // the snapshot. Nothing non-finite is ever published, and
+                // nothing before the step's ticket: a phase the budget
+                // refuses leaves no trace and no value behind.
                 let mut change = 0.0_f64;
+                let mut ticket = None;
                 for r in 1..=self.inner_steps {
                     op.update_active_with(&vals, block, &mut upd, &mut scratch);
                     for &i in block {
@@ -145,13 +148,20 @@ impl Backend for SharedMem {
                     }
                     if r % self.publish_period == 0 && r < self.inner_steps {
                         // Mid-phase partial publish (flexible
-                        // communication), labelled "as of now".
-                        publish(block, &vals, lane.now());
+                        // communication), labelled as the step's start.
+                        let Some(j) = ticket.or_else(|| lane.ticket()) else {
+                            return Ok(());
+                        };
+                        ticket = Some(j);
+                        publish(block, &vals, j - 1);
                         partial_publishes.fetch_add(block.len() as u64, Ordering::Relaxed);
                     }
                 }
-                // Draw the global iteration number and publish.
-                let Some(j) = lane.ticket() else { break };
+                // Draw the global iteration number (if no partial has)
+                // and publish.
+                let Some(j) = ticket.or_else(|| lane.ticket()) else {
+                    break;
+                };
                 publish(block, &vals, j);
                 // Clamp to j−1: labels were read before j was drawn, so
                 // this only tightens.
@@ -191,7 +201,8 @@ impl Backend for SharedMem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asynciter_core::session::{RecordMode, Session};
+    use asynciter_core::compare::{same_run, Fields};
+    use asynciter_core::session::{Flexible, RecordMode, Session};
     use asynciter_core::stopping::StoppingRule;
     use asynciter_models::conditions::check_condition_a;
     use asynciter_numerics::sparse::tridiagonal;
@@ -289,6 +300,32 @@ mod tests {
         // 3 partial publishes of 8 components per update.
         assert!(res.partial_publishes > 0);
         assert!(res.final_residual < 1.0);
+    }
+
+    #[test]
+    fn a_phase_the_budget_refuses_publishes_no_partial() {
+        // One thread, one mid-phase publish per phase: 400 ticketed steps
+        // publish 400 partials of n components, not the refused 401st
+        // phase's too, and the run is its trace replayed by Definition 3
+        // without partials (exact on one thread).
+        let op = jacobi(8);
+        let backend = SharedMem {
+            inner_steps: 4,
+            publish_period: 2,
+            ..shared_mem(1)
+        };
+        let session = Session::new(&op).steps(400).record(RecordMode::Full);
+        let mut run = session.backend(backend).run().unwrap();
+        assert_eq!(run.partial_publishes, 400 * 8);
+        let trace = run.trace.take().unwrap();
+        let definition_3 = Flexible {
+            m: 4,
+            partial: false,
+            ..Flexible::default()
+        };
+        let session = Session::new(&op).replay_trace(trace).unwrap();
+        let replayed = session.backend(definition_3).run().unwrap();
+        assert_eq!(same_run(&run, &replayed, Fields::Definition1), Ok(()));
     }
 
     #[test]

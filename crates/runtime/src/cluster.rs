@@ -558,6 +558,7 @@ impl ClusterEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asynciter_core::compare::{same_bits, same_schedule};
     use asynciter_core::session::{RecordMode, Session};
     use asynciter_numerics::sparse::tridiagonal;
     use asynciter_numerics::vecops;
@@ -614,7 +615,7 @@ mod tests {
             })
             .run()
             .unwrap();
-        assert_eq!(a.consensus, b.final_x);
+        assert_eq!(same_bits(&a.consensus, &b.final_x), Ok(()));
         assert_eq!(Some(&a.stats), b.channel.as_ref());
         assert!(a.stats.dropped > 0 && a.stats.held > 0 && a.constraint_violations > 0);
         assert_eq!(
@@ -630,12 +631,7 @@ mod tests {
             (a.steps_run, &a.per_worker_updates),
             (b.steps, &b.per_worker_updates)
         );
-        let kept = b.trace.unwrap();
-        assert_eq!(a.trace.len(), kept.len());
-        for (j, step) in a.trace.iter() {
-            assert_eq!(step, kept.step(j), "step {j}");
-            assert_eq!(a.trace.labels(j).unwrap(), kept.labels(j).unwrap());
-        }
+        assert_eq!(same_schedule(&a.trace, &b.trace.unwrap()), Ok(()));
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub use catalog::{Catalog, CatalogEntry, ProblemId};
 pub use error::{Result, ServiceError};
 pub use service::{CompletedJob, Service, ServiceConfig, ServiceMode, ServiceOutcome};
 pub use spec::{BackendSpec, DelaySpec, JobSpec, ScheduleSpec};
-pub use verify::{check_outcome, diff_reports, solo_report, Divergence};
+pub use verify::{check_outcome, solo_report, Divergence};

@@ -1,18 +1,24 @@
 //! The tenant-isolation contract, made checkable: solo re-execution and
 //! bitwise diffing.
 //!
-//! A service run is *isolated* iff every tenant's report is bit-identical
-//! to what a solo [`crate::spec::JobSpec::execute`] of the same spec
-//! produces — same final iterate bits, same step count, same residual
-//! bits, same macro-iteration count. [`check_outcome`] re-runs every
-//! completed job solo (fresh buffers, no pool, no neighbours) and
-//! reports each [`Divergence`]. The conformance tier wraps this with
-//! trace shrinking; the CLI wires it behind `--verify`.
+//! A service run is *isolated* iff every tenant's report is the same run
+//! as a solo [`crate::spec::JobSpec::execute`] of the same spec, on every
+//! field the run computes ([`Fields::Computed`], compared by
+//! `asynciter_core::compare`): the bits of `final_x`, `final_residual`,
+//! `errors` and `residuals`; `steps`, `stopped_early`,
+//! `macro_iterations` and `error_times`; the partial and constraint
+//! counters, `per_worker_updates`, `sim_time` and `channel`. What a run
+//! keeps or measures — `trace`, `wall`, `backend`, `tenant`, `job` — is
+//! not compared. [`check_outcome`] re-runs every completed job solo
+//! (fresh buffers, no pool, no neighbours) and reports each
+//! [`Divergence`]. The conformance tier wraps this with trace shrinking;
+//! the CLI wires it behind `--verify`.
 
 use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::service::ServiceOutcome;
 use crate::spec::JobSpec;
+use asynciter_core::compare::{differences, Fields};
 use asynciter_core::session::{RecordMode, RunReport};
 
 /// One field where a service run's report differs from the solo run.
@@ -48,85 +54,10 @@ pub fn solo_report(catalog: &Catalog, spec: &JobSpec, record: RecordMode) -> Res
     spec.execute(catalog, &entry.x0, record)
 }
 
-/// Diffs a service report against its solo reference, bit for bit.
-pub fn diff_reports(
-    spec: &JobSpec,
-    job: u64,
-    service: &RunReport,
-    solo: &RunReport,
-) -> Vec<Divergence> {
-    let mut out = Vec::new();
-    let mut push = |field: &'static str, detail: String| {
-        out.push(Divergence {
-            tenant: spec.tenant,
-            job,
-            field,
-            detail,
-        });
-    };
-    if service.final_x != solo.final_x
-        || service
-            .final_x
-            .iter()
-            .zip(&solo.final_x)
-            .any(|(a, b)| a.to_bits() != b.to_bits())
-    {
-        let first = service
-            .final_x
-            .iter()
-            .zip(&solo.final_x)
-            .position(|(a, b)| a.to_bits() != b.to_bits());
-        push(
-            "final_x",
-            match first {
-                Some(i) => format!(
-                    "component {i}: service {:e} vs solo {:e}",
-                    service.final_x[i], solo.final_x[i]
-                ),
-                None => "length mismatch".into(),
-            },
-        );
-    }
-    if service.steps != solo.steps {
-        push(
-            "steps",
-            format!("service {} vs solo {}", service.steps, solo.steps),
-        );
-    }
-    if service.final_residual.to_bits() != solo.final_residual.to_bits() {
-        push(
-            "final_residual",
-            format!(
-                "service {:e} vs solo {:e}",
-                service.final_residual, solo.final_residual
-            ),
-        );
-    }
-    if service.macro_iterations != solo.macro_iterations {
-        push(
-            "macro_iterations",
-            format!(
-                "service {} vs solo {}",
-                service.macro_iterations, solo.macro_iterations
-            ),
-        );
-    }
-    if service.stopped_early != solo.stopped_early {
-        push(
-            "stopped_early",
-            format!(
-                "service {} vs solo {}",
-                service.stopped_early, solo.stopped_early
-            ),
-        );
-    }
-    out
-}
-
 /// Checks the isolation contract over a whole drained outcome: every
-/// ok job is re-run solo and diffed bitwise. Returns every divergence
-/// found (empty = isolated). Failed/cancelled jobs are skipped — they
-/// carry no payload to compare.
+/// ok job is re-run solo and compared on every computed field. Returns
+/// every divergence found (empty = isolated). Failed/cancelled jobs are
+/// skipped — they carry no payload to compare.
 pub fn check_outcome(catalog: &Catalog, outcome: &ServiceOutcome) -> Vec<Divergence> {
     let mut divergences = Vec::new();
     for completed in &outcome.jobs {
@@ -139,14 +70,16 @@ pub fn check_outcome(catalog: &Catalog, outcome: &ServiceOutcome) -> Vec<Diverge
             RecordMode::Off
         };
         match solo_report(catalog, &completed.spec, record) {
-            Ok(solo) => {
-                divergences.extend(diff_reports(
-                    &completed.spec,
-                    completed.record.job,
-                    report,
-                    &solo,
-                ));
-            }
+            Ok(solo) => divergences.extend(
+                differences(report, &solo, Fields::Computed)
+                    .into_iter()
+                    .map(|d| Divergence {
+                        tenant: completed.spec.tenant,
+                        job: completed.record.job,
+                        field: d.field,
+                        detail: format!("service vs solo, {}", d.detail),
+                    }),
+            ),
             Err(e) => divergences.push(Divergence {
                 tenant: completed.spec.tenant,
                 job: completed.record.job,

@@ -10,13 +10,14 @@
 use asynciter::conformance::cluster::has_label_regression;
 use asynciter::conformance::corpus::{self, CORPUS_STEPS};
 use asynciter::conformance::oracle::{
-    cluster_degenerates_to_replay, replay, same_bits, threaded_degenerates_to_cluster,
+    cluster_degenerates_to_replay, replay, threaded_degenerates_to_cluster,
 };
 use asynciter::conformance::runner::{
     cluster_reorder_demo, inject_cluster_fault_demo, inject_fault_demo, run_campaign,
     CampaignConfig,
 };
 use asynciter::conformance::{ConformanceProblem, ProblemKind};
+use asynciter::core::compare::{same_run, Fields};
 use asynciter::models::conditions::check_condition_a;
 use asynciter::models::macroiter::macro_iterations;
 use std::path::Path;
@@ -96,8 +97,8 @@ fn corpus_traces_satisfy_model_invariants_and_replay_deterministically() {
             replay(problem.op.as_ref(), &problem.x0, &trace, |s| s)
                 .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
         };
-        same_bits(&run().final_x, &run().final_x)
-            .unwrap_or_else(|m| panic!("{}: replay not deterministic, {m}", path.display()));
+        same_run(&run(), &run(), Fields::Computed)
+            .unwrap_or_else(|e| panic!("{}: replay not deterministic, {e}", path.display()));
     }
 }
 

@@ -11,6 +11,7 @@
 
 use asynciter::conformance::cluster::has_label_regression;
 use asynciter::conformance::corpus::load_trace;
+use asynciter::core::compare::same_bits;
 use asynciter::core::session::Session;
 use asynciter::mc::counterexample::envelope_violation;
 use asynciter::mc::seam::SeamChoice;
@@ -290,18 +291,13 @@ fn seam1_matches_sequential_and_threaded_cluster_bitwise() {
         })
         .run()
         .unwrap();
-    for c in 0..problem.n() {
-        assert_eq!(
-            terminal.book.workers[0].view()[c].to_bits(),
-            cluster.final_x[c].to_bits(),
-            "seam model diverges from Cluster{{1}} at component {c}"
-        );
-        assert_eq!(
-            terminal.book.workers[0].view()[c].to_bits(),
-            threaded.final_x[c].to_bits(),
-            "seam model diverges from ThreadedCluster{{1}} at component {c}"
-        );
-    }
+    let view = terminal.book.workers[0].view();
+    assert_eq!(same_bits(view, &cluster.final_x), Ok(()), "vs Cluster{{1}}");
+    assert_eq!(
+        same_bits(view, &threaded.final_x),
+        Ok(()),
+        "vs ThreadedCluster{{1}}"
+    );
 }
 
 #[test]
@@ -342,13 +338,10 @@ fn quick_prompt_path_matches_the_cluster_backend_bitwise() {
         .run()
         .unwrap();
     for worker in &state.book.workers {
-        for &c in worker.block() {
-            assert_eq!(
-                worker.view()[c].to_bits(),
-                cluster.final_x[c].to_bits(),
-                "cluster model diverges from Cluster{{2}} at component {c}"
-            );
-        }
+        let (model, engine): (Vec<f64>, Vec<f64>) = (worker.block().iter())
+            .map(|&c| (worker.view()[c], cluster.final_x[c]))
+            .unzip();
+        assert_eq!(same_bits(&model, &engine), Ok(()), "vs Cluster{{2}}");
     }
 }
 
@@ -426,8 +419,8 @@ fn seam_model_and_fault_endpoint_agree_bitwise_on_a_fate_script() {
         };
         state = model.apply(&state, &choice, None).expect("in scope").0;
         for (real, seam) in workers.iter().zip(&state.book.workers) {
-            let bits = |view: &[f64]| view.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(real.view()), bits(seam.view()), "step {j}: views");
+            let views = same_bits(real.view(), seam.view());
+            assert_eq!(views, Ok(()), "step {j}: views");
             assert_eq!(real.labels(), seam.labels(), "step {j}: label books");
         }
     }
